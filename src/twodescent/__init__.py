@@ -41,7 +41,6 @@ from .localsolve import (
     LocalVerdict,
     QuarticForm,
     Witness,
-    brute_mod_oracle,
     qp_soluble,
     r_soluble,
     zp_soluble,

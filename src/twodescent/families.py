@@ -428,12 +428,17 @@ def _is_square(n: int) -> bool:
 
 
 def _cube_root_exact(n: int):
+    """The integer c with c^3 = n, or None; Newton's method from above."""
     m = abs(n)
-    c = round(m ** (1 / 3))
-    for k in (c - 2, c - 1, c, c + 1, c + 2):
-        if k >= 0 and k**3 == m:
-            return k if n >= 0 else -k
-    return None
+    c = 1 << -(-m.bit_length() // 3)
+    while c > 0:
+        d = (2 * c + m // (c * c)) // 3
+        if d >= c:
+            break
+        c = d
+    if c**3 != m:
+        return None
+    return c if n >= 0 else -c
 
 
 def _check_power_free(D: int, e: int) -> None:

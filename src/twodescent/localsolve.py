@@ -1,19 +1,26 @@
 """Solvability of y^2 = f(z) for integer quartics f, over R and over Q_p.
 
-The p-adic decision runs a worklist of residue classes z = r (mod p^k).
-A class is settled when one of these fires:
+The p-adic decision is a depth-first search over residue classes
+z = r (mod p^k), the recursion of Birch and Swinnerton-Dyer's Lemmas 6
+and 7.  With lam = val(f(r)), mu = val(f'(r)) (infinite if f'(r) = 0)
+and u = f(r) / p^lam, a class is settled by the first rule that fires:
 
-  (i)   f(r) = 0 exactly: a rational root, hence a point (r, 0).
-  (ii)  val(f(r)) > 2*val(f'(r)): a Hensel root of f in Z_p nearby.
-  (iii) with e = val(f(r)), k - e >= 1 (odd p) or >= 3 (p = 2): the
-        square class of f on the whole residue class equals that of
-        f(r), so is_padic_square(f(r), p) decides it.
-  (iv)  otherwise the class splits into its p children at depth k + 1.
+  (i)   f(r) = 0 or f(r) a square in Q_p: soluble at z = r.
+  (ii)  k > mu: f maps the class onto f(r) + p^(k+mu) Z_p.  Soluble if
+        lam >= k + mu (a Hensel root), or at p = 2 if lam is even and
+        lam = k + mu - 1, or lam = k + mu - 2 and u = 1 (mod 4);
+        insoluble otherwise.
+  (iii) k <= mu: f = f(r) (mod p^(2k)) on the class.  Split into the p
+        children mod p^(k+1) if lam >= 2k, or at p = 2 if lam = 2k - 2
+        and u = 1 (mod 4); insoluble otherwise.
 
-Depth is capped at val_p(disc f) + 6; reaching the cap raises, because
-for nonzero discriminant the recursion must resolve earlier.  Points
-with z outside Z_p are caught by running the reversed quartic
-t^4 * f(1/t), whose t = 0 classes are the points at infinity.
+A split needs lam >= 2k - 2 and mu >= k, and Res(f, f') lies in the
+ideal (f, f') of Z[z], so for k >= 2 a split needs
+k <= val(Res(f, f')) = val(lead f) + val(disc f).  That bounds the
+depth; reaching it raises PrecisionExhausted, which nonzero
+discriminant rules out.  Points with z outside Z_p are caught by
+running the reversed quartic t^4 * f(1/t), whose t = 0 classes are the
+points at infinity.
 
 Real solvability is decided exactly: positive leading coefficient, or a
 real root detected by a Sturm chain on the squarefree part.
@@ -21,11 +28,10 @@ real root detected by a Sturm chain on the squarefree part.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import is_padic_square, legendre, val
+from .arith import val
 
 __all__ = [
     "LocalSolveError",
@@ -34,13 +40,10 @@ __all__ = [
     "Witness",
     "LocalVerdict",
     "poly_disc",
-    "brute_mod_oracle",
     "zp_soluble",
     "qp_soluble",
     "r_soluble",
 ]
-
-_NODE_BUDGET = 500_000
 
 
 class LocalSolveError(ValueError):
@@ -153,54 +156,6 @@ class LocalVerdict:
 _INSOLUBLE = LocalVerdict(False, None)
 
 
-def brute_mod_oracle(f: QuarticForm, p: int, k: int) -> set[int]:
-    """Residues r mod p^k with f(r) congruent to a square mod p^k.
-
-    Exhaustive; test oracle only.  The modulus is capped at 10**7.
-    """
-    if k < 1:
-        raise LocalSolveError("need k >= 1")
-    pk = p**k
-    if pk > 10**7:
-        raise LocalSolveError("modulus too large for the brute oracle")
-    squares = bytearray(pk)
-    for w in range(pk // 2 + 1):
-        squares[w * w % pk] = 1
-    cs = [v % pk for v in f.c]
-    out = set()
-    for r in range(pk):
-        acc = 0
-        for v in cs:
-            acc = (acc * r + v) % pk
-        if squares[acc]:
-            out.add(r)
-    return out
-
-
-def _settle_exact(f: QuarticForm, p: int, r: int, k: int, th: int):
-    """Decide the class (r, k) from exact values, or return None to split."""
-    v = f(r)
-    if v == 0:
-        return LocalVerdict(
-            True, Witness("exact-root", Fraction(r), f"f({r}) = 0")
-        )
-    vd = f.deriv(r)
-    if vd != 0 and val(v, p) > 2 * val(vd, p):
-        return LocalVerdict(
-            True,
-            Witness("hensel", None, f"simple root of f in Z_{p} near {r} mod {p}^{k}"),
-        )
-    e = val(v, p)
-    if k - e >= th:
-        if is_padic_square(v, p):
-            return LocalVerdict(
-                True,
-                Witness("square-value", Fraction(r), f"f({r}) is a square in Q_{p}"),
-            )
-        return _INSOLUBLE
-    return None
-
-
 def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
     """Whether y^2 = f(z) has z in Z_p, y in Q_p."""
     if f.degree < 2:
@@ -209,55 +164,62 @@ def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
     disc = f.disc()
     if disc == 0:
         raise LocalSolveError("zero discriminant")
-    cap = val(disc, p) + 6
-    th = 3 if p == 2 else 1
-    budget = _NODE_BUDGET
-    work: deque[tuple[int, int]] = deque()
+    lead = next(v for v in f.c if v != 0)
+    cap = max(1, val(lead, p) + val(disc, p))
 
-    if p > 2:
+    half = (p - 1) // 2
+    if p == 2:
+        stack = [(1, 1), (0, 1)]
+    else:
         # Depth-1 classes mod an odd p in machine arithmetic: a nonzero
-        # residue decides by its quadratic character, only roots go deep.
-        squares = bytearray(p)
-        for w in range(p // 2 + 1):
-            squares[w * w % p] = 1
+        # residue decides by its quadratic character (Euler's criterion,
+        # so no table of p entries), only roots go deep.
         cs = [v % p for v in f.c]
-        dead = True
+        stack = []
         for r in range(p):
             acc = 0
             for v in cs:
                 acc = (acc * r + v) % p
             if acc == 0:
-                work.append((r, 1))
-                dead = False
-            elif squares[acc]:
+                stack.append((r, 1))
+            elif pow(acc, half, p) == 1:
                 return LocalVerdict(
                     True,
                     Witness("square-value", Fraction(r), f"f({r}) is a square in Q_{p}"),
                 )
-        if dead and not work:
-            return _INSOLUBLE
-    else:
-        work.append((0, 1))
-        work.append((1, 1))
+        stack.reverse()
 
-    while work:
-        r, k = work.popleft()
-        budget -= 1
-        if budget <= 0:
-            raise LocalSolveError("worklist budget exceeded")
-        verdict = _settle_exact(f, p, r, k, th)
-        if verdict is not None:
-            if verdict.soluble:
-                return verdict
-            continue
-        if k + 1 > cap:
-            raise PrecisionExhausted(
-                f"depth {k + 1} exceeds cap {cap} at p = {p}; nonzero discriminant "
-                "should have resolved earlier"
+    while stack:
+        r, k = stack.pop()
+        v = f(r)
+        if v == 0:
+            return LocalVerdict(True, Witness("exact-root", Fraction(r), f"f({r}) = 0"))
+        lam = val(v, p)
+        u = v // p**lam
+        if lam % 2 == 0 and (u % 8 == 1 if p == 2 else pow(u, half, p) == 1):
+            return LocalVerdict(
+                True, Witness("square-value", Fraction(r), f"f({r}) is a square in Q_{p}")
             )
-        step = p**k
-        for j in range(p):
-            work.append((r + j * step, k + 1))
+        d = f.deriv(r)
+        mu = val(d, p) if d else None
+        if mu is not None and k > mu:
+            # f maps the class onto f(r) + p^(k + mu) Z_p
+            n = k + mu
+            if lam >= n or (
+                p == 2 and lam % 2 == 0 and (lam == n - 1 or (lam == n - 2 and u % 4 == 1))
+            ):
+                what = "a root" if lam >= n else "a square value"
+                return LocalVerdict(
+                    True, Witness("hensel", None, f"f has {what} on {r} mod {p}^{k}")
+                )
+        elif lam >= 2 * k or (p == 2 and lam == 2 * k - 2 and u % 4 == 1):
+            # f = f(r) mod p^(2k) on the class: undecided, split it
+            if k > cap:
+                raise PrecisionExhausted(
+                    f"class {r} mod {p}^{k} splits beyond the resultant bound {cap}"
+                )
+            step = p**k
+            stack.extend((r + j * step, k + 1) for j in range(p - 1, -1, -1))
     return _INSOLUBLE
 
 

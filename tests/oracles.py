@@ -209,3 +209,81 @@ def val_oracle(n: int, p: int) -> int:
         n //= p
         k += 1
     return k
+
+
+# ---------------------------------------------------------------------------
+# p-adic solubility of y^2 = f(z), z in Z_p, by the plain residue-class
+# worklist: a class z = r (mod p^k) is settled by an exact root, by a
+# Hensel root (val f(r) > 2 val f'(r)), or, once k - val f(r) reaches 1
+# (3 at p = 2), by the square class of f(r); otherwise it splits.
+
+
+def brute_mod_oracle(c: tuple[int, ...], p: int, k: int) -> set[int]:
+    """Residues r mod p^k with f(r) congruent to a square mod p^k.
+
+    Exhaustive; the modulus is capped at 10**7.
+    """
+    if k < 1:
+        raise ValueError("need k >= 1")
+    pk = p**k
+    if pk > 10**7:
+        raise ValueError("modulus too large for the brute oracle")
+    squares = bytearray(pk)
+    for w in range(pk // 2 + 1):
+        squares[w * w % pk] = 1
+    cs = [v % pk for v in c]
+    out = set()
+    for r in range(pk):
+        acc = 0
+        for v in cs:
+            acc = (acc * r + v) % pk
+        if squares[acc]:
+            out.add(r)
+    return out
+
+
+def padic_square_oracle(n: int, p: int) -> bool:
+    k = val_oracle(n, p)
+    u = n // p**k
+    if k % 2:
+        return False
+    if p == 2:
+        return u % 8 == 1
+    return pow(u % p, (p - 1) // 2, p) == 1
+
+
+def zp_soluble_oracle(c: tuple[int, ...], p: int) -> bool:
+    """Whether y^2 = f(z) has z in Z_p; f has nonzero discriminant."""
+    n = len(c) - 1
+
+    def f(z: int) -> int:
+        acc = 0
+        for v in c:
+            acc = acc * z + v
+        return acc
+
+    def df(z: int) -> int:
+        acc = 0
+        for i, v in enumerate(c[:-1]):
+            acc = acc * z + (n - i) * v
+        return acc
+
+    m = min(val_oracle(v, p) for v in c if v != 0)
+    c = tuple(v // p ** (2 * (m // 2)) for v in c)
+    th = 3 if p == 2 else 1
+    work = [(r, 1) for r in range(p)]
+    while work:
+        r, k = work.pop()
+        v = f(r)
+        if v == 0:
+            return True
+        e = val_oracle(v, p)
+        d = df(r)
+        if d != 0 and e > 2 * val_oracle(d, p):
+            return True
+        if k - e >= th:
+            if padic_square_oracle(v, p):
+                return True
+            continue
+        work.extend((r + j * p**k, k + 1) for j in range(p))
+    return False

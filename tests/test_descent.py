@@ -22,6 +22,8 @@ from twodescent.descent import (
     selmer,
 )
 
+from .oracles import o_on_curve, o_order
+
 
 def classes(*reps: int) -> set[SquareClass]:
     return {square_class(r) for r in reps}
@@ -233,6 +235,18 @@ def test_report_rank_one_curve_with_generator():
     assert on_curve(Curve(-6, 12, 0), g)
     # infinite order: not among the torsion points
     assert g not in rep.torsion.points
+
+
+@pytest.mark.parametrize("a, b", [(-11, -9), (-11, 2)])
+def test_report_decides_deep_padic_trees(a, b):
+    # a plain residue-class worklist needs over 500k classes at one prime here
+    rep = descent_report(Curve(a, b, 0), 20)
+    assert (rep.rank_lower, rep.rank_upper) == (1, 1)
+    assert rep.generators
+    for P in rep.generators:
+        Q = (P.x, P.y)
+        assert o_on_curve((a, b, 0), Q)
+        assert o_order((a, b, 0), Q) is None
 
 
 def test_report_invariants_across_samples():

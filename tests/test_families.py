@@ -7,6 +7,7 @@ from twodescent.curve import Curve, from_cubic_const, torsion_subgroup
 from twodescent.descent import search_point, selmer
 from twodescent.families import (
     FamilyError,
+    _cube_root_exact,
     RankResult,
     edconst_torsion,
     edx_rank_upper,
@@ -152,6 +153,22 @@ def test_edconst_torsion_table():
     assert edconst_torsion(-27).structure == "Z2"
     assert edconst_torsion(5).structure == "trivial"
     assert edconst_torsion(-2).structure == "trivial"
+
+
+def test_cube_root_exact_is_exact_for_large_integers():
+    cs = [1, 2, 3, 10**5 + 3, 10**15, 10**15 + 7, 2 * 10**15 - 1, 10**40 - 1, 10**40]
+    cs += [10**15 + 5 * 10**12 * i + 7 for i in range(200)]
+    for c in cs:
+        assert _cube_root_exact(c**3) == c
+        assert _cube_root_exact(-(c**3)) == -c
+        assert _cube_root_exact(c**3 + 1) is None
+        if c > 1:
+            assert _cube_root_exact(c**3 - 1) is None
+    assert _cube_root_exact(0) == 0
+    big = 10**103 + 1
+    assert big**3 > 10**308
+    assert _cube_root_exact(big**3) == big
+    assert _cube_root_exact(big**3 + 2) is None
 
 
 def test_edconst_torsion_rejects_unreduced_d():

@@ -10,14 +10,19 @@ from twodescent.arith import is_padic_square, val
 from twodescent.localsolve import (
     LocalSolveError,
     QuarticForm,
-    brute_mod_oracle,
     poly_disc,
     qp_soluble,
     r_soluble,
     zp_soluble,
 )
 
-from .oracles import first_square_value, quartic_disc_oracle, real_soluble_oracle
+from .oracles import (
+    brute_mod_oracle,
+    first_square_value,
+    quartic_disc_oracle,
+    real_soluble_oracle,
+    zp_soluble_oracle,
+)
 
 SMALL_PRIMES = (2, 3, 5, 7, 17)
 
@@ -59,24 +64,68 @@ def test_poly_disc_matches_reference(f):
 def test_brute_oracle_congruence_obstruction_mod_eight():
     # w^2 = -16z^4 + 12z^2 - 2 reads 4z^2 + 6 mod 8: never a square mod 8
     f = QuarticForm((-16, 0, 12, 0, -2))
-    assert brute_mod_oracle(f, 2, 3) == set()
+    assert brute_mod_oracle(f.c, 2, 3) == set()
 
 
 def test_brute_oracle_trivial_square():
     f = QuarticForm((1, 0, 0, 0, 0))
     for p in (2, 3, 5):
-        assert brute_mod_oracle(f, p, 1) == set(range(p))
+        assert brute_mod_oracle(f.c, p, 1) == set(range(p))
 
 
 def test_brute_oracle_norm_form_witness():
     # 1 - 31z^4 takes the square value 1 at z = 1 mod 31
     f = QuarticForm((-31, 0, 0, 0, 1))
-    assert 1 in brute_mod_oracle(f, 31, 1)
+    assert 1 in brute_mod_oracle(f.c, 31, 1)
 
 
 def test_brute_oracle_budget():
-    with pytest.raises(LocalSolveError):
-        brute_mod_oracle(QuarticForm((1, 0, 0, 0, 1)), 11, 8)
+    with pytest.raises(ValueError):
+        brute_mod_oracle((1, 0, 0, 0, 1), 11, 8)
+
+
+def _shifted_square_form(r, q, p, k, s1, s0):
+    """(z - r)^2 * q(z) + p^k * (s1*z + s0): a double root mod p^k at r."""
+    q2, q1, q0 = q
+    m = p**k
+    return (
+        q2,
+        q1 - 2 * r * q2,
+        q0 - 2 * r * q1 + r * r * q2,
+        r * r * q1 - 2 * r * q0 + m * s1,
+        r * r * q0 + m * s0,
+    )
+
+
+small = st.integers(min_value=-6, max_value=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from((2, 3, 5, 7)),
+    st.integers(min_value=-8, max_value=8),
+    st.tuples(small.filter(bool), small, small),
+    st.integers(min_value=0, max_value=6),
+    small,
+    small,
+)
+def test_zp_matches_worklist_oracle(p, r, q, k, s1, s0):
+    c = _shifted_square_form(r, q, p, k, s1, s0)
+    if c[4] == 0 or poly_disc(c) == 0:
+        return
+    f = QuarticForm(c)
+    for g in (f, f.reverse()):
+        assert bool(zp_soluble(g, p)) == zp_soluble_oracle(g.c, p)
+
+
+def test_zp_lemma_seven_cases_at_two():
+    # 4z^2 + 4z + 5 = 5 (mod 8) everywhere: both classes mod 2 split once,
+    # since 5 = 1 (mod 4), and die at depth 2
+    assert not zp_soluble(QuarticForm((0, 0, 4, 4, 5)), 2)
+    # z^2 + z + 3 maps 0 mod 2 onto all odd 2-adic units (f'(0) = 1),
+    # among them squares such as f(2) = 9
+    v = zp_soluble(QuarticForm((0, 0, 1, 1, 3)), 2)
+    assert v.soluble and v.witness.kind == "hensel"
 
 
 def test_zp_insoluble_at_two():
@@ -105,9 +154,11 @@ def test_zp_rejects_degenerate_input():
 
 def test_qp_examples_at_two():
     assert not qp_soluble(QuarticForm((32, 0, 96, 0, 8)), 2)
+    # z = 1/2 is a root, but the reversed form's value 16 at t = 0 is a
+    # 2-adic square and is found first: the point at infinity
     v = qp_soluble(QuarticForm((64, 0, -48, 0, 8)), 2)
     assert v.soluble
-    assert v.witness.z == Fraction(1, 2)
+    assert v.witness.kind == "infinity"
 
 
 def test_qp_square_leading_coefficient_is_soluble():
