@@ -214,24 +214,39 @@ def torsion_order_bound(E: Curve, k: int) -> int:
 
 
 def _integer_roots_monic_cubic(c2: int, c1: int, c0: int) -> list[int]:
-    """Integer roots of x^3 + c2*x^2 + c1*x + c0."""
-    roots = []
-    if c0 == 0:
-        roots.append(0)
-        # remaining quadratic x^2 + c2*x + c1
-        disc = c2 * c2 - 4 * c1
-        if disc >= 0:
-            s = math.isqrt(disc)
-            if s * s == disc:
-                for num in (-c2 + s, -c2 - s):
-                    if num % 2 == 0:
-                        roots.append(num // 2)
-    else:
-        for d in divisors(c0):
-            for r in (d, -d):
-                if ((r + c2) * r + c1) * r + c0 == 0:
-                    roots.append(r)
-    return sorted(set(roots))
+    """Integer roots of f = x^3 + c2*x^2 + c1*x + c0, ascending.
+
+    f is monotone between its critical points (-c2 -+ sqrt(c2^2 - 3*c1))/3,
+    which lie strictly between k - 1 and k + 1 for k = (-c2 -+ isqrt)//3.
+    Those k are tested directly; each monotone piece in between, inside
+    the Cauchy bound |x| < 1 + max |c_i|, by integer bisection.
+    """
+
+    def f(x: int) -> int:
+        return ((x + c2) * x + c1) * x + c0
+
+    B = 1 + max(abs(c2), abs(c1), abs(c0))
+    disc = c2 * c2 - 3 * c1
+    roots = set()
+    pieces = [(-B, B, 1)]
+    if disc > 0:
+        s = math.isqrt(disc)
+        k1, k2 = (-c2 - s) // 3, (-c2 + s) // 3
+        roots = {k for k in (k1, k2) if f(k) == 0}
+        pieces = [(-B, k1 - 1, 1), (k1 + 1, k2 - 1, -1), (k2 + 1, B, 1)]
+    for lo, hi, sign in pieces:
+        # sign * f increases on [lo, hi]: find its least x with value >= 0
+        if lo > hi or sign * f(lo) > 0 or sign * f(hi) < 0:
+            continue
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if sign * f(mid) < 0:
+                lo = mid + 1
+            else:
+                hi = mid
+        if f(lo) == 0:
+            roots.add(lo)
+    return sorted(roots)
 
 
 def _torsion_candidates(E: Curve) -> list[Pt]:

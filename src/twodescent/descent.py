@@ -210,37 +210,102 @@ def selmer(E: Curve) -> SelmerSet:
     return SelmerSet(tuple(sorted(kept)))
 
 
-def _coprime_pairs_of_height(h: int):
-    """Pairs (m, n), n >= 1, gcd = 1, max(|m|, n) = h; small |m| first."""
-    for n in range(1, h + 1):
-        ms = range(-h, h + 1) if n == h else (h, -h)
-        for m in sorted(ms, key=lambda v: (abs(v), 0 if v > 0 else 1)):
-            if gcd(m, n) == 1:
-                yield m, n
+# Sieve moduli for the point search.  A square N(m, n) is a square mod
+# every q, so for each n only the m mod q where N(m, n) is a square mod q
+# need the exact test.
+_SIEVE = tuple((q, sum(1 << s for s in {w * w % q for w in range(q)}))
+               for q in (16, 9, 5, 7, 11, 13))
+
+
+def _first_square(c4: int, c2: int, c0: int, H: int):
+    """First (m, n, r) with r^2 = c4*m^4 + c2*m^2*n^2 + c0*n^4, or None.
+
+    The coprime pairs (m, n), n >= 1, of height max(|m|, n) <= H come in
+    the order (height, n, |m|, m < 0).  Heights are swept in doubling
+    bands (lo, hi].  Per n, the m in [-hi, hi] are a Python-int bitmask,
+    bit m + hi: a range mask that drops |m| <= lo when n <= lo, AND the
+    tiled residue mask of each sieve modulus.  Only the surviving bits
+    get the gcd, the sign and the isqrt test, and the least surviving
+    hit of the first band that has one is the first hit overall.
+    """
+    tables: dict[tuple[int, int], int] = {}
+
+    def residues(q: int, squares: int, nr: int) -> int:
+        """Bit i set when N(i, nr) is a square mod q; built on first use."""
+        key = (q, nr)
+        t = tables.get(key)
+        if t is None:
+            n2 = nr * nr
+            a, b, c = c4 % q, c2 * n2 % q, c0 * n2 * n2 % q
+            t = 0
+            for i in range(q):
+                i2 = i * i
+                if squares >> ((a * i2 * i2 + b * i2 + c) % q) & 1:
+                    t |= 1 << i
+            tables[key] = t
+        return t
+
+    lo, hi = 0, min(4, H)
+    while lo < H:
+        width = 2 * hi + 1
+        full = (1 << width) - 1
+        outer = full ^ (((1 << (2 * lo + 1)) - 1) << (hi - lo))
+        tiled: dict[tuple[int, int], int] = {}
+        best = None
+        for n in range(1, hi + 1):
+            if best is not None and n > best[0][0]:
+                break
+            mask = outer if n <= lo else full
+            for q, squares in _SIEVE:
+                key = (q, n % q)
+                t = tiled.get(key)
+                if t is None:
+                    # rotate so that bit i means m = i - hi, then repeat
+                    w = residues(q, squares, key[1])
+                    s = hi % q
+                    w = ((w << s) | (w >> (q - s))) & ((1 << q) - 1)
+                    reps = -(-width // q)
+                    t = w * (((1 << (q * reps)) - 1) // ((1 << q) - 1)) & full
+                    tiled[key] = t
+                mask &= t
+            n2 = n * n
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                m = low.bit_length() - 1 - hi
+                if gcd(m, n) != 1:
+                    continue
+                m2 = m * m
+                N = c4 * m2 * m2 + c2 * m2 * n2 + c0 * n2 * n2
+                if N < 0:
+                    continue
+                r = isqrt(N)
+                if r * r == N:
+                    found = ((max(abs(m), n), n, abs(m), m < 0), (m, n, r))
+                    best = found if best is None else min(best, found)
+        if best is not None:
+            return best[1]
+        lo, hi = hi, min(2 * hi, H)
+    return None
 
 
 def search_point(E: Curve, d, H: int):
     """A rational point (z, w) of C_d with height(z) <= H, if one shows up.
 
-    Returns a pair of Fractions for an affine point, "infinity" when no
-    affine point was found but the two points at infinity are rational
-    (d * b' a square), None on a miss.
+    Returns a pair of Fractions for the first affine point in the order
+    of _first_square, "infinity" when no affine point was found but the
+    two points at infinity are rational (d * b' a square), None on a
+    miss.
     """
     if H < 1:
         raise DescentError("need H >= 1")
     a, b = _check_descent_model(E)
     dd = int(d)
-    f = hom_space(E, d)
-    c4, _, c2, _, c0 = f.c
-    for h in range(1, H + 1):
-        for m, n in _coprime_pairs_of_height(h):
-            m2, n2 = m * m, n * n
-            N = c4 * m2 * m2 + c2 * m2 * n2 + c0 * n2 * n2
-            if N < 0:
-                continue
-            r = isqrt(N)
-            if r * r == N:
-                return Fraction(m, n), Fraction(r, n2 * abs(dd))
+    c4, _, c2, _, c0 = hom_space(E, d).c
+    hit = _first_square(c4, c2, c0, H)
+    if hit is not None:
+        m, n, r = hit
+        return Fraction(m, n), Fraction(r, n * n * abs(dd))
     lead = dd * (a * a - 4 * b)
     if lead > 0 and isqrt(lead) ** 2 == lead:
         return "infinity"

@@ -173,16 +173,17 @@ def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
     else:
         # Depth-1 classes mod an odd p in machine arithmetic: a nonzero
         # residue decides by its quadratic character (Euler's criterion,
-        # so no table of p entries), only roots go deep.
-        cs = [v % p for v in f.c]
+        # so no table of p entries), only roots go deep.  When p divides
+        # every coefficient, f/p is scanned instead: off its roots
+        # val f(r) = 1, so only those classes can hold a point.
+        content = not any(v % p for v in f.c)
+        c4, c3, c2, c1, c0 = (v // p % p if content else v % p for v in f.c)
         stack = []
         for r in range(p):
-            acc = 0
-            for v in cs:
-                acc = (acc * r + v) % p
+            acc = ((((c4 * r + c3) * r + c2) * r + c1) * r + c0) % p
             if acc == 0:
                 stack.append((r, 1))
-            elif pow(acc, half, p) == 1:
+            elif not content and pow(acc, half, p) == 1:
                 return LocalVerdict(
                     True,
                     Witness("square-value", Fraction(r), f"f({r}) is a square in Q_{p}"),

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, isqrt
 
 import sympy
 
@@ -287,3 +288,28 @@ def zp_soluble_oracle(c: tuple[int, ...], p: int) -> bool:
             continue
         work.extend((r + j * p**k, k + 1) for j in range(p))
     return False
+
+
+# ---------------------------------------------------------------------------
+# Point search on C_d: y^2 = c4*m^4 + c2*m^2*n^2 + c0*n^4, the naive scan.
+
+
+def search_point_oracle(c4: int, c2: int, c0: int, d: int, lead: int, H: int):
+    """First point of the space in the order (height, n, |m|, + before -).
+
+    Every coprime pair (m, n), n >= 1, of height max(|m|, n) <= H is
+    tried in that order; a hit (m, n, r) becomes (m/n, r/(n^2 |d|)).
+    Without a hit: "infinity" when lead is a positive square, else None.
+    """
+    for h in range(1, H + 1):
+        for n in range(1, h + 1):
+            ms = range(-h, h + 1) if n == h else (h, -h)
+            for m in sorted(ms, key=lambda v: (abs(v), v < 0)):
+                if gcd(m, n) != 1:
+                    continue
+                N = c4 * m**4 + c2 * m * m * n * n + c0 * n**4
+                if N >= 0 and isqrt(N) ** 2 == N:
+                    return Fraction(m, n), Fraction(isqrt(N), n * n * abs(d))
+    if lead > 0 and isqrt(lead) ** 2 == lead:
+        return "infinity"
+    return None

@@ -13,6 +13,7 @@ from twodescent.curve import (
     INFINITY,
     Pt,
     SingularModel,
+    _integer_roots_monic_cubic,
     add,
     count_points_mod,
     discriminant,
@@ -249,3 +250,31 @@ def test_shift_x():
     assert shift_x(pt(3, 3), -2) == pt(1, 3)
     assert shift_x(INFINITY, 5) == INFINITY
     assert shift_x(pt(Fraction(1, 2), 1), Fraction(1, 2)) == pt(1, 1)
+
+
+def _roots_by_scan(c2, c1, c0):
+    # every real root has |x| < 1 + max |c_i| (Cauchy)
+    B = 1 + max(abs(c2), abs(c1), abs(c0))
+    return [x for x in range(-B, B + 1) if ((x + c2) * x + c1) * x + c0 == 0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60))
+def test_cubic_integer_roots_match_bounded_scan(c2, c1, c0):
+    assert _integer_roots_monic_cubic(c2, c1, c0) == _roots_by_scan(c2, c1, c0)
+
+
+big = st.integers(-(10**12), 10**12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(big, big, big, st.integers(-(10**6), 10**6))
+def test_cubic_integer_roots_of_products(r1, r2, r3, c):
+    # (x - r1)(x - r2)(x - r3), with double and triple roots, and
+    # (x - r1)(x^2 + c) whose quadratic factor has no integer root
+    for rs in ((r1, r2, r3), (r1, r1, r2), (r1, r1, r1)):
+        a, b, c3 = rs
+        roots = _integer_roots_monic_cubic(-(a + b + c3), a * b + a * c3 + b * c3, -a * b * c3)
+        assert roots == sorted(set(rs))
+    if c > 0 or math.isqrt(-c) ** 2 != -c:
+        assert _integer_roots_monic_cubic(-r1, c, -r1 * c) == [r1]

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from twodescent.arith import ONE, SquareClass, square_class, squarefree_part
 from twodescent.curve import Curve, INFINITY, discriminant, mul, on_curve, pt
@@ -10,6 +13,7 @@ from twodescent.descent import (
     DescentError,
     SelmerSet,
     TorsionImageError,
+    _first_square,
     bad_set,
     delta_class,
     descent_report,
@@ -22,7 +26,7 @@ from twodescent.descent import (
     selmer,
 )
 
-from .oracles import o_on_curve, o_order
+from .oracles import o_on_curve, o_order, search_point_oracle
 
 
 def classes(*reps: int) -> set[SquareClass]:
@@ -168,6 +172,64 @@ def test_search_point_examples():
     assert search_point(Curve(-12, 32, 0), -1, 2) == (Fraction(1, 2), Fraction(2))
     assert search_point(Curve(0, 17, 0), -17, 2) == "infinity"
     assert search_point(Curve(0, 17, 0), -2, 30) is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(-30, 30),
+    st.integers(-30, 30),
+    st.sampled_from((1, 3, 4, 12)),
+    st.integers(1, 30),
+    st.sampled_from((1, 2, 3)),
+    st.sampled_from((1, -1)),
+    st.one_of(st.just(1), st.integers(1, 40)),
+)
+def test_search_point_matches_naive_scan(a, b, scale, k, s, sign, H):
+    # scale makes the coefficients divisible by 9 or 16; s puts square
+    # factors into d; either sign of d and of b' gives c4 < 0 too
+    a, b, d = a * scale, b * scale * scale, sign * k * s * s
+    assume(b != 0 and a * a != 4 * b)
+    E = Curve(a, b, 0)
+    c4, _, c2, _, c0 = hom_space(E, d).c
+    assert search_point(E, d, H) == search_point_oracle(
+        c4, c2, c0, d, d * (a * a - 4 * b), H
+    )
+
+
+EDGES = (4, 5, 8, 9, 16, 17, 32, 33)
+SIEVE_MULTIPLES = (16, 32, 9, 18, 27, 5, 10, 7, 14, 11, 22, 13, 26)
+
+
+@st.composite
+def planted_points(draw):
+    """A point (m0, n0) at a band edge or with n0 = 0 mod a sieve modulus."""
+    if draw(st.booleans()):
+        h = draw(st.sampled_from(EDGES))
+        n0 = draw(st.sampled_from((1, 2, h - 1, h)))
+    else:
+        n0 = draw(st.sampled_from(SIEVE_MULTIPLES))
+        h = draw(st.integers(n0, 40))
+    m0 = h if n0 < h else draw(st.integers(-h, h))
+    assume(math.gcd(m0, n0) == 1)
+    return draw(st.sampled_from((1, -1))) * m0, n0
+
+
+@settings(max_examples=200, deadline=None)
+@given(planted_points(), st.integers(-9, 9), st.integers(-9, 9),
+       st.integers(-50, 50), st.integers(-50, 50), st.integers(0, 8))
+def test_sieve_matches_naive_scan_at_band_edges(mn, x, y, s, t, extra):
+    # N(m, n) = (x m^2 + y n^2)^2 + (t m^2 + s n^2)(n0^2 m^2 - m0^2 n^2)
+    # is a square at (m0, n0) whatever x, y, s and t are
+    m0, n0 = mn
+    c4 = x * x + t * n0 * n0
+    c2 = 2 * x * y - t * m0 * m0 + s * n0 * n0
+    c0 = y * y - s * m0 * m0
+    assert c4 * m0**4 + c2 * m0 * m0 * n0 * n0 + c0 * n0**4 == (x * m0 * m0 + y * n0 * n0) ** 2
+    H = max(abs(m0), n0) + extra
+    expected = search_point_oracle(c4, c2, c0, 1, 0, H)
+    hit = _first_square(c4, c2, c0, H)
+    got = None if hit is None else (Fraction(hit[0], hit[1]), Fraction(hit[2], hit[1] ** 2))
+    assert got == expected and got is not None
 
 
 def test_search_point_results_satisfy_the_space_equation():

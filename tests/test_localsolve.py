@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -118,6 +119,36 @@ def test_zp_matches_worklist_oracle(p, r, q, k, s1, s0):
         assert bool(zp_soluble(g, p)) == zp_soluble_oracle(g.c, p)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from((3, 5, 7, 11)),
+    st.integers(min_value=-8, max_value=8),
+    st.tuples(small.filter(bool), small, small),
+    st.integers(min_value=0, max_value=4),
+    small,
+    small,
+)
+def test_zp_content_exactly_p_matches_worklist_oracle(p, r, q, k, s1, s0):
+    # p times a form with a double root mod p^k: the depth-1 scan runs on
+    # the cofactor, and only its roots go deeper
+    g = _shifted_square_form(r, q, p, k, s1, s0)
+    c = tuple(p * v for v in g)
+    if c[4] == 0 or poly_disc(c) == 0 or all(v % p == 0 for v in g):
+        return
+    f = QuarticForm(c)
+    for h in (f, f.reverse()):
+        assert bool(zp_soluble(h, p)) == zp_soluble_oracle(h.c, p)
+
+
+def test_zp_content_exactly_p_skips_the_nonroots():
+    # z^4 + 1 has no root mod p = 3 (mod 4), so p*(z^4 + 1) is insoluble
+    # at once: every class mod p has val f = 1
+    p = 1000003
+    t0 = time.perf_counter()
+    assert not zp_soluble(QuarticForm((p, 0, 0, 0, p)), p)
+    assert time.perf_counter() - t0 < 2.0
+
+
 def test_zp_lemma_seven_cases_at_two():
     # 4z^2 + 4z + 5 = 5 (mod 8) everywhere: both classes mod 2 split once,
     # since 5 = 1 (mod 4), and die at depth 2
@@ -225,25 +256,17 @@ def test_affine_witnesses_are_exact(f, p):
 @settings(max_examples=30, deadline=None)
 @given(nonsingular_quartics(), st.sampled_from((2, 3, 5)))
 def test_oracle_agreement_shallow(f, p):
-    """Nonempty residue sets must persist for soluble forms; insoluble forms
-    must lose every residue at some depth (checked to 4 here, 6 in the
-    acceptance sweep).
+    """The verdict equals the worklist oracle's on f or f.reverse(), and a
+    soluble form keeps a square value mod p^3 on one of them.
     """
     v = qp_soluble(f, p)
+    oracle = [zp_soluble_oracle(g.c, p) for g in (f, f.reverse())]
     if v.soluble:
+        assert any(oracle)
         assert (first_square_value(f.c, p, 3) is not None
                 or first_square_value(f.reverse().c, p, 3) is not None)
     else:
-        for g in (f, f.reverse()):
-            empty = False
-            for k in range(1, 5):
-                if first_square_value(g.c, p, k) is None:
-                    empty = True
-                    break
-            if not empty:
-                # survivors this shallow are fine; the acceptance test
-                # inspects them for Hensel certificates at depth 6
-                assert first_square_value(g.c, p, 4) is not None
+        assert not any(oracle)
 
 
 def test_strip_square_content_preserves_verdicts():
