@@ -263,14 +263,19 @@ def square_class(n: int) -> SquareClass:
     return squarefree_part(n)
 
 
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
-    if p == 2 or not is_prime(p):
-        raise ArithError("legendre symbol needs an odd prime modulus")
+def _euler(a: int, p: int) -> int:
+    """(a/p) by Euler's criterion, for an odd prime p the caller has proved."""
     t = pow(a % p, (p - 1) // 2, p)
     if t == 0:
         return 0
     return 1 if t == 1 else -1
+
+
+def legendre(a: int, p: int) -> int:
+    """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
+    if p == 2 or not is_prime(p):
+        raise ArithError("legendre symbol needs an odd prime modulus")
+    return _euler(a, p)
 
 
 def is_padic_square(n: int, p: int) -> bool:
@@ -281,13 +286,15 @@ def is_padic_square(n: int, p: int) -> bool:
     """
     if n == 0:
         raise ArithError("zero has no square class")
+    if p != 2 and not is_prime(p):
+        raise ArithError("need a prime p")
     k = val(n, p)
     if k % 2 == 1:
         return False
     u = n // p**k
     if p == 2:
         return u % 8 == 1
-    return legendre(u, p) == 1
+    return _euler(u, p) == 1
 
 
 def quartic_residue_exp(a: int, p: int) -> bool:
@@ -299,7 +306,7 @@ def quartic_residue_exp(a: int, p: int) -> bool:
         raise ArithError("need a prime p = 1 (mod 4)")
     if a % p == 0:
         raise ArithError("a must be coprime to p")
-    if legendre(a, p) != 1:
+    if _euler(a, p) != 1:
         return False
     return pow(a % p, (p - 1) // 4, p) == 1
 
@@ -314,7 +321,7 @@ def two_squares(p: int) -> tuple[int, int]:
     if p % 4 != 1 or not is_prime(p):
         raise ArithError("need a prime p = 1 (mod 4)")
     c = 2
-    while legendre(c, p) != -1:
+    while _euler(c, p) != -1:
         c += 1
     x = pow(c, (p - 1) // 4, p)
     r0, r1 = p, x

@@ -168,9 +168,13 @@ class SelmerSet:
             raise DescentError("classes must be sorted and distinct")
         if ONE not in cs:
             raise DescentError("a Selmer set contains the trivial class")
-        for u, v in itertools.product(cs, repeat=2):
-            if u * v not in cs:
-                raise DescentError("Selmer set is not closed under multiplication")
+        # basis insertion, stopping as soon as the span leaves the set
+        span = {ONE}
+        for c in self.classes:
+            if c not in span:
+                span |= {c * s for s in span}
+                if not span <= cs:
+                    raise DescentError("Selmer set is not closed under multiplication")
 
     @property
     def size(self) -> int:
@@ -356,15 +360,11 @@ class DescentReport:
 
 
 def _span(classes: set[SquareClass]) -> set[SquareClass]:
-    out = {ONE} | set(classes)
-    grew = True
-    while grew:
-        grew = False
-        for u, v in list(itertools.product(out, repeat=2)):
-            w = u * v
-            if w not in out:
-                out.add(w)
-                grew = True
+    """The subgroup generated by classes: each class not yet in the span doubles it."""
+    out = {ONE}
+    for c in classes:
+        if c not in out:
+            out |= {c * s for s in out}
     return out
 
 

@@ -14,7 +14,6 @@ tables re-verify themselves against the generic computation on the fly.
 
 from __future__ import annotations
 
-import itertools
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,7 +26,6 @@ from .arith import (
     is_prime,
     quartic_residue_gauss,
     sieve_primes,
-    squarefree_part,
     two_squares,
 )
 from .curve import Curve, TorsionGroup, from_cubic_const, torsion_subgroup
@@ -83,6 +81,10 @@ def _selmer_of(vals) -> SelmerSet:
 def ep_selmer(p: int):
     """(Sel^phi, Sel^phi-hat) of y^2 = x^3 + px, by p mod 16."""
     _check_odd_prime(p)
+    return _ep_selmer(p)
+
+
+def _ep_selmer(p: int):
     r = p % 16
     if r in (7, 11):
         phi = (1, -p)
@@ -100,6 +102,10 @@ def ep_selmer(p: int):
 def ep_rank_sha_dim(p: int) -> int:
     """rank + dim_2 Sha[2] for y^2 = x^3 + px: 0, 1 or 2 by p mod 16."""
     _check_odd_prime(p)
+    return _ep_rank_sha_dim(p)
+
+
+def _ep_rank_sha_dim(p: int) -> int:
     r = p % 16
     if r in (7, 11):
         return 0
@@ -121,187 +127,100 @@ def ep_rank_sha_dim(p: int) -> int:
 #   C_2p:    (m^2)^2 + 2 s^2 = p n^4        Z[sqrt(-2)],  per denominator
 #   C_-2p:   (m^2)^2 - 2 s^2 = p n^4        Z[sqrt(2)],   per denominator
 #
-# Bounding one side of z, the other side comes out of the prime
+# Bounding one side k of z, the other side comes out of the prime
 # splittings: a finite product for the two imaginary forms, finite up
 # to the unit 3 + 2*sqrt(2) for the real one, where a bounded orbit
 # walk stands in for the unit power.  Either way the free side of z is
 # reached at any size, far beyond a naive height schedule, and the six
 # searches pair up into the three cosets of the seed subgroup {1, -p},
 # any two of which certify rank 2.
+#
+# Only primitive representations can give a point.  Every hit needs
+# gcd(k, free side) = 1.  Take a prime q of k.  If q does not split in
+# the ring (q inert, or q = 2, which ramifies and leaves 4^e of norm
+# 2^(4e) as a scalar), or if a product takes pi_q in one factor and
+# pi-bar_q in another, then q divides both components of every element
+# of norm p k^4 (4 p k^4 for C_{-1}) that the product yields, and every
+# unit multiple of it.  So q divides the candidate square, hence the
+# free side, and the gcd test fails.  Each split q therefore contributes
+# pi_q^(4e) or pi-bar_q^(4e) and nothing else, a k with a non-split
+# prime leaves nothing to find, and only split-smooth odd k are walked.
+# p itself contributes pi_p alone, as it always did for the real form:
+# conjugating a whole product keeps its |components|, so the pi-bar_p
+# products add nothing to the imaginary forms.  Where p divides k the
+# product pi_p * pi-bar_p^(4e) is not primitive and simply never hits.
+# A norm p k^4 thus has at most 2^omega(k) candidates, not prod(4e + 1).
 
 
-def _pair_mul_c1(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+def _pair_mul(x, y, c):
+    """(x0 + x1 t)(y0 + y1 t) with t^2 = -c."""
+    return (x[0] * y[0] - c * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
 
 
-def _pair_mul_c2(x, y):
-    return (x[0] * y[0] - 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _pair_mul_r2(x, y):
-    return (x[0] * y[0] + 2 * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _pair_pow(x, e, mul):
+def _pair_pow(x, e, c):
     out = (1, 0)
-    for _ in range(e):
-        out = mul(out, x)
+    while e:
+        if e & 1:
+            out = _pair_mul(out, x, c)
+        x = _pair_mul(x, x, c)
+        e >>= 1
     return out
 
 
-def _root_x2_plus_2y2(p: int):
-    for v in range(1, isqrt(p // 2) + 1):
-        u2 = p - 2 * v * v
-        u = isqrt(u2)
-        if u * u == u2:
-            return u, v
-    return None
+# primes q that split in Z[sqrt(-c)]: q mod modulus in residues
+_SPLIT = {1: (4, (1,)), 2: (8, (1, 3)), -2: (8, (1, 7))}
 
 
-def _root_x2_minus_2y2(q: int):
-    """A representation a^2 - 2 b^2 = q for a prime q = 1, 7 (mod 8)."""
-    for b in range(isqrt(q) + 2):
-        t = q + 2 * b * b
-        a = isqrt(t)
-        if a * a == t:
-            return a, b
-        t = 2 * b * b - q
-        if t >= 0:
+@cache
+def _prime_root(q: int, c: int):
+    """(u, v) with u^2 + c*v^2 = q for a prime q split in Z[sqrt(-c)], else None.
+
+    c is 1, 2 or -2.  For c = 1 this is two_squares(q); the scans for
+    c = 2 and c = -2 return the first root in a fixed order, so the
+    orbit walk for the real form always starts from the same element.
+    """
+    modulus, residues = _SPLIT[c]
+    if q % modulus not in residues:
+        return None
+    if c == 1:
+        return two_squares(q)
+    if c == 2:
+        for v in range(1, isqrt(q // 2) + 1):
+            u2 = q - 2 * v * v
+            u = isqrt(u2)
+            if u * u == u2:
+                return u, v
+    else:
+        for b in range(isqrt(q) + 2):
+            t = q + 2 * b * b
             a = isqrt(t)
             if a * a == t:
-                # norm -q; the unit 1 + sqrt(2) flips the sign
-                return a + 2 * b, a + b
-    raise FamilyError(f"{q} is not represented by x^2 - 2y^2")
+                return a, b
+            t = 2 * b * b - q
+            if t >= 0:
+                a = isqrt(t)
+                if a * a == t:
+                    # norm -q; the unit 1 + sqrt(2) flips the sign
+                    return a + 2 * b, a + b
+    raise FamilyError(f"{q} is not represented by x^2 + {c}y^2")
 
 
-def _orbit_square_x(z0, m, step_cap=64):
-    """Scan the unit orbit of z0 in Z[sqrt(2)] for |x| a square prime to m."""
-    for start, unit in ((z0, (3, 2)), (_pair_mul_r2(z0, (3, -2)), (3, -2))):
-        z = start
-        for _ in range(step_cap):
-            x, s = abs(z[0]), abs(z[1])
-            n = isqrt(x)
-            if s and n * n == x and gcd(m, n) == 1:
-                return n, s
-            z = _pair_mul_r2(z, unit)
-    return None
+def _primitive_products(p: int, factors, c: int) -> list:
+    """pi_p times pi-bar_q^(4e) or pi_q^(4e) for each q^e in factors.
 
-
-def _norm_form_reps(M: int, c: int, factors=None):
-    """All (|u|, |v|) with u^2 + c*v^2 = M, for c = 1 or 2."""
-    mul = _pair_mul_c1 if c == 1 else _pair_mul_c2
-    base = (1, 0)
-    scalar = 1
-    branches = []
-    if factors is None:
-        factors = factorize(M).factors
-    for q, e in factors:
-        if q == 2 and c == 1:
-            base = mul(base, _pair_pow((1, 1), e, mul))
-            continue
-        if q == 2 and c == 2:
-            base = mul(base, _pair_pow((0, 1), e, mul))
-            continue
-        split = q % 4 == 1 if c == 1 else q % 8 in (1, 3)
-        if split:
-            root = two_squares(q) if c == 1 else _root_x2_plus_2y2(q)
-            pi = root
-            pibar = (root[0], -root[1])
-            branches.append(
-                [mul(_pair_pow(pi, k, mul), _pair_pow(pibar, e - k, mul))
-                 for k in range(e + 1)]
-            )
-        else:
-            if e % 2:
-                return set()
-            scalar *= q ** (e // 2)
-    reps = set()
-    for combo in itertools.product(*branches):
-        z = base
-        for f in combo:
-            z = mul(z, f)
-        reps.add((abs(z[0] * scalar), abs(z[1] * scalar)))
-    return reps
-
-
-def _real_form_square_x(p: int, k: int):
-    """(r, s) with (r^2)^2 - 2 s^2 = p k^4 and gcd(r, k) = 1, or None."""
-    scalar = 1
-    branches = []
-    for q, e in factorize(k).factors:
-        if q % 8 in (1, 7):
-            root = _root_x2_minus_2y2(q)
-            rbar = (root[0], -root[1])
-            branches.append(
-                [_pair_mul_r2(_pair_pow(root, j, _pair_mul_r2),
-                              _pair_pow(rbar, 4 * e - j, _pair_mul_r2))
-                 for j in range(4 * e + 1)]
-            )
-        else:
-            scalar *= q ** (2 * e)
-    pi_p = _root_x2_minus_2y2(p)
-    for combo in itertools.product(*branches):
-        z0 = pi_p
-        for f in combo:
-            z0 = _pair_mul_r2(z0, f)
-        hit = _orbit_square_x((z0[0] * scalar, z0[1] * scalar), k)
-        if hit is not None:
-            return hit
-    return None
-
-
-def _ep_space_point(p: int, d: int, H: int):
-    """Point (z, w) on C_d for y^2 = x^3 + px with the bounded side <= H.
-
-    d is one of -1, -2, 2 (numerator bounded) or p, 2p, -2p
-    (denominator bounded).  Parity forces the bounded side odd except
-    for d = -1.
+    factors is the factorization of k into primes split in Z[sqrt(-c)].
+    The result holds every primitive element of norm p*k^4 up to units
+    and conjugation, in a fixed order: the last prime varies fastest,
+    its conjugate power first.  Empty when p does not split.
     """
-    if d == -1:
-        for m in range(1, H + 1):
-            for u, v in _norm_form_reps(4 * p * m**4, 1):
-                for cand, other in ((u, v), (v, u)):
-                    n = isqrt(cand)
-                    if n and n * n == cand and gcd(m, n) == 1:
-                        return Fraction(m, n), Fraction(other, n * n)
-    elif d == -2:
-        for m in range(1, H + 1, 2):
-            for u, v in _norm_form_reps(p * m**4, 2):
-                n = isqrt(u)
-                if n and n * n == u and gcd(m, n) == 1:
-                    return Fraction(m, n), Fraction(2 * v, n * n)
-    elif d == 2:
-        for m in range(1, H + 1, 2):
-            hit = _real_form_square_x(p, m)
-            if hit is not None:
-                n, s = hit
-                return Fraction(m, n), Fraction(2 * s, n * n)
-    elif d == p:
-        for n in range(1, H + 1, 2):
-            for u, v in _norm_form_reps(p * n**4, 1):
-                for cand, other in ((u, v), (v, u)):
-                    if cand % 2 == 0 and cand // 2 == isqrt(cand // 2) ** 2:
-                        m = isqrt(cand // 2)
-                        if m and gcd(m, n) == 1:
-                            return Fraction(m, n), Fraction(other, n * n)
-    elif d == 2 * p:
-        for n in range(1, H + 1, 2):
-            for u, v in _norm_form_reps(p * n**4, 2):
-                m = isqrt(u)
-                if m and m * m == u and gcd(m, n) == 1:
-                    return Fraction(m, n), Fraction(2 * v, n * n)
-    elif d == -2 * p:
-        for n in range(1, H + 1, 2):
-            hit = _real_form_square_x(p, n)
-            if hit is not None:
-                m, s = hit
-                return Fraction(m, n), Fraction(2 * s, n * n)
-    else:
-        raise FamilyError(f"no structured search for class {d}")
-    return None
-
-
-_DEEP_FACTOR = 1000
+    pi = _prime_root(p, c)
+    if pi is None:
+        return []
+    zs = [pi]
+    for q, e in factors:
+        a = _pair_pow(_prime_root(q, c), 4 * e, c)
+        zs = [_pair_mul(z, f, c) for z in zs for f in ((a[0], -a[1]), a)]
+    return zs
 
 
 @cache
@@ -333,35 +252,59 @@ def _split_smooth(cap: int, modulus: int, residues: tuple):
     return out
 
 
-def _deep_space_point(p: int, d: int, cap: int):
-    """C_d point for d = -1 or -2 with the numerator up to cap.
-
-    A prime factor of the numerator that is inert in the relevant ring
-    would divide both components of the norm factorization and break
-    gcd(m, n) = 1, so only split-smooth numerators can occur; that
-    keeps the scan sparse and the factorizations free.
-    """
-    if d == -1:
-        items = _split_smooth(cap, 4, (1,))
-    else:
-        items = _split_smooth(cap, 8, (1, 3))
-    for m, fac in items:
-        fs = ((p, 1),) + tuple((q, 4 * e) for q, e in fac)
-        if d == -1:
-            # odd solutions: W^2 + 4 n0^4 = p m^4 with n = 2 n0
-            for u, v in _norm_form_reps(p * m**4, 1, fs):
-                for cand, other in ((u, v), (v, u)):
-                    if cand % 2:
-                        continue
-                    n0 = isqrt(cand // 2)
-                    if n0 and n0 * n0 == cand // 2 and gcd(m, n0) == 1:
-                        return Fraction(m, 2 * n0), Fraction(other, 2 * n0 * n0)
-        else:
-            for u, v in _norm_form_reps(p * m**4, 2, fs):
-                n = isqrt(u)
-                if n and n * n == u and gcd(m, n) == 1:
-                    return Fraction(m, n), Fraction(2 * v, n * n)
+def _orbit_square_x(z0, m, step_cap=64):
+    """Scan the unit orbit of z0 in Z[sqrt(2)] for |x| a square prime to m."""
+    for t in (1, -1):
+        # z0, then z0 * (3 - 2 sqrt 2); each step multiplies by 3 + 2t sqrt 2
+        x, s = z0 if t == 1 else (3 * z0[0] - 4 * z0[1], 3 * z0[1] - 2 * z0[0])
+        for _ in range(step_cap):
+            n = isqrt(abs(x))
+            if s and n * n == abs(x) and gcd(m, n) == 1:
+                return n, abs(s)
+            x, s = 3 * x + 4 * t * s, 3 * s + 2 * t * x
     return None
+
+
+def _ep_space_point(p: int, d: int, H: int):
+    """Point (z, w) on C_d for y^2 = x^3 + px with the bounded side <= H.
+
+    d is one of -1, -2, 2 (numerator bounded) or p, 2p, -2p
+    (denominator bounded).  The bounded side k runs over the odd k <= H
+    whose primes all split in the ring of d, in increasing order; any
+    other k has no primitive representation (see above), and parity
+    rules out even k.  Since the free side comes out at any size, a
+    large H reaches certificates far beyond a height search: ep_rank
+    rescans C_{-1} and C_{-2} this way with H in the tens of thousands.
+    """
+    c = {-1: 1, p: 1, -2: 2, 2 * p: 2, 2: -2, -2 * p: -2}.get(d)
+    if c is None:
+        raise FamilyError(f"no structured search for class {d}")
+    for k, fac in _split_smooth(H, *_SPLIT[c]):
+        for z in _primitive_products(p, fac, c):
+            # (candidate square of the free side, numerator of w)
+            if c == -2:
+                hit = _orbit_square_x(z, k)
+                cands = [] if hit is None else [(hit[0] ** 2, 2 * hit[1])]
+            elif c == 2:
+                cands = [(abs(z[0]), 2 * abs(z[1]))]
+            elif d == -1:
+                # twice a rep of p k^4 is a rep W^2 + (n^2)^2 of 4 p k^4
+                u, v = 2 * abs(z[0]), 2 * abs(z[1])
+                cands = [(u, v), (v, u)]
+            else:
+                # C_p: (2 m^2)^2 + W^2 = p k^4
+                u, v = abs(z[0]), abs(z[1])
+                cands = [(a // 2, b) for a, b in ((u, v), (v, u)) if a % 2 == 0]
+            for f2, other in cands:
+                f = isqrt(f2)
+                if f and f * f == f2 and gcd(k, f) == 1:
+                    if d in (-1, -2, 2):
+                        return Fraction(k, f), Fraction(other, f * f)
+                    return Fraction(f, k), Fraction(other, k * k)
+    return None
+
+
+_DEEP_FACTOR = 1000
 
 
 def ep_rank(p: int, H: int = 20) -> RankResult:
@@ -393,11 +336,11 @@ def ep_rank(p: int, H: int = 20) -> RankResult:
     # distinct cosets generate a span of dimension 3.  The dual side is
     # already saturated by its 2-torsion, so g + 1 - 2 is the certified
     # lower bound.
-    span = _span({squarefree_part(-4 * p)})
+    span = _span({SquareClass(-p)})
     for coset in ((-2, 2 * p), (-1, p), (2, -2 * p)):
         for d in coset:
             if _ep_space_point(p, d, H) is not None:
-                span = _span(span | {squarefree_part(d)})
+                span = _span(span | {SquareClass(d)})
                 break
         if len(span) == 8:
             break
@@ -407,9 +350,9 @@ def ep_rank(p: int, H: int = 20) -> RankResult:
         # numerator can be enormous, so rescan the two imaginary spaces
         # over the split semigroup with a much larger cap
         for d in (-1, -2):
-            if squarefree_part(d) not in span and \
-                    _deep_space_point(p, d, _DEEP_FACTOR * H) is not None:
-                span = _span(span | {squarefree_part(d)})
+            if SquareClass(d) not in span and \
+                    _ep_space_point(p, d, _DEEP_FACTOR * H) is not None:
+                span = _span(span | {SquareClass(d)})
                 break
     g = len(span).bit_length() - 1
     if g + 1 - 2 == 2:
@@ -511,12 +454,13 @@ class EpRow:
 
 
 def _ep_row(p: int, height: int) -> EpRow:
-    phi, phi_hat = ep_selmer(p)
+    # p comes from the sieve; ep_rank alone re-checks it, once per row
+    phi, phi_hat = _ep_selmer(p)
     return EpRow(
         p=p,
         selmer_dim_phi=phi.dim2,
         selmer_dim_phi_hat=phi_hat.dim2,
-        rank_sha_dim=ep_rank_sha_dim(p),
+        rank_sha_dim=_ep_rank_sha_dim(p),
         rank=ep_rank(p, height),
     )
 

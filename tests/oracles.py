@@ -7,6 +7,7 @@ package cannot hide in its own oracle.
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -313,3 +314,190 @@ def search_point_oracle(c4: int, c2: int, c0: int, d: int, lead: int, H: int):
     if lead > 0 and isqrt(lead) ** 2 == lead:
         return "infinity"
     return None
+
+
+# ---------------------------------------------------------------------------
+# E_p norm-form searches by full enumeration: every exponent split
+# pi^j * pi-bar^(e-j) of every prime, inert primes as scalars, the same
+# 64-step unit-orbit walk for the real form.  Roots come from brute scans;
+# the scan for x^2 - 2y^2 keeps the package's order, since the orbit
+# walk's window depends on its starting element.  Where p itself does not split,
+# a form has no solution and the searches return None.
+
+
+def _ep_mul(x, y, c):
+    return (x[0] * y[0] - c * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ep_pow(x, e, c):
+    out = (1, 0)
+    for _ in range(e):
+        out = _ep_mul(out, x, c)
+    return out
+
+
+def _ep_root(q: int, c: int):
+    """(u, v) with u^2 + c*v^2 = q for a prime q, or None when there is none."""
+    if c == 1:
+        return two_squares_brute(q) if q % 4 == 1 else None
+    if c == 2:
+        for v in range(1, isqrt(q // 2) + 1):
+            u = isqrt(q - 2 * v * v)
+            if u * u == q - 2 * v * v:
+                return u, v
+        return None
+    for b in range(isqrt(q) + 2):
+        a = isqrt(q + 2 * b * b)
+        if a * a == q + 2 * b * b:
+            return a, b
+        t = 2 * b * b - q
+        if t >= 0 and isqrt(t) ** 2 == t:
+            return isqrt(t) + 2 * b, isqrt(t) + b
+    return None
+
+
+def _ep_split(q: int, c: int) -> bool:
+    return q % 4 == 1 if c == 1 else q % 8 in ((1, 3) if c == 2 else (1, 7))
+
+
+def _ep_products(factors, c):
+    """(base, scalar, branch lists) of the full product; None if empty."""
+    base, scalar, branches = (1, 0), 1, []
+    for q, e in factors:
+        if q == 2 and c > 0:
+            base = _ep_mul(base, _ep_pow((1, 1) if c == 1 else (0, 1), e, c), c)
+        elif _ep_split(q, c):
+            pi = _ep_root(q, c)
+            bar = (pi[0], -pi[1])
+            branches.append([_ep_mul(_ep_pow(pi, j, c), _ep_pow(bar, e - j, c), c)
+                             for j in range(e + 1)])
+        elif e % 2 and c > 0:
+            return None
+        else:
+            scalar *= q ** (e // 2)
+    return base, scalar, branches
+
+
+def norm_form_reps_oracle(M: int, c: int) -> set:
+    """All (|u|, |v|) with u^2 + c*v^2 = M, c = 1 or 2, by the full product."""
+    got = _ep_products(sorted(factor_oracle(M).items()), c)
+    if got is None:
+        return set()
+    base, scalar, branches = got
+    reps = set()
+    for combo in itertools.product(*branches):
+        z = base
+        for f in combo:
+            z = _ep_mul(z, f, c)
+        reps.add((abs(z[0] * scalar), abs(z[1] * scalar)))
+    return reps
+
+
+def _ep_orbit(z0, m):
+    for start, unit in ((z0, (3, 2)), (_ep_mul(z0, (3, -2), -2), (3, -2))):
+        z = start
+        for _ in range(64):
+            x, s = abs(z[0]), abs(z[1])
+            n = isqrt(x)
+            if s and n * n == x and gcd(m, n) == 1:
+                return n, s
+            z = _ep_mul(z, unit, -2)
+    return None
+
+
+def real_form_square_x_oracle(p: int, k: int):
+    """(r, s) with (r^2)^2 - 2 s^2 = p k^4 and gcd(r, k) = 1, or None."""
+    pi_p = _ep_root(p, -2)
+    if pi_p is None:
+        return None
+    factors = [(q, 4 * e) for q, e in sorted(factor_oracle(k).items())]
+    _, scalar, branches = _ep_products(factors, -2)
+    for combo in itertools.product(*branches):
+        z0 = pi_p
+        for f in combo:
+            z0 = _ep_mul(z0, f, -2)
+        hit = _ep_orbit((z0[0] * scalar, z0[1] * scalar), k)
+        if hit is not None:
+            return hit
+    return None
+
+
+def ep_space_point_oracle(p: int, d: int, H: int):
+    """Point search on C_d of y^2 = x^3 + px, bounded side <= H, every m or n tried."""
+    if d == -1:
+        for m in range(1, H + 1):
+            for u, v in norm_form_reps_oracle(4 * p * m**4, 1):
+                for cand, other in ((u, v), (v, u)):
+                    n = isqrt(cand)
+                    if n and n * n == cand and gcd(m, n) == 1:
+                        return Fraction(m, n), Fraction(other, n * n)
+    elif d in (-2, 2):
+        for m in range(1, H + 1, 2):
+            if d == 2:
+                hit = real_form_square_x_oracle(p, m)
+                reps = [] if hit is None else [(hit[0] ** 2, hit[1])]
+            else:
+                reps = norm_form_reps_oracle(p * m**4, 2)
+            for u, v in reps:
+                n = isqrt(u)
+                if n and n * n == u and gcd(m, n) == 1:
+                    return Fraction(m, n), Fraction(2 * v, n * n)
+    elif d == p:
+        for n in range(1, H + 1, 2):
+            for u, v in norm_form_reps_oracle(p * n**4, 1):
+                for cand, other in ((u, v), (v, u)):
+                    m = isqrt(cand // 2)
+                    if cand % 2 == 0 and m and 2 * m * m == cand and gcd(m, n) == 1:
+                        return Fraction(m, n), Fraction(other, n * n)
+    elif d in (2 * p, -2 * p):
+        for n in range(1, H + 1, 2):
+            if d == -2 * p:
+                hit = real_form_square_x_oracle(p, n)
+                reps = [] if hit is None else [(hit[0] ** 2, hit[1])]
+            else:
+                reps = norm_form_reps_oracle(p * n**4, 2)
+            for u, v in reps:
+                m = isqrt(u)
+                if m and m * m == u and gcd(m, n) == 1:
+                    return Fraction(m, n), Fraction(2 * v, n * n)
+    else:
+        raise ValueError(f"no structured search for class {d}")
+    return None
+
+
+def deep_space_point_oracle(p: int, d: int, cap: int):
+    """Rescan of C_{-1} (d = -1) or C_{-2} over numerators <= cap.
+
+    Only odd numerators all of whose primes split are tried, each through
+    the full product over the factorization of p * m^4.
+    """
+    c = 1 if d == -1 else 2
+    for m in range(1, cap + 1, 2):
+        fac = factor_oracle(m)
+        if not all(_ep_split(q, c) for q in fac):
+            continue
+        for u, v in norm_form_reps_oracle(p * m**4, c):
+            if d == -1:
+                for cand, other in ((u, v), (v, u)):
+                    n0 = isqrt(cand // 2)
+                    if cand % 2 == 0 and n0 and 2 * n0 * n0 == cand and gcd(m, n0) == 1:
+                        return Fraction(m, 2 * n0), Fraction(other, 2 * n0 * n0)
+            else:
+                n = isqrt(u)
+                if n and n * n == u and gcd(m, n) == 1:
+                    return Fraction(m, n), Fraction(2 * v, n * n)
+    return None
+
+
+def span_oracle(reps) -> set[int]:
+    """Closure of signed squarefree integers under a*b/gcd(a, b)^2, by fixed point."""
+    out = {1} | set(reps)
+    grew = True
+    while grew:
+        grew = False
+        for u, v in list(itertools.product(out, repeat=2)):
+            w = u * v // gcd(u, v) ** 2
+            if w not in out:
+                out.add(w)
+                grew = True
+    return out

@@ -171,6 +171,13 @@ def test_is_padic_square_odd_primes():
     assert not is_padic_square(3, 3)
 
 
+def test_is_padic_square_rejects_composite_modulus():
+    # the modulus is checked before the valuation, whatever its parity
+    for n, p in ((4, 9), (15, 15), (3, 1)):
+        with pytest.raises(ArithError):
+            is_padic_square(n, p)
+
+
 @settings(max_examples=80, deadline=None)
 @given(nonzero_ints, st.sampled_from([2, 3, 5, 7, 13]))
 def test_padic_square_consistent_with_actual_squares(n, p):

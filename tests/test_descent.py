@@ -14,6 +14,7 @@ from twodescent.descent import (
     SelmerSet,
     TorsionImageError,
     _first_square,
+    _span,
     bad_set,
     delta_class,
     descent_report,
@@ -26,7 +27,7 @@ from twodescent.descent import (
     selmer,
 )
 
-from .oracles import o_on_curve, o_order, search_point_oracle
+from .oracles import o_on_curve, o_order, search_point_oracle, span_oracle
 
 
 def classes(*reps: int) -> set[SquareClass]:
@@ -341,3 +342,19 @@ def test_certified_classes_have_global_points():
     for d in rep.image_phi:
         res = search_point(E, int(d), 20)
         assert res is not None
+
+
+SIGNED_SQUAREFREE = [s * r for r in (1, 2, 3, 5, 6, 7, 10, 15, 21, 30, 105, 210) for s in (1, -1)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.sampled_from(SIGNED_SQUAREFREE), max_size=6))
+def test_span_matches_fixed_point_closure(reps):
+    span = _span({square_class(r) for r in reps})
+    assert {int(c) for c in span} == span_oracle(reps)
+    # a span passes the closure check; without its largest class (never
+    # the trivial one at size >= 4) the size is odd, so it cannot be closed
+    SelmerSet(tuple(sorted(span)))
+    if len(span) > 2:
+        with pytest.raises(DescentError):
+            SelmerSet(tuple(sorted(span - {max(span)})))

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twodescent.arith import sieve_primes, square_class
 from twodescent.curve import Curve, from_cubic_const, torsion_subgroup
-from twodescent.descent import search_point, selmer
+from twodescent.descent import hom_space, search_point, selmer
 from twodescent.families import (
     FamilyError,
+    _DEEP_FACTOR,
     _cube_root_exact,
+    _ep_space_point,
     RankResult,
     edconst_torsion,
     edx_rank_upper,
@@ -17,6 +21,8 @@ from twodescent.families import (
     ep_selmer,
     ep_table,
 )
+
+from .oracles import deep_space_point_oracle, ep_space_point_oracle
 
 
 def classes(*reps):
@@ -220,3 +226,68 @@ def test_ep_small_prime_partition_matches_rank_table():
     open_rows = {r.p for r in rows if r.rank.kind == "interval"}
     assert twos == {73, 89, 113, 233, 281, 337, 353, 593}
     assert open_rows == {257, 577}
+
+
+ODD_PRIMES = [p for p in sieve_primes(5000) if p > 2]
+
+
+def ep_space_classes(p):
+    return (-1, -2, 2, p, 2 * p, -2 * p)
+
+
+def assert_on_space(p, d, point):
+    """(d*w)^2 equals the cleared model of C_d at z."""
+    z, w = point
+    assert (d * w) ** 2 == hom_space(Curve(0, p, 0), d)(z)
+
+
+def check_against_full_enumeration(p, d, H):
+    got = _ep_space_point(p, d, H)
+    want = ep_space_point_oracle(p, d, H)
+    assert (got is None) == (want is None), (p, d, H)
+    if d in (2, -2 * p):
+        # no set in the way: the real-form search keeps the first hit
+        assert got == want, (p, d, H)
+    for point in (got, want):
+        if point is not None:
+            assert_on_space(p, d, point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ODD_PRIMES), st.integers(0, 5), st.integers(1, 12))
+def test_ep_space_point_matches_full_enumeration(p, i, H):
+    check_against_full_enumeration(p, ep_space_classes(p)[i], H)
+
+
+def test_ep_space_point_matches_full_enumeration_one_mod_eight():
+    # the residue class ep_rank searches, where most spaces have points
+    for p in ODD_PRIMES:
+        if p % 8 == 1 and p < 1500:
+            for d in ep_space_classes(p):
+                check_against_full_enumeration(p, d, 12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ODD_PRIMES), st.sampled_from((-1, -2)), st.integers(1, 2000))
+def test_deep_space_point_matches_full_enumeration(p, d, cap):
+    got = _ep_space_point(p, d, cap)
+    want = deep_space_point_oracle(p, d, cap)
+    assert (got is None) == (want is None)
+    for point in (got, want):
+        if point is not None:
+            assert_on_space(p, d, point)
+
+
+def test_deep_space_point_finds_large_certificates():
+    # 2 a quartic residue mod p and one coset certified at height 20;
+    # the rescan over split numerators finds a second one above 20
+    deep = set()
+    for p in (617, 1777, 1801, 2969):
+        for d in (-1, -2):
+            got = _ep_space_point(p, d, _DEEP_FACTOR * 2)
+            assert (got is None) == (deep_space_point_oracle(p, d, _DEEP_FACTOR * 2) is None)
+            if got is not None:
+                assert_on_space(p, d, got)
+                if got[0].numerator > 20:
+                    deep.add(p)
+    assert deep == {617, 1777, 1801, 2969}
