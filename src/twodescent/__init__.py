@@ -13,7 +13,6 @@ from .arith import (
     legendre,
     quartic_residue_exp,
     quartic_residue_gauss,
-    square_class,
     squarefree_part,
     two_squares,
     val,
@@ -30,7 +29,6 @@ from .curve import (
     j_invariant,
     mul,
     neg,
-    new_curve,
     on_curve,
     pt,
     shift_x,

@@ -4,7 +4,8 @@ Valuations, deterministic factorization, square classes, residue symbols
 and the two-squares decomposition of primes p = 1 (mod 4).  Everything
 here is exact integer arithmetic; nothing rounds and nothing overflows.
 
-Factoring policy: trial division through 10**6, then Pollard rho with a
+Factoring policy: trial division through 10**6, stopping early when the
+cofactor is a prime, square or cube, then Pollard rho with a
 deterministic Miller-Rabin primality test (witness set valid below
 3.3 * 10**24).  When the budget runs out the code raises instead of
 guessing, because descent correctness depends on complete
@@ -28,7 +29,6 @@ __all__ = [
     "factorize",
     "divisors",
     "squarefree_part",
-    "square_class",
     "legendre",
     "is_padic_square",
     "quartic_residue_exp",
@@ -170,39 +170,79 @@ def factorize(n: int) -> Factorization:
     """
     if n == 0:
         raise ArithError("cannot factor zero")
-    sign = 1 if n > 0 else -1
-    m = abs(n)
     found: dict[int, int] = {}
-    for p in (2, 3, 5):
-        while m % p == 0:
-            found[p] = found.get(p, 0) + 1
-            m //= p
-    d = 7
-    wheel = (4, 2, 4, 2, 4, 6, 2, 6)  # steps between candidates coprime to 30
-    w = 0
+    _factor_into(abs(n), 1, found)
+    return Factorization(1 if n > 0 else -1, tuple(sorted(found.items())))
+
+
+# Below this, finishing by trial division is cheaper than a primality test.
+_SETTLE_FROM = 10**6
+# 2, 3, 5, 7, then the steps between candidates coprime to 30 (from index 3)
+_STEPS = (1, 2, 2, 4, 2, 4, 2, 4, 6, 2, 6)
+
+
+def _settle(m: int, e: int, found: dict[int, int]) -> bool:
+    """True for m = 1, or m >= _SETTLE_FROM that is prime (recorded) or
+    a square or cube (factored through its root); False otherwise."""
+    if m < _SETTLE_FROM:
+        return m == 1
+    if m < _MR_VALID_BELOW and is_prime(m):
+        found[m] = found.get(m, 0) + e
+        return True
+    for k, r in ((2, math.isqrt(m)), (3, _cube_root_exact(m))):
+        if r is not None and r**k == m:
+            _factor_into(r, k * e, found)
+            return True
+    return False
+
+
+def _factor_into(m: int, e: int, found: dict[int, int]) -> None:
+    """Add the primes of m >= 1 to found, each exponent times e.
+
+    The cofactor is settled at the start and after each prime removed,
+    so a large prime, square or cube cofactor ends trial division early.
+    Otherwise trial division goes on to 10**6, then Pollard rho.
+    """
+    if _settle(m, e, found):
+        return
+    d, w = 2, 0
     while d <= _TRIAL_BOUND and d * d <= m:
-        while m % d == 0:
-            found[d] = found.get(d, 0) + 1
-            m //= d
-        d += wheel[w]
-        w = (w + 1) % 8
-    if m > 1:
-        if d * d > m:
-            found[m] = found.get(m, 0) + 1
+        if m % d == 0:
+            k = 0
+            while m % d == 0:
+                m //= d
+                k += 1
+            found[d] = found.get(d, 0) + k * e
+            if _settle(m, e, found):
+                return
+        d += _STEPS[w]
+        w = w + 1 if w < 10 else 3
+    if d * d > m:
+        found[m] = found.get(m, 0) + e
+        return
+    budget = [2 * 10**6]
+    stack = [m]
+    while stack:
+        c = stack.pop()
+        if is_prime(c):
+            found[c] = found.get(c, 0) + e
         else:
-            budget = [2 * 10**6]
-            stack = [m]
-            while stack:
-                c = stack.pop()
-                if c == 1:
-                    continue
-                if is_prime(c):
-                    found[c] = found.get(c, 0) + 1
-                    continue
-                g = _rho_split(c, budget)
-                stack.append(g)
-                stack.append(c // g)
-    return Factorization(sign, tuple(sorted(found.items())))
+            g = _rho_split(c, budget)  # 1 < g < c
+            stack += [g, c // g]
+
+
+def _cube_root_exact(n: int):
+    """The integer c with c^3 = n, or None; Newton's method from above."""
+    m = abs(n)
+    c = 1 << -(-m.bit_length() // 3)
+    while c > 0:
+        d = (2 * c + m // (c * c)) // 3
+        if d >= c:
+            break
+        c = d
+    if c**3 != m:
+        return None
+    return c if n >= 0 else -c
 
 
 def divisors(n: int) -> list[int]:
@@ -256,11 +296,6 @@ def squarefree_part(n: int) -> SquareClass:
         if e % 2 == 1:
             rep *= p
     return SquareClass(rep)
-
-
-def square_class(n: int) -> SquareClass:
-    """Alias of squarefree_part with a name that reads as a constructor."""
-    return squarefree_part(n)
 
 
 def _euler(a: int, p: int) -> int:

@@ -67,10 +67,6 @@ def _enc_int(n: int):
     return str(n) if abs(n) > _BIG else n
 
 
-def _dec_int(v) -> int:
-    return int(v)
-
-
 def _enc_point(P: Pt):
     return [
         _enc_int(P.x.numerator),
@@ -78,10 +74,6 @@ def _enc_point(P: Pt):
         _enc_int(P.y.numerator),
         _enc_int(P.y.denominator),
     ]
-
-
-def _dec_point(q):
-    return [_dec_int(v) for v in q]
 
 
 def report_document(rep: DescentReport, timings_ms: dict | None = None) -> dict:
@@ -102,10 +94,7 @@ def report_document(rep: DescentReport, timings_ms: dict | None = None) -> dict:
             "phi": rep.sha_phi_dim_upper,
             "phi_hat": rep.sha_phi_hat_dim_upper,
         },
-        "torsion": {
-            "structure": rep.torsion.structure,
-            "generators": [_enc_point(P) for P in rep.torsion.generators],
-        },
+        "torsion": _torsion_json(rep.torsion),
         "generators": [_enc_point(P) for P in rep.generators],
         "search_height": rep.search_height,
         "notes": list(rep.notes),
@@ -123,13 +112,13 @@ def parse_document(text: str) -> dict:
     out = dict(doc)
     for key in ("curve", "isogenous_curve", "selmer_phi", "selmer_phi_hat",
                 "image_phi", "image_phi_hat"):
-        out[key] = [_dec_int(v) for v in doc[key]]
-    out["discriminant"] = _dec_int(doc["discriminant"])
+        out[key] = [int(v) for v in doc[key]]
+    out["discriminant"] = int(doc["discriminant"])
     out["torsion"] = {
         "structure": doc["torsion"]["structure"],
-        "generators": [_dec_point(q) for q in doc["torsion"]["generators"]],
+        "generators": [[int(v) for v in q] for q in doc["torsion"]["generators"]],
     }
-    out["generators"] = [_dec_point(q) for q in doc["generators"]]
+    out["generators"] = [[int(v) for v in q] for q in doc["generators"]]
     return out
 
 
@@ -187,14 +176,10 @@ def cmd_descent(args) -> int:
             file=sys.stderr,
         )
         return 2
-    try:
-        E = Curve(args.a2, args.a4, 0)
-        t0 = time.perf_counter()
-        rep = descent_report(E, args.height)
-        ms = round((time.perf_counter() - t0) * 1000, 3)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    E = Curve(args.a2, args.a4, 0)
+    t0 = time.perf_counter()
+    rep = descent_report(E, args.height)
+    ms = round((time.perf_counter() - t0) * 1000, 3)
     if args.json:
         print(serialize_document(report_document(rep, {"total": ms})))
     else:
@@ -233,80 +218,76 @@ def _torsion_json(T) -> dict:
 
 
 def cmd_family(args) -> int:
-    try:
-        if args.kind == "ep":
-            p = args.value
-            phi, phi_hat = ep_selmer(p)
-            rank = ep_rank(p, args.height)
-            if args.json:
-                print(serialize_document({
-                    "schema_version": SCHEMA_VERSION,
-                    "family": "ep",
-                    "p": p,
-                    "selmer_dims": [phi.dim2, phi_hat.dim2],
-                    "selmer_phi": [int(d) for d in phi],
-                    "selmer_phi_hat": [int(d) for d in phi_hat],
-                    "rank_plus_sha2_dim": ep_rank_sha_dim(p),
-                    "rank": _rank_result_json(rank),
-                }))
-            else:
-                print(f"family E_p : y^2 = x^3 + {p}x")
-                print(f"  Sel^phi   = {_fmt_classes(phi)}   (dim {phi.dim2})")
-                print(f"  Sel^phi'  = {_fmt_classes(phi_hat)}   (dim {phi_hat.dim2})")
-                print(f"  rank + dim_2 Sha[2] = {ep_rank_sha_dim(p)}")
-                print(f"  {_fmt_rank_result(rank)}")
-            if args.check:
-                eng_phi = selmer(Curve(0, p, 0))
-                eng_hat = selmer(Curve(0, -4 * p, 0))
-                if eng_phi.classes != phi.classes or eng_hat.classes != phi_hat.classes:
-                    print("engine cross-check FAILED", file=sys.stderr)
-                    return 3
-                print("engine cross-check: ok")
-            return 0
-        D = args.value
-        reduce_exp = 4 if args.kind == "edx" else 6
-        reduced = _reduce_power_free(D, reduce_exp)
-        if reduced != D:
-            if not args.reduce:
-                print(
-                    f"error: D = {D} is not {reduce_exp}th-power-free; "
-                    f"pass --reduce to work with D = {reduced}",
-                    file=sys.stderr,
-                )
-                return 2
-            print(f"note: reduced D = {D} to {reduced}")
-            D = reduced
-        if args.kind == "edx":
-            T = edx_torsion(D)
-            bound = edx_rank_upper(D)
-            if args.json:
-                print(serialize_document({
-                    "schema_version": SCHEMA_VERSION,
-                    "family": "edx",
-                    "D": _enc_int(D),
-                    "torsion": _torsion_json(T),
-                    "rank_upper": bound,
-                }))
-            else:
-                print(f"family E_D : y^2 = x^3 + {D}x")
-                print(f"  torsion subgroup = {T.structure}")
-                print(f"  rank <= {bound}")
+    if args.kind == "ep":
+        p = args.value
+        phi, phi_hat = ep_selmer(p)
+        rank = ep_rank(p, args.height)
+        if args.json:
+            print(serialize_document({
+                "schema_version": SCHEMA_VERSION,
+                "family": "ep",
+                "p": p,
+                "selmer_dims": [phi.dim2, phi_hat.dim2],
+                "selmer_phi": [int(d) for d in phi],
+                "selmer_phi_hat": [int(d) for d in phi_hat],
+                "rank_plus_sha2_dim": ep_rank_sha_dim(p),
+                "rank": _rank_result_json(rank),
+            }))
         else:
-            T = edconst_torsion(D)
-            if args.json:
-                print(serialize_document({
-                    "schema_version": SCHEMA_VERSION,
-                    "family": "edconst",
-                    "D": _enc_int(D),
-                    "torsion": _torsion_json(T),
-                }))
-            else:
-                print(f"family E_D : y^2 = x^3 + {D}")
-                print(f"  torsion subgroup = {T.structure}")
+            print(f"family E_p : y^2 = x^3 + {p}x")
+            print(f"  Sel^phi   = {_fmt_classes(phi)}   (dim {phi.dim2})")
+            print(f"  Sel^phi'  = {_fmt_classes(phi_hat)}   (dim {phi_hat.dim2})")
+            print(f"  rank + dim_2 Sha[2] = {ep_rank_sha_dim(p)}")
+            print(f"  {_fmt_rank_result(rank)}")
+        if args.check:
+            eng_phi = selmer(Curve(0, p, 0))
+            eng_hat = selmer(Curve(0, -4 * p, 0))
+            if eng_phi.classes != phi.classes or eng_hat.classes != phi_hat.classes:
+                print("engine cross-check FAILED", file=sys.stderr)
+                return 3
+            print("engine cross-check: ok")
         return 0
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    D = args.value
+    reduce_exp = 4 if args.kind == "edx" else 6
+    reduced = _reduce_power_free(D, reduce_exp)
+    if reduced != D:
+        if not args.reduce:
+            print(
+                f"error: D = {D} is not {reduce_exp}th-power-free; "
+                f"pass --reduce to work with D = {reduced}",
+                file=sys.stderr,
+            )
+            return 2
+        print(f"note: reduced D = {D} to {reduced}")
+        D = reduced
+    if args.kind == "edx":
+        T = edx_torsion(D)
+        bound = edx_rank_upper(D)
+        if args.json:
+            print(serialize_document({
+                "schema_version": SCHEMA_VERSION,
+                "family": "edx",
+                "D": _enc_int(D),
+                "torsion": _torsion_json(T),
+                "rank_upper": bound,
+            }))
+        else:
+            print(f"family E_D : y^2 = x^3 + {D}x")
+            print(f"  torsion subgroup = {T.structure}")
+            print(f"  rank <= {bound}")
+    else:
+        T = edconst_torsion(D)
+        if args.json:
+            print(serialize_document({
+                "schema_version": SCHEMA_VERSION,
+                "family": "edconst",
+                "D": _enc_int(D),
+                "torsion": _torsion_json(T),
+            }))
+        else:
+            print(f"family E_D : y^2 = x^3 + {D}")
+            print(f"  torsion subgroup = {T.structure}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -343,16 +324,12 @@ def _row_json(row) -> dict:
 
 
 def cmd_table(args) -> int:
-    try:
-        filters = _parse_filter(args.filter)
-        jobs = args.jobs
-        if jobs is None:
-            env = os.environ.get("TWODESCENT_JOBS")
-            jobs = int(env) if env else None
-        rows = ep_table(args.max, height=args.height, jobs=jobs, **filters)
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    filters = _parse_filter(args.filter)
+    jobs = args.jobs
+    if jobs is None:
+        env = os.environ.get("TWODESCENT_JOBS")
+        jobs = int(env) if env else None
+    rows = ep_table(args.max, height=args.height, jobs=jobs, **filters)
     for row in rows:
         print(
             f"p={row.p}  selmer_dims=({row.selmer_dim_phi},{row.selmer_dim_phi_hat})"

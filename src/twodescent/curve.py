@@ -21,7 +21,6 @@ __all__ = [
     "Pt",
     "INFINITY",
     "pt",
-    "new_curve",
     "discriminant",
     "j_invariant",
     "on_curve",
@@ -85,11 +84,6 @@ INFINITY = Pt(None, None)
 
 def pt(x, y) -> Pt:
     return Pt(Fraction(x), Fraction(y))
-
-
-def new_curve(a2: int, a4: int, a6: int) -> Curve:
-    """Validated model; raises SingularModel when the discriminant vanishes."""
-    return Curve(a2, a4, a6)
 
 
 def discriminant(E: Curve) -> int:

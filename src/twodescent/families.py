@@ -22,6 +22,7 @@ from math import gcd, isqrt
 
 from .arith import (
     SquareClass,
+    _cube_root_exact,
     factorize,
     is_prime,
     quartic_residue_gauss,
@@ -368,20 +369,6 @@ def ep_rank(p: int, H: int = 20) -> RankResult:
 
 def _is_square(n: int) -> bool:
     return n >= 0 and isqrt(n) ** 2 == n
-
-
-def _cube_root_exact(n: int):
-    """The integer c with c^3 = n, or None; Newton's method from above."""
-    m = abs(n)
-    c = 1 << -(-m.bit_length() // 3)
-    while c > 0:
-        d = (2 * c + m // (c * c)) // 3
-        if d >= c:
-            break
-        c = d
-    if c**3 != m:
-        return None
-    return c if n >= 0 else -c
 
 
 def _check_power_free(D: int, e: int) -> None:

@@ -23,7 +23,7 @@ running the reversed quartic t^4 * f(1/t), whose t = 0 classes are the
 points at infinity.
 
 Real solvability is decided exactly: positive leading coefficient, or a
-real root detected by a Sturm chain on the squarefree part.
+real root detected by a Sturm chain.
 """
 
 from __future__ import annotations
@@ -280,7 +280,11 @@ def _poly_deriv(cs: list[Fraction]) -> list[Fraction]:
 
 
 def _sturm_distinct_real_roots(cs: list[Fraction]) -> int:
-    """Number of distinct real roots; expects a squarefree polynomial."""
+    """Number of distinct real roots, squarefree or not.
+
+    The chain ends at gcd(f, f'); dividing it out flips no sign
+    difference away from the roots, so the count at +-infinity holds.
+    """
     chain = [cs, _poly_trim(_poly_deriv(cs))]
     while chain[-1]:
         _, rem = _poly_divmod(chain[-2], chain[-1])
@@ -314,17 +318,6 @@ def r_soluble(f: QuarticForm) -> LocalVerdict:
     if (len(cs) - 1) % 2 == 1:
         return LocalVerdict(True, Witness("real", None, "odd degree"))
     # negative leading coefficient, even degree: need a real root
-    deriv = _poly_trim(_poly_deriv(cs))
-    g = cs
-    if deriv:
-        # squarefree part g = f / gcd(f, f')
-        a, b = cs, deriv
-        while b:
-            _, r = _poly_divmod(a, b)
-            a, b = b, r
-        gcd = a
-        if len(gcd) > 1:
-            g, _ = _poly_divmod(cs, gcd)
-    if _sturm_distinct_real_roots(g) > 0:
+    if _sturm_distinct_real_roots(cs) > 0:
         return LocalVerdict(True, Witness("real", None, "real root"))
     return _INSOLUBLE

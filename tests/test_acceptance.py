@@ -16,7 +16,7 @@ from twodescent.arith import (
     quartic_residue_exp,
     quartic_residue_gauss,
     sieve_primes,
-    square_class,
+    squarefree_part,
 )
 from twodescent.cli import main
 from twodescent.curve import (
@@ -43,7 +43,7 @@ from .oracles import first_square_value, survivors, val_oracle
 
 
 def classes(*reps):
-    return {square_class(r) for r in reps}
+    return {squarefree_part(r) for r in reps}
 
 
 # p = 1 mod 8 with 2 a quartic residue, p <= 10000, split into primes

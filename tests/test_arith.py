@@ -1,9 +1,10 @@
 from __future__ import annotations
 
 import math
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twodescent.arith import (
@@ -19,7 +20,6 @@ from twodescent.arith import (
     quartic_residue_exp,
     quartic_residue_gauss,
     sieve_primes,
-    square_class,
     squarefree_part,
     two_squares,
     val,
@@ -70,6 +70,35 @@ def test_factorize_round_trips_and_agrees_with_reference(n):
     assert {p: e for p, e in f.factors} == factor_oracle(n)
 
 
+LARGE_PRIMES = (999983, 1000003, 2**31 - 1, 10**12 + 39)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(st.sampled_from((2, 3, 5, 7, 997)), max_size=4),
+       st.sampled_from(LARGE_PRIMES), st.integers(1, 4), st.sampled_from((1, -1)))
+def test_factorize_settles_large_prime_square_and_cube_cofactors(small, q, e, sign):
+    n = sign * q**e * math.prod(small)
+    assume(abs(n) < 10**24)  # inside the deterministic primality test
+    assert {p: k for p, k in factorize(n).factors} == factor_oracle(n)
+    assert factorize(n).sign == sign
+
+
+def test_factorize_discriminant_shapes_skip_the_trial_walk():
+    # 64*D^3 and 16*D^2 with D prime near 10**6: trial division alone
+    # walks about 266000 candidates for each (tens of milliseconds);
+    # settling the cube or square root first takes well under one
+    t0 = time.perf_counter()
+    for q in (999983, 999979, 999961, 999959, 999953):
+        assert factorize(64 * q**3).factors == ((2, 6), (q, 3))
+        assert factorize(-16 * q**2).factors == ((2, 4), (q, 2))
+    # a cube whose root is composite: the root is factored the same way
+    assert factorize(64 * (1009 * 999983) ** 3).factors == ((2, 6), (1009, 3), (999983, 3))
+    assert time.perf_counter() - t0 < 0.1
+    # two primes past the trial bound still reach rho
+    n = 49 * 1000003 * 1000033
+    assert factorize(n).factors == ((7, 2), (1000003, 1), (1000033, 1))
+
+
 def test_divisors_small():
     assert divisors(12) == [1, 2, 3, 4, 6, 12]
     assert divisors(1) == [1]
@@ -112,10 +141,10 @@ def test_square_class_constructors():
     with pytest.raises(ArithError):
         SquareClass(0)
     with pytest.raises(ArithError):
-        square_class(0)
+        squarefree_part(0)
     # the normalizing constructor reduces; the raw one trusts its input
-    assert square_class(4) == ONE
-    assert square_class(-2) == SquareClass(-2)
+    assert squarefree_part(4) == ONE
+    assert squarefree_part(-2) == SquareClass(-2)
 
 
 def test_legendre_known_values():

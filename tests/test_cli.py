@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from twodescent.arith import ONE, square_class
+from twodescent.arith import ONE
 from twodescent.cli import (
     CremonaLine,
     main,

@@ -21,7 +21,6 @@ from twodescent.curve import (
     j_invariant,
     mul,
     neg,
-    new_curve,
     on_curve,
     pt,
     shift_x,
@@ -51,13 +50,15 @@ def small_points(E: Curve, bound: int = 12) -> list[Pt]:
     return out
 
 
-def test_new_curve_examples():
-    assert new_curve(6, 1, 0) == Curve(6, 1, 0)
-    assert new_curve(0, 17, 0) == Curve(0, 17, 0)
+def test_curve_constructor_examples():
+    E = Curve(6, 1, 0)
+    assert (E.a2, E.a4, E.a6) == (6, 1, 0)
+    E = Curve(0, 17, 0)
+    assert (E.a2, E.a4, E.a6) == (0, 17, 0)
     with pytest.raises(SingularModel):
-        new_curve(0, 0, 0)
+        Curve(0, 0, 0)
     with pytest.raises(SingularModel):
-        new_curve(-3, 3, -1)  # (x-1)^3
+        Curve(-3, 3, -1)  # (x-1)^3
 
 
 def test_discriminant_known_values():

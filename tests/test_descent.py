@@ -7,7 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from twodescent.arith import ONE, SquareClass, square_class, squarefree_part
+import twodescent.descent as descent_module
+from twodescent.arith import ONE, SquareClass, legendre, squarefree_part
 from twodescent.curve import Curve, INFINITY, discriminant, mul, on_curve, pt
 from twodescent.descent import (
     DescentError,
@@ -27,11 +28,13 @@ from twodescent.descent import (
     selmer,
 )
 
+from twodescent.localsolve import qp_soluble, r_soluble
+
 from .oracles import o_on_curve, o_order, search_point_oracle, span_oracle
 
 
 def classes(*reps: int) -> set[SquareClass]:
-    return {square_class(r) for r in reps}
+    return {squarefree_part(r) for r in reps}
 
 
 def test_isogenous_curve_examples():
@@ -84,9 +87,9 @@ def test_phi_map_lands_on_the_isogenous_curve():
 
 
 def test_delta_class_examples():
-    assert delta_class(Curve(-12, 32, 0), pt(0, 0)) == square_class(2)
+    assert delta_class(Curve(-12, 32, 0), pt(0, 0)) == squarefree_part(2)
     assert delta_class(Curve(-12, 32, 0), INFINITY) == ONE
-    assert delta_class(Curve(6, 1, 0), pt(-1, 2)) == square_class(-1)
+    assert delta_class(Curve(6, 1, 0), pt(-1, 2)) == squarefree_part(-1)
     with pytest.raises(DescentError):
         delta_class(Curve(6, 1, 0), pt(2, 2))
 
@@ -99,7 +102,7 @@ def test_delta_is_a_homomorphism_on_sample_points():
     assert add(E, P, Q) == pt(0, 0)
     # delta(P + Q) = delta(P) * delta(Q), with (0, 0) mapping to cls(a4)
     assert delta_class(E, pt(0, 0)) == delta_class(E, P) * delta_class(E, Q)
-    assert delta_class(E, pt(0, 0)) == square_class(12)
+    assert delta_class(E, pt(0, 0)) == squarefree_part(12)
 
 
 def test_bad_set_contents():
@@ -130,7 +133,7 @@ def test_hom_space_cleared_forms():
 
 
 def test_hom_space_accepts_square_class_objects():
-    assert hom_space(Curve(6, 1, 0), square_class(2)).c == (64, 0, -48, 0, 8)
+    assert hom_space(Curve(6, 1, 0), squarefree_part(2)).c == (64, 0, -48, 0, 8)
 
 
 def test_selmer_worked_example():
@@ -152,14 +155,92 @@ def test_selmer_is_a_subgroup_with_seed_class():
 
 def test_selmer_set_validates_its_invariants():
     with pytest.raises(DescentError):
-        SelmerSet((square_class(2),))  # missing the trivial class
+        SelmerSet((squarefree_part(2),))  # missing the trivial class
     with pytest.raises(DescentError):
-        SelmerSet((ONE, square_class(2), square_class(3)))  # 6 missing
+        SelmerSet((ONE, squarefree_part(2), squarefree_part(3)))  # 6 missing
     with pytest.raises(DescentError):
-        SelmerSet((square_class(2), ONE))  # unsorted
+        SelmerSet((squarefree_part(2), ONE))  # unsorted
     ok = SelmerSet(tuple(sorted(classes(1, 2))))
     assert ok.size == 2 and ok.dim2 == 1
-    assert square_class(2) in ok and square_class(3) not in ok
+    assert squarefree_part(2) in ok and squarefree_part(3) not in ok
+
+
+def selmer_per_class(E: Curve) -> tuple[int, ...]:
+    """Reference: every class of qs2 gets a real test, then each p of S."""
+    S = bad_set(E)
+    kept = []
+    for d in qs2(S):
+        f = hom_space(E, d)
+        if r_soluble(f) and all(qp_soluble(f, p) for p in S.primes):
+            kept.append(int(d))
+    return tuple(kept)
+
+
+def nonsingular(a: int, b: int) -> bool:
+    return b != 0 and a * a != 4 * b
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30))
+def test_selmer_matches_per_class_reference_on_box(a, b):
+    assume(nonsingular(a, b))
+    E = Curve(a, b, 0)
+    assert tuple(int(d) for d in selmer(E)) == selmer_per_class(E)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(-10**6, 10**6).filter(bool))
+def test_selmer_matches_per_class_reference_on_dx(D):
+    for E in (Curve(0, D, 0), Curve(0, -4 * D, 0)):
+        assert tuple(int(d) for d in selmer(E)) == selmer_per_class(E)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30), st.data())
+def test_local_verdict_depends_only_on_the_local_class(a, b, data):
+    assume(nonsingular(a, b))
+    E = Curve(a, b, 0)
+    p = data.draw(st.sampled_from(bad_set(E).primes + (3, 5)))
+    d = int(data.draw(st.sampled_from(qs2(bad_set(E)))))
+    s = data.draw(st.integers(1, 12))
+    if p == 2:
+        u = data.draw(st.integers(-10, 10).map(lambda k: 8 * k + 1))
+    else:
+        u = data.draw(st.integers(-60, 60).filter(
+            lambda k: k % p != 0 and legendre(k, p) == 1))
+    f, g = hom_space(E, d), hom_space(E, d * s * s * u)
+    assert bool(qp_soluble(f, p)) == bool(qp_soluble(g, p))
+    if u > 0:
+        assert bool(r_soluble(f)) == bool(r_soluble(g))
+
+
+@pytest.mark.parametrize("E", [
+    Curve(0, 30030, 0),              # S = {2, 3, 5, 7, 11, 13}: 128 classes
+    Curve(0, -2 * 3 * 5 * 7 * 11 * 13 * 17, 0),
+    Curve(6, 1, 0),
+    Curve(-11, 2, 0),
+    Curve(0, 912247, 0),
+])
+def test_selmer_tests_each_local_class_once(monkeypatch, E):
+    calls: dict[int, int] = {}
+
+    def counting_qp(f, p):
+        calls[p] = calls.get(p, 0) + 1
+        return qp_soluble(f, p)
+
+    def counting_r(f):
+        calls[0] = calls.get(0, 0) + 1
+        return r_soluble(f)
+
+    monkeypatch.setattr(descent_module, "qp_soluble", counting_qp)
+    monkeypatch.setattr(descent_module, "r_soluble", counting_r)
+    for C in (E, isogenous_curve(E).Eprime):
+        calls.clear()
+        assert tuple(int(d) for d in selmer(C)) == selmer_per_class(C)
+        assert calls.get(0, 0) <= 2
+        assert calls.get(2, 0) <= 8
+        assert all(n <= 4 for p, n in calls.items() if p > 2)
+        assert set(calls) <= {0} | set(bad_set(C).primes)
 
 
 def test_dual_selmer_of_ep_is_minimal():
@@ -249,7 +330,7 @@ def test_lift_point_examples():
     L = lift_point(pair, 2, (Fraction(1, 2), Fraction(0)))
     assert L == pt(8, 0)
     assert on_curve(pair.Eprime, L)
-    assert delta_class(pair.Eprime, L) == square_class(2)
+    assert delta_class(pair.Eprime, L) == squarefree_part(2)
 
 
 def test_lift_point_dual_direction():
@@ -350,7 +431,7 @@ SIGNED_SQUAREFREE = [s * r for r in (1, 2, 3, 5, 6, 7, 10, 15, 21, 30, 105, 210)
 @settings(max_examples=200, deadline=None)
 @given(st.sets(st.sampled_from(SIGNED_SQUAREFREE), max_size=6))
 def test_span_matches_fixed_point_closure(reps):
-    span = _span({square_class(r) for r in reps})
+    span = _span({squarefree_part(r) for r in reps})
     assert {int(c) for c in span} == span_oracle(reps)
     # a span passes the closure check; without its largest class (never
     # the trivial one at size >= 4) the size is odd, so it cannot be closed

@@ -4,13 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twodescent.arith import sieve_primes, square_class
+from twodescent.arith import _cube_root_exact, sieve_primes, squarefree_part
 from twodescent.curve import Curve, from_cubic_const, torsion_subgroup
 from twodescent.descent import hom_space, search_point, selmer
 from twodescent.families import (
     FamilyError,
     _DEEP_FACTOR,
-    _cube_root_exact,
     _ep_space_point,
     RankResult,
     edconst_torsion,
@@ -26,7 +25,7 @@ from .oracles import deep_space_point_oracle, ep_space_point_oracle
 
 
 def classes(*reps):
-    return {square_class(r) for r in reps}
+    return {squarefree_part(r) for r in reps}
 
 
 def test_rank_result_validation():

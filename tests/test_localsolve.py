@@ -225,6 +225,20 @@ def test_r_soluble_matches_reference(f):
     assert bool(r_soluble(f)) == real_soluble_oracle(f.c)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(-6, 6), st.integers(-6, 6), st.integers(-6, 6), st.integers(1, 3),
+       st.booleans())
+def test_r_soluble_matches_reference_with_repeated_roots(r, s, t, m, square):
+    # -m (z^2 + s z + t)^2 or -m (z - r)^2 (z^2 + s z + t): the Sturm
+    # chain ends at a nonconstant gcd
+    if square:
+        c = (1, 2 * s, s * s + 2 * t, 2 * s * t, t * t)
+    else:
+        c = (1, s - 2 * r, t - 2 * r * s + r * r, r * r * s - 2 * r * t, r * r * t)
+    c = tuple(-m * v for v in c)
+    assert bool(r_soluble(QuarticForm(c))) == real_soluble_oracle(c)
+
+
 @settings(max_examples=40, deadline=None)
 @given(nonsingular_quartics(), st.sampled_from(SMALL_PRIMES), st.sampled_from((2, 3)))
 def test_substitution_invariance(f, p, c):
