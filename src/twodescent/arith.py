@@ -201,12 +201,14 @@ def _factor_into(m: int, e: int, found: dict[int, int]) -> None:
 
     The cofactor is settled at the start and after each prime removed,
     so a large prime, square or cube cofactor ends trial division early.
-    Otherwise trial division goes on to 10**6, then Pollard rho.
+    An unsettled m >= _SETTLE_FROM with no prime below d and d^3 > m is
+    a product of two distinct primes >= d, so it goes to Pollard rho at
+    once; otherwise trial division goes on to 10**6, then rho.
     """
     if _settle(m, e, found):
         return
     d, w = 2, 0
-    while d <= _TRIAL_BOUND and d * d <= m:
+    while d <= _TRIAL_BOUND and d * d <= m and (m < _SETTLE_FROM or d * d * d <= m):
         if m % d == 0:
             k = 0
             while m % d == 0:

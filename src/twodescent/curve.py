@@ -300,30 +300,37 @@ def _point_sort_key(P: Pt):
 
 def torsion_subgroup(E: Curve) -> TorsionGroup:
     """Exact rational torsion with verified generators."""
+    bound = torsion_order_bound(E, 6)
+    # E[2](Q) lies in the torsion, whose order divides bound: equal if |E[2](Q)| = bound
+    two = [pt(x, 0) for x in _integer_roots_monic_cubic(E.a2, E.a4, E.a6)]
+    cands = two if bound == len(two) + 1 else _torsion_candidates(E)
+    return _torsion_group(E, cands, bound)
+
+
+def _torsion_group(E: Curve, cands: list[Pt], bound: int) -> TorsionGroup:
+    """The group of the finite-order points among cands."""
     orders: dict[Pt, int] = {}
-    for P in _torsion_candidates(E):
+    for P in cands:
         # order computation revisits small multiples; cheap at this scale
         o = _order_up_to(E, P, _MAX_TORSION_ORDER)
         if o is not None:
             orders[P] = o
     n = len(orders) + 1
-    bound = torsion_order_bound(E, 6)
     if bound % n != 0:
         raise CurveError("torsion enumeration disagrees with the reduction bound")
     two_torsion = sum(1 for o in orders.values() if o == 2)
     if n == 1:
         return TorsionGroup("trivial", (), (INFINITY,))
-    points = (INFINITY,) + tuple(sorted(orders, key=_point_sort_key))
-    max_order = max(orders.values())
     by_order = sorted(orders, key=_point_sort_key)
+    points = (INFINITY,) + tuple(by_order)
+    max_order = max(orders.values())
+    gen = next(P for P in by_order if orders[P] == max_order)
     if two_torsion <= 1:
         if max_order != n or n not in _ALLOWED_CYCLIC:
             raise CurveError(f"unexpected torsion shape of order {n}")
-        gen = next(P for P in by_order if orders[P] == max_order)
         return TorsionGroup(f"Z{n}", (gen,), points)
     if two_torsion != 3 or n not in _ALLOWED_SPLIT or 2 * max_order != n:
         raise CurveError(f"unexpected torsion shape of order {n}")
-    gen = next(P for P in by_order if orders[P] == max_order)
     half = mul(E, max_order // 2, gen)  # the order-2 point inside <gen>
     second = next(P for P in by_order if orders[P] == 2 and P != half)
     return TorsionGroup(f"Z2xZ{max_order}", (gen, second), points)

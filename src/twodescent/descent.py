@@ -25,7 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import isqrt
 
 from .arith import ONE, SquareClass, _euler, factorize, squarefree_part
 from .curve import (
@@ -247,72 +247,62 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
     """First (m, n, r) with r^2 = c4*m^4 + c2*m^2*n^2 + c0*n^4, or None.
 
     The coprime pairs (m, n), n >= 1, of height max(|m|, n) <= H come in
-    the order (height, n, |m|, m < 0).  Heights are swept in doubling
-    bands (lo, hi].  Per n, the m in [-hi, hi] are a Python-int bitmask,
-    bit m + hi: a range mask that drops |m| <= lo when n <= lo, AND the
-    tiled residue mask of each sieve modulus.  Only the surviving bits
-    get the gcd, the sign and the isqrt test, and the least surviving
-    hit of the first band that has one is the first hit overall.
+    the order (height, n, |m|, m < 0).  N(m, n) depends on m^2 only, so
+    -m is a hit exactly when m is, later in the order: only m >= 0 is
+    tried.  One pass over n = 1..H; per n the m in [0, H] are a
+    Python-int bitmask, bit m, ANDed with the tiled residue row of each
+    sieve modulus and with the row of m prime to n, so only coprime
+    survivors get the isqrt test.  For fixed n the order rises with m,
+    so the least surviving hit is that n's first.  A later n beats a hit
+    of height h only below height h, so after a hit the masks keep
+    m < h and the pass ends at n = h.
     """
-    tables: dict[tuple[int, int], int] = {}
+    full = (1 << (H + 1)) - 1
 
-    def residues(q: int, squares: int, nr: int) -> int:
-        """Bit i set when N(i, nr) is a square mod q; built on first use."""
-        key = (q, nr)
-        t = tables.get(key)
-        if t is None:
-            n2 = nr * nr
+    def every(q: int) -> int:
+        """Bits 0, q, 2q, ... up to H."""
+        return ((1 << (q * (H // q + 1))) - 1) // ((1 << q) - 1) & full
+
+    # (q, row) per modulus, row[n % q] with bit i set when N(i, n) is a
+    # square mod q; it depends on n^2 mod q and is symmetric in i <-> q - i
+    rows = []
+    for q, squares in _SIEVE:
+        spread, row = every(q), {}
+        for n2 in {r * r % q for r in range(q)}:
             a, b, c = c4 % q, c2 * n2 % q, c0 * n2 * n2 % q
-            t = 0
-            for i in range(q):
-                i2 = i * i
-                if squares >> ((a * i2 * i2 + b * i2 + c) % q) & 1:
-                    t |= 1 << i
-            tables[key] = t
-        return t
+            w = sum(1 << i | 1 << (q - i) for i in range(q // 2 + 1)
+                    if squares >> ((a * i**4 + b * i * i + c) % q) & 1)
+            row[n2] = (w & ((1 << q) - 1)) * spread & full
+        rows.append((q, [row[r * r % q] for r in range(min(q, H + 1))]))
+    # coprime[n]: bit m set when gcd(m, n) = 1, sieved prime by prime
+    coprime = [full] * (H + 1)
+    for p in range(2, H + 1):
+        if coprime[p] == full:  # no smaller prime divides p
+            strike = full ^ every(p)
+            for k in range(p, H + 1, p):
+                coprime[k] &= strike
 
-    lo, hi = 0, min(4, H)
-    while lo < H:
-        width = 2 * hi + 1
-        full = (1 << width) - 1
-        outer = full ^ (((1 << (2 * lo + 1)) - 1) << (hi - lo))
-        tiled: dict[tuple[int, int], int] = {}
-        best = None
-        for n in range(1, hi + 1):
-            if best is not None and n > best[0][0]:
-                break
-            mask = outer if n <= lo else full
-            for q, squares in _SIEVE:
-                key = (q, n % q)
-                t = tiled.get(key)
-                if t is None:
-                    # rotate so that bit i means m = i - hi, then repeat
-                    w = residues(q, squares, key[1])
-                    s = hi % q
-                    w = ((w << s) | (w >> (q - s))) & ((1 << q) - 1)
-                    reps = -(-width // q)
-                    t = w * (((1 << (q * reps)) - 1) // ((1 << q) - 1)) & full
-                    tiled[key] = t
-                mask &= t
-            n2 = n * n
-            while mask:
-                low = mask & -mask
-                mask ^= low
-                m = low.bit_length() - 1 - hi
-                if gcd(m, n) != 1:
-                    continue
-                m2 = m * m
-                N = c4 * m2 * m2 + c2 * m2 * n2 + c0 * n2 * n2
-                if N < 0:
-                    continue
+    hit, h, below = None, H + 1, full
+    n = 1
+    while n < h:
+        mask = below & coprime[n]
+        for q, row in rows:
+            mask &= row[n % q]
+        n2 = n * n
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            m = low.bit_length() - 1
+            m2 = m * m
+            N = c4 * m2 * m2 + c2 * m2 * n2 + c0 * n2 * n2
+            if N >= 0:
                 r = isqrt(N)
                 if r * r == N:
-                    found = ((max(abs(m), n), n, abs(m), m < 0), (m, n, r))
-                    best = found if best is None else min(best, found)
-        if best is not None:
-            return best[1]
-        lo, hi = hi, min(2 * hi, H)
-    return None
+                    hit, h = (m, n, r), max(m, n)
+                    below = (1 << h) - 1
+                    break
+        n += 1
+    return hit
 
 
 def search_point(E: Curve, d, H: int):

@@ -7,9 +7,8 @@ and u = f(r) / p^lam, a class is settled by the first rule that fires:
 
   (i)   f(r) = 0 or f(r) a square in Q_p: soluble at z = r.
   (ii)  k > mu: f maps the class onto f(r) + p^(k+mu) Z_p.  Soluble if
-        lam >= k + mu (a Hensel root), or at p = 2 if lam is even and
-        lam = k + mu - 1, or lam = k + mu - 2 and u = 1 (mod 4);
-        insoluble otherwise.
+        lam >= k + mu (a Hensel root), or at p = 2 if lam = k + mu - 1
+        (then mu = k - 1 and lam is even); insoluble otherwise.
   (iii) k <= mu: f = f(r) (mod p^(2k)) on the class.  Split into the p
         children mod p^(k+1) if lam >= 2k, or at p = 2 if lam = 2k - 2
         and u = 1 (mod 4); insoluble otherwise.
@@ -204,11 +203,13 @@ def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
         d = f.deriv(r)
         mu = val(d, p) if d else None
         if mu is not None and k > mu:
-            # f maps the class onto f(r) + p^(k + mu) Z_p
+            # f maps the class onto f(r) + p^(k + mu) Z_p.  A class at
+            # k >= 2 comes from a split at k - 1 <= mu(parent), and
+            # f'(r) = f'(parent) mod p^(k - 1), so mu = k - 1 (at k = 1,
+            # mu = 0 too).  So lam = n - 1 = 2k - 2 is even, and
+            # lam = n - 2 = 2k - 3 is odd, never a square value.
             n = k + mu
-            if lam >= n or (
-                p == 2 and lam % 2 == 0 and (lam == n - 1 or (lam == n - 2 and u % 4 == 1))
-            ):
+            if lam >= n or (p == 2 and lam == n - 1):
                 what = "a root" if lam >= n else "a square value"
                 return LocalVerdict(
                     True, Witness("hensel", None, f"f has {what} on {r} mod {p}^{k}")

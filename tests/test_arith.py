@@ -4,6 +4,7 @@ import math
 import time
 
 import pytest
+import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -97,6 +98,27 @@ def test_factorize_discriminant_shapes_skip_the_trial_walk():
     # two primes past the trial bound still reach rho
     n = 49 * 1000003 * 1000033
     assert factorize(n).factors == ((7, 2), (1000003, 1), (1000033, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(10**3, 10**9), st.integers(10**3, 10**9),
+       st.sampled_from((1, 2, 12, 77, 2**5 * 3)), st.sampled_from((1, -1)))
+def test_factorize_semiprime_cofactors_agree_with_reference(x, y, small, sign):
+    p, q = sympy.nextprime(x), sympy.nextprime(y)
+    n = sign * small * p * q
+    assert {p: k for p, k in factorize(n).factors} == factor_oracle(n)
+    assert factorize(n).sign == sign
+
+
+def test_factorize_semiprime_cofactor_skips_the_trial_walk():
+    # p*q with both primes near 10**6: once d^3 > p*q the cofactor can
+    # only be a product of two primes, and rho splits it at once; the
+    # walk to the trial bound took about 80 ms for each of these
+    t0 = time.perf_counter()
+    for p, q in ((1000003, 1000033), (999983, 1000003), (1000037, 1000039),
+                 (999979, 1999993)):
+        assert factorize(4 * p * q).factors == ((2, 2), (p, 1), (q, 1))
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_divisors_small():

@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twodescent.curve import (
@@ -14,6 +14,8 @@ from twodescent.curve import (
     Pt,
     SingularModel,
     _integer_roots_monic_cubic,
+    _torsion_candidates,
+    _torsion_group,
     add,
     count_points_mod,
     discriminant,
@@ -213,6 +215,50 @@ def test_torsion_matches_reference_invariants():
     for E in CURVE_SAMPLES + [Curve(0, 4, 0), Curve(0, 0, -432), Curve(5, 4, 0)]:
         t = torsion_subgroup(E)
         assert t.invariants() == torsion_invariants_brute((E.a2, E.a4, E.a6))
+
+
+def _model(a2: int, a4: int, a6: int) -> Curve | None:
+    try:
+        return Curve(a2, a4, a6)
+    except SingularModel:
+        return None
+
+
+def _split_model(r: int, s: int, t: int) -> Curve | None:
+    """y^2 = (x - r)(x - s)(x - t): all of E[2] is rational."""
+    return _model(-(r + s + t), r * s + r * t + s * t, -r * s * t)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.builds(_model, st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40)),
+    st.builds(_model, st.integers(-40, 40), st.integers(-40, 40), st.just(0)),
+    st.builds(_split_model, st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)),
+))
+def test_torsion_shortcut_equals_full_enumeration(E):
+    # where the reduction bound is 1 + (number of integer roots of the
+    # cubic), torsion_subgroup skips the y^2 | disc candidates: the group,
+    # its generators and its point order must be those of the full search
+    assume(E is not None)
+    bound = torsion_order_bound(E, 6)
+    assume(bound == 1 + len(_integer_roots_monic_cubic(E.a2, E.a4, E.a6)))
+    assert torsion_subgroup(E) == _torsion_group(E, _torsion_candidates(E), bound)
+
+
+def test_torsion_shortcut_skips_the_divisor_search(monkeypatch):
+    import twodescent.curve as curve_module
+
+    def refuse(n):
+        raise AssertionError("divisors called on the E[2](Q) path")
+
+    monkeypatch.setattr(curve_module, "divisors", refuse)
+    # a6 != 0 with trivial E[2](Q), then one, then three rational roots
+    assert torsion_subgroup(Curve(0, 1, 1)).structure == "trivial"
+    assert torsion_subgroup(Curve(0, 17, 0)).structure == "Z2"
+    assert torsion_subgroup(Curve(0, -11 * 11, 0)).structure == "Z2xZ2"
+    # Z4 needs the full candidate search
+    with pytest.raises(AssertionError, match="divisors called"):
+        torsion_subgroup(Curve(6, 1, 0))
 
 
 def test_torsion_generators_check_out():

@@ -314,6 +314,82 @@ def test_sieve_matches_naive_scan_at_band_edges(mn, x, y, s, t, extra):
     assert got == expected and got is not None
 
 
+def planted_form(p1, p2, x: int, y: int, t: int) -> tuple[int, int, int]:
+    """(c4, c2, c0) with N(m, n) a square at both points (m, n).
+
+    N = (x X + y Y)^2 + t (Y1 X - X1 Y)(Y2 X - X2 Y) in X = m^2, Y = n^2.
+    """
+    (X1, Y1), (X2, Y2) = ((m * m, n * n) for m, n in (p1, p2))
+    return x * x + t * Y1 * Y2, 2 * x * y - t * (Y1 * X2 + X1 * Y2), y * y + t * X1 * X2
+
+
+def first_square_agrees(c4: int, c2: int, c0: int, H: int):
+    """_first_square's hit as the naive scan's (z, w), after checking both agree."""
+    hit = _first_square(c4, c2, c0, H)
+    got = None if hit is None else (Fraction(hit[0], hit[1]), Fraction(hit[2], hit[1] ** 2))
+    assert got == search_point_oracle(c4, c2, c0, 1, 0, H)
+    return hit
+
+
+@st.composite
+def coprime_point(draw, ns, hmax: int):
+    n = draw(ns)
+    m = draw(st.integers(0, hmax))
+    assume(math.gcd(m, n) == 1)
+    return draw(st.sampled_from((1, -1))) * m, n
+
+
+small = st.integers(-9, 9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coprime_point(st.sampled_from((17, 19, 23, 34, 51)), 120),
+       coprime_point(st.integers(1, 40), 40), small, small, small, st.integers(1, 120))
+def test_first_square_matches_naive_scan_with_large_prime_denominators(p1, p2, x, y, t, H):
+    # n0 has a prime factor above the sieve moduli: the coprime mask of n0
+    # strikes the multiples of a prime that no residue row sees
+    hit = first_square_agrees(*planted_form(p1, p2, x, y, t), H)
+    if H >= max(abs(p1[0]), p1[1]):
+        assert hit is not None
+
+
+@settings(max_examples=100, deadline=None)
+@given(coprime_point(st.integers(1, 30), 30), small, small, small, st.integers(1, 120))
+def test_first_square_hits_at_m_zero(p2, x, y, t, H):
+    c4, c2, c0 = planted_form((0, 1), p2, x, y, t)
+    assert first_square_agrees(c4, c2, c0, H) == (0, 1, abs(y))
+
+
+@settings(max_examples=200, deadline=None)
+@given(coprime_point(st.integers(1, 20), 20), coprime_point(st.integers(1, 20), 20),
+       small, small, small, st.integers(1, 15))
+def test_first_square_below_the_sieve_moduli(p1, p2, x, y, t, H):
+    first_square_agrees(*planted_form(p1, p2, x, y, t), H)
+
+
+@settings(max_examples=150, deadline=None)
+@given(coprime_point(st.integers(2, 40), 40), st.integers(1, 80), small, small,
+       small.filter(bool), st.integers(0, 40))
+def test_lower_height_beats_an_earlier_n_equal_one_hit(p0, up, x, y, t, extra):
+    # (m1, 1) comes first in n but (m0, n0), n0 >= 2, is lower in height
+    h0 = max(abs(p0[0]), p0[1])
+    m1 = h0 + up
+    hit = first_square_agrees(*planted_form(p0, (m1, 1), x, y, t), min(120, m1 + extra))
+    assert hit is not None and max(hit[0], hit[1]) <= h0
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-10**6, 10**6).filter(bool), st.integers(-30, 30).filter(bool),
+       st.integers(1, 120))
+def test_search_point_matches_naive_scan_to_height_120(D, k, H):
+    # the descent-dx shape y^2 = x^3 + Dx; d shares small primes with D,
+    # as the Selmer classes of these curves do
+    E = Curve(0, D, 0)
+    d = int(squarefree_part(k * math.gcd(D, 2 * 3 * 5 * 7 * 11 * 13 * 17)))
+    c4, _, c2, _, c0 = hom_space(E, d).c
+    assert search_point(E, d, H) == search_point_oracle(c4, c2, c0, d, -4 * D * d, H)
+
+
 def test_search_point_results_satisfy_the_space_equation():
     # d w^2 = d^2 - 2 a d z^2 + (a^2 - 4b) z^4
     for E, d in ((Curve(6, 1, 0), 2), (Curve(-12, 32, 0), -1),
