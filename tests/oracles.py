@@ -166,6 +166,59 @@ def real_soluble_oracle(c: tuple[int, int, int, int, int]) -> bool:
     return len(f.real_roots()) > 0
 
 
+def _poly_trim(cs: list[Fraction]) -> list[Fraction]:
+    i = 0
+    while i < len(cs) and cs[i] == 0:
+        i += 1
+    return cs[i:]
+
+
+def _poly_rem(num: list[Fraction], den: list[Fraction]) -> list[Fraction]:
+    num = num[:]
+    while len(num) >= len(den):
+        coef = num[0] / den[0]
+        for i in range(len(den)):
+            num[i] -= coef * den[i]
+        num.pop(0)
+    return _poly_trim(num)
+
+
+def _sturm_distinct_real_roots(cs: list[Fraction]) -> int:
+    """Number of distinct real roots, squarefree or not.
+
+    The chain ends at gcd(f, f'); dividing it out flips no sign
+    difference away from the roots, so the count at +-infinity holds.
+    """
+    n = len(cs) - 1
+    chain = [cs, _poly_trim([c * (n - i) for i, c in enumerate(cs[:-1])])]
+    while chain[-1]:
+        rem = _poly_rem(chain[-2], chain[-1])
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+
+    def changes(at_plus_inf: bool) -> int:
+        signs = []
+        for poly in chain:
+            if not poly:
+                continue
+            s = 1 if poly[0] > 0 else -1
+            if not at_plus_inf and (len(poly) - 1) % 2 == 1:
+                s = -s
+            signs.append(s)
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+    return changes(False) - changes(True)
+
+
+def r_soluble_oracle(c: tuple[int, ...]) -> bool:
+    """Whether f(z) >= 0 somewhere on the real line, by a Sturm chain in Fractions."""
+    cs = _poly_trim([Fraction(v) for v in c])
+    if cs[0] > 0 or (len(cs) - 1) % 2 == 1:
+        return True
+    return _sturm_distinct_real_roots(cs) > 0
+
+
 # ---------------------------------------------------------------------------
 # Residue search with early exit; cheap enough for depth-6 oracle sweeps.
 

@@ -26,7 +26,7 @@ from twodescent.arith import (
     val,
 )
 
-from .oracles import factor_oracle, qr_set, quartic_set, two_squares_brute
+from .oracles import factor_oracle, qr_set, quartic_set, two_squares_brute, val_oracle
 
 ODD_PRIMES = [p for p in sieve_primes(300) if p > 2]
 
@@ -38,6 +38,13 @@ def test_val_known_values():
     assert val(17, 2) == 0
     assert val(32, 2) == 5
     assert val(-314432, 17) == 3
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-10**40, 10**40).filter(bool), st.integers(0, 70), st.sampled_from((2, 3, 7)))
+def test_val_agrees_with_repeated_division(n, k, p):
+    # p = 2 reads the lowest set bit, negative n included
+    assert val(n * p**k, p) == val_oracle(n * p**k, p)
 
 
 def test_val_of_zero_rejected():
@@ -119,6 +126,33 @@ def test_factorize_semiprime_cofactor_skips_the_trial_walk():
                  (999979, 1999993)):
         assert factorize(4 * p * q).factors == ((2, 2), (p, 1), (q, 1))
     assert time.perf_counter() - t0 < 0.1
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.integers(10**3, 3 * 10**6), min_size=3, max_size=4),
+       st.sampled_from((1, 2, 12, 77, 2**5 * 3)), st.sampled_from((1, -1)))
+def test_factorize_cofactors_of_three_or_more_primes_agree_with_reference(xs, small, sign):
+    # repeated primes too: nextprime maps nearby x to the same prime
+    n = sign * small * math.prod(sympy.nextprime(x) for x in xs)
+    assert {p: k for p, k in factorize(n).factors} == factor_oracle(n)
+    assert factorize(n).sign == sign
+
+
+def test_factorize_three_prime_cofactors_leave_the_trial_walk_early():
+    # three primes near 10**6: d^3 > m never holds below 10**6, so the
+    # walk to the trial bound took about 140 ms for each; rho takes over
+    # past 2**10
+    for n in (1000003**2 * 1000033, 1000003 * 1000033 * 1000037):
+        t0 = time.perf_counter()
+        assert factorize(n).value() == n
+        assert time.perf_counter() - t0 < 0.01
+
+
+def test_factorize_beyond_the_primality_test_walks_the_trial_bound():
+    # above 3.3 * 10**24 is_prime refuses, so trial division goes past
+    # 2**10 and strips 10007 before rho gets the cofactor
+    n = 3**40 * 10007 * (2**31 - 1) * (10**12 + 39)
+    assert factorize(n).factors == ((3, 40), (10007, 1), (2**31 - 1, 1), (10**12 + 39, 1))
 
 
 def test_divisors_small():

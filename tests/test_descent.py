@@ -14,6 +14,8 @@ from twodescent.descent import (
     DescentError,
     SelmerSet,
     TorsionImageError,
+    _SIEVE,
+    _coprime_rows,
     _first_square,
     _span,
     bad_set,
@@ -376,6 +378,34 @@ def test_lower_height_beats_an_earlier_n_equal_one_hit(p0, up, x, y, t, extra):
     m1 = h0 + up
     hit = first_square_agrees(*planted_form(p0, (m1, 1), x, y, t), min(120, m1 + extra))
     assert hit is not None and max(hit[0], hit[1]) <= h0
+
+
+# 16 * 9 * 5 * 7 * 11 * 13: forms congruent mod this share every residue word
+SIEVE_LCM = math.lcm(*(q for q, _ in _SIEVE))
+
+
+@settings(max_examples=40, deadline=None)
+@given(coprime_point(st.integers(1, 30), 30), coprime_point(st.integers(1, 30), 30),
+       small, small, small, st.lists(st.integers(-3, 3), min_size=1, max_size=3))
+def test_first_square_with_cached_words_and_interleaved_heights(p1, p2, x, y, t, shifts):
+    # adding SIEVE_LCM * s * (n1^2 m^4 - m1^2 m^2 n^2) changes neither
+    # N(m1, n1) nor any coefficient mod a sieve modulus, so these forms
+    # reuse the words cached by the first; the heights revisit 20 after 100
+    c4, c2, c0 = planted_form(p1, p2, x, y, t)
+    X1, Y1 = p1[0] ** 2, p1[1] ** 2
+    for s in [0, *shifts]:
+        form = (c4 + SIEVE_LCM * s * Y1, c2 - SIEVE_LCM * s * X1, c0)
+        for H in (20, 100, 20, 7):
+            hit = first_square_agrees(*form, H)
+            if H >= max(abs(p1[0]), p1[1]):
+                assert hit is not None
+
+
+def test_coprime_rows_hold_the_numerators_prime_to_each_denominator():
+    for H in range(1, 201):
+        rows = _coprime_rows(H)
+        for n in range(1, H + 1):
+            assert rows[n] == sum(1 << m for m in range(H + 1) if math.gcd(m, n) == 1), (H, n)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from twodescent.arith import is_padic_square, val
@@ -21,6 +21,7 @@ from .oracles import (
     brute_mod_oracle,
     first_square_value,
     quartic_disc_oracle,
+    r_soluble_oracle,
     real_soluble_oracle,
     zp_soluble_oracle,
 )
@@ -237,6 +238,64 @@ def test_r_soluble_matches_reference_with_repeated_roots(r, s, t, m, square):
         c = (1, s - 2 * r, t - 2 * r * s + r * r, r * r * s - 2 * r * t, r * r * t)
     c = tuple(-m * v for v in c)
     assert bool(r_soluble(QuarticForm(c))) == real_soluble_oracle(c)
+
+
+def real_note(c: tuple[int, ...]) -> str:
+    lead = next(v for v in c if v != 0)
+    degree = 4 - c.index(lead)
+    return ("positive leading coefficient" if lead > 0
+            else "odd degree" if degree % 2 else "real root")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((20, 10**30)).flatmap(
+    lambda b: st.tuples(*[st.integers(-b, b)] * 5)), st.integers(0, 3))
+def test_r_soluble_matches_sturm_oracle(c, drop):
+    # small and 30-digit coefficients, degree 4 down to 1
+    c = (0,) * drop + c[drop:]
+    assume(any(c[:4]))
+    v = r_soluble(QuarticForm(c))
+    assert v.soluble == r_soluble_oracle(c)
+    if v.soluble:
+        assert v.witness.kind == "real" and v.witness.note == real_note(c)
+    else:
+        assert v.witness is None
+
+
+def poly_mul(*factors: tuple[int, ...]) -> tuple[int, ...]:
+    out = (1,)
+    for g in factors:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(g):
+                prod[i + j] += x * y
+        out = tuple(prod)
+    return (0,) * (5 - len(out)) + out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(1, 40), st.integers(1, 5),
+       st.integers(1, 4))
+def test_r_soluble_on_planted_multiple_roots(r, s, k, t, m):
+    # (t z - r) and (t z - s) are real linear factors, z^2 + k has no real root
+    lin_r, lin_s, no_root = (t, -r), (t, -s), (1, 0, k)
+    cases = [
+        (poly_mul((-m,), no_root, no_root), False),         # -(z^2 + k)^2
+        (poly_mul((-m,), lin_r, lin_r, no_root), True),     # -(z - r)^2 (z^2 + k)
+        (poly_mul((-m,), lin_r, lin_r, (1, 0, -k)), True),  # two more real roots
+        (poly_mul((-m,), lin_r, lin_r, lin_r, lin_r), True),  # -(z - r)^4
+        (poly_mul((-m,), lin_r, lin_r, lin_r, lin_s), True),  # -(z - r)^3 (z - s)
+        (poly_mul((-m,), lin_r, lin_r, lin_s, lin_s), True),  # two real double roots
+        (poly_mul((-m,), lin_r, lin_r), True),              # degree 2, double root
+        (poly_mul((-m,), lin_r, lin_s), True),              # degree 2, real roots
+        (poly_mul((-m,), no_root), False),                  # degree 2, no real root
+        (poly_mul((m,), no_root, no_root), True),
+    ]
+    for c, expected in cases:
+        v = r_soluble(QuarticForm(c))
+        assert v.soluble == expected == r_soluble_oracle(c), c
+        if expected:
+            assert v.witness.note == real_note(c)
 
 
 @settings(max_examples=40, deadline=None)
