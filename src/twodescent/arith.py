@@ -8,10 +8,10 @@ Factoring policy: trial division, stopping early when the cofactor is a
 prime, square or cube; a cofactor of at least 10**6 leaves it for
 Pollard rho once the trial divisor passes 2**10, a smaller one is
 finished by trial division.  Primality is a deterministic Miller-Rabin
-test (witness set valid below 3.3 * 10**24; a larger cofactor is trial
-divided through 10**6 first).  When the rho budget runs out the code
-raises instead of guessing, because descent correctness depends on
-complete factorizations.
+test on the prime bases 2..41, proven exact below 3.317 * 10**24 (a
+larger cofactor is trial divided through 10**6 first).  When the rho
+budget runs out the code raises instead of guessing, because descent
+correctness depends on complete factorizations.
 """
 
 from __future__ import annotations
@@ -47,10 +47,13 @@ class UnfactoredCofactor(ArithError):
     """The factoring budget ran out; refusing to guess."""
 
 
-# Deterministic Miller-Rabin witnesses, valid for all n < 3.317 * 10**24.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_VALID_BELOW = 3317044064679887385961981
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+# Miller-Rabin with the first k primes as witnesses is exact below psi_k, the
+# least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017).
+_MR_PREFIX = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
+              (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
+              (3825123056546413051, 9), (318665857834031151167461, 12))
+_MR_VALID_BELOW = 3317044064679887385961981  # psi_13, for the witnesses 2..41
 
 
 def val(n: int, p: int) -> int:
@@ -69,7 +72,7 @@ def val(n: int, p: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin, exact below 3.3e24)."""
+    """Deterministic primality test (Miller-Rabin, exact below 3.317e24)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -79,12 +82,10 @@ def is_prime(n: int) -> bool:
             return False
     if n >= _MR_VALID_BELOW:
         raise ArithError("number too large for the deterministic witness set")
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_WITNESSES:
+    s = val(n - 1, 2)
+    d = (n - 1) >> s
+    k = next((k for psi, k in _MR_PREFIX if n < psi), 13)
+    for a in _SMALL_PRIMES[:k]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue

@@ -26,9 +26,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
-from .arith import ONE, SquareClass, _euler, factorize, squarefree_part
+from .arith import ONE, SquareClass, _euler, factorize, squarefree_part, val
 from .curve import (
     INFINITY,
     Curve,
@@ -140,23 +140,26 @@ class BadSet:
 
 def bad_set(E: Curve) -> BadSet:
     a, b = _check_descent_model(E)
-    ps = {2}
-    ps.update(factorize(b).primes())
-    ps.update(factorize(a * a - 4 * b).primes())
-    return BadSet(tuple(sorted(ps)))
+    return _bad_set(frozenset(abs(n) >> val(n, 2) for n in (b, a * a - 4 * b)))
+
+
+@lru_cache(maxsize=2)
+def _bad_set(odd_parts: frozenset) -> BadSet:
+    """2 and the primes of the odd parts of b and b'.  The isogenous curve
+    has the same odd parts (b'' = 16b), so a report factors each once."""
+    return BadSet(tuple(sorted({2}.union(*(factorize(m).primes() for m in odd_parts)))))
+
+
+def _class_on(n: int, S: BadSet) -> SquareClass:
+    """squarefree_part(n) for n whose primes all lie in S."""
+    return SquareClass(prod((q for q in S.primes if val(n, q) % 2), start=1 if n > 0 else -1))
 
 
 def qs2(S: BadSet) -> tuple[SquareClass, ...]:
     """Classes unramified outside S: products of -1 and the primes of S."""
-    out = []
-    for sign in (1, -1):
-        for r in range(len(S.primes) + 1):
-            for combo in itertools.combinations(S.primes, r):
-                rep = sign
-                for p in combo:
-                    rep *= p
-                out.append(SquareClass(rep))
-    return tuple(sorted(out))
+    return tuple(sorted(SquareClass(sign * prod(combo)) for sign in (1, -1)
+                        for r in range(len(S.primes) + 1)
+                        for combo in itertools.combinations(S.primes, r)))
 
 
 @dataclass(frozen=True)
@@ -448,8 +451,8 @@ def descent_report(E: Curve, H: int) -> DescentReport:
 
     # Certified images start from the 2-torsion of the codomain curve:
     # delta(O) = 1 and delta((0,0)) = the codomain's own a4 class.
-    seed_phi = squarefree_part(pair.b_prime)
-    seed_hat = squarefree_part(pair.b)
+    S = bad_set(E)  # cached: b and b' were factored once for both Selmer sets
+    seed_phi, seed_hat = _class_on(pair.b_prime, S), _class_on(pair.b, S)
     span_phi, lifts_prime = _certify_direction(E, pair, sel_phi, seed_phi, H)
     pair_back = isogenous_curve(pair.Eprime)
     span_hat, lifts_second = _certify_direction(pair.Eprime, pair_back, sel_hat, seed_hat, H)

@@ -14,10 +14,12 @@ tables re-verify themselves against the generic computation on the fly.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, partial
+from itertools import accumulate
 from math import gcd, isqrt
 
 from .arith import (
@@ -30,7 +32,7 @@ from .arith import (
     two_squares,
 )
 from .curve import Curve, TorsionGroup, from_cubic_const, torsion_subgroup
-from .descent import SelmerSet, _span
+from .descent import SelmerSet, _every, _span
 
 __all__ = [
     "FamilyError",
@@ -75,17 +77,15 @@ def _check_odd_prime(p: int) -> None:
         raise FamilyError("need an odd prime")
 
 
-def _selmer_of(vals) -> SelmerSet:
-    return SelmerSet(tuple(sorted(SquareClass(v) for v in vals)))
-
-
 def ep_selmer(p: int):
     """(Sel^phi, Sel^phi-hat) of y^2 = x^3 + px, by p mod 16."""
     _check_odd_prime(p)
-    return _ep_selmer(p)
+    return tuple(SelmerSet(tuple(sorted(SquareClass(v) for v in vals)))
+                 for vals in _ep_selmer(p))
 
 
 def _ep_selmer(p: int):
+    """The two Selmer sets as tuples of distinct representatives."""
     r = p % 16
     if r in (7, 11):
         phi = (1, -p)
@@ -97,22 +97,17 @@ def _ep_selmer(p: int):
         phi = (1, -1, p, -p)
     else:  # r in (1, 9)
         phi = (1, -1, 2, -2, p, -p, 2 * p, -2 * p)
-    return _selmer_of(phi), _selmer_of((1, p))
+    return phi, (1, p)
 
 
 def ep_rank_sha_dim(p: int) -> int:
-    """rank + dim_2 Sha[2] for y^2 = x^3 + px: 0, 1 or 2 by p mod 16."""
+    """rank + dim_2 Sha[2] for y^2 = x^3 + px: s + s' - 2, so 0, 1 or 2 by p mod 16."""
     _check_odd_prime(p)
-    return _ep_rank_sha_dim(p)
+    return sum(_ep_dims(p)) - 2
 
 
-def _ep_rank_sha_dim(p: int) -> int:
-    r = p % 16
-    if r in (7, 11):
-        return 0
-    if r in (3, 5, 13, 15):
-        return 1
-    return 2
+def _ep_dims(p: int):
+    return [len(reps).bit_length() - 1 for reps in _ep_selmer(p)]
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +146,11 @@ def _ep_rank_sha_dim(p: int) -> int:
 # products add nothing to the imaginary forms.  Where p divides k the
 # product pi_p * pi-bar_p^(4e) is not primitive and simply never hits.
 # A norm p k^4 thus has at most 2^omega(k) candidates, not prod(4e + 1).
+# The powers pi_q^(4e) do not depend on p and are cached per (q, e, c).
+# A candidate square gets its isqrt only when it is a square mod
+# _M = 5040.  Along a unit orbit x mod _M has period 24, the order of
+# 3 + 2 sqrt(2) mod _M, so one period of residues marks the steps where
+# x or -x can be a square, and only those get their exact element.
 
 
 def _pair_mul(x, y, c):
@@ -206,6 +206,13 @@ def _prime_root(q: int, c: int):
     raise FamilyError(f"{q} is not represented by x^2 + {c}y^2")
 
 
+@cache
+def _split_power(q: int, e: int, c: int):
+    """(pi-bar_q^(4e), pi_q^(4e)) for a prime q split in Z[sqrt(-c)]."""
+    u, v = _pair_pow(_prime_root(q, c), 4 * e, c)
+    return (u, -v), (u, v)
+
+
 def _primitive_products(p: int, factors, c: int) -> list:
     """pi_p times pi-bar_q^(4e) or pi_q^(4e) for each q^e in factors.
 
@@ -219,8 +226,8 @@ def _primitive_products(p: int, factors, c: int) -> list:
         return []
     zs = [pi]
     for q, e in factors:
-        a = _pair_pow(_prime_root(q, c), 4 * e, c)
-        zs = [_pair_mul(z, f, c) for z in zs for f in ((a[0], -a[1]), a)]
+        pair = _split_power(q, e, c)
+        zs = [(x * u - c * y * v, x * v + y * u) for x, y in zs for u, v in pair]
     return zs
 
 
@@ -228,41 +235,49 @@ def _primitive_products(p: int, factors, c: int) -> list:
 def _split_smooth(cap: int, modulus: int, residues: tuple):
     """Odd k <= cap whose prime factors all lie in residues mod modulus,
     as (k, factorization) pairs in increasing order."""
-    spf = list(range(cap + 1))
-    for i in range(2, isqrt(cap) + 1):
-        if spf[i] == i:
-            for j in range(i * i, cap + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
-    out = []
-    for k in range(1, cap + 1, 2):
-        kk = k
-        fac = []
-        while kk > 1:
-            q = spf[kk]
-            if q % modulus not in residues:
-                fac = None
+    primes = [q for q in sieve_primes(cap) if q % modulus in residues]
+    out = [(1, ())]
+    for k, fac in out:  # extend each k by the primes above its largest one
+        for q in primes[bisect_right(primes, fac[-1][0]) if fac else 0:]:
+            if k * q > cap:
                 break
-            e = 0
-            while kk % q == 0:
-                kk //= q
-                e += 1
-            fac.append((q, e))
-        if fac is not None:
-            out.append((k, tuple(fac)))
-    return out
+            kq, e = k * q, 1
+            while kq <= cap:
+                out.append((kq, fac + ((q, e),)))
+                kq, e = kq * q, e + 1
+    return sorted(out)
+
+
+_M = 5040
+_SQUARES = bytes(map({w * w % _M for w in range(_M // 2 + 1)}.__contains__, range(_M)))
+# (3 + 2 sqrt 2)^j for j <= 64
+_UNITS = list(accumulate(range(64), lambda z, _: _pair_mul(z, (3, 2), -2), initial=(1, 0)))
 
 
 def _orbit_square_x(z0, m, step_cap=64):
-    """Scan the unit orbit of z0 in Z[sqrt(2)] for |x| a square prime to m."""
-    for t in (1, -1):
-        # z0, then z0 * (3 - 2 sqrt 2); each step multiplies by 3 + 2t sqrt 2
-        x, s = z0 if t == 1 else (3 * z0[0] - 4 * z0[1], 3 * z0[1] - 2 * z0[0])
-        for _ in range(step_cap):
+    """Scan the unit orbit of z0 in Z[sqrt(2)] for |x| a square prime to m.
+
+    Step j < step_cap <= 64 of the first walk is z0 (3 + 2 sqrt 2)^j, of
+    the second z0 (3 - 2 sqrt 2)^(j+1); the first hit wins.
+    """
+    a, b = z0[0] % _M, 2 * z0[1] % _M
+    fwd = back = 0  # bit j: orbit steps j and -(j+1) = 23 - j (mod 24)
+    for j, (ux, us) in enumerate(_UNITS[:24]):
+        r = (a * ux + b * us) % _M  # x of z0 (3 + 2 sqrt 2)^j, mod _M
+        if _SQUARES[r] or _SQUARES[-r]:  # index -r is -x mod _M
+            fwd |= 1 << j
+            back |= 1 << 23 - j
+    spread, steps = _every(24, step_cap), (1 << step_cap) - 1
+    for bits, second in ((fwd, 0), (back, 1)):
+        bits = bits * spread & steps
+        while bits:
+            j = (bits & -bits).bit_length() - 1
+            bits &= bits - 1
+            ux, us = _UNITS[j + second]
+            x, s = _pair_mul(z0, (ux, -us if second else us), -2)
             n = isqrt(abs(x))
             if s and n * n == abs(x) and gcd(m, n) == 1:
                 return n, abs(s)
-            x, s = 3 * x + 4 * t * s, 3 * s + 2 * t * x
     return None
 
 
@@ -282,22 +297,21 @@ def _ep_space_point(p: int, d: int, H: int):
         raise FamilyError(f"no structured search for class {d}")
     for k, fac in _split_smooth(H, *_SPLIT[c]):
         for z in _primitive_products(p, fac, c):
+            u, v = abs(z[0]), abs(z[1])
             # (candidate square of the free side, numerator of w)
             if c == -2:
                 hit = _orbit_square_x(z, k)
-                cands = [] if hit is None else [(hit[0] ** 2, 2 * hit[1])]
+                cands = () if hit is None else ((hit[0] ** 2, 2 * hit[1]),)
             elif c == 2:
-                cands = [(abs(z[0]), 2 * abs(z[1]))]
+                cands = ((u, 2 * v),)
             elif d == -1:
                 # twice a rep of p k^4 is a rep W^2 + (n^2)^2 of 4 p k^4
-                u, v = 2 * abs(z[0]), 2 * abs(z[1])
-                cands = [(u, v), (v, u)]
+                cands = ((2 * u, 2 * v), (2 * v, 2 * u))
             else:
-                # C_p: (2 m^2)^2 + W^2 = p k^4
-                u, v = abs(z[0]), abs(z[1])
-                cands = [(a // 2, b) for a, b in ((u, v), (v, u)) if a % 2 == 0]
+                # C_p: (2 m^2)^2 + W^2 = p k^4, and p k^4 is odd
+                cands = ((u // 2, v),) if u % 2 == 0 else ((v // 2, u),)
             for f2, other in cands:
-                f = isqrt(f2)
+                f = isqrt(f2) if _SQUARES[f2 % _M] else 0
                 if f and f * f == f2 and gcd(k, f) == 1:
                     if d in (-1, -2, 2):
                         return Fraction(k, f), Fraction(other, f * f)
@@ -442,12 +456,12 @@ class EpRow:
 
 def _ep_row(p: int, height: int) -> EpRow:
     # p comes from the sieve; ep_rank alone re-checks it, once per row
-    phi, phi_hat = _ep_selmer(p)
+    s, s_hat = _ep_dims(p)
     return EpRow(
         p=p,
-        selmer_dim_phi=phi.dim2,
-        selmer_dim_phi_hat=phi_hat.dim2,
-        rank_sha_dim=_ep_rank_sha_dim(p),
+        selmer_dim_phi=s,
+        selmer_dim_phi_hat=s_hat,
+        rank_sha_dim=s + s_hat - 2,
         rank=ep_rank(p, height),
     )
 

@@ -389,6 +389,7 @@ def _ep_pow(x, e, c):
     return out
 
 
+@lru_cache(maxsize=None)
 def _ep_root(q: int, c: int):
     """(u, v) with u^2 + c*v^2 = q for a prime q, or None when there is none."""
     if c == 1:
@@ -446,10 +447,30 @@ def norm_form_reps_oracle(M: int, c: int) -> set:
     return reps
 
 
-def _ep_orbit(z0, m):
+def primitive_products_oracle(p: int, factors, c: int) -> list:
+    """pi_p times pi-bar_q^(4e) or pi_q^(4e) per prime power q^e of factors,
+    each power recomputed by repeated multiplication: the last prime
+    varies fastest, its conjugate power first.  Empty when p does not split."""
+    pi = _ep_root(p, c)
+    if pi is None:
+        return []
+    zs = [pi]
+    for q, e in factors:
+        a = _ep_pow(_ep_root(q, c), 4 * e, c)
+        zs = [_ep_mul(z, f, c) for z in zs for f in ((a[0], -a[1]), a)]
+    return zs
+
+
+def orbit_square_x_oracle(z0, m, step_cap=64):
+    """(n, |s|) at the first z = x + s sqrt 2 with |x| = n^2, gcd(m, n) = 1, s != 0.
+
+    An isqrt per step: the first walk multiplies z0 by 3 + 2 sqrt 2 step
+    by step, the second starts at z0 (3 - 2 sqrt 2) and multiplies by
+    3 - 2 sqrt 2; each takes step_cap steps.  None when neither hits.
+    """
     for start, unit in ((z0, (3, 2)), (_ep_mul(z0, (3, -2), -2), (3, -2))):
         z = start
-        for _ in range(64):
+        for _ in range(step_cap):
             x, s = abs(z[0]), abs(z[1])
             n = isqrt(x)
             if s and n * n == x and gcd(m, n) == 1:
@@ -469,7 +490,7 @@ def real_form_square_x_oracle(p: int, k: int):
         z0 = pi_p
         for f in combo:
             z0 = _ep_mul(z0, f, -2)
-        hit = _ep_orbit((z0[0] * scalar, z0[1] * scalar), k)
+        hit = orbit_square_x_oracle((z0[0] * scalar, z0[1] * scalar), k)
         if hit is not None:
             return hit
     return None

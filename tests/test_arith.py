@@ -346,3 +346,27 @@ def test_is_prime_basics():
 
 def test_sieve_matches_is_prime():
     assert sieve_primes(50) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
+
+
+# psi_k: the least strong pseudoprime to the first k prime bases
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051, 318665857834031151167461, 3317044064679887385961981)
+
+
+def test_is_prime_rejects_each_least_strong_pseudoprime():
+    for psi in PSI[:12]:
+        assert not sympy.isprime(psi) and not is_prime(psi)
+    # psi_13 fools the witnesses 2..41: the test refuses it rather than answer
+    assert not sympy.isprime(PSI[12])
+    with pytest.raises(ArithError):
+        is_prime(PSI[12])
+    assert factorize(PSI[11]).factors == ((399165290221, 1), (798330580441, 1))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(PSI), st.integers(-10**5, 10**5))
+def test_is_prime_agrees_with_sympy_around_each_pseudoprime(psi, offset):
+    n = psi + offset | 1
+    assume(n < PSI[12])
+    assert is_prime(n) == sympy.isprime(n)

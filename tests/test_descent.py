@@ -545,3 +545,27 @@ def test_span_matches_fixed_point_closure(reps):
     if len(span) > 2:
         with pytest.raises(DescentError):
             SelmerSet(tuple(sorted(span - {max(span)})))
+
+
+def test_descent_report_factors_each_odd_part_of_b_and_b_prime_once(monkeypatch):
+    # E and E' share the odd parts of b and b' (b'' = 16b), and the seed
+    # classes are read off the bad set, so nothing is factored twice
+    seen = []
+    factorize = descent_module.factorize
+    monkeypatch.setattr(descent_module, "factorize", lambda n: seen.append(n) or factorize(n))
+    for a, b, parts in ((0, 3111, [3111]), (3, 5, [5, 11]), (1, -6, [3, 25]), (0, -4, [1])):
+        seen.clear()
+        descent_module._bad_set.cache_clear()
+        rep = descent_report(Curve(a, b, 0), 20)
+        assert sorted(seen) == parts
+        assert bad_set(rep.curve) == bad_set(rep.isogenous)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6))
+def test_bad_set_is_two_and_the_primes_of_b_and_b_prime(a, b):
+    from .oracles import factor_oracle
+
+    assume(b != 0 and a * a - 4 * b != 0)
+    primes = {2} | set(factor_oracle(b)) | set(factor_oracle(a * a - 4 * b))
+    assert bad_set(Curve(a, b, 0)).primes == tuple(sorted(primes))
