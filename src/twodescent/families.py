@@ -14,11 +14,12 @@ tables re-verify themselves against the generic computation on the fly.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, lru_cache, partial, reduce
 from itertools import accumulate
 from math import gcd, isqrt
 
@@ -141,12 +142,15 @@ def _ep_dims(p: int):
 # free side, and the gcd test fails.  Each split q therefore contributes
 # pi_q^(4e) or pi-bar_q^(4e) and nothing else, a k with a non-split
 # prime leaves nothing to find, and only split-smooth odd k are walked.
-# p itself contributes pi_p alone, as it always did for the real form:
-# conjugating a whole product keeps its |components|, so the pi-bar_p
-# products add nothing to the imaginary forms.  Where p divides k the
-# product pi_p * pi-bar_p^(4e) is not primitive and simply never hits.
-# A norm p k^4 thus has at most 2^omega(k) candidates, not prod(4e + 1).
-# The powers pi_q^(4e) do not depend on p and are cached per (q, e, c).
+# p contributes pi_p alone: conjugating a whole product keeps its
+# |components|, and where p divides k, pi_p * pi-bar_p^(4e) is not
+# primitive.  So a norm p k^4 has at most 2^omega(k) candidates, each
+# pi_p times a product that one table per (H, c) holds for all k <= H.
+# In Z[i] x^2 + y^2 = p k^4 is odd, and 2 * odd = 2 (mod 4) is never a
+# square, so C_{-1} can hit only on twice the even component, C_p only
+# on half of it.  ep_rank takes H <= 1000, so the rescan cap is 10^6,
+# |X|, |Y| <= k^2 <= 10^12 for c = 1, 2, and the real form, searched
+# only up to H, takes 29 bits: every table entry fits in 64 bits.
 # A candidate square gets its isqrt only when it is a square mod
 # _M = 5040.  Along a unit orbit x mod _M has period 24, the order of
 # 3 + 2 sqrt(2) mod _M, so one period of residues marks the steps where
@@ -156,16 +160,6 @@ def _ep_dims(p: int):
 def _pair_mul(x, y, c):
     """(x0 + x1 t)(y0 + y1 t) with t^2 = -c."""
     return (x[0] * y[0] - c * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _pair_pow(x, e, c):
-    out = (1, 0)
-    while e:
-        if e & 1:
-            out = _pair_mul(out, x, c)
-        x = _pair_mul(x, x, c)
-        e >>= 1
-    return out
 
 
 # primes q that split in Z[sqrt(-c)]: q mod modulus in residues
@@ -206,46 +200,40 @@ def _prime_root(q: int, c: int):
     raise FamilyError(f"{q} is not represented by x^2 + {c}y^2")
 
 
-@cache
-def _split_power(q: int, e: int, c: int):
-    """(pi-bar_q^(4e), pi_q^(4e)) for a prime q split in Z[sqrt(-c)]."""
-    u, v = _pair_pow(_prime_root(q, c), 4 * e, c)
-    return (u, -v), (u, v)
-
-
-def _primitive_products(p: int, factors, c: int) -> list:
-    """pi_p times pi-bar_q^(4e) or pi_q^(4e) for each q^e in factors.
-
-    factors is the factorization of k into primes split in Z[sqrt(-c)].
-    The result holds every primitive element of norm p*k^4 up to units
-    and conjugation, in a fixed order: the last prime varies fastest,
-    its conjugate power first.  Empty when p does not split.
-    """
-    pi = _prime_root(p, c)
-    if pi is None:
-        return []
-    zs = [pi]
-    for q, e in factors:
-        pair = _split_power(q, e, c)
-        zs = [(x * u - c * y * v, x * v + y * u) for x, y in zs for u, v in pair]
-    return zs
-
-
-@cache
 def _split_smooth(cap: int, modulus: int, residues: tuple):
     """Odd k <= cap whose prime factors all lie in residues mod modulus,
     as (k, factorization) pairs in increasing order."""
     primes = [q for q in sieve_primes(cap) if q % modulus in residues]
     out = [(1, ())]
     for k, fac in out:  # extend each k by the primes above its largest one
-        for q in primes[bisect_right(primes, fac[-1][0]) if fac else 0:]:
-            if k * q > cap:
-                break
+        lo = bisect_right(primes, fac[-1][0]) if fac else 0
+        for q in primes[lo:bisect_right(primes, cap // k)]:
             kq, e = k * q, 1
             while kq <= cap:
                 out.append((kq, fac + ((q, e),)))
                 kq, e = kq * q, e + 1
     return sorted(out)
+
+
+@lru_cache(maxsize=8)
+def _product_table(H: int, c: int):
+    """Columns k, X, Y of each product of pi-bar_q^(4e) or pi_q^(4e) over
+    q^e || k, for the split-smooth k <= H in increasing order.  The last
+    prime varies fastest, its conjugate power first: the rows of k extend
+    those of k / q^e by its last prime power q^e."""
+    ks, xs, ys = array("q", [1]), array("q", [1]), array("q", [0])
+    rows = {1: range(1)}
+    for k, fac in _split_smooth(H, *_SPLIT[c])[1:]:
+        (q, e), start = fac[-1], len(ks)
+        pi = _prime_root(q, c)
+        u, v = reduce(lambda z, _: _pair_mul(z, pi, c), range(4 * e), (1, 0))
+        for i in rows[k // q**e]:
+            for s in (-v, v):  # pi-bar_q^(4e), then pi_q^(4e)
+                ks.append(k)
+                xs.append(xs[i] * u - c * ys[i] * s)
+                ys.append(xs[i] * s + ys[i] * u)
+        rows[k] = range(start, len(ks))
+    return ks, xs, ys
 
 
 _M = 5040
@@ -288,38 +276,46 @@ def _ep_space_point(p: int, d: int, H: int):
     (denominator bounded).  The bounded side k runs over the odd k <= H
     whose primes all split in the ring of d, in increasing order; any
     other k has no primitive representation (see above), and parity
-    rules out even k.  Since the free side comes out at any size, a
-    large H reaches certificates far beyond a height search: ep_rank
-    rescans C_{-1} and C_{-2} this way with H in the tens of thousands.
+    rules out even k.  Each candidate is pi_p times a row of the table
+    for (H, c).  Since the free side comes out at any size, a large H
+    reaches certificates far beyond a height search: ep_rank rescans
+    C_{-1} and C_{-2} this way with H up to 10^6.
     """
     c = {-1: 1, p: 1, -2: 2, 2 * p: 2, 2: -2, -2 * p: -2}.get(d)
     if c is None:
         raise FamilyError(f"no structured search for class {d}")
-    for k, fac in _split_smooth(H, *_SPLIT[c]):
-        for z in _primitive_products(p, fac, c):
-            u, v = abs(z[0]), abs(z[1])
-            # (candidate square of the free side, numerator of w)
-            if c == -2:
-                hit = _orbit_square_x(z, k)
-                cands = () if hit is None else ((hit[0] ** 2, 2 * hit[1]),)
-            elif c == 2:
-                cands = ((u, 2 * v),)
-            elif d == -1:
-                # twice a rep of p k^4 is a rep W^2 + (n^2)^2 of 4 p k^4
-                cands = ((2 * u, 2 * v), (2 * v, 2 * u))
-            else:
-                # C_p: (2 m^2)^2 + W^2 = p k^4, and p k^4 is odd
-                cands = ((u // 2, v),) if u % 2 == 0 else ((v // 2, u),)
-            for f2, other in cands:
-                f = isqrt(f2) if _SQUARES[f2 % _M] else 0
-                if f and f * f == f2 and gcd(k, f) == 1:
-                    if d in (-1, -2, 2):
-                        return Fraction(k, f), Fraction(other, f * f)
-                    return Fraction(f, k), Fraction(other, k * k)
+    pi = _prime_root(p, c)
+    if pi is None:
+        return None
+    a, b = pi
+    cb = c * b
+    num, den = {-1: (2, 1), p: (1, 2)}.get(d, (1, 1))
+    for k, X, Y in zip(*_product_table(H, c)):
+        x, y = a * X - cb * Y, a * Y + b * X  # pi_p (X + Y sqrt(-c))
+        if c == -2:
+            hit = _orbit_square_x((x, y), k)
+            if hit is None:
+                continue
+            x, y = hit[0] ** 2, hit[1]
+        elif c == 1 and x & 1:
+            x, y = y, x  # the even component comes first
+        f2 = abs(x) * num // den  # candidate square of the free side
+        f = isqrt(f2) if _SQUARES[f2 % _M] else 0
+        if f and f * f == f2 and gcd(k, f) == 1:
+            w = abs(y) if d == p else 2 * abs(y)  # numerator of w
+            if d in (-1, -2, 2):
+                return Fraction(k, f), Fraction(w, f * f)
+            return Fraction(f, k), Fraction(w, k * k)
     return None
 
 
 _DEEP_FACTOR = 1000
+_MAX_HEIGHT = _EP_TABLE_BUDGET // _DEEP_FACTOR  # rescans stay within the budget
+
+
+def _check_height(H: int) -> None:
+    if not 1 <= H <= _MAX_HEIGHT:
+        raise FamilyError(f"need 1 <= H <= {_MAX_HEIGHT}: ep_rank rescans to {_DEEP_FACTOR} * H")
 
 
 def ep_rank(p: int, H: int = 20) -> RankResult:
@@ -328,11 +324,11 @@ def ep_rank(p: int, H: int = 20) -> RankResult:
     p = 7, 11 (mod 16): 0 unconditionally.  p = 3, 5, 13, 15: 1, given
     finiteness of Sha.  p = 1, 9: rank is 0 or 2; 0 is certain when 2
     is not a quartic residue mod p, and 2 is certified by points found
-    on the homogeneous spaces; otherwise the interval stands.
+    on the homogeneous spaces; otherwise the interval stands.  H is at
+    most 1000: the deep rescans search numerators up to 1000 * H.
     """
     _check_odd_prime(p)
-    if H < 1:
-        raise FamilyError("need H >= 1")
+    _check_height(H)
     r = p % 16
     if r in (7, 11):
         return RankResult("exact", 0, 0, "both Selmer sets are the minimal subgroup")
@@ -481,6 +477,7 @@ def ep_table(
     """
     if p_max > _EP_TABLE_BUDGET:
         raise FamilyError(f"p_max beyond the {_EP_TABLE_BUDGET} budget")
+    _check_height(height)
     ps = [p for p in sieve_primes(max(p_max, 2)) if p > 2]
     if mod8 is not None:
         ps = [p for p in ps if p % 8 == mod8]

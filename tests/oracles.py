@@ -461,6 +461,39 @@ def primitive_products_oracle(p: int, factors, c: int) -> list:
     return zs
 
 
+def ep_space_point_walk_oracle(p: int, d: int, H: int):
+    """First point of C_d in the structured search's order, every candidate tried.
+
+    The bounded side k runs over the odd k <= H whose primes all split in
+    the ring of d, each k through primitive_products_oracle; both
+    components of a product are tried as the square side (for C_{-1} and
+    C_p), and the real form walks each product's unit orbit.
+    """
+    c = {-1: 1, p: 1, -2: 2, 2 * p: 2, 2: -2, -2 * p: -2}[d]
+    for k in range(1, H + 1, 2):
+        fac = sorted(factor_oracle(k).items())
+        if not all(_ep_split(q, c) for q, _ in fac):
+            continue
+        for z in primitive_products_oracle(p, fac, c):
+            u, v = abs(z[0]), abs(z[1])
+            if c == -2:
+                hit = orbit_square_x_oracle(z, k)
+                cands = [] if hit is None else [(hit[0] ** 2, 2 * hit[1])]
+            elif c == 2:
+                cands = [(u, 2 * v)]
+            elif d == -1:  # W^2 + (n^2)^2 = 4 p k^4 from (2u, 2v)
+                cands = [(2 * u, 2 * v), (2 * v, 2 * u)]
+            else:  # W^2 + (2 m^2)^2 = p k^4: the square side is even
+                cands = [(a // 2, b) for a, b in ((u, v), (v, u)) if a % 2 == 0]
+            for f2, other in cands:
+                f = isqrt(f2)
+                if f and f * f == f2 and gcd(k, f) == 1:
+                    if d in (-1, -2, 2):
+                        return Fraction(k, f), Fraction(other, f * f)
+                    return Fraction(f, k), Fraction(other, k * k)
+    return None
+
+
 def orbit_square_x_oracle(z0, m, step_cap=64):
     """(n, |s|) at the first z = x + s sqrt 2 with |x| = n^2, gcd(m, n) = 1, s != 0.
 

@@ -79,6 +79,12 @@ def test_family_ep_rejects_composite(capsys):
     assert "prime" in err
 
 
+def test_family_ep_rejects_a_height_beyond_the_limit(capsys):
+    rc, _, err = run(capsys, "family", "ep", "73", "--height", "1001")
+    assert rc == 2
+    assert "H <= 1000" in err
+
+
 def test_family_edx(capsys):
     rc, out, _ = run(capsys, "family", "edx", "4")
     assert rc == 0

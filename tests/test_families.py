@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twodescent import families
 from twodescent.arith import _cube_root_exact, sieve_primes, squarefree_part
 from twodescent.curve import Curve, from_cubic_const, torsion_subgroup
 from twodescent.descent import hom_space, search_point, selmer
@@ -21,7 +26,11 @@ from twodescent.families import (
     ep_table,
 )
 
-from .oracles import deep_space_point_oracle, ep_space_point_oracle
+from .oracles import (
+    deep_space_point_oracle,
+    ep_space_point_oracle,
+    ep_space_point_walk_oracle,
+)
 
 
 def classes(*reps):
@@ -212,6 +221,31 @@ def test_ep_table_budget():
         ep_table(10**6 + 1)
 
 
+def test_heights_above_the_limit_are_refused_before_any_sieve(monkeypatch):
+    # the deep rescans would sieve to 1000 * H
+    def no_sieve(n):
+        raise AssertionError(f"sieve_primes({n}) called")
+
+    monkeypatch.setattr(families, "sieve_primes", no_sieve)
+    for call in (lambda: ep_rank(73, 1001), lambda: ep_table(100, height=1001)):
+        with pytest.raises(FamilyError, match="H <= 1000"):
+            call()
+
+
+def test_import_and_a_search_free_rank_build_no_product_table():
+    # the norm-form product tables are built on the first search, not at import
+    src = os.path.dirname(os.path.dirname(families.__file__))
+    code = (
+        "import twodescent\n"
+        "from twodescent.families import _product_table, ep_rank\n"
+        "assert _product_table.cache_info().currsize == 0\n"
+        "assert ep_rank(23).hi == 0\n"
+        "assert _product_table.cache_info().currsize == 0\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
+
+
 def test_ep_table_deterministic_across_jobs():
     one = ep_table(200, jobs=1)
     two = ep_table(200, jobs=2)
@@ -275,6 +309,19 @@ def test_deep_space_point_matches_full_enumeration(p, d, cap):
     for point in (got, want):
         if point is not None:
             assert_on_space(p, d, point)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ODD_PRIMES), st.integers(0, 5), st.integers(1, 12))
+def test_ep_space_point_is_the_first_hit_of_the_per_k_walk(p, i, H):
+    d = ep_space_classes(p)[i]
+    assert _ep_space_point(p, d, H) == ep_space_point_walk_oracle(p, d, H)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ODD_PRIMES), st.sampled_from((-1, -2)), st.integers(1, 2000))
+def test_deep_space_point_is_the_first_hit_of_the_per_k_walk(p, d, cap):
+    assert _ep_space_point(p, d, cap) == ep_space_point_walk_oracle(p, d, cap)
 
 
 def test_deep_space_point_finds_large_certificates():

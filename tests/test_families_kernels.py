@@ -11,7 +11,8 @@ from twodescent.families import (
     _SPLIT,
     _orbit_square_x,
     _pair_mul,
-    _primitive_products,
+    _prime_root,
+    _product_table,
     _split_smooth,
 )
 
@@ -50,7 +51,14 @@ def test_split_smooth_numbers_and_their_products_match_the_uncached_products(c):
         if all(q % modulus in residues for q, _ in fac):
             want.append((k, fac))
     assert smooth == want
-    # split and inert p, and p dividing some k
+    ks, xs, ys = _product_table(2000, c)
+    assert list(ks) == [k for k, fac in smooth for _ in range(2 ** len(fac))]
+    rows = {}
+    for k, X, Y in zip(ks, xs, ys):
+        rows.setdefault(k, []).append((X, Y))
+    # split and inert p, and p dividing some k: pi_p times the rows of k
     for p in (3, 5, 7, 11, 17, 23, 41, 73, 257, 1009, 7681):
-        for _, fac in smooth:
-            assert _primitive_products(p, fac, c) == primitive_products_oracle(p, fac, c)
+        pi = _prime_root(p, c)
+        for k, fac in smooth:
+            got = [_pair_mul(pi, z, c) for z in rows[k]] if pi else []
+            assert got == primitive_products_oracle(p, fac, c), (p, k)
