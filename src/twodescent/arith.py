@@ -8,10 +8,11 @@ Factoring policy: trial division, stopping early when the cofactor is a
 prime, square or cube; a cofactor of at least 10**6 leaves it for
 Pollard rho once the trial divisor passes 2**10, a smaller one is
 finished by trial division.  Primality is a deterministic Miller-Rabin
-test on the prime bases 2..41, proven exact below 3.317 * 10**24 (a
-larger cofactor is trial divided through 10**6 first).  When the rho
-budget runs out the code raises instead of guessing, because descent
-correctness depends on complete factorizations.
+test on the prime bases 2..41, proven exact below 3.317 * 10**24; above
+it a witness still proves compositeness and a number passing every base
+is refused (so a larger cofactor is trial divided through 10**6 first).
+When the rho budget runs out the code raises instead of guessing,
+because descent correctness depends on complete factorizations.
 """
 
 from __future__ import annotations
@@ -72,7 +73,7 @@ def val(n: int, p: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test (Miller-Rabin, exact below 3.317e24)."""
+    """Deterministic Miller-Rabin; refuses an n >= 3.317e24 passing every base."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -80,8 +81,6 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n >= _MR_VALID_BELOW:
-        raise ArithError("number too large for the deterministic witness set")
     s = val(n - 1, 2)
     d = (n - 1) >> s
     k = next((k for psi, k in _MR_PREFIX if n < psi), 13)
@@ -95,6 +94,8 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_VALID_BELOW:
+        raise ArithError("number too large for the deterministic witness set")
     return True
 
 

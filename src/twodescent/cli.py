@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -325,11 +324,7 @@ def _row_json(row) -> dict:
 
 def cmd_table(args) -> int:
     filters = _parse_filter(args.filter)
-    jobs = args.jobs
-    if jobs is None:
-        env = os.environ.get("TWODESCENT_JOBS")
-        jobs = int(env) if env else None
-    rows = ep_table(args.max, height=args.height, jobs=jobs, **filters)
+    rows = ep_table(args.max, height=args.height, jobs=args.jobs, **filters)
     for row in rows:
         print(
             f"p={row.p}  selmer_dims=({row.selmer_dim_phi},{row.selmer_dim_phi_hat})"

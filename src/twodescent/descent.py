@@ -139,14 +139,9 @@ class BadSet:
 
 
 def bad_set(E: Curve) -> BadSet:
+    """2 and the primes of the odd parts of b and b', each factored once."""
     a, b = _check_descent_model(E)
-    return _bad_set(frozenset(abs(n) >> val(n, 2) for n in (b, a * a - 4 * b)))
-
-
-@lru_cache(maxsize=2)
-def _bad_set(odd_parts: frozenset) -> BadSet:
-    """2 and the primes of the odd parts of b and b'.  The isogenous curve
-    has the same odd parts (b'' = 16b), so a report factors each once."""
+    odd_parts = {abs(n) >> val(n, 2) for n in (b, a * a - 4 * b)}
     return BadSet(tuple(sorted({2}.union(*(factorize(m).primes() for m in odd_parts)))))
 
 
@@ -221,7 +216,10 @@ def selmer(E: Curve) -> SelmerSet:
     first d of qs2(S) that reaches it: at most 2 real tests, 8 at 2 and
     4 at each odd p.  The real place comes first, then S in order.
     """
-    S = bad_set(E)
+    return _selmer(E, bad_set(E))
+
+
+def _selmer(E: Curve, S: BadSet) -> SelmerSet:
     verdicts: dict = {}
     kept = []
     for d in qs2(S):
@@ -444,14 +442,15 @@ def _certify_direction(source: Curve, lift_pair: IsogenyPair, sel: SelmerSet,
 
 def descent_report(E: Curve, H: int) -> DescentReport:
     pair = isogenous_curve(E)
-    sel_phi = selmer(E)
-    sel_hat = selmer(pair.Eprime)
+    # E' has the bad set of E, since b'' = 16b
+    S = bad_set(E)
+    sel_phi = _selmer(E, S)
+    sel_hat = _selmer(pair.Eprime, S)
     tors = torsion_subgroup(E)
     notes: list[str] = []
 
     # Certified images start from the 2-torsion of the codomain curve:
     # delta(O) = 1 and delta((0,0)) = the codomain's own a4 class.
-    S = bad_set(E)  # cached: b and b' were factored once for both Selmer sets
     seed_phi, seed_hat = _class_on(pair.b_prime, S), _class_on(pair.b, S)
     span_phi, lifts_prime = _certify_direction(E, pair, sel_phi, seed_phi, H)
     pair_back = isogenous_curve(pair.Eprime)

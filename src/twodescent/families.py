@@ -473,7 +473,7 @@ def ep_table(
     """One row per odd prime p <= p_max, with optional residue filters.
 
     quartic_only keeps p with 2 a fourth power mod p (forces p = 1 mod 8).
-    Rows come back sorted by p regardless of worker scheduling.
+    Rows come back sorted by p: pool.map keeps the order of ps.
     """
     if p_max > _EP_TABLE_BUDGET:
         raise FamilyError(f"p_max beyond the {_EP_TABLE_BUDGET} budget")
@@ -486,7 +486,5 @@ def ep_table(
     worker = partial(_ep_row, height=height)
     if jobs is not None and jobs > 1 and len(ps) > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(worker, ps, chunksize=16))
-    else:
-        rows = [worker(p) for p in ps]
-    return sorted(rows, key=lambda r: r.p)
+            return list(pool.map(worker, ps, chunksize=16))
+    return [worker(p) for p in ps]

@@ -17,8 +17,9 @@ A split needs lam >= 2k - 2 and mu >= k, and Res(f, f') lies in the
 ideal (f, f') of Z[z], so for k >= 2 a split needs
 k <= val(Res(f, f')) = val(lead f) + val(disc f).  That bounds the
 depth; reaching it raises PrecisionExhausted, which nonzero
-discriminant rules out.  Points with z outside Z_p are caught by
-running the reversed quartic t^4 * f(1/t), whose t = 0 classes are the
+discriminant rules out.  Points with z outside Z_p are caught by the
+reversed quartic t^4 * f(1/t), searched on t = 0 (mod p) alone since a
+unit t is 1/z for a unit z already searched; its t = 0 classes are the
 points at infinity.
 
 Real solvability is decided in integers: a positive leading coefficient
@@ -112,17 +113,6 @@ class QuarticForm:
         """t^4 * f(1/t): swaps z = 0 with the points at infinity."""
         return QuarticForm(tuple(reversed(self.c)))
 
-    def disc(self) -> int:
-        return poly_disc(self.c)
-
-    def strip_square_content(self, p: int) -> "QuarticForm":
-        """Divide out p^(2m); square scaling never changes a verdict."""
-        m = val(gcd(*self.c), p)
-        t = p ** (2 * (m // 2))
-        if t == 1:
-            return self
-        return QuarticForm(tuple(v // t for v in self.c))
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -143,19 +133,30 @@ class LocalVerdict:
 _INSOLUBLE = LocalVerdict(False, None)
 
 
-def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
-    """Whether y^2 = f(z) has z in Z_p, y in Q_p."""
+def _setup(f: QuarticForm, p: int) -> tuple[tuple[int, ...], bool, int]:
+    """f.c less the square part of its content p^m (square scaling keeps
+    every verdict), whether m is odd, and val(disc c, p)."""
     if f.degree < 2:
         raise LocalSolveError("need degree >= 2")
-    f = f.strip_square_content(p)
-    disc = f.disc()
+    m = val(gcd(*f.c), p)
+    t = p ** (m - m % 2)
+    c = tuple(v // t for v in f.c) if t > 1 else f.c
+    disc = poly_disc(c)
     if disc == 0:
         raise LocalSolveError("zero discriminant")
-    lead = next(v for v in f.c if v != 0)
-    cap = max(1, val(lead, p) + val(disc, p))
+    return c, m % 2 == 1, val(disc, p)
+
+
+def _zp_search(c: tuple[int, ...], content: bool, disc_val: int, p: int,
+               start: tuple[int, int] | None = None) -> LocalVerdict:
+    """The search of _setup's c over Z_p, or over the one class start = (r, k)."""
+    lead = next(v for v in c if v != 0)
+    cap = max(1, val(lead, p) + disc_val)
 
     half = (p - 1) // 2
-    if p == 2:
+    if start is not None:
+        stack = [start]
+    elif p == 2:
         stack = [(1, 1), (0, 1)]
     else:
         # Depth-1 classes mod an odd p in machine arithmetic: a nonzero
@@ -163,8 +164,7 @@ def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
         # so no table of p entries), only roots go deep.  When p divides
         # every coefficient, f/p is scanned instead: off its roots
         # val f(r) = 1, so only those classes can hold a point.
-        content = not any(v % p for v in f.c)
-        c4, c3, c2, c1, c0 = (v // p % p if content else v % p for v in f.c)
+        c4, c3, c2, c1, c0 = (v // p % p if content else v % p for v in c)
         stack = []
         for r in range(p):
             acc = ((((c4 * r + c3) * r + c2) * r + c1) * r + c0) % p
@@ -177,7 +177,7 @@ def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
                 )
         stack.reverse()
 
-    c4, c3, c2, c1, c0 = f.c
+    c4, c3, c2, c1, c0 = c
     while stack:
         r, k = stack.pop()
         v = (((c4 * r + c3) * r + c2) * r + c1) * r + c0
@@ -214,18 +214,25 @@ def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
     return _INSOLUBLE
 
 
+def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
+    """Whether y^2 = f(z) has z in Z_p, y in Q_p."""
+    return _zp_search(*_setup(f, p), p)
+
+
 def qp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
     """Whether the smooth projective model of y^2 = f(z) has a Q_p point.
 
-    z in Z_p via f itself, the rest via the reversed quartic; a reversed
-    witness at t = 0 is one of the two points at infinity.
+    z in Z_p via f itself, t = 1/z in pZ_p via the reversed quartic with
+    f's setup: reversal keeps the content, and val(disc f) is its own or,
+    if f(0) = 0, a looser cap.  A reversed witness at t = 0 is at infinity.
     """
     if f.degree != 4:
         raise LocalSolveError("need an honest quartic")
-    v = zp_soluble(f, p)
+    c, content, disc_val = _setup(f, p)
+    v = _zp_search(c, content, disc_val, p)
     if v.soluble:
         return v
-    w = zp_soluble(f.reverse(), p)
+    w = _zp_search(c[::-1], content, disc_val, p, (0, 1))
     if not w.soluble:
         return _INSOLUBLE
     wit = w.witness

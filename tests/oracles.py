@@ -2,7 +2,9 @@
 
 Everything here is deliberately naive: exhaustive enumeration, textbook
 formulas, or sympy.  Nothing imports from twodescent, so a bug in the
-package cannot hide in its own oracle.
+package cannot hide in its own oracle; the one exception,
+qp_soluble_two_pass_oracle, checks only how qp_soluble covers the
+projective line, over the package's own (separately checked) zp_soluble.
 """
 
 from __future__ import annotations
@@ -342,6 +344,28 @@ def zp_soluble_oracle(c: tuple[int, ...], p: int) -> bool:
             continue
         work.extend((r + j * p**k, k + 1) for j in range(p))
     return False
+
+
+def qp_soluble_two_pass_oracle(f, p: int):
+    """qp_soluble as two whole searches: zp_soluble on f, then on all of
+    f.reverse(), whose witness maps back by z = 1/t (t = 0 is infinity)."""
+    from twodescent.localsolve import LocalSolveError, LocalVerdict, Witness, zp_soluble
+
+    if f.degree != 4:
+        raise LocalSolveError("need an honest quartic")
+    v = zp_soluble(f, p)
+    if v.soluble:
+        return v
+    w = zp_soluble(f.reverse(), p)
+    if not w.soluble:
+        return LocalVerdict(False, None)
+    wit = w.witness
+    if wit.z is None:
+        return LocalVerdict(True, Witness("hensel", None, "reversed form: " + wit.note))
+    if wit.z == 0:
+        return LocalVerdict(
+            True, Witness("infinity", None, f"leading coefficient is a square in Q_{p}"))
+    return LocalVerdict(True, Witness(wit.kind, 1 / wit.z, "reversed form: " + wit.note))
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import time
 
 import pytest
 import sympy
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from twodescent.arith import (
@@ -131,6 +131,8 @@ def test_factorize_semiprime_cofactor_skips_the_trial_walk():
 @settings(max_examples=80, deadline=None)
 @given(st.lists(st.integers(10**3, 3 * 10**6), min_size=3, max_size=4),
        st.sampled_from((1, 2, 12, 77, 2**5 * 3)), st.sampled_from((1, -1)))
+# a cofactor of about 3.317e24, above the witness bound, that rho must split
+@example(xs=[1008263, 1487201, 1487251, 1487251], small=1, sign=1)
 def test_factorize_cofactors_of_three_or_more_primes_agree_with_reference(xs, small, sign):
     # repeated primes too: nextprime maps nearby x to the same prime
     n = sign * small * math.prod(sympy.nextprime(x) for x in xs)
@@ -342,6 +344,11 @@ def test_is_prime_basics():
     # beyond the trial bound: a 12-digit prime and a semiprime
     assert is_prime(1000000000039)
     assert not is_prime(1000003 * 1000033)
+    # above the witness bound a witness still proves compositeness, and
+    # a number that passes every base is refused
+    assert not is_prime(1000000000039 * 10000000000037)
+    with pytest.raises(ArithError):
+        is_prime(4000000000000000000000027)
 
 
 def test_sieve_matches_is_prime():

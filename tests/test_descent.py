@@ -30,7 +30,7 @@ from twodescent.descent import (
     selmer,
 )
 
-from twodescent.localsolve import qp_soluble, r_soluble
+from twodescent.localsolve import QuarticForm, qp_soluble, r_soluble
 
 from .oracles import o_on_curve, o_order, search_point_oracle, span_oracle
 
@@ -555,10 +555,24 @@ def test_descent_report_factors_each_odd_part_of_b_and_b_prime_once(monkeypatch)
     monkeypatch.setattr(descent_module, "factorize", lambda n: seen.append(n) or factorize(n))
     for a, b, parts in ((0, 3111, [3111]), (3, 5, [5, 11]), (1, -6, [3, 25]), (0, -4, [1])):
         seen.clear()
-        descent_module._bad_set.cache_clear()
         rep = descent_report(Curve(a, b, 0), 20)
         assert sorted(seen) == parts
         assert bad_set(rep.curve) == bad_set(rep.isogenous)
+
+
+def test_descent_report_builds_quartic_forms_only_in_hom_space(monkeypatch):
+    # the local solvers search coefficient tuples: no stripped or
+    # reversed copy of a form is built per call
+    built, spaces = [], []
+    post_init = QuarticForm.__post_init__
+    monkeypatch.setattr(QuarticForm, "__post_init__", lambda f: built.append(f) or post_init(f))
+    hom = descent_module.hom_space
+    monkeypatch.setattr(descent_module, "hom_space", lambda E, d: spaces.append(d) or hom(E, d))
+    for a, b in ((0, 3111), (0, -2 * 3 * 5 * 7 * 11), (6, 1), (-11, 2), (12, 32)):
+        built.clear()
+        spaces.clear()
+        descent_report(Curve(a, b, 0), 20)
+        assert spaces and len(built) == len(spaces)
 
 
 @settings(max_examples=200, deadline=None)
