@@ -30,7 +30,6 @@ __all__ = [
     "is_prime",
     "sieve_primes",
     "factorize",
-    "divisors",
     "squarefree_part",
     "legendre",
     "is_padic_square",
@@ -257,15 +256,6 @@ def _cube_root_exact(n: int):
     if c**3 != m:
         return None
     return c if n >= 0 else -c
-
-
-def divisors(n: int) -> list[int]:
-    """Sorted positive divisors of n != 0."""
-    fac = factorize(abs(n))
-    out = [1]
-    for p, e in fac.factors:
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
 
 
 @dataclass(frozen=True, order=True)

@@ -1,9 +1,9 @@
 """Integral Weierstrass models y^2 = x^3 + a2*x^2 + a4*x + a6.
 
 Exact rational group law, point counting over small prime fields, and
-torsion computation by the integral-point criterion (a torsion point of
-such a model has integer coordinates with y = 0 or y^2 dividing the
-discriminant), confirmed by order checks and the good-reduction bound.
+torsion computation: a torsion point of such a model is integral, and
+its x is an integer root of the division polynomial of its order, which
+divides the good-reduction bound; order checks confirm each point.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from .arith import divisors, is_prime
+from .arith import is_prime
 
 __all__ = [
     "CurveError",
@@ -207,54 +207,73 @@ def torsion_order_bound(E: Curve, k: int) -> int:
     return g
 
 
-def _integer_roots_monic_cubic(c2: int, c1: int, c0: int) -> list[int]:
-    """Integer roots of f = x^3 + c2*x^2 + c1*x + c0, ascending.
+def _pmul(f: list[int], g: list[int]) -> list[int]:
+    """Product of polynomials given by coefficients from the constant up."""
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
 
-    f is monotone between its critical points (-c2 -+ sqrt(c2^2 - 3*c1))/3,
-    which lie strictly between k - 1 and k + 1 for k = (-c2 -+ isqrt)//3.
-    Those k are tested directly; each monotone piece in between, inside
-    the Cauchy bound |x| < 1 + max |c_i|, by integer bisection.
-    """
 
-    def f(x: int) -> int:
-        return ((x + c2) * x + c1) * x + c0
+def _division_polys(E: Curve, ms: list[int]) -> dict[int, list[int]]:
+    """For each m in ms the polynomial whose roots are the x of the points
+    of order dividing m but not 2: the cubic for m = 2, else f_m = psi_m
+    for odd m and psi_m / psi_2 for even m, built from f_3, f_4 and the
+    recurrences in F = psi_2^2 of Silverman, AEC, Ex. 3.7."""
+    b2, b4, b6, b8 = 4 * E.a2, 2 * E.a4, 4 * E.a6, 4 * E.a2 * E.a6 - E.a4 * E.a4
+    f = {1: [1], 2: [1], 3: [b8, 3 * b6, 3 * b4, b2, 3],
+         4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]}
 
-    B = 1 + max(abs(c2), abs(c1), abs(c0))
-    disc = c2 * c2 - 3 * c1
-    roots = set()
-    pieces = [(-B, B, 1)]
-    if disc > 0:
-        s = math.isqrt(disc)
-        k1, k2 = (-c2 - s) // 3, (-c2 + s) // 3
-        roots = {k for k in (k1, k2) if f(k) == 0}
-        pieces = [(-B, k1 - 1, 1), (k1 + 1, k2 - 1, -1), (k2 + 1, B, 1)]
-    for lo, hi, sign in pieces:
-        # sign * f increases on [lo, hi]: find its least x with value >= 0
-        if lo > hi or sign * f(lo) > 0 or sign * f(hi) < 0:
-            continue
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if sign * f(mid) < 0:
-                lo = mid + 1
+    def get(n: int) -> list[int]:
+        if n not in f:
+            m = n // 2
+            if n % 2:
+                F2 = _pmul([b6, 2 * b4, b2, 4], [b6, 2 * b4, b2, 4])
+                u = _pmul(get(m + 2), _pmul(get(m), _pmul(get(m), get(m))))
+                v = _pmul(get(m - 1), _pmul(get(m + 1), _pmul(get(m + 1), get(m + 1))))
+                u, v = (_pmul(F2, u), v) if m % 2 == 0 else (u, _pmul(F2, v))
             else:
-                hi = mid
-        if f(lo) == 0:
-            roots.add(lo)
+                u = _pmul(get(m + 2), _pmul(get(m - 1), get(m - 1)))
+                v = _pmul(get(m - 2), _pmul(get(m + 1), get(m + 1)))
+            # u and v have the same length, the formal degree of the difference
+            diff = [a - b for a, b in zip(u, v, strict=True)]
+            f[n] = diff if n % 2 else _pmul(get(m), diff)
+        return f[n]
+
+    return {m: get(m) if m > 2 else [E.a6, E.a4, E.a2, 1] for m in ms}
+
+
+def _horner(f: list[int], x: int, n: int) -> tuple[int, int]:
+    """f(x) and f'(x) mod n, in one pass."""
+    v = d = 0
+    for c in reversed(f):
+        d = (d * x + v) % n
+        v = (v * x + c) % n
+    return v, d
+
+
+def _integer_roots(f: list[int], q: int) -> list[int]:
+    """Integer roots of f, ascending, for f squarefree mod the odd prime q
+    with a leading coefficient prime to q.  Every root has |x| < 2^(k+1),
+    k the largest ceil(bits(c_(d-i)) / i) (Fujiwara).  Newton lifts each
+    simple root mod q past 2^(k+2); the symmetric residue is the only
+    integer it can be, and is tested exactly."""
+    k = max(-(-abs(c).bit_length() // i) for i, c in enumerate(reversed(f[:-1]), 1))
+    roots = []
+    for r in range(q):
+        if _horner(f, r, q)[0]:
+            continue
+        n = q
+        while n.bit_length() <= k + 2:
+            n *= n
+            v, d = _horner(f, r, n)
+            r = (r - v * pow(d, -1, n)) % n
+        if 2 * r > n:
+            r -= n
+        if sum(c * r**i for i, c in enumerate(f)) == 0:
+            roots.append(r)
     return sorted(roots)
-
-
-def _torsion_candidates(E: Curve) -> list[Pt]:
-    """Superset of the nonzero torsion points, by the integral criterion."""
-    cands: list[Pt] = []
-    for x in _integer_roots_monic_cubic(E.a2, E.a4, E.a6):
-        cands.append(pt(x, 0))
-    disc = discriminant(E)
-    ys = [y for y in divisors(disc) if disc % (y * y) == 0]
-    for y in ys:
-        for x in _integer_roots_monic_cubic(E.a2, E.a4, E.a6 - y * y):
-            cands.append(pt(x, y))
-            cands.append(pt(x, -y))
-    return cands
 
 
 def _order_up_to(E: Curve, P: Pt, cap: int) -> int | None:
@@ -299,11 +318,21 @@ def _point_sort_key(P: Pt):
 
 
 def torsion_subgroup(E: Curve) -> TorsionGroup:
-    """Exact rational torsion with verified generators."""
+    """Exact rational torsion with verified generators.  A point of order
+    m has integral x, a root of f_m, and m <= 12 divides the reduction bound."""
     bound = torsion_order_bound(E, 6)
-    # E[2](Q) lies in the torsion, whose order divides bound: equal if |E[2](Q)| = bound
-    two = [pt(x, 0) for x in _integer_roots_monic_cubic(E.a2, E.a4, E.a6)]
-    cands = two if bound == len(two) + 1 else _torsion_candidates(E)
+    ms = [m for m in sorted(_ALLOWED_CYCLIC) if m > 1 and bound % m == 0]
+    primes = _good_odd_primes(E, 2)
+    cands: list[Pt] = []
+    for m, f in _division_polys(E, ms).items():
+        # q is good and prime to m (no two odd primes divide m <= 12), so E[m]
+        # is etale mod q and f squarefree there
+        q = next(q for q in primes if m % q)
+        for x in _integer_roots(f, q):
+            v = E.rhs(x)
+            y = math.isqrt(max(v, 0))
+            if y * y == v:
+                cands += [pt(x, y), pt(x, -y)] if y else [pt(x, 0)]
     return _torsion_group(E, cands, bound)
 
 

@@ -34,8 +34,8 @@ from .curve import (
     Curve,
     Pt,
     TorsionGroup,
-    add,
-    neg,
+    _add_raw,
+    _point_sort_key,
     on_curve,
     torsion_subgroup,
 )
@@ -129,7 +129,6 @@ def delta_class(C: Curve, P: Pt) -> SquareClass:
 @dataclass(frozen=True)
 class BadSet:
     primes: tuple[int, ...]
-    includes_infinity: bool = True
 
     def __post_init__(self):
         if 2 not in self.primes:
@@ -358,7 +357,6 @@ def lift_point(pair: IsogenyPair, d, zw) -> Pt:
     P = Pt(X, Y)
     if not on_curve(pair.Eprime, P):
         raise DescentError("(z, w) does not lie on C_d")
-    assert delta_class(pair.Eprime, P) == squarefree_part(dd)
     return P
 
 
@@ -397,25 +395,22 @@ def _span(classes: set[SquareClass]) -> set[SquareClass]:
     return out
 
 
-def _dual_to_base(pair: IsogenyPair, P_on_Eprime: Pt) -> Pt:
-    """phi-hat down to E'' = (4a, 16b), then (x, y) -> (x/4, y/8) onto E."""
-    pair2 = isogenous_curve(pair.Eprime)
-    Q = phi_map(pair2, P_on_Eprime)
-    if Q.is_infinity:
-        return INFINITY
-    R = Pt(Q.x / 4, Q.y / 8)
-    assert on_curve(pair.E, R)
-    return R
+def _to_base(pair: IsogenyPair, lifts_prime: list[Pt], lifts_second: list[Pt]) -> list[Pt]:
+    """Every lifted point moved onto E, each checked there once: lifts on E'
+    descend by phi-hat (x, y) -> (y^2/x^2, y(b' - x^2)/x^2) to E'' = (4a, 16b),
+    then all rescale by (x/4, y/8).  A lift has x = d/z^2 != 0, so none is in
+    the kernel of phi-hat."""
+    on_second = [Pt(P.y**2 / P.x**2, P.y * (pair.b_prime - P.x**2) / P.x**2) for P in lifts_prime]
+    out = [Pt(P.x / 4, P.y / 8) for P in on_second + lifts_second]
+    for P in out:
+        assert on_curve(pair.E, P)
+    return out
 
 
 def _canonical_generator(E: Curve, tors: TorsionGroup, Q: Pt) -> Pt:
-    from .curve import _point_sort_key
-
-    cands = []
-    for base in (Q, neg(E, Q)):
-        for T in tors.points:
-            cands.append(add(E, base, T))
-    return min(cands, key=_point_sort_key)
+    """The least of the points +-Q + T, T torsion, in the torsion order."""
+    return min((_add_raw(E, R, T) for R in (Q, Pt(Q.x, -Q.y)) for T in tors.points),
+               key=_point_sort_key)
 
 
 def _certify_direction(source: Curve, lift_pair: IsogenyPair, sel: SelmerSet,
@@ -461,19 +456,10 @@ def descent_report(E: Curve, H: int) -> DescentReport:
     if not span_hat <= set(sel_hat):
         raise DescentError("certified a class outside the dual Selmer set")
 
-    # Move every lifted point onto E: phi-direction lifts live on E' and
-    # descend by the dual isogeny; dual-direction lifts live on E'' and
-    # rescale by (x/4, y/8).
-    on_base = [_dual_to_base(pair, P) for P in lifts_prime]
-    for P in lifts_second:
-        Q = Pt(P.x / 4, P.y / 8)
-        assert on_curve(E, Q)
-        on_base.append(Q)
-
     torsion_pts = set(tors.points)
     gens: list[Pt] = []
-    for Q in on_base:
-        if Q.is_infinity or Q in torsion_pts:
+    for Q in _to_base(pair, lifts_prime, lifts_second):
+        if Q in torsion_pts:
             continue
         C = _canonical_generator(E, tors, Q)
         if C not in gens:

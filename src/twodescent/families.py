@@ -14,6 +14,7 @@ tables re-verify themselves against the generic computation on the fly.
 
 from __future__ import annotations
 
+import os
 from array import array
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
@@ -473,18 +474,22 @@ def ep_table(
     """One row per odd prime p <= p_max, with optional residue filters.
 
     quartic_only keeps p with 2 a fourth power mod p (forces p = 1 mod 8).
+    jobs > 1 maps over a pool of at most os.cpu_count() worker processes.
     Rows come back sorted by p: pool.map keeps the order of ps.
     """
     if p_max > _EP_TABLE_BUDGET:
         raise FamilyError(f"p_max beyond the {_EP_TABLE_BUDGET} budget")
     _check_height(height)
+    if jobs is not None and jobs < 1:
+        raise FamilyError("jobs must be at least 1")
     ps = [p for p in sieve_primes(max(p_max, 2)) if p > 2]
     if mod8 is not None:
         ps = [p for p in ps if p % 8 == mod8]
     if quartic_only:
         ps = [p for p in ps if p % 8 == 1 and quartic_residue_gauss(p)]
     worker = partial(_ep_row, height=height)
-    if jobs is not None and jobs > 1 and len(ps) > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs or 1, os.cpu_count() or 1)
+    if workers > 1 and len(ps) > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, ps, chunksize=16))
     return [worker(p) for p in ps]

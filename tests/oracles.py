@@ -153,6 +153,30 @@ def torsion_invariants_brute(coeffs: tuple[int, int, int]) -> list[int]:
     return [2, n // 2]
 
 
+def divisors_oracle(n: int) -> list[int]:
+    """Sorted positive divisors of n != 0, from sympy's factorization."""
+    out = [1]
+    for p, e in factor_oracle(n).items():
+        out = [d * p**k for d in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def torsion_candidates_oracle(coeffs: tuple[int, int, int]) -> list[tuple[int, int]]:
+    """Superset of the nonzero torsion points by the integral-point
+    criterion: (x, 0) for each integer root of the cubic, and (x, +-y) for
+    each integer root of cubic - y^2, y a divisor of disc with y^2 | disc.
+    """
+    a2, a4, a6 = coeffs
+    x = sympy.Symbol("x")
+    disc = int(sympy.Poly([1, a2, a4, a6], x).discriminant()) * 16
+    out = []
+    for y in [0] + [y for y in divisors_oracle(disc) if disc % (y * y) == 0]:
+        for r in sympy.Poly([1, a2, a4, a6 - y * y], x).ground_roots():
+            if r.is_integer:
+                out += [(int(r), y), (int(r), -y)] if y else [(int(r), 0)]
+    return out
+
+
 def quartic_disc_oracle(c: tuple[int, int, int, int, int]) -> int:
     z = sympy.Symbol("z")
     return int(sympy.Poly(list(c), z).discriminant())

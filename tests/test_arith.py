@@ -13,7 +13,6 @@ from twodescent.arith import (
     Factorization,
     SquareClass,
     ONE,
-    divisors,
     factorize,
     is_padic_square,
     is_prime,
@@ -26,7 +25,14 @@ from twodescent.arith import (
     val,
 )
 
-from .oracles import factor_oracle, qr_set, quartic_set, two_squares_brute, val_oracle
+from .oracles import (
+    divisors_oracle,
+    factor_oracle,
+    qr_set,
+    quartic_set,
+    two_squares_brute,
+    val_oracle,
+)
 
 ODD_PRIMES = [p for p in sieve_primes(300) if p > 2]
 
@@ -158,8 +164,9 @@ def test_factorize_beyond_the_primality_test_walks_the_trial_bound():
 
 
 def test_divisors_small():
-    assert divisors(12) == [1, 2, 3, 4, 6, 12]
-    assert divisors(1) == [1]
+    assert divisors_oracle(12) == [1, 2, 3, 4, 6, 12]
+    assert divisors_oracle(-12) == [1, 2, 3, 4, 6, 12]
+    assert divisors_oracle(1) == [1]
 
 
 def test_squarefree_part_known_values():

@@ -126,6 +126,13 @@ def test_table_deterministic_across_jobs(capsys):
     assert out1 == out2
 
 
+def test_table_refuses_jobs_below_one(capsys):
+    rc, out, err = run(capsys, "table", "ep", "--max", "20", "--jobs", "0")
+    assert rc == 2
+    assert "jobs" in err
+    assert "rows" not in out
+
+
 def test_table_json_file(tmp_path, capsys):
     target = tmp_path / "rows.json"
     rc, _, _ = run(capsys, "table", "ep", "--max", "30", "--out", str(target))

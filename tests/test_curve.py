@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -13,8 +14,8 @@ from twodescent.curve import (
     INFINITY,
     Pt,
     SingularModel,
-    _integer_roots_monic_cubic,
-    _torsion_candidates,
+    _good_odd_primes,
+    _integer_roots,
     _torsion_group,
     add,
     count_points_mod,
@@ -34,6 +35,7 @@ from .oracles import (
     count_points_brute,
     o_add,
     o_on_curve,
+    torsion_candidates_oracle,
     torsion_invariants_brute,
 )
 
@@ -229,36 +231,90 @@ def _split_model(r: int, s: int, t: int) -> Curve | None:
     return _model(-(r + s + t), r * s + r * t + s * t, -r * s * t)
 
 
+def _tate_model(b, c) -> Curve | None:
+    """y^2 + (1 - c)xy - by = x^3 - bx^2 (Tate normal form, with (0, 0)
+    of order >= 4 when b != 0), completed to a2, a4, a6 shape and scaled
+    by u = lcm of the denominators of b and c to integers."""
+    b, c = Fraction(b), Fraction(c)
+    u = math.lcm(b.denominator, c.denominator)
+    a2, a4, a6 = (1 - c) ** 2 - 4 * b, -8 * (1 - c) * b, 16 * b * b
+    return _model(int(a2 * u**2), int(a4 * u**4), int(a6 * u**6))
+
+
+def _oracle_torsion(E: Curve):
+    cands = [pt(x, y) for x, y in torsion_candidates_oracle((E.a2, E.a4, E.a6))]
+    return _torsion_group(E, cands, torsion_order_bound(E, 6))
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
     st.builds(_model, st.integers(-40, 40), st.integers(-40, 40), st.integers(-40, 40)),
     st.builds(_model, st.integers(-40, 40), st.integers(-40, 40), st.just(0)),
     st.builds(_split_model, st.integers(-20, 20), st.integers(-20, 20), st.integers(-20, 20)),
+    st.builds(_tate_model, st.integers(-12, 12), st.integers(-12, 12)),
 ))
-def test_torsion_shortcut_equals_full_enumeration(E):
-    # where the reduction bound is 1 + (number of integer roots of the
-    # cubic), torsion_subgroup skips the y^2 | disc candidates: the group,
-    # its generators and its point order must be those of the full search
+def test_torsion_equals_divisor_enumeration(E):
+    # the division-polynomial roots give the group, generators and point
+    # order that the y^2 | disc candidates of the integral-point criterion give
     assume(E is not None)
-    bound = torsion_order_bound(E, 6)
-    assume(bound == 1 + len(_integer_roots_monic_cubic(E.a2, E.a4, E.a6)))
-    assert torsion_subgroup(E) == _torsion_group(E, _torsion_candidates(E), bound)
+    assert torsion_subgroup(E) == _oracle_torsion(E)
 
 
-def test_torsion_shortcut_skips_the_divisor_search(monkeypatch):
-    import twodescent.curve as curve_module
+def _z8(t):
+    return (2 * t - 1) * (t - 1), (2 * t - 1) * (t - 1) / t
 
-    def refuse(n):
-        raise AssertionError("divisors called on the E[2](Q) path")
 
-    monkeypatch.setattr(curve_module, "divisors", refuse)
-    # a6 != 0 with trivial E[2](Q), then one, then three rational roots
-    assert torsion_subgroup(Curve(0, 1, 1)).structure == "trivial"
-    assert torsion_subgroup(Curve(0, 17, 0)).structure == "Z2"
-    assert torsion_subgroup(Curve(0, -11 * 11, 0)).structure == "Z2xZ2"
-    # Z4 needs the full candidate search
-    with pytest.raises(AssertionError, match="divisors called"):
-        torsion_subgroup(Curve(6, 1, 0))
+def _z2xz6(t):
+    c = (10 - 2 * t) / (t * t - 9)
+    return c + c * c, c
+
+
+def _z12(t):
+    m = (3 * t - 3 * t * t - 1) / (t - 1)
+    f, d = m / (1 - t), m + t
+    return (f * d - f) * d, f * d - f
+
+
+# Kubert's parametrizations of (b, c) in Tate normal form by the torsion
+# structure they force, with parameters t where the torsion is no larger
+# and the discriminant small enough for the divisor oracle.
+KUBERT = {
+    "Z5": (lambda t: (t, t), ("2", "-3")),
+    "Z6": (lambda t: (t + t * t, t), ("2", "-2")),
+    "Z7": (lambda t: (t**3 - t**2, t**2 - t), ("2", "3")),
+    "Z8": (_z8, ("2", "3/2")),
+    "Z9": (lambda t: (t**2 * (t - 1) * (t * t - t + 1), t**2 * (t - 1)), ("2", "3")),
+    "Z10": (lambda t: (t**3 * (t - 1) * (2 * t - 1) / (t * t - 3 * t + 1) ** 2,
+                       -t * (t - 1) * (2 * t - 1) / (t * t - 3 * t + 1)), ("2", "1/3")),
+    "Z12": (_z12, ("2", "2/3")),
+    "Z2xZ4": (lambda t: (t * t - Fraction(1, 16), 0), ("2", "-3/2")),
+    "Z2xZ6": (_z2xz6, ("2", "7/3")),
+    "Z2xZ8": (lambda t: _z8(t * (8 * t + 2) / (8 * t * t - 1)), ("-1/3",)),
+}
+
+
+@pytest.mark.parametrize("structure,t", [
+    pytest.param(s, Fraction(t), id=f"{s}-t={t.replace('/', ':')}")
+    for s, (_, ts) in KUBERT.items() for t in ts
+])
+def test_torsion_of_kubert_models(structure, t):
+    E = _tate_model(*KUBERT[structure][0](t))
+    T = torsion_subgroup(E)
+    assert T.structure == structure
+    assert T == _oracle_torsion(E)
+
+
+@pytest.mark.parametrize("k", [16, 30])
+def test_torsion_of_primorial_dx_models_is_fast(k):
+    # y^2 = x^3 + Dx, D = 2*3*...*p_k.  At k = 16 the reduction bound is 4
+    # (every good q = 3 mod 4 counts q + 1 points) while the torsion is Z2,
+    # and disc = -2^9 * (odd part of D)^3 has 10 * 4^15 divisors
+    D = math.prod([p for p in range(2, 120) if all(p % d for d in range(2, p))][:k])
+    start = time.perf_counter()
+    T = torsion_subgroup(Curve(0, D, 0))
+    assert time.perf_counter() - start < 1.0
+    assert T.structure == "Z2"
+    assert T.points == (INFINITY, pt(0, 0))
 
 
 def test_torsion_generators_check_out():
@@ -305,10 +361,17 @@ def _roots_by_scan(c2, c1, c0):
     return [x for x in range(-B, B + 1) if ((x + c2) * x + c1) * x + c0 == 0]
 
 
+def _cubic_roots(c2, c1, c0):
+    # f_2 of a nonsingular model, with q its least good odd prime
+    q = _good_odd_primes(Curve(c2, c1, c0), 1)[0]
+    return _integer_roots([c0, c1, c2, 1], q)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60))
 def test_cubic_integer_roots_match_bounded_scan(c2, c1, c0):
-    assert _integer_roots_monic_cubic(c2, c1, c0) == _roots_by_scan(c2, c1, c0)
+    assume(_model(c2, c1, c0) is not None)
+    assert _cubic_roots(c2, c1, c0) == _roots_by_scan(c2, c1, c0)
 
 
 big = st.integers(-(10**12), 10**12)
@@ -317,11 +380,10 @@ big = st.integers(-(10**12), 10**12)
 @settings(max_examples=300, deadline=None)
 @given(big, big, big, st.integers(-(10**6), 10**6))
 def test_cubic_integer_roots_of_products(r1, r2, r3, c):
-    # (x - r1)(x - r2)(x - r3), with double and triple roots, and
-    # (x - r1)(x^2 + c) whose quadratic factor has no integer root
-    for rs in ((r1, r2, r3), (r1, r1, r2), (r1, r1, r1)):
-        a, b, c3 = rs
-        roots = _integer_roots_monic_cubic(-(a + b + c3), a * b + a * c3 + b * c3, -a * b * c3)
-        assert roots == sorted(set(rs))
-    if c > 0 or math.isqrt(-c) ** 2 != -c:
-        assert _integer_roots_monic_cubic(-r1, c, -r1 * c) == [r1]
+    # (x - r1)(x - r2)(x - r3) with distinct roots, and (x - r1)(x^2 + c)
+    # whose quadratic factor has no integer root
+    if len({r1, r2, r3}) == 3:
+        roots = _cubic_roots(-(r1 + r2 + r3), r1 * r2 + r1 * r3 + r2 * r3, -r1 * r2 * r3)
+        assert roots == sorted({r1, r2, r3})
+    if c > 0 or (c < 0 and math.isqrt(-c) ** 2 != -c):
+        assert _cubic_roots(-r1, c, -r1 * c) == [r1]

@@ -110,7 +110,6 @@ def test_delta_is_a_homomorphism_on_sample_points():
 def test_bad_set_contents():
     S = bad_set(Curve(6, 1, 0))
     assert S.primes == (2,)
-    assert S.includes_infinity
     assert bad_set(Curve(0, 17, 0)).primes == (2, 17)
     assert bad_set(Curve(0, -68, 0)).primes == (2, 17)
 
@@ -573,6 +572,33 @@ def test_descent_report_builds_quartic_forms_only_in_hom_space(monkeypatch):
         spaces.clear()
         descent_report(Curve(a, b, 0), 20)
         assert spaces and len(built) == len(spaces)
+
+
+def test_descent_report_checks_each_lifted_point_once_per_curve(monkeypatch):
+    # a lift is checked on the curve it is lifted to, then once on E after
+    # the push-down; no add, neg or phi_map re-checks it and no class of it
+    # is refactored
+    import twodescent.curve as curve_module
+
+    checks, lifts = [], []
+    on_curve_, lift = curve_module.on_curve, descent_module.lift_point
+    counting = lambda C, P: checks.append(C) or on_curve_(C, P)
+    monkeypatch.setattr(curve_module, "on_curve", counting)
+    monkeypatch.setattr(descent_module, "on_curve", counting)
+    monkeypatch.setattr(descent_module, "lift_point", lambda *a: lifts.append(a) or lift(*a))
+
+    def refuse(n):
+        raise AssertionError("squarefree_part called on the report path")
+
+    monkeypatch.setattr(descent_module, "squarefree_part", refuse)
+    # cyclic torsion, so the torsion computation itself checks no point
+    for a, b in ((-6, 12), (-11, 2), (-11, -9)):
+        checks.clear()
+        lifts.clear()
+        E = Curve(a, b, 0)
+        rep = descent_report(E, 20)
+        assert rep.generators and len(checks) == 2 * len(lifts)
+        assert checks.count(E) == len(lifts)
 
 
 @settings(max_examples=200, deadline=None)
