@@ -519,8 +519,8 @@ def main(argv=None) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except Exception as e:  # pragma: no cover - defensive
-        print(f"internal error: {e}", file=sys.stderr)
+    except Exception as e:
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
 
 

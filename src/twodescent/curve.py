@@ -8,6 +8,7 @@ divides the good-reduction bound; order checks confirm each point.
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 import math
@@ -216,11 +217,11 @@ def _pmul(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
-def _division_polys(E: Curve, ms: list[int]) -> dict[int, list[int]]:
-    """For each m in ms the polynomial whose roots are the x of the points
-    of order dividing m but not 2: the cubic for m = 2, else f_m = psi_m
-    for odd m and psi_m / psi_2 for even m, built from f_3, f_4 and the
-    recurrences in F = psi_2^2 of Silverman, AEC, Ex. 3.7."""
+def _division_polys(E: Curve) -> Callable[[int], list[int]]:
+    """f(m), built on demand and kept: the polynomial whose roots are the x
+    of the points of order dividing m but not 2: the cubic for m = 2, else
+    f_m = psi_m for odd m and psi_m / psi_2 for even m, built from f_3, f_4
+    and the recurrences in F = psi_2^2 of Silverman, AEC, Ex. 3.7."""
     b2, b4, b6, b8 = 4 * E.a2, 2 * E.a4, 4 * E.a6, 4 * E.a2 * E.a6 - E.a4 * E.a4
     f = {1: [1], 2: [1], 3: [b8, 3 * b6, 3 * b4, b2, 3],
          4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]}
@@ -241,7 +242,7 @@ def _division_polys(E: Curve, ms: list[int]) -> dict[int, list[int]]:
             f[n] = diff if n % 2 else _pmul(get(m), diff)
         return f[n]
 
-    return {m: get(m) if m > 2 else [E.a6, E.a4, E.a2, 1] for m in ms}
+    return lambda m: get(m) if m > 2 else [E.a6, E.a4, E.a2, 1]
 
 
 def _horner(f: list[int], x: int, n: int) -> tuple[int, int]:
@@ -321,18 +322,23 @@ def torsion_subgroup(E: Curve) -> TorsionGroup:
     """Exact rational torsion with verified generators.  A point of order
     m has integral x, a root of f_m, and m <= 12 divides the reduction bound."""
     bound = torsion_order_bound(E, 6)
-    ms = [m for m in sorted(_ALLOWED_CYCLIC) if m > 1 and bound % m == 0]
     primes = _good_odd_primes(E, 2)
+    f = _division_polys(E)
     cands: list[Pt] = []
-    for m, f in _division_polys(E, ms).items():
+    found = {1}  # the m, ascending, whose f_m gave a rational point
+    for m in sorted(_ALLOWED_CYCLIC - {1}):
+        # a point of order m has a multiple of order m/l for each prime l | m
+        if bound % m or any(m % l == 0 and m // l not in found for l in (2, 3, 5, 7)):
+            continue
         # q is good and prime to m (no two odd primes divide m <= 12), so E[m]
-        # is etale mod q and f squarefree there
+        # is etale mod q and f_m squarefree there
         q = next(q for q in primes if m % q)
-        for x in _integer_roots(f, q):
+        for x in _integer_roots(f(m), q):
             v = E.rhs(x)
             y = math.isqrt(max(v, 0))
             if y * y == v:
                 cands += [pt(x, y), pt(x, -y)] if y else [pt(x, 0)]
+                found.add(m)
     return _torsion_group(E, cands, bound)
 
 

@@ -7,7 +7,10 @@ square class d cuts out the homogeneous space
     C_d : d*w^2 = d^2 - 2*a*d*z^2 + b'*z^4,
 
 and d lies in the phi-Selmer set exactly when C_d has points over R and
-over Q_p for every p in the bad set S = {2} u {p | b} u {p | b'}.  A
+over Q_p for every p in the bad set S = {2} u {p | b} u {p | b'}.  The
+classes soluble at one place form a subgroup, so the Selmer group is cut
+out of Q(S, 2) = F_2^(|S|+1) by linear algebra, place by place, with a
+local test only where the group law leaves a verdict open.  A
 rational point of C_d lifts to E'(Q) by psi(z, w) = (d/z^2, -d*w/z^3)
 and certifies d as a genuine image class.  Running the same machinery
 on E' (whose own isogenous curve is E back again, up to scaling by
@@ -26,7 +29,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 from .arith import ONE, SquareClass, _euler, factorize, squarefree_part, val
 from .curve import (
@@ -199,42 +202,91 @@ def hom_space(E: Curve, d) -> QuarticForm:
     return QuarticForm((dd * bp, 0, -2 * a * dd * dd, 0, dd**3))
 
 
-def _local_class(d: int, v: int) -> tuple:
-    """Class of squarefree d in Q_v*/Q_v*^2; v = 0 stands for R."""
+def _local_columns(S: BadSet, i: int, v: int) -> tuple[int, ...]:
+    """L_v on Q(S, 2), v the i-th place of (R,) + S: per bit of Q_v*/Q_v*^2
+    (the sign; v_2 parity, (u-1)/2, (u^2-1)/8 for the unit u; v_p parity, the
+    Euler bit), the mask of the generators (-1, p_1, ...) whose class has it."""
+    gens = (-1,) + S.primes
     if v == 0:
-        return (0, d > 0)
-    u = d // v if d % v == 0 else d
-    return (v, u != d, u % 8 if v == 2 else _euler(u, v))
+        return (1,)
+    if v == 2:
+        return (2, sum(1 << j for j, g in enumerate(gens) if g % 4 == 3),
+                sum(1 << j for j, g in enumerate(gens) if g % 8 in (3, 5)))
+    return (1 << i, sum(1 << j for j, g in enumerate(gens) if g != v and _euler(g, v) < 0))
+
+
+def _image(columns: tuple[int, ...], m: int) -> int:
+    """L_v of the class with generator mask m, as bits."""
+    x = 0
+    for j, c in enumerate(columns):
+        x |= ((m & c).bit_count() & 1) << j
+    return x
+
+
+def _times(u: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
+    """The product of two classes given as (generator mask, squarefree d)."""
+    g = gcd(u[1], w[1])
+    return u[0] ^ w[0], u[1] * w[1] // (g * g)
 
 
 def selmer(E: Curve) -> SelmerSet:
     """Classes whose space C_d has points over R and every Q_p, p in S.
 
-    Solubility of C_d over Q_v depends only on the class of d in
-    Q_v*/Q_v*^2, so each verdict is decided once per local class, on the
-    first d of qs2(S) that reaches it: at most 2 real tests, 8 at 2 and
-    4 at each odd p.  The real place comes first, then S in order.
-    """
-    return _selmer(E, bad_set(E))
+    The classes soluble at v form a subgroup W_v, the image of the local
+    connecting map, so Sel is cut out of Q(S, 2) by F_2 linear algebra,
+    place by place, with few local tests; see _selmer."""
+    S = bad_set(E)
+    return _selmer(E, S, _class_on(E.a2 * E.a2 - 4 * E.a4, S))
 
 
-def _selmer(E: Curve, S: BadSet) -> SelmerSet:
-    verdicts: dict = {}
-    kept = []
-    for d in qs2(S):
-        f = None
-        for v in (0,) + S.primes:
-            key = _local_class(int(d), v)
-            ok = verdicts.get(key)
-            if ok is None:
-                if f is None:
-                    f = hom_space(E, d)
-                ok = verdicts[key] = qp_soluble(f, v) if v else r_soluble(f)
-            if not ok:
-                break
-        else:
-            kept.append(d)
-    return SelmerSet(tuple(sorted(kept)))
+def _selmer(E: Curve, S: BadSet, seed: SquareClass) -> SelmerSet:
+    """Sel of E by F_2 linear algebra on classes (generator mask, d).
+
+    0 and L_v(seed), seed the class of the codomain's a4, lie in every W_v:
+    C_1 has the point (0, 1) and C_seed a rational point at infinity.  At
+    each place (R, then S ascending) elimination splits the basis of the
+    classes soluble so far into a kernel of L_v and pivots.  In the pivot
+    images' span, the span K of known-soluble images is soluble and x + K
+    insoluble for an insoluble x; the rest are tested on their preimages in
+    the pivots' span, least |d| first.  The kernel and the preimages of a
+    basis of W_v make the next basis."""
+    s = int(seed)
+    seed_mask = (s < 0) | sum(2 << j for j, p in enumerate(S.primes) if s % p == 0)
+    basis = [(1 << j, g) for j, g in enumerate((-1,) + S.primes)]  # kept in mask order
+    for i, v in enumerate((0,) + S.primes):
+        columns = _local_columns(S, i, v)
+        seed_image = _image(columns, seed_mask)
+        images = [_image(columns, u[0]) for u in basis]
+        if all(x in (0, seed_image) for x in images):
+            continue  # the whole image is known soluble
+        pivots: dict[int, tuple] = {}  # leading bit -> (image, class)
+        kernel = []
+        for u, x in zip(basis, images):
+            while x and x.bit_length() in pivots:
+                px, pu = pivots[x.bit_length()]
+                x, u = x ^ px, _times(u, pu)
+            if x:
+                pivots[x.bit_length()] = (x, u)
+            else:
+                kernel.append(u)
+        pre = {0: (0, 1)}  # each image in the pivots' span -> its preimage there
+        for px, pu in pivots.values():
+            pre.update({x ^ px: _times(u, pu) for x, u in pre.items()})
+        good = {0, seed_image}
+        w_basis = [seed_image] if seed_image else []
+        bad: set[int] = set()
+        for x, (_, d) in sorted(pre.items(), key=lambda xu: abs(xu[1][1])):
+            if x in good or x in bad:
+                continue
+            f = hom_space(E, d)
+            if qp_soluble(f, v) if v else r_soluble(f):
+                w_basis.append(x)
+                good |= {x ^ k for k in good}
+                bad = {y ^ k for y in bad for k in good}
+            else:
+                bad |= {x ^ k for k in good}
+        basis = sorted(kernel + [pre[x] for x in w_basis])
+    return SelmerSet(tuple(sorted(_span({SquareClass(d) for _, d in basis}))))
 
 
 # Sieve moduli for the point search.  A square N(m, n) is a square mod
@@ -439,14 +491,13 @@ def descent_report(E: Curve, H: int) -> DescentReport:
     pair = isogenous_curve(E)
     # E' has the bad set of E, since b'' = 16b
     S = bad_set(E)
-    sel_phi = _selmer(E, S)
-    sel_hat = _selmer(pair.Eprime, S)
+    # The codomain's 2-torsion gives delta(O) = 1 and delta((0, 0)) = the
+    # class of its own a4: Selmer and the certified images start there.
+    seed_phi, seed_hat = _class_on(pair.b_prime, S), _class_on(pair.b, S)
+    sel_phi = _selmer(E, S, seed_phi)
+    sel_hat = _selmer(pair.Eprime, S, seed_hat)
     tors = torsion_subgroup(E)
     notes: list[str] = []
-
-    # Certified images start from the 2-torsion of the codomain curve:
-    # delta(O) = 1 and delta((0,0)) = the codomain's own a4 class.
-    seed_phi, seed_hat = _class_on(pair.b_prime, S), _class_on(pair.b, S)
     span_phi, lifts_prime = _certify_direction(E, pair, sel_phi, seed_phi, H)
     pair_back = isogenous_curve(pair.Eprime)
     span_hat, lifts_second = _certify_direction(pair.Eprime, pair_back, sel_hat, seed_hat, H)

@@ -2,9 +2,11 @@
 
 Everything here is deliberately naive: exhaustive enumeration, textbook
 formulas, or sympy.  Nothing imports from twodescent, so a bug in the
-package cannot hide in its own oracle; the one exception,
-qp_soluble_two_pass_oracle, checks only how qp_soluble covers the
-projective line, over the package's own (separately checked) zp_soluble.
+package cannot hide in its own oracle.  Two exceptions import it
+lazily: qp_soluble_two_pass_oracle checks only how qp_soluble covers the
+projective line, over the package's own (separately checked) zp_soluble,
+and selmer_walk_oracle checks only how selmer combines the package's own
+(separately checked) local tests.
 """
 
 from __future__ import annotations
@@ -390,6 +392,43 @@ def qp_soluble_two_pass_oracle(f, p: int):
         return LocalVerdict(
             True, Witness("infinity", None, f"leading coefficient is a square in Q_{p}"))
     return LocalVerdict(True, Witness(wit.kind, 1 / wit.z, "reversed form: " + wit.note))
+
+
+def selmer_walk_oracle(E):
+    """The phi-Selmer set of E as a walk over all of Q(S, 2), with the
+    number of local tests made at each place (0 stands for R).
+
+    Each d of qs2(S), in its sorted order, is checked at R and then at the
+    primes of S ascending, stopping at the first failure.  A verdict is
+    memoized by the class of d in Q_v*/Q_v*^2 (the sign at R; v_2 parity
+    and unit mod 8 at 2; v_p parity and unit residue symbol at odd p), so
+    only the first d to reach a local class is tested there.
+    """
+    from twodescent.descent import bad_set, hom_space, qs2
+    from twodescent.localsolve import qp_soluble, r_soluble
+
+    def local_class(d: int, v: int):
+        if v == 0:
+            return d > 0
+        u = d // v if d % v == 0 else d
+        return u != d, u % 8 if v == 2 else pow(u, (v - 1) // 2, v)
+
+    S = bad_set(E)
+    verdicts: dict = {}
+    tests: dict[int, int] = {}
+    kept = []
+    for d in map(int, qs2(S)):
+        for v in (0,) + S.primes:
+            key = (v, local_class(d, v))
+            if key not in verdicts:
+                f = hom_space(E, d)
+                verdicts[key] = bool(qp_soluble(f, v) if v else r_soluble(f))
+                tests[v] = tests.get(v, 0) + 1
+            if not verdicts[key]:
+                break
+        else:
+            kept.append(d)
+    return tuple(kept), tests
 
 
 # ---------------------------------------------------------------------------

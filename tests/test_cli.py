@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import twodescent.cli as cli_module
 from twodescent.arith import ONE
 from twodescent.cli import (
     CremonaLine,
@@ -29,6 +30,16 @@ def run(capsys, *argv):
     rc = main(list(argv))
     out = capsys.readouterr()
     return rc, out.out, out.err
+
+
+def test_internal_error_names_the_exception(capsys, monkeypatch):
+    def out_of_memory(args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli_module, "cmd_descent", out_of_memory)
+    rc, out, err = run(capsys, "descent", "--a2", "0", "--a4", "17")
+    assert rc == 1 and out == ""
+    assert err == "internal error: MemoryError: \n"
 
 
 def test_descent_text_report(capsys):

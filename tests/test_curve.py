@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import twodescent.curve as curve_module
 from twodescent.curve import (
     CurveError,
     Curve,
@@ -302,6 +303,27 @@ def test_torsion_of_kubert_models(structure, t):
     T = torsion_subgroup(E)
     assert T.structure == structure
     assert T == _oracle_torsion(E)
+
+
+@pytest.mark.parametrize("coeffs,structure,built", [
+    ((-7, 1, 0), "Z2", [2, 4]),           # no point of order 4, so no f_8
+    ((-10, 9, 0), "Z2xZ2", [2, 4]),
+    ((-1, 1, 0), "Z4", [2, 4, 8]),        # a point of order 4: f_8 is searched
+])
+def test_torsion_skips_f_m_without_points_of_order_m_over_l(monkeypatch, coeffs, structure, built):
+    # each of these curves has reduction bound 8
+    requested: list[int] = []
+    division_polys = curve_module._division_polys
+
+    def recording(E):
+        f = division_polys(E)
+        return lambda m: requested.append(m) or f(m)
+
+    monkeypatch.setattr(curve_module, "_division_polys", recording)
+    E = Curve(*coeffs)
+    assert torsion_order_bound(E, 6) == 8
+    assert torsion_subgroup(E).structure == structure
+    assert requested == built
 
 
 @pytest.mark.parametrize("k", [16, 30])

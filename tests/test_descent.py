@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -32,7 +33,13 @@ from twodescent.descent import (
 
 from twodescent.localsolve import QuarticForm, qp_soluble, r_soluble
 
-from .oracles import o_on_curve, o_order, search_point_oracle, span_oracle
+from .oracles import (
+    o_on_curve,
+    o_order,
+    search_point_oracle,
+    selmer_walk_oracle,
+    span_oracle,
+)
 
 
 def classes(*reps: int) -> set[SquareClass]:
@@ -215,6 +222,24 @@ def test_local_verdict_depends_only_on_the_local_class(a, b, data):
         assert bool(r_soluble(f)) == bool(r_soluble(g))
 
 
+def _selmer_and_tests(E: Curve):
+    """selmer(E) as ints, with its local tests per place (0 stands for R)."""
+    tests: dict[int, int] = {}
+
+    def counting_qp(f, p):
+        tests[p] = tests.get(p, 0) + 1
+        return qp_soluble(f, p)
+
+    def counting_r(f):
+        tests[0] = tests.get(0, 0) + 1
+        return r_soluble(f)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(descent_module, "qp_soluble", counting_qp)
+        m.setattr(descent_module, "r_soluble", counting_r)
+        return tuple(int(d) for d in selmer(E)), tests
+
+
 @pytest.mark.parametrize("E", [
     Curve(0, 30030, 0),              # S = {2, 3, 5, 7, 11, 13}: 128 classes
     Curve(0, -2 * 3 * 5 * 7 * 11 * 13 * 17, 0),
@@ -222,26 +247,56 @@ def test_local_verdict_depends_only_on_the_local_class(a, b, data):
     Curve(-11, 2, 0),
     Curve(0, 912247, 0),
 ])
-def test_selmer_tests_each_local_class_once(monkeypatch, E):
-    calls: dict[int, int] = {}
-
-    def counting_qp(f, p):
-        calls[p] = calls.get(p, 0) + 1
-        return qp_soluble(f, p)
-
-    def counting_r(f):
-        calls[0] = calls.get(0, 0) + 1
-        return r_soluble(f)
-
-    monkeypatch.setattr(descent_module, "qp_soluble", counting_qp)
-    monkeypatch.setattr(descent_module, "r_soluble", counting_r)
+def test_selmer_tests_each_local_class_once(E):
+    # the walk tests each local class once; the group law leaves fewer
     for C in (E, isogenous_curve(E).Eprime):
-        calls.clear()
-        assert tuple(int(d) for d in selmer(C)) == selmer_per_class(C)
-        assert calls.get(0, 0) <= 2
-        assert calls.get(2, 0) <= 8
-        assert all(n <= 4 for p, n in calls.items() if p > 2)
-        assert set(calls) <= {0} | set(bad_set(C).primes)
+        classes_, tests = _selmer_and_tests(C)
+        walk_classes, walk_tests = selmer_walk_oracle(C)
+        assert classes_ == walk_classes == selmer_per_class(C)
+        assert set(tests) <= set(walk_tests) <= {0} | set(bad_set(C).primes)
+        assert all(n <= walk_tests[v] for v, n in tests.items())
+        assert sum(tests.values()) < sum(walk_tests.values())
+        assert walk_tests.get(0, 0) <= 2 and walk_tests.get(2, 0) <= 8
+        assert all(n <= 4 for v, n in walk_tests.items() if v > 2)
+
+
+PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
+
+
+@st.composite
+def twisted_box_curves(draw):
+    """(t*a, t^2*b) for a box curve (a, b), a != 0, and t = +-(a product of
+    up to 10 random primes): b and b' both carry every prime of t."""
+    a = draw(st.integers(-12, 12).filter(bool))
+    b = draw(st.integers(-12, 12).filter(lambda b: nonsingular(a, b)))
+    t = draw(st.sampled_from((1, -1))) * math.prod(
+        draw(st.lists(st.sampled_from(PRIMES_BELOW_200), max_size=10, unique=True)))
+    return Curve(t * a, t * t * b, 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
+        lambda ab: nonsingular(*ab)).map(lambda ab: Curve(*ab, 0)),
+    st.integers(-10**6, 10**6).filter(bool).map(lambda D: Curve(0, D, 0)),
+    twisted_box_curves(),
+))
+def test_selmer_matches_walk_oracle_with_no_more_tests(E):
+    for C in (E, isogenous_curve(E).Eprime):
+        classes_, tests = _selmer_and_tests(C)
+        walk_classes, walk_tests = selmer_walk_oracle(C)
+        assert classes_ == walk_classes
+        assert all(n <= walk_tests.get(v, 0) for v, n in tests.items())
+
+
+def test_selmer_of_the_20_prime_primorial_dx_model_is_fast():
+    # S has 20 primes, so Q(S, 2) has 2^21 classes, far too many to visit
+    D = math.prod(PRIMES_BELOW_200[:20])
+    start = time.perf_counter()
+    sel, sel_hat = selmer(Curve(0, D, 0)), selmer(Curve(0, -4 * D, 0))
+    assert time.perf_counter() - start < 1.0
+    assert squarefree_part(-4 * D) in sel and squarefree_part(D) in sel_hat
+    assert sel.dim2 + sel_hat.dim2 >= 2
 
 
 def test_dual_selmer_of_ep_is_minimal():
