@@ -163,6 +163,13 @@ def qs2(S: BadSet) -> tuple[SquareClass, ...]:
 class SelmerSet:
     classes: tuple[SquareClass, ...]
 
+    @classmethod
+    def _of(cls, span: set[SquareClass]) -> SelmerSet:
+        """The set of a subgroup the engine built: sorted, and not checked again."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "classes", tuple(sorted(span)))
+        return out
+
     def __post_init__(self):
         cs = set(self.classes)
         if tuple(sorted(cs)) != self.classes:
@@ -286,35 +293,61 @@ def _selmer(E: Curve, S: BadSet, seed: SquareClass) -> SelmerSet:
             else:
                 bad |= {x ^ k for k in good}
         basis = sorted(kernel + [pre[x] for x in w_basis])
-    return SelmerSet(tuple(sorted(_span({SquareClass(d) for _, d in basis}))))
+    return SelmerSet._of(_span({SquareClass(d) for _, d in basis}))
 
 
-# Sieve moduli for the point search.  A square N(m, n) is a square mod
-# every q, so for each n only the m mod q where N(m, n) is a square mod q
-# need the exact test.
-_SIEVE = tuple((q, sum(1 << s for s in {w * w % q for w in range(q)}))
-               for q in (16, 9, 5, 7, 11, 13))
-# The q-bit residue word of each sieve modulus: bit i set when
-# a*i^4 + b*i^2 + c is a square mod q, filled in at key (a*q + b)*q + c.
-_WORDS = tuple([None] * q**3 for q, _ in _SIEVE)
+# Sieve moduli of the point search.  Per modulus q: the residues t of
+# squares mod q, each with the mask of the i in [0, q) with i^2 = t; and per
+# residue c, the unit square that makes c times it least mod q.
+_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29)
+_ROOTS = {q: {t: sum(1 << i for i in range(q) if i * i % q == t) for t in {i * i % q for i in range(q)}}
+          for q in _MODULI}
+_SCALE = {q: tuple(min((s * c % q, s) for s in _ROOTS[q] if gcd(s, q) == 1)[1] for c in range(q))
+          for q in _MODULI}
+_BAND_BITS = 1 << 14  # a band holds as many rows of the height box as fit
+# A count costs a few ANDs, so a band's survivors are counted from the sixth modulus on.
+_FEW = 4  # at most this many survivors end a band's sieving
 
 
-def _every(q: int, H: int) -> int:
-    """Bits 0, q, 2q, ... up to H."""
-    return ((1 << (q * (H // q + 1))) - 1) // ((1 << q) - 1) & ((1 << (H + 1)) - 1)
+def _every(q: int, H: int, x: int = 1) -> int:
+    """Copies of x at bits 0, q, 2q, ..., cut to bits 0 to H."""
+    span = q
+    while span <= H:
+        x |= x << span
+        span <<= 1
+    return x & ((1 << (H + 1)) - 1)
 
 
-@lru_cache(maxsize=8)
-def _coprime_rows(H: int) -> tuple[int, ...]:
-    """Row n, bit m set for m in [0, H] with gcd(m, n) = 1; sieved prime by prime."""
-    full = (1 << (H + 1)) - 1
+@lru_cache(maxsize=4)
+def _coprime_bands(H: int, R: int) -> tuple[int, ...]:
+    """Per band of R rows from n0 = 1, 1 + R, ...: bit k*(H + 1) + m set when
+    gcd(m, n0 + k) = 1, m <= H and n0 + k <= H; rows sieved prime by prime."""
+    W, full = H + 1, (1 << (H + 1)) - 1
     rows = [full] * (H + 1)
     for p in range(2, H + 1):
         if rows[p] == full:  # no smaller prime divides p
             strike = full ^ _every(p, H)
             for k in range(p, H + 1, p):
                 rows[k] &= strike
-    return tuple(rows)
+    return tuple(sum(row << k * W for k, row in enumerate(rows[n0:n0 + R])) for n0 in range(1, H + 1, R))
+
+
+@lru_cache(maxsize=256)
+def _period(q: int, a: int, b: int, c: int, W: int, R: int) -> int:
+    """Bit k*W + m set for k < q + R and m < W when a*m^4 + b*m^2*k^2 + c*k^4
+    is a square mod q: a q-bit residue word per k^2 mod q tiled along each
+    row, and the first q rows tiled down.  Every band mask is a cut of it."""
+    roots = _ROOTS[q]
+    terms = [(a * s * s, b * s, mask) for s, mask in roots.items()]
+    row = {t: _every(q, W - 1, sum(mask for u, v, mask in terms if (u + t * (v + c * t)) % q in roots))
+           for t in roots}
+    return _every(q * W, (q + R) * W - 1, sum(row[k * k % q] << k * W for k in range(q)))
+
+
+@lru_cache(maxsize=2048)
+def _band_mask(q: int, a: int, b: int, c: int, W: int, r: int, R: int) -> int:
+    """Rows r to r + R - 1 of _period: the mask of R rows from an n = r (mod q)."""
+    return _period(q, a, b, c, W, R) >> r * W & ((1 << R * W) - 1)
 
 
 def _first_square(c4: int, c2: int, c0: int, H: int):
@@ -323,53 +356,50 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
     The coprime pairs (m, n), n >= 1, of height max(|m|, n) <= H come in
     the order (height, n, |m|, m < 0).  N(m, n) depends on m^2 only, so
     -m is a hit exactly when m is, later in the order: only m >= 0 is
-    tried.  One pass over n = 1..H; per n the m in [0, H] are a
-    Python-int bitmask, bit m, ANDed with the tiled residue row of each
-    sieve modulus and with the row of m prime to n, so only coprime
-    survivors get the isqrt test.  For fixed n the order rises with m,
-    so the least surviving hit is that n's first.  A later n beats a hit
-    of height h only below height h, so after a hit the masks keep
-    m < h and the pass ends at n = h.  Residue words are cached across
-    searches by their key mod q, coprime rows by H.
+    tried.  The pairs with m in [0, H] are laid out row-major, bit
+    (n - n0)*(H + 1) + m, in bands of as many rows n0, n0 + 1, ... as fit
+    in _BAND_BITS (the whole box at H = 100, one row from H = 2^14).  A
+    band of coprime pairs is ANDed with one mask per modulus q, the pairs
+    where N(m, n) is a square mod q, until at most _FEW survive.  A mask
+    repeats every q rows and depends on the coefficients mod q only up to
+    a unit square, so it is cached under (q, the coefficients scaled so
+    the first nonzero one is least, H + 1, n0 mod q, rows per band).
+    Survivors get the exact test low bit first, in the order (n, m).  A
+    hit of height h is beaten only below h, so the masks then keep m < h
+    and the rows n < h: each later hit is lower, and the last is the
+    first in the search order.
     """
-    full = (1 << (H + 1)) - 1
-    # (q, row) per modulus, row[n % q] with bit i set when N(i, n) is a
-    # square mod q; it depends on n^2 mod q and is symmetric in i <-> q - i
-    rows = []
-    for (q, squares), words in zip(_SIEVE, _WORDS):
-        spread, row, a = _every(q, H), {}, c4 % q
-        for n2 in {r * r % q for r in range(q)}:
-            b, c = c2 * n2 % q, c0 * n2 * n2 % q
-            key = (a * q + b) * q + c
-            w = words[key]
-            if w is None:
-                w = words[key] = sum(
-                    1 << i | 1 << (q - i) for i in range(q // 2 + 1)
-                    if squares >> ((a * i**4 + b * i * i + c) % q) & 1) & ((1 << q) - 1)
-            row[n2] = w * spread & full
-        rows.append((q, [row[r * r % q] for r in range(min(q, H + 1))]))
-    coprime = _coprime_rows(H)
-
-    hit, h, below = None, H + 1, full
-    n = 1
-    while n < h:
-        mask = below & coprime[n]
-        for q, row in rows:
-            mask &= row[n % q]
-        n2 = n * n
+    W = H + 1
+    R = min(H, max(1, _BAND_BITS // W))
+    forms = []
+    for q in _MODULI:
+        a, b, c = c4 % q, c2 % q, c0 % q
+        s = _SCALE[q][a or b or c]
+        forms.append((q, s * a % q, s * b % q, s * c % q))
+    hit, h, keep = None, H + 1, -1  # keep: the columns m < h of every row
+    for n0, band in zip(range(1, H + 1, R), _coprime_bands(H, R)):
+        if n0 >= h:
+            break
+        mask = band & keep
+        for i, (q, a, b, c) in enumerate(forms):
+            if i >= 5 and mask.bit_count() <= _FEW:
+                break
+            mask &= _band_mask(q, a, b, c, W, n0 % q, R)
         while mask:
             low = mask & -mask
             mask ^= low
-            m = low.bit_length() - 1
-            m2 = m * m
+            k, m = divmod(low.bit_length() - 1, W)
+            n = n0 + k
+            if n >= h:  # so are the rest
+                break
+            m2, n2 = m * m, n * n
             N = c4 * m2 * m2 + c2 * m2 * n2 + c0 * n2 * n2
             if N >= 0:
                 r = isqrt(N)
                 if r * r == N:
                     hit, h = (m, n, r), max(m, n)
-                    below = (1 << h) - 1
-                    break
-        n += 1
+                    keep = _every(W, R * W - 1, (1 << h) - 1)
+                    mask &= keep
     return hit
 
 
@@ -460,8 +490,8 @@ def _to_base(pair: IsogenyPair, lifts_prime: list[Pt], lifts_second: list[Pt]) -
 
 
 def _canonical_generator(E: Curve, tors: TorsionGroup, Q: Pt) -> Pt:
-    """The least of the points +-Q + T, T torsion, in the torsion order."""
-    return min((_add_raw(E, R, T) for R in (Q, Pt(Q.x, -Q.y)) for T in tors.points),
+    """The least of the points +-Q + T = +-(Q + T), T torsion, in the torsion order."""
+    return min((Pt(P.x, abs(P.y)) for P in (_add_raw(E, Q, T) for T in tors.points)),
                key=_point_sort_key)
 
 
@@ -539,8 +569,8 @@ def descent_report(E: Curve, H: int) -> DescentReport:
         pair=pair,
         selmer_phi=sel_phi,
         selmer_phi_hat=sel_hat,
-        image_phi=SelmerSet(tuple(sorted(span_phi))),
-        image_phi_hat=SelmerSet(tuple(sorted(span_hat))),
+        image_phi=SelmerSet._of(span_phi),
+        image_phi_hat=SelmerSet._of(span_hat),
         rank_lower=rank_lower,
         rank_upper=rank_upper,
         rank_exact=rank_exact,

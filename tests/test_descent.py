@@ -10,13 +10,16 @@ from hypothesis import strategies as st
 
 import twodescent.descent as descent_module
 from twodescent.arith import ONE, SquareClass, legendre, squarefree_part
-from twodescent.curve import Curve, INFINITY, discriminant, mul, on_curve, pt
+from twodescent.curve import Curve, INFINITY, Pt, add, discriminant, mul, on_curve, pt
 from twodescent.descent import (
     DescentError,
     SelmerSet,
     TorsionImageError,
-    _SIEVE,
-    _coprime_rows,
+    _BAND_BITS,
+    _MODULI,
+    _band_mask,
+    _canonical_generator,
+    _coprime_bands,
     _first_square,
     _span,
     bad_set,
@@ -171,6 +174,37 @@ def test_selmer_set_validates_its_invariants():
     ok = SelmerSet(tuple(sorted(classes(1, 2))))
     assert ok.size == 2 and ok.dim2 == 1
     assert squarefree_part(2) in ok and squarefree_part(3) not in ok
+
+
+def test_engine_builds_its_selmer_sets_without_the_validator(monkeypatch):
+    # the engine's sets are sorted subgroups by construction; the same
+    # tuples handed in by a caller pass the validator
+    checked = []
+    validate = SelmerSet.__post_init__
+    monkeypatch.setattr(SelmerSet, "__post_init__", lambda self: checked.append(self) or validate(self))
+    rep = descent_report(Curve(0, -68, 0), 20)
+    sets = (rep.selmer_phi, rep.selmer_phi_hat, rep.image_phi, rep.image_phi_hat)
+    assert checked == []
+    assert [SelmerSet(s.classes) for s in sets] == list(sets)
+    assert len(checked) == 4
+
+
+# box curves whose reports have a generator, with torsion Z2 x Z2
+TORSION_FOUR = ((-12, 11), (-9, -10), (-5, -6), (2, -8), (8, 12), (11, 10))
+
+
+@pytest.mark.parametrize("a, b", TORSION_FOUR + ((0, -2), (1, 5), (-3, 6)))
+def test_canonical_generator_is_the_least_of_plus_minus_q_plus_torsion(a, b):
+    E = Curve(a, b, 0)
+    rep = descent_report(E, 20)
+    assert rep.generators
+    for G in rep.generators:
+        least = min((add(E, R, T) for R in (G, Pt(G.x, -G.y)) for T in rep.torsion.points),
+                    key=lambda P: (abs(P.x), P.x, abs(P.y), -P.y))
+        assert G == least
+        for T in rep.torsion.points:
+            for Q in (add(E, G, T), add(E, Pt(G.x, -G.y), T)):
+                assert _canonical_generator(E, rep.torsion, Q) == G
 
 
 def selmer_per_class(E: Curve) -> tuple[int, ...]:
@@ -434,8 +468,11 @@ def test_lower_height_beats_an_earlier_n_equal_one_hit(p0, up, x, y, t, extra):
     assert hit is not None and max(hit[0], hit[1]) <= h0
 
 
-# 16 * 9 * 5 * 7 * 11 * 13: forms congruent mod this share every residue word
-SIEVE_LCM = math.lcm(*(q for q, _ in _SIEVE))
+# forms congruent mod the product of the sieve moduli share every band mask
+SIEVE_LCM = math.lcm(*_MODULI)
+# 433 = 1 (mod 16 * 9) is prime to every modulus, so 433^2 scales each
+# form by a unit square: the same cache keys, the same hits with r * 433
+UNIT_SQUARE = 433**2
 
 
 @settings(max_examples=40, deadline=None)
@@ -443,23 +480,96 @@ SIEVE_LCM = math.lcm(*(q for q, _ in _SIEVE))
        small, small, small, st.lists(st.integers(-3, 3), min_size=1, max_size=3))
 def test_first_square_with_cached_words_and_interleaved_heights(p1, p2, x, y, t, shifts):
     # adding SIEVE_LCM * s * (n1^2 m^4 - m1^2 m^2 n^2) changes neither
-    # N(m1, n1) nor any coefficient mod a sieve modulus, so these forms
-    # reuse the words cached by the first; the heights revisit 20 after 100
+    # N(m1, n1) nor any coefficient mod a sieve modulus, and scaling by
+    # UNIT_SQUARE changes no normalised key, so after the first form at each
+    # height every band mask comes from the cache; the heights revisit 20
+    # after 100 and are one band each
     c4, c2, c0 = planted_form(p1, p2, x, y, t)
     X1, Y1 = p1[0] ** 2, p1[1] ** 2
+    for H in (20, 100, 7):
+        first_square_agrees(c4, c2, c0, H)
+    misses = _band_mask.cache_info().misses
     for s in [0, *shifts]:
         form = (c4 + SIEVE_LCM * s * Y1, c2 - SIEVE_LCM * s * X1, c0)
         for H in (20, 100, 20, 7):
             hit = first_square_agrees(*form, H)
             if H >= max(abs(p1[0]), p1[1]):
                 assert hit is not None
+            scaled = first_square_agrees(*(UNIT_SQUARE * c for c in form), H)
+            assert scaled == (hit and (hit[0], hit[1], 433 * hit[2]))
+    assert _band_mask.cache_info().misses == misses
+
+
+def band_rows(H: int) -> int:
+    """The rows per band of _first_square at height H."""
+    return min(H, max(1, _BAND_BITS // (H + 1)))
 
 
 def test_coprime_rows_hold_the_numerators_prime_to_each_denominator():
-    for H in range(1, 201):
-        rows = _coprime_rows(H)
-        for n in range(1, H + 1):
-            assert rows[n] == sum(1 << m for m in range(H + 1) if math.gcd(m, n) == 1), (H, n)
+    for H in [*range(1, 101), 200, 301]:
+        for R in {1, 1 + H % 7, band_rows(H)}:
+            bands = _coprime_bands(H, R)
+            assert len(bands) == -(-H // R)
+            for i, band in enumerate(bands):
+                assert band == sum(1 << k * (H + 1) + m for k in range(R) for m in range(H + 1)
+                                   if 1 + i * R + k <= H and math.gcd(m, 1 + i * R + k) == 1), (H, R, i)
+
+
+@st.composite
+def band_edge_point(draw):
+    """H <= 300 and a coprime (m, n) with n the first or last row of a band
+    and m drawn from 0, H and all of [0, H]."""
+    H = draw(st.integers(1, 300))
+    R = band_rows(H)
+    firsts = range(1, H + 1, R)
+    n = draw(st.sampled_from([*firsts, *(min(f + R - 1, H) for f in firsts)]))
+    m = draw(st.one_of(st.sampled_from((0, H)), st.integers(0, H)))
+    assume(math.gcd(m, n) == 1)
+    return H, (draw(st.sampled_from((1, -1))) * m, n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(band_edge_point(), st.data(), small, small, small)
+def test_first_square_matches_naive_scan_at_band_edges_to_height_300(point, data, x, y, t):
+    H, p1 = point
+    p2 = data.draw(coprime_point(st.integers(1, H), H))
+    hit = first_square_agrees(*planted_form(p1, p2, x, y, t), H)
+    assert hit is not None and max(hit[0], hit[1]) <= max(abs(p1[0]), p1[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(129, 300), st.data(), small, small, small.filter(bool))
+def test_lower_point_in_a_later_band_beats_an_earlier_hit(H, data, x, y, t):
+    # (m1, n1) lies in the first band and comes first in n, but (m2, n2),
+    # in a later band, is lower in height; from H = 129 on a band has at
+    # most H - 3 rows
+    R = band_rows(H)
+    assert R < H
+    n1 = data.draw(st.integers(1, R))
+    m1 = data.draw(st.integers(R + 2, H))
+    n2 = data.draw(st.integers(R + 1, m1 - 1))
+    m2 = data.draw(st.integers(0, m1 - 1))
+    assume(math.gcd(m1, n1) == 1 and math.gcd(m2, n2) == 1)
+    hit = first_square_agrees(*planted_form((m1, n1), (m2, n2), x, y, t), H)
+    assert hit is not None and max(hit[0], hit[1]) <= max(m2, n2) < m1
+
+
+def test_sieve_stops_once_few_pairs_survive(monkeypatch):
+    # every band gets the first five moduli; after that, one with at most
+    # _FEW survivors gets no further modulus.  At H = 100 some of these
+    # dx-shaped forms stop before the last modulus and some do not
+    asked = []
+    monkeypatch.setattr(descent_module, "_band_mask", lambda q, *key: asked.append(q) or _band_mask(q, *key))
+    per_search = set()
+    for D in range(1, 400, 23):
+        for d in (1, -1, 2, -2):
+            E = Curve(0, D, 0)
+            c4, _, c2, _, c0 = hom_space(E, d).c
+            asked.clear()
+            assert search_point(E, d, 100) == search_point_oracle(c4, c2, c0, d, -4 * D * d, 100)
+            assert asked == list(_MODULI[:len(asked)])
+            per_search.add(len(asked))
+    assert min(per_search) >= 5 and len(_MODULI) in per_search and min(per_search) < len(_MODULI)
 
 
 @settings(max_examples=60, deadline=None)
