@@ -359,6 +359,11 @@ def two_squares(p: int) -> tuple[int, int]:
     """
     if p % 4 != 1 or not is_prime(p):
         raise ArithError("need a prime p = 1 (mod 4)")
+    return _two_squares(p)
+
+
+def _two_squares(p: int) -> tuple[int, int]:
+    """two_squares for a prime p = 1 (mod 4) the caller has proved."""
     c = 2
     while _euler(c, p) != -1:
         c += 1

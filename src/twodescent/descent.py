@@ -87,10 +87,6 @@ class IsogenyPair:
     Eprime: Curve
 
     @property
-    def a(self) -> int:
-        return self.E.a2
-
-    @property
     def b(self) -> int:
         return self.E.a4
 
@@ -147,9 +143,15 @@ def bad_set(E: Curve) -> BadSet:
     return BadSet(tuple(sorted({2}.union(*(factorize(m).primes() for m in odd_parts)))))
 
 
-def _class_on(n: int, S: BadSet) -> SquareClass:
-    """squarefree_part(n) for n whose primes all lie in S."""
-    return SquareClass(prod((q for q in S.primes if val(n, q) % 2), start=1 if n > 0 else -1))
+def _class_on(n: int, S: BadSet) -> int:
+    """The class of n, whose primes all lie in S, as its generator mask over
+    (-1,) + S: bit 0 for the sign, bit j + 1 for odd valuation at p_j."""
+    return (n < 0) | sum(2 << j for j, q in enumerate(S.primes) if val(n, q) % 2)
+
+
+def _rep(S: BadSet, m: int) -> int:
+    """The squarefree d of the class with generator mask m."""
+    return prod(g for j, g in enumerate((-1,) + S.primes) if m >> j & 1)
 
 
 def qs2(S: BadSet) -> tuple[SquareClass, ...]:
@@ -164,10 +166,10 @@ class SelmerSet:
     classes: tuple[SquareClass, ...]
 
     @classmethod
-    def _of(cls, span: set[SquareClass]) -> SelmerSet:
+    def _of(cls, classes) -> SelmerSet:
         """The set of a subgroup the engine built: sorted, and not checked again."""
         out = object.__new__(cls)
-        object.__setattr__(out, "classes", tuple(sorted(span)))
+        object.__setattr__(out, "classes", tuple(sorted(classes)))
         return out
 
     def __post_init__(self):
@@ -230,10 +232,13 @@ def _image(columns: tuple[int, ...], m: int) -> int:
     return x
 
 
-def _times(u: tuple[int, int], w: tuple[int, int]) -> tuple[int, int]:
-    """The product of two classes given as (generator mask, squarefree d)."""
-    g = gcd(u[1], w[1])
-    return u[0] ^ w[0], u[1] * w[1] // (g * g)
+def _span(rows) -> list[int]:
+    """The XOR span of rows: each row not yet in it doubles the list."""
+    out = [0]
+    for r in rows:
+        if r not in out:
+            out += [x ^ r for x in out]
+    return out
 
 
 def selmer(E: Curve) -> SelmerSet:
@@ -243,46 +248,47 @@ def selmer(E: Curve) -> SelmerSet:
     connecting map, so Sel is cut out of Q(S, 2) by F_2 linear algebra,
     place by place, with few local tests; see _selmer."""
     S = bad_set(E)
-    return _selmer(E, S, _class_on(E.a2 * E.a2 - 4 * E.a4, S))
+    return SelmerSet._of(_selmer(E, S, _class_on(E.a2 * E.a2 - 4 * E.a4, S)))
 
 
-def _selmer(E: Curve, S: BadSet, seed: SquareClass) -> SelmerSet:
-    """Sel of E by F_2 linear algebra on classes (generator mask, d).
+def _selmer(E: Curve, S: BadSet, seed: int) -> dict[SquareClass, int]:
+    """Sel of E as {class: generator mask}, in class order, by F_2 linear
+    algebra on masks.
 
-    0 and L_v(seed), seed the class of the codomain's a4, lie in every W_v:
+    0 and L_v(seed), seed the mask of the codomain's a4, lie in every W_v:
     C_1 has the point (0, 1) and C_seed a rational point at infinity.  At
     each place (R, then S ascending) elimination splits the basis of the
-    classes soluble so far into a kernel of L_v and pivots.  In the pivot
-    images' span, the span K of known-soluble images is soluble and x + K
-    insoluble for an insoluble x; the rest are tested on their preimages in
-    the pivots' span, least |d| first.  The kernel and the preimages of a
-    basis of W_v make the next basis."""
-    s = int(seed)
-    seed_mask = (s < 0) | sum(2 << j for j, p in enumerate(S.primes) if s % p == 0)
-    basis = [(1 << j, g) for j, g in enumerate((-1,) + S.primes)]  # kept in mask order
+    classes soluble so far into a kernel of L_v and pivots; a row is
+    L_v(u) << n | u for a mask u of n bits, so one XOR updates image and
+    class.  In the pivot images' span, the span K of known-soluble images
+    is soluble and x + K insoluble for an insoluble x; the rest are tested
+    on their preimages in the pivots' span, least |d| first.  The kernel
+    and the preimages of a basis of W_v make the next basis."""
+    n = len(S.primes) + 1
+    low = (1 << n) - 1
+    basis = [1 << j for j in range(n)]  # kept in mask order
     for i, v in enumerate((0,) + S.primes):
         columns = _local_columns(S, i, v)
-        seed_image = _image(columns, seed_mask)
-        images = [_image(columns, u[0]) for u in basis]
+        seed_image = _image(columns, seed)
+        images = [_image(columns, u) for u in basis]
         if all(x in (0, seed_image) for x in images):
             continue  # the whole image is known soluble
-        pivots: dict[int, tuple] = {}  # leading bit -> (image, class)
+        pivots: dict[int, int] = {}  # leading bit -> row
         kernel = []
         for u, x in zip(basis, images):
-            while x and x.bit_length() in pivots:
-                px, pu = pivots[x.bit_length()]
-                x, u = x ^ px, _times(u, pu)
-            if x:
-                pivots[x.bit_length()] = (x, u)
+            row = x << n | u
+            while row > low and row.bit_length() in pivots:
+                row ^= pivots[row.bit_length()]
+            if row > low:
+                pivots[row.bit_length()] = row
             else:
-                kernel.append(u)
-        pre = {0: (0, 1)}  # each image in the pivots' span -> its preimage there
-        for px, pu in pivots.values():
-            pre.update({x ^ px: _times(u, pu) for x, u in pre.items()})
+                kernel.append(row)
+        # each image in the pivots' span -> its preimage there
+        pre = {row >> n: row & low for row in _span(pivots.values())}
         good = {0, seed_image}
         w_basis = [seed_image] if seed_image else []
         bad: set[int] = set()
-        for x, (_, d) in sorted(pre.items(), key=lambda xu: abs(xu[1][1])):
+        for x, d in sorted(((x, _rep(S, u)) for x, u in pre.items()), key=lambda xd: abs(xd[1])):
             if x in good or x in bad:
                 continue
             f = hom_space(E, d)
@@ -293,7 +299,7 @@ def _selmer(E: Curve, S: BadSet, seed: SquareClass) -> SelmerSet:
             else:
                 bad |= {x ^ k for k in good}
         basis = sorted(kernel + [pre[x] for x in w_basis])
-    return SelmerSet._of(_span({SquareClass(d) for _, d in basis}))
+    return dict(sorted((SquareClass(_rep(S, m)), m) for m in _span(basis)))
 
 
 # Sieve moduli of the point search.  Per modulus q: the residues t of
@@ -468,15 +474,6 @@ class DescentReport:
         return self.pair.Eprime
 
 
-def _span(classes: set[SquareClass]) -> set[SquareClass]:
-    """The subgroup generated by classes: each class not yet in the span doubles it."""
-    out = {ONE}
-    for c in classes:
-        if c not in out:
-            out |= {c * s for s in out}
-    return out
-
-
 def _to_base(pair: IsogenyPair, lifts_prime: list[Pt], lifts_second: list[Pt]) -> list[Pt]:
     """Every lifted point moved onto E, each checked there once: lifts on E'
     descend by phi-hat (x, y) -> (y^2/x^2, y(b' - x^2)/x^2) to E'' = (4a, 16b),
@@ -495,17 +492,17 @@ def _canonical_generator(E: Curve, tors: TorsionGroup, Q: Pt) -> Pt:
                key=_point_sort_key)
 
 
-def _certify_direction(source: Curve, lift_pair: IsogenyPair, sel: SelmerSet,
-                       seed: SquareClass, H: int):
-    """Search the spaces of one direction; returns (span, lifted points).
+def _certify_direction(source: Curve, lift_pair: IsogenyPair, sel: dict[SquareClass, int],
+                       seed: int, H: int):
+    """Search the spaces of one direction; returns (certified classes, lifted points).
 
     The image of delta is a subgroup, so any class inside the span of
-    already-certified ones needs no search of its own.
+    already-certified masks needs no search of its own.
     """
-    span = _span({seed})
+    span = {0, seed}
     lifted: list[Pt] = []
-    for d in sel:
-        if d in span:
+    for d, m in sel.items():
+        if m in span:
             continue
         found = search_point(source, d, H)
         if found is None:
@@ -513,8 +510,11 @@ def _certify_direction(source: Curve, lift_pair: IsogenyPair, sel: SelmerSet,
         # a rational torsion image certifies d with no new generator
         if found != "infinity" and found[0] != 0:
             lifted.append(lift_point(lift_pair, d, found))
-        span = _span(span | {d})
-    return span, lifted
+        span |= {m ^ s for s in span}
+    image = [d for d, m in sel.items() if m in span]
+    if len(image) < len(span):
+        raise DescentError("certified a class outside the Selmer set")
+    return image, lifted
 
 
 def descent_report(E: Curve, H: int) -> DescentReport:
@@ -528,14 +528,9 @@ def descent_report(E: Curve, H: int) -> DescentReport:
     sel_hat = _selmer(pair.Eprime, S, seed_hat)
     tors = torsion_subgroup(E)
     notes: list[str] = []
-    span_phi, lifts_prime = _certify_direction(E, pair, sel_phi, seed_phi, H)
+    image_phi, lifts_prime = _certify_direction(E, pair, sel_phi, seed_phi, H)
     pair_back = isogenous_curve(pair.Eprime)
-    span_hat, lifts_second = _certify_direction(pair.Eprime, pair_back, sel_hat, seed_hat, H)
-
-    if not span_phi <= set(sel_phi):
-        raise DescentError("certified a class outside the phi-Selmer set")
-    if not span_hat <= set(sel_hat):
-        raise DescentError("certified a class outside the dual Selmer set")
+    image_hat, lifts_second = _certify_direction(pair.Eprime, pair_back, sel_hat, seed_hat, H)
 
     torsion_pts = set(tors.points)
     gens: list[Pt] = []
@@ -546,9 +541,7 @@ def descent_report(E: Curve, H: int) -> DescentReport:
         if C not in gens:
             gens.append(C)
 
-    s, sp = sel_phi.dim2, sel_hat.dim2
-    g = len(span_phi).bit_length() - 1
-    gp = len(span_hat).bit_length() - 1
+    s, sp, g, gp = (len(c).bit_length() - 1 for c in (sel_phi, sel_hat, image_phi, image_hat))
     rank_upper = s + sp - 2
     rank_lower = max(0, g + gp - 2)
     # rank = dim_2 E/2E - dim_2 E[2](Q).  Splicing the two descent
@@ -567,10 +560,10 @@ def descent_report(E: Curve, H: int) -> DescentReport:
 
     return DescentReport(
         pair=pair,
-        selmer_phi=sel_phi,
-        selmer_phi_hat=sel_hat,
-        image_phi=SelmerSet._of(span_phi),
-        image_phi_hat=SelmerSet._of(span_hat),
+        selmer_phi=SelmerSet._of(sel_phi),
+        selmer_phi_hat=SelmerSet._of(sel_hat),
+        image_phi=SelmerSet._of(image_phi),
+        image_phi_hat=SelmerSet._of(image_hat),
         rank_lower=rank_lower,
         rank_upper=rank_upper,
         rank_exact=rank_exact,

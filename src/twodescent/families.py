@@ -27,14 +27,14 @@ from math import gcd, isqrt
 from .arith import (
     SquareClass,
     _cube_root_exact,
+    _two_squares,
     factorize,
     is_prime,
     quartic_residue_gauss,
     sieve_primes,
-    two_squares,
 )
 from .curve import Curve, TorsionGroup, from_cubic_const, torsion_subgroup
-from .descent import SelmerSet, _every, _span
+from .descent import SelmerSet, _every
 
 __all__ = [
     "FamilyError",
@@ -171,15 +171,16 @@ _SPLIT = {1: (4, (1,)), 2: (8, (1, 3)), -2: (8, (1, 7))}
 def _prime_root(q: int, c: int):
     """(u, v) with u^2 + c*v^2 = q for a prime q split in Z[sqrt(-c)], else None.
 
-    c is 1, 2 or -2.  For c = 1 this is two_squares(q); the scans for
-    c = 2 and c = -2 return the first root in a fixed order, so the
-    orbit walk for the real form always starts from the same element.
+    c is 1, 2 or -2.  For c = 1 this is two_squares(q), u odd and v even,
+    without proving q prime again; the scans for c = 2 and c = -2 return
+    the first root in a fixed order, so the orbit walk for the real form
+    always starts from the same element.
     """
     modulus, residues = _SPLIT[c]
     if q % modulus not in residues:
         return None
     if c == 1:
-        return two_squares(q)
+        return _two_squares(q)
     if c == 2:
         for v in range(1, isqrt(q // 2) + 1):
             u2 = q - 2 * v * v
@@ -338,7 +339,8 @@ def ep_rank(p: int, H: int = 20) -> RankResult:
             "exact_conditional_on_finite_sha", 1, 1,
             "Selmer residual of dimension 1 falls on the rank side when Sha is finite",
         )
-    if not quartic_residue_gauss(p):
+    a, b = _prime_root(p, 1)  # p = A^2 + B^2: Gauss's test A*B = 0 (mod 8)
+    if a * b % 8:
         return RankResult(
             "exact", 0, 0,
             f"2 is not a quartic residue mod {p}; the full Selmer residual is Sha",
@@ -347,26 +349,21 @@ def ep_rank(p: int, H: int = 20) -> RankResult:
     # one space from each coset of the seed subgroup {1, -p}; any two
     # distinct cosets generate a span of dimension 3.  The dual side is
     # already saturated by its 2-torsion, so g + 1 - 2 is the certified
-    # lower bound.
-    span = _span({SquareClass(-p)})
-    for coset in ((-2, 2 * p), (-1, p), (2, -2 * p)):
-        for d in coset:
-            if _ep_space_point(p, d, H) is not None:
-                span = _span(span | {SquareClass(d)})
-                break
-        if len(span) == 8:
-            break
-    if len(span) == 4:
+    # lower bound, g = 1 + the number of certified cosets.
+    certified = set()  # indices of the certified cosets
+    for i, coset in enumerate(((-2, 2 * p), (-1, p), (2, -2 * p))):
+        if len(certified) < 2 and any(_ep_space_point(p, d, H) is not None for d in coset):
+            certified.add(i)
+    if len(certified) == 1:
         # one coset certified, so the curve carries a nontrivial point;
         # if the rank is 2 the missing certificate exists too but its
         # numerator can be enormous, so rescan the two imaginary spaces
         # over the split semigroup with a much larger cap
-        for d in (-1, -2):
-            if SquareClass(d) not in span and \
-                    _ep_space_point(p, d, _DEEP_FACTOR * H) is not None:
-                span = _span(span | {SquareClass(d)})
+        for i, d in ((1, -1), (0, -2)):
+            if i not in certified and _ep_space_point(p, d, _DEEP_FACTOR * H) is not None:
+                certified.add(i)
                 break
-    g = len(span).bit_length() - 1
+    g = 1 + len(certified)
     if g + 1 - 2 == 2:
         return RankResult("exact", 2, 2, f"two independent points of height <= {H}")
     if g >= 2:

@@ -2,11 +2,13 @@
 
 Everything here is deliberately naive: exhaustive enumeration, textbook
 formulas, or sympy.  Nothing imports from twodescent, so a bug in the
-package cannot hide in its own oracle.  Two exceptions import it
+package cannot hide in its own oracle.  Three exceptions import it
 lazily: qp_soluble_two_pass_oracle checks only how qp_soluble covers the
 projective line, over the package's own (separately checked) zp_soluble,
-and selmer_walk_oracle checks only how selmer combines the package's own
-(separately checked) local tests.
+selmer_walk_oracle checks only how selmer combines the package's own
+(separately checked) local tests, and certify_oracle only how
+descent_report walks the Selmer classes over the package's own
+search_point and lift_point.
 """
 
 from __future__ import annotations
@@ -695,3 +697,54 @@ def span_oracle(reps) -> set[int]:
                 out.add(w)
                 grew = True
     return out
+
+
+def certify_oracle(source, lift_pair, sel, seed: int, H: int):
+    """The certified image of one descent direction, walked on classes as
+    signed squarefree integers: (span, lifted points).
+
+    sel lists the Selmer classes in the package's class order, seed is the
+    class of the codomain's a4.  A class already in the span is skipped;
+    each other one is searched to height H, and a hit closes the span over
+    it by products.  A hit at infinity or at z = 0 certifies the class
+    without a lifted point.
+    """
+    from twodescent.descent import lift_point, search_point
+
+    span, lifted = span_oracle({seed}), []
+    for d in sel:
+        if d in span:
+            continue
+        found = search_point(source, d, H)
+        if found is None:
+            continue
+        if found != "infinity" and found[0] != 0:
+            lifted.append(lift_point(lift_pair, d, found))
+        span = span_oracle(span | {d})
+    return span, lifted
+
+
+def ep_certified_dim_oracle(p: int, H: int, space_point, deep_factor: int) -> int:
+    """The 2-dimension g of the certified phi-image of y^2 = x^3 + px, p = 1
+    (mod 8) with 2 a quartic residue, closing classes by products.
+
+    The span starts at {1, -p}.  One space of each coset (-2, 2p), (-1, p),
+    (2, -2p) is searched to H in that order until the span is everything.
+    If exactly one coset is certified, C_{-1} and then C_{-2}, each unless
+    already in the span, are rescanned to deep_factor * H, stopping at the
+    first hit.
+    """
+    span = span_oracle({-p})
+    for coset in ((-2, 2 * p), (-1, p), (2, -2 * p)):
+        for d in coset:
+            if space_point(p, d, H) is not None:
+                span = span_oracle(span | {d})
+                break
+        if len(span) == 8:
+            break
+    if len(span) == 4:
+        for d in (-1, -2):
+            if d not in span and space_point(p, d, deep_factor * H) is not None:
+                span = span_oracle(span | {d})
+                break
+    return len(span).bit_length() - 1

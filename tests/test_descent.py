@@ -12,6 +12,7 @@ import twodescent.descent as descent_module
 from twodescent.arith import ONE, SquareClass, legendre, squarefree_part
 from twodescent.curve import Curve, INFINITY, Pt, add, discriminant, mul, on_curve, pt
 from twodescent.descent import (
+    BadSet,
     DescentError,
     SelmerSet,
     TorsionImageError,
@@ -19,6 +20,7 @@ from twodescent.descent import (
     _MODULI,
     _band_mask,
     _canonical_generator,
+    _class_on,
     _coprime_bands,
     _first_square,
     _span,
@@ -37,6 +39,7 @@ from twodescent.descent import (
 from twodescent.localsolve import QuarticForm, qp_soluble, r_soluble
 
 from .oracles import (
+    certify_oracle,
     o_on_curve,
     o_order,
     search_point_oracle,
@@ -701,7 +704,10 @@ SIGNED_SQUAREFREE = [s * r for r in (1, 2, 3, 5, 6, 7, 10, 15, 21, 30, 105, 210)
 @settings(max_examples=200, deadline=None)
 @given(st.sets(st.sampled_from(SIGNED_SQUAREFREE), max_size=6))
 def test_span_matches_fixed_point_closure(reps):
-    span = _span({squarefree_part(r) for r in reps})
+    gens, S = (-1, 2, 3, 5, 7), BadSet((2, 3, 5, 7))
+    masks = _span(_class_on(r, S) for r in reps)
+    assert len(masks) == len(set(masks))
+    span = {SquareClass(math.prod(g for j, g in enumerate(gens) if m >> j & 1)) for m in masks}
     assert {int(c) for c in span} == span_oracle(reps)
     # a span passes the closure check; without its largest class (never
     # the trivial one at size >= 4) the size is odd, so it cannot be closed
@@ -709,6 +715,37 @@ def test_span_matches_fixed_point_closure(reps):
     if len(span) > 2:
         with pytest.raises(DescentError):
             SelmerSet(tuple(sorted(span - {max(span)})))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
+        lambda ab: nonsingular(*ab)).map(lambda ab: Curve(*ab, 0)),
+    st.integers(-10**6, 10**6).filter(bool).map(lambda D: Curve(0, D, 0)),
+    twisted_box_curves(),
+), st.sampled_from((1, 5, 20)))
+def test_certified_images_match_the_square_class_walk(E, H):
+    # the mask walk against certify_oracle on integer classes: the same
+    # spaces searched in the same order, the same images and generators
+    searched = []
+    search = descent_module.search_point
+
+    def oracle_direction(source, lift_pair, sel, seed, H):
+        seed_rep = int(squarefree_part(lift_pair.Eprime.a4))
+        span, lifted = certify_oracle(source, lift_pair, [int(d) for d in sel], seed_rep, H)
+        return [SquareClass(d) for d in span], lifted
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(descent_module, "search_point",
+                  lambda C, d, H: searched.append((C, int(d))) or search(C, d, H))
+        rep = descent_report(E, H)
+        engine_searched = searched[:]
+        searched.clear()
+        m.setattr(descent_module, "_certify_direction", oracle_direction)
+        want = descent_report(E, H)
+    assert engine_searched == searched
+    assert rep.image_phi == want.image_phi and rep.image_phi_hat == want.image_phi_hat
+    assert rep.generators == want.generators and rep.rank_lower == want.rank_lower
 
 
 def test_descent_report_factors_each_odd_part_of_b_and_b_prime_once(monkeypatch):

@@ -28,8 +28,10 @@ from twodescent.families import (
 
 from .oracles import (
     deep_space_point_oracle,
+    ep_certified_dim_oracle,
     ep_space_point_oracle,
     ep_space_point_walk_oracle,
+    quartic_set,
 )
 
 
@@ -121,6 +123,44 @@ def test_ep_rank_honest_interval():
     r = ep_rank(257, 20)
     assert r.kind == "interval" and (r.lo, r.hi) == (0, 2)
     assert "conjecturally 0" in r.note
+
+
+RANK_0_OR_2_PRIMES = [p for p in sieve_primes(2000) if p % 8 == 1 and 2 in quartic_set(p)]
+
+
+@pytest.mark.parametrize("H", [1, 3, 20])
+def test_ep_rank_certifies_cosets_like_the_closure_of_integer_classes(monkeypatch, H):
+    # the searches ep_rank makes, deep rescan included (C_{-1} before
+    # C_{-2}, skipping the coset already certified), and its result equal
+    # those of the walk that closes classes by products
+    search = families._ep_space_point
+    calls = []
+    monkeypatch.setattr(families, "_ep_space_point",
+                        lambda p, d, H: calls.append((d, H)) or search(p, d, H))
+    for p in RANK_0_OR_2_PRIMES:
+        calls.clear()
+        r = ep_rank(p, H)
+        engine_calls = calls[:]
+        calls.clear()
+        g = ep_certified_dim_oracle(p, H, families._ep_space_point, _DEEP_FACTOR)
+        assert engine_calls == calls
+        assert (r.kind, r.lo, r.hi) == (("exact", 2, 2) if g == 3 else ("interval", 0, 2))
+        assert ("one space certified" in r.note) == (g == 2)
+
+
+def test_ep_table_proves_each_prime_once(monkeypatch):
+    # the sieve's primes are proved by ep_rank alone; the two-squares
+    # splittings and the Gauss test reuse them unchecked
+    import twodescent.arith as arith
+
+    proved = []
+    is_prime = arith.is_prime
+    counting = lambda n: proved.append(n) or is_prime(n)
+    monkeypatch.setattr(arith, "is_prime", counting)
+    monkeypatch.setattr(families, "is_prime", counting)
+    families._prime_root.cache_clear()
+    rows = ep_table(2000)
+    assert sorted(proved) == [r.p for r in rows]
 
 
 def test_no_rational_points_when_two_is_not_a_quartic_residue():
