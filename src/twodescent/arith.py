@@ -310,6 +310,27 @@ def _euler(a: int, p: int) -> int:
     return 1 if t == 1 else -1
 
 
+def _sqrt_mod(a: int, p: int) -> int:
+    """A square root of a residue a modulo an odd prime p the caller has
+    proved, by Tonelli-Shanks (Cohen, Algorithm 1.5.1)."""
+    a %= p
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    z = 2
+    while _euler(z, p) != -1:
+        z += 1
+    y, x, b = pow(z, q, p), pow(a, (q + 1) // 2, p), pow(a, q, p)
+    while b not in (0, 1):
+        m, b2 = 1, b * b % p
+        while b2 != 1:
+            m, b2 = m + 1, b2 * b2 % p
+        t = pow(y, 1 << (e - m - 1), p)
+        y = t * t % p
+        x, b, e = x * t % p, b * y % p, m
+    return x
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
     if p == 2 or not is_prime(p):

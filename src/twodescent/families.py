@@ -27,10 +27,10 @@ from math import gcd, isqrt
 from .arith import (
     SquareClass,
     _cube_root_exact,
+    _sqrt_mod,
     _two_squares,
     factorize,
     is_prime,
-    quartic_residue_gauss,
     sieve_primes,
 )
 from .curve import Curve, TorsionGroup, from_cubic_const, torsion_subgroup
@@ -152,10 +152,22 @@ def _ep_dims(p: int):
 # on half of it.  ep_rank takes H <= 1000, so the rescan cap is 10^6,
 # |X|, |Y| <= k^2 <= 10^12 for c = 1, 2, and the real form, searched
 # only up to H, takes 29 bits: every table entry fits in 64 bits.
-# A candidate square gets its isqrt only when it is a square mod
-# _M = 5040.  Along a unit orbit x mod _M has period 24, the order of
-# 3 + 2 sqrt(2) mod _M, so one period of residues marks the steps where
-# x or -x can be a square, and only those get their exact element.
+# Residue filters choose the rows a scan tests exactly.  With t = X/Y
+# the components of pi_p (X + Y sqrt(-c)), pi_p = a + b sqrt(-c), are
+# Y (a t - c b) and Y (b t + a), so modulo a prime l = 1 (mod 4) a
+# candidate's character is chi_l(Y) times a shifted chi_l(t).  One byte
+# per row and l, (t, chi_l(Y)) or chi_l(X) when l | Y, codes this for
+# every p, and a call turns the codes into pass or fail through a
+# 256-byte table cut from two periods of chi_l.  As -1 is a square mod
+# l, the sign that |x| drops does not matter; mod l = 3 (mod 4) it
+# would, and such l filter nothing.  One more byte, (X mod 16, Y mod 16),
+# gives the parity and the 2-adic test.  A bytes.translate per code and
+# an AND of the results as ints leave the surviving rows of each chunk
+# of _CHUNK rows in order, and a chunk is coded when a scan first
+# reaches it.  Along a unit orbit x mod q has a period dividing 24 for
+# each q of _ORBIT_MODULI, so per-modulus masks indexed by (x0, 2 s0)
+# mod q mark the steps where x, or -x, can be a square, and only those
+# steps get their exact element.
 
 
 def _pair_mul(x, y, c):
@@ -172,8 +184,10 @@ def _prime_root(q: int, c: int):
     """(u, v) with u^2 + c*v^2 = q for a prime q split in Z[sqrt(-c)], else None.
 
     c is 1, 2 or -2.  For c = 1 this is two_squares(q), u odd and v even,
-    without proving q prime again; the scans for c = 2 and c = -2 return
-    the first root in a fixed order, so the orbit walk for the real form
+    without proving q prime again.  Otherwise Cornacchia's descent from a
+    square root of -c mod q (Cohen, Algorithm 1.5.2) gives u, v >= 0; for
+    c = -2 the element is then moved along its unit orbit, or to its
+    conjugate's, to the least v, so the orbit walk for the real form
     always starts from the same element.
     """
     modulus, residues = _SPLIT[c]
@@ -181,25 +195,29 @@ def _prime_root(q: int, c: int):
         return None
     if c == 1:
         return _two_squares(q)
+    r0, r1 = q, _sqrt_mod(-c, q)
+    while r1 * r1 > q:
+        r0, r1 = r1, r0 % r1
+    n = q if c == 2 else -q  # u < sqrt(q) leaves u^2 - 2v^2 = -q
+    v = isqrt((n - r1 * r1) // c)
+    if r1 * r1 + c * v * v != n:
+        raise FamilyError(f"{q} is not represented by x^2 + {c}y^2")
     if c == 2:
-        for v in range(1, isqrt(q // 2) + 1):
-            u2 = q - 2 * v * v
-            u = isqrt(u2)
-            if u * u == u2:
-                return u, v
-    else:
-        for b in range(isqrt(q) + 2):
-            t = q + 2 * b * b
-            a = isqrt(t)
-            if a * a == t:
-                return a, b
-            t = 2 * b * b - q
-            if t >= 0:
-                a = isqrt(t)
-                if a * a == t:
-                    # norm -q; the unit 1 + sqrt(2) flips the sign
-                    return a + 2 * b, a + b
-    raise FamilyError(f"{q} is not represented by x^2 + {c}y^2")
+        return r1, v
+    # The scan this replaces took, of all u + v sqrt(2) with u, v >= 0 and
+    # norm q or -q, the one with the least v, turned to norm q by the unit
+    # 1 + sqrt(2).  Those elements lie on two orbits under 1 + sqrt(2),
+    # this one's and its conjugate's, and v grows along each: step both
+    # to their least element and keep the lesser v.
+    least = []
+    for u, v in ((r1, v), (-r1, v)):
+        while u < 0 or v < 0:
+            u, v = u + 2 * v, u + v
+        while 2 * v >= u >= v:
+            u, v = 2 * v - u, u - v
+        least.append((v, u))
+    v, u = min(least)
+    return (u, v) if u * u - 2 * v * v == q else (u + 2 * v, u + v)
 
 
 def _split_smooth(cap: int, modulus: int, residues: tuple):
@@ -224,24 +242,139 @@ def _product_table(H: int, c: int):
     prime varies fastest, its conjugate power first: the rows of k extend
     those of k / q^e by its last prime power q^e."""
     ks, xs, ys = array("q", [1]), array("q", [1]), array("q", [0])
-    rows = {1: range(1)}
+    rows, powers = {1: range(1)}, {}
     for k, fac in _split_smooth(H, *_SPLIT[c])[1:]:
         (q, e), start = fac[-1], len(ks)
-        pi = _prime_root(q, c)
-        u, v = reduce(lambda z, _: _pair_mul(z, pi, c), range(4 * e), (1, 0))
+        if (q, e) not in powers:  # pi_q^(4e), once per prime power
+            pi = _prime_root(q, c)
+            powers[q, e] = reduce(lambda z, _: _pair_mul(z, pi, c), range(4 * e), (1, 0))
+        u, v = powers[q, e]
         for i in rows[k // q**e]:
-            for s in (-v, v):  # pi-bar_q^(4e), then pi_q^(4e)
-                ks.append(k)
-                xs.append(xs[i] * u - c * ys[i] * s)
-                ys.append(xs[i] * s + ys[i] * u)
+            X, Y = xs[i], ys[i]
+            xs.append(X * u + c * Y * v)  # times pi-bar_q^(4e) = u - v sqrt(-c)
+            ys.append(Y * u - X * v)
+            xs.append(X * u - c * Y * v)  # times pi_q^(4e)
+            ys.append(Y * u + X * v)
+        ks.extend((k,) * (len(xs) - start))
         rows[k] = range(start, len(ks))
     return ks, xs, ys
 
 
-_M = 5040
-_SQUARES = bytes(map({w * w % _M for w in range(_M // 2 + 1)}.__contains__, range(_M)))
+_FILTER_ROWS = 100  # smaller tables are walked row by row, which is cheaper
+_CHUNK = 1024  # rows coded at a time, as a scan reaches them
+_CODE_PRIMES = (5, 13, 17, 29, 37, 41)  # l = 1 (mod 4)
+
+
+@cache
+def _residue_tables(l: int):
+    """For a prime l = 1 (mod 4): chi_l as a tuple; two periods of
+    chi_l(t) != -1 and of chi_l(t) != 1 as bytes, keyed by 1 and -1; and
+    the row code of (X mod l, Y mod l) at index X*l + Y, which is
+    t + l*[chi_l(Y) = -1] with t = X/Y mod l, or 2l + (0, 1, 2)[chi_l(X)]
+    when l | Y."""
+    chi = [-1] * l
+    for w in range(l):
+        chi[w * w % l] = 1
+    chi[0] = 0
+    runs = {s: bytes(s * x != -1 for x in chi) * 2 for s in (1, -1)}
+    index = bytearray(l * l)
+    index[::l] = bytes(2 * l + (0, 1, 2)[x] for x in chi)
+    for y in range(1, l):
+        w, base = pow(y, -1, l), l * (chi[y] == -1)
+        index[y::l] = bytes(x * w % l + base for x in range(l))
+    return tuple(chi), runs, bytes(index)
+
+
+def _pass_table(l: int, alpha: int, beta: int, scale: int) -> bytes:
+    """Row codes of l translated to 1 where the candidate Y (alpha t + beta)
+    * scale, t = X/Y (alpha X * scale when l | Y), is not a non-residue
+    mod l, else to 0."""
+    chi, runs, _ = _residue_tables(l)
+    g = chi[scale % l]
+    s = chi[alpha % l] * g
+    if s:  # alpha t + beta = alpha (t + beta/alpha)
+        h = beta * pow(alpha, -1, l) % l
+        pos, neg = runs[s][h:h + l], runs[-s][h:h + l]
+    else:
+        s0 = chi[beta % l] * g
+        pos, neg = bytes([s0 != -1]) * l, bytes([s0 != 1]) * l
+    return (pos + neg + bytes((1, s != -1, s != 1))).ljust(256, b"\0")
+
+
+@cache
+def _two_adic(a: int, b: int, c: int, num: int, den: int):
+    """Per component x, y of (a + b sqrt(-c))(X + Y sqrt(-c)), the codes
+    (X mod 16) * 16 + Y mod 16 translated to 1 where |component| * num/den
+    can be a square, known mod 16 * num/den, else to 0.  For c = 1 only
+    the even component is a candidate."""
+    m = 16 * num // den
+    squares = {w * w % m for w in range(m)}
+
+    def ok(z):
+        return (c != 1 or z % 2 == 0) and any(v * num // den % m in squares for v in (z % 16, -z % 16))
+
+    cells = [(X, Y) for X in range(16) for Y in range(16)]
+    return (bytes(ok(a * X - c * b * Y) for X, Y in cells),
+            bytes(ok(a * Y + b * X) for X, Y in cells))
+
+
+@lru_cache(maxsize=8)
+def _row_codes(H: int, c: int) -> dict:
+    """Codes of _product_table(H, c) by first row of each chunk, filled as
+    scans reach it: the row codes mod 16, then those of _CODE_PRIMES."""
+    return {}
+
+
+def _chunk_codes(xs, ys) -> list[bytes]:
+    out = [bytes([(x & 15) << 4 | y & 15 for x, y in zip(xs, ys)])]
+    for l in _CODE_PRIMES:
+        index = _residue_tables(l)[2]
+        out.append(bytes([index[x % l * l + y % l] for x, y in zip(xs, ys)]))
+    return out
+
+
+def _survivors(H: int, c: int, a: int, b: int, num: int, den: int):
+    """Indices, in order, of the rows of _product_table(H, c) whose
+    candidate square passes the residue filters for pi_p = (a, b)."""
+    _, xs, ys = _product_table(H, c)
+    parts = [(a, -c * b), (b, a)] if c == 1 else [(a, -c * b)]  # x = Y (a t - c b), y
+    filters = [(two_adic, [_pass_table(l, alpha, beta, num * den) for l in _CODE_PRIMES])
+               for two_adic, (alpha, beta) in zip(_two_adic(a & 15, b & 15, c, num, den), parts)]
+    codes = _row_codes(H, c)
+    for start in range(0, len(xs), _CHUNK):
+        chunk = codes.get(start)
+        if chunk is None:
+            chunk = codes[start] = _chunk_codes(xs[start:start + _CHUNK], ys[start:start + _CHUNK])
+        bits = 0
+        for two_adic, tables in filters:
+            mask = int.from_bytes(chunk[0].translate(two_adic), "little")
+            for row, table in zip(chunk[1:], tables):
+                mask &= int.from_bytes(row.translate(table), "little")
+            bits |= mask
+        while bits:  # byte i of a chunk is row start + i
+            low = bits & -bits
+            bits ^= low
+            yield start + (low.bit_length() >> 3)
+
+
 # (3 + 2 sqrt 2)^j for j <= 64
 _UNITS = list(accumulate(range(64), lambda z, _: _pair_mul(z, (3, 2), -2), initial=(1, 0)))
+_ORBIT_MODULI = (16, 9, 5, 7, 11, 17)  # 3 + 2 sqrt 2 has order dividing 24 mod each
+
+
+@cache
+def _orbit_masks(q: int):
+    """Per x0 * q + s (x0 mod q, s = 2 s0 mod q), the 24-bit masks of the
+    steps j where x of (x0 + s0 sqrt 2)(3 + 2 sqrt 2)^j is a square mod q,
+    and where -x is."""
+    squares = {w * w % q for w in range(q)}
+    out = []
+    for x0 in range(q):
+        for s in range(q):
+            xs = [(x0 * ux + s * us) % q for ux, us in _UNITS[:24]]
+            out.append((sum((x in squares) << j for j, x in enumerate(xs)),
+                        sum((-x % q in squares) << j for j, x in enumerate(xs))))
+    return out
 
 
 def _orbit_square_x(z0, m, step_cap=64):
@@ -250,13 +383,14 @@ def _orbit_square_x(z0, m, step_cap=64):
     Step j < step_cap <= 64 of the first walk is z0 (3 + 2 sqrt 2)^j, of
     the second z0 (3 - 2 sqrt 2)^(j+1); the first hit wins.
     """
-    a, b = z0[0] % _M, 2 * z0[1] % _M
-    fwd = back = 0  # bit j: orbit steps j and -(j+1) = 23 - j (mod 24)
-    for j, (ux, us) in enumerate(_UNITS[:24]):
-        r = (a * ux + b * us) % _M  # x of z0 (3 + 2 sqrt 2)^j, mod _M
-        if _SQUARES[r] or _SQUARES[-r]:  # index -r is -x mod _M
-            fwd |= 1 << j
-            back |= 1 << 23 - j
+    x0, s = z0[0], 2 * z0[1]
+    square = negated = -1
+    for q in _ORBIT_MODULI:
+        sq, neg = _orbit_masks(q)[x0 % q * q + s % q]
+        square &= sq
+        negated &= neg
+    fwd = square | negated  # bit j: step j (mod 24) can hold x or -x square
+    back = int(f"{fwd:024b}"[::-1], 2)  # bit j: step -(j+1) = 23 - j
     spread, steps = _every(24, step_cap), (1 << step_cap) - 1
     for bits, second in ((fwd, 0), (back, 1)):
         bits = bits * spread & steps
@@ -279,9 +413,10 @@ def _ep_space_point(p: int, d: int, H: int):
     whose primes all split in the ring of d, in increasing order; any
     other k has no primitive representation (see above), and parity
     rules out even k.  Each candidate is pi_p times a row of the table
-    for (H, c).  Since the free side comes out at any size, a large H
-    reaches certificates far beyond a height search: ep_rank rescans
-    C_{-1} and C_{-2} this way with H up to 10^6.
+    for (H, c); in a table of _FILTER_ROWS rows or more, only the rows
+    that pass the residue filters.  Since the free side comes out at any
+    size, a large H reaches certificates far beyond a height search:
+    ep_rank rescans C_{-1} and C_{-2} this way with H up to 10^6.
     """
     c = {-1: 1, p: 1, -2: 2, 2 * p: 2, 2: -2, -2 * p: -2}.get(d)
     if c is None:
@@ -292,7 +427,12 @@ def _ep_space_point(p: int, d: int, H: int):
     a, b = pi
     cb = c * b
     num, den = {-1: (2, 1), p: (1, 2)}.get(d, (1, 1))
-    for k, X, Y in zip(*_product_table(H, c)):
+    ks, xs, ys = _product_table(H, c)
+    if c == -2 or len(ks) < _FILTER_ROWS:
+        rows = zip(ks, xs, ys)
+    else:
+        rows = ((ks[j], xs[j], ys[j]) for j in _survivors(H, c, a, b, num, den))
+    for k, X, Y in rows:
         x, y = a * X - cb * Y, a * Y + b * X  # pi_p (X + Y sqrt(-c))
         if c == -2:
             hit = _orbit_square_x((x, y), k)
@@ -302,7 +442,7 @@ def _ep_space_point(p: int, d: int, H: int):
         elif c == 1 and x & 1:
             x, y = y, x  # the even component comes first
         f2 = abs(x) * num // den  # candidate square of the free side
-        f = isqrt(f2) if _SQUARES[f2 % _M] else 0
+        f = isqrt(f2)
         if f and f * f == f2 and gcd(k, f) == 1:
             w = abs(y) if d == p else 2 * abs(y)  # numerator of w
             if d in (-1, -2, 2):
@@ -318,6 +458,13 @@ _MAX_HEIGHT = _EP_TABLE_BUDGET // _DEEP_FACTOR  # rescans stay within the budget
 def _check_height(H: int) -> None:
     if not 1 <= H <= _MAX_HEIGHT:
         raise FamilyError(f"need 1 <= H <= {_MAX_HEIGHT}: ep_rank rescans to {_DEEP_FACTOR} * H")
+
+
+def _two_is_quartic(p: int) -> bool:
+    """Gauss's test for a proved prime p = 1 (mod 8): 2 is a fourth power
+    mod p = A^2 + B^2 exactly when A*B = 0 (mod 8)."""
+    a, b = _prime_root(p, 1)
+    return a * b % 8 == 0
 
 
 def ep_rank(p: int, H: int = 20) -> RankResult:
@@ -339,8 +486,7 @@ def ep_rank(p: int, H: int = 20) -> RankResult:
             "exact_conditional_on_finite_sha", 1, 1,
             "Selmer residual of dimension 1 falls on the rank side when Sha is finite",
         )
-    a, b = _prime_root(p, 1)  # p = A^2 + B^2: Gauss's test A*B = 0 (mod 8)
-    if a * b % 8:
+    if not _two_is_quartic(p):
         return RankResult(
             "exact", 0, 0,
             f"2 is not a quartic residue mod {p}; the full Selmer residual is Sha",
@@ -483,7 +629,7 @@ def ep_table(
     if mod8 is not None:
         ps = [p for p in ps if p % 8 == mod8]
     if quartic_only:
-        ps = [p for p in ps if p % 8 == 1 and quartic_residue_gauss(p)]
+        ps = [p for p in ps if p % 8 == 1 and _two_is_quartic(p)]
     worker = partial(_ep_row, height=height)
     workers = min(jobs or 1, os.cpu_count() or 1)
     if workers > 1 and len(ps) > 1:

@@ -461,10 +461,11 @@ def search_point_oracle(c4: int, c2: int, c0: int, d: int, lead: int, H: int):
 # ---------------------------------------------------------------------------
 # E_p norm-form searches by full enumeration: every exponent split
 # pi^j * pi-bar^(e-j) of every prime, inert primes as scalars, the same
-# 64-step unit-orbit walk for the real form.  Roots come from brute scans;
-# the scan for x^2 - 2y^2 keeps the package's order, since the orbit
-# walk's window depends on its starting element.  Where p itself does not split,
-# a form has no solution and the searches return None.
+# 64-step unit-orbit walk for the real form.  Roots come from brute scans
+# in O(sqrt q); the package finds them by Cornacchia's descent and must
+# return the same element, since for x^2 - 2y^2 the orbit walk's window
+# depends on it: the least b, norm q before norm -q.  Where p itself does
+# not split, a form has no solution and the searches return None.
 
 
 def _ep_mul(x, y, c):
@@ -479,8 +480,13 @@ def _ep_pow(x, e, c):
 
 
 @lru_cache(maxsize=None)
-def _ep_root(q: int, c: int):
-    """(u, v) with u^2 + c*v^2 = q for a prime q, or None when there is none."""
+def prime_root_scan_oracle(q: int, c: int):
+    """(u, v) with u^2 + c*v^2 = q for a prime q, or None when there is none.
+
+    For c = 2 the least v >= 1; for c = -2 the first b = 0, 1, ... with
+    q + 2b^2 or else 2b^2 - q a square a^2, the latter (norm -q) turned
+    into (a + 2b) + (a + b) sqrt 2 by the unit 1 + sqrt 2.
+    """
     if c == 1:
         return two_squares_brute(q) if q % 4 == 1 else None
     if c == 2:
@@ -510,7 +516,7 @@ def _ep_products(factors, c):
         if q == 2 and c > 0:
             base = _ep_mul(base, _ep_pow((1, 1) if c == 1 else (0, 1), e, c), c)
         elif _ep_split(q, c):
-            pi = _ep_root(q, c)
+            pi = prime_root_scan_oracle(q, c)
             bar = (pi[0], -pi[1])
             branches.append([_ep_mul(_ep_pow(pi, j, c), _ep_pow(bar, e - j, c), c)
                              for j in range(e + 1)])
@@ -540,12 +546,12 @@ def primitive_products_oracle(p: int, factors, c: int) -> list:
     """pi_p times pi-bar_q^(4e) or pi_q^(4e) per prime power q^e of factors,
     each power recomputed by repeated multiplication: the last prime
     varies fastest, its conjugate power first.  Empty when p does not split."""
-    pi = _ep_root(p, c)
+    pi = prime_root_scan_oracle(p, c)
     if pi is None:
         return []
     zs = [pi]
     for q, e in factors:
-        a = _ep_pow(_ep_root(q, c), 4 * e, c)
+        a = _ep_pow(prime_root_scan_oracle(q, c), 4 * e, c)
         zs = [_ep_mul(z, f, c) for z in zs for f in ((a[0], -a[1]), a)]
     return zs
 
@@ -603,7 +609,7 @@ def orbit_square_x_oracle(z0, m, step_cap=64):
 
 def real_form_square_x_oracle(p: int, k: int):
     """(r, s) with (r^2)^2 - 2 s^2 = p k^4 and gcd(r, k) = 1, or None."""
-    pi_p = _ep_root(p, -2)
+    pi_p = prime_root_scan_oracle(p, -2)
     if pi_p is None:
         return None
     factors = [(q, 4 * e) for q, e in sorted(factor_oracle(k).items())]

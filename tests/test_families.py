@@ -15,7 +15,9 @@ from twodescent.descent import hom_space, search_point, selmer
 from twodescent.families import (
     FamilyError,
     _DEEP_FACTOR,
+    _FILTER_ROWS,
     _ep_space_point,
+    _product_table,
     RankResult,
     edconst_torsion,
     edx_rank_upper,
@@ -163,6 +165,22 @@ def test_ep_table_proves_each_prime_once(monkeypatch):
     assert sorted(proved) == [r.p for r in rows]
 
 
+def test_quartic_filter_proves_each_row_prime_once(monkeypatch):
+    # the filter reads Gauss's test off the cached splitting of the sieve's
+    # primes; ep_rank alone proves each kept prime
+    import twodescent.arith as arith
+
+    proved = []
+    is_prime = arith.is_prime
+    counting = lambda n: proved.append(n) or is_prime(n)
+    monkeypatch.setattr(arith, "is_prime", counting)
+    monkeypatch.setattr(families, "is_prime", counting)
+    families._prime_root.cache_clear()
+    rows = ep_table(5000, quartic_only=True)
+    assert rows and sorted(proved) == [r.p for r in rows]
+    assert [r.p for r in rows] == [p for p in ODD_PRIMES if p % 8 == 1 and 2 in quartic_set(p)]
+
+
 def test_no_rational_points_when_two_is_not_a_quartic_residue():
     # p = 1 mod 8 with the biquadratic test failing: the three nontrivial
     # coset spaces carry no rational points, so no height can certify them
@@ -273,14 +291,17 @@ def test_heights_above_the_limit_are_refused_before_any_sieve(monkeypatch):
 
 
 def test_import_and_a_search_free_rank_build_no_product_table():
-    # the norm-form product tables are built on the first search, not at import
+    # the norm-form product tables, their row codes and the orbit masks
+    # are built on the first search that needs them, not at import
     src = os.path.dirname(os.path.dirname(families.__file__))
     code = (
         "import twodescent\n"
-        "from twodescent.families import _product_table, ep_rank\n"
-        "assert _product_table.cache_info().currsize == 0\n"
-        "assert ep_rank(23).hi == 0\n"
-        "assert _product_table.cache_info().currsize == 0\n"
+        "from twodescent.families import _orbit_masks, _product_table, _residue_tables, "
+        "_row_codes, _two_adic, ep_rank\n"
+        "caches = (_product_table, _row_codes, _residue_tables, _two_adic, _orbit_masks)\n"
+        "assert all(f.cache_info().currsize == 0 for f in caches)\n"
+        "assert ep_rank(23).hi == 0 and ep_rank(17).hi == 0\n"
+        "assert all(f.cache_info().currsize == 0 for f in caches)\n"
     )
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": src})
@@ -395,6 +416,15 @@ def test_ep_space_point_is_the_first_hit_of_the_per_k_walk(p, i, H):
 @settings(max_examples=100, deadline=None)
 @given(st.sampled_from(ODD_PRIMES), st.sampled_from((-1, -2)), st.integers(1, 2000))
 def test_deep_space_point_is_the_first_hit_of_the_per_k_walk(p, d, cap):
+    assert _ep_space_point(p, d, cap) == ep_space_point_walk_oracle(p, d, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ODD_PRIMES), st.integers(0, 5), st.integers(320, 3000))
+def test_filtered_scans_are_the_first_hit_of_the_per_k_walk(p, i, cap):
+    # caps whose tables for c = 1, 2 are long enough for the residue filters
+    assert all(len(_product_table(cap, c)[0]) >= _FILTER_ROWS for c in (1, 2))
+    d = ep_space_classes(p)[i]
     assert _ep_space_point(p, d, cap) == ep_space_point_walk_oracle(p, d, cap)
 
 

@@ -4,19 +4,24 @@ from __future__ import annotations
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from math import gcd, isqrt
+
+from twodescent.arith import sieve_primes
 from twodescent.families import (
+    _CODE_PRIMES,
     _SPLIT,
     _orbit_square_x,
     _pair_mul,
     _prime_root,
     _product_table,
     _split_smooth,
+    _survivors,
 )
 
-from .oracles import orbit_square_x_oracle, primitive_products_oracle
+from .oracles import orbit_square_x_oracle, prime_root_scan_oracle, primitive_products_oracle
 
 components = st.integers(-10**6, 10**6)
 
@@ -62,3 +67,50 @@ def test_split_smooth_numbers_and_their_products_match_the_uncached_products(c):
         for k, fac in smooth:
             got = [_pair_mul(pi, z, c) for z in rows[k]] if pi else []
             assert got == primitive_products_oracle(p, fac, c), (p, k)
+
+
+@pytest.mark.parametrize("c", [2, -2])
+def test_cornacchia_roots_are_the_scan_roots_below_2e5(c):
+    # for c = -2 the least b, as the scan finds it, fixes the orbit window
+    modulus, residues = _SPLIT[c]
+    for q in sieve_primes(2 * 10**5):
+        if q % modulus in residues:
+            assert _prime_root(q, c) == prime_root_scan_oracle(q, c), q
+
+
+def _is_square_mod(n, m):
+    return any(w * w % m == n % m for w in range(m))
+
+
+SPLIT_PRIMES = [p for p in sieve_primes(20000) if p % 8 in (1, 3, 5)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(SPLIT_PRIMES), st.sampled_from([(1, 2, 1), (1, 1, 2), (2, 1, 1)]),
+       st.integers(1, 3000))
+@example(29, (1, 2, 1), 2000)  # 29 = 5^2 + 2^2: l = 5 divides a
+@example(29, (1, 1, 2), 2000)
+@example(41, (2, 1, 1), 2000)  # l = 41 divides the norm of every candidate
+def test_residue_filters_keep_every_row_the_exact_test_accepts(p, form, H):
+    # every row of the plain walk whose candidate square passes the exact
+    # test, or is a square mod every filter modulus, survives; every
+    # survivor is a square mod each l of _CODE_PRIMES
+    c, num, den = form
+    pi = _prime_root(p, c)
+    assume(pi is not None)
+    a, b = pi
+    ks, xs, ys = _product_table(H, c)
+    survivors = list(_survivors(H, c, a, b, num, den))
+    assert survivors == sorted(set(survivors))
+    for j, (k, X, Y) in enumerate(zip(ks, xs, ys)):
+        x, y = a * X - c * b * Y, a * Y + b * X
+        if c == 1 and x & 1:
+            x = y
+        f2 = abs(x) * num // den
+        f = isqrt(f2)
+        accepted = f and f * f == f2 and gcd(k, f) == 1
+        odd_tests = all(_is_square_mod(f2, l) for l in _CODE_PRIMES)
+        if accepted or (odd_tests and _is_square_mod(f2, 16 * num // den)):
+            assert j in survivors, (j, k)
+        if j in survivors:
+            assert odd_tests, (j, k)
