@@ -18,7 +18,6 @@ because descent correctness depends on complete factorizations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 __all__ = [
     "ArithError",
@@ -110,8 +109,49 @@ def sieve_primes(limit: int) -> list[int]:
     return [i for i, f in enumerate(flags) if f]
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Record:
+    """Base of the frozen value records: what @dataclass(frozen=True) gives,
+    without the import cost of dataclasses.
+
+    A subclass declares annotated fields, trailing ones with defaults, and
+    gets __init__ (which ends by calling self.__post_init__() if the class
+    has one), __eq__ and __hash__ on the tuple of fields within one class,
+    and, with order=True, the four comparisons of those tuples.  They are
+    compiled once per class, so a call costs what the dataclass one did;
+    a method the class defines itself is kept.  Fields cannot be assigned.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, order: bool = False):
+        names = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
+        args = ", ".join(f"{n}=_d.{n}" if n in cls.__dict__ else n for n in names)
+        mine, theirs = (f"({''.join(f'{a}.{n}, ' for n in names)})" for a in ("self", "other"))
+        src = [f"def __init__(self, {args}):",
+               *(f" _set(self, {n!r}, {n})" for n in names),
+               " self.__post_init__()" if hasattr(cls, "__post_init__") else "",
+               f"def __hash__(self): return hash({mine})"]
+        ops = [("eq", "==")] + ([("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">=")] if order else [])
+        for op, sym in ops:
+            src += [f"def __{op}__(self, other):",
+                    f" return {mine} {sym} {theirs} if other.__class__ is self.__class__ else NotImplemented"]
+        ns = {"_d": cls, "_set": object.__setattr__}
+        exec("\n".join(src), ns)
+        for name in ("__init__", "__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            if name in ns and name not in cls.__dict__:
+                setattr(cls, name, ns[name])
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Factorization(Record):
     """sign * product(p**e) with primes strictly increasing."""
 
     sign: int
@@ -258,8 +298,7 @@ def _cube_root_exact(n: int):
     return c if n >= 0 else -c
 
 
-@dataclass(frozen=True, order=True)
-class SquareClass:
+class SquareClass(Record, order=True):
     """An element of Q*/(Q*)^2 as a signed squarefree integer.
 
     Ordering sorts by absolute value, negatives before positives within

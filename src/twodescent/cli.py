@@ -17,10 +17,9 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize
+from .arith import Record, factorize
 from .curve import (
     Curve,
     CurveError,
@@ -75,17 +74,21 @@ def _enc_point(P: Pt):
     ]
 
 
+def _enc_classes(sel) -> list:
+    return [_enc_int(d.rep) for d in sel]
+
+
 def report_document(rep: DescentReport, timings_ms: dict | None = None) -> dict:
     E, Ep = rep.curve, rep.isogenous
     return {
         "schema_version": SCHEMA_VERSION,
-        "curve": [E.a2, E.a4, E.a6],
-        "isogenous_curve": [Ep.a2, Ep.a4, Ep.a6],
+        "curve": [_enc_int(E.a2), _enc_int(E.a4), _enc_int(E.a6)],
+        "isogenous_curve": [_enc_int(Ep.a2), _enc_int(Ep.a4), _enc_int(Ep.a6)],
         "discriminant": _enc_int(discriminant(E)),
-        "selmer_phi": [int(d) for d in rep.selmer_phi],
-        "selmer_phi_hat": [int(d) for d in rep.selmer_phi_hat],
-        "image_phi": [int(d) for d in rep.image_phi],
-        "image_phi_hat": [int(d) for d in rep.image_phi_hat],
+        "selmer_phi": _enc_classes(rep.selmer_phi),
+        "selmer_phi_hat": _enc_classes(rep.selmer_phi_hat),
+        "image_phi": _enc_classes(rep.image_phi),
+        "image_phi_hat": _enc_classes(rep.image_phi_hat),
         "rank_lower": rep.rank_lower,
         "rank_upper": rep.rank_upper,
         "rank_exactness": "exact" if rep.rank_exact else "interval",
@@ -225,10 +228,10 @@ def cmd_family(args) -> int:
             print(serialize_document({
                 "schema_version": SCHEMA_VERSION,
                 "family": "ep",
-                "p": p,
+                "p": _enc_int(p),
                 "selmer_dims": [phi.dim2, phi_hat.dim2],
-                "selmer_phi": [int(d) for d in phi],
-                "selmer_phi_hat": [int(d) for d in phi_hat],
+                "selmer_phi": _enc_classes(phi),
+                "selmer_phi_hat": _enc_classes(phi_hat),
                 "rank_plus_sha2_dim": ep_rank_sha_dim(p),
                 "rank": _rank_result_json(rank),
             }))
@@ -347,8 +350,7 @@ def cmd_table(args) -> int:
 # verify-cremona
 
 
-@dataclass(frozen=True)
-class CremonaLine:
+class CremonaLine(Record):
     conductor: int
     class_label: str
     number: int

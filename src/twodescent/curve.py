@@ -9,11 +9,10 @@ divides the good-reduction bound; order checks confirm each point.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from fractions import Fraction
 import math
 
-from .arith import is_prime
+from .arith import Record, is_prime
 
 __all__ = [
     "CurveError",
@@ -51,8 +50,7 @@ class SingularModel(CurveError):
     pass
 
 
-@dataclass(frozen=True)
-class Curve:
+class Curve(Record):
     a2: int
     a4: int
     a6: int
@@ -68,8 +66,7 @@ class Curve:
         return ((x + self.a2) * x + self.a4) * x + self.a6
 
 
-@dataclass(frozen=True)
-class Pt:
+class Pt(Record):
     """A rational point: affine (x, y), or the point at infinity (None, None)."""
 
     x: Fraction | None
@@ -295,8 +292,7 @@ def _order_up_to(E: Curve, P: Pt, cap: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class TorsionGroup:
+class TorsionGroup(Record):
     structure: str  # "trivial", "Z{n}", or "Z2xZ{2m}"
     generators: tuple[Pt, ...]
     points: tuple[Pt, ...]  # every torsion point, infinity included

@@ -26,12 +26,11 @@ certified image subgroups.  The difference in each direction bounds the
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
 
-from .arith import ONE, SquareClass, _euler, factorize, squarefree_part, val
+from .arith import ONE, Record, SquareClass, _euler, factorize, squarefree_part, val
 from .curve import (
     INFINITY,
     Curve,
@@ -81,8 +80,7 @@ def _check_descent_model(E: Curve) -> tuple[int, int]:
     return a, b
 
 
-@dataclass(frozen=True)
-class IsogenyPair:
+class IsogenyPair(Record):
     E: Curve
     Eprime: Curve
 
@@ -108,7 +106,8 @@ def phi_map(pair: IsogenyPair, P: Pt) -> Pt:
         return INFINITY
     x, y = P.x, P.y
     img = Pt(y * y / (x * x), y * (pair.b - x * x) / (x * x))
-    assert on_curve(pair.Eprime, img)
+    if not on_curve(pair.Eprime, img):
+        raise DescentError("phi sent the point off the isogenous curve")
     return img
 
 
@@ -125,8 +124,7 @@ def delta_class(C: Curve, P: Pt) -> SquareClass:
     return squarefree_part(P.x.numerator * P.x.denominator)
 
 
-@dataclass(frozen=True)
-class BadSet:
+class BadSet(Record):
     primes: tuple[int, ...]
 
     def __post_init__(self):
@@ -161,8 +159,7 @@ def qs2(S: BadSet) -> tuple[SquareClass, ...]:
                         for combo in itertools.combinations(S.primes, r)))
 
 
-@dataclass(frozen=True)
-class SelmerSet:
+class SelmerSet(Record):
     classes: tuple[SquareClass, ...]
 
     @classmethod
@@ -448,8 +445,7 @@ def lift_point(pair: IsogenyPair, d, zw) -> Pt:
     return P
 
 
-@dataclass(frozen=True)
-class DescentReport:
+class DescentReport(Record):
     pair: IsogenyPair
     selmer_phi: SelmerSet
     selmer_phi_hat: SelmerSet
@@ -481,8 +477,8 @@ def _to_base(pair: IsogenyPair, lifts_prime: list[Pt], lifts_second: list[Pt]) -
     the kernel of phi-hat."""
     on_second = [Pt(P.y**2 / P.x**2, P.y * (pair.b_prime - P.x**2) / P.x**2) for P in lifts_prime]
     out = [Pt(P.x / 4, P.y / 8) for P in on_second + lifts_second]
-    for P in out:
-        assert on_curve(pair.E, P)
+    if not all(on_curve(pair.E, P) for P in out):
+        raise DescentError("a lifted point did not descend onto the curve")
     return out
 
 
@@ -548,7 +544,8 @@ def descent_report(E: Curve, H: int) -> DescentReport:
     # directions gives dim_2 E/2E = s + s' - dim_2 E'(Q)[phi-hat]
     # - dim_2 phi(E(Q)[2]); whether E[2](Q) has order 2 or 4, the three
     # correction terms add up to -2, hence the single formula below.
-    assert rank_lower <= rank_upper
+    if rank_lower > rank_upper:
+        raise DescentError("certified images exceed the Selmer groups")
     sha_phi = s - g
     sha_hat = sp - gp
     rank_exact = rank_upper == rank_lower

@@ -17,14 +17,13 @@ from __future__ import annotations
 import os
 from array import array
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial, reduce
 from itertools import accumulate
 from math import gcd, isqrt
 
 from .arith import (
+    Record,
     SquareClass,
     _cube_root_exact,
     _sqrt_mod,
@@ -56,8 +55,7 @@ class FamilyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class RankResult:
+class RankResult(Record):
     kind: str  # "exact" | "exact_conditional_on_finite_sha" | "interval"
     lo: int
     hi: int
@@ -585,8 +583,7 @@ def edconst_torsion(D: int) -> TorsionGroup:
     return T
 
 
-@dataclass(frozen=True)
-class EpRow:
+class EpRow(Record):
     p: int
     selmer_dim_phi: int
     selmer_dim_phi_hat: int
@@ -633,6 +630,9 @@ def ep_table(
     worker = partial(_ep_row, height=height)
     workers = min(jobs or 1, os.cpu_count() or 1)
     if workers > 1 and len(ps) > 1:
+        # imported here, so that import twodescent does not load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(worker, ps, chunksize=16))
     return [worker(p) for p in ps]

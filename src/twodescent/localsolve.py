@@ -29,11 +29,10 @@ and two invariants of the classical real-root classification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .arith import val
+from .arith import Record, val
 
 __all__ = [
     "LocalSolveError",
@@ -80,8 +79,7 @@ def poly_disc(coeffs: tuple[int, ...]) -> int:
     return (4 * I**3 - J * J) // 27
 
 
-@dataclass(frozen=True)
-class QuarticForm:
+class QuarticForm(Record):
     """f(z) = c[0]*z^4 + c[1]*z^3 + c[2]*z^2 + c[3]*z + c[4], integer c."""
 
     c: tuple[int, int, int, int, int]
@@ -114,15 +112,13 @@ class QuarticForm:
         return QuarticForm(tuple(reversed(self.c)))
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     kind: str  # "exact-root", "square-value", "hensel", "infinity", "real"
     z: Fraction | None
     note: str
 
 
-@dataclass(frozen=True)
-class LocalVerdict:
+class LocalVerdict(Record):
     soluble: bool
     witness: Witness | None
 

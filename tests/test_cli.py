@@ -265,5 +265,46 @@ def test_json_big_integers_become_decimal_strings():
     assert parsed["generators"][0][0] == 2**60 + 1
 
 
+def _integers(node):
+    if isinstance(node, dict):
+        node = list(node.values())
+    if isinstance(node, list):
+        for v in node:
+            yield from _integers(v)
+    elif isinstance(node, str) and node.lstrip("-").isdigit():
+        yield int(node), True
+    elif isinstance(node, int) and not isinstance(node, bool):
+        yield node, False
+
+
+def _assert_big_integers_are_strings(text):
+    found = list(_integers(json.loads(text)))
+    assert [n for n, as_string in found if not as_string and abs(n) > 2**53] == []
+    return found
+
+
+def test_every_big_integer_of_a_descent_document_is_a_string():
+    # D = 2*3*...*71: the curve, its isogenous curve and every Selmer and
+    # image class other than 1 pass 2^53
+    D = 557940830126698960967415390
+    text = serialize_document(report_document(descent_report(Curve(0, D, 0), 5)))
+    found = _assert_big_integers_are_strings(text)
+    assert (D, True) in found and (-4 * D, True) in found and (-D, True) in found
+    parsed = parse_document(text)
+    assert parsed["curve"] == [0, D, 0] and parsed["isogenous_curve"] == [0, -4 * D, 0]
+    assert parsed["selmer_phi"] == [1, -D] and parsed["image_phi_hat"] == [1, D]
+
+
+def test_every_big_integer_of_a_family_ep_document_is_a_string(capsys):
+    p = 9007199254741033  # a prime = 9 (mod 16) just past 2^53
+    rc, out, _ = run(capsys, "family", "ep", str(p), "--json")
+    assert rc == 0
+    found = _assert_big_integers_are_strings(out)
+    doc = json.loads(out)
+    assert doc["p"] == str(p)
+    assert [int(d) for d in doc["selmer_phi"]] == [-1, 1, -2, 2, -p, p, -2 * p, 2 * p]
+    assert (2 * p, True) in found and doc["selmer_phi_hat"] == [1, str(p)]
+
+
 def test_unknown_subcommand_exits_cleanly():
     assert main(["no-such-command"]) == 2

@@ -94,6 +94,30 @@ def test_phi_map_examples():
         phi_map(pair, pt(1, 1))
 
 
+def test_an_off_curve_image_is_a_typed_refusal(monkeypatch):
+    # the checks on phi's image, on the lifts moved to E and on the rank
+    # interval raise DescentError, so they also hold under python -O
+    real = on_curve
+
+    def off_the_curve(C):
+        return lambda D, P: real(D, P) and (D != C or P.is_infinity)
+
+    pair = isogenous_curve(Curve(6, 1, 0))
+    monkeypatch.setattr(descent_module, "on_curve", off_the_curve(pair.Eprime))
+    with pytest.raises(DescentError, match="off the isogenous curve"):
+        phi_map(pair, pt(-1, 2))
+    E = Curve(0, -2, 0)  # rank 1, generator (-1, 1) lifted from a 2-covering
+    monkeypatch.setattr(descent_module, "on_curve", off_the_curve(E))
+    with pytest.raises(DescentError, match="did not descend"):
+        descent_report(E, 10)
+    monkeypatch.setattr(descent_module, "on_curve", real)
+    certify = descent_module._certify_direction
+    monkeypatch.setattr(descent_module, "_certify_direction",
+                        lambda *args: (lambda image, lifts: (image * 4, lifts))(*certify(*args)))
+    with pytest.raises(DescentError, match="exceed the Selmer groups"):
+        descent_report(E, 10)
+
+
 def test_phi_map_lands_on_the_isogenous_curve():
     pair = isogenous_curve(Curve(-6, 12, 0))
     for P in (pt(3, 3), pt(3, -3), pt(4, 4), pt(4, -4)):

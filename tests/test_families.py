@@ -292,10 +292,14 @@ def test_heights_above_the_limit_are_refused_before_any_sieve(monkeypatch):
 
 def test_import_and_a_search_free_rank_build_no_product_table():
     # the norm-form product tables, their row codes and the orbit masks
-    # are built on the first search that needs them, not at import
+    # are built on the first search that needs them, not at import; the
+    # process pool and the dataclass machinery are not imported at all
     src = os.path.dirname(os.path.dirname(families.__file__))
     code = (
+        "import sys\n"
         "import twodescent\n"
+        "unused = ('concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect')\n"
+        "assert not [m for m in unused if m in sys.modules], sys.modules.keys() & set(unused)\n"
         "from twodescent.families import _orbit_masks, _product_table, _residue_tables, "
         "_row_codes, _two_adic, ep_rank\n"
         "caches = (_product_table, _row_codes, _residue_tables, _two_adic, _orbit_masks)\n"
@@ -336,7 +340,7 @@ def test_ep_table_starts_at_most_cpu_count_workers(monkeypatch):
         def map(self, fn, items, chunksize=1):
             return map(fn, items)
 
-    monkeypatch.setattr(families, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(families.os, "cpu_count", lambda: 3)
     serial = ep_table(200)
     assert ep_table(200, jobs=64) == serial
