@@ -19,12 +19,13 @@ import sys
 import time
 from fractions import Fraction
 
-from .arith import Record, factorize
+from .arith import Record, _cube_root_exact, factorize
 from .curve import (
     Curve,
     CurveError,
     Pt,
     discriminant,
+    from_cubic_const,
     on_curve,
     torsion_subgroup,
 )
@@ -219,6 +220,17 @@ def _torsion_json(T) -> dict:
     }
 
 
+def _cross_check(args, agrees) -> int:
+    """With --check, exit 3 unless agrees(), the closed form against the engine."""
+    if not args.check:
+        return 0
+    if not agrees():
+        print("engine cross-check FAILED", file=sys.stderr)
+        return 3
+    print("engine cross-check: ok")
+    return 0
+
+
 def cmd_family(args) -> int:
     if args.kind == "ep":
         p = args.value
@@ -241,14 +253,8 @@ def cmd_family(args) -> int:
             print(f"  Sel^phi'  = {_fmt_classes(phi_hat)}   (dim {phi_hat.dim2})")
             print(f"  rank + dim_2 Sha[2] = {ep_rank_sha_dim(p)}")
             print(f"  {_fmt_rank_result(rank)}")
-        if args.check:
-            eng_phi = selmer(Curve(0, p, 0))
-            eng_hat = selmer(Curve(0, -4 * p, 0))
-            if eng_phi.classes != phi.classes or eng_hat.classes != phi_hat.classes:
-                print("engine cross-check FAILED", file=sys.stderr)
-                return 3
-            print("engine cross-check: ok")
-        return 0
+        return _cross_check(args, lambda: (selmer(Curve(0, p, 0)), selmer(Curve(0, -4 * p, 0)))
+                            == (phi, phi_hat))
     D = args.value
     reduce_exp = 4 if args.kind == "edx" else 6
     reduced = _reduce_power_free(D, reduce_exp)
@@ -277,19 +283,22 @@ def cmd_family(args) -> int:
             print(f"family E_D : y^2 = x^3 + {D}x")
             print(f"  torsion subgroup = {T.structure}")
             print(f"  rank <= {bound}")
+        return _cross_check(args, lambda: torsion_subgroup(Curve(0, D, 0)) == T)
+    T = edconst_torsion(D)
+    if args.json:
+        print(serialize_document({
+            "schema_version": SCHEMA_VERSION,
+            "family": "edconst",
+            "D": _enc_int(D),
+            "torsion": _torsion_json(T),
+        }))
     else:
-        T = edconst_torsion(D)
-        if args.json:
-            print(serialize_document({
-                "schema_version": SCHEMA_VERSION,
-                "family": "edconst",
-                "D": _enc_int(D),
-                "torsion": _torsion_json(T),
-            }))
-        else:
-            print(f"family E_D : y^2 = x^3 + {D}")
-            print(f"  torsion subgroup = {T.structure}")
-    return 0
+        print(f"family E_D : y^2 = x^3 + {D}")
+        print(f"  torsion subgroup = {T.structure}")
+    # a cube D also has the shifted model, with 2-torsion at the origin
+    c = _cube_root_exact(D)
+    return _cross_check(args, lambda: torsion_subgroup(Curve(0, 0, D)) == T and (
+        c is None or torsion_subgroup(from_cubic_const(c)).structure == T.structure))
 
 
 # ---------------------------------------------------------------------------

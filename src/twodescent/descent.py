@@ -8,12 +8,12 @@ square class d cuts out the homogeneous space
 
 and d lies in the phi-Selmer set exactly when C_d has points over R and
 over Q_p for every p in the bad set S = {2} u {p | b} u {p | b'}.  The
-classes soluble at one place form a subgroup, so the Selmer group is cut
-out of Q(S, 2) = F_2^(|S|+1) by linear algebra, place by place, with a
-local test only where the group law leaves a verdict open.  A
+classes soluble at a place v form the local image W_v, and those of E'
+form its annihilator under the Hilbert symbol, so local tests on E alone
+give both Selmer groups, each the kernel of one F_2 map on Q(S, 2).  A
 rational point of C_d lifts to E'(Q) by psi(z, w) = (d/z^2, -d*w/z^3)
-and certifies d as a genuine image class.  Running the same machinery
-on E' (whose own isogenous curve is E back again, up to scaling by
+and certifies d as a genuine image class.  The same search on E' (whose
+own isogenous curve is E back again, up to scaling by
 (x, y) -> (x/4, y/8)) bounds the rank from both sides:
 
     rank_upper = s + s' - 2,   rank_lower = max(0, g + g' - 2),
@@ -208,25 +208,27 @@ def hom_space(E: Curve, d) -> QuarticForm:
     return QuarticForm((dd * bp, 0, -2 * a * dd * dd, 0, dd**3))
 
 
-def _local_columns(S: BadSet, i: int, v: int) -> tuple[int, ...]:
-    """L_v on Q(S, 2), v the i-th place of (R,) + S: per bit of Q_v*/Q_v*^2
-    (the sign; v_2 parity, (u-1)/2, (u^2-1)/8 for the unit u; v_p parity, the
-    Euler bit), the mask of the generators (-1, p_1, ...) whose class has it."""
+def _local_table(S: BadSet, i: int, v: int) -> tuple[tuple[int, int, int], ...]:
+    """Q_v*/Q_v*^2, v the i-th place of (R,) + S, per coordinate bit (the
+    sign; v_2 parity, (u-1)/2, (u^2-1)/8 for the unit u; v_p parity, the
+    Euler bit): the mask of the generators (-1, p_1, ...) whose class has
+    the bit, an integer whose class is the bit alone (-1; 2, -1, 5; p, the
+    least non-residue), and the bits it pairs with to -1 under the Hilbert
+    symbol."""
     gens = (-1,) + S.primes
     if v == 0:
-        return (1,)
+        return ((1, -1, 1),)
     if v == 2:
-        return (2, sum(1 << j for j, g in enumerate(gens) if g % 4 == 3),
-                sum(1 << j for j, g in enumerate(gens) if g % 8 in (3, 5)))
-    return (1 << i, sum(1 << j for j, g in enumerate(gens) if g != v and _euler(g, v) < 0))
+        return ((2, 2, 4), (sum(1 << j for j, g in enumerate(gens) if g % 4 == 3), -1, 2),
+                (sum(1 << j for j, g in enumerate(gens) if g % 8 in (3, 5)), 5, 1))
+    return ((1 << i, v, 2 | (v % 4 == 3)),
+            (sum(1 << j for j, g in enumerate(gens) if g != v and _euler(g, v) < 0),
+             next(n for n in range(2, v) if _euler(n, v) < 0), 1))
 
 
-def _image(columns: tuple[int, ...], m: int) -> int:
-    """L_v of the class with generator mask m, as bits."""
-    x = 0
-    for j, c in enumerate(columns):
-        x |= ((m & c).bit_count() & 1) << j
-    return x
+def _image(table, m: int) -> int:
+    """L_v of the class with generator mask m, as coordinate bits."""
+    return sum(((m & col).bit_count() & 1) << j for j, (col, _, _) in enumerate(table))
 
 
 def _span(rows) -> list[int]:
@@ -238,65 +240,69 @@ def _span(rows) -> list[int]:
     return out
 
 
+def _kernel(funcs, n: int) -> list[int]:
+    """A basis of the masks u of n bits with (u & f).bit_count() even for
+    every f in funcs: per f, the first basis row odd on f is added to the
+    other odd rows and dropped."""
+    basis = [1 << j for j in range(n)]
+    for f in funcs:
+        odd = [u for u in basis if (u & f).bit_count() & 1]
+        if odd:
+            basis = [u ^ odd[0] if u in odd else u for u in basis if u != odd[0]]
+    return basis
+
+
 def selmer(E: Curve) -> SelmerSet:
     """Classes whose space C_d has points over R and every Q_p, p in S.
 
     The classes soluble at v form a subgroup W_v, the image of the local
-    connecting map, so Sel is cut out of Q(S, 2) by F_2 linear algebra,
-    place by place, with few local tests; see _selmer."""
-    S = bad_set(E)
-    return SelmerSet._of(_selmer(E, S, _class_on(E.a2 * E.a2 - 4 * E.a4, S)))
+    connecting map, so Sel is the kernel of an F_2 map; see _selmer."""
+    return SelmerSet._of(_selmer(E, bad_set(E))[0])
 
 
-def _selmer(E: Curve, S: BadSet, seed: int) -> dict[SquareClass, int]:
-    """Sel of E as {class: generator mask}, in class order, by F_2 linear
-    algebra on masks.
+def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareClass, int]]:
+    """Sel of E and of E' as {class: generator mask}, each in class order.
 
-    0 and L_v(seed), seed the mask of the codomain's a4, lie in every W_v:
-    C_1 has the point (0, 1) and C_seed a rational point at infinity.  At
-    each place (R, then S ascending) elimination splits the basis of the
-    classes soluble so far into a kernel of L_v and pivots; a row is
-    L_v(u) << n | u for a mask u of n bits, so one XOR updates image and
-    class.  In the pivot images' span, the span K of known-soluble images
-    is soluble and x + K insoluble for an insoluble x; the rest are tested
-    on their preimages in the pivots' span, least |d| first.  The kernel
-    and the preimages of a basis of W_v make the next basis."""
-    n = len(S.primes) + 1
-    low = (1 << n) - 1
-    basis = [1 << j for j in range(n)]  # kept in mask order
+    At a place v, the classes d whose C_d has a point over Q_v form W_v,
+    and those of E' form the annihilator of W_v under the Hilbert symbol
+    (Cassels, Lectures on Elliptic Curves, LMS Student Texts 24).  W_v is
+    found by local tests on the integers of the local classes, least |d|
+    first, where no verdict is known: 0 and L_v(b') lie in W_v (C_1 has
+    the point (0, 1) and C_b' a rational point at infinity), a class that
+    pairs to -1 with L_v(b), which lies in the image of E', does not, and
+    each test settles a coset of the classes known soluble.  Sel of E is
+    the kernel of u -> (L_v(u), y)_v over every y annihilating W_v, and
+    Sel of E' the kernel over every y in W_v; as a mask on the generators
+    that map is the XOR of the columns of the bits y pairs with to -1."""
+    a, b = E.a2, E.a4
+    seed, dual = _class_on(a * a - 4 * b, S), _class_on(b, S)
+    funcs: tuple[list[int], list[int]] = ([], [])
     for i, v in enumerate((0,) + S.primes):
-        columns = _local_columns(S, i, v)
-        seed_image = _image(columns, seed)
-        images = [_image(columns, u) for u in basis]
-        if all(x in (0, seed_image) for x in images):
-            continue  # the whole image is known soluble
-        pivots: dict[int, int] = {}  # leading bit -> row
-        kernel = []
-        for u, x in zip(basis, images):
-            row = x << n | u
-            while row > low and row.bit_length() in pivots:
-                row ^= pivots[row.bit_length()]
-            if row > low:
-                pivots[row.bit_length()] = row
-            else:
-                kernel.append(row)
-        # each image in the pivots' span -> its preimage there
-        pre = {row >> n: row & low for row in _span(pivots.values())}
-        good = {0, seed_image}
-        w_basis = [seed_image] if seed_image else []
-        bad: set[int] = set()
-        for x, d in sorted(((x, _rep(S, u)) for x, u in pre.items()), key=lambda xd: abs(xd[1])):
-            if x in good or x in bad:
+        table = _local_table(S, i, v)
+        # per local class x: the bits it pairs with to -1, the XOR of the
+        # columns of x's bits, and the integer of x
+        pairs, cols, reps = [0], [0], [1]
+        for col, r, p in table:
+            pairs += [x ^ p for x in pairs]
+            cols += [x ^ col for x in cols]
+            reps += [x * r for x in reps]
+        known, bad, b_pairs = _span([_image(table, seed)]), set(), pairs[_image(table, dual)]
+        for x in sorted(range(len(reps)), key=lambda x: abs(reps[x])):
+            if x in known or x in bad or (x & b_pairs).bit_count() & 1:
                 continue
-            f = hom_space(E, d)
+            f = hom_space(E, reps[x])
             if qp_soluble(f, v) if v else r_soluble(f):
-                w_basis.append(x)
-                good |= {x ^ k for k in good}
-                bad = {y ^ k for y in bad for k in good}
+                known += [x ^ k for k in known]
+                bad = {y ^ k for y in bad for k in known}
             else:
-                bad |= {x ^ k for k in good}
-        basis = sorted(kernel + [pre[x] for x in w_basis])
-    return dict(sorted((SquareClass(_rep(S, m)), m) for m in _span(basis)))
+                bad |= {x ^ k for k in known}
+        for y, p in enumerate(pairs):
+            if not any((k & p).bit_count() & 1 for k in known):
+                funcs[0].append(cols[p])
+            if y in known:
+                funcs[1].append(cols[p])
+    n = len(S.primes) + 1
+    return tuple(dict(sorted((SquareClass(_rep(S, m)), m) for m in _span(_kernel(f, n)))) for f in funcs)
 
 
 # Sieve moduli of the point search.  Per modulus q: the residues t of
@@ -520,8 +526,7 @@ def descent_report(E: Curve, H: int) -> DescentReport:
     # The codomain's 2-torsion gives delta(O) = 1 and delta((0, 0)) = the
     # class of its own a4: Selmer and the certified images start there.
     seed_phi, seed_hat = _class_on(pair.b_prime, S), _class_on(pair.b, S)
-    sel_phi = _selmer(E, S, seed_phi)
-    sel_hat = _selmer(pair.Eprime, S, seed_hat)
+    sel_phi, sel_hat = _selmer(E, S)
     tors = torsion_subgroup(E)
     notes: list[str] = []
     image_phi, lifts_prime = _certify_direction(E, pair, sel_phi, seed_phi, H)

@@ -8,8 +8,8 @@ the three spaces C_{-1}, C_2, C_{-2} settles 2 while 0 stays a
 conjecture at any finite height.
 
 Everything here is a theorem-shaped shortcut around the generic engine;
-the equivalence of the two is part of the test suite, and the torsion
-tables re-verify themselves against the generic computation on the fly.
+the equivalence of the two is part of the test suite and of
+`twodescent family ... --check`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .arith import (
     is_prime,
     sieve_primes,
 )
-from .curve import Curve, TorsionGroup, from_cubic_const, torsion_subgroup
+from .curve import INFINITY, TorsionGroup, pt
 from .descent import SelmerSet, _every
 
 __all__ = [
@@ -519,10 +519,6 @@ def ep_rank(p: int, H: int = 20) -> RankResult:
     return RankResult("interval", 0, 2, f"conjecturally 0; no points up to {H}")
 
 
-def _is_square(n: int) -> bool:
-    return n >= 0 and isqrt(n) ** 2 == n
-
-
 def _check_power_free(D: int, e: int) -> None:
     if D == 0:
         raise FamilyError("D must be nonzero")
@@ -530,21 +526,22 @@ def _check_power_free(D: int, e: int) -> None:
         raise FamilyError(f"D must be {e}th-power-free; reduce it first")
 
 
+def _group(structure: str, gens, *points) -> TorsionGroup:
+    """The group of the integer points given, in the order torsion_subgroup
+    lists them, with infinity first."""
+    return TorsionGroup(structure, tuple(pt(*P) for P in gens), (INFINITY,) + tuple(pt(*P) for P in points))
+
+
 def edx_torsion(D: int) -> TorsionGroup:
-    """Torsion of y^2 = x^3 + Dx: Z4 for D = 4, Z2xZ2 for -D square, else Z2."""
+    """Torsion of y^2 = x^3 + Dx: Z4 = <(2, 4)> for D = 4, Z2xZ2 =
+    <(0, 0), (-s, 0)> for -D = s^2, else Z2 = <(0, 0)>."""
     _check_power_free(D, 4)
+    s = isqrt(max(-D, 0))
     if D == 4:
-        expected = [4]
-    elif _is_square(-D):
-        expected = [2, 2]
-    else:
-        expected = [2]
-    T = torsion_subgroup(Curve(0, D, 0))
-    if T.invariants() != expected:
-        raise FamilyError(
-            f"torsion table and generic computation disagree at D = {D}"
-        )
-    return T
+        return _group("Z4", [(2, 4)], (0, 0), (2, 4), (2, -4))
+    if s * s == -D:
+        return _group("Z2xZ2", [(0, 0), (-s, 0)], (0, 0), (-s, 0), (s, 0))
+    return _group("Z2", [(0, 0)], (0, 0))
 
 
 def edx_rank_upper(D: int) -> int:
@@ -555,32 +552,20 @@ def edx_rank_upper(D: int) -> int:
 
 
 def edconst_torsion(D: int) -> TorsionGroup:
-    """Torsion of y^2 = x^3 + D: Z6 at D = 1, Z3 for squares and -432,
-    Z2 for cubes, trivial otherwise."""
+    """Torsion of y^2 = x^3 + D: Z6 = <(2, 3)> at D = 1, Z3 = <(0, t)> for
+    D = t^2 and <(12, 36)> at D = -432, Z2 = <(-c, 0)> for D = c^3, trivial
+    otherwise."""
     _check_power_free(D, 6)
-    c = _cube_root_exact(D)
+    c, t = _cube_root_exact(D), isqrt(max(D, 0))
     if D == 1:
-        expected = [6]
-    elif (D != 1 and _is_square(D)) or D == -432:
-        expected = [3]
-    elif c is not None:
-        expected = [2]
-    else:
-        expected = []
-    T = torsion_subgroup(Curve(0, 0, D))
-    if T.invariants() != expected:
-        raise FamilyError(
-            f"torsion table and generic computation disagree at D = {D}"
-        )
+        return _group("Z6", [(2, 3)], (0, 1), (0, -1), (-1, 0), (2, 3), (2, -3))
+    if t * t == D:
+        return _group("Z3", [(0, t)], (0, t), (0, -t))
+    if D == -432:
+        return _group("Z3", [(12, 36)], (12, 36), (12, -36))
     if c is not None:
-        # the shifted model puts the 2-torsion point at the origin; the
-        # two computations must agree on the group shape
-        T2 = torsion_subgroup(from_cubic_const(c))
-        if T2.invariants() != T.invariants():
-            raise FamilyError(
-                f"shifted-model torsion disagrees at D = {D}"
-            )
-    return T
+        return _group("Z2", [(-c, 0)], (-c, 0))
+    return _group("trivial", [])
 
 
 class EpRow(Record):

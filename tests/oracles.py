@@ -2,13 +2,13 @@
 
 Everything here is deliberately naive: exhaustive enumeration, textbook
 formulas, or sympy.  Nothing imports from twodescent, so a bug in the
-package cannot hide in its own oracle.  Three exceptions import it
+package cannot hide in its own oracle.  Four exceptions import it
 lazily: qp_soluble_two_pass_oracle checks only how qp_soluble covers the
 projective line, over the package's own (separately checked) zp_soluble,
-selmer_walk_oracle checks only how selmer combines the package's own
-(separately checked) local tests, and certify_oracle only how
-descent_report walks the Selmer classes over the package's own
-search_point and lift_point.
+selmer_walk_oracle and selmer_pivot_oracle check only how selmer
+combines the package's own (separately checked) local tests, and
+certify_oracle only how descent_report walks the Selmer classes over the
+package's own search_point and lift_point.
 """
 
 from __future__ import annotations
@@ -431,6 +431,108 @@ def selmer_walk_oracle(E):
         else:
             kept.append(d)
     return tuple(kept), tests
+
+
+def selmer_pivot_oracle(E):
+    """The phi-Selmer set of E as {class: generator mask}, in class order,
+    by restricting a basis of Q(S, 2) one place at a time (R, then S
+    ascending).  A mask has bit j for the j-th generator of (-1,) + S.
+
+    At each place v, elimination splits the basis into a kernel of the
+    local class map L_v and pivots; a row is L_v(u) << n | u, so one XOR
+    updates image and class.  In the pivot images' span, 0 and L_v(b')
+    are soluble, the span K of soluble images is soluble and x + K is
+    insoluble for an insoluble x; the rest are tested on their preimages
+    in the pivots' span, least |d| first.  The kernel and the preimages of
+    a basis of the soluble images make the next basis.
+    """
+    from twodescent.arith import SquareClass
+    from twodescent.descent import bad_set, hom_space
+    from twodescent.localsolve import qp_soluble, r_soluble
+
+    S = bad_set(E)
+    gens = (-1,) + S.primes
+    n = len(gens)
+    low = (1 << n) - 1
+
+    def rep(m: int) -> int:
+        out = 1
+        for j, g in enumerate(gens):
+            if m >> j & 1:
+                out *= g
+        return out
+
+    def columns(i: int, v: int) -> list[int]:
+        # per bit of Q_v*/Q_v*^2 (the sign; v_2 parity, (u-1)/2, (u^2-1)/8;
+        # v_p parity, the Euler bit), the generators whose class has it
+        if v == 0:
+            return [1]
+        if v == 2:
+            return [2, sum(1 << j for j, g in enumerate(gens) if g % 4 == 3),
+                    sum(1 << j for j, g in enumerate(gens) if g % 8 in (3, 5))]
+        return [1 << i, sum(1 << j for j, g in enumerate(gens)
+                            if g != v and pow(g % v, (v - 1) // 2, v) == v - 1)]
+
+    def image(cols: list[int], m: int) -> int:
+        return sum(((m & c).bit_count() & 1) << j for j, c in enumerate(cols))
+
+    def span(rows) -> list[int]:
+        out = [0]
+        for r in rows:
+            if r not in out:
+                out += [x ^ r for x in out]
+        return out
+
+    b_prime = E.a2 * E.a2 - 4 * E.a4
+    seed = sum(1 << j for j, g in enumerate(gens)
+               if (b_prime < 0 if g == -1 else val_oracle(b_prime, g) % 2))
+    basis = [1 << j for j in range(n)]
+    for i, v in enumerate((0,) + S.primes):
+        cols = columns(i, v)
+        seed_image = image(cols, seed)
+        images = [image(cols, u) for u in basis]
+        if all(x in (0, seed_image) for x in images):
+            continue
+        pivots: dict[int, int] = {}
+        kernel = []
+        for u, x in zip(basis, images):
+            row = x << n | u
+            while row > low and row.bit_length() in pivots:
+                row ^= pivots[row.bit_length()]
+            if row > low:
+                pivots[row.bit_length()] = row
+            else:
+                kernel.append(row)
+        pre = {row >> n: row & low for row in span(pivots.values())}
+        good = {0, seed_image}
+        w_basis = [seed_image] if seed_image else []
+        bad: set[int] = set()
+        for x, d in sorted(((x, rep(u)) for x, u in pre.items()), key=lambda xd: abs(xd[1])):
+            if x in good or x in bad:
+                continue
+            f = hom_space(E, d)
+            if qp_soluble(f, v) if v else r_soluble(f):
+                w_basis.append(x)
+                good |= {x ^ k for k in good}
+                bad = {y ^ k for y in bad for k in good}
+            else:
+                bad |= {x ^ k for k in good}
+        basis = sorted(kernel + [pre[x] for x in w_basis])
+    return dict(sorted((SquareClass(rep(m)), m) for m in span(basis)))
+
+
+def hilbert_brute(a: int, b: int, v: int) -> bool:
+    """Whether (a, b)_v = 1, for a, b of v-adic valuation 0 or 1: whether
+    a*x^2 + b*y^2 = z^2 has a nonzero real solution (v = 0), or one mod 16
+    (v = 2) or mod v^2 (odd v) with x, y, z not all divisible by v.  Mod 8
+    is not enough at 2: 2 + 10 = 12 = 2^2 there, yet (2, 10)_2 = -1."""
+    if v == 0:
+        return a > 0 or b > 0
+    m = 16 if v == 2 else v * v
+    squares = {z * z % m for z in range(m)}
+    unit_squares = {z * z % m for z in range(m) if z % v}
+    return any((a * x * x + b * y * y) % m in (squares if x % v or y % v else unit_squares)
+               for x in range(m) for y in range(m))
 
 
 # ---------------------------------------------------------------------------

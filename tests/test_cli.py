@@ -122,6 +122,27 @@ def test_family_check_against_engine(capsys):
     assert "engine agrees" in out or "check" in out.lower()
 
 
+@pytest.mark.parametrize("kind, D", [("edx", "-4"), ("edx", "4"), ("edconst", "-27"), ("edconst", "1")])
+def test_family_torsion_check_against_engine(capsys, kind, D):
+    rc, out, _ = run(capsys, "family", kind, D, "--check")
+    assert rc == 0 and out.endswith("engine cross-check: ok\n")
+
+
+@pytest.mark.parametrize("kind, D", [("edx", "17"), ("edconst", "5")])
+def test_family_torsion_check_exits_3_on_a_mismatch(capsys, monkeypatch, kind, D):
+    monkeypatch.setattr(cli_module, "torsion_subgroup", lambda E: torsion_subgroup(Curve(0, -1, 0)))
+    rc, out, err = run(capsys, "family", kind, D, "--check")
+    assert rc == 3 and err == "engine cross-check FAILED\n" and "cross-check" not in out
+
+
+def test_family_edconst_check_compares_the_shifted_model_of_a_cube(capsys, monkeypatch):
+    # y^2 = x^3 + 8 agrees; only its shifted model x^3 - 6x^2 + 12x disagrees
+    monkeypatch.setattr(cli_module, "torsion_subgroup",
+                        lambda E: torsion_subgroup(E if E.a6 else Curve(0, 0, 5)))
+    rc, _, err = run(capsys, "family", "edconst", "8", "--check")
+    assert rc == 3 and "FAILED" in err
+
+
 def test_table_small(capsys):
     rc, out, _ = run(capsys, "table", "ep", "--max", "20")
     assert rc == 0

@@ -23,6 +23,8 @@ from twodescent.descent import (
     _class_on,
     _coprime_bands,
     _first_square,
+    _local_table,
+    _selmer,
     _span,
     bad_set,
     delta_class,
@@ -40,9 +42,11 @@ from twodescent.localsolve import QuarticForm, qp_soluble, r_soluble
 
 from .oracles import (
     certify_oracle,
+    hilbert_brute,
     o_on_curve,
     o_order,
     search_point_oracle,
+    selmer_pivot_oracle,
     selmer_walk_oracle,
     span_oracle,
 )
@@ -284,7 +288,8 @@ def test_local_verdict_depends_only_on_the_local_class(a, b, data):
 
 
 def _selmer_and_tests(E: Curve):
-    """selmer(E) as ints, with its local tests per place (0 stands for R)."""
+    """Both Selmer sets of one _selmer(E, S) call as ints, with its local
+    tests per place (0 stands for R)."""
     tests: dict[int, int] = {}
 
     def counting_qp(f, p):
@@ -298,7 +303,15 @@ def _selmer_and_tests(E: Curve):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(descent_module, "qp_soluble", counting_qp)
         m.setattr(descent_module, "r_soluble", counting_r)
-        return tuple(int(d) for d in selmer(E)), tests
+        sels = _selmer(E, bad_set(E))
+    return tuple(tuple(int(d) for d in sel) for sel in sels), tests
+
+
+def _both_walks(E: Curve):
+    """selmer_walk_oracle on E and on E': both sets, and the tests per place
+    of the two walks together."""
+    (sel, tests), (sel_hat, tests_hat) = map(selmer_walk_oracle, (E, isogenous_curve(E).Eprime))
+    return (sel, sel_hat), {v: tests.get(v, 0) + tests_hat.get(v, 0) for v in {*tests, *tests_hat}}
 
 
 @pytest.mark.parametrize("E", [
@@ -309,16 +322,17 @@ def _selmer_and_tests(E: Curve):
     Curve(0, 912247, 0),
 ])
 def test_selmer_tests_each_local_class_once(E):
-    # the walk tests each local class once; the group law leaves fewer
-    for C in (E, isogenous_curve(E).Eprime):
-        classes_, tests = _selmer_and_tests(C)
-        walk_classes, walk_tests = selmer_walk_oracle(C)
-        assert classes_ == walk_classes == selmer_per_class(C)
-        assert set(tests) <= set(walk_tests) <= {0} | set(bad_set(C).primes)
-        assert all(n <= walk_tests[v] for v, n in tests.items())
-        assert sum(tests.values()) < sum(walk_tests.values())
-        assert walk_tests.get(0, 0) <= 2 and walk_tests.get(2, 0) <= 8
-        assert all(n <= 4 for v, n in walk_tests.items() if v > 2)
+    # one call decides both groups from the local images of E alone: at
+    # most one test per local class of E, never more than the walks on E
+    # and on E' make together, and fewer in all
+    sels, tests = _selmer_and_tests(E)
+    walk_sels, walk_tests = _both_walks(E)
+    assert sels == walk_sels == (selmer_per_class(E), selmer_per_class(isogenous_curve(E).Eprime))
+    assert set(tests) <= set(walk_tests) <= {0} | set(bad_set(E).primes)
+    assert all(n <= walk_tests[v] for v, n in tests.items())
+    assert sum(tests.values()) < sum(walk_tests.values())
+    assert tests.get(0, 0) <= 1 and tests.get(2, 0) <= 7
+    assert all(n <= 3 for v, n in tests.items() if v > 2)
 
 
 PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
@@ -343,11 +357,75 @@ def twisted_box_curves(draw):
     twisted_box_curves(),
 ))
 def test_selmer_matches_walk_oracle_with_no_more_tests(E):
-    for C in (E, isogenous_curve(E).Eprime):
-        classes_, tests = _selmer_and_tests(C)
-        walk_classes, walk_tests = selmer_walk_oracle(C)
-        assert classes_ == walk_classes
-        assert all(n <= walk_tests.get(v, 0) for v, n in tests.items())
+    sels, tests = _selmer_and_tests(E)
+    walk_sels, walk_tests = _both_walks(E)
+    assert sels == walk_sels
+    assert all(n <= walk_tests.get(v, 0) for v, n in tests.items())
+    assert tests.get(0, 0) <= 1 and tests.get(2, 0) <= 7
+    assert all(n <= 3 for v, n in tests.items() if v > 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
+        lambda ab: nonsingular(*ab)).map(lambda ab: Curve(*ab, 0)),
+    st.integers(-10**6, 10**6).filter(bool).map(lambda D: Curve(0, D, 0)),
+    twisted_box_curves(),
+    st.tuples(st.integers(1, 10), st.sampled_from((1, -1))).map(
+        lambda ks: Curve(0, ks[1] * math.prod(PRIMES_BELOW_200[:ks[0]]), 0)),
+))
+def test_both_selmer_sets_match_the_pivot_and_walk_oracles(E):
+    # the kernels read off E's local images give both sets, masks and
+    # order included; the second is the first set of the call on E'
+    Ep = isogenous_curve(E).Eprime
+    S = bad_set(E)
+    sel, sel_hat = _selmer(E, S)
+    assert list(sel.items()) == list(selmer_pivot_oracle(E).items())
+    assert list(sel_hat.items()) == list(selmer_pivot_oracle(Ep).items())
+    assert tuple(map(int, sel)) == selmer_walk_oracle(E)[0]
+    assert tuple(map(int, sel_hat)) == selmer_walk_oracle(Ep)[0]
+    assert list(_selmer(Ep, S)[0].items()) == list(sel_hat.items())
+
+
+def _local_coordinates(n: int, v: int) -> int:
+    """The coordinate bits of n in Q_v*/Q_v*^2, as _local_table orders them."""
+    if v == 0:
+        return int(n < 0)
+    e = 0
+    while n % v == 0:
+        n, e = n // v, e + 1
+    if v == 2:
+        return e % 2 | (n % 4 == 3) << 1 | (n % 8 in (3, 5)) << 2
+    return e % 2 | (legendre(n, v) < 0) << 1
+
+
+def test_local_tables_match_the_hilbert_symbol():
+    # columns, class integers and pairing bits at R, 2 and odd p of both
+    # residues mod 4; mod v^2 is out of reach at 1000003, where the
+    # textbook formula (-1)^(e f (p-1)/2) (u/p)^f (w/p)^e stands in for
+    # the brute search, which checks it at the small primes
+    S = BadSet((2, 3, 5, 7, 11, 13, 1000003))
+    gens = (-1,) + S.primes
+    for i, v in enumerate((0,) + S.primes):
+        table = _local_table(S, i, v)
+        for j, g in enumerate(gens):
+            assert _local_coordinates(g, v) == sum((col >> j & 1) << c for c, (col, _, _) in enumerate(table))
+        assert [_local_coordinates(r, v) for _, r, _ in table] == [1 << c for c in range(len(table))]
+        reps = [math.prod(r for c, (_, r, _) in enumerate(table) if x >> c & 1)
+                for x in range(1 << len(table))]
+        for x, rx in enumerate(reps):
+            for y, ry in enumerate(reps):
+                pairs = 0
+                for c, (_, _, p) in enumerate(table):
+                    pairs ^= p if y >> c & 1 else 0
+                minus = bool((x & pairs).bit_count() & 1)
+                if v != 1000003:
+                    assert minus != hilbert_brute(rx, ry, v), (v, rx, ry)
+                if v > 2:
+                    e, f = rx % v == 0, ry % v == 0
+                    u, w = (rx // v if e else rx), (ry // v if f else ry)
+                    textbook = (-1) ** (e * f * (v - 1) // 2) * legendre(u, v) ** f * legendre(w, v) ** e
+                    assert minus == (textbook < 0), (v, rx, ry)
 
 
 def test_selmer_of_the_20_prime_primorial_dx_model_is_fast():

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twodescent import families
-from twodescent.arith import _cube_root_exact, sieve_primes, squarefree_part
-from twodescent.curve import Curve, from_cubic_const, torsion_subgroup
+from twodescent.arith import _cube_root_exact, factorize, sieve_primes, squarefree_part
+from twodescent.curve import INFINITY, Curve, from_cubic_const, pt, torsion_subgroup
 from twodescent.descent import hom_space, search_point, selmer
 from twodescent.families import (
     FamilyError,
@@ -250,6 +250,25 @@ def test_edconst_torsion_rejects_unreduced_d():
         edconst_torsion(64)
     with pytest.raises(FamilyError):
         edconst_torsion(-128)
+
+
+def test_torsion_closed_forms_are_the_generic_groups():
+    # the whole group: structure, generators and every point in order
+    def free(D, e):
+        return all(m < e for _, m in factorize(D).factors)
+
+    Ds = [D for D in range(-3000, 3001) if D] + [216, 10**6 + 3]
+    for D in (D for D in Ds if free(D, 4)):
+        assert edx_torsion(D) == torsion_subgroup(Curve(0, D, 0)), D
+    for D in (D for D in Ds if free(D, 6)):
+        assert edconst_torsion(D) == torsion_subgroup(Curve(0, 0, D)), D
+
+
+def test_family_torsion_runs_no_generic_torsion():
+    # the closed forms build their groups: families has no torsion_subgroup
+    assert not hasattr(families, "torsion_subgroup")
+    assert edx_torsion(-9).generators == (pt(0, 0), pt(-3, 0))
+    assert edconst_torsion(-8).points == (INFINITY, pt(2, 0))
 
 
 def test_edconst_matches_shifted_models():
