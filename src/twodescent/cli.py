@@ -314,6 +314,8 @@ def _parse_filter(text: str) -> dict:
         key = key.strip()
         value = value.strip()
         if key == "mod8":
+            if value not in ("1", "3", "5", "7"):
+                raise FamilyError("mod8 takes 1, 3, 5 or 7")
             out["mod8"] = int(value)
         elif key == "quartic2":
             if value not in ("true", "false"):

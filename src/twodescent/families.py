@@ -16,9 +16,9 @@ from __future__ import annotations
 
 import os
 from array import array
-from bisect import bisect_right
 from fractions import Fraction
-from functools import cache, lru_cache, partial, reduce
+from functools import cache, lru_cache, partial
+from heapq import heappop, heappush
 from itertools import accumulate
 from math import gcd, isqrt
 
@@ -103,11 +103,13 @@ def _ep_selmer(p: int):
 def ep_rank_sha_dim(p: int) -> int:
     """rank + dim_2 Sha[2] for y^2 = x^3 + px: s + s' - 2, so 0, 1 or 2 by p mod 16."""
     _check_odd_prime(p)
-    return sum(_ep_dims(p)) - 2
+    return sum(_ep_dims(p % 16)) - 2
 
 
-def _ep_dims(p: int):
-    return [len(reps).bit_length() - 1 for reps in _ep_selmer(p)]
+@cache
+def _ep_dims(r: int):
+    """The two Selmer dimensions of E_p for p = r (mod 16)."""
+    return tuple(len(reps).bit_length() - 1 for reps in _ep_selmer(r))
 
 
 # ---------------------------------------------------------------------------
@@ -144,12 +146,15 @@ def _ep_dims(p: int):
 # p contributes pi_p alone: conjugating a whole product keeps its
 # |components|, and where p divides k, pi_p * pi-bar_p^(4e) is not
 # primitive.  So a norm p k^4 has at most 2^omega(k) candidates, each
-# pi_p times a product that one table per (H, c) holds for all k <= H.
-# In Z[i] x^2 + y^2 = p k^4 is odd, and 2 * odd = 2 (mod 4) is never a
-# square, so C_{-1} can hit only on twice the even component, C_p only
-# on half of it.  ep_rank takes H <= 1000, so the rescan cap is 10^6,
-# |X|, |Y| <= k^2 <= 10^12 for c = 1, 2, and the real form, searched
-# only up to H, takes 29 bits: every table entry fits in 64 bits.
+# pi_p times a row of the product table for (H, c), shared by every p.
+# Its rows run over the split-smooth k <= H in increasing order, and it
+# grows k by k only as far as scans read it, so a scan that hits early
+# never pays for the rest; the k come off a heap.  In Z[i] x^2 + y^2 =
+# p k^4 is odd, and 2 * odd = 2 (mod 4) is never a square, so C_{-1} can
+# hit only on twice the even component, C_p only on half of it.
+# ep_rank takes H <= 1000, so the rescan cap is 10^6, |X|, |Y| <= k^2 <=
+# 10^12 for c = 1, 2, and the real form, searched only up to H, takes
+# 29 bits: every table entry fits in 64 bits.
 # Residue filters choose the rows a scan tests exactly.  With t = X/Y
 # the components of pi_p (X + Y sqrt(-c)), pi_p = a + b sqrt(-c), are
 # Y (a t - c b) and Y (b t + a), so modulo a prime l = 1 (mod 4) a
@@ -161,11 +166,11 @@ def _ep_dims(p: int):
 # would, and such l filter nothing.  One more byte, (X mod 16, Y mod 16),
 # gives the parity and the 2-adic test.  A bytes.translate per code and
 # an AND of the results as ints leave the surviving rows of each chunk
-# of _CHUNK rows in order, and a chunk is coded when a scan first
-# reaches it.  Along a unit orbit x mod q has a period dividing 24 for
-# each q of _ORBIT_MODULI, so per-modulus masks indexed by (x0, 2 s0)
-# mod q mark the steps where x, or -x, can be a square, and only those
-# steps get their exact element.
+# of _CHUNK rows in order; a chunk is coded when a scan first reaches
+# it, once the table holds all of it.  Along a unit orbit x mod q has a
+# period dividing 24 for each q of _ORBIT_MODULI, so per-modulus masks
+# indexed by (x0, 2 s0) mod q mark the steps where x, or -x, can be a
+# square, and only those steps get their exact element.
 
 
 def _pair_mul(x, y, c):
@@ -219,43 +224,68 @@ def _prime_root(q: int, c: int):
 
 
 def _split_smooth(cap: int, modulus: int, residues: tuple):
-    """Odd k <= cap whose prime factors all lie in residues mod modulus,
-    as (k, factorization) pairs in increasing order."""
-    primes = [q for q in sieve_primes(cap) if q % modulus in residues]
-    out = [(1, ())]
-    for k, fac in out:  # extend each k by the primes above its largest one
-        lo = bisect_right(primes, fac[-1][0]) if fac else 0
-        for q in primes[lo:bisect_right(primes, cap // k)]:
-            kq, e = k * q, 1
-            while kq <= cap:
-                out.append((kq, fac + ((q, e),)))
-                kq, e = kq * q, e + 1
-    return sorted(out)
+    """Odd k in (1, cap] whose primes all lie in residues mod modulus, in
+    increasing order, as (k, q, r): q the largest prime of k, r the part of
+    k prime to q.  Popping k = m q off a heap pushes k q and m q', q' the
+    next prime, and primes are sieved only as far as the walk reaches."""
+    primes, bound, heap = [], 0, [(1, -1, 1, 1)]  # (k, index of q, m, r)
+    while heap:
+        k, j, m, r = heappop(heap)
+        while len(primes) <= j + 1 and m * bound < cap:
+            bound = min(4 * bound + 4096, cap)
+            primes = [q for q in sieve_primes(bound) if q % modulus in residues]
+        if j >= 0:
+            yield k, primes[j], r
+            if k * primes[j] <= cap:
+                heappush(heap, (k * primes[j], j, k, r))
+        if j + 1 < len(primes) and m * primes[j + 1] <= cap:
+            heappush(heap, (m * primes[j + 1], j + 1, m, m))
 
 
-@lru_cache(maxsize=8)
-def _product_table(H: int, c: int):
-    """Columns k, X, Y of each product of pi-bar_q^(4e) or pi_q^(4e) over
+class _ProductTable:
+    """Columns ks, xs, ys of each product of pi-bar_q^(4e) or pi_q^(4e) over
     q^e || k, for the split-smooth k <= H in increasing order.  The last
     prime varies fastest, its conjugate power first: the rows of k extend
-    those of k / q^e by its last prime power q^e."""
-    ks, xs, ys = array("q", [1]), array("q", [1]), array("q", [0])
-    rows, powers = {1: range(1)}, {}
-    for k, fac in _split_smooth(H, *_SPLIT[c])[1:]:
-        (q, e), start = fac[-1], len(ks)
-        if (q, e) not in powers:  # pi_q^(4e), once per prime power
-            pi = _prime_root(q, c)
-            powers[q, e] = reduce(lambda z, _: _pair_mul(z, pi, c), range(4 * e), (1, 0))
-        u, v = powers[q, e]
-        for i in rows[k // q**e]:
-            X, Y = xs[i], ys[i]
-            xs.append(X * u + c * Y * v)  # times pi-bar_q^(4e) = u - v sqrt(-c)
-            ys.append(Y * u - X * v)
-            xs.append(X * u - c * Y * v)  # times pi_q^(4e)
-            ys.append(Y * u + X * v)
-        ks.extend((k,) * (len(xs) - start))
-        rows[k] = range(start, len(ks))
-    return ks, xs, ys
+    those of k / q^e.  grow builds rows k by k as scans reach them;
+    unpacking the table as (ks, xs, ys) builds all of it."""
+
+    def __init__(self, H: int, c: int):
+        self.ks, self.xs, self.ys = array("q", [1]), array("q", [1]), array("q", [0])
+        self._c, self._next, self._rows = c, _split_smooth(H, *_SPLIT[c]), {1: (0, 1)}
+        self._powers = {1: (1, 0)}  # pi_q^(4e) by q^e
+
+    def grow(self, n) -> bool:
+        """Build at least n rows if the table has them; whether it does."""
+        ks, xs, ys, c, powers, rows = self.ks, self.xs, self.ys, self._c, self._powers, self._rows
+        while len(ks) < n:
+            k, q, r = next(self._next, (0, 0, 0)) if self._next else (0, 0, 0)
+            if not k:  # complete: keep only the columns
+                self._next = self._rows = self._powers = None
+                return False
+            qe, start = k // r, len(ks)
+            uv = powers.get(qe)
+            if uv is None:  # pi_q^(4e) = pi_q^(4e - 4) pi_q^4, pi_q^4 by two squarings
+                if q not in powers:
+                    z = _pair_mul(*[_prime_root(q, c)] * 2, c)
+                    powers[q] = _pair_mul(z, z, c)
+                uv = powers[qe] = _pair_mul(powers[qe // q], powers[q], c)
+            u, v = uv
+            lo, hi = rows[r]
+            for X, Y in zip(xs[lo:hi], ys[lo:hi]):
+                xs.append(X * u + c * v * Y)  # times pi-bar_q^(4e) = u - v sqrt(-c)
+                ys.append(Y * u - X * v)
+                xs.append(X * u - c * v * Y)  # times pi_q^(4e)
+                ys.append(Y * u + X * v)
+            ks.extend((k,) * (len(xs) - start))
+            rows[k] = start, len(ks)
+        return True
+
+    def __iter__(self):
+        self.grow(float("inf"))
+        return iter((self.ks, self.xs, self.ys))
+
+
+_product_table = lru_cache(maxsize=8)(_ProductTable)
 
 
 _FILTER_ROWS = 100  # smaller tables are walked row by row, which is cheaper
@@ -307,13 +337,11 @@ def _two_adic(a: int, b: int, c: int, num: int, den: int):
     the even component is a candidate."""
     m = 16 * num // den
     squares = {w * w % m for w in range(m)}
-
-    def ok(z):
-        return (c != 1 or z % 2 == 0) and any(v * num // den % m in squares for v in (z % 16, -z % 16))
-
-    cells = [(X, Y) for X in range(16) for Y in range(16)]
-    return (bytes(ok(a * X - c * b * Y) for X, Y in cells),
-            bytes(ok(a * Y + b * X) for X, Y in cells))
+    ok = [(c != 1 or z % 2 == 0) and any(v * num // den % m in squares for v in (z, -z % 16))
+          for z in range(16)]  # by z mod 16
+    cells = range(256)  # i = X * 16 + Y, so i = Y (mod 16)
+    return (bytes(ok[(a * (i >> 4) - c * b * i) & 15] for i in cells),
+            bytes(ok[(a * i + b * (i >> 4)) & 15] for i in cells))
 
 
 @lru_cache(maxsize=8)
@@ -334,25 +362,27 @@ def _chunk_codes(xs, ys) -> list[bytes]:
 def _survivors(H: int, c: int, a: int, b: int, num: int, den: int):
     """Indices, in order, of the rows of _product_table(H, c) whose
     candidate square passes the residue filters for pi_p = (a, b)."""
-    _, xs, ys = _product_table(H, c)
+    table = _product_table(H, c)
+    xs, ys = table.xs, table.ys
     parts = [(a, -c * b), (b, a)] if c == 1 else [(a, -c * b)]  # x = Y (a t - c b), y
     filters = [(two_adic, [_pass_table(l, alpha, beta, num * den) for l in _CODE_PRIMES])
                for two_adic, (alpha, beta) in zip(_two_adic(a & 15, b & 15, c, num, den), parts)]
-    codes = _row_codes(H, c)
-    for start in range(0, len(xs), _CHUNK):
+    codes, start = _row_codes(H, c), 0
+    while table.grow(start + _CHUNK) or start < len(xs):  # a chunk is coded once complete
         chunk = codes.get(start)
         if chunk is None:
             chunk = codes[start] = _chunk_codes(xs[start:start + _CHUNK], ys[start:start + _CHUNK])
         bits = 0
         for two_adic, tables in filters:
             mask = int.from_bytes(chunk[0].translate(two_adic), "little")
-            for row, table in zip(chunk[1:], tables):
-                mask &= int.from_bytes(row.translate(table), "little")
+            for row, passing in zip(chunk[1:], tables):
+                mask &= int.from_bytes(row.translate(passing), "little")
             bits |= mask
         while bits:  # byte i of a chunk is row start + i
             low = bits & -bits
             bits ^= low
             yield start + (low.bit_length() >> 3)
+        start += _CHUNK
 
 
 # (3 + 2 sqrt 2)^j for j <= 64
@@ -366,12 +396,13 @@ def _orbit_masks(q: int):
     steps j where x of (x0 + s0 sqrt 2)(3 + 2 sqrt 2)^j is a square mod q,
     and where -x is."""
     squares = {w * w % q for w in range(q)}
+    marks = [bytes(48 + (s * x % q in squares) for x in range(256)) for s in (1, -1)]
+    units = [(ux % q, us % q) for ux, us in reversed(_UNITS[:24])]  # step 23 first
     out = []
     for x0 in range(q):
         for s in range(q):
-            xs = [(x0 * ux + s * us) % q for ux, us in _UNITS[:24]]
-            out.append((sum((x in squares) << j for j, x in enumerate(xs)),
-                        sum((-x % q in squares) << j for j, x in enumerate(xs))))
+            steps = bytes((x0 * ux + s * us) % q for ux, us in units)
+            out.append(tuple(int(steps.translate(m), 2) for m in marks))
     return out
 
 
@@ -388,6 +419,8 @@ def _orbit_square_x(z0, m, step_cap=64):
         square &= sq
         negated &= neg
     fwd = square | negated  # bit j: step j (mod 24) can hold x or -x square
+    if not fwd:  # no step can hold a square: most walks end here
+        return None
     back = int(f"{fwd:024b}"[::-1], 2)  # bit j: step -(j+1) = 23 - j
     spread, steps = _every(24, step_cap), (1 << step_cap) - 1
     for bits, second in ((fwd, 0), (back, 1)):
@@ -425,10 +458,11 @@ def _ep_space_point(p: int, d: int, H: int):
     a, b = pi
     cb = c * b
     num, den = {-1: (2, 1), p: (1, 2)}.get(d, (1, 1))
-    ks, xs, ys = _product_table(H, c)
-    if c == -2 or len(ks) < _FILTER_ROWS:
-        rows = zip(ks, xs, ys)
+    table = _product_table(H, c)
+    if c == -2 or not table.grow(_FILTER_ROWS):
+        rows = zip(*table)
     else:
+        ks, xs, ys = table.ks, table.xs, table.ys
         rows = ((ks[j], xs[j], ys[j]) for j in _survivors(H, c, a, b, num, den))
     for k, X, Y in rows:
         x, y = a * X - cb * Y, a * Y + b * X  # pi_p (X + Y sqrt(-c))
@@ -476,14 +510,21 @@ def ep_rank(p: int, H: int = 20) -> RankResult:
     """
     _check_odd_prime(p)
     _check_height(H)
+    return _ep_rank(p, H)
+
+
+_RANK_0 = RankResult("exact", 0, 0, "both Selmer sets are the minimal subgroup")
+_RANK_1 = RankResult("exact_conditional_on_finite_sha", 1, 1,
+                     "Selmer residual of dimension 1 falls on the rank side when Sha is finite")
+
+
+def _ep_rank(p: int, H: int) -> RankResult:
+    """ep_rank for an odd prime p and a height H that the caller has checked."""
     r = p % 16
     if r in (7, 11):
-        return RankResult("exact", 0, 0, "both Selmer sets are the minimal subgroup")
+        return _RANK_0
     if r in (3, 5, 13, 15):
-        return RankResult(
-            "exact_conditional_on_finite_sha", 1, 1,
-            "Selmer residual of dimension 1 falls on the rank side when Sha is finite",
-        )
+        return _RANK_1
     if not _two_is_quartic(p):
         return RankResult(
             "exact", 0, 0,
@@ -577,14 +618,14 @@ class EpRow(Record):
 
 
 def _ep_row(p: int, height: int) -> EpRow:
-    # p comes from the sieve; ep_rank alone re-checks it, once per row
-    s, s_hat = _ep_dims(p)
+    # the sieve proved p and ep_table checked the height
+    s, s_hat = _ep_dims(p % 16)
     return EpRow(
         p=p,
         selmer_dim_phi=s,
         selmer_dim_phi_hat=s_hat,
         rank_sha_dim=s + s_hat - 2,
-        rank=ep_rank(p, height),
+        rank=_ep_rank(p, height),
     )
 
 
@@ -598,13 +639,16 @@ def ep_table(
 ) -> list[EpRow]:
     """One row per odd prime p <= p_max, with optional residue filters.
 
-    quartic_only keeps p with 2 a fourth power mod p (forces p = 1 mod 8).
+    mod8, one of 1, 3, 5, 7, keeps p = mod8 (mod 8); quartic_only keeps p
+    with 2 a fourth power mod p (forces p = 1 mod 8).
     jobs > 1 maps over a pool of at most os.cpu_count() worker processes.
     Rows come back sorted by p: pool.map keeps the order of ps.
     """
     if p_max > _EP_TABLE_BUDGET:
         raise FamilyError(f"p_max beyond the {_EP_TABLE_BUDGET} budget")
     _check_height(height)
+    if mod8 not in (None, 1, 3, 5, 7):
+        raise FamilyError(f"mod8 must be 1, 3, 5 or 7, not {mod8!r}")
     if jobs is not None and jobs < 1:
         raise FamilyError("jobs must be at least 1")
     ps = [p for p in sieve_primes(max(p_max, 2)) if p > 2]

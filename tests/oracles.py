@@ -14,6 +14,7 @@ package's own search_point and lift_point.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
@@ -605,6 +606,80 @@ def prime_root_scan_oracle(q: int, c: int):
         if t >= 0 and isqrt(t) ** 2 == t:
             return isqrt(t) + 2 * b, isqrt(t) + b
     return None
+
+
+# The one-shot kernels that the E_p scans' caches were first filled with:
+# every cell of a residue table computed on its own, and each product
+# table built whole, from the sorted split-smooth k, before its first row
+# is read.
+
+
+def two_adic_oracle(a: int, b: int, c: int, num: int, den: int):
+    """Per component x, y of (a + b sqrt(-c))(X + Y sqrt(-c)), the codes
+    X * 16 + Y (X, Y mod 16) mapped to 1 where |component| * num/den can be
+    a square, known mod 16 * num/den, else to 0; for c = 1 only the even
+    component is a candidate."""
+    m = 16 * num // den
+    squares = {w * w % m for w in range(m)}
+
+    def ok(z):
+        return (c != 1 or z % 2 == 0) and any(v * num // den % m in squares for v in (z % 16, -z % 16))
+
+    cells = [(X, Y) for X in range(16) for Y in range(16)]
+    return (bytes(ok(a * X - c * b * Y) for X, Y in cells),
+            bytes(ok(a * Y + b * X) for X, Y in cells))
+
+
+def orbit_masks_oracle(q: int):
+    """Per x0 * q + s (x0 mod q, s = 2 s0 mod q), the 24-bit masks of the
+    steps j where x of (x0 + s0 sqrt 2)(3 + 2 sqrt 2)^j is a square mod q,
+    and where -x is."""
+    units = [_ep_pow((3, 2), j, -2) for j in range(24)]
+    squares = {w * w % q for w in range(q)}
+    out = []
+    for x0 in range(q):
+        for s in range(q):
+            xs = [(x0 * ux + s * us) % q for ux, us in units]
+            out.append((sum((x in squares) << j for j, x in enumerate(xs)),
+                        sum((-x % q in squares) << j for j, x in enumerate(xs))))
+    return out
+
+
+_EP_SPLIT = {1: (4, (1,)), 2: (8, (1, 3)), -2: (8, (1, 7))}
+
+
+def split_smooth_oracle(cap: int, modulus: int, residues: tuple):
+    """Odd k <= cap whose prime factors all lie in residues mod modulus,
+    as (k, factorization) pairs in increasing order, 1 first."""
+    primes = [q for q in sympy.primerange(3, cap + 1) if q % modulus in residues]
+    out = [(1, ())]
+    for k, fac in out:  # extend each k by the primes above its largest one
+        lo = bisect_right(primes, fac[-1][0]) if fac else 0
+        for q in primes[lo:bisect_right(primes, cap // k)]:
+            kq, e = k * q, 1
+            while kq <= cap:
+                out.append((kq, fac + ((q, e),)))
+                kq, e = kq * q, e + 1
+    return sorted(out)
+
+
+@lru_cache(maxsize=8)
+def product_table_oracle(H: int, c: int):
+    """Columns k, X, Y of each product of pi-bar_q^(4e) or pi_q^(4e) over
+    q^e || k, for the split-smooth k <= H in increasing order, built whole:
+    the last prime varies fastest, its conjugate power first."""
+    ks, xs, ys = [1], [1], [0]
+    rows = {1: range(1)}
+    for k, fac in split_smooth_oracle(H, *_EP_SPLIT[c])[1:]:
+        (q, e), start = fac[-1], len(ks)
+        u, v = _ep_pow(prime_root_scan_oracle(q, c), 4 * e, c)
+        for i in rows[k // q**e]:
+            X, Y = xs[i], ys[i]
+            xs += [X * u + c * Y * v, X * u - c * Y * v]
+            ys += [Y * u - X * v, Y * u + X * v]
+        ks.extend((k,) * (len(xs) - start))
+        rows[k] = range(start, len(ks))
+    return ks, xs, ys
 
 
 def _ep_split(q: int, c: int) -> bool:

@@ -175,6 +175,14 @@ def test_table_json_file(tmp_path, capsys):
     assert all("rank" in r and "selmer_dim_phi" in r for r in doc["rows"])
 
 
+@pytest.mark.parametrize("value", ["9", "-7", "x", ""])
+def test_table_refuses_a_mod8_filter_outside_1_3_5_7(capsys, value):
+    rc, out, err = run(capsys, "table", "ep", "--max", "100", "--filter", f"mod8={value}")
+    assert rc == 2
+    assert "mod8 takes 1, 3, 5 or 7" in err
+    assert "rows" not in out
+
+
 def test_table_budget(capsys):
     rc, _, err = run(capsys, "table", "ep", "--max", str(10**6 + 1))
     assert rc == 2

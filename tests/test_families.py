@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -150,9 +151,8 @@ def test_ep_rank_certifies_cosets_like_the_closure_of_integer_classes(monkeypatc
         assert ("one space certified" in r.note) == (g == 2)
 
 
-def test_ep_table_proves_each_prime_once(monkeypatch):
-    # the sieve's primes are proved by ep_rank alone; the two-squares
-    # splittings and the Gauss test reuse them unchecked
+def count_is_prime(monkeypatch) -> list:
+    """The arguments of every is_prime call from here on."""
     import twodescent.arith as arith
 
     proved = []
@@ -161,24 +161,48 @@ def test_ep_table_proves_each_prime_once(monkeypatch):
     monkeypatch.setattr(arith, "is_prime", counting)
     monkeypatch.setattr(families, "is_prime", counting)
     families._prime_root.cache_clear()
+    return proved
+
+
+def test_ep_table_proves_each_prime_once(monkeypatch):
+    # the sieve is the proof of every row's prime: no row proves it again,
+    # and the two-squares splittings and the Gauss test reuse it unchecked
+    proved = count_is_prime(monkeypatch)
     rows = ep_table(2000)
-    assert sorted(proved) == [r.p for r in rows]
+    assert [r.p for r in rows] == ODD_PRIMES[:len(rows)] and rows[-1].p == 1999
+    assert proved == []
 
 
 def test_quartic_filter_proves_each_row_prime_once(monkeypatch):
     # the filter reads Gauss's test off the cached splitting of the sieve's
-    # primes; ep_rank alone proves each kept prime
-    import twodescent.arith as arith
-
-    proved = []
-    is_prime = arith.is_prime
-    counting = lambda n: proved.append(n) or is_prime(n)
-    monkeypatch.setattr(arith, "is_prime", counting)
-    monkeypatch.setattr(families, "is_prime", counting)
-    families._prime_root.cache_clear()
+    # primes, which the sieve has proved
+    proved = count_is_prime(monkeypatch)
     rows = ep_table(5000, quartic_only=True)
-    assert rows and sorted(proved) == [r.p for r in rows]
+    assert rows and proved == []
     assert [r.p for r in rows] == [p for p in ODD_PRIMES if p % 8 == 1 and 2 in quartic_set(p)]
+
+
+def test_ep_rank_and_ep_selmer_prove_their_callers_prime_once(monkeypatch):
+    proved = count_is_prime(monkeypatch)
+    assert ep_rank(73).hi == 2 and proved == [73]
+    ep_selmer(89)
+    assert proved == [73, 89]
+    for n in (1, 2, 9, 561):
+        with pytest.raises(FamilyError, match="odd prime"):
+            ep_rank(n)
+        with pytest.raises(FamilyError, match="odd prime"):
+            ep_selmer(n)
+
+
+def test_ep_table_to_30000_is_the_benchmark_reference():
+    # perfbench/data/ep_reference.json holds the seed's rows at height 20
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "data", "ep_reference.json")
+    with open(path) as fh:
+        ref = json.load(fh)
+    assert (ref["p_max"], ref["height"]) == (30000, 20)
+    rows = ep_table(30000, height=20)
+    assert {str(r.p): [r.p, r.selmer_dim_phi, r.selmer_dim_phi_hat, r.rank_sha_dim,
+                       r.rank.kind, r.rank.lo, r.rank.hi] for r in rows} == ref["rows"]
 
 
 def test_no_rational_points_when_two_is_not_a_quartic_residue():
@@ -291,6 +315,12 @@ def test_ep_table_filters():
     assert [r.p for r in rows] == [17, 41, 73, 89, 97]
     quartic = ep_table(100, mod8=1, quartic_only=True)
     assert [r.p for r in quartic] == [73, 89]
+
+
+@pytest.mark.parametrize("mod8", [9, -7, 0, 2, 8])
+def test_ep_table_refuses_a_residue_mod_8_outside_1_3_5_7(mod8):
+    with pytest.raises(FamilyError, match=f"mod8 must be 1, 3, 5 or 7, not {mod8}"):
+        ep_table(100, mod8=mod8)
 
 
 def test_ep_table_budget():
@@ -446,7 +476,7 @@ def test_deep_space_point_is_the_first_hit_of_the_per_k_walk(p, d, cap):
 @given(st.sampled_from(ODD_PRIMES), st.integers(0, 5), st.integers(320, 3000))
 def test_filtered_scans_are_the_first_hit_of_the_per_k_walk(p, i, cap):
     # caps whose tables for c = 1, 2 are long enough for the residue filters
-    assert all(len(_product_table(cap, c)[0]) >= _FILTER_ROWS for c in (1, 2))
+    assert all(_product_table(cap, c).grow(_FILTER_ROWS) for c in (1, 2))
     d = ep_space_classes(p)[i]
     assert _ep_space_point(p, d, cap) == ep_space_point_walk_oracle(p, d, cap)
 

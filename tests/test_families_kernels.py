@@ -7,21 +7,37 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from itertools import islice
 from math import gcd, isqrt
 
 from twodescent.arith import sieve_primes
 from twodescent.families import (
+    _CHUNK,
     _CODE_PRIMES,
+    _ORBIT_MODULI,
     _SPLIT,
+    _ProductTable,
+    _chunk_codes,
+    _orbit_masks,
     _orbit_square_x,
     _pair_mul,
     _prime_root,
     _product_table,
+    _row_codes,
     _split_smooth,
     _survivors,
+    _two_adic,
 )
 
-from .oracles import orbit_square_x_oracle, prime_root_scan_oracle, primitive_products_oracle
+from .oracles import (
+    orbit_masks_oracle,
+    orbit_square_x_oracle,
+    prime_root_scan_oracle,
+    primitive_products_oracle,
+    product_table_oracle,
+    split_smooth_oracle,
+    two_adic_oracle,
+)
 
 components = st.integers(-10**6, 10**6)
 
@@ -49,13 +65,16 @@ def test_orbit_walk_matches_the_per_step_isqrt_walk_on_planted_squares(
 @pytest.mark.parametrize("c", [1, 2, -2])
 def test_split_smooth_numbers_and_their_products_match_the_uncached_products(c):
     modulus, residues = _SPLIT[c]
-    smooth = _split_smooth(2000, modulus, residues)
+    smooth = split_smooth_oracle(2000, modulus, residues)
     want = []
     for k in range(1, 2001, 2):
         fac = tuple(sorted(sympy.factorint(k).items()))
         if all(q % modulus in residues for q, _ in fac):
             want.append((k, fac))
     assert smooth == want
+    # the heap walk: each k > 1 with its largest prime q and the part prime to q
+    assert list(_split_smooth(2000, modulus, residues)) == [
+        (k, fac[-1][0], k // fac[-1][0] ** fac[-1][1]) for k, fac in smooth[1:]]
     ks, xs, ys = _product_table(2000, c)
     assert list(ks) == [k for k, fac in smooth for _ in range(2 ** len(fac))]
     rows = {}
@@ -114,3 +133,69 @@ def test_residue_filters_keep_every_row_the_exact_test_accepts(p, form, H):
             assert j in survivors, (j, k)
         if j in survivors:
             assert odd_tests, (j, k)
+
+
+@pytest.mark.parametrize("c", [1, 2, -2])
+@pytest.mark.parametrize("cap", [1, 4, 5, 1023, 1024, 1025, 3000, 20000, 10**5])
+def test_split_smooth_walk_matches_the_sorted_one_shot_list(c, cap):
+    modulus, residues = _SPLIT[c]
+    assert list(_split_smooth(cap, modulus, residues)) == [
+        (k, fac[-1][0], k // fac[-1][0] ** fac[-1][1])
+        for k, fac in split_smooth_oracle(cap, modulus, residues)[1:]]
+
+
+@pytest.mark.parametrize("c", [1, 2, -2])
+@pytest.mark.parametrize("form", [(2, 1), (1, 2), (1, 1)])
+def test_two_adic_table_matches_the_per_cell_oracle(c, form):
+    # every key a, b mod 16 the scans can ask for, outside the cache
+    for a in range(16):
+        for b in range(16):
+            assert _two_adic.__wrapped__(a, b, c, *form) == two_adic_oracle(a, b, c, *form), (a, b)
+
+
+@pytest.mark.parametrize("q", _ORBIT_MODULI)
+def test_orbit_masks_match_the_per_step_oracle(q):
+    assert _orbit_masks.__wrapped__(q) == orbit_masks_oracle(q)
+
+
+SCAN_PRIMES = {c: [p for p in sieve_primes(3000) if _prime_root(p, c)] for c in (1, 2)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([1, 2, -2]), st.integers(1, 20000),
+       st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 400), st.integers(0, 2)), max_size=4))
+@example(1, 20000, [(0, 40, 0), (0, 3000, 1)])
+@example(2, 20000, [(0, 1, 2), (0, 100, 0), (0, 0, 1)])
+@example(-2, 20000, [(5000, 0, 0)])
+def test_tables_grown_by_scans_that_stop_early_are_the_one_shot_tables(c, H, scans):
+    # each scan grows the table to a row count, or reads survivors of a
+    # filtered scan (for some p and form) and stops; what is built is
+    # always a prefix of the one-shot table, each chunk is coded only once
+    # complete, and the table built to its end is the one-shot table
+    _product_table.cache_clear()
+    _row_codes.cache_clear()
+    want = product_table_oracle(H, c)
+    table = _product_table(H, c)
+    for rows, survivors, i in scans:
+        table.grow(rows)
+        if c != -2:
+            a, b = _prime_root(SCAN_PRIMES[c][survivors % len(SCAN_PRIMES[c])], c)
+            num, den = [(2, 1), (1, 2), (1, 1)][i]
+            list(islice(_survivors(H, c, a, b, num, den), survivors))
+        n = len(table.ks)
+        assert [list(col) for col in (table.ks, table.xs, table.ys)] == [col[:n] for col in want]
+        for start, codes in _row_codes(H, c).items():
+            assert codes == _chunk_codes(want[1][start:start + _CHUNK], want[2][start:start + _CHUNK])
+    assert [list(col) for col in table] == list(want)
+
+
+@pytest.mark.parametrize("c", [1, 2, -2])
+def test_a_complete_table_keeps_only_its_columns(c):
+    table = _ProductTable(2000, c)
+    assert table.grow(10)
+    assert table._next is not None
+    assert not table.grow(10**9)  # built to its end
+    assert (table._next, table._rows, table._powers) == (None, None, None)
+    n = len(table.ks)
+    assert table.grow(n) and not table.grow(n + 1)
+    assert [list(col) for col in table] == list(product_table_oracle(2000, c))
