@@ -413,9 +413,8 @@ def quartic_residue_exp(a: int, p: int) -> bool:
 def two_squares(p: int) -> tuple[int, int]:
     """Write a prime p = 1 (mod 4) as A^2 + B^2 with A odd, B even, both > 0.
 
-    A square root of -1 mod p is found by exponentiating a non-residue;
-    the Euclidean remainder cascade below sqrt(p) then yields the unique
-    decomposition.
+    Cornacchia's descent from a square root of -1 mod p yields the
+    unique decomposition.
     """
     if p % 4 != 1 or not is_prime(p):
         raise ArithError("need a prime p = 1 (mod 4)")
@@ -424,20 +423,22 @@ def two_squares(p: int) -> tuple[int, int]:
 
 def _two_squares(p: int) -> tuple[int, int]:
     """two_squares for a prime p = 1 (mod 4) the caller has proved."""
-    c = 2
-    while _euler(c, p) != -1:
-        c += 1
-    x = pow(c, (p - 1) // 4, p)
-    r0, r1 = p, x
-    while r1 * r1 > p:
-        r0, r1 = r1, r0 % r1
-    a = r1
-    b = math.isqrt(p - a * a)
-    if a * a + b * b != p:
-        raise ArithError(f"two-squares descent failed for {p}")
-    if a % 2 == 0:
-        a, b = b, a
-    return a, b
+    a, b = _cornacchia(p, 1, _sqrt_mod(-1, p))
+    return (b, a) if a % 2 == 0 else (a, b)
+
+
+def _cornacchia(q: int, c: int, root: int) -> tuple[int, int]:
+    """(u, v), both >= 0, with u^2 + c*v^2 = q, or -q for c < 0, from a
+    square root of -c mod a prime q: the Euclidean remainders of q and
+    root stop at the first u below sqrt(q) (Cohen, Algorithm 1.5.2)."""
+    r0, u = q, root
+    while u * u > q:
+        r0, u = u, r0 % u
+    n = q if c > 0 else -q  # for c = -2, u < sqrt(q) leaves u^2 - 2v^2 = -q
+    v = math.isqrt((n - u * u) // c)
+    if u * u + c * v * v != n:
+        raise ArithError(f"{q} is not represented by x^2 + {c}y^2")
+    return u, v
 
 
 def quartic_residue_gauss(p: int) -> bool:

@@ -29,7 +29,7 @@ from .curve import (
     on_curve,
     torsion_subgroup,
 )
-from .descent import DescentReport, descent_report, selmer
+from .descent import DescentError, DescentReport, descent_report, selmer
 from .families import (
     FamilyError,
     RankResult,
@@ -257,7 +257,7 @@ def cmd_family(args) -> int:
                             == (phi, phi_hat))
     D = args.value
     reduce_exp = 4 if args.kind == "edx" else 6
-    reduced = _reduce_power_free(D, reduce_exp)
+    reduced = _reduce_power_free(D, reduce_exp) if D else D  # 0 is the family's to refuse
     if reduced != D:
         if not args.reduce:
             print(
@@ -439,6 +439,8 @@ def _verify_line(cl: CremonaLine, height: int):
 
 
 def cmd_verify_cremona(args) -> int:
+    if args.height < 1:
+        raise DescentError("need H >= 1")
     try:
         with open(args.file) as fh:
             lines = fh.read().splitlines()

@@ -520,6 +520,8 @@ def _certify_direction(source: Curve, lift_pair: IsogenyPair, sel: dict[SquareCl
 
 
 def descent_report(E: Curve, H: int) -> DescentReport:
+    if H < 1:
+        raise DescentError("need H >= 1")
     pair = isogenous_curve(E)
     # E' has the bad set of E, since b'' = 16b
     S = bad_set(E)

@@ -25,6 +25,7 @@ from math import gcd, isqrt
 from .arith import (
     Record,
     SquareClass,
+    _cornacchia,
     _cube_root_exact,
     _sqrt_mod,
     _two_squares,
@@ -115,23 +116,24 @@ def _ep_dims(r: int):
 # ---------------------------------------------------------------------------
 # Structured point searches for the E_p spaces.
 #
-# With a = 0, b = p, b' = -4p and z = m/n the six spaces away from the
-# seed class reduce to norm equations in rings of class number 1:
+# With a = 0, b = p, b' = -4p and z = m/n one space of each coset of
+# the seed subgroup {1, -p} reduces to a norm equation in a ring of
+# class number 1:
 #
-#   C_{-1}:  W^2 + (n^2)^2 = 4 p m^4        Z[i],         per numerator
-#   C_{-2}:  (n^2)^2 + 2 s^2 = p m^4        Z[sqrt(-2)],  per numerator
-#   C_2:     (n^2)^2 - 2 s^2 = p m^4        Z[sqrt(2)],   per numerator
-#   C_p:     W^2 + (2 m^2)^2 = p n^4        Z[i],         per denominator
-#   C_2p:    (m^2)^2 + 2 s^2 = p n^4        Z[sqrt(-2)],  per denominator
-#   C_-2p:   (m^2)^2 - 2 s^2 = p n^4        Z[sqrt(2)],   per denominator
+#   C_{-1}:  W^2 + (n^2)^2 = 4 p m^4        Z[i]
+#   C_{-2}:  (n^2)^2 + 2 s^2 = p m^4        Z[sqrt(-2)]
+#   C_2:     (n^2)^2 - 2 s^2 = p m^4        Z[sqrt(2)]
 #
-# Bounding one side k of z, the other side comes out of the prime
+# Bounding the numerator k of z, the free side comes out of the prime
 # splittings: a finite product for the two imaginary forms, finite up
 # to the unit 3 + 2*sqrt(2) for the real one, where a bounded orbit
 # walk stands in for the unit power.  Either way the free side of z is
-# reached at any size, far beyond a naive height schedule, and the six
-# searches pair up into the three cosets of the seed subgroup {1, -p},
-# any two of which certify rank 2.
+# reached at any size, far beyond a naive height schedule, and any two
+# cosets certify rank 2.  The other space of a coset needs no search of
+# its own: translation by the 2-torsion point (0, 0) of E' maps C_d onto
+# C_{-pd} by z -> d/(2z), which makes k the denominator and keeps the
+# norm equation and its rows, so with k <= H one has a point exactly
+# when the other has.
 #
 # Only primitive representations can give a point.  Every hit needs
 # gcd(k, free side) = 1.  Take a prime q of k.  If q does not split in
@@ -151,7 +153,7 @@ def _ep_dims(r: int):
 # grows k by k only as far as scans read it, so a scan that hits early
 # never pays for the rest; the k come off a heap.  In Z[i] x^2 + y^2 =
 # p k^4 is odd, and 2 * odd = 2 (mod 4) is never a square, so C_{-1} can
-# hit only on twice the even component, C_p only on half of it.
+# hit only on twice the even component.
 # ep_rank takes H <= 1000, so the rescan cap is 10^6, |X|, |Y| <= k^2 <=
 # 10^12 for c = 1, 2, and the real form, searched only up to H, takes
 # 29 bits: every table entry fits in 64 bits.
@@ -198,22 +200,16 @@ def _prime_root(q: int, c: int):
         return None
     if c == 1:
         return _two_squares(q)
-    r0, r1 = q, _sqrt_mod(-c, q)
-    while r1 * r1 > q:
-        r0, r1 = r1, r0 % r1
-    n = q if c == 2 else -q  # u < sqrt(q) leaves u^2 - 2v^2 = -q
-    v = isqrt((n - r1 * r1) // c)
-    if r1 * r1 + c * v * v != n:
-        raise FamilyError(f"{q} is not represented by x^2 + {c}y^2")
+    u, v = _cornacchia(q, c, _sqrt_mod(-c, q))
     if c == 2:
-        return r1, v
+        return u, v
     # The scan this replaces took, of all u + v sqrt(2) with u, v >= 0 and
     # norm q or -q, the one with the least v, turned to norm q by the unit
     # 1 + sqrt(2).  Those elements lie on two orbits under 1 + sqrt(2),
     # this one's and its conjugate's, and v grows along each: step both
     # to their least element and keep the lesser v.
     least = []
-    for u, v in ((r1, v), (-r1, v)):
+    for u, v in ((u, v), (-u, v)):
         while u < 0 or v < 0:
             u, v = u + 2 * v, u + v
         while 2 * v >= u >= v:
@@ -330,14 +326,15 @@ def _pass_table(l: int, alpha: int, beta: int, scale: int) -> bytes:
 
 
 @cache
-def _two_adic(a: int, b: int, c: int, num: int, den: int):
+def _two_adic(a: int, b: int, c: int):
     """Per component x, y of (a + b sqrt(-c))(X + Y sqrt(-c)), the codes
-    (X mod 16) * 16 + Y mod 16 translated to 1 where |component| * num/den
-    can be a square, known mod 16 * num/den, else to 0.  For c = 1 only
-    the even component is a candidate."""
-    m = 16 * num // den
+    (X mod 16) * 16 + Y mod 16 translated to 1 where |component| * scale
+    can be a square, known mod 16 * scale, else to 0.  For c = 1 only
+    the even component, doubled, is a candidate; scale is 2 there, else 1."""
+    scale = 2 if c == 1 else 1
+    m = 16 * scale
     squares = {w * w % m for w in range(m)}
-    ok = [(c != 1 or z % 2 == 0) and any(v * num // den % m in squares for v in (z, -z % 16))
+    ok = [(c != 1 or z % 2 == 0) and any(v * scale % m in squares for v in (z, -z % 16))
           for z in range(16)]  # by z mod 16
     cells = range(256)  # i = X * 16 + Y, so i = Y (mod 16)
     return (bytes(ok[(a * (i >> 4) - c * b * i) & 15] for i in cells),
@@ -359,14 +356,14 @@ def _chunk_codes(xs, ys) -> list[bytes]:
     return out
 
 
-def _survivors(H: int, c: int, a: int, b: int, num: int, den: int):
+def _survivors(H: int, c: int, a: int, b: int):
     """Indices, in order, of the rows of _product_table(H, c) whose
     candidate square passes the residue filters for pi_p = (a, b)."""
     table = _product_table(H, c)
     xs, ys = table.xs, table.ys
     parts = [(a, -c * b), (b, a)] if c == 1 else [(a, -c * b)]  # x = Y (a t - c b), y
-    filters = [(two_adic, [_pass_table(l, alpha, beta, num * den) for l in _CODE_PRIMES])
-               for two_adic, (alpha, beta) in zip(_two_adic(a & 15, b & 15, c, num, den), parts)]
+    filters = [(two_adic, [_pass_table(l, alpha, beta, 2 if c == 1 else 1) for l in _CODE_PRIMES])
+               for two_adic, (alpha, beta) in zip(_two_adic(a & 15, b & 15, c), parts)]
     codes, start = _row_codes(H, c), 0
     while table.grow(start + _CHUNK) or start < len(xs):  # a chunk is coded once complete
         chunk = codes.get(start)
@@ -437,19 +434,20 @@ def _orbit_square_x(z0, m, step_cap=64):
 
 
 def _ep_space_point(p: int, d: int, H: int):
-    """Point (z, w) on C_d for y^2 = x^3 + px with the bounded side <= H.
+    """Point (z, w) on C_d for y^2 = x^3 + px with numerator <= H.
 
-    d is one of -1, -2, 2 (numerator bounded) or p, 2p, -2p
-    (denominator bounded).  The bounded side k runs over the odd k <= H
-    whose primes all split in the ring of d, in increasing order; any
-    other k has no primitive representation (see above), and parity
-    rules out even k.  Each candidate is pi_p times a row of the table
-    for (H, c); in a table of _FILTER_ROWS rows or more, only the rows
-    that pass the residue filters.  Since the free side comes out at any
-    size, a large H reaches certificates far beyond a height search:
-    ep_rank rescans C_{-1} and C_{-2} this way with H up to 10^6.
+    d is one of -1, -2, 2, one space of each coset of {1, -p}; the other
+    space C_{-pd} has a point with denominator <= H exactly when C_d has
+    one (see above).  The numerator k runs over the odd k <= H whose
+    primes all split in the ring of d, in increasing order; any other k
+    has no primitive representation, and parity rules out even k.  Each
+    candidate is pi_p times a row of the table for (H, c); in a table of
+    _FILTER_ROWS rows or more, only the rows that pass the residue
+    filters.  Since the free side comes out at any size, a large H
+    reaches certificates far beyond a height search: ep_rank rescans
+    C_{-1} and C_{-2} this way with H up to 10^6.
     """
-    c = {-1: 1, p: 1, -2: 2, 2 * p: 2, 2: -2, -2 * p: -2}.get(d)
+    c = {-1: 1, -2: 2, 2: -2}.get(d)
     if c is None:
         raise FamilyError(f"no structured search for class {d}")
     pi = _prime_root(p, c)
@@ -457,13 +455,12 @@ def _ep_space_point(p: int, d: int, H: int):
         return None
     a, b = pi
     cb = c * b
-    num, den = {-1: (2, 1), p: (1, 2)}.get(d, (1, 1))
     table = _product_table(H, c)
     if c == -2 or not table.grow(_FILTER_ROWS):
         rows = zip(*table)
     else:
         ks, xs, ys = table.ks, table.xs, table.ys
-        rows = ((ks[j], xs[j], ys[j]) for j in _survivors(H, c, a, b, num, den))
+        rows = ((ks[j], xs[j], ys[j]) for j in _survivors(H, c, a, b))
     for k, X, Y in rows:
         x, y = a * X - cb * Y, a * Y + b * X  # pi_p (X + Y sqrt(-c))
         if c == -2:
@@ -473,13 +470,10 @@ def _ep_space_point(p: int, d: int, H: int):
             x, y = hit[0] ** 2, hit[1]
         elif c == 1 and x & 1:
             x, y = y, x  # the even component comes first
-        f2 = abs(x) * num // den  # candidate square of the free side
+        f2 = 2 * abs(x) if c == 1 else abs(x)  # candidate square of the free side
         f = isqrt(f2)
         if f and f * f == f2 and gcd(k, f) == 1:
-            w = abs(y) if d == p else 2 * abs(y)  # numerator of w
-            if d in (-1, -2, 2):
-                return Fraction(k, f), Fraction(w, f * f)
-            return Fraction(f, k), Fraction(w, k * k)
+            return Fraction(k, f), Fraction(2 * abs(y), f * f)
     return None
 
 
@@ -535,18 +529,18 @@ def _ep_rank(p: int, H: int) -> RankResult:
     # distinct cosets generate a span of dimension 3.  The dual side is
     # already saturated by its 2-torsion, so g + 1 - 2 is the certified
     # lower bound, g = 1 + the number of certified cosets.
-    certified = set()  # indices of the certified cosets
-    for i, coset in enumerate(((-2, 2 * p), (-1, p), (2, -2 * p))):
-        if len(certified) < 2 and any(_ep_space_point(p, d, H) is not None for d in coset):
-            certified.add(i)
+    certified = set()  # the searched space of each certified coset
+    for d in (-2, -1, 2):
+        if len(certified) < 2 and _ep_space_point(p, d, H) is not None:
+            certified.add(d)
     if len(certified) == 1:
         # one coset certified, so the curve carries a nontrivial point;
         # if the rank is 2 the missing certificate exists too but its
         # numerator can be enormous, so rescan the two imaginary spaces
         # over the split semigroup with a much larger cap
-        for i, d in ((1, -1), (0, -2)):
-            if i not in certified and _ep_space_point(p, d, _DEEP_FACTOR * H) is not None:
-                certified.add(i)
+        for d in (-1, -2):
+            if d not in certified and _ep_space_point(p, d, _DEEP_FACTOR * H) is not None:
+                certified.add(d)
                 break
     g = 1 + len(certified)
     if g + 1 - 2 == 2:

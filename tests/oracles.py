@@ -734,14 +734,15 @@ def primitive_products_oracle(p: int, factors, c: int) -> list:
 
 
 def ep_space_point_walk_oracle(p: int, d: int, H: int):
-    """First point of C_d in the structured search's order, every candidate tried.
+    """First point of C_d, d in (-1, -2, 2), in the structured search's
+    order, every candidate tried.
 
-    The bounded side k runs over the odd k <= H whose primes all split in
+    The numerator k runs over the odd k <= H whose primes all split in
     the ring of d, each k through primitive_products_oracle; both
-    components of a product are tried as the square side (for C_{-1} and
-    C_p), and the real form walks each product's unit orbit.
+    components of a product are tried as the square side for C_{-1}, and
+    the real form walks each product's unit orbit.
     """
-    c = {-1: 1, p: 1, -2: 2, 2 * p: 2, 2: -2, -2 * p: -2}[d]
+    c = {-1: 1, -2: 2, 2: -2}[d]
     for k in range(1, H + 1, 2):
         fac = sorted(factor_oracle(k).items())
         if not all(_ep_split(q, c) for q, _ in fac):
@@ -753,16 +754,12 @@ def ep_space_point_walk_oracle(p: int, d: int, H: int):
                 cands = [] if hit is None else [(hit[0] ** 2, 2 * hit[1])]
             elif c == 2:
                 cands = [(u, 2 * v)]
-            elif d == -1:  # W^2 + (n^2)^2 = 4 p k^4 from (2u, 2v)
+            else:  # W^2 + (n^2)^2 = 4 p k^4 from (2u, 2v)
                 cands = [(2 * u, 2 * v), (2 * v, 2 * u)]
-            else:  # W^2 + (2 m^2)^2 = p k^4: the square side is even
-                cands = [(a // 2, b) for a, b in ((u, v), (v, u)) if a % 2 == 0]
             for f2, other in cands:
                 f = isqrt(f2)
                 if f and f * f == f2 and gcd(k, f) == 1:
-                    if d in (-1, -2, 2):
-                        return Fraction(k, f), Fraction(other, f * f)
-                    return Fraction(f, k), Fraction(other, k * k)
+                    return Fraction(k, f), Fraction(other, f * f)
     return None
 
 
@@ -911,18 +908,18 @@ def ep_certified_dim_oracle(p: int, H: int, space_point, deep_factor: int) -> in
     """The 2-dimension g of the certified phi-image of y^2 = x^3 + px, p = 1
     (mod 8) with 2 a quartic residue, closing classes by products.
 
-    The span starts at {1, -p}.  One space of each coset (-2, 2p), (-1, p),
-    (2, -2p) is searched to H in that order until the span is everything.
-    If exactly one coset is certified, C_{-1} and then C_{-2}, each unless
-    already in the span, are rescanned to deep_factor * H, stopping at the
-    first hit.
+    The span starts at {1, -p}.  The cosets (-2, 2p), (-1, p), (2, -2p)
+    are searched to H in that order until the span is everything: first
+    the numerator-bounded space through space_point, and after a miss the
+    denominator-bounded one through ep_space_point_oracle.  If exactly
+    one coset is certified, C_{-1} and then C_{-2}, each unless already
+    in the span, are rescanned through space_point to deep_factor * H,
+    stopping at the first hit.
     """
     span = span_oracle({-p})
-    for coset in ((-2, 2 * p), (-1, p), (2, -2 * p)):
-        for d in coset:
-            if space_point(p, d, H) is not None:
-                span = span_oracle(span | {d})
-                break
+    for d in (-2, -1, 2):
+        if space_point(p, d, H) is not None or ep_space_point_oracle(p, -p * d, H) is not None:
+            span = span_oracle(span | {d})
         if len(span) == 8:
             break
     if len(span) == 4:

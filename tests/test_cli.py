@@ -51,6 +51,14 @@ def test_descent_text_report(capsys):
     assert "Z4" in out
 
 
+@pytest.mark.parametrize("a4", ["2", "17"])
+def test_descent_refuses_a_height_below_one(capsys, a4):
+    # y^2 = x^3 + 2x makes no point search, y^2 = x^3 + 17x does
+    for height in ("0", "-1"):
+        rc, out, err = run(capsys, "descent", "--a2", "0", "--a4", a4, "--height", height)
+        assert (rc, out, err) == (2, "", "error: need H >= 1\n")
+
+
 def test_descent_json_report(capsys):
     rc, out, _ = run(capsys, "descent", "--a2", "0", "--a4", "17", "--json")
     assert rc == 0
@@ -100,6 +108,15 @@ def test_family_edx(capsys):
     rc, out, _ = run(capsys, "family", "edx", "4")
     assert rc == 0
     assert "Z4" in out
+
+
+@pytest.mark.parametrize("kind", ["edx", "edconst"])
+def test_family_refuses_zero_with_its_own_message(capsys, kind):
+    # D = 0 reaches the family's check, with or without --reduce, rather
+    # than failing to factor
+    for extra in ([], ["--reduce"]):
+        rc, out, err = run(capsys, "family", kind, "0", *extra)
+        assert (rc, out, err) == (2, "", "error: D must be nonzero\n")
 
 
 def test_family_edx_unreduced_needs_flag(capsys):
@@ -228,6 +245,17 @@ def test_verify_cremona_detects_wrong_torsion(tmp_path, capsys):
     rc, out, _ = run(capsys, "verify-cremona", str(f))
     assert rc == 3
     assert "mismatch" in out
+
+
+def test_verify_cremona_refuses_a_height_below_one_before_reading(tmp_path, capsys):
+    # an invalid argument (exit 2), not a mismatch on every line with
+    # rational 2-torsion (exit 3); a missing file is not even opened
+    f = tmp_path / "allgens.txt"
+    f.write_text(GOOD_LINE + "\n")
+    for path in (f, tmp_path / "missing.txt"):
+        for height in ("0", "-1"):
+            rc, out, err = run(capsys, "verify-cremona", str(path), "--height", height)
+            assert (rc, out, err) == (2, "", "error: need H >= 1\n")
 
 
 def test_verify_cremona_skips_unsupported_shapes(tmp_path, capsys):

@@ -77,6 +77,19 @@ def test_isogenous_curve_rejects_bad_models():
         Curve(3, 0, 0)
 
 
+@pytest.mark.parametrize("b", [1, 2, 17, -1])
+@pytest.mark.parametrize("H", [0, -1])
+def test_descent_report_refuses_a_height_below_one_before_any_selmer_group(monkeypatch, b, H):
+    # some of these curves make no point search at any height; each is
+    # refused up front all the same, before a Selmer group is computed
+    def no_selmer(*args):
+        raise AssertionError("Selmer group computed")
+
+    monkeypatch.setattr(descent_module, "_selmer", no_selmer)
+    with pytest.raises(DescentError, match="need H >= 1"):
+        descent_report(Curve(0, b, 0), H)
+
+
 def test_second_iterate_is_quartic_twist_back():
     # E'' = (4a, 16b) returns to E under (x, y) -> (x/4, y/8)
     pair = isogenous_curve(Curve(6, 1, 0))

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -134,8 +135,10 @@ RANK_0_OR_2_PRIMES = [p for p in sieve_primes(2000) if p % 8 == 1 and 2 in quart
 @pytest.mark.parametrize("H", [1, 3, 20])
 def test_ep_rank_certifies_cosets_like_the_closure_of_integer_classes(monkeypatch, H):
     # the searches ep_rank makes, deep rescan included (C_{-1} before
-    # C_{-2}, skipping the coset already certified), and its result equal
-    # those of the walk that closes classes by products
+    # C_{-2}, skipping the coset already certified), are the walk's
+    # numerator-bounded searches, and its result equals that of the walk,
+    # which closes classes by products and also tries the
+    # denominator-bounded space of each coset it misses
     search = families._ep_space_point
     calls = []
     monkeypatch.setattr(families, "_ep_space_point",
@@ -147,6 +150,7 @@ def test_ep_rank_certifies_cosets_like_the_closure_of_integer_classes(monkeypatc
         calls.clear()
         g = ep_certified_dim_oracle(p, H, families._ep_space_point, _DEEP_FACTOR)
         assert engine_calls == calls
+        assert {d for d, _ in engine_calls} <= {-1, -2, 2}
         assert (r.kind, r.lo, r.hi) == (("exact", 2, 2) if g == 3 else ("interval", 0, 2))
         assert ("one space certified" in r.note) == (g == 2)
 
@@ -412,8 +416,7 @@ def test_ep_small_prime_partition_matches_rank_table():
 ODD_PRIMES = [p for p in sieve_primes(5000) if p > 2]
 
 
-def ep_space_classes(p):
-    return (-1, -2, 2, p, 2 * p, -2 * p)
+EP_SPACE_CLASSES = (-1, -2, 2)  # the searched space of each coset of {1, -p}
 
 
 def assert_on_space(p, d, point):
@@ -426,7 +429,7 @@ def check_against_full_enumeration(p, d, H):
     got = _ep_space_point(p, d, H)
     want = ep_space_point_oracle(p, d, H)
     assert (got is None) == (want is None), (p, d, H)
-    if d in (2, -2 * p):
+    if d == 2:
         # no set in the way: the real-form search keeps the first hit
         assert got == want, (p, d, H)
     for point in (got, want):
@@ -435,17 +438,43 @@ def check_against_full_enumeration(p, d, H):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(ODD_PRIMES), st.integers(0, 5), st.integers(1, 12))
+@given(st.sampled_from(ODD_PRIMES), st.integers(0, 2), st.integers(1, 12))
 def test_ep_space_point_matches_full_enumeration(p, i, H):
-    check_against_full_enumeration(p, ep_space_classes(p)[i], H)
+    check_against_full_enumeration(p, EP_SPACE_CLASSES[i], H)
 
 
 def test_ep_space_point_matches_full_enumeration_one_mod_eight():
     # the residue class ep_rank searches, where most spaces have points
     for p in ODD_PRIMES:
         if p % 8 == 1 and p < 1500:
-            for d in ep_space_classes(p):
+            for d in EP_SPACE_CLASSES:
                 check_against_full_enumeration(p, d, 12)
+
+
+def on_space(p, d, z) -> bool:
+    """Whether C_d of y^2 = x^3 + px has a rational point at z."""
+    value = hom_space(Curve(0, p, 0), d)(z)
+    return value >= 0 and all(isqrt(n) ** 2 == n for n in (value.numerator, value.denominator))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ODD_PRIMES), st.sampled_from(EP_SPACE_CLASSES), st.integers(1, 12))
+def test_the_other_space_of_each_coset_has_a_point_exactly_when_the_searched_one_has(p, d, H):
+    # translation by (0, 0) on E' maps C_d onto C_{-pd} by z -> d/(2z)
+    # and makes the numerator the denominator, so the full enumeration of
+    # C_{-pd} up to denominator H finds a point exactly when C_d has one
+    # up to numerator H, and each first hit maps to a point of the other
+    # space with the same bounded side (not always to the other's first
+    # hit: C_{-2} of p = 1753 has two points of numerator 9)
+    dual = ep_space_point_oracle(p, -p * d, H)
+    for got in (_ep_space_point(p, d, H), ep_space_point_oracle(p, d, H)):
+        assert (got is None) == (dual is None), (p, d, H)
+        if got is not None:
+            z, z_dual = got[0], dual[0]
+            assert on_space(p, -p * d, d / (2 * z)) and on_space(p, d, d / (2 * z_dual))
+            assert abs((d / (2 * z)).denominator) == z.numerator
+            assert abs((d / (2 * z_dual)).numerator) == z_dual.denominator
+            assert z.numerator == z_dual.denominator  # the least bounded side
 
 
 @settings(max_examples=100, deadline=None)
@@ -460,9 +489,9 @@ def test_deep_space_point_matches_full_enumeration(p, d, cap):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.sampled_from(ODD_PRIMES), st.integers(0, 5), st.integers(1, 12))
+@given(st.sampled_from(ODD_PRIMES), st.integers(0, 2), st.integers(1, 12))
 def test_ep_space_point_is_the_first_hit_of_the_per_k_walk(p, i, H):
-    d = ep_space_classes(p)[i]
+    d = EP_SPACE_CLASSES[i]
     assert _ep_space_point(p, d, H) == ep_space_point_walk_oracle(p, d, H)
 
 
@@ -473,11 +502,11 @@ def test_deep_space_point_is_the_first_hit_of_the_per_k_walk(p, d, cap):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(ODD_PRIMES), st.integers(0, 5), st.integers(320, 3000))
+@given(st.sampled_from(ODD_PRIMES), st.integers(0, 2), st.integers(320, 3000))
 def test_filtered_scans_are_the_first_hit_of_the_per_k_walk(p, i, cap):
     # caps whose tables for c = 1, 2 are long enough for the residue filters
     assert all(_product_table(cap, c).grow(_FILTER_ROWS) for c in (1, 2))
-    d = ep_space_classes(p)[i]
+    d = EP_SPACE_CLASSES[i]
     assert _ep_space_point(p, d, cap) == ep_space_point_walk_oracle(p, d, cap)
 
 

@@ -102,24 +102,25 @@ def _is_square_mod(n, m):
 
 
 SPLIT_PRIMES = [p for p in sieve_primes(20000) if p % 8 in (1, 3, 5)]
+# (num, den) of the candidate square |x| num/den per ring: C_{-1} squares
+# twice the even component, C_{-2} and C_2 the first
+SCALES = {1: (2, 1), 2: (1, 1), -2: (1, 1)}
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.sampled_from(SPLIT_PRIMES), st.sampled_from([(1, 2, 1), (1, 1, 2), (2, 1, 1)]),
-       st.integers(1, 3000))
-@example(29, (1, 2, 1), 2000)  # 29 = 5^2 + 2^2: l = 5 divides a
-@example(29, (1, 1, 2), 2000)
-@example(41, (2, 1, 1), 2000)  # l = 41 divides the norm of every candidate
-def test_residue_filters_keep_every_row_the_exact_test_accepts(p, form, H):
+@given(st.sampled_from(SPLIT_PRIMES), st.sampled_from([1, 2]), st.integers(1, 3000))
+@example(29, 1, 2000)  # 29 = 5^2 + 2^2: l = 5 divides a
+@example(41, 2, 2000)  # l = 41 divides the norm of every candidate
+def test_residue_filters_keep_every_row_the_exact_test_accepts(p, c, H):
     # every row of the plain walk whose candidate square passes the exact
     # test, or is a square mod every filter modulus, survives; every
     # survivor is a square mod each l of _CODE_PRIMES
-    c, num, den = form
+    num, den = SCALES[c]
     pi = _prime_root(p, c)
     assume(pi is not None)
     a, b = pi
     ks, xs, ys = _product_table(H, c)
-    survivors = list(_survivors(H, c, a, b, num, den))
+    survivors = list(_survivors(H, c, a, b))
     assert survivors == sorted(set(survivors))
     for j, (k, X, Y) in enumerate(zip(ks, xs, ys)):
         x, y = a * X - c * b * Y, a * Y + b * X
@@ -147,10 +148,14 @@ def test_split_smooth_walk_matches_the_sorted_one_shot_list(c, cap):
 @pytest.mark.parametrize("c", [1, 2, -2])
 @pytest.mark.parametrize("form", [(2, 1), (1, 2), (1, 1)])
 def test_two_adic_table_matches_the_per_cell_oracle(c, form):
-    # every key a, b mod 16 the scans can ask for, outside the cache
-    for a in range(16):
-        for b in range(16):
-            assert _two_adic.__wrapped__(a, b, c, *form) == two_adic_oracle(a, b, c, *form), (a, b)
+    # every key a, b mod 16 the scans can ask for, outside the cache: the
+    # table of c is the oracle's for the searched space and for the other
+    # space of its coset, C_p with (1, 2) beside C_{-1} in Z[i] and (1, 1)
+    # for both elsewhere, and for no other form
+    coset_forms = {SCALES[c], (1, 2)} if c == 1 else {SCALES[c]}
+    same = all(_two_adic.__wrapped__(a, b, c) == two_adic_oracle(a, b, c, *form)
+               for a in range(16) for b in range(16))
+    assert same == (form in coset_forms)
 
 
 @pytest.mark.parametrize("q", _ORBIT_MODULI)
@@ -163,25 +168,24 @@ SCAN_PRIMES = {c: [p for p in sieve_primes(3000) if _prime_root(p, c)] for c in 
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([1, 2, -2]), st.integers(1, 20000),
-       st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 400), st.integers(0, 2)), max_size=4))
-@example(1, 20000, [(0, 40, 0), (0, 3000, 1)])
-@example(2, 20000, [(0, 1, 2), (0, 100, 0), (0, 0, 1)])
-@example(-2, 20000, [(5000, 0, 0)])
+       st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 400)), max_size=4))
+@example(1, 20000, [(0, 40), (0, 3000)])
+@example(2, 20000, [(0, 1), (0, 100), (0, 0)])
+@example(-2, 20000, [(5000, 0)])
 def test_tables_grown_by_scans_that_stop_early_are_the_one_shot_tables(c, H, scans):
     # each scan grows the table to a row count, or reads survivors of a
-    # filtered scan (for some p and form) and stops; what is built is
+    # filtered scan (for some p) and stops; what is built is
     # always a prefix of the one-shot table, each chunk is coded only once
     # complete, and the table built to its end is the one-shot table
     _product_table.cache_clear()
     _row_codes.cache_clear()
     want = product_table_oracle(H, c)
     table = _product_table(H, c)
-    for rows, survivors, i in scans:
+    for rows, survivors in scans:
         table.grow(rows)
         if c != -2:
             a, b = _prime_root(SCAN_PRIMES[c][survivors % len(SCAN_PRIMES[c])], c)
-            num, den = [(2, 1), (1, 2), (1, 1)][i]
-            list(islice(_survivors(H, c, a, b, num, den), survivors))
+            list(islice(_survivors(H, c, a, b), survivors))
         n = len(table.ks)
         assert [list(col) for col in (table.ks, table.xs, table.ys)] == [col[:n] for col in want]
         for start, codes in _row_codes(H, c).items():
