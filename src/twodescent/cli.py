@@ -24,6 +24,7 @@ from .curve import (
     Curve,
     CurveError,
     Pt,
+    SingularModel,
     discriminant,
     from_cubic_const,
     on_curve,
@@ -385,6 +386,11 @@ def parse_cremona_line(line: str) -> CremonaLine:
     ainv = tuple(int(v) for v in m.group(4).split(","))
     if len(ainv) != 5:
         raise ValueError("need five a-invariants")
+    a1, a2, a3, a4, a6 = ainv
+    try:  # (4(2y + a1x + a3))^2 = X^3 + b2X^2 + 8b4X + 16b6 at X = 4x
+        Curve(a1 * a1 + 4 * a2, 8 * (2 * a4 + a1 * a3), 16 * (a3 * a3 + 4 * a6))
+    except SingularModel:
+        raise ValueError(f"singular model {list(ainv)}") from None
     tors = tuple(int(v) for v in m.group(6).split(",")) if m.group(6).strip() else ()
     rest = m.group(7)
     gens = tuple(

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from fractions import Fraction
+from functools import lru_cache
 import math
 
-from .arith import Record, is_prime
+from .arith import Record, is_prime, sieve_primes
 
 __all__ = [
     "CurveError",
@@ -165,28 +166,34 @@ def count_points_mod(E: Curve, q: int) -> int:
         raise CurveError("need an odd prime")
     if discriminant(E) % q == 0:
         raise CurveError(f"bad reduction at {q}")
-    sq = bytearray(q)
-    for w in range(q // 2 + 1):
-        sq[w * w % q] = 1
-    a2, a4, a6 = E.a2 % q, E.a4 % q, E.a6 % q
-    n = q + 1
-    for x in range(q):
-        fx = (((x + a2) * x + a4) * x + a6) % q
-        if fx == 0:
-            continue  # one point, matching the q+1 baseline
-        n += 1 if sq[fx] else -1
-    return n
+    return _count_points(q, E.a2 % q, E.a4 % q, E.a6 % q)
+
+
+@lru_cache(maxsize=64)
+def _character(q: int) -> tuple[int, ...]:
+    """The quadratic character mod the odd prime q, as a table."""
+    squares = {w * w % q for w in range(1, q)}
+    return tuple(0 if x == 0 else 1 if x in squares else -1 for x in range(q))
+
+
+@lru_cache(maxsize=4096)
+def _count_points(q: int, a2: int, a4: int, a6: int) -> int:
+    """count_points_mod from the coefficients mod q, which it depends on only."""
+    chi = _character(q)
+    return q + 1 + sum(chi[(((x + a2) * x + a4) * x + a6) % q] for x in range(q))
+
+
+@lru_cache(maxsize=8)
+def _odd_primes(limit: int) -> tuple[int, ...]:
+    return tuple(sieve_primes(limit)[1:])
 
 
 def _good_odd_primes(E: Curve, k: int) -> list[int]:
-    disc = discriminant(E)
-    out: list[int] = []
-    q = 3
-    while len(out) < k:
-        if is_prime(q) and disc % q != 0:
-            out.append(q)
-        q += 2
-    return out
+    """The first k odd primes not dividing the discriminant."""
+    disc, limit = discriminant(E), 64
+    while len(out := [q for q in _odd_primes(limit) if disc % q]) < k:
+        limit *= 4
+    return out[:k]
 
 
 def torsion_order_bound(E: Curve, k: int) -> int:
@@ -197,12 +204,7 @@ def torsion_order_bound(E: Curve, k: int) -> int:
     """
     if k < 1:
         raise CurveError("need k >= 1")
-    g = 0
-    for q in _good_odd_primes(E, k):
-        g = math.gcd(g, count_points_mod(E, q))
-        if g == 1:
-            break
-    return g
+    return math.gcd(*(_count_points(q, E.a2 % q, E.a4 % q, E.a6 % q) for q in _good_odd_primes(E, k)))
 
 
 def _pmul(f: list[int], g: list[int]) -> list[int]:
@@ -258,9 +260,9 @@ def _integer_roots(f: list[int], q: int) -> list[int]:
     simple root mod q past 2^(k+2); the symmetric residue is the only
     integer it can be, and is tested exactly."""
     k = max(-(-abs(c).bit_length() // i) for i, c in enumerate(reversed(f[:-1]), 1))
-    roots = []
+    roots, fq = [], [c % q for c in f]
     for r in range(q):
-        if _horner(f, r, q)[0]:
+        if _horner(fq, r, q)[0]:
             continue
         n = q
         while n.bit_length() <= k + 2:
@@ -278,17 +280,22 @@ def _order_up_to(E: Curve, P: Pt, cap: int) -> int | None:
     """Order of the affine point P if at most cap, else None.
 
     A non-integral multiple proves infinite order for an integral model,
-    so the scan stops early on one.  Invariant: R = m*P at loop top.
+    so the scan stops early on one, in integers: a chord or tangent slope
+    that is not an integer makes the next x non-integral.  Invariant:
+    (x, y) = m*P at loop top.
     """
-    R = P
-    m = 1
-    while m <= cap:
-        if R.is_infinity:
-            return m
-        if R.x.denominator != 1 or R.y.denominator != 1:
+    if P.x.denominator != 1 or P.y.denominator != 1:
+        return None
+    x1, y1 = x, y = P.x.numerator, P.y.numerator
+    for m in range(1, cap):
+        if x == x1 and y == -y1:
+            return m + 1
+        num, den = (3 * x * x + 2 * E.a2 * x + E.a4, 2 * y) if x == x1 else (y - y1, x - x1)
+        if num % den:
             return None
-        R = _add_raw(E, R, P)
-        m += 1
+        lam = num // den
+        x3 = lam * lam - E.a2 - x - x1
+        x, y = x3, lam * (x - x3) - y
     return None
 
 

@@ -41,7 +41,7 @@ from .curve import (
     on_curve,
     torsion_subgroup,
 )
-from .localsolve import QuarticForm, qp_soluble, r_soluble
+from .localsolve import QuarticForm, qp_soluble
 
 __all__ = [
     "DescentError",
@@ -164,9 +164,9 @@ class SelmerSet(Record):
 
     @classmethod
     def _of(cls, classes) -> SelmerSet:
-        """The set of a subgroup the engine built: sorted, and not checked again."""
+        """The set of a subgroup the engine built, in class order: not checked again."""
         out = object.__new__(cls)
-        object.__setattr__(out, "classes", tuple(sorted(classes)))
+        object.__setattr__(out, "classes", tuple(classes))
         return out
 
     def __post_init__(self):
@@ -204,31 +204,53 @@ def hom_space(E: Curve, d) -> QuarticForm:
     dd = int(d)
     if dd == 0:
         raise DescentError("d must be a nonzero class")
-    bp = a * a - 4 * b
-    return QuarticForm((dd * bp, 0, -2 * a * dd * dd, 0, dd**3))
+    return _space(a, a * a - 4 * b, dd)
 
 
-def _local_table(S: BadSet, i: int, v: int) -> tuple[tuple[int, int, int], ...]:
-    """Q_v*/Q_v*^2, v the i-th place of (R,) + S, per coordinate bit (the
-    sign; v_2 parity, (u-1)/2, (u^2-1)/8 for the unit u; v_p parity, the
-    Euler bit): the mask of the generators (-1, p_1, ...) whose class has
-    the bit, an integer whose class is the bit alone (-1; 2, -1, 5; p, the
-    least non-residue), and the bits it pairs with to -1 under the Hilbert
-    symbol."""
-    gens = (-1,) + S.primes
-    if v == 0:
-        return ((1, -1, 1),)
+def _space(a: int, bp: int, d: int) -> QuarticForm:
+    """hom_space for a checked model with b' = bp and an integer d != 0."""
+    return QuarticForm((d * bp, 0, -2 * a * d * d, 0, d**3))
+
+
+def _minus_one_real(a: int, b: int) -> bool:
+    """Whether C_-1: -w^2 = 1 + 2a*z^2 + b'*z^4 has a real point: at infinity
+    when b' < 0; for b' > 0, 1 + 2a*t + b'*t^2 <= 0 at some t >= 0 needs the
+    vertex t = -a/b' > 0 and its value 1 - a^2/b' = -4b/b' <= 0."""
+    return a * a - 4 * b < 0 or a < 0 < b
+
+
+# At 2 and at odd p = 1, 3 mod 4: per local class x (an XOR of the coordinate
+# bits of _local_table) the bits x pairs with to -1 under the Hilbert symbol,
+# then every x in the order of the |integer| _local_table gives it.
+_AT_TWO = ((0, 4, 2, 6, 1, 5, 3, 7), (0, 2, 1, 3, 4, 6, 5, 7))
+_AT_ODD = {1: ((0, 2, 1, 3), (0, 2, 1, 3)), 3: ((0, 3, 1, 2), (0, 2, 1, 3))}
+
+
+@lru_cache(maxsize=1024)
+def _local_table(gens: tuple[int, ...], i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Q_v*/Q_v*^2 at v = gens[i], gens = (-1,) + S, with coordinate bits
+    v_2 parity, (u-1)/2, (u^2-1)/8 for the unit u at 2 and v_p parity, the
+    Euler bit at odd p.  Per local class x: the XOR of the columns (masks
+    of the generators whose class has the bit) of x's bits, and an integer
+    of class x, the product of those of its bits (2, -1, 5; p, the least
+    non-residue n)."""
+    v = gens[i]
     if v == 2:
-        return ((2, 2, 4), (sum(1 << j for j, g in enumerate(gens) if g % 4 == 3), -1, 2),
-                (sum(1 << j for j, g in enumerate(gens) if g % 8 in (3, 5)), 5, 1))
-    return ((1 << i, v, 2 | (v % 4 == 3)),
-            (sum(1 << j for j, g in enumerate(gens) if g != v and _euler(g, v) < 0),
-             next(n for n in range(2, v) if _euler(n, v) < 0), 1))
+        bits = ((2, 2), (sum(1 << j for j, g in enumerate(gens) if g % 4 == 3), -1),
+                (sum(1 << j for j, g in enumerate(gens) if g % 8 in (3, 5)), 5))
+    else:
+        bits = ((1 << i, v), (sum(1 << j for j, g in enumerate(gens) if g != v and _euler(g, v) < 0),
+                              next(n for n in range(2, v) if _euler(n, v) < 0)))
+    cols, reps = [0], [1]
+    for col, r in bits:
+        cols += [x ^ col for x in cols]
+        reps += [x * r for x in reps]
+    return tuple(cols), tuple(reps)
 
 
-def _image(table, m: int) -> int:
+def _image(cols: tuple[int, ...], m: int) -> int:
     """L_v of the class with generator mask m, as coordinate bits."""
-    return sum(((m & col).bit_count() & 1) << j for j, (col, _, _) in enumerate(table))
+    return sum(((m & cols[1 << j]).bit_count() & 1) << j for j in range(len(cols).bit_length() - 1))
 
 
 def _span(rows) -> list[int]:
@@ -265,53 +287,49 @@ def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareCla
 
     At a place v, the classes d whose C_d has a point over Q_v form W_v,
     and those of E' form the annihilator of W_v under the Hilbert symbol
-    (Cassels, Lectures on Elliptic Curves, LMS Student Texts 24).  W_v is
-    found by local tests on the integers of the local classes, least |d|
-    first, where no verdict is known: 0 and L_v(b') lie in W_v (C_1 has
-    the point (0, 1) and C_b' a rational point at infinity), a class that
-    pairs to -1 with L_v(b), which lies in the image of E', does not, and
-    each test settles a coset of the classes known soluble.  Sel of E is
-    the kernel of u -> (L_v(u), y)_v over every y annihilating W_v, and
-    Sel of E' the kernel over every y in W_v; as a mask on the generators
-    that map is the XOR of the columns of the bits y pairs with to -1."""
+    (Cassels, Lectures on Elliptic Curves, LMS Student Texts 24).  W_R
+    holds -1 by _minus_one_real.  At a prime, W_v is found by local tests
+    on the integers of the local classes, least |d| first, where no
+    verdict is known: 0 and L_v(b') lie in W_v (C_1 has the point (0, 1)
+    and C_b' a rational point at infinity), a class that pairs to -1 with
+    L_v(b), which lies in the image of E', does not, and each test settles
+    a coset of the classes known soluble.  Sel of E is the kernel of
+    u -> (L_v(u), y)_v over a basis of the y annihilating W_v (by symmetry,
+    the kernel of the pairing bits of a basis of W_v), and Sel of E' the
+    kernel over a basis of W_v; as a mask on the generators that map is
+    the XOR of the columns of the bits y pairs with to -1."""
     a, b = E.a2, E.a4
-    seed, dual = _class_on(a * a - 4 * b, S), _class_on(b, S)
-    funcs: tuple[list[int], list[int]] = ([], [])
-    for i, v in enumerate((0,) + S.primes):
-        table = _local_table(S, i, v)
-        # per local class x: the bits it pairs with to -1, the XOR of the
-        # columns of x's bits, and the integer of x
-        pairs, cols, reps = [0], [0], [1]
-        for col, r, p in table:
-            pairs += [x ^ p for x in pairs]
-            cols += [x ^ col for x in cols]
-            reps += [x * r for x in reps]
-        known, bad, b_pairs = _span([_image(table, seed)]), set(), pairs[_image(table, dual)]
-        for x in sorted(range(len(reps)), key=lambda x: abs(reps[x])):
+    bp = a * a - 4 * b
+    gens = (-1,) + S.primes
+    seed, dual = _class_on(bp, S), _class_on(b, S)
+    funcs: tuple[list[int], list[int]] = ([], [1]) if _minus_one_real(a, b) else ([1], [])
+    for i, v in enumerate(S.primes, 1):
+        cols, reps = _local_table(gens, i)
+        pairs, order = _AT_TWO if v == 2 else _AT_ODD[v % 4]
+        s = _image(cols, seed)
+        basis, known, bad, b_pairs = [s] if s else [], _span([s]), set(), pairs[_image(cols, dual)]
+        for x in order:
             if x in known or x in bad or (x & b_pairs).bit_count() & 1:
                 continue
-            f = hom_space(E, reps[x])
-            if qp_soluble(f, v) if v else r_soluble(f):
+            if qp_soluble(_space(a, bp, reps[x]), v):
+                basis.append(x)
                 known += [x ^ k for k in known]
                 bad = {y ^ k for y in bad for k in known}
             else:
                 bad |= {x ^ k for k in known}
-        for y, p in enumerate(pairs):
-            if not any((k & p).bit_count() & 1 for k in known):
-                funcs[0].append(cols[p])
-            if y in known:
-                funcs[1].append(cols[p])
-    n = len(S.primes) + 1
-    return tuple(dict(sorted((SquareClass(_rep(S, m)), m) for m in _span(_kernel(f, n)))) for f in funcs)
+        annihilator = _kernel([pairs[k] for k in basis], len(cols).bit_length() - 1)
+        funcs[0].extend(cols[pairs[y]] for y in annihilator)
+        funcs[1].extend(cols[pairs[k]] for k in basis)
+    spans = (_span(_kernel(f, len(gens))) for f in funcs)
+    sels = (sorted((abs(d), d, m) for m in span for d in (_rep(S, m),)) for span in spans)
+    return tuple({SquareClass(d): m for _, d, m in sel} for sel in sels)
 
 
-# Sieve moduli of the point search.  Per modulus q: the residues t of
-# squares mod q, each with the mask of the i in [0, q) with i^2 = t; and per
-# residue c, the unit square that makes c times it least mod q.
+# Sieve moduli of the point search.  Per modulus q: the squares mod q, and
+# per residue c, the unit square that makes c times it least mod q.
 _MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29)
-_ROOTS = {q: {t: sum(1 << i for i in range(q) if i * i % q == t) for t in {i * i % q for i in range(q)}}
-          for q in _MODULI}
-_SCALE = {q: tuple(min((s * c % q, s) for s in _ROOTS[q] if gcd(s, q) == 1)[1] for c in range(q))
+_SQUARES = {q: {i * i % q for i in range(q)} for q in _MODULI}
+_SCALE = {q: tuple(min((s * c % q, s) for s in _SQUARES[q] if gcd(s, q) == 1)[1] for c in range(q))
           for q in _MODULI}
 _BAND_BITS = 1 << 14  # a band holds as many rows of the height box as fit
 # A count costs a few ANDs, so a band's survivors are counted from the sixth modulus on.
@@ -341,16 +359,33 @@ def _coprime_bands(H: int, R: int) -> tuple[int, ...]:
     return tuple(sum(row << k * W for k, row in enumerate(rows[n0:n0 + R])) for n0 in range(1, H + 1, R))
 
 
+@lru_cache(maxsize=32)
+def _orbit_masks(q: int, W: int, R: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The pairs (k, m) mod q in orbits under (k, m) -> (u*k, v*m), u and v
+    units with u^2 = v^2 mod q, which multiply a*m^4 + b*m^2*k^2 + c*k^4 by
+    the unit square u^4.  Per orbit: m^4, m^2*k^2 and k^4 mod q at its
+    first pair, and the mask of bits k*W + m, k < q + R and m < W, with
+    (k, m) in the orbit mod q."""
+    units = [(u, v) for u in range(1, q) if gcd(u, q) == 1 for v in range(1, q) if (u * u - v * v) % q == 0]
+    cols = [_every(q, W - 1, 1 << m) for m in range(q)]  # the m' < W with m' = m mod q
+    seen: set[tuple[int, int]] = set()
+    out = []
+    for k, m in itertools.product(range(q), repeat=2):
+        if (k, m) not in seen:
+            orbit = {(u * k % q, v * m % q) for u, v in units}
+            seen |= orbit
+            block = sum(cols[m1] << k1 * W for k1, m1 in orbit)
+            out.append((m**4 % q, m * m * k * k % q, k**4 % q, _every(q * W, (q + R) * W - 1, block)))
+    return tuple(out)
+
+
 @lru_cache(maxsize=256)
 def _period(q: int, a: int, b: int, c: int, W: int, R: int) -> int:
     """Bit k*W + m set for k < q + R and m < W when a*m^4 + b*m^2*k^2 + c*k^4
-    is a square mod q: a q-bit residue word per k^2 mod q tiled along each
-    row, and the first q rows tiled down.  Every band mask is a cut of it."""
-    roots = _ROOTS[q]
-    terms = [(a * s * s, b * s, mask) for s, mask in roots.items()]
-    row = {t: _every(q, W - 1, sum(mask for u, v, mask in terms if (u + t * (v + c * t)) % q in roots))
-           for t in roots}
-    return _every(q * W, (q + R) * W - 1, sum(row[k * k % q] << k * W for k in range(q)))
+    is a square mod q: the union of the _orbit_masks whose first pair
+    passes.  Every band mask is a cut of it."""
+    squares = _SQUARES[q]
+    return sum(mask for x, y, z, mask in _orbit_masks(q, W, R) if (a * x + b * y + c * z) % q in squares)
 
 
 @lru_cache(maxsize=2048)

@@ -284,6 +284,19 @@ def test_verify_cremona_reports_parse_errors_with_line_numbers(tmp_path, capsys)
     assert "1 parse errors" in out
 
 
+def test_verify_cremona_counts_a_singular_model_as_a_parse_error(tmp_path, capsys):
+    f = tmp_path / "allgens.txt"
+    # y^2 = x^3 and y^2 + xy = x^3 are singular; y^2 + xy + y = x^3 is not
+    lines = ["11 a 1 [0,0,0,0,0] 0 []", GOOD_LINE, "11 a 1 [1,0,0,0,0] 0 []", "11 a 1 [1,0,1,0,0] 0 []"]
+    f.write_text("\n".join(lines) + "\n")
+    rc, out, _ = run(capsys, "verify-cremona", str(f))
+    assert rc == 0
+    assert "line 1: parse error: singular model [0, 0, 0, 0, 0]" in out
+    assert "line 3: parse error: singular model [1, 0, 0, 0, 0]" in out
+    assert "line 4 (11a1): skipped" in out
+    assert "4 lines: 1 verified, 1 skipped, 0 mismatches, 2 parse errors" in out
+
+
 def test_json_round_trip_of_real_reports():
     for E in (Curve(0, 17, 0), Curve(6, 1, 0), Curve(-6, 12, 0)):
         doc = report_document(descent_report(E, 10))

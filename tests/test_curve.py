@@ -190,6 +190,26 @@ def test_torsion_order_bound_examples():
     assert torsion_order_bound(Curve(0, 0, 2), 6) in (1, 2, 3, 4, 6)
 
 
+ODD_PRIMES_BELOW_200 = [q for q in range(3, 200, 2) if all(q % d for d in range(3, q, 2))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60),
+       st.integers(0, 25), st.integers(1, 8))
+def test_torsion_order_bound_is_the_gcd_of_brute_counts(a2, a4, a6, n, k):
+    # the model scaled by t, the product of the first n odd primes, has
+    # every one of them bad, so the good primes can lie far out
+    t = math.prod(ODD_PRIMES_BELOW_200[:n])
+    try:
+        E = Curve(a2 * t, a4 * t * t, a6 * t**3)
+    except SingularModel:
+        assume(False)
+    disc = discriminant(E)
+    good = [q for q in ODD_PRIMES_BELOW_200 if disc % q][:k]
+    assert len(good) == k
+    assert torsion_order_bound(E, k) == math.gcd(*(count_points_brute((E.a2, E.a4, E.a6), q) for q in good))
+
+
 def test_torsion_bound_is_multiple_of_torsion_order():
     for E in CURVE_SAMPLES:
         bound = torsion_order_bound(E, 6)

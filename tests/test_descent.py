@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -17,6 +18,8 @@ from twodescent.descent import (
     SelmerSet,
     TorsionImageError,
     _BAND_BITS,
+    _AT_ODD,
+    _AT_TWO,
     _MODULI,
     _band_mask,
     _canonical_generator,
@@ -24,6 +27,8 @@ from twodescent.descent import (
     _coprime_bands,
     _first_square,
     _local_table,
+    _minus_one_real,
+    _period,
     _selmer,
     _span,
     bad_set,
@@ -302,20 +307,15 @@ def test_local_verdict_depends_only_on_the_local_class(a, b, data):
 
 def _selmer_and_tests(E: Curve):
     """Both Selmer sets of one _selmer(E, S) call as ints, with its local
-    tests per place (0 stands for R)."""
+    tests per prime; the real place is decided by rule, with no test."""
     tests: dict[int, int] = {}
 
     def counting_qp(f, p):
         tests[p] = tests.get(p, 0) + 1
         return qp_soluble(f, p)
 
-    def counting_r(f):
-        tests[0] = tests.get(0, 0) + 1
-        return r_soluble(f)
-
     with pytest.MonkeyPatch.context() as m:
         m.setattr(descent_module, "qp_soluble", counting_qp)
-        m.setattr(descent_module, "r_soluble", counting_r)
         sels = _selmer(E, bad_set(E))
     return tuple(tuple(int(d) for d in sel) for sel in sels), tests
 
@@ -341,10 +341,10 @@ def test_selmer_tests_each_local_class_once(E):
     sels, tests = _selmer_and_tests(E)
     walk_sels, walk_tests = _both_walks(E)
     assert sels == walk_sels == (selmer_per_class(E), selmer_per_class(isogenous_curve(E).Eprime))
-    assert set(tests) <= set(walk_tests) <= {0} | set(bad_set(E).primes)
+    assert set(tests) <= set(walk_tests) - {0} <= set(bad_set(E).primes)
     assert all(n <= walk_tests[v] for v, n in tests.items())
     assert sum(tests.values()) < sum(walk_tests.values())
-    assert tests.get(0, 0) <= 1 and tests.get(2, 0) <= 7
+    assert 0 not in tests and tests.get(2, 0) <= 7
     assert all(n <= 3 for v, n in tests.items() if v > 2)
 
 
@@ -374,7 +374,7 @@ def test_selmer_matches_walk_oracle_with_no_more_tests(E):
     walk_sels, walk_tests = _both_walks(E)
     assert sels == walk_sels
     assert all(n <= walk_tests.get(v, 0) for v, n in tests.items())
-    assert tests.get(0, 0) <= 1 and tests.get(2, 0) <= 7
+    assert 0 not in tests and tests.get(2, 0) <= 7
     assert all(n <= 3 for v, n in tests.items() if v > 2)
 
 
@@ -413,25 +413,24 @@ def _local_coordinates(n: int, v: int) -> int:
 
 
 def test_local_tables_match_the_hilbert_symbol():
-    # columns, class integers and pairing bits at R, 2 and odd p of both
-    # residues mod 4; mod v^2 is out of reach at 1000003, where the
+    # columns, class integers, pairing bits and test order at 2 and odd p
+    # of both residues mod 4; mod v^2 is out of reach at 1000003, where the
     # textbook formula (-1)^(e f (p-1)/2) (u/p)^f (w/p)^e stands in for
     # the brute search, which checks it at the small primes
     S = BadSet((2, 3, 5, 7, 11, 13, 1000003))
     gens = (-1,) + S.primes
-    for i, v in enumerate((0,) + S.primes):
-        table = _local_table(S, i, v)
+    for i, v in enumerate(S.primes, 1):
+        cols, reps = _local_table(gens, i)
+        pairs, order = _AT_TWO if v == 2 else _AT_ODD[v % 4]
+        bits = len(cols).bit_length() - 1
         for j, g in enumerate(gens):
-            assert _local_coordinates(g, v) == sum((col >> j & 1) << c for c, (col, _, _) in enumerate(table))
-        assert [_local_coordinates(r, v) for _, r, _ in table] == [1 << c for c in range(len(table))]
-        reps = [math.prod(r for c, (_, r, _) in enumerate(table) if x >> c & 1)
-                for x in range(1 << len(table))]
+            assert _local_coordinates(g, v) == sum((cols[1 << c] >> j & 1) << c for c in range(bits))
+        assert [_local_coordinates(r, v) for r in reps] == list(range(len(reps)))
+        assert list(order) == sorted(range(len(reps)), key=lambda x: abs(reps[x]))
         for x, rx in enumerate(reps):
+            assert cols[x] == _xor(cols[1 << c] for c in range(bits) if x >> c & 1)
             for y, ry in enumerate(reps):
-                pairs = 0
-                for c, (_, _, p) in enumerate(table):
-                    pairs ^= p if y >> c & 1 else 0
-                minus = bool((x & pairs).bit_count() & 1)
+                minus = bool((x & pairs[y]).bit_count() & 1)
                 if v != 1000003:
                     assert minus != hilbert_brute(rx, ry, v), (v, rx, ry)
                 if v > 2:
@@ -439,6 +438,29 @@ def test_local_tables_match_the_hilbert_symbol():
                     u, w = (rx // v if e else rx), (ry // v if f else ry)
                     textbook = (-1) ** (e * f * (v - 1) // 2) * legendre(u, v) ** f * legendre(w, v) ** e
                     assert minus == (textbook < 0), (v, rx, ry)
+
+
+def _xor(rows) -> int:
+    out = 0
+    for r in rows:
+        out ^= r
+    return out
+
+
+def test_real_place_rule_matches_the_real_solver_on_the_box():
+    # C_-1 has a real point exactly when b' < 0 or a < 0 < b
+    for a in range(-30, 31):
+        for b in range(-30, 31):
+            if nonsingular(a, b):
+                E = Curve(a, b, 0)
+                assert _minus_one_real(a, b) == bool(r_soluble(hom_space(E, -1))), (a, b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
+def test_real_place_rule_matches_the_real_solver(a, b):
+    assume(nonsingular(a, b))
+    assert _minus_one_real(a, b) == bool(r_soluble(hom_space(Curve(a, b, 0), -1)))
 
 
 def test_selmer_of_the_20_prime_primorial_dx_model_is_fast():
@@ -621,6 +643,43 @@ def test_first_square_with_cached_words_and_interleaved_heights(p1, p2, x, y, t,
 def band_rows(H: int) -> int:
     """The rows per band of _first_square at height H."""
     return min(H, max(1, _BAND_BITS // (H + 1)))
+
+
+def _tile(q: int, rows: dict[int, int], W: int, R: int) -> int:
+    """Bit k*W + m, k < q + R and m < W, set when bit m mod q of
+    rows[k^2 mod q] is: a product with copies of 1 spaced q apart tiles a
+    q-bit row along W bits, and one with copies q rows apart tiles the
+    first q rows down."""
+    across = sum(1 << j * q for j in range(W // q + 1))
+    down = sum(1 << j * q * W for j in range(R // q + 2))
+    block = sum((rows[k * k % q] * across & ((1 << W) - 1)) << k * W for k in range(q))
+    return block * down & ((1 << (q + R) * W) - 1)
+
+
+def test_period_masks_match_the_brute_definition():
+    # bit k*W + m of _period is set iff N(m, k) = a m^4 + b m^2 k^2 + c k^4
+    # is a square mod q: every modulus, every (a, b, c) mod q but zero, and
+    # the band shapes of five heights (H <= 28 gives rows narrower than q).
+    # N mod q depends on m^2 and k^2 mod q only, so the expected mask is a
+    # tiling of one q-bit row per k^2, made once per distinct set of rows
+    for q in _MODULI:
+        squares = {i * i % q for i in range(q)}
+        # the residue r, written chr(r), to "1" when r + j is a square mod q
+        shift = [str.maketrans({chr(r): "01"[(r + j) % q in squares] for r in range(q)}) for j in range(q)]
+        sq_desc = [m * m % q for m in reversed(range(q))]
+        ts = sorted(set(sq_desc))
+        shapes = [(H + 1, band_rows(H)) for H in (1, 7, 20, 28, 100)]
+        expected: dict[tuple[str, ...], list[int]] = {}
+        for a, b in itertools.product(range(q), repeat=2):
+            # per t = k^2, a m^4 + b m^2 t for m = q - 1 down to 0, as chr
+            part = {t: "".join(chr((a * s * s + b * s * t) % q) for s in sq_desc) for t in ts}
+            for c in range(0 if a or b else 1, q):
+                rows = tuple(part[t].translate(shift[c * t * t % q]) for t in ts)
+                if rows not in expected:
+                    bits = {t: int(r, 2) for t, r in zip(ts, rows)}
+                    expected[rows] = [_tile(q, bits, W, R) for W, R in shapes]
+                for (W, R), want in zip(shapes, expected[rows]):
+                    assert _period(q, a, b, c, W, R) == want, (q, a, b, c, W)
 
 
 def test_coprime_rows_hold_the_numerators_prime_to_each_denominator():
@@ -848,7 +907,7 @@ def test_certified_images_match_the_square_class_walk(E, H):
     def oracle_direction(source, lift_pair, sel, seed, H):
         seed_rep = int(squarefree_part(lift_pair.Eprime.a4))
         span, lifted = certify_oracle(source, lift_pair, [int(d) for d in sel], seed_rep, H)
-        return [SquareClass(d) for d in span], lifted
+        return sorted(SquareClass(d) for d in span), lifted
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(descent_module, "search_point",
@@ -878,12 +937,13 @@ def test_descent_report_factors_each_odd_part_of_b_and_b_prime_once(monkeypatch)
 
 def test_descent_report_builds_quartic_forms_only_in_hom_space(monkeypatch):
     # the local solvers search coefficient tuples: no stripped or
-    # reversed copy of a form is built per call
+    # reversed copy of a form is built per call.  hom_space and the local
+    # tests of _selmer build every form through _space
     built, spaces = [], []
     post_init = QuarticForm.__post_init__
     monkeypatch.setattr(QuarticForm, "__post_init__", lambda f: built.append(f) or post_init(f))
-    hom = descent_module.hom_space
-    monkeypatch.setattr(descent_module, "hom_space", lambda E, d: spaces.append(d) or hom(E, d))
+    space = descent_module._space
+    monkeypatch.setattr(descent_module, "_space", lambda *args: spaces.append(args) or space(*args))
     for a, b in ((0, 3111), (0, -2 * 3 * 5 * 7 * 11), (6, 1), (-11, 2), (12, 32)):
         built.clear()
         spaces.clear()
