@@ -93,7 +93,7 @@ def is_prime(n: int) -> bool:
         else:
             return False
     if n >= _MR_VALID_BELOW:
-        raise ArithError("number too large for the deterministic witness set")
+        raise ArithError(f"{n} passes every witness but is too large for the deterministic witness set")
     return True
 
 

@@ -276,26 +276,24 @@ def _integer_roots(f: list[int], q: int) -> list[int]:
     return sorted(roots)
 
 
-def _order_up_to(E: Curve, P: Pt, cap: int) -> int | None:
-    """Order of the affine point P if at most cap, else None.
+def _multiples(E: Curve, x1: int, y1: int, cap: int) -> list[tuple[int, int]] | None:
+    """P, 2P, ..., (o - 1)P if the integral point P = (x1, y1) has order o <= cap, else None.
 
     A non-integral multiple proves infinite order for an integral model,
     so the scan stops early on one, in integers: a chord or tangent slope
-    that is not an integer makes the next x non-integral.  Invariant:
-    (x, y) = m*P at loop top.
+    that is not an integer makes the next x non-integral.
     """
-    if P.x.denominator != 1 or P.y.denominator != 1:
-        return None
-    x1, y1 = x, y = P.x.numerator, P.y.numerator
-    for m in range(1, cap):
+    out = [(x1, y1)]
+    while len(out) < cap:
+        x, y = out[-1]
         if x == x1 and y == -y1:
-            return m + 1
+            return out
         num, den = (3 * x * x + 2 * E.a2 * x + E.a4, 2 * y) if x == x1 else (y - y1, x - x1)
         if num % den:
             return None
         lam = num // den
         x3 = lam * lam - E.a2 - x - x1
-        x, y = x3, lam * (x - x3) - y
+        out.append((x3, lam * (x - x3) - y))
     return None
 
 
@@ -317,8 +315,8 @@ class TorsionGroup(Record):
         return [int(self.structure[1:])]
 
 
-def _point_sort_key(P: Pt):
-    return (abs(P.x), P.x, abs(P.y), -P.y)
+def _point_sort_key(x, y):
+    return abs(x), x, abs(y), -y
 
 
 def torsion_subgroup(E: Curve) -> TorsionGroup:
@@ -327,7 +325,7 @@ def torsion_subgroup(E: Curve) -> TorsionGroup:
     bound = torsion_order_bound(E, 6)
     primes = _good_odd_primes(E, 2)
     f = _division_polys(E)
-    cands: list[Pt] = []
+    cands: list[tuple[int, int]] = []
     found = {1}  # the m, ascending, whose f_m gave a rational point
     for m in sorted(_ALLOWED_CYCLIC - {1}):
         # a point of order m has a multiple of order m/l for each prime l | m
@@ -340,38 +338,35 @@ def torsion_subgroup(E: Curve) -> TorsionGroup:
             v = E.rhs(x)
             y = math.isqrt(max(v, 0))
             if y * y == v:
-                cands += [pt(x, y), pt(x, -y)] if y else [pt(x, 0)]
+                cands += [(x, y), (x, -y)] if y else [(x, 0)]
                 found.add(m)
     return _torsion_group(E, cands, bound)
 
 
-def _torsion_group(E: Curve, cands: list[Pt], bound: int) -> TorsionGroup:
-    """The group of the finite-order points among cands."""
-    orders: dict[Pt, int] = {}
-    for P in cands:
-        # order computation revisits small multiples; cheap at this scale
-        o = _order_up_to(E, P, _MAX_TORSION_ORDER)
-        if o is not None:
-            orders[P] = o
-    n = len(orders) + 1
+def _torsion_group(E: Curve, cands: list[tuple[int, int]], bound: int) -> TorsionGroup:
+    """The group of the finite-order points among the integer pairs cands."""
+    # order computation revisits small multiples; cheap at this scale
+    multiples = {P: ms for P in cands if (ms := _multiples(E, *P, _MAX_TORSION_ORDER)) is not None}
+    n = len(multiples) + 1
     if bound % n != 0:
         raise CurveError("torsion enumeration disagrees with the reduction bound")
-    two_torsion = sum(1 for o in orders.values() if o == 2)
     if n == 1:
         return TorsionGroup("trivial", (), (INFINITY,))
-    by_order = sorted(orders, key=_point_sort_key)
-    points = (INFINITY,) + tuple(by_order)
+    pts = {P: pt(*P) for P in sorted(multiples, key=lambda P: _point_sort_key(*P))}
+    points = (INFINITY, *pts.values())
+    orders = {P: len(multiples[P]) + 1 for P in pts}
     max_order = max(orders.values())
-    gen = next(P for P in by_order if orders[P] == max_order)
-    if two_torsion <= 1:
+    gen = next(P for P, o in orders.items() if o == max_order)
+    two_torsion = [P for P, o in orders.items() if o == 2]
+    if len(two_torsion) <= 1:
         if max_order != n or n not in _ALLOWED_CYCLIC:
             raise CurveError(f"unexpected torsion shape of order {n}")
-        return TorsionGroup(f"Z{n}", (gen,), points)
-    if two_torsion != 3 or n not in _ALLOWED_SPLIT or 2 * max_order != n:
+        return TorsionGroup(f"Z{n}", (pts[gen],), points)
+    if len(two_torsion) != 3 or n not in _ALLOWED_SPLIT or 2 * max_order != n:
         raise CurveError(f"unexpected torsion shape of order {n}")
-    half = mul(E, max_order // 2, gen)  # the order-2 point inside <gen>
-    second = next(P for P in by_order if orders[P] == 2 and P != half)
-    return TorsionGroup(f"Z2xZ{max_order}", (gen, second), points)
+    half = multiples[gen][max_order // 2 - 1]  # the order-2 point inside <gen>
+    second = next(P for P in two_torsion if P != half)
+    return TorsionGroup(f"Z2xZ{max_order}", (pts[gen], pts[second]), points)
 
 
 def from_cubic_const(c: int) -> Curve:

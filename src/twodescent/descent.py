@@ -226,7 +226,6 @@ _AT_TWO = ((0, 4, 2, 6, 1, 5, 3, 7), (0, 2, 1, 3, 4, 6, 5, 7))
 _AT_ODD = {1: ((0, 2, 1, 3), (0, 2, 1, 3)), 3: ((0, 3, 1, 2), (0, 2, 1, 3))}
 
 
-@lru_cache(maxsize=1024)
 def _local_table(gens: tuple[int, ...], i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Q_v*/Q_v*^2 at v = gens[i], gens = (-1,) + S, with coordinate bits
     v_2 parity, (u-1)/2, (u^2-1)/8 for the unit u at 2 and v_p parity, the
@@ -332,8 +331,6 @@ _SQUARES = {q: {i * i % q for i in range(q)} for q in _MODULI}
 _SCALE = {q: tuple(min((s * c % q, s) for s in _SQUARES[q] if gcd(s, q) == 1)[1] for c in range(q))
           for q in _MODULI}
 _BAND_BITS = 1 << 14  # a band holds as many rows of the height box as fit
-# A count costs a few ANDs, so a band's survivors are counted from the sixth modulus on.
-_FEW = 4  # at most this many survivors end a band's sieving
 
 
 def _every(q: int, H: int, x: int = 1) -> int:
@@ -404,10 +401,10 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
     (n - n0)*(H + 1) + m, in bands of as many rows n0, n0 + 1, ... as fit
     in _BAND_BITS (the whole box at H = 100, one row from H = 2^14).  A
     band of coprime pairs is ANDed with one mask per modulus q, the pairs
-    where N(m, n) is a square mod q, until at most _FEW survive.  A mask
-    repeats every q rows and depends on the coefficients mod q only up to
-    a unit square, so it is cached under (q, the coefficients scaled so
-    the first nonzero one is least, H + 1, n0 mod q, rows per band).
+    where N(m, n) is a square mod q.  A mask repeats every q rows and
+    depends on the coefficients mod q only up to a unit square, so it is
+    cached under (q, the coefficients scaled so the first nonzero one is
+    least, H + 1, n0 mod q, rows per band).
     Survivors get the exact test low bit first, in the order (n, m).  A
     hit of height h is beaten only below h, so the masks then keep m < h
     and the rows n < h: each later hit is lower, and the last is the
@@ -425,9 +422,7 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
         if n0 >= h:
             break
         mask = band & keep
-        for i, (q, a, b, c) in enumerate(forms):
-            if i >= 5 and mask.bit_count() <= _FEW:
-                break
+        for q, a, b, c in forms:
             mask &= _band_mask(q, a, b, c, W, n0 % q, R)
         while mask:
             low = mask & -mask
@@ -526,7 +521,7 @@ def _to_base(pair: IsogenyPair, lifts_prime: list[Pt], lifts_second: list[Pt]) -
 def _canonical_generator(E: Curve, tors: TorsionGroup, Q: Pt) -> Pt:
     """The least of the points +-Q + T = +-(Q + T), T torsion, in the torsion order."""
     return min((Pt(P.x, abs(P.y)) for P in (_add_raw(E, Q, T) for T in tors.points)),
-               key=_point_sort_key)
+               key=lambda P: _point_sort_key(P.x, P.y))
 
 
 def _certify_direction(source: Curve, lift_pair: IsogenyPair, sel: dict[SquareClass, int],
@@ -534,20 +529,16 @@ def _certify_direction(source: Curve, lift_pair: IsogenyPair, sel: dict[SquareCl
     """Search the spaces of one direction; returns (certified classes, lifted points).
 
     The image of delta is a subgroup, so any class inside the span of
-    already-certified masks needs no search of its own.
+    already-certified masks needs no search of its own.  The span starts
+    at the torsion images 1 and the seed, the only classes whose space
+    has a point at z = 0 or infinity, so every hit lifts.
     """
     span = {0, seed}
     lifted: list[Pt] = []
     for d, m in sel.items():
-        if m in span:
-            continue
-        found = search_point(source, d, H)
-        if found is None:
-            continue
-        # a rational torsion image certifies d with no new generator
-        if found != "infinity" and found[0] != 0:
+        if m not in span and (found := search_point(source, d, H)) is not None:
             lifted.append(lift_point(lift_pair, d, found))
-        span |= {m ^ s for s in span}
+            span |= {m ^ s for s in span}
     image = [d for d, m in sel.items() if m in span]
     if len(image) < len(span):
         raise DescentError("certified a class outside the Selmer set")

@@ -242,11 +242,13 @@ class _ProductTable:
     """Columns ks, xs, ys of each product of pi-bar_q^(4e) or pi_q^(4e) over
     q^e || k, for the split-smooth k <= H in increasing order.  The last
     prime varies fastest, its conjugate power first: the rows of k extend
-    those of k / q^e.  grow builds rows k by k as scans reach them;
-    unpacking the table as (ks, xs, ys) builds all of it."""
+    those of k / q^e.  grow builds rows k by k as scans reach them; codes
+    holds the residue codes of each chunk by its first row, filled as
+    filtered scans reach it."""
 
     def __init__(self, H: int, c: int):
         self.ks, self.xs, self.ys = array("q", [1]), array("q", [1]), array("q", [0])
+        self.codes: dict[int, list[bytes]] = {}
         self._c, self._next, self._rows = c, _split_smooth(H, *_SPLIT[c]), {1: (0, 1)}
         self._powers = {1: (1, 0)}  # pi_q^(4e) by q^e
 
@@ -275,10 +277,6 @@ class _ProductTable:
             ks.extend((k,) * (len(xs) - start))
             rows[k] = start, len(ks)
         return True
-
-    def __iter__(self):
-        self.grow(float("inf"))
-        return iter((self.ks, self.xs, self.ys))
 
 
 _product_table = lru_cache(maxsize=8)(_ProductTable)
@@ -341,14 +339,8 @@ def _two_adic(a: int, b: int, c: int):
             bytes(ok[(a * i + b * (i >> 4)) & 15] for i in cells))
 
 
-@lru_cache(maxsize=8)
-def _row_codes(H: int, c: int) -> dict:
-    """Codes of _product_table(H, c) by first row of each chunk, filled as
-    scans reach it: the row codes mod 16, then those of _CODE_PRIMES."""
-    return {}
-
-
 def _chunk_codes(xs, ys) -> list[bytes]:
+    """The row codes mod 16, then those of _CODE_PRIMES."""
     out = [bytes([(x & 15) << 4 | y & 15 for x, y in zip(xs, ys)])]
     for l in _CODE_PRIMES:
         index = _residue_tables(l)[2]
@@ -356,15 +348,19 @@ def _chunk_codes(xs, ys) -> list[bytes]:
     return out
 
 
-def _survivors(H: int, c: int, a: int, b: int):
-    """Indices, in order, of the rows of _product_table(H, c) whose
-    candidate square passes the residue filters for pi_p = (a, b)."""
-    table = _product_table(H, c)
+def _survivors(table: _ProductTable, c: int, a: int, b: int):
+    """Indices, in order, of the rows of table whose candidate square
+    passes the residue filters for pi_p = (a, b): every row of a table
+    under _FILTER_ROWS rows, and of the real form, c = -2."""
+    if c == -2 or not table.grow(_FILTER_ROWS):
+        table.grow(float("inf"))
+        yield from range(len(table.ks))
+        return
     xs, ys = table.xs, table.ys
     parts = [(a, -c * b), (b, a)] if c == 1 else [(a, -c * b)]  # x = Y (a t - c b), y
     filters = [(two_adic, [_pass_table(l, alpha, beta, 2 if c == 1 else 1) for l in _CODE_PRIMES])
                for two_adic, (alpha, beta) in zip(_two_adic(a & 15, b & 15, c), parts)]
-    codes, start = _row_codes(H, c), 0
+    codes, start = table.codes, 0
     while table.grow(start + _CHUNK) or start < len(xs):  # a chunk is coded once complete
         chunk = codes.get(start)
         if chunk is None:
@@ -441,9 +437,8 @@ def _ep_space_point(p: int, d: int, H: int):
     one (see above).  The numerator k runs over the odd k <= H whose
     primes all split in the ring of d, in increasing order; any other k
     has no primitive representation, and parity rules out even k.  Each
-    candidate is pi_p times a row of the table for (H, c); in a table of
-    _FILTER_ROWS rows or more, only the rows that pass the residue
-    filters.  Since the free side comes out at any size, a large H
+    candidate is pi_p times a row of the table for (H, c) that _survivors
+    passes.  Since the free side comes out at any size, a large H
     reaches certificates far beyond a height search: ep_rank rescans
     C_{-1} and C_{-2} this way with H up to 10^6.
     """
@@ -456,12 +451,9 @@ def _ep_space_point(p: int, d: int, H: int):
     a, b = pi
     cb = c * b
     table = _product_table(H, c)
-    if c == -2 or not table.grow(_FILTER_ROWS):
-        rows = zip(*table)
-    else:
-        ks, xs, ys = table.ks, table.xs, table.ys
-        rows = ((ks[j], xs[j], ys[j]) for j in _survivors(H, c, a, b))
-    for k, X, Y in rows:
+    ks, xs, ys = table.ks, table.xs, table.ys
+    for j in _survivors(table, c, a, b):
+        k, X, Y = ks[j], xs[j], ys[j]
         x, y = a * X - cb * Y, a * Y + b * X  # pi_p (X + Y sqrt(-c))
         if c == -2:
             hit = _orbit_square_x((x, y), k)

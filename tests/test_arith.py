@@ -358,6 +358,12 @@ def test_is_prime_basics():
         is_prime(4000000000000000000000027)
 
 
+def test_is_prime_refusal_names_n():
+    n = sympy.nextprime(10**26)
+    with pytest.raises(ArithError, match=f"^{n} passes every witness but is too large"):
+        is_prime(n)
+
+
 def test_sieve_matches_is_prime():
     assert sieve_primes(50) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 

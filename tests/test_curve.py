@@ -17,6 +17,7 @@ from twodescent.curve import (
     SingularModel,
     _good_odd_primes,
     _integer_roots,
+    _multiples,
     _torsion_group,
     add,
     count_points_mod,
@@ -263,8 +264,7 @@ def _tate_model(b, c) -> Curve | None:
 
 
 def _oracle_torsion(E: Curve):
-    cands = [pt(x, y) for x, y in torsion_candidates_oracle((E.a2, E.a4, E.a6))]
-    return _torsion_group(E, cands, torsion_order_bound(E, 6))
+    return _torsion_group(E, torsion_candidates_oracle((E.a2, E.a4, E.a6)), torsion_order_bound(E, 6))
 
 
 @settings(max_examples=300, deadline=None)
@@ -323,6 +323,36 @@ def test_torsion_of_kubert_models(structure, t):
     T = torsion_subgroup(E)
     assert T.structure == structure
     assert T == _oracle_torsion(E)
+
+
+def _fraction_multiples(E: Curve, P: Pt, cap: int):
+    """P, 2P, ..., (o - 1)P by mul if P has order o <= cap, else None."""
+    ms = [mul(E, m, P) for m in range(1, cap + 1)]
+    return ms[:ms.index(INFINITY)] if INFINITY in ms else None
+
+
+def _pairs(points):
+    return None if points is None else [(P.x, P.y) for P in points]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30),
+       st.one_of(st.just(0), st.integers(-30, 30)), st.integers(1, 12))
+def test_integer_multiples_match_the_fraction_group_law(a2, a4, x, y, cap):
+    # a6 plants the integral point (x, y); y = 0 gives order 2
+    E = _model(a2, a4, y * y - ((x + a2) * x + a4) * x)
+    assume(E is not None)
+    assert _multiples(E, x, y, cap) == _pairs(_fraction_multiples(E, pt(x, y), cap))
+
+
+@pytest.mark.parametrize("structure", list(KUBERT))
+def test_integer_multiples_of_torsion_points_match_the_fraction_group_law(structure):
+    # points of every order up to 12; the pairs equal to Fractions are integers
+    E = _tate_model(*KUBERT[structure][0](Fraction(KUBERT[structure][1][0])))
+    for P in torsion_subgroup(E).points[1:]:
+        want = _pairs(_fraction_multiples(E, P, 12))
+        assert want is not None
+        assert _multiples(E, int(P.x), int(P.y), 12) == want
 
 
 @pytest.mark.parametrize("coeffs,structure,built", [

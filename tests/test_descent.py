@@ -731,24 +731,6 @@ def test_lower_point_in_a_later_band_beats_an_earlier_hit(H, data, x, y, t):
     assert hit is not None and max(hit[0], hit[1]) <= max(m2, n2) < m1
 
 
-def test_sieve_stops_once_few_pairs_survive(monkeypatch):
-    # every band gets the first five moduli; after that, one with at most
-    # _FEW survivors gets no further modulus.  At H = 100 some of these
-    # dx-shaped forms stop before the last modulus and some do not
-    asked = []
-    monkeypatch.setattr(descent_module, "_band_mask", lambda q, *key: asked.append(q) or _band_mask(q, *key))
-    per_search = set()
-    for D in range(1, 400, 23):
-        for d in (1, -1, 2, -2):
-            E = Curve(0, D, 0)
-            c4, _, c2, _, c0 = hom_space(E, d).c
-            asked.clear()
-            assert search_point(E, d, 100) == search_point_oracle(c4, c2, c0, d, -4 * D * d, 100)
-            assert asked == list(_MODULI[:len(asked)])
-            per_search.add(len(asked))
-    assert min(per_search) >= 5 and len(_MODULI) in per_search and min(per_search) < len(_MODULI)
-
-
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-10**6, 10**6).filter(bool), st.integers(-30, 30).filter(bool),
        st.integers(1, 120))
@@ -920,6 +902,23 @@ def test_certified_images_match_the_square_class_walk(E, H):
     assert engine_searched == searched
     assert rep.image_phi == want.image_phi and rep.image_phi_hat == want.image_phi_hat
     assert rep.generators == want.generators and rep.rank_lower == want.rank_lower
+
+
+def test_certify_direction_never_searches_a_torsion_image_on_the_box(monkeypatch):
+    # class 1 and the seed, the class of a^2 - 4b of the searched curve,
+    # start in the span: only their spaces have a point at z = 0 or at
+    # infinity, so every search that hits lifts to a point
+    searched = []
+    search = descent_module.search_point
+    monkeypatch.setattr(descent_module, "search_point",
+                        lambda C, d, H: searched.append((C, d)) or search(C, d, H))
+    for a in range(-12, 13):
+        for b in range(-12, 13):
+            if b and a * a != 4 * b:
+                descent_report(Curve(a, b, 0), 20)
+    assert searched
+    for C, d in searched:
+        assert d not in (ONE, squarefree_part(C.a2 * C.a2 - 4 * C.a4)), (C, d)
 
 
 def test_descent_report_factors_each_odd_part_of_b_and_b_prime_once(monkeypatch):

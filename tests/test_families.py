@@ -344,9 +344,10 @@ def test_heights_above_the_limit_are_refused_before_any_sieve(monkeypatch):
 
 
 def test_import_and_a_search_free_rank_build_no_product_table():
-    # the norm-form product tables, their row codes and the orbit masks
-    # are built on the first search that needs them, not at import; the
-    # process pool and the dataclass machinery are not imported at all
+    # the norm-form product tables, which hold their row codes, and the
+    # orbit masks are built on the first search that needs them, not at
+    # import; the process pool and the dataclass machinery are not
+    # imported at all
     src = os.path.dirname(os.path.dirname(families.__file__))
     code = (
         "import sys\n"
@@ -354,8 +355,8 @@ def test_import_and_a_search_free_rank_build_no_product_table():
         "unused = ('concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect')\n"
         "assert not [m for m in unused if m in sys.modules], sys.modules.keys() & set(unused)\n"
         "from twodescent.families import _orbit_masks, _product_table, _residue_tables, "
-        "_row_codes, _two_adic, ep_rank\n"
-        "caches = (_product_table, _row_codes, _residue_tables, _two_adic, _orbit_masks)\n"
+        "_two_adic, ep_rank\n"
+        "caches = (_product_table, _residue_tables, _two_adic, _orbit_masks)\n"
         "assert all(f.cache_info().currsize == 0 for f in caches)\n"
         "assert ep_rank(23).hi == 0 and ep_rank(17).hi == 0\n"
         "assert all(f.cache_info().currsize == 0 for f in caches)\n"

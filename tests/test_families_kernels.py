@@ -14,6 +14,7 @@ from twodescent.arith import sieve_primes
 from twodescent.families import (
     _CHUNK,
     _CODE_PRIMES,
+    _FILTER_ROWS,
     _ORBIT_MODULI,
     _SPLIT,
     _ProductTable,
@@ -23,7 +24,6 @@ from twodescent.families import (
     _pair_mul,
     _prime_root,
     _product_table,
-    _row_codes,
     _split_smooth,
     _survivors,
     _two_adic,
@@ -75,7 +75,9 @@ def test_split_smooth_numbers_and_their_products_match_the_uncached_products(c):
     # the heap walk: each k > 1 with its largest prime q and the part prime to q
     assert list(_split_smooth(2000, modulus, residues)) == [
         (k, fac[-1][0], k // fac[-1][0] ** fac[-1][1]) for k, fac in smooth[1:]]
-    ks, xs, ys = _product_table(2000, c)
+    table = _product_table(2000, c)
+    table.grow(float("inf"))
+    ks, xs, ys = table.ks, table.xs, table.ys
     assert list(ks) == [k for k, fac in smooth for _ in range(2 ** len(fac))]
     rows = {}
     for k, X, Y in zip(ks, xs, ys):
@@ -113,15 +115,18 @@ SCALES = {1: (2, 1), 2: (1, 1), -2: (1, 1)}
 @example(41, 2, 2000)  # l = 41 divides the norm of every candidate
 def test_residue_filters_keep_every_row_the_exact_test_accepts(p, c, H):
     # every row of the plain walk whose candidate square passes the exact
-    # test, or is a square mod every filter modulus, survives; every
-    # survivor is a square mod each l of _CODE_PRIMES
+    # test, or is a square mod every filter modulus, survives; in a table
+    # of _FILTER_ROWS rows or more every survivor is a square mod each l of
+    # _CODE_PRIMES, and a smaller table passes every row
     num, den = SCALES[c]
     pi = _prime_root(p, c)
     assume(pi is not None)
     a, b = pi
-    ks, xs, ys = _product_table(H, c)
-    survivors = list(_survivors(H, c, a, b))
-    assert survivors == sorted(set(survivors))
+    table = _product_table(H, c)
+    filtered = table.grow(_FILTER_ROWS)
+    survivors = list(_survivors(table, c, a, b))
+    ks, xs, ys = table.ks, table.xs, table.ys
+    assert survivors == (sorted(set(survivors)) if filtered else list(range(len(ks))))
     for j, (k, X, Y) in enumerate(zip(ks, xs, ys)):
         x, y = a * X - c * b * Y, a * Y + b * X
         if c == 1 and x & 1:
@@ -132,7 +137,7 @@ def test_residue_filters_keep_every_row_the_exact_test_accepts(p, c, H):
         odd_tests = all(_is_square_mod(f2, l) for l in _CODE_PRIMES)
         if accepted or (odd_tests and _is_square_mod(f2, 16 * num // den)):
             assert j in survivors, (j, k)
-        if j in survivors:
+        if filtered and j in survivors:
             assert odd_tests, (j, k)
 
 
@@ -178,19 +183,19 @@ def test_tables_grown_by_scans_that_stop_early_are_the_one_shot_tables(c, H, sca
     # always a prefix of the one-shot table, each chunk is coded only once
     # complete, and the table built to its end is the one-shot table
     _product_table.cache_clear()
-    _row_codes.cache_clear()
     want = product_table_oracle(H, c)
     table = _product_table(H, c)
     for rows, survivors in scans:
         table.grow(rows)
         if c != -2:
             a, b = _prime_root(SCAN_PRIMES[c][survivors % len(SCAN_PRIMES[c])], c)
-            list(islice(_survivors(H, c, a, b), survivors))
+            list(islice(_survivors(table, c, a, b), survivors))
         n = len(table.ks)
         assert [list(col) for col in (table.ks, table.xs, table.ys)] == [col[:n] for col in want]
-        for start, codes in _row_codes(H, c).items():
+        for start, codes in table.codes.items():
             assert codes == _chunk_codes(want[1][start:start + _CHUNK], want[2][start:start + _CHUNK])
-    assert [list(col) for col in table] == list(want)
+    assert not table.grow(float("inf"))
+    assert [list(col) for col in (table.ks, table.xs, table.ys)] == list(want)
 
 
 @pytest.mark.parametrize("c", [1, 2, -2])
@@ -202,4 +207,4 @@ def test_a_complete_table_keeps_only_its_columns(c):
     assert (table._next, table._rows, table._powers) == (None, None, None)
     n = len(table.ks)
     assert table.grow(n) and not table.grow(n + 1)
-    assert [list(col) for col in table] == list(product_table_oracle(2000, c))
+    assert [list(col) for col in (table.ks, table.xs, table.ys)] == list(product_table_oracle(2000, c))
