@@ -131,10 +131,7 @@ def parse_document(text: str) -> dict:
 
 
 def _fmt_curve(E: Curve) -> str:
-    s = f"y^2 = x^3 + ({E.a2})x^2 + ({E.a4})x"
-    if E.a6 != 0:
-        s += f" + ({E.a6})"
-    return s
+    return f"y^2 = x^3 + ({E.a2})x^2 + ({E.a4})x"
 
 
 def _fmt_classes(sel) -> str:
@@ -339,7 +336,7 @@ def _row_json(row) -> dict:
 
 def cmd_table(args) -> int:
     filters = _parse_filter(args.filter)
-    rows = ep_table(args.max, height=args.height, jobs=args.jobs, **filters)
+    rows = ep_table(args.max, height=args.height, **filters)
     for row in rows:
         print(
             f"p={row.p}  selmer_dims=({row.selmer_dim_phi},{row.selmer_dim_phi_hat})"
@@ -516,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab.add_argument("--max", type=int, required=True)
     p_tab.add_argument("--filter", default="",
                        help="comma list: mod8=<r>, quartic2=<true|false>")
-    p_tab.add_argument("--jobs", type=int, default=None)
     p_tab.add_argument("--height", type=int, default=20)
     p_tab.add_argument("--out", default=None, help="also write a JSON file")
     p_tab.set_defaults(func=cmd_table)

@@ -14,10 +14,9 @@ the equivalence of the two is part of the test suite and of
 
 from __future__ import annotations
 
-import os
 from array import array
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, lru_cache
 from heapq import heappop, heappush
 from itertools import accumulate
 from math import gcd, isqrt
@@ -603,51 +602,31 @@ class EpRow(Record):
     rank: RankResult
 
 
-def _ep_row(p: int, height: int) -> EpRow:
-    # the sieve proved p and ep_table checked the height
-    s, s_hat = _ep_dims(p % 16)
-    return EpRow(
-        p=p,
-        selmer_dim_phi=s,
-        selmer_dim_phi_hat=s_hat,
-        rank_sha_dim=s + s_hat - 2,
-        rank=_ep_rank(p, height),
-    )
-
-
 def ep_table(
     p_max: int,
     *,
     mod8: int | None = None,
     quartic_only: bool = False,
     height: int = 20,
-    jobs: int | None = None,
 ) -> list[EpRow]:
-    """One row per odd prime p <= p_max, with optional residue filters.
+    """One row per odd prime p <= p_max, sorted by p, with optional residue filters.
 
     mod8, one of 1, 3, 5, 7, keeps p = mod8 (mod 8); quartic_only keeps p
     with 2 a fourth power mod p (forces p = 1 mod 8).
-    jobs > 1 maps over a pool of at most os.cpu_count() worker processes.
-    Rows come back sorted by p: pool.map keeps the order of ps.
     """
     if p_max > _EP_TABLE_BUDGET:
         raise FamilyError(f"p_max beyond the {_EP_TABLE_BUDGET} budget")
     _check_height(height)
     if mod8 not in (None, 1, 3, 5, 7):
         raise FamilyError(f"mod8 must be 1, 3, 5 or 7, not {mod8!r}")
-    if jobs is not None and jobs < 1:
-        raise FamilyError("jobs must be at least 1")
-    ps = [p for p in sieve_primes(max(p_max, 2)) if p > 2]
+    ps = [p for p in sieve_primes(p_max) if p > 2]
     if mod8 is not None:
         ps = [p for p in ps if p % 8 == mod8]
     if quartic_only:
         ps = [p for p in ps if p % 8 == 1 and _two_is_quartic(p)]
-    worker = partial(_ep_row, height=height)
-    workers = min(jobs or 1, os.cpu_count() or 1)
-    if workers > 1 and len(ps) > 1:
-        # imported here, so that import twodescent does not load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(worker, ps, chunksize=16))
-    return [worker(p) for p in ps]
+    # the sieve proved each p and the height is checked above
+    return [
+        EpRow(p, s, s_hat, s + s_hat - 2, _ep_rank(p, height))
+        for p in ps
+        for s, s_hat in [_ep_dims(p % 16)]
+    ]

@@ -365,46 +365,6 @@ def test_import_and_a_search_free_rank_build_no_product_table():
                    env={**os.environ, "PYTHONPATH": src})
 
 
-def test_ep_table_deterministic_across_jobs():
-    one = ep_table(200, jobs=1)
-    two = ep_table(200, jobs=2)
-    assert one == two
-
-
-@pytest.mark.parametrize("jobs", [0, -1])
-def test_ep_table_rejects_jobs_below_one(jobs):
-    with pytest.raises(FamilyError, match="jobs"):
-        ep_table(50, jobs=jobs)
-
-
-def test_ep_table_starts_at_most_cpu_count_workers(monkeypatch):
-    # a stand-in pool that records its size and maps in this process
-    sizes = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(families.os, "cpu_count", lambda: 3)
-    serial = ep_table(200)
-    assert ep_table(200, jobs=64) == serial
-    assert ep_table(200, jobs=2) == serial
-    assert sizes == [3, 2]
-    monkeypatch.setattr(families.os, "cpu_count", lambda: None)
-    assert ep_table(200, jobs=64) == serial
-    assert sizes == [3, 2]
-
-
 def test_ep_small_prime_partition_matches_rank_table():
     # p <= 600, p = 1 mod 8, 2 a quartic residue: certified twos vs intervals
     rows = ep_table(600, mod8=1, quartic_only=True, height=20)
