@@ -332,6 +332,32 @@ def test_ep_table_budget():
         ep_table(10**6 + 1)
 
 
+def test_ep_table_starts_at_most_cpu_count_workers(monkeypatch):
+    # the sweep runs in this process: no pool or worker is started, whatever
+    # the CPU count reads, and the rows do not depend on it
+    import concurrent.futures
+    import multiprocessing.process
+
+    started = []
+
+    def record(kind):
+        def start(*args, **kwargs):
+            started.append(kind)
+            raise AssertionError(f"ep_table started a {kind}")
+
+        return start
+
+    serial = ep_table(200)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record("process pool"))
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", record("thread pool"))
+    monkeypatch.setattr(multiprocessing, "Pool", record("multiprocessing pool"))
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", record("process"))
+    for cpus in (3, 1, None):
+        monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+        assert ep_table(200) == serial
+    assert started == []
+
+
 def test_heights_above_the_limit_are_refused_before_any_sieve(monkeypatch):
     # the deep rescans would sieve to 1000 * H
     def no_sieve(n):
