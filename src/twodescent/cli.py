@@ -30,7 +30,7 @@ from .curve import (
     on_curve,
     torsion_subgroup,
 )
-from .descent import DescentError, DescentReport, descent_report, selmer
+from .descent import DescentReport, _check_height, descent_report, selmer
 from .families import (
     FamilyError,
     RankResult,
@@ -442,8 +442,7 @@ def _verify_line(cl: CremonaLine, height: int):
 
 
 def cmd_verify_cremona(args) -> int:
-    if args.height < 1:
-        raise DescentError("need H >= 1")
+    _check_height(args.height)
     try:
         with open(args.file) as fh:
             lines = fh.read().splitlines()

@@ -331,6 +331,14 @@ _SQUARES = {q: {i * i % q for i in range(q)} for q in _MODULI}
 _SCALE = {q: tuple(min((s * c % q, s) for s in _SQUARES[q] if gcd(s, q) == 1)[1] for c in range(q))
           for q in _MODULI}
 _BAND_BITS = 1 << 14  # a band holds as many rows of the height box as fit
+_MAX_HEIGHT = 50_000  # the coprimality bits of _coprime_bands take about H^2/4 bytes at peak
+
+
+def _check_height(H: int) -> None:
+    if H < 1:
+        raise DescentError("need H >= 1")
+    if H > _MAX_HEIGHT:
+        raise DescentError(f"need H <= {_MAX_HEIGHT}: the point search sieves an H x H box of coprime pairs")
 
 
 def _every(q: int, H: int, x: int = 1) -> int:
@@ -450,8 +458,7 @@ def search_point(E: Curve, d, H: int):
     two points at infinity are rational (d * b' a square), None on a
     miss.
     """
-    if H < 1:
-        raise DescentError("need H >= 1")
+    _check_height(H)
     a, b = _check_descent_model(E)
     dd = int(d)
     c4, _, c2, _, c0 = hom_space(E, d).c
@@ -506,48 +513,35 @@ class DescentReport(Record):
         return self.pair.Eprime
 
 
-def _to_base(pair: IsogenyPair, lifts_prime: list[Pt], lifts_second: list[Pt]) -> list[Pt]:
-    """Every lifted point moved onto E, each checked there once: lifts on E'
-    descend by phi-hat (x, y) -> (y^2/x^2, y(b' - x^2)/x^2) to E'' = (4a, 16b),
-    then all rescale by (x/4, y/8).  A lift has x = d/z^2 != 0, so none is in
-    the kernel of phi-hat."""
-    on_second = [Pt(P.y**2 / P.x**2, P.y * (pair.b_prime - P.x**2) / P.x**2) for P in lifts_prime]
-    out = [Pt(P.x / 4, P.y / 8) for P in on_second + lifts_second]
-    if not all(on_curve(pair.E, P) for P in out):
-        raise DescentError("a lifted point did not descend onto the curve")
-    return out
-
-
 def _canonical_generator(E: Curve, tors: TorsionGroup, Q: Pt) -> Pt:
     """The least of the points +-Q + T = +-(Q + T), T torsion, in the torsion order."""
     return min((Pt(P.x, abs(P.y)) for P in (_add_raw(E, Q, T) for T in tors.points)),
                key=lambda P: _point_sort_key(P.x, P.y))
 
 
-def _certify_direction(source: Curve, lift_pair: IsogenyPair, sel: dict[SquareClass, int],
-                       seed: int, H: int):
-    """Search the spaces of one direction; returns (certified classes, lifted points).
+def _certify_direction(a: int, bp: int, sel: dict[SquareClass, int], seed: int, H: int):
+    """Search the spaces _space(a, bp, d) of one direction; returns (certified
+    classes, hits), each hit (d, m, n, r) the point z = m/n, Y = r/n^2 of C_d.
 
     The image of delta is a subgroup, so any class inside the span of
     already-certified masks needs no search of its own.  The span starts
     at the torsion images 1 and the seed, the only classes whose space
-    has a point at z = 0 or infinity, so every hit lifts.
+    has a point at z = 0 or infinity, so every hit has m != 0.
     """
     span = {0, seed}
-    lifted: list[Pt] = []
-    for d, m in sel.items():
-        if m not in span and (found := search_point(source, d, H)) is not None:
-            lifted.append(lift_point(lift_pair, d, found))
-            span |= {m ^ s for s in span}
-    image = [d for d, m in sel.items() if m in span]
+    hits = []
+    for d, mask in sel.items():
+        if mask not in span and (hit := _first_square(*_space(a, bp, int(d)).c[::2], H)) is not None:
+            hits.append((int(d), *hit))
+            span |= {mask ^ s for s in span}
+    image = [d for d, mask in sel.items() if mask in span]
     if len(image) < len(span):
         raise DescentError("certified a class outside the Selmer set")
-    return image, lifted
+    return image, hits
 
 
 def descent_report(E: Curve, H: int) -> DescentReport:
-    if H < 1:
-        raise DescentError("need H >= 1")
+    _check_height(H)
     pair = isogenous_curve(E)
     # E' has the bad set of E, since b'' = 16b
     S = bad_set(E)
@@ -557,13 +551,23 @@ def descent_report(E: Curve, H: int) -> DescentReport:
     sel_phi, sel_hat = _selmer(E, S)
     tors = torsion_subgroup(E)
     notes: list[str] = []
-    image_phi, lifts_prime = _certify_direction(E, pair, sel_phi, seed_phi, H)
-    pair_back = isogenous_curve(pair.Eprime)
-    image_hat, lifts_second = _certify_direction(pair.Eprime, pair_back, sel_hat, seed_hat, H)
+    a, b, bp = E.a2, E.a4, pair.b_prime
+    image_phi, hits_phi = _certify_direction(a, bp, sel_phi, seed_phi, H)
+    image_hat, hits_hat = _certify_direction(-2 * a, 16 * b, sel_hat, seed_hat, H)
+    # A hit of C_d on (a, b') lifts by psi(z, w) = (d/z^2, -d*w/z^3) to E',
+    # descends by phi-hat (x, y) -> (y^2/x^2, y(b' - x^2)/x^2) to
+    # E'' = (4a, 16b) and rescales by (x/4, y/8) to E; a hit on (-2a, 16b)
+    # lifts to E'' and rescales.  Both x = d/z^2 are nonzero.
+    points = [Pt(Fraction(r * r, 4 * d * d * m * m * n * n),
+                 Fraction(r * (d * d * n**4 - bp * m**4), 8 * d * d * m**3 * n**3))
+              for d, m, n, r in hits_phi]
+    points += [Pt(Fraction(d * n * n, 4 * m * m), Fraction(-r * n, 8 * m**3)) for d, m, n, r in hits_hat]
+    if not all(on_curve(E, P) for P in points):
+        raise DescentError("a lifted point did not descend onto the curve")
 
     torsion_pts = set(tors.points)
     gens: list[Pt] = []
-    for Q in _to_base(pair, lifts_prime, lifts_second):
+    for Q in points:
         if Q in torsion_pts:
             continue
         C = _canonical_generator(E, tors, Q)

@@ -32,7 +32,7 @@ from .arith import (
     is_prime,
     sieve_primes,
 )
-from .curve import INFINITY, TorsionGroup, pt
+from .curve import INFINITY, TorsionGroup, _character, pt
 from .descent import SelmerSet, _every
 
 __all__ = [
@@ -190,9 +190,8 @@ def _prime_root(q: int, c: int):
     c is 1, 2 or -2.  For c = 1 this is two_squares(q), u odd and v even,
     without proving q prime again.  Otherwise Cornacchia's descent from a
     square root of -c mod q (Cohen, Algorithm 1.5.2) gives u, v >= 0; for
-    c = -2 the element is then moved along its unit orbit, or to its
-    conjugate's, to the least v, so the orbit walk for the real form
-    always starts from the same element.
+    c = -2 it is then turned to norm q by a unit, so the orbit walk for the
+    real form always starts from the same element.
     """
     modulus, residues = _SPLIT[c]
     if q % modulus not in residues:
@@ -202,20 +201,10 @@ def _prime_root(q: int, c: int):
     u, v = _cornacchia(q, c, _sqrt_mod(-c, q))
     if c == 2:
         return u, v
-    # The scan this replaces took, of all u + v sqrt(2) with u, v >= 0 and
-    # norm q or -q, the one with the least v, turned to norm q by the unit
-    # 1 + sqrt(2).  Those elements lie on two orbits under 1 + sqrt(2),
-    # this one's and its conjugate's, and v grows along each: step both
-    # to their least element and keep the lesser v.
-    least = []
-    for u, v in ((u, v), (-u, v)):
-        while u < 0 or v < 0:
-            u, v = u + 2 * v, u + v
-        while 2 * v >= u >= v:
-            u, v = 2 * v - u, u - v
-        least.append((v, u))
-    v, u = min(least)
-    return (u, v) if u * u - 2 * v * v == q else (u + 2 * v, u + v)
+    # u^2 - 2v^2 = -q with u < sqrt(q) < v, so u + v sqrt(2) already has
+    # the least v on its unit orbit and its conjugate's; the unit
+    # 1 + sqrt(2) turns -u + v sqrt(2) to norm q, (2v - u) + (v - u) sqrt(2)
+    return 2 * v - u, v - u
 
 
 def _split_smooth(cap: int, modulus: int, residues: tuple):
@@ -293,17 +282,14 @@ def _residue_tables(l: int):
     the row code of (X mod l, Y mod l) at index X*l + Y, which is
     t + l*[chi_l(Y) = -1] with t = X/Y mod l, or 2l + (0, 1, 2)[chi_l(X)]
     when l | Y."""
-    chi = [-1] * l
-    for w in range(l):
-        chi[w * w % l] = 1
-    chi[0] = 0
+    chi = _character(l)
     runs = {s: bytes(s * x != -1 for x in chi) * 2 for s in (1, -1)}
     index = bytearray(l * l)
     index[::l] = bytes(2 * l + (0, 1, 2)[x] for x in chi)
     for y in range(1, l):
         w, base = pow(y, -1, l), l * (chi[y] == -1)
         index[y::l] = bytes(x * w % l + base for x in range(l))
-    return tuple(chi), runs, bytes(index)
+    return chi, runs, bytes(index)
 
 
 def _pass_table(l: int, alpha: int, beta: int, scale: int) -> bytes:

@@ -103,10 +103,6 @@ class QuarticForm(Record):
             r = r * z + v
         return r
 
-    def deriv(self, z):
-        c4, c3, c2, c1, _ = self.c
-        return ((4 * c4 * z + 3 * c3) * z + 2 * c2) * z + c1
-
     def reverse(self) -> "QuarticForm":
         """t^4 * f(1/t): swaps z = 0 with the points at infinity."""
         return QuarticForm(tuple(reversed(self.c)))

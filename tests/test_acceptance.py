@@ -202,7 +202,8 @@ def _assert_consistent_with_oracle(f: QuarticForm, p: int) -> None:
             value = g(r)
             if value == 0:
                 raise AssertionError(f"exact root {r} contradicts {f} at p={p}")
-            dv = g.deriv(r)
+            c4, c3, c2, c1, _ = c
+            dv = ((4 * c4 * r + 3 * c3) * r + 2 * c2) * r + c1
             assert not (dv != 0 and val_oracle(value, p) > 2 * val_oracle(dv, p)), (f, p, r)
 
 

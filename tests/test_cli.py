@@ -252,6 +252,16 @@ def test_verify_cremona_refuses_a_height_below_one_before_reading(tmp_path, caps
             assert (rc, out, err) == (2, "", "error: need H >= 1\n")
 
 
+def test_a_height_above_the_point_search_bound_is_refused_before_any_work(tmp_path, capsys):
+    # exit 2 naming the bound, at once: no report, and the file of
+    # verify-cremona is not even opened
+    err_ = "error: need H <= 50000: the point search sieves an H x H box of coprime pairs\n"
+    rc, out, err = run(capsys, "descent", "--a2", "0", "--a4", "17", "--height", "50001")
+    assert (rc, out, err) == (2, "", err_)
+    rc, out, err = run(capsys, "verify-cremona", str(tmp_path / "missing.txt"), "--height", "50001")
+    assert (rc, out, err) == (2, "", err_)
+
+
 def test_verify_cremona_skips_unsupported_shapes(tmp_path, capsys):
     f = tmp_path / "allgens.txt"
     f.write_text("37 a 1 [0,0,1,-1,0] 1 [1] [0:0:1]\n" + GOOD_LINE + "\n")

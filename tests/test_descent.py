@@ -6,7 +6,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import twodescent.descent as descent_module
@@ -884,20 +884,34 @@ def test_certified_images_match_the_square_class_walk(E, H):
     # the mask walk against certify_oracle on integer classes: the same
     # spaces searched in the same order, the same images and generators
     searched = []
-    search = descent_module.search_point
+    first_square = descent_module._first_square
 
-    def oracle_direction(source, lift_pair, sel, seed, H):
-        seed_rep = int(squarefree_part(lift_pair.Eprime.a4))
-        span, lifted = certify_oracle(source, lift_pair, [int(d) for d in sel], seed_rep, H)
-        return sorted(SquareClass(d) for d in span), lifted
+    def oracle_direction(a, bp, sel, seed, H):
+        # certify_oracle searches the model (a, b) with b' = bp through
+        # search_point and lifts through lift_point; a lift (X, Y) =
+        # psi(z, w) of class d gives back z = m/n by z^2 = d/X and
+        # r = n^2 * d*w = -Y * m^3/n
+        source = Curve(a, (a * a - bp) // 4, 0)
+        lift_pair = isogenous_curve(source)
+        span, lifted = certify_oracle(source, lift_pair, [int(d) for d in sel],
+                                      int(squarefree_part(bp)), H)
+        hits = []
+        for L in lifted:
+            d = int(delta_class(lift_pair.Eprime, L))
+            z2 = d / L.x
+            m, n = math.isqrt(z2.numerator), math.isqrt(z2.denominator)
+            r = -L.y * m**3 / n
+            assert r.denominator == 1
+            hits.append((d, m, n, int(r)))
+        return sorted(SquareClass(d) for d in span), hits
 
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(descent_module, "search_point",
-                  lambda C, d, H: searched.append((C, int(d))) or search(C, d, H))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(descent_module, "_first_square",
+                   lambda *args: searched.append(args) or first_square(*args))
         rep = descent_report(E, H)
         engine_searched = searched[:]
         searched.clear()
-        m.setattr(descent_module, "_certify_direction", oracle_direction)
+        mp.setattr(descent_module, "_certify_direction", oracle_direction)
         want = descent_report(E, H)
     assert engine_searched == searched
     assert rep.image_phi == want.image_phi and rep.image_phi_hat == want.image_phi_hat
@@ -905,20 +919,79 @@ def test_certified_images_match_the_square_class_walk(E, H):
 
 
 def test_certify_direction_never_searches_a_torsion_image_on_the_box(monkeypatch):
-    # class 1 and the seed, the class of a^2 - 4b of the searched curve,
-    # start in the span: only their spaces have a point at z = 0 or at
-    # infinity, so every search that hits lifts to a point
-    searched = []
-    search = descent_module.search_point
-    monkeypatch.setattr(descent_module, "search_point",
-                        lambda C, d, H: searched.append((C, d)) or search(C, d, H))
+    # class 1 and the seed, the class of b' of the searched model, start
+    # in the span: only their spaces have a point at z = 0 or at infinity,
+    # so every hit has m != 0.  The space of d has c4 = d*b' and c0 = d^3,
+    # so d = 1 reads c0 = 1 and d = the seed (d squarefree) c4 a square
+    searched, hits = [], []
+    first_square = descent_module._first_square
+
+    def recording(c4, c2, c0, H):
+        searched.append((c4, c0))
+        hit = first_square(c4, c2, c0, H)
+        if hit:
+            hits.append(hit)
+        return hit
+
+    monkeypatch.setattr(descent_module, "_first_square", recording)
     for a in range(-12, 13):
         for b in range(-12, 13):
             if b and a * a != 4 * b:
                 descent_report(Curve(a, b, 0), 20)
-    assert searched
-    for C, d in searched:
-        assert d not in (ONE, squarefree_part(C.a2 * C.a2 - 4 * C.a4)), (C, d)
+    assert searched and hits
+    for c4, c0 in searched:
+        assert c0 != 1 and not (c4 > 0 and math.isqrt(c4) ** 2 == c4), (c4, c0)
+    assert all(m != 0 for m, n, r in hits)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
+        lambda ab: nonsingular(*ab)).map(lambda ab: Curve(*ab, 0)),
+    st.integers(-10**6, 10**6).filter(bool).map(lambda D: Curve(0, D, 0)),
+), st.sampled_from((5, 20, 100)))
+@example(Curve(-3, 10, 0), 20).via("a phi hit and a phi-hat hit")
+@example(Curve(0, -2, 0), 10).via("a phi-hat hit")
+def test_closed_form_points_are_the_lifts_pushed_down_to_e(E, H):
+    # per hit (d, m, n, r) of either direction, the point of E that
+    # descent_report checks is psi(z, w) by lift_point at z = m/n,
+    # w = r/(d*n^2), then phi-hat by phi_map for a phi hit, then
+    # (x/4, y/8); and (z, +-w) is search_point's point of C_d
+    hits, checked = [], []
+    certify = descent_module._certify_direction
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(descent_module, "_certify_direction",
+                   lambda *args: (lambda out: hits.append(out[1]) or out)(certify(*args)))
+        mp.setattr(descent_module, "on_curve", lambda C, P: checked.append((C, P)) or on_curve(C, P))
+        descent_report(E, H)
+    pair = isogenous_curve(E)
+    back = isogenous_curve(pair.Eprime)
+    want = []
+    for source, lift_pair, direction in ((E, pair, hits[0]), (pair.Eprime, back, hits[1])):
+        for d, m, n, r in direction:
+            z, w = Fraction(m, n), Fraction(r, d * n * n)
+            assert search_point(source, d, H) == (z, abs(w))
+            P = lift_point(lift_pair, d, (z, w))
+            if source == E:
+                P = phi_map(back, P)
+            want.append((E, Pt(P.x / 4, P.y / 8)))
+    assert checked == want
+
+
+def test_height_above_the_bound_is_refused_before_any_work(monkeypatch):
+    # the coprimality bitmap of the point search grows as H^2, so a height
+    # beyond the bound is refused before the Selmer groups or any search
+    def no_work(*args):
+        raise AssertionError("work done before the height was checked")
+
+    for name in ("_selmer", "_coprime_bands", "_first_square", "torsion_subgroup", "bad_set"):
+        monkeypatch.setattr(descent_module, name, no_work)
+    for call in (lambda H: descent_report(Curve(0, 17, 0), H),
+                 lambda H: search_point(Curve(0, 17, 0), 2, H)):
+        with pytest.raises(DescentError, match=r"need H <= 50000"):
+            call(50_001)
+        with pytest.raises(DescentError, match=r"need H >= 1"):
+            call(0)
 
 
 def test_descent_report_factors_each_odd_part_of_b_and_b_prime_once(monkeypatch):
@@ -951,30 +1024,36 @@ def test_descent_report_builds_quartic_forms_only_in_hom_space(monkeypatch):
 
 
 def test_descent_report_checks_each_lifted_point_once_per_curve(monkeypatch):
-    # a lift is checked on the curve it is lifted to, then once on E after
-    # the push-down; no add, neg or phi_map re-checks it and no class of it
-    # is refactored
+    # each hit becomes one point, built on E and checked there once: the
+    # report path builds no point of E' or E'', searches and lifts through
+    # neither search_point nor lift_point, and refactors no class
     import twodescent.curve as curve_module
 
-    checks, lifts = [], []
-    on_curve_, lift = curve_module.on_curve, descent_module.lift_point
+    checks, built, hits = [], [], []
+    on_curve_, Pt_, certify = curve_module.on_curve, descent_module.Pt, descent_module._certify_direction
     counting = lambda C, P: checks.append(C) or on_curve_(C, P)
     monkeypatch.setattr(curve_module, "on_curve", counting)
     monkeypatch.setattr(descent_module, "on_curve", counting)
-    monkeypatch.setattr(descent_module, "lift_point", lambda *a: lifts.append(a) or lift(*a))
+    monkeypatch.setattr(descent_module, "Pt", lambda x, y: built.append(Pt_(x, y)) or built[-1])
+    monkeypatch.setattr(descent_module, "_certify_direction",
+                        lambda *args: (lambda out: hits.extend(out[1]) or out)(certify(*args)))
 
-    def refuse(n):
-        raise AssertionError("squarefree_part called on the report path")
+    def refuse(name):
+        def refused(*args):
+            raise AssertionError(f"{name} called on the report path")
+        return refused
 
-    monkeypatch.setattr(descent_module, "squarefree_part", refuse)
+    for name in ("squarefree_part", "search_point", "lift_point"):
+        monkeypatch.setattr(descent_module, name, refuse(name))
     # cyclic torsion, so the torsion computation itself checks no point
     for a, b in ((-6, 12), (-11, 2), (-11, -9)):
         checks.clear()
-        lifts.clear()
+        built.clear()
+        hits.clear()
         E = Curve(a, b, 0)
         rep = descent_report(E, 20)
-        assert rep.generators and len(checks) == 2 * len(lifts)
-        assert checks.count(E) == len(lifts)
+        assert rep.generators and hits and checks == [E] * len(hits)
+        assert all(on_curve_(E, P) for P in built)
 
 
 @settings(max_examples=200, deadline=None)
