@@ -99,14 +99,17 @@ def is_prime(n: int) -> bool:
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, by sieve of Eratosthenes."""
-    if limit < 2:
-        return []
-    flags = bytearray(b"\x01") * (limit + 1)
+    return [i for i, f in enumerate(_sieve_flags(limit)) if f]
+
+
+def _sieve_flags(limit: int) -> bytearray:
+    """Byte n is 1 exactly when n is prime, for 0 <= n <= max(limit, 1)."""
+    flags = bytearray(b"\x01") * (max(limit, 1) + 1)
     flags[0] = flags[1] = 0
-    for i in range(2, math.isqrt(limit) + 1):
+    for i in range(2, math.isqrt(max(limit, 0)) + 1):
         if flags[i]:
             flags[i * i :: i] = bytearray((limit - i * i) // i + 1)
-    return [i for i, f in enumerate(flags) if f]
+    return flags
 
 
 class Record:

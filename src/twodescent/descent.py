@@ -371,15 +371,16 @@ def _orbit_masks(q: int, W: int, R: int) -> tuple[tuple[int, int, int, int], ...
     the unit square u^4.  Per orbit: m^4, m^2*k^2 and k^4 mod q at its
     first pair, and the mask of bits k*W + m, k < q + R and m < W, with
     (k, m) in the orbit mod q."""
-    units = [(u, v) for u in range(1, q) if gcd(u, q) == 1 for v in range(1, q) if (u * u - v * v) % q == 0]
+    units = [u for u in range(1, q) if gcd(u, q) == 1]
+    ones = [w for w in units if w * w % q == 1]  # u^2 = v^2 exactly when v = u*w
     cols = [_every(q, W - 1, 1 << m) for m in range(q)]  # the m' < W with m' = m mod q
-    seen: set[tuple[int, int]] = set()
-    out = []
+    seen, out = bytearray(q * q), []  # by the code k*q + m of a pair
     for k, m in itertools.product(range(q), repeat=2):
-        if (k, m) not in seen:
-            orbit = {(u * k % q, v * m % q) for u, v in units}
-            seen |= orbit
-            block = sum(cols[m1] << k1 * W for k1, m1 in orbit)
+        if not seen[k * q + m]:
+            block = 0
+            for x in {u * k % q * q + u * w * m % q for u in units for w in ones}:
+                seen[x] = 1
+                block |= cols[x % q] << x // q * W
             out.append((m**4 % q, m * m * k * k % q, k**4 % q, _every(q * W, (q + R) * W - 1, block)))
     return tuple(out)
 

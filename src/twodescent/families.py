@@ -26,6 +26,7 @@ from .arith import (
     SquareClass,
     _cornacchia,
     _cube_root_exact,
+    _sieve_flags,
     _sqrt_mod,
     _two_squares,
     factorize,
@@ -153,6 +154,8 @@ def _ep_dims(r: int):
 # never pays for the rest; the k come off a heap.  In Z[i] x^2 + y^2 =
 # p k^4 is odd, and 2 * odd = 2 (mod 4) is never a square, so C_{-1} can
 # hit only on twice the even component.
+# The elements pi_q come from one pass over each norm form as far as the
+# sieve reaches; an isolated prime beyond it still takes Cornacchia's descent.
 # ep_rank takes H <= 1000, so the rescan cap is 10^6, |X|, |Y| <= k^2 <=
 # 10^12 for c = 1, 2, and the real form, searched only up to H, takes
 # 29 bits: every table entry fits in 64 bits.
@@ -181,18 +184,35 @@ def _pair_mul(x, y, c):
 
 # primes q that split in Z[sqrt(-c)]: q mod modulus in residues
 _SPLIT = {1: (4, (1,)), 2: (8, (1, 3)), -2: (8, (1, 7))}
+_ROOTS = {c: (0, {}) for c in _SPLIT}  # per c: (bound, {q: root} for the split q <= bound)
 
 
-@cache
+def _fill_roots(bound: int, c: int) -> dict:
+    """{q: _prime_root(q, c)} for the split primes q <= bound by increasing q,
+    from one walk over a fundamental domain of the form that keeps each value
+    the sieve flags as prime.  A larger bound refills; callers grow it geometrically."""
+    if bound > _ROOTS[c][0]:
+        # q = x^2 + c y^2, x odd and y > 0: y even for c = 1 (as two_squares has it),
+        # x > 2y for c = -2 (x = 2v - u, y = v - u, as _prime_root turns Cornacchia's)
+        prime, r, step = _sieve_flags(bound), isqrt(bound), 2 if c == 1 else 1
+        found = [(q, (x, y)) for y in range(step, r + 1, step)
+                 for x in range(2 * y + 1 if c < 0 else 1, isqrt(max(bound - c * y * y, 0)) + 1, 2)
+                 if prime[q := x * x + c * y * y]]
+        _ROOTS[c] = bound, dict(sorted(found))
+    return _ROOTS[c][1]
+
+
 def _prime_root(q: int, c: int):
     """(u, v) with u^2 + c*v^2 = q for a prime q split in Z[sqrt(-c)], else None.
 
     c is 1, 2 or -2.  For c = 1 this is two_squares(q), u odd and v even,
-    without proving q prime again.  Otherwise Cornacchia's descent from a
-    square root of -c mod q (Cohen, Algorithm 1.5.2) gives u, v >= 0; for
-    c = -2 it is then turned to norm q by a unit, so the orbit walk for the
-    real form always starts from the same element.
+    without proving q prime again.  Read off the root table of c where it
+    reaches q; beyond it, Cornacchia's descent from a square root of -c mod
+    q (Cohen, Algorithm 1.5.2) gives u, v >= 0, for c = -2 then turned to
+    norm q by a unit, so the real form's orbit walk always starts there.
     """
+    if q <= _ROOTS[c][0]:
+        return _ROOTS[c][1].get(q)
     modulus, residues = _SPLIT[c]
     if q % modulus not in residues:
         return None
@@ -201,23 +221,23 @@ def _prime_root(q: int, c: int):
     u, v = _cornacchia(q, c, _sqrt_mod(-c, q))
     if c == 2:
         return u, v
-    # u^2 - 2v^2 = -q with u < sqrt(q) < v, so u + v sqrt(2) already has
-    # the least v on its unit orbit and its conjugate's; the unit
+    # u^2 - 2v^2 = -q with 0 <= u < v < sqrt(q), so u + v sqrt(2) already
+    # has the least v on its unit orbit and its conjugate's; the unit
     # 1 + sqrt(2) turns -u + v sqrt(2) to norm q, (2v - u) + (v - u) sqrt(2)
     return 2 * v - u, v - u
 
 
-def _split_smooth(cap: int, modulus: int, residues: tuple):
-    """Odd k in (1, cap] whose primes all lie in residues mod modulus, in
+def _split_smooth(cap: int, c: int):
+    """Odd k in (1, cap] whose primes all split in Z[sqrt(-c)], in
     increasing order, as (k, q, r): q the largest prime of k, r the part of
     k prime to q.  Popping k = m q off a heap pushes k q and m q', q' the
-    next prime, and primes are sieved only as far as the walk reaches."""
+    next prime; the root table of c is filled only as far as the walk goes."""
     primes, bound, heap = [], 0, [(1, -1, 1, 1)]  # (k, index of q, m, r)
     while heap:
         k, j, m, r = heappop(heap)
         while len(primes) <= j + 1 and m * bound < cap:
             bound = min(4 * bound + 4096, cap)
-            primes = [q for q in sieve_primes(bound) if q % modulus in residues]
+            primes = list(_fill_roots(bound, c))
         if j >= 0:
             yield k, primes[j], r
             if k * primes[j] <= cap:
@@ -237,7 +257,7 @@ class _ProductTable:
     def __init__(self, H: int, c: int):
         self.ks, self.xs, self.ys = array("q", [1]), array("q", [1]), array("q", [0])
         self.codes: dict[int, list[bytes]] = {}
-        self._c, self._next, self._rows = c, _split_smooth(H, *_SPLIT[c]), {1: (0, 1)}
+        self._c, self._next, self._rows = c, _split_smooth(H, c), {1: (0, 1)}
         self._powers = {1: (1, 0)}  # pi_q^(4e) by q^e
 
     def grow(self, n) -> bool:
@@ -464,10 +484,8 @@ def _check_height(H: int) -> None:
 
 
 def _two_is_quartic(p: int) -> bool:
-    """Gauss's test for a proved prime p = 1 (mod 8): 2 is a fourth power
-    mod p = A^2 + B^2 exactly when A*B = 0 (mod 8)."""
-    a, b = _prime_root(p, 1)
-    return a * b % 8 == 0
+    """Euler's criterion: 2 is a fourth power mod a proved prime p = 1 (mod 8) iff 2^((p-1)/4) = 1."""
+    return pow(2, (p - 1) // 4, p) == 1
 
 
 def ep_rank(p: int, H: int = 20) -> RankResult:
@@ -610,6 +628,8 @@ def ep_table(
         ps = [p for p in ps if p % 8 == mod8]
     if quartic_only:
         ps = [p for p in ps if p % 8 == 1 and _two_is_quartic(p)]
+    for c in _SPLIT:  # the prime elements of every p that may search, from the sieve
+        _fill_roots(max((p for p in ps if p % 8 == 1), default=0), c)
     # the sieve proved each p and the height is checked above
     return [
         EpRow(p, s, s_hat, s + s_hat - 2, _ep_rank(p, height))

@@ -103,10 +103,6 @@ class QuarticForm(Record):
             r = r * z + v
         return r
 
-    def reverse(self) -> "QuarticForm":
-        """t^4 * f(1/t): swaps z = 0 with the points at infinity."""
-        return QuarticForm(tuple(reversed(self.c)))
-
 
 class Witness(Record):
     kind: str  # "exact-root", "square-value", "hensel", "infinity", "real"

@@ -375,9 +375,14 @@ def zp_soluble_oracle(c: tuple[int, ...], p: int) -> bool:
     return False
 
 
+def reversed_form(f):
+    """t^4 * f(1/t) of a QuarticForm f: swaps z = 0 with the points at infinity."""
+    return type(f)(f.c[::-1])
+
+
 def qp_soluble_two_pass_oracle(f, p: int):
     """qp_soluble as two whole searches: zp_soluble on f, then on all of
-    f.reverse(), whose witness maps back by z = 1/t (t = 0 is infinity)."""
+    reversed_form(f), whose witness maps back by z = 1/t (t = 0 is infinity)."""
     from twodescent.localsolve import LocalSolveError, LocalVerdict, Witness, zp_soluble
 
     if f.degree != 4:
@@ -385,7 +390,7 @@ def qp_soluble_two_pass_oracle(f, p: int):
     v = zp_soluble(f, p)
     if v.soluble:
         return v
-    w = zp_soluble(f.reverse(), p)
+    w = zp_soluble(reversed_form(f), p)
     if not w.soluble:
         return LocalVerdict(False, None)
     wit = w.witness
@@ -538,6 +543,28 @@ def hilbert_brute(a: int, b: int, v: int) -> bool:
 
 # ---------------------------------------------------------------------------
 # Point search on C_d: y^2 = c4*m^4 + c2*m^2*n^2 + c0*n^4, the naive scan.
+
+
+def unit_orbit_masks_oracle(q: int, W: int, R: int):
+    """descent._orbit_masks as first written: every unit pair (u, v) with
+    u^2 = v^2 mod q from a scan of all q^2 pairs, and each orbit of
+    (k, m) -> (u*k, v*m) as a set of (k, m) tuples, in the order of its
+    first pair.  Per orbit: m^4, m^2*k^2 and k^4 mod q at that pair, and
+    the mask of bits k*W + m, k < q + R and m < W, with (k, m) in the
+    orbit mod q."""
+    from twodescent.descent import _every
+
+    units = [(u, v) for u in range(1, q) if gcd(u, q) == 1 for v in range(1, q) if (u * u - v * v) % q == 0]
+    cols = [_every(q, W - 1, 1 << m) for m in range(q)]
+    seen: set[tuple[int, int]] = set()
+    out = []
+    for k, m in itertools.product(range(q), repeat=2):
+        if (k, m) not in seen:
+            orbit = {(u * k % q, v * m % q) for u, v in units}
+            seen |= orbit
+            block = sum(cols[m1] << k1 * W for k1, m1 in orbit)
+            out.append((m**4 % q, m * m * k * k % q, k**4 % q, _every(q * W, (q + R) * W - 1, block)))
+    return tuple(out)
 
 
 def search_point_oracle(c4: int, c2: int, c0: int, d: int, lead: int, H: int):

@@ -39,7 +39,7 @@ from twodescent.descent import (
 from twodescent.families import edconst_torsion, edx_torsion, ep_rank, ep_selmer, ep_table
 from twodescent.localsolve import QuarticForm, poly_disc, qp_soluble
 
-from .oracles import first_square_value, survivors, val_oracle
+from .oracles import first_square_value, reversed_form, survivors, val_oracle
 
 
 def classes(*reps):
@@ -183,7 +183,7 @@ def _oracle_depth(p: int) -> int:
 def _assert_consistent_with_oracle(f: QuarticForm, p: int) -> None:
     depth = _oracle_depth(p)
     verdict = qp_soluble(f, p)
-    forms = (f.c, f.reverse().c)
+    forms = (f.c, reversed_form(f).c)
     if verdict.soluble:
         assert any(first_square_value(c, p, depth) is not None for c in forms), (f, p)
         return

@@ -28,6 +28,7 @@ from twodescent.descent import (
     _first_square,
     _local_table,
     _minus_one_real,
+    _orbit_masks,
     _period,
     _selmer,
     _span,
@@ -54,6 +55,7 @@ from .oracles import (
     selmer_pivot_oracle,
     selmer_walk_oracle,
     span_oracle,
+    unit_orbit_masks_oracle,
 )
 
 
@@ -654,6 +656,15 @@ def _tile(q: int, rows: dict[int, int], W: int, R: int) -> int:
     down = sum(1 << j * q * W for j in range(R // q + 2))
     block = sum((rows[k * k % q] * across & ((1 << W) - 1)) << k * W for k in range(q))
     return block * down & ((1 << (q + R) * W) - 1)
+
+
+@pytest.mark.parametrize("H", [20, 100])
+@pytest.mark.parametrize("q", _MODULI)
+def test_orbit_masks_match_the_tuple_set_orbits(q, H):
+    # pairs coded as k*q + m, v = u*w with w^2 = 1: the same orbits, in the
+    # same order, as the scan of all unit pairs into sets of tuples
+    W, R = H + 1, band_rows(H)
+    assert _orbit_masks.__wrapped__(q, W, R) == unit_orbit_masks_oracle(q, W, R)
 
 
 def test_period_masks_match_the_brute_definition():

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twodescent import families
-from twodescent.arith import _cube_root_exact, factorize, sieve_primes, squarefree_part
+from twodescent.arith import _cube_root_exact, factorize, quartic_residue_gauss, sieve_primes, squarefree_part
 from twodescent.curve import INFINITY, Curve, from_cubic_const, pt, torsion_subgroup
 from twodescent.descent import hom_space, search_point, selmer
 from twodescent.families import (
@@ -164,13 +164,20 @@ def count_is_prime(monkeypatch) -> list:
     counting = lambda n: proved.append(n) or is_prime(n)
     monkeypatch.setattr(arith, "is_prime", counting)
     monkeypatch.setattr(families, "is_prime", counting)
-    families._prime_root.cache_clear()
+    clear_root_tables(monkeypatch)
     return proved
+
+
+def clear_root_tables(monkeypatch) -> None:
+    """Empty the norm-form root tables and the product tables built from them."""
+    for c in families._SPLIT:
+        monkeypatch.setitem(families._ROOTS, c, (0, {}))
+    _product_table.cache_clear()
 
 
 def test_ep_table_proves_each_prime_once(monkeypatch):
     # the sieve is the proof of every row's prime: no row proves it again,
-    # and the two-squares splittings and the Gauss test reuse it unchecked
+    # and the root tables and the quartic test reuse it unchecked
     proved = count_is_prime(monkeypatch)
     rows = ep_table(2000)
     assert [r.p for r in rows] == ODD_PRIMES[:len(rows)] and rows[-1].p == 1999
@@ -178,12 +185,33 @@ def test_ep_table_proves_each_prime_once(monkeypatch):
 
 
 def test_quartic_filter_proves_each_row_prime_once(monkeypatch):
-    # the filter reads Gauss's test off the cached splitting of the sieve's
-    # primes, which the sieve has proved
+    # the filter takes one power of 2 modulo each of the sieve's primes,
+    # which the sieve has proved
     proved = count_is_prime(monkeypatch)
     rows = ep_table(5000, quartic_only=True)
     assert rows and proved == []
     assert [r.p for r in rows] == [p for p in ODD_PRIMES if p % 8 == 1 and 2 in quartic_set(p)]
+
+
+def test_ep_table_takes_no_modular_square_root(monkeypatch):
+    # a cold sweep reads every prime element off the root tables, which
+    # the sieve fills, and decides quartic residues by one power of 2
+    import twodescent.arith as arith
+
+    want = ep_table(3000)
+    clear_root_tables(monkeypatch)
+
+    def refuse(a, p):
+        raise AssertionError(f"square root of {a} mod {p}")
+
+    monkeypatch.setattr(arith, "_sqrt_mod", refuse)
+    monkeypatch.setattr(families, "_sqrt_mod", refuse)
+    assert ep_table(3000) == want
+
+
+def test_two_is_a_fourth_power_by_euler_exactly_when_by_gauss_below_1e6():
+    ps = [p for p in sieve_primes(10**6) if p % 8 == 1]
+    assert [families._two_is_quartic(p) for p in ps] == [quartic_residue_gauss(p) for p in ps]
 
 
 def test_ep_rank_and_ep_selmer_prove_their_callers_prime_once(monkeypatch):

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from bisect import bisect_right
 from itertools import islice
 from math import gcd, isqrt
 
@@ -16,9 +17,11 @@ from twodescent.families import (
     _CODE_PRIMES,
     _FILTER_ROWS,
     _ORBIT_MODULI,
+    _ROOTS,
     _SPLIT,
     _ProductTable,
     _chunk_codes,
+    _fill_roots,
     _orbit_masks,
     _orbit_square_x,
     _pair_mul,
@@ -73,7 +76,7 @@ def test_split_smooth_numbers_and_their_products_match_the_uncached_products(c):
             want.append((k, fac))
     assert smooth == want
     # the heap walk: each k > 1 with its largest prime q and the part prime to q
-    assert list(_split_smooth(2000, modulus, residues)) == [
+    assert list(_split_smooth(2000, c)) == [
         (k, fac[-1][0], k // fac[-1][0] ** fac[-1][1]) for k, fac in smooth[1:]]
     table = _product_table(2000, c)
     table.grow(float("inf"))
@@ -90,13 +93,52 @@ def test_split_smooth_numbers_and_their_products_match_the_uncached_products(c):
             assert got == primitive_products_oracle(p, fac, c), (p, k)
 
 
-@pytest.mark.parametrize("c", [2, -2])
-def test_cornacchia_roots_are_the_scan_roots_below_2e5(c):
+PRIMES_2E5 = sieve_primes(2 * 10**5)
+
+
+@pytest.mark.parametrize("c", [1, 2, -2])
+def test_cornacchia_roots_are_the_scan_roots_below_2e5(c, monkeypatch):
+    # with no root table filled, every prime takes Cornacchia's descent;
     # for c = -2 the least b, as the scan finds it, fixes the orbit window
+    monkeypatch.setitem(_ROOTS, c, (0, {}))
     modulus, residues = _SPLIT[c]
-    for q in sieve_primes(2 * 10**5):
+    for q in PRIMES_2E5:
         if q % modulus in residues:
             assert _prime_root(q, c) == prime_root_scan_oracle(q, c), q
+
+
+@pytest.mark.parametrize("c", [1, 2, -2])
+def test_root_tables_are_the_cornacchia_roots_below_2e5(c, monkeypatch):
+    # one pass over the form gives every split prime below the bound, in
+    # increasing order, with the root that Cornacchia's descent gives;
+    # _prime_root then reads it, and None for every other prime
+    monkeypatch.setitem(_ROOTS, c, (0, {}))
+    descent = {q: root for q in PRIMES_2E5 for root in [_prime_root(q, c)] if root}
+    table = _fill_roots(2 * 10**5, c)
+    assert list(table) == sorted(descent) and table == descent
+    assert all(root == prime_root_scan_oracle(q, c) for q, root in table.items())
+    assert [_prime_root(q, c) for q in PRIMES_2E5] == [descent.get(q) for q in PRIMES_2E5]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([1, 2, -2]), st.integers(0, 2 * 10**5), st.integers(0, 2 * 10**5))
+@example(-2, 7, 8)  # 7 = 2*2^2 - 1^2 is the first split prime of the real form
+def test_root_tables_filled_to_growing_bounds_are_the_scan_roots(c, b1, b2):
+    # a fill to b1 and then to b2 > b1 holds the scan roots of every split
+    # prime up to its bound, and a smaller bound keeps the larger table
+    assume(b1 < b2)
+    modulus, residues = _SPLIT[c]
+    saved = _ROOTS[c]
+    try:
+        _ROOTS[c] = 0, {}
+        for b in (b1, b2):
+            table = _fill_roots(b, c)
+            assert list(table) == sorted(table) and table == {
+                q: prime_root_scan_oracle(q, c)
+                for q in PRIMES_2E5[:bisect_right(PRIMES_2E5, b)] if q % modulus in residues}
+        assert _fill_roots(b1, c) is _ROOTS[c][1] and _ROOTS[c][0] == b2
+    finally:
+        _ROOTS[c] = saved
 
 
 def _is_square_mod(n, m):
@@ -145,7 +187,7 @@ def test_residue_filters_keep_every_row_the_exact_test_accepts(p, c, H):
 @pytest.mark.parametrize("cap", [1, 4, 5, 1023, 1024, 1025, 3000, 20000, 10**5])
 def test_split_smooth_walk_matches_the_sorted_one_shot_list(c, cap):
     modulus, residues = _SPLIT[c]
-    assert list(_split_smooth(cap, modulus, residues)) == [
+    assert list(_split_smooth(cap, c)) == [
         (k, fac[-1][0], k // fac[-1][0] ** fac[-1][1])
         for k, fac in split_smooth_oracle(cap, modulus, residues)[1:]]
 

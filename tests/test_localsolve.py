@@ -24,6 +24,7 @@ from .oracles import (
     quartic_disc_oracle,
     r_soluble_oracle,
     real_soluble_oracle,
+    reversed_form,
     zp_soluble_oracle,
 )
 
@@ -54,8 +55,8 @@ def test_quartic_form_evaluation_and_reverse():
     f = QuarticForm((64, 0, -48, 0, 8))
     assert f(Fraction(1, 2)) == 0
     assert f(0) == 8
-    assert f.reverse().c == (8, 0, -48, 0, 64)
-    assert f.reverse()(2) == 16 * f(Fraction(1, 2))
+    assert reversed_form(f).c == (8, 0, -48, 0, 64)
+    assert reversed_form(f)(2) == 16 * f(Fraction(1, 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -117,7 +118,7 @@ def test_zp_matches_worklist_oracle(p, r, q, k, s1, s0):
     if c[4] == 0 or poly_disc(c) == 0:
         return
     f = QuarticForm(c)
-    for g in (f, f.reverse()):
+    for g in (f, reversed_form(f)):
         assert bool(zp_soluble(g, p)) == zp_soluble_oracle(g.c, p)
 
 
@@ -138,7 +139,7 @@ def test_zp_content_exactly_p_matches_worklist_oracle(p, r, q, k, s1, s0):
     if c[4] == 0 or poly_disc(c) == 0 or all(v % p == 0 for v in g):
         return
     f = QuarticForm(c)
-    for h in (f, f.reverse()):
+    for h in (f, reversed_form(f)):
         assert bool(zp_soluble(h, p)) == zp_soluble_oracle(h.c, p)
 
 
@@ -166,7 +167,7 @@ def test_zp_lemma_seven_cases_at_two():
 def test_zp_insoluble_at_two():
     f = QuarticForm((-64, 0, -48, 0, -8))
     assert not zp_soluble(f, 2)
-    assert not zp_soluble(f.reverse(), 2)
+    assert not zp_soluble(reversed_form(f), 2)
 
 
 def test_zp_soluble_with_immediate_witness():
@@ -332,15 +333,15 @@ def test_affine_witnesses_are_exact(f, p):
 @settings(max_examples=30, deadline=None)
 @given(nonsingular_quartics(), st.sampled_from((2, 3, 5)))
 def test_oracle_agreement_shallow(f, p):
-    """The verdict equals the worklist oracle's on f or f.reverse(), and a
+    """The verdict equals the worklist oracle's on f or reversed_form(f), and a
     soluble form keeps a square value mod p^3 on one of them.
     """
     v = qp_soluble(f, p)
-    oracle = [zp_soluble_oracle(g.c, p) for g in (f, f.reverse())]
+    oracle = [zp_soluble_oracle(g.c, p) for g in (f, reversed_form(f))]
     if v.soluble:
         assert any(oracle)
         assert (first_square_value(f.c, p, 3) is not None
-                or first_square_value(f.reverse().c, p, 3) is not None)
+                or first_square_value(reversed_form(f).c, p, 3) is not None)
     else:
         assert not any(oracle)
 
@@ -376,7 +377,7 @@ def _verdict_or_error(solve, f, p):
 # draws the zero form: z^4 reversed is the constant 1, and dropping it leaves 0
 @example(p=2, r=0, q=(1, 0, 0), k=0, s1=0, s0=0, content=0, at_infinity=True, no_constant=True)
 def test_qp_matches_two_pass_oracle(p, r, q, k, s1, s0, content, at_infinity, no_constant):
-    """One search of f and one of f.reverse() on t = 0 (mod p) give the
+    """One search of f and one of reversed_form(f) on t = 0 (mod p) give the
     verdict, witness or error of two whole searches: double roots planted
     in Z_p or at t = 0 (mod p), content p^0..p^3 and forms with f(0) = 0."""
     if p > 1009:
