@@ -162,6 +162,8 @@ def count_points_mod(E: Curve, q: int) -> int:
 
     q + 1 + sum over x of the quadratic character of x^3+a2*x^2+a4*x+a6.
     """
+    if q > 10**6:
+        raise CurveError("need q <= 10^6: count_points_mod sums over all of F_q")
     if q == 2 or not is_prime(q):
         raise CurveError("need an odd prime")
     if discriminant(E) % q == 0:

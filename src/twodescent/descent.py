@@ -292,13 +292,14 @@ def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareCla
     verdict is known: 0 and L_v(b') lie in W_v (C_1 has the point (0, 1)
     and C_b' a rational point at infinity), a class that pairs to -1 with
     L_v(b), which lies in the image of E', does not, and each test settles
-    a coset of the classes known soluble.  Sel of E is the kernel of
-    u -> (L_v(u), y)_v over a basis of the y annihilating W_v (by symmetry,
-    the kernel of the pairing bits of a basis of W_v), and Sel of E' the
-    kernel over a basis of W_v; as a mask on the generators that map is
-    the XOR of the columns of the bits y pairs with to -1."""
+    a coset of the classes known soluble, on the reduced model (a/t^2, b/t^4),
+    whose C_d is E's under z -> t z (Silverman, AEC X.4).  Sel of E is the
+    kernel of u -> L_v(u) . z over a basis of the z orthogonal to W_v, and
+    Sel of E' of u -> (L_v(u), y)_v over a basis of W_v: as generator masks,
+    the XORs of the columns of z's bits and of the bits y pairs with to -1."""
     a, b = E.a2, E.a4
     bp = a * a - 4 * b
+    t = prod(q ** (val(b, q) // 4 if a == 0 else min(val(a, q) // 2, val(b, q) // 4)) for q in S.primes)
     gens = (-1,) + S.primes
     seed, dual = _class_on(bp, S), _class_on(b, S)
     funcs: tuple[list[int], list[int]] = ([], [1]) if _minus_one_real(a, b) else ([1], [])
@@ -310,14 +311,13 @@ def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareCla
         for x in order:
             if x in known or x in bad or (x & b_pairs).bit_count() & 1:
                 continue
-            if qp_soluble(_space(a, bp, reps[x]), v):
+            if qp_soluble(_space(a // t**2, bp // t**4, reps[x]), v):
                 basis.append(x)
                 known += [x ^ k for k in known]
                 bad = {y ^ k for y in bad for k in known}
             else:
                 bad |= {x ^ k for k in known}
-        annihilator = _kernel([pairs[k] for k in basis], len(cols).bit_length() - 1)
-        funcs[0].extend(cols[pairs[y]] for y in annihilator)
+        funcs[0].extend(cols[z] for z in _kernel(basis, len(cols).bit_length() - 1))
         funcs[1].extend(cols[pairs[k]] for k in basis)
     spans = (_span(_kernel(f, len(gens))) for f in funcs)
     sels = (sorted((abs(d), d, m) for m in span for d in (_rep(S, m),)) for span in spans)
@@ -335,6 +335,8 @@ _MAX_HEIGHT = 50_000  # the coprimality bits of _coprime_bands take about H^2/4 
 
 
 def _check_height(H: int) -> None:
+    if not isinstance(H, int):
+        raise DescentError(f"need an integer H, not {H!r}")
     if H < 1:
         raise DescentError("need H >= 1")
     if H > _MAX_HEIGHT:

@@ -151,9 +151,10 @@ def _ep_dims(r: int):
 # pi_p times a row of the product table for (H, c), shared by every p.
 # Its rows run over the split-smooth k <= H in increasing order, and it
 # grows k by k only as far as scans read it, so a scan that hits early
-# never pays for the rest; the k come off a heap.  In Z[i] x^2 + y^2 =
-# p k^4 is odd, and 2 * odd = 2 (mod 4) is never a square, so C_{-1} can
-# hit only on twice the even component.
+# never pays for the rest; the k come off a heap.  In Z[i] each row is a
+# product of fourth powers of u + v i, u odd, v even, so X is odd, 8 | Y,
+# and with pi_p = a + b i, a odd, b even, 2 (a X - b Y) = 2 (mod 4) is no
+# square: C_{-1} hits only on twice y, the x of -i pi_p times the row.
 # The elements pi_q come from one pass over each norm form as far as the
 # sieve reaches; an isolated prime beyond it still takes Cornacchia's descent.
 # ep_rank takes H <= 1000, so the rescan cap is 10^6, |X|, |Y| <= k^2 <=
@@ -168,13 +169,13 @@ def _ep_dims(r: int):
 # 256-byte table cut from two periods of chi_l.  As -1 is a square mod
 # l, the sign that |x| drops does not matter; mod l = 3 (mod 4) it
 # would, and such l filter nothing.  One more byte, (X mod 16, Y mod 16),
-# gives the parity and the 2-adic test.  A bytes.translate per code and
-# an AND of the results as ints leave the surviving rows of each chunk
-# of _CHUNK rows in order; a chunk is coded when a scan first reaches
-# it, once the table holds all of it.  Along a unit orbit x mod q has a
-# period dividing 24 for each q of _ORBIT_MODULI, so per-modulus masks
-# indexed by (x0, 2 s0) mod q mark the steps where x, or -x, can be a
-# square, and only those steps get their exact element.
+# gives the 2-adic test.  A bytes.translate per code and an AND of the
+# results as ints leave the surviving rows of each chunk of _CHUNK rows
+# in order; a chunk is coded when a scan first reaches it, once the
+# table holds all of it.  Along a unit orbit x mod q has a period
+# dividing 24 for each q of _ORBIT_MODULI, so per-modulus masks indexed
+# by (x0, 2 s0) mod q mark the steps where x, or -x, can be a square,
+# and only those steps get their exact element.
 
 
 def _pair_mul(x, y, c):
@@ -329,19 +330,14 @@ def _pass_table(l: int, alpha: int, beta: int, scale: int) -> bytes:
 
 
 @cache
-def _two_adic(a: int, b: int, c: int):
-    """Per component x, y of (a + b sqrt(-c))(X + Y sqrt(-c)), the codes
-    (X mod 16) * 16 + Y mod 16 translated to 1 where |component| * scale
-    can be a square, known mod 16 * scale, else to 0.  For c = 1 only
-    the even component, doubled, is a candidate; scale is 2 there, else 1."""
-    scale = 2 if c == 1 else 1
+def _two_adic(alpha: int, beta: int, scale: int) -> bytes:
+    """The codes (X mod 16) * 16 + Y mod 16 translated to 1 where the
+    candidate scale * |alpha X + beta Y| can be a square, known mod
+    16 * scale, else to 0; alpha and beta matter mod 16 only."""
     m = 16 * scale
     squares = {w * w % m for w in range(m)}
-    ok = [(c != 1 or z % 2 == 0) and any(v * scale % m in squares for v in (z, -z % 16))
-          for z in range(16)]  # by z mod 16
-    cells = range(256)  # i = X * 16 + Y, so i = Y (mod 16)
-    return (bytes(ok[(a * (i >> 4) - c * b * i) & 15] for i in cells),
-            bytes(ok[(a * i + b * (i >> 4)) & 15] for i in cells))
+    ok = [any(v * scale % m in squares for v in (z, -z % 16)) for z in range(16)]  # by z mod 16
+    return bytes(ok[(alpha * (i >> 4) + beta * i) & 15] for i in range(256))  # i = Y (mod 16)
 
 
 def _chunk_codes(xs, ys) -> list[bytes]:
@@ -353,6 +349,11 @@ def _chunk_codes(xs, ys) -> list[bytes]:
     return out
 
 
+def _candidate(c: int, a: int, b: int):
+    """(a', b', scale): the unit multiple of pi_p whose rows' candidates are scale * |a' X - c b' Y|."""
+    return (b, -a, 2) if c == 1 else (a, b, 1)
+
+
 def _survivors(table: _ProductTable, c: int, a: int, b: int):
     """Indices, in order, of the rows of table whose candidate square
     passes the residue filters for pi_p = (a, b): every row of a table
@@ -361,21 +362,19 @@ def _survivors(table: _ProductTable, c: int, a: int, b: int):
         table.grow(float("inf"))
         yield from range(len(table.ks))
         return
+    a, b, scale = _candidate(c, a, b)
+    alpha, beta = a, -c * b  # the candidate alpha X + beta Y = Y (alpha t + beta), t = X/Y
+    passes = [_two_adic(alpha & 15, beta & 15, scale)]
+    passes += [_pass_table(l, alpha, beta, scale) for l in _CODE_PRIMES]
     xs, ys = table.xs, table.ys
-    parts = [(a, -c * b), (b, a)] if c == 1 else [(a, -c * b)]  # x = Y (a t - c b), y
-    filters = [(two_adic, [_pass_table(l, alpha, beta, 2 if c == 1 else 1) for l in _CODE_PRIMES])
-               for two_adic, (alpha, beta) in zip(_two_adic(a & 15, b & 15, c), parts)]
     codes, start = table.codes, 0
     while table.grow(start + _CHUNK) or start < len(xs):  # a chunk is coded once complete
         chunk = codes.get(start)
         if chunk is None:
             chunk = codes[start] = _chunk_codes(xs[start:start + _CHUNK], ys[start:start + _CHUNK])
-        bits = 0
-        for two_adic, tables in filters:
-            mask = int.from_bytes(chunk[0].translate(two_adic), "little")
-            for row, passing in zip(chunk[1:], tables):
-                mask &= int.from_bytes(row.translate(passing), "little")
-            bits |= mask
+        bits = -1
+        for row, passing in zip(chunk, passes):
+            bits &= int.from_bytes(row.translate(passing), "little")
         while bits:  # byte i of a chunk is row start + i
             low = bits & -bits
             bits ^= low
@@ -404,11 +403,11 @@ def _orbit_masks(q: int):
     return out
 
 
-def _orbit_square_x(z0, m, step_cap=64):
+def _orbit_square_x(z0, m):
     """Scan the unit orbit of z0 in Z[sqrt(2)] for |x| a square prime to m.
 
-    Step j < step_cap <= 64 of the first walk is z0 (3 + 2 sqrt 2)^j, of
-    the second z0 (3 - 2 sqrt 2)^(j+1); the first hit wins.
+    Step j < 64 of the first walk is z0 (3 + 2 sqrt 2)^j, of the second
+    z0 (3 - 2 sqrt 2)^(j+1); the first hit wins.
     """
     x0, s = z0[0], 2 * z0[1]
     square = negated = -1
@@ -420,7 +419,7 @@ def _orbit_square_x(z0, m, step_cap=64):
     if not fwd:  # no step can hold a square: most walks end here
         return None
     back = int(f"{fwd:024b}"[::-1], 2)  # bit j: step -(j+1) = 23 - j
-    spread, steps = _every(24, step_cap), (1 << step_cap) - 1
+    spread, steps = _every(24, 64), (1 << 64) - 1
     for bits, second in ((fwd, 0), (back, 1)):
         bits = bits * spread & steps
         while bits:
@@ -453,21 +452,18 @@ def _ep_space_point(p: int, d: int, H: int):
     pi = _prime_root(p, c)
     if pi is None:
         return None
-    a, b = pi
-    cb = c * b
+    a, b, scale = _candidate(c, *pi)
     table = _product_table(H, c)
     ks, xs, ys = table.ks, table.xs, table.ys
-    for j in _survivors(table, c, a, b):
+    for j in _survivors(table, c, *pi):
         k, X, Y = ks[j], xs[j], ys[j]
-        x, y = a * X - cb * Y, a * Y + b * X  # pi_p (X + Y sqrt(-c))
+        x, y = a * X - c * b * Y, a * Y + b * X  # pi_p (X + Y sqrt(-c)), turned by a unit
         if c == -2:
             hit = _orbit_square_x((x, y), k)
             if hit is None:
                 continue
             x, y = hit[0] ** 2, hit[1]
-        elif c == 1 and x & 1:
-            x, y = y, x  # the even component comes first
-        f2 = 2 * abs(x) if c == 1 else abs(x)  # candidate square of the free side
+        f2 = scale * abs(x)  # candidate square of the free side
         f = isqrt(f2)
         if f and f * f == f2 and gcd(k, f) == 1:
             return Fraction(k, f), Fraction(2 * abs(y), f * f)
@@ -479,8 +475,8 @@ _MAX_HEIGHT = _EP_TABLE_BUDGET // _DEEP_FACTOR  # rescans stay within the budget
 
 
 def _check_height(H: int) -> None:
-    if not 1 <= H <= _MAX_HEIGHT:
-        raise FamilyError(f"need 1 <= H <= {_MAX_HEIGHT}: ep_rank rescans to {_DEEP_FACTOR} * H")
+    if not isinstance(H, int) or not 1 <= H <= _MAX_HEIGHT:
+        raise FamilyError(f"need an integer 1 <= H <= {_MAX_HEIGHT}: ep_rank rescans to {_DEEP_FACTOR} * H")
 
 
 def _two_is_quartic(p: int) -> bool:

@@ -402,6 +402,32 @@ def test_both_selmer_sets_match_the_pivot_and_walk_oracles(E):
     assert list(_selmer(Ep, S)[0].items()) == list(sel_hat.items())
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-12, 12), st.integers(-50, 50), st.integers(1, 12))
+@example(0, 2, 8)  # 2^12 * 2: the reduction takes out 2^12
+@example(3, -1, 6)  # u = 6 scales a and b at 2 and at 3
+@example(1, 16, 3)  # 2^4 | b but 2 does not divide a: 3 is all that comes out
+def test_selmer_of_a_scaled_model_is_the_walk_on_that_model(a, b, u):
+    # the local tests run on the model with u^2 and u^4 taken out again;
+    # the walk tests the spaces of the scaled model (u^2 a, u^4 b) itself
+    assume(b != 0 and a * a != 4 * b)
+    E = Curve(u * u * a, u**4 * b, 0)
+    Ep = isogenous_curve(E).Eprime
+    sel, sel_hat = _selmer(E, bad_set(E))
+    assert (tuple(map(int, sel)), tuple(map(int, sel_hat))) == (
+        selmer_walk_oracle(E)[0], selmer_walk_oracle(Ep)[0])
+
+
+def test_a_large_power_of_two_in_b_costs_what_its_reduction_costs():
+    # y^2 = x^3 + 2^89 x is y^2 = x^3 + 2x scaled by u = 2^22; on the model
+    # as given, the local test at 2 had not finished after a minute
+    start = time.perf_counter()
+    report = descent_report(Curve(0, 2**89, 0), 20)
+    assert time.perf_counter() - start < 0.1
+    assert [int(d) for d in report.selmer_phi] == [1, -2]
+    assert [int(d) for d in report.selmer_phi_hat] == [1, 2]
+
+
 def _local_coordinates(n: int, v: int) -> int:
     """The coordinate bits of n in Q_v*/Q_v*^2, as _local_table orders them."""
     if v == 0:
@@ -1003,6 +1029,8 @@ def test_height_above_the_bound_is_refused_before_any_work(monkeypatch):
             call(50_001)
         with pytest.raises(DescentError, match=r"need H >= 1"):
             call(0)
+        with pytest.raises(DescentError, match=r"need an integer H, not 2\.5"):
+            call(2.5)
 
 
 def test_descent_report_factors_each_odd_part_of_b_and_b_prime_once(monkeypatch):

@@ -397,6 +397,14 @@ def test_heights_above_the_limit_are_refused_before_any_sieve(monkeypatch):
             call()
 
 
+def test_non_integer_heights_are_refused(monkeypatch):
+    # a float height once gave rows whose notes read "height <= 2.5"
+    monkeypatch.setattr(families, "sieve_primes", lambda n: pytest.fail("sieved before the check"))
+    for call in (lambda: ep_rank(3217, 2.5), lambda: ep_table(100, height=2.5)):
+        with pytest.raises(FamilyError, match="need an integer 1 <= H <= 1000"):
+            call()
+
+
 def test_import_and_a_search_free_rank_build_no_product_table():
     # the norm-form product tables, which hold their row codes, and the
     # orbit masks are built on the first search that needs them, not at

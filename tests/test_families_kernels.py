@@ -20,6 +20,7 @@ from twodescent.families import (
     _ROOTS,
     _SPLIT,
     _ProductTable,
+    _candidate,
     _chunk_codes,
     _fill_roots,
     _orbit_masks,
@@ -46,23 +47,23 @@ components = st.integers(-10**6, 10**6)
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.tuples(components, components), st.integers(1, 10**4), st.integers(1, 64))
-def test_orbit_walk_matches_the_per_step_isqrt_walk(z0, m, step_cap):
-    assert _orbit_square_x(z0, m, step_cap) == orbit_square_x_oracle(z0, m, step_cap)
+@given(st.tuples(components, components), st.integers(1, 10**4))
+def test_orbit_walk_matches_the_per_step_isqrt_walk(z0, m):
+    assert _orbit_square_x(z0, m) == orbit_square_x_oracle(z0, m)
 
 
 @settings(max_examples=400, deadline=None)
 @given(st.integers(0, 1000), components, st.booleans(), st.integers(0, 63),
-       st.booleans(), st.integers(1, 10**4), st.integers(1, 64))
+       st.booleans(), st.integers(1, 10**4))
 def test_orbit_walk_matches_the_per_step_isqrt_walk_on_planted_squares(
-        n, s, negative, j, second, m, step_cap):
+        n, s, negative, j, second, m):
     # z0 puts x = +-n^2 at step j of the first walk, z0 (3 + 2 sqrt 2)^j,
-    # or of the second, z0 (3 - 2 sqrt 2)^(j+1); gcd(m, n) and step_cap
-    # decide whether that step, a later one or none is the first hit
+    # or of the second, z0 (3 - 2 sqrt 2)^(j+1); gcd(m, n) decides whether
+    # that step, another one or none is the first hit
     z0 = (-n * n if negative else n * n, s)
     for _ in range(j + second):
         z0 = _pair_mul(z0, (3, 2) if second else (3, -2), -2)
-    assert _orbit_square_x(z0, m, step_cap) == orbit_square_x_oracle(z0, m, step_cap)
+    assert _orbit_square_x(z0, m) == orbit_square_x_oracle(z0, m)
 
 
 @pytest.mark.parametrize("c", [1, 2, -2])
@@ -195,14 +196,30 @@ def test_split_smooth_walk_matches_the_sorted_one_shot_list(c, cap):
 @pytest.mark.parametrize("c", [1, 2, -2])
 @pytest.mark.parametrize("form", [(2, 1), (1, 2), (1, 1)])
 def test_two_adic_table_matches_the_per_cell_oracle(c, form):
-    # every key a, b mod 16 the scans can ask for, outside the cache: the
-    # table of c is the oracle's for the searched space and for the other
-    # space of its coset, C_p with (1, 2) beside C_{-1} in Z[i] and (1, 1)
-    # for both elsewhere, and for no other form
+    # for every pi_p = a + b sqrt(-c) mod 16, outside the cache: the one
+    # table of the candidate form is the oracle's table of the candidate
+    # component, y for c = 1 and x otherwise, for the searched space and
+    # for the other space of its coset, C_p with (1, 2) beside C_{-1} in
+    # Z[i] and (1, 1) for both elsewhere, and for no other form
     coset_forms = {SCALES[c], (1, 2)} if c == 1 else {SCALES[c]}
-    same = all(_two_adic.__wrapped__(a, b, c) == two_adic_oracle(a, b, c, *form)
-               for a in range(16) for b in range(16))
+    component = 1 if c == 1 else 0
+    same = True
+    for a in range(16):
+        for b in range(16):
+            a2, b2, scale = _candidate(c, a, b)
+            table = _two_adic.__wrapped__(a2 & 15, -c * b2 & 15, scale)
+            same &= table == two_adic_oracle(a, b, c, *form)[component]
     assert same == (form in coset_forms)
+
+
+@pytest.mark.parametrize("H", [1, 5, 2000, 20000])
+def test_gaussian_rows_have_x_odd_and_y_divisible_by_8(H):
+    # so x = a X - b Y is odd for pi_p = a + b i, a odd and b even, and only
+    # twice y can be a square: the one candidate of every C_{-1} scan
+    table = _product_table(H, 1)
+    table.grow(float("inf"))
+    assert all(X & 1 and Y % 8 == 0 for X, Y in zip(table.xs, table.ys))
+    assert all(a & 1 and b % 2 == 0 for q in PRIMES_2E5 if q % 4 == 1 for a, b in [_prime_root(q, 1)])
 
 
 @pytest.mark.parametrize("q", _ORBIT_MODULI)
