@@ -181,7 +181,8 @@ def _character(q: int) -> tuple[int, ...]:
 @lru_cache(maxsize=4096)
 def _count_points(q: int, a2: int, a4: int, a6: int) -> int:
     """count_points_mod from the coefficients mod q, which it depends on only."""
-    chi = _character(q)
+    # torsion and the E_p filters read q < 100; a larger q keeps no q-entry table
+    chi = _character(q) if q < 2**12 else _character.__wrapped__(q)
     return q + 1 + sum(chi[(((x + a2) * x + a4) * x + a6) % q] for x in range(q))
 
 

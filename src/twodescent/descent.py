@@ -41,7 +41,7 @@ from .curve import (
     on_curve,
     torsion_subgroup,
 )
-from .localsolve import QuarticForm, qp_soluble
+from .localsolve import QuarticForm, _qp_soluble
 
 __all__ = [
     "DescentError",
@@ -311,7 +311,7 @@ def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareCla
         for x in order:
             if x in known or x in bad or (x & b_pairs).bit_count() & 1:
                 continue
-            if qp_soluble(_space(a // t**2, bp // t**4, reps[x]), v):
+            if _qp_soluble(_space(a // t**2, bp // t**4, reps[x]), v):
                 basis.append(x)
                 known += [x ^ k for k in known]
                 bad = {y ^ k for y in bad for k in known}

@@ -15,6 +15,7 @@ the equivalence of the two is part of the test suite and of
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_left
 from fractions import Fraction
 from functools import cache, lru_cache
 from heapq import heappop, heappush
@@ -149,9 +150,9 @@ def _ep_dims(r: int):
 # |components|, and where p divides k, pi_p * pi-bar_p^(4e) is not
 # primitive.  So a norm p k^4 has at most 2^omega(k) candidates, each
 # pi_p times a row of the product table for (H, c), shared by every p.
-# Its rows run over the split-smooth k <= H in increasing order, and it
-# grows k by k only as far as scans read it, so a scan that hits early
-# never pays for the rest; the k come off a heap.  In Z[i] each row is a
+# Its rows run over the split-smooth k <= H in increasing order, the k off
+# a heap, and it is built whole on the first scan that asks for it: the
+# sweep's scans read their tables to the end.  In Z[i] each row is a
 # product of fourth powers of u + v i, u odd, v even, so X is odd, 8 | Y,
 # and with pi_p = a + b i, a odd, b even, 2 (a X - b Y) = 2 (mod 4) is no
 # square: C_{-1} hits only on twice y, the x of -i pi_p times the row.
@@ -171,11 +172,11 @@ def _ep_dims(r: int):
 # would, and such l filter nothing.  One more byte, (X mod 16, Y mod 16),
 # gives the 2-adic test.  A bytes.translate per code and an AND of the
 # results as ints leave the surviving rows of each chunk of _CHUNK rows
-# in order; a chunk is coded when a scan first reaches it, once the
-# table holds all of it.  Along a unit orbit x mod q has a period
-# dividing 24 for each q of _ORBIT_MODULI, so per-modulus masks indexed
-# by (x0, 2 s0) mod q mark the steps where x, or -x, can be a square,
-# and only those steps get their exact element.
+# in order; a chunk is coded when a filtered scan first reaches it.
+# Along a unit orbit x mod q has a period dividing 24 for each q of
+# _ORBIT_MODULI, so per-modulus masks indexed by (x0, 2 s0) mod q mark
+# the steps where x, or -x, can be a square, and only those steps get
+# their exact element.
 
 
 def _pair_mul(x, y, c):
@@ -185,22 +186,22 @@ def _pair_mul(x, y, c):
 
 # primes q that split in Z[sqrt(-c)]: q mod modulus in residues
 _SPLIT = {1: (4, (1,)), 2: (8, (1, 3)), -2: (8, (1, 7))}
-_ROOTS = {c: (0, {}) for c in _SPLIT}  # per c: (bound, {q: root} for the split q <= bound)
+_ROOTS = {c: (0, array("q"), array("q"), array("q")) for c in _SPLIT}  # per c: bound, columns q, u, v
 
 
-def _fill_roots(bound: int, c: int) -> dict:
-    """{q: _prime_root(q, c)} for the split primes q <= bound by increasing q,
-    from one walk over a fundamental domain of the form that keeps each value
-    the sieve flags as prime.  A larger bound refills; callers grow it geometrically."""
+def _fill_roots(bound: int, c: int):
+    """Columns q, u, v of the split primes q = u^2 + c v^2 <= bound, q increasing
+    and (u, v) = _prime_root(q, c), from one walk over a fundamental domain of
+    the form that keeps each value the sieve flags as prime; a larger bound refills."""
     if bound > _ROOTS[c][0]:
         # q = x^2 + c y^2, x odd and y > 0: y even for c = 1 (as two_squares has it),
         # x > 2y for c = -2 (x = 2v - u, y = v - u, as _prime_root turns Cornacchia's)
         prime, r, step = _sieve_flags(bound), isqrt(bound), 2 if c == 1 else 1
-        found = [(q, (x, y)) for y in range(step, r + 1, step)
-                 for x in range(2 * y + 1 if c < 0 else 1, isqrt(max(bound - c * y * y, 0)) + 1, 2)
-                 if prime[q := x * x + c * y * y]]
-        _ROOTS[c] = bound, dict(sorted(found))
-    return _ROOTS[c][1]
+        found = sorted((q, x, y) for y in range(step, r + 1, step)
+                       for x in range(2 * y + 1 if c < 0 else 1, isqrt(max(bound - c * y * y, 0)) + 1, 2)
+                       if prime[q := x * x + c * y * y])
+        _ROOTS[c] = bound, *(array("q", (row[i] for row in found)) for i in range(3))
+    return _ROOTS[c][1:]
 
 
 def _prime_root(q: int, c: int):
@@ -212,8 +213,10 @@ def _prime_root(q: int, c: int):
     q (Cohen, Algorithm 1.5.2) gives u, v >= 0, for c = -2 then turned to
     norm q by a unit, so the real form's orbit walk always starts there.
     """
-    if q <= _ROOTS[c][0]:
-        return _ROOTS[c][1].get(q)
+    bound, qs, us, vs = _ROOTS[c]
+    if q <= bound:
+        i = bisect_left(qs, q)
+        return (us[i], vs[i]) if i < len(qs) and qs[i] == q else None
     modulus, residues = _SPLIT[c]
     if q % modulus not in residues:
         return None
@@ -232,13 +235,10 @@ def _split_smooth(cap: int, c: int):
     """Odd k in (1, cap] whose primes all split in Z[sqrt(-c)], in
     increasing order, as (k, q, r): q the largest prime of k, r the part of
     k prime to q.  Popping k = m q off a heap pushes k q and m q', q' the
-    next prime; the root table of c is filled only as far as the walk goes."""
-    primes, bound, heap = [], 0, [(1, -1, 1, 1)]  # (k, index of q, m, r)
+    next prime, from the root table of c filled to cap."""
+    primes, heap = _fill_roots(cap, c)[0], [(1, -1, 1, 1)]  # (k, index of q, m, r)
     while heap:
         k, j, m, r = heappop(heap)
-        while len(primes) <= j + 1 and m * bound < cap:
-            bound = min(4 * bound + 4096, cap)
-            primes = list(_fill_roots(bound, c))
         if j >= 0:
             yield k, primes[j], r
             if k * primes[j] <= cap:
@@ -251,29 +251,20 @@ class _ProductTable:
     """Columns ks, xs, ys of each product of pi-bar_q^(4e) or pi_q^(4e) over
     q^e || k, for the split-smooth k <= H in increasing order.  The last
     prime varies fastest, its conjugate power first: the rows of k extend
-    those of k / q^e.  grow builds rows k by k as scans reach them; codes
-    holds the residue codes of each chunk by its first row, filled as
-    filtered scans reach it."""
+    those of k / q^e.  codes holds the residue codes of each chunk by its
+    first row, filled as filtered scans reach it."""
 
     def __init__(self, H: int, c: int):
-        self.ks, self.xs, self.ys = array("q", [1]), array("q", [1]), array("q", [0])
+        ks, xs, ys = self.ks, self.xs, self.ys = array("q", [1]), array("q", [1]), array("q", [0])
         self.codes: dict[int, list[bytes]] = {}
-        self._c, self._next, self._rows = c, _split_smooth(H, c), {1: (0, 1)}
-        self._powers = {1: (1, 0)}  # pi_q^(4e) by q^e
-
-    def grow(self, n) -> bool:
-        """Build at least n rows if the table has them; whether it does."""
-        ks, xs, ys, c, powers, rows = self.ks, self.xs, self.ys, self._c, self._powers, self._rows
-        while len(ks) < n:
-            k, q, r = next(self._next, (0, 0, 0)) if self._next else (0, 0, 0)
-            if not k:  # complete: keep only the columns
-                self._next = self._rows = self._powers = None
-                return False
+        rows, powers = {1: (0, 1)}, {1: (1, 0)}  # the rows of k by k, pi_q^(4e) by q^e
+        roots = zip(*_fill_roots(H, c)[1:])  # (u, v) by increasing q: each q first comes as k = q
+        for k, q, r in _split_smooth(H, c):
             qe, start = k // r, len(ks)
             uv = powers.get(qe)
             if uv is None:  # pi_q^(4e) = pi_q^(4e - 4) pi_q^4, pi_q^4 by two squarings
                 if q not in powers:
-                    z = _pair_mul(*[_prime_root(q, c)] * 2, c)
+                    z = _pair_mul(*[next(roots)] * 2, c)
                     powers[q] = _pair_mul(z, z, c)
                 uv = powers[qe] = _pair_mul(powers[qe // q], powers[q], c)
             u, v = uv
@@ -285,7 +276,6 @@ class _ProductTable:
                 ys.append(Y * u + X * v)
             ks.extend((k,) * (len(xs) - start))
             rows[k] = start, len(ks)
-        return True
 
 
 _product_table = lru_cache(maxsize=8)(_ProductTable)
@@ -358,17 +348,15 @@ def _survivors(table: _ProductTable, c: int, a: int, b: int):
     """Indices, in order, of the rows of table whose candidate square
     passes the residue filters for pi_p = (a, b): every row of a table
     under _FILTER_ROWS rows, and of the real form, c = -2."""
-    if c == -2 or not table.grow(_FILTER_ROWS):
-        table.grow(float("inf"))
-        yield from range(len(table.ks))
+    xs, ys, codes = table.xs, table.ys, table.codes
+    if c == -2 or len(xs) < _FILTER_ROWS:
+        yield from range(len(xs))
         return
     a, b, scale = _candidate(c, a, b)
     alpha, beta = a, -c * b  # the candidate alpha X + beta Y = Y (alpha t + beta), t = X/Y
     passes = [_two_adic(alpha & 15, beta & 15, scale)]
     passes += [_pass_table(l, alpha, beta, scale) for l in _CODE_PRIMES]
-    xs, ys = table.xs, table.ys
-    codes, start = table.codes, 0
-    while table.grow(start + _CHUNK) or start < len(xs):  # a chunk is coded once complete
+    for start in range(0, len(xs), _CHUNK):
         chunk = codes.get(start)
         if chunk is None:
             chunk = codes[start] = _chunk_codes(xs[start:start + _CHUNK], ys[start:start + _CHUNK])
@@ -379,7 +367,6 @@ def _survivors(table: _ProductTable, c: int, a: int, b: int):
             low = bits & -bits
             bits ^= low
             yield start + (low.bit_length() >> 3)
-        start += _CHUNK
 
 
 # (3 + 2 sqrt 2)^j for j <= 64

@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import Record, val
+from .arith import Record, is_prime, val
 
 __all__ = [
     "LocalSolveError",
@@ -202,18 +202,28 @@ def _zp_search(c: tuple[int, ...], content: bool, disc_val: int, p: int,
     return _INSOLUBLE
 
 
+def _check_prime(p: int) -> None:
+    if not isinstance(p, int) or not is_prime(p):
+        raise LocalSolveError(f"need a prime p, not {p!r}")
+
+
 def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
-    """Whether y^2 = f(z) has z in Z_p, y in Q_p."""
+    """Whether y^2 = f(z) has z in Z_p, y in Q_p, for a prime p."""
+    _check_prime(p)
     return _zp_search(*_setup(f, p), p)
 
 
 def qp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
-    """Whether the smooth projective model of y^2 = f(z) has a Q_p point.
+    """Whether the smooth projective model of y^2 = f(z) has a Q_p point, for a prime p."""
+    _check_prime(p)
+    return _qp_soluble(f, p)
 
-    z in Z_p via f itself, t = 1/z in pZ_p via the reversed quartic with
-    f's setup: reversal keeps the content, and val(disc f) is its own or,
-    if f(0) = 0, a looser cap.  A reversed witness at t = 0 is at infinity.
-    """
+
+def _qp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
+    """qp_soluble for a proved prime p: z in Z_p via f itself, t = 1/z in pZ_p
+    via the reversed quartic with f's setup: reversal keeps the content, and
+    val(disc f) is its own or, if f(0) = 0, a looser cap.  A reversed
+    witness at t = 0 is at infinity."""
     if f.degree != 4:
         raise LocalSolveError("need an honest quartic")
     c, content, disc_val = _setup(f, p)

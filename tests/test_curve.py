@@ -15,6 +15,8 @@ from twodescent.curve import (
     INFINITY,
     Pt,
     SingularModel,
+    _character,
+    _count_points,
     _good_odd_primes,
     _integer_roots,
     _multiples,
@@ -180,6 +182,15 @@ def test_count_points_refuses_a_prime_beyond_its_bound(monkeypatch):
     monkeypatch.setattr(curve_module, "_count_points", lambda *args: pytest.fail("counted"))
     with pytest.raises(CurveError, match=r"need q <= 10\^6"):
         count_points_mod(Curve(0, 1, 0), 1000003)
+
+
+def test_counting_near_the_bound_keeps_no_q_sized_table():
+    # counting at the 5 primes above 999 000 once kept 75 MB of tables
+    q, E = 999983, Curve(0, 17, 0)
+    _count_points.cache_clear()
+    before = _character.cache_info()
+    assert count_points_mod(E, q) == count_points_brute((0, 17, 0), q)
+    assert _character.cache_info() == before
 
 
 def test_count_points_matches_enumeration():

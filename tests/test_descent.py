@@ -44,7 +44,8 @@ from twodescent.descent import (
     selmer,
 )
 
-from twodescent.localsolve import QuarticForm, qp_soluble, r_soluble
+import twodescent.localsolve as localsolve_module
+from twodescent.localsolve import QuarticForm, _qp_soluble, qp_soluble, r_soluble
 
 from .oracles import (
     certify_oracle,
@@ -314,10 +315,10 @@ def _selmer_and_tests(E: Curve):
 
     def counting_qp(f, p):
         tests[p] = tests.get(p, 0) + 1
-        return qp_soluble(f, p)
+        return _qp_soluble(f, p)
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(descent_module, "qp_soluble", counting_qp)
+        m.setattr(descent_module, "_qp_soluble", counting_qp)
         sels = _selmer(E, bad_set(E))
     return tuple(tuple(int(d) for d in sel) for sel in sels), tests
 
@@ -336,10 +337,11 @@ def _both_walks(E: Curve):
     Curve(-11, 2, 0),
     Curve(0, 912247, 0),
 ])
-def test_selmer_tests_each_local_class_once(E):
+def test_selmer_tests_each_local_class_once(E, monkeypatch):
     # one call decides both groups from the local images of E alone: at
     # most one test per local class of E, never more than the walks on E
-    # and on E' make together, and fewer in all
+    # and on E' make together, and fewer in all; bad_set's factorization
+    # has proved each prime, so no local test proves it again
     sels, tests = _selmer_and_tests(E)
     walk_sels, walk_tests = _both_walks(E)
     assert sels == walk_sels == (selmer_per_class(E), selmer_per_class(isogenous_curve(E).Eprime))
@@ -348,6 +350,9 @@ def test_selmer_tests_each_local_class_once(E):
     assert sum(tests.values()) < sum(walk_tests.values())
     assert 0 not in tests and tests.get(2, 0) <= 7
     assert all(n <= 3 for v, n in tests.items() if v > 2)
+    S = bad_set(E)
+    monkeypatch.setattr(localsolve_module, "is_prime", lambda n: pytest.fail(f"{n} proved prime again"))
+    assert tuple(tuple(int(d) for d in sel) for sel in _selmer(E, S)) == sels
 
 
 PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % q for q in range(2, p))]

@@ -7,6 +7,7 @@ import sympy
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from array import array
 from bisect import bisect_right
 from itertools import islice
 from math import gcd, isqrt
@@ -80,7 +81,6 @@ def test_split_smooth_numbers_and_their_products_match_the_uncached_products(c):
     assert list(_split_smooth(2000, c)) == [
         (k, fac[-1][0], k // fac[-1][0] ** fac[-1][1]) for k, fac in smooth[1:]]
     table = _product_table(2000, c)
-    table.grow(float("inf"))
     ks, xs, ys = table.ks, table.xs, table.ys
     assert list(ks) == [k for k, fac in smooth for _ in range(2 ** len(fac))]
     rows = {}
@@ -95,13 +95,20 @@ def test_split_smooth_numbers_and_their_products_match_the_uncached_products(c):
 
 
 PRIMES_2E5 = sieve_primes(2 * 10**5)
+EMPTY_ROOTS = (0, array("q"), array("q"), array("q"))
+
+
+def _root_dict(columns) -> dict:
+    """{q: (u, v)} from the sorted root columns q, u, v."""
+    qs, us, vs = columns
+    return dict(zip(qs, zip(us, vs)))
 
 
 @pytest.mark.parametrize("c", [1, 2, -2])
 def test_cornacchia_roots_are_the_scan_roots_below_2e5(c, monkeypatch):
     # with no root table filled, every prime takes Cornacchia's descent;
     # for c = -2 the least b, as the scan finds it, fixes the orbit window
-    monkeypatch.setitem(_ROOTS, c, (0, {}))
+    monkeypatch.setitem(_ROOTS, c, EMPTY_ROOTS)
     modulus, residues = _SPLIT[c]
     for q in PRIMES_2E5:
         if q % modulus in residues:
@@ -113,9 +120,9 @@ def test_root_tables_are_the_cornacchia_roots_below_2e5(c, monkeypatch):
     # one pass over the form gives every split prime below the bound, in
     # increasing order, with the root that Cornacchia's descent gives;
     # _prime_root then reads it, and None for every other prime
-    monkeypatch.setitem(_ROOTS, c, (0, {}))
+    monkeypatch.setitem(_ROOTS, c, EMPTY_ROOTS)
     descent = {q: root for q in PRIMES_2E5 for root in [_prime_root(q, c)] if root}
-    table = _fill_roots(2 * 10**5, c)
+    table = _root_dict(_fill_roots(2 * 10**5, c))
     assert list(table) == sorted(descent) and table == descent
     assert all(root == prime_root_scan_oracle(q, c) for q, root in table.items())
     assert [_prime_root(q, c) for q in PRIMES_2E5] == [descent.get(q) for q in PRIMES_2E5]
@@ -131,13 +138,14 @@ def test_root_tables_filled_to_growing_bounds_are_the_scan_roots(c, b1, b2):
     modulus, residues = _SPLIT[c]
     saved = _ROOTS[c]
     try:
-        _ROOTS[c] = 0, {}
+        _ROOTS[c] = EMPTY_ROOTS
         for b in (b1, b2):
-            table = _fill_roots(b, c)
-            assert list(table) == sorted(table) and table == {
+            qs, us, vs = _fill_roots(b, c)
+            table = _root_dict((qs, us, vs))
+            assert list(qs) == sorted(table) and table == {
                 q: prime_root_scan_oracle(q, c)
                 for q in PRIMES_2E5[:bisect_right(PRIMES_2E5, b)] if q % modulus in residues}
-        assert _fill_roots(b1, c) is _ROOTS[c][1] and _ROOTS[c][0] == b2
+        assert _fill_roots(b1, c) == _ROOTS[c][1:] and _ROOTS[c][0] == b2
     finally:
         _ROOTS[c] = saved
 
@@ -166,7 +174,7 @@ def test_residue_filters_keep_every_row_the_exact_test_accepts(p, c, H):
     assume(pi is not None)
     a, b = pi
     table = _product_table(H, c)
-    filtered = table.grow(_FILTER_ROWS)
+    filtered = len(table.ks) >= _FILTER_ROWS
     survivors = list(_survivors(table, c, a, b))
     ks, xs, ys = table.ks, table.xs, table.ys
     assert survivors == (sorted(set(survivors)) if filtered else list(range(len(ks))))
@@ -217,7 +225,6 @@ def test_gaussian_rows_have_x_odd_and_y_divisible_by_8(H):
     # so x = a X - b Y is odd for pi_p = a + b i, a odd and b even, and only
     # twice y can be a square: the one candidate of every C_{-1} scan
     table = _product_table(H, 1)
-    table.grow(float("inf"))
     assert all(X & 1 and Y % 8 == 0 for X, Y in zip(table.xs, table.ys))
     assert all(a & 1 and b % 2 == 0 for q in PRIMES_2E5 if q % 4 == 1 for a, b in [_prime_root(q, 1)])
 
@@ -231,39 +238,28 @@ SCAN_PRIMES = {c: [p for p in sieve_primes(3000) if _prime_root(p, c)] for c in 
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from([1, 2, -2]), st.integers(1, 20000),
-       st.lists(st.tuples(st.integers(0, 3000), st.integers(0, 400)), max_size=4))
-@example(1, 20000, [(0, 40), (0, 3000)])
-@example(2, 20000, [(0, 1), (0, 100), (0, 0)])
-@example(-2, 20000, [(5000, 0)])
+@given(st.sampled_from([1, 2, -2]), st.integers(1, 20000), st.lists(st.integers(0, 400), max_size=4))
+@example(1, 20000, [40, 3000])
+@example(2, 20000, [1, 100, 0])
+@example(-2, 20000, [0])
 def test_tables_grown_by_scans_that_stop_early_are_the_one_shot_tables(c, H, scans):
-    # each scan grows the table to a row count, or reads survivors of a
-    # filtered scan (for some p) and stops; what is built is
-    # always a prefix of the one-shot table, each chunk is coded only once
-    # complete, and the table built to its end is the one-shot table
+    # each scan reads survivors of a filtered scan (for some p) and stops;
+    # each chunk a scan has reached holds the codes of the one-shot rows,
+    # and the table is the one-shot table
     _product_table.cache_clear()
     want = product_table_oracle(H, c)
     table = _product_table(H, c)
-    for rows, survivors in scans:
-        table.grow(rows)
+    for survivors in scans:
         if c != -2:
             a, b = _prime_root(SCAN_PRIMES[c][survivors % len(SCAN_PRIMES[c])], c)
             list(islice(_survivors(table, c, a, b), survivors))
-        n = len(table.ks)
-        assert [list(col) for col in (table.ks, table.xs, table.ys)] == [col[:n] for col in want]
         for start, codes in table.codes.items():
             assert codes == _chunk_codes(want[1][start:start + _CHUNK], want[2][start:start + _CHUNK])
-    assert not table.grow(float("inf"))
     assert [list(col) for col in (table.ks, table.xs, table.ys)] == list(want)
 
 
 @pytest.mark.parametrize("c", [1, 2, -2])
 def test_a_complete_table_keeps_only_its_columns(c):
     table = _ProductTable(2000, c)
-    assert table.grow(10)
-    assert table._next is not None
-    assert not table.grow(10**9)  # built to its end
-    assert (table._next, table._rows, table._powers) == (None, None, None)
-    n = len(table.ks)
-    assert table.grow(n) and not table.grow(n + 1)
+    assert vars(table).keys() == {"ks", "xs", "ys", "codes"}
     assert [list(col) for col in (table.ks, table.xs, table.ys)] == list(product_table_oracle(2000, c))

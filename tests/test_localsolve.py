@@ -188,6 +188,15 @@ def test_zp_rejects_degenerate_input():
         zp_soluble(QuarticForm((1, 0, -2, 0, 1)), 5)  # (z^2-1)^2 has disc 0
 
 
+@pytest.mark.parametrize("p", [4, 6, 9, 15, 1, 0, -3, 3.0, True])
+def test_a_p_that_is_not_a_prime_int_is_refused(p):
+    # 4, 6, 9 and 15 once got verdicts, and 1 an error about the valuation base
+    f = QuarticForm((1, 0, 0, 0, 3))
+    for solve in (zp_soluble, qp_soluble):
+        with pytest.raises(LocalSolveError, match=f"need a prime p, not {p!r}"):
+            solve(f, p)
+
+
 def test_qp_examples_at_two():
     assert not qp_soluble(QuarticForm((32, 0, 96, 0, 8)), 2)
     # z = 1/2 is a root, but the reversed form's value 16 at t = 0 is a
