@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+from json.encoder import encode_basestring_ascii as _quote
 import re
 import sys
 import time
@@ -107,7 +108,22 @@ def report_document(rep: DescentReport, timings_ms: dict | None = None) -> dict:
 
 
 def serialize_document(doc: dict) -> str:
-    return json.dumps(doc, indent=2, sort_keys=True)
+    """json.dumps(doc, indent=2, sort_keys=True), written directly."""
+    return _write(doc, "\n")
+
+
+def _write(v, nl: str) -> str:
+    """v on a line broken by nl: ints and strs at once, filled containers by recursion."""
+    if type(v) is int:
+        return str(v)
+    if type(v) is str:
+        return _quote(v)
+    inner = nl + "  "
+    if isinstance(v, dict) and v:
+        return "{" + inner + ("," + inner).join([f"{_quote(k)}: {_write(v[k], inner)}" for k in sorted(v)]) + nl + "}"
+    if isinstance(v, (list, tuple)) and v:
+        return "[" + inner + ("," + inner).join([_write(x, inner) for x in v]) + nl + "]"
+    return json.dumps(v)
 
 
 def parse_document(text: str) -> dict:

@@ -334,10 +334,12 @@ def torsion_subgroup(E: Curve) -> TorsionGroup:
         # a point of order m has a multiple of order m/l for each prime l | m
         if bound % m or any(m % l == 0 and m // l not in found for l in (2, 3, 5, 7)):
             continue
-        # q is good and prime to m (no two odd primes divide m <= 12), so E[m]
-        # is etale mod q and f_m squarefree there
-        q = next(q for q in primes if m % q)
-        for x in _integer_roots(f(m), q):
+        if m == 2 and E.a6 == 0:  # x(x^2 + a2 x + a4): 0, and (-a2 +- s)/2 when a2^2 - 4 a4 = s^2
+            s = math.isqrt(max(disc := E.a2 * E.a2 - 4 * E.a4, 0))
+            roots = sorted((0, (s - E.a2) // 2, (-s - E.a2) // 2)) if s * s == disc else [0]
+        else:  # q is good and prime to m (no two odd primes divide m <= 12): f_m is squarefree mod q
+            roots = _integer_roots(f(m), next(q for q in primes if m % q))
+        for x in roots:
             v = E.rhs(x)
             y = math.isqrt(max(v, 0))
             if y * y == v:

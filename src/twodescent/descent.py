@@ -27,8 +27,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import gcd, isqrt, prod
+from operator import xor
 
 from .arith import ONE, Record, SquareClass, _euler, factorize, squarefree_part, val
 from .curve import (
@@ -147,16 +148,10 @@ def _class_on(n: int, S: BadSet) -> int:
     return (n < 0) | sum(2 << j for j, q in enumerate(S.primes) if val(n, q) % 2)
 
 
-def _rep(S: BadSet, m: int) -> int:
-    """The squarefree d of the class with generator mask m."""
-    return prod(g for j, g in enumerate((-1,) + S.primes) if m >> j & 1)
-
-
 def qs2(S: BadSet) -> tuple[SquareClass, ...]:
     """Classes unramified outside S: products of -1 and the primes of S."""
-    return tuple(sorted(SquareClass(sign * prod(combo)) for sign in (1, -1)
-                        for r in range(len(S.primes) + 1)
-                        for combo in itertools.combinations(S.primes, r)))
+    gens = (-1,) + S.primes
+    return tuple(SquareClass(d) for _, d, _ in _span([1 << j for j in range(len(gens))], gens))
 
 
 class SelmerSet(Record):
@@ -219,46 +214,58 @@ def _minus_one_real(a: int, b: int) -> bool:
     return a * a - 4 * b < 0 or a < 0 < b
 
 
-# At 2 and at odd p = 1, 3 mod 4: per local class x (an XOR of the coordinate
-# bits of _local_table) the bits x pairs with to -1 under the Hilbert symbol,
-# then every x in the order of the |integer| _local_table gives it.
-_AT_TWO = ((0, 4, 2, 6, 1, 5, 3, 7), (0, 2, 1, 3, 4, 6, 5, 7))
-_AT_ODD = {1: ((0, 2, 1, 3), (0, 2, 1, 3)), 3: ((0, 3, 1, 2), (0, 2, 1, 3))}
+# At a prime v, keyed by v % 4: per local class x (bits as in _local_table) the
+# bits x pairs with to -1 under the Hilbert symbol.  Local tests visit the x in
+# _ORDER, least |_classes(v)[x]| first.
+_PAIRS = {2: (0, 4, 2, 6, 1, 5, 3, 7), 1: (0, 2, 1, 3), 3: (0, 3, 1, 2)}
+_ORDER = (0, 2, 1, 3, 4, 6, 5, 7)
+_BITS = tuple(tuple(j for j in range(3) if x >> j & 1) for x in range(8))  # the set bits of each x
 
 
-def _local_table(gens: tuple[int, ...], i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Q_v*/Q_v*^2 at v = gens[i], gens = (-1,) + S, with coordinate bits
-    v_2 parity, (u-1)/2, (u^2-1)/8 for the unit u at 2 and v_p parity, the
-    Euler bit at odd p.  Per local class x: the XOR of the columns (masks
-    of the generators whose class has the bit) of x's bits, and an integer
-    of class x, the product of those of its bits (2, -1, 5; p, the least
-    non-residue n)."""
+def _local_table(gens: tuple[int, ...], i: int) -> tuple[int, ...]:
+    """Per coordinate bit of Q_v*/Q_v*^2 at v = gens[i], gens = (-1,) + S
+    (v_2 parity, (u-1)/2, (u^2-1)/8 of the unit u at 2; v_p parity, the
+    Euler bit at odd p), the mask of the generators whose class has it."""
     v = gens[i]
     if v == 2:
-        bits = ((2, 2), (sum(1 << j for j, g in enumerate(gens) if g % 4 == 3), -1),
-                (sum(1 << j for j, g in enumerate(gens) if g % 8 in (3, 5)), 5))
-    else:
-        bits = ((1 << i, v), (sum(1 << j for j, g in enumerate(gens) if g != v and _euler(g, v) < 0),
-                              next(n for n in range(2, v) if _euler(n, v) < 0)))
-    cols, reps = [0], [1]
-    for col, r in bits:
-        cols += [x ^ col for x in cols]
-        reps += [x * r for x in reps]
-    return tuple(cols), tuple(reps)
+        return 2, sum(1 << j for j, g in enumerate(gens) if g % 4 == 3), \
+            sum(1 << j for j, g in enumerate(gens) if g % 8 in (3, 5))
+    h, u = v >> 1, 0
+    for j, g in enumerate(gens):
+        u |= (pow(g, h, v) == v - 1) << j
+    return 1 << i, u
 
 
-def _image(cols: tuple[int, ...], m: int) -> int:
-    """L_v of the class with generator mask m, as coordinate bits."""
-    return sum(((m & cols[1 << j]).bit_count() & 1) << j for j in range(len(cols).bit_length() - 1))
+@lru_cache(maxsize=4096)
+def _classes(v: int) -> tuple[int, ...]:
+    """An integer of each local class x at the prime v, the product of those of
+    its bits: 2, -1, 5 at 2; v and the least non-residue n at odd v."""
+    n = 5 if v == 2 else next(n for n in range(2, v) if _euler(n, v) < 0)
+    return (1, 2, -1, -2, n, 2 * n, -n, -2 * n) if v == 2 else (1, v, n, v * n)
 
 
-def _span(rows) -> list[int]:
-    """The XOR span of rows: each row not yet in it doubles the list."""
-    out = [0]
-    for r in rows:
-        if r not in out:
-            out += [x ^ r for x in out]
-    return out
+@lru_cache(maxsize=None)
+def _plan(kind: int, b_pairs: int, basis: tuple, known: frozenset, bad: frozenset) -> tuple:
+    """The local tests at a prime v = kind (mod 4), given a basis of the classes known
+    soluble, their span known and the classes bad known not: (x, plan if C_x is
+    soluble, plan if not) for the next x of _ORDER to test, or when none is left,
+    a basis of the z orthogonal to W_v and the bits each basis row pairs with to -1."""
+    for x in _ORDER[:8 if kind == 2 else 4]:
+        if x not in known and x not in bad and not (x & b_pairs).bit_count() & 1:
+            more = known | {x ^ k for k in known}
+            return (x, _plan(kind, b_pairs, basis + (x,), more, frozenset(y ^ k for y in bad for k in more)),
+                    _plan(kind, b_pairs, basis, known, bad | {x ^ k for k in known}))
+    return tuple(_kernel(basis, 3 if kind == 2 else 2)), tuple(_PAIRS[kind][y] for y in basis)
+
+
+def _span(rows, gens: tuple[int, ...]) -> list[tuple[int, int, int]]:
+    """(|d|, d, mask) over the span of the independent rows, in class order, d the
+    product of the mask's generators: each row's r doubles it by d * r / gcd(d, r)^2."""
+    out = [(1, 1, 0)]
+    for u in rows:
+        r = prod(g for j, g in enumerate(gens) if u >> j & 1)
+        out += [(abs(e), e, m ^ u) for _, d, m in out for e in (d * r // gcd(d, r) ** 2,)]
+    return sorted(out)
 
 
 def _kernel(funcs, n: int) -> list[int]:
@@ -287,41 +294,36 @@ def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareCla
     At a place v, the classes d whose C_d has a point over Q_v form W_v,
     and those of E' form the annihilator of W_v under the Hilbert symbol
     (Cassels, Lectures on Elliptic Curves, LMS Student Texts 24).  W_R
-    holds -1 by _minus_one_real.  At a prime, W_v is found by local tests
-    on the integers of the local classes, least |d| first, where no
-    verdict is known: 0 and L_v(b') lie in W_v (C_1 has the point (0, 1)
-    and C_b' a rational point at infinity), a class that pairs to -1 with
-    L_v(b), which lies in the image of E', does not, and each test settles
-    a coset of the classes known soluble, on the reduced model (a/t^2, b/t^4),
-    whose C_d is E's under z -> t z (Silverman, AEC X.4).  Sel of E is the
-    kernel of u -> L_v(u) . z over a basis of the z orthogonal to W_v, and
-    Sel of E' of u -> (L_v(u), y)_v over a basis of W_v: as generator masks,
-    the XORs of the columns of z's bits and of the bits y pairs with to -1."""
+    holds -1 by _minus_one_real.  At a prime, _plan picks the local tests:
+    0 and L_v(b') lie in W_v (C_1 has the point (0, 1), C_b' a rational
+    point at infinity), a class pairing to -1 with L_v(b), in the image of
+    E', does not, and each test settles a coset of the classes known
+    soluble.  Tests run on the reduced model (a/t^2, b/t^4), whose C_d is
+    E's under z -> t z (Silverman, AEC X.4).  Sel of E is the kernel of
+    u -> L_v(u) . z over the z orthogonal to W_v, and Sel of E' that of
+    u -> (L_v(u), y)_v over a basis of W_v, both XORs of unit columns."""
     a, b = E.a2, E.a4
     bp = a * a - 4 * b
-    t = prod(q ** (val(b, q) // 4 if a == 0 else min(val(a, q) // 2, val(b, q) // 4)) for q in S.primes)
     gens = (-1,) + S.primes
-    seed, dual = _class_on(bp, S), _class_on(b, S)
+    t, seed, dual = 1, int(bp < 0), int(b < 0)
+    for j, q in enumerate(S.primes, 1):
+        e = val(b, q)
+        t *= q ** (e // 4 if a == 0 else min(val(a, q) // 2, e // 4))
+        seed, dual = seed | (val(bp, q) & 1) << j, dual | (e & 1) << j
     funcs: tuple[list[int], list[int]] = ([], [1]) if _minus_one_real(a, b) else ([1], [])
+    a, bp = a // t**2, bp // t**4  # the reduced model of the local tests
     for i, v in enumerate(S.primes, 1):
-        cols, reps = _local_table(gens, i)
-        pairs, order = _AT_TWO if v == 2 else _AT_ODD[v % 4]
-        s = _image(cols, seed)
-        basis, known, bad, b_pairs = [s] if s else [], _span([s]), set(), pairs[_image(cols, dual)]
-        for x in order:
-            if x in known or x in bad or (x & b_pairs).bit_count() & 1:
-                continue
-            if _qp_soluble(_space(a // t**2, bp // t**4, reps[x]), v):
-                basis.append(x)
-                known += [x ^ k for k in known]
-                bad = {y ^ k for y in bad for k in known}
-            else:
-                bad |= {x ^ k for k in known}
-        funcs[0].extend(cols[z] for z in _kernel(basis, len(cols).bit_length() - 1))
-        funcs[1].extend(cols[pairs[k]] for k in basis)
-    spans = (_span(_kernel(f, len(gens))) for f in funcs)
-    sels = (sorted((abs(d), d, m) for m in span for d in (_rep(S, m),)) for span in spans)
-    return tuple({SquareClass(d): m for _, d, m in sel} for sel in sels)
+        cols, reps, kind = _local_table(gens, i), _classes(v), v % 4
+        s = b_image = 0  # L_v(b') and L_v(b)
+        for j, c in enumerate(cols):
+            s |= ((seed & c).bit_count() & 1) << j
+            b_image |= ((dual & c).bit_count() & 1) << j
+        plan = _plan(kind, _PAIRS[kind][b_image], (s,) if s else (), frozenset({0, s}), frozenset())
+        while len(plan) == 3:
+            plan = plan[1] if _qp_soluble(_space(a, bp, reps[plan[0]]), v) else plan[2]
+        for f, zs in zip(funcs, plan):  # per z, the generators whose L_v is odd on z
+            f += [reduce(xor, [cols[j] for j in _BITS[z]]) for z in zs]
+    return tuple({SquareClass(d): m for _, d, m in _span(_kernel(f, len(gens)), gens)} for f in funcs)
 
 
 # Sieve moduli of the point search.  Per modulus q: the squares mod q, and

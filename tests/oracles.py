@@ -14,6 +14,7 @@ package's own search_point and lift_point.
 from __future__ import annotations
 
 import itertools
+import json
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
@@ -955,3 +956,13 @@ def ep_certified_dim_oracle(p: int, H: int, space_point, deep_factor: int) -> in
                 span = span_oracle(span | {d})
                 break
     return len(span).bit_length() - 1
+
+
+# ---------------------------------------------------------------------------
+# Documents
+
+
+def serialize_document_oracle(doc) -> str:
+    """cli.serialize_document as first written: the standard library's
+    encoder at indent 2 with sorted keys."""
+    return json.dumps(doc, indent=2, sort_keys=True)

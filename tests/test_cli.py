@@ -4,11 +4,14 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import twodescent.cli as cli_module
 from twodescent.arith import ONE
 from twodescent.cli import (
     CremonaLine,
+    _enc_int,
     main,
     parse_cremona_line,
     parse_document,
@@ -22,6 +25,8 @@ from twodescent.descent import (
     descent_report,
     isogenous_curve,
 )
+
+from .oracles import serialize_document_oracle
 
 GOOD_LINE = "18496 k 1 [0,0,0,17,0] 0 [2] [0:0:1]"
 
@@ -378,6 +383,56 @@ def test_every_big_integer_of_a_family_ep_document_is_a_string(capsys):
     assert doc["p"] == str(p)
     assert [int(d) for d in doc["selmer_phi"]] == [-1, 1, -2, 2, -p, p, -2 * p, 2 * p]
     assert (2 * p, True) in found and doc["selmer_phi_hat"] == [1, str(p)]
+
+
+ESCAPES = '"\\/\b\f\n\r\t\x00\x1f\x7f a\u00e9\u20ac\U0001f600\ud800'
+
+LEAVES = st.one_of(
+    st.integers(-2**60, 2**60),  # negative, and beyond 2^53 as a number too
+    st.integers(-2**80, 2**80).map(_enc_int),  # past 2^53 as a string, as documents write it
+    st.booleans(),
+    st.none(),
+    st.floats(),  # like timings_ms.total; json.dumps writes NaN and Infinity
+    st.text(),
+    st.text(st.sampled_from(ESCAPES)),  # quotes, backslash, control characters, non-ASCII
+)
+
+DOCUMENTS = st.recursive(LEAVES, lambda inner: st.one_of(
+    st.lists(inner, max_size=4),
+    st.lists(inner, max_size=3).map(tuple),
+    st.dictionaries(st.one_of(st.text(), st.text(st.sampled_from(ESCAPES))), inner, max_size=4),
+), max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(DOCUMENTS)
+@example({"timings_ms": {"total": 12.345}, "notes": [ESCAPES], "empty": [{}, [], ()],
+          "x": [True, False, None, -3, _enc_int(-2**60)], ESCAPES: {"": 0}})
+def test_writer_is_json_dumps_at_indent_2_with_sorted_keys(doc):
+    assert serialize_document(doc) == serialize_document_oracle(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    ("family", "ep", "17"),
+    ("family", "ep", "9007199254741033"),  # p past 2^53
+    ("family", "edx", "4"),
+    ("family", "edx", "-30"),
+    ("family", "edconst", "1"),
+    ("family", "edconst", "-432"),
+    ("descent", "--a2", "0", "--a4", "17"),
+    ("descent", "--a2", "-1", "--a4", "-12"),
+])
+def test_cli_documents_are_json_dumps_at_indent_2_with_sorted_keys(capsys, argv):
+    rc, out, _ = run(capsys, *argv, "--json")
+    assert rc == 0
+    assert out == serialize_document_oracle(json.loads(out)) + "\n"
+
+
+def test_table_file_is_json_dumps_at_indent_2_with_sorted_keys(tmp_path, capsys):
+    target = tmp_path / "rows.json"
+    assert run(capsys, "table", "ep", "--max", "30", "--out", str(target))[0] == 0
+    text = target.read_text()
+    assert text == serialize_document_oracle(json.loads(text)) + "\n"
 
 
 def test_unknown_subcommand_exits_cleanly():

@@ -18,12 +18,13 @@ from twodescent.descent import (
     SelmerSet,
     TorsionImageError,
     _BAND_BITS,
-    _AT_ODD,
-    _AT_TWO,
     _MODULI,
+    _ORDER,
+    _PAIRS,
     _band_mask,
     _canonical_generator,
     _class_on,
+    _classes,
     _coprime_bands,
     _first_square,
     _local_table,
@@ -282,8 +283,17 @@ def test_selmer_matches_per_class_reference_on_box(a, b):
     assert tuple(int(d) for d in selmer(E)) == selmer_per_class(E)
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(-10**6, 10**6).filter(bool))
+@st.composite
+def many_prime_dx(draw):
+    """D of 5 to 8 distinct primes below 200, 2 among them or not, of either
+    sign, times a fourth power or not: bad sets that random |D| <= 10^6
+    rarely reach."""
+    primes = draw(st.lists(st.sampled_from(PRIMES_BELOW_200), min_size=5, max_size=8, unique=True))
+    return draw(st.sampled_from((1, -1))) * draw(st.sampled_from((1, 2**4, 3**4, 2**8 * 5**4))) * math.prod(primes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.integers(-10**6, 10**6).filter(bool), many_prime_dx()))
 def test_selmer_matches_per_class_reference_on_dx(D):
     for E in (Curve(0, D, 0), Curve(0, -4 * D, 0)):
         assert tuple(int(d) for d in selmer(E)) == selmer_per_class(E)
@@ -453,9 +463,10 @@ def test_local_tables_match_the_hilbert_symbol():
     S = BadSet((2, 3, 5, 7, 11, 13, 1000003))
     gens = (-1,) + S.primes
     for i, v in enumerate(S.primes, 1):
-        cols, reps = _local_table(gens, i)
-        pairs, order = _AT_TWO if v == 2 else _AT_ODD[v % 4]
-        bits = len(cols).bit_length() - 1
+        units, reps = _local_table(gens, i), _classes(v)
+        pairs, order = _PAIRS[v % 4], _ORDER[:len(reps)]
+        bits = len(units)
+        cols = [_xor(units[c] for c in range(bits) if x >> c & 1) for x in range(len(reps))]
         for j, g in enumerate(gens):
             assert _local_coordinates(g, v) == sum((cols[1 << c] >> j & 1) << c for c in range(bits))
         assert [_local_coordinates(r, v) for r in reps] == list(range(len(reps)))
@@ -903,9 +914,16 @@ SIGNED_SQUAREFREE = [s * r for r in (1, 2, 3, 5, 6, 7, 10, 15, 21, 30, 105, 210)
 @given(st.sets(st.sampled_from(SIGNED_SQUAREFREE), max_size=6))
 def test_span_matches_fixed_point_closure(reps):
     gens, S = (-1, 2, 3, 5, 7), BadSet((2, 3, 5, 7))
-    masks = _span(_class_on(r, S) for r in reps)
-    assert len(masks) == len(set(masks))
-    span = {SquareClass(math.prod(g for j, g in enumerate(gens) if m >> j & 1)) for m in masks}
+    rows = []  # _span takes independent rows
+    for r in reps:
+        if _class_on(r, S) not in (m for _, _, m in _span(rows, gens)):
+            rows.append(_class_on(r, S))
+    out = _span(rows, gens)
+    masks = [m for _, _, m in out]
+    assert len(masks) == len(set(masks)) == 2 ** len(rows)
+    assert out == sorted(out)
+    assert all(d == math.prod(g for j, g in enumerate(gens) if m >> j & 1) and n == abs(d) for n, d, m in out)
+    span = {SquareClass(d) for _, d, _ in out}
     assert {int(c) for c in span} == span_oracle(reps)
     # a span passes the closure check; without its largest class (never
     # the trivial one at size >= 4) the size is odd, so it cannot be closed
