@@ -3,7 +3,8 @@
 Subcommands: descent (one curve, full report), family (closed forms),
 table (prime sweeps), verify-cremona (allgens-format checking).
 
-Exit codes: 0 success, 1 internal error, 2 invalid input, 3 mismatch.
+Exit codes: 0 success, 1 internal error, 2 invalid input, 3 mismatch, and,
+silently, 141 (128 + SIGPIPE) when the reader closes stdout early (`| head`).
 
 JSON documents carry schema_version 1 and encode any integer beyond
 2^53 as a decimal string, so exactness survives consumers that read
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 from json.encoder import encode_basestring_ascii as _quote
+import os
 import re
 import sys
 import time
@@ -547,7 +549,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else 2
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # later writes, the interpreter's last flush among them, go nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -220,10 +220,10 @@ def _pmul(f: list[int], g: list[int]) -> list[int]:
 
 
 def _division_polys(E: Curve) -> Callable[[int], list[int]]:
-    """f(m), built on demand and kept: the polynomial whose roots are the x
-    of the points of order dividing m but not 2: the cubic for m = 2, else
-    f_m = psi_m for odd m and psi_m / psi_2 for even m, built from f_3, f_4
-    and the recurrences in F = psi_2^2 of Silverman, AEC, Ex. 3.7."""
+    """f(m) for m > 2, built on demand and kept: the polynomial whose roots are
+    the x of the points of order dividing m but not 2, f_m = psi_m for odd m
+    and psi_m / psi_2 for even m, built from f_3, f_4 and the recurrences in
+    F = psi_2^2 of Silverman, AEC, Ex. 3.7."""
     b2, b4, b6, b8 = 4 * E.a2, 2 * E.a4, 4 * E.a6, 4 * E.a2 * E.a6 - E.a4 * E.a4
     f = {1: [1], 2: [1], 3: [b8, 3 * b6, 3 * b4, b2, 3],
          4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]}
@@ -244,7 +244,7 @@ def _division_polys(E: Curve) -> Callable[[int], list[int]]:
             f[n] = diff if n % 2 else _pmul(get(m), diff)
         return f[n]
 
-    return lambda m: get(m) if m > 2 else [E.a6, E.a4, E.a2, 1]
+    return get
 
 
 def _horner(f: list[int], x: int, n: int) -> tuple[int, int]:
@@ -318,26 +318,30 @@ class TorsionGroup(Record):
         return [int(self.structure[1:])]
 
 
-def _point_sort_key(x, y):
-    return abs(x), x, abs(y), -y
-
-
 def torsion_subgroup(E: Curve) -> TorsionGroup:
     """Exact rational torsion with verified generators.  A point of order
-    m has integral x, a root of f_m, and m <= 12 divides the reduction bound."""
-    bound = torsion_order_bound(E, 6)
-    primes = _good_odd_primes(E, 2)
-    f = _division_polys(E)
+    m has integral x, a root of f_m, and m <= 12 divides the reduction bound,
+    the gcd of the counts mod six good primes.  Each partial gcd is a multiple
+    of |E(Q)_tors|, itself one of |E[2](Q)|, so one equal to |E[2](Q)| is final."""
+    a2, a4, a6 = E.a2, E.a4, E.a6
+    # E[2](Q) - O if a6 = 0: x(x^2 + a2 x + a4) is 0 at 0, and at (-a2 +- s)/2 if a2^2 - 4 a4 = s^2
+    s = math.isqrt(max(disc := a2 * a2 - 4 * a4, 0))
+    two = [] if a6 else [(x, 0) for x in sorted((0, (s - a2) // 2, (-s - a2) // 2))] if s * s == disc else [(0, 0)]
+    primes, bound, f = _good_odd_primes(E, 6), 0, None  # f: the division polynomials, built for an m > 2
+    for q in primes:
+        bound = math.gcd(bound, _count_points(q, a2 % q, a4 % q, a6 % q))
+        if bound == len(two) + 1:
+            return _torsion_group(E, two, bound)
     cands: list[tuple[int, int]] = []
     found = {1}  # the m, ascending, whose f_m gave a rational point
     for m in sorted(_ALLOWED_CYCLIC - {1}):
         # a point of order m has a multiple of order m/l for each prime l | m
         if bound % m or any(m % l == 0 and m // l not in found for l in (2, 3, 5, 7)):
             continue
-        if m == 2 and E.a6 == 0:  # x(x^2 + a2 x + a4): 0, and (-a2 +- s)/2 when a2^2 - 4 a4 = s^2
-            s = math.isqrt(max(disc := E.a2 * E.a2 - 4 * E.a4, 0))
-            roots = sorted((0, (s - E.a2) // 2, (-s - E.a2) // 2)) if s * s == disc else [0]
+        if m == 2:
+            roots = [x for x, _ in two] if a6 == 0 else _integer_roots([a6, a4, a2, 1], primes[0])
         else:  # q is good and prime to m (no two odd primes divide m <= 12): f_m is squarefree mod q
+            f = f or _division_polys(E)
             roots = _integer_roots(f(m), next(q for q in primes if m % q))
         for x in roots:
             v = E.rhs(x)
@@ -357,7 +361,7 @@ def _torsion_group(E: Curve, cands: list[tuple[int, int]], bound: int) -> Torsio
         raise CurveError("torsion enumeration disagrees with the reduction bound")
     if n == 1:
         return TorsionGroup("trivial", (), (INFINITY,))
-    pts = {P: pt(*P) for P in sorted(multiples, key=lambda P: _point_sort_key(*P))}
+    pts = {P: pt(*P) for P in sorted(multiples, key=lambda P: (abs(P[0]), P[0], abs(P[1]), -P[1]))}
     points = (INFINITY, *pts.values())
     orders = {P: len(multiples[P]) + 1 for P in pts}
     max_order = max(orders.values())

@@ -29,19 +29,10 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache, reduce
 from math import gcd, isqrt, prod
-from operator import xor
+from operator import lt, ne, xor
 
 from .arith import ONE, Record, SquareClass, _euler, factorize, squarefree_part, val
-from .curve import (
-    INFINITY,
-    Curve,
-    Pt,
-    TorsionGroup,
-    _add_raw,
-    _point_sort_key,
-    on_curve,
-    torsion_subgroup,
-)
+from .curve import INFINITY, Curve, Pt, TorsionGroup, on_curve, torsion_subgroup
 from .localsolve import QuarticForm, _qp_soluble
 
 __all__ = [
@@ -140,12 +131,6 @@ def bad_set(E: Curve) -> BadSet:
     a, b = _check_descent_model(E)
     odd_parts = {abs(n) >> val(n, 2) for n in (b, a * a - 4 * b)}
     return BadSet(tuple(sorted({2}.union(*(factorize(m).primes() for m in odd_parts)))))
-
-
-def _class_on(n: int, S: BadSet) -> int:
-    """The class of n, whose primes all lie in S, as its generator mask over
-    (-1,) + S: bit 0 for the sign, bit j + 1 for odd valuation at p_j."""
-    return (n < 0) | sum(2 << j for j, q in enumerate(S.primes) if val(n, q) % 2)
 
 
 def qs2(S: BadSet) -> tuple[SquareClass, ...]:
@@ -288,8 +273,9 @@ def selmer(E: Curve) -> SelmerSet:
     return SelmerSet._of(_selmer(E, bad_set(E))[0])
 
 
-def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareClass, int]]:
-    """Sel of E and of E' as {class: generator mask}, each in class order.
+def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareClass, int], int, int]:
+    """Sel of E and of E' as {class: generator mask}, each in class order, then
+    the masks of b' and b over (-1,) + S: bit 0 for the sign, bit j for odd v_pj.
 
     At a place v, the classes d whose C_d has a point over Q_v form W_v,
     and those of E' form the annihilator of W_v under the Hilbert symbol
@@ -323,7 +309,8 @@ def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareCla
             plan = plan[1] if _qp_soluble(_space(a, bp, reps[plan[0]]), v) else plan[2]
         for f, zs in zip(funcs, plan):  # per z, the generators whose L_v is odd on z
             f += [reduce(xor, [cols[j] for j in _BITS[z]]) for z in zs]
-    return tuple({SquareClass(d): m for _, d, m in _span(_kernel(f, len(gens)), gens)} for f in funcs)
+    sel, sel_hat = ({SquareClass(d): m for _, d, m in _span(_kernel(f, len(gens)), gens)} for f in funcs)
+    return sel, sel_hat, seed, dual
 
 
 # Sieve moduli of the point search.  Per modulus q: the squares mod q, and
@@ -518,10 +505,42 @@ class DescentReport(Record):
         return self.pair.Eprime
 
 
-def _canonical_generator(E: Curve, tors: TorsionGroup, Q: Pt) -> Pt:
-    """The least of the points +-Q + T = +-(Q + T), T torsion, in the torsion order."""
-    return min((Pt(P.x, abs(P.y)) for P in (_add_raw(E, Q, T) for T in tors.points)),
-               key=lambda P: _point_sort_key(P.x, P.y))
+def _on_curve_xyz(E: Curve, P: tuple[int, int, int]) -> bool:
+    """Whether x = X/Z^2, y = Y/Z^3 of P = (X, Y, Z) lie on E, a model with a6 = 0."""
+    X, Y, Z = P
+    return Y * Y == X * (X * X + E.a2 * X * Z * Z + E.a4 * Z**4)
+
+
+def _keys(P, Q):
+    """(|x|, x, |y|) of P and of Q, each (X, |Y|, Z > 0), times (Z_P Z_Q)^2, ^2 and ^3."""
+    (X1, Y1, Z1), (X2, Y2, Z2) = P, Q
+    u, v = X1 * Z2 * Z2, X2 * Z1 * Z1
+    return (abs(u), u, Y1 * Z2**3), (abs(v), v, Y2 * Z1**3)
+
+
+def _generators(a: int, tors: TorsionGroup, points: list[tuple[int, int, int]]) -> tuple[Pt, ...]:
+    """Per point Q of infinite order among points, the least of the points +-(Q + T),
+    T torsion, in the order (|x|, x, |y|), once each.  Torsion points are integral
+    (Nagell-Lutz), so only a Q with Z^2 | X and Z^3 | Y can be one.  Q + T for
+    T = (x, y) is a mixed Jacobian sum (Cohen, Miyaji & Ono, ASIACRYPT 1998), with
+    x(Q) != x(T) as Q is not torsion.  A Pt is built only for each one kept."""
+    pairs = [(T.x.numerator, T.y.numerator) for T in tors.points[1:]]
+    kept: list[tuple[int, int, int]] = []
+    for X1, Y1, Z1 in points:
+        z2 = Z1 * Z1
+        if X1 % z2 == 0 and Y1 % (z2 * Z1) == 0 and (X1 // z2, Y1 // (z2 * Z1)) in pairs:
+            continue
+        best = (X1, abs(Y1), abs(Z1))
+        for x, y in pairs:
+            h, r = x * z2 - X1, y * z2 * Z1 - Y1
+            Z3, hh = Z1 * h, h * h
+            X3 = r * r - a * Z3 * Z3 - hh * (X1 + x * z2)
+            P = (X3, abs(r * (X1 * hh - X3) - Y1 * hh * h), abs(Z3))
+            if lt(*_keys(P, best)):
+                best = P
+        if all(ne(*_keys(best, K)) for K in kept):
+            kept.append(best)
+    return tuple(Pt(Fraction(X, Z * Z), Fraction(Y, Z**3)) for X, Y, Z in kept)
 
 
 def _certify_direction(a: int, bp: int, sel: dict[SquareClass, int], seed: int, H: int):
@@ -552,8 +571,7 @@ def descent_report(E: Curve, H: int) -> DescentReport:
     S = bad_set(E)
     # The codomain's 2-torsion gives delta(O) = 1 and delta((0, 0)) = the
     # class of its own a4: Selmer and the certified images start there.
-    seed_phi, seed_hat = _class_on(pair.b_prime, S), _class_on(pair.b, S)
-    sel_phi, sel_hat = _selmer(E, S)
+    sel_phi, sel_hat, seed_phi, seed_hat = _selmer(E, S)
     tors = torsion_subgroup(E)
     notes: list[str] = []
     a, b, bp = E.a2, E.a4, pair.b_prime
@@ -562,22 +580,12 @@ def descent_report(E: Curve, H: int) -> DescentReport:
     # A hit of C_d on (a, b') lifts by psi(z, w) = (d/z^2, -d*w/z^3) to E',
     # descends by phi-hat (x, y) -> (y^2/x^2, y(b' - x^2)/x^2) to
     # E'' = (4a, 16b) and rescales by (x/4, y/8) to E; a hit on (-2a, 16b)
-    # lifts to E'' and rescales.  Both x = d/z^2 are nonzero.
-    points = [Pt(Fraction(r * r, 4 * d * d * m * m * n * n),
-                 Fraction(r * (d * d * n**4 - bp * m**4), 8 * d * d * m**3 * n**3))
-              for d, m, n, r in hits_phi]
-    points += [Pt(Fraction(d * n * n, 4 * m * m), Fraction(-r * n, 8 * m**3)) for d, m, n, r in hits_hat]
-    if not all(on_curve(E, P) for P in points):
+    # lifts to E'' and rescales.  Both x = d/z^2 are nonzero.  A point is
+    # (X, Y, Z) with x = X/Z^2, y = Y/Z^3.
+    points = [(r * r, d * r * (d * d * n**4 - bp * m**4), 2 * d * m * n) for d, m, n, r in hits_phi]
+    points += [(d * n * n, -r * n, 2 * m) for d, m, n, r in hits_hat]
+    if not all(P[2] and _on_curve_xyz(E, P) for P in points):
         raise DescentError("a lifted point did not descend onto the curve")
-
-    torsion_pts = set(tors.points)
-    gens: list[Pt] = []
-    for Q in points:
-        if Q in torsion_pts:
-            continue
-        C = _canonical_generator(E, tors, Q)
-        if C not in gens:
-            gens.append(C)
 
     s, sp, g, gp = (len(c).bit_length() - 1 for c in (sel_phi, sel_hat, image_phi, image_hat))
     rank_upper = s + sp - 2
@@ -609,7 +617,7 @@ def descent_report(E: Curve, H: int) -> DescentReport:
         sha_phi_dim_upper=sha_phi,
         sha_phi_hat_dim_upper=sha_hat,
         torsion=tors,
-        generators=tuple(gens),
+        generators=_generators(a, tors, points),
         search_height=H,
         notes=tuple(notes),
     )

@@ -117,6 +117,15 @@ def o_order(coeffs, P, cap: int = 16) -> int | None:
     return None
 
 
+def canonical_generator_oracle(coeffs, torsion, Q):
+    """descent's choice of generator for the point Q of infinite order, as
+    first written with the Fraction group law: the least of the points
+    +-(Q + T) over the torsion points T (None for infinity), in the order
+    (|x|, x, |y|), as (x, |y|)."""
+    sums = [o_add(coeffs, Q, T) for T in torsion]
+    return min(((x, abs(y)) for x, y in sums), key=lambda P: (abs(P[0]), P[0], P[1]))
+
+
 def count_points_brute(coeffs: tuple[int, int, int], q: int) -> int:
     a2, a4, a6 = coeffs
     squares: dict[int, int] = {}
@@ -296,6 +305,12 @@ def val_oracle(n: int, p: int) -> int:
         n //= p
         k += 1
     return k
+
+
+def class_on_oracle(n: int, primes) -> int:
+    """The class of n != 0, whose primes all lie in primes, as its mask over
+    (-1,) + primes: bit 0 for the sign, bit j + 1 for odd valuation at primes[j]."""
+    return (n < 0) | sum(2 << j for j, q in enumerate(primes) if val_oracle(n, q) % 2)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -45,6 +48,23 @@ def test_internal_error_names_the_exception(capsys, monkeypatch):
     rc, out, err = run(capsys, "descent", "--a2", "0", "--a4", "17")
     assert rc == 1 and out == ""
     assert err == "internal error: MemoryError: \n"
+
+
+def test_a_reader_that_closes_the_pipe_early_gets_no_error(tmp_path):
+    # `table ep --max 30000` writes about 400 kB, more than a pipe holds, so
+    # the reader's close after one line meets writes still to come
+    src = os.path.dirname(os.path.dirname(cli_module.__file__))
+    with open(tmp_path / "err", "w+b") as err:
+        proc = subprocess.Popen([sys.executable, "-m", "twodescent.cli", "table", "ep", "--max", "30000"],
+                                stdout=subprocess.PIPE, stderr=err, env={**os.environ, "PYTHONPATH": src})
+        try:
+            assert proc.stdout.readline().startswith(b"p=3 ")
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 141
+        finally:
+            proc.kill()  # nothing to do once it has exited
+        err.seek(0)
+        assert err.read() == b""
 
 
 def test_descent_text_report(capsys):

@@ -407,6 +407,51 @@ def test_torsion_skips_f_m_without_points_of_order_m_over_l(monkeypatch, coeffs,
     assert requested == built
 
 
+@pytest.mark.parametrize("coeffs,two,counts,builds", [
+    ((0, 17, 0), 2, 2, 0),    # Z2: the counts mod 3 and 5, 4 and 2, have gcd 2 = |E[2](Q)|
+    ((-10, 9, 0), 4, 6, 1),   # Z2xZ2 with bound 8: all six counts, and f_4 is searched
+    ((-1, 1, 0), 2, 6, 1),    # Z4 with bound 8: f_4 and f_8 are searched, from one build
+])
+def test_torsion_counts_points_until_the_gcd_is_the_two_torsion(monkeypatch, coeffs, two, counts, builds):
+    # each partial gcd of the counts is a multiple of |E(Q)_tors|, which
+    # |E[2](Q)| divides: the counting stops at a gcd of |E[2](Q)|, and the
+    # division polynomials are built only when some m > 2 is searched
+    E = Curve(*coeffs)
+    good, g, stop = _good_odd_primes(E, 6), 0, 6
+    for i, q in enumerate(good, 1):
+        g = math.gcd(g, count_points_brute(coeffs, q))
+        if g == two:
+            stop = i
+            break
+    assert stop == counts
+    counted, built = [], []
+    count_points, division_polys = curve_module._count_points, curve_module._division_polys
+    monkeypatch.setattr(curve_module, "_count_points", lambda *args: counted.append(args) or count_points(*args))
+    monkeypatch.setattr(curve_module, "_division_polys", lambda E: built.append(E) or division_polys(E))
+    T = torsion_subgroup(E)
+    assert T.invariants() == torsion_invariants_brute(coeffs) and 1 + sum(P.y == 0 for P in T.points[1:]) == two
+    assert [args[0] for args in counted] == good[:counts] and len(built) == builds
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(-60, 60), st.integers(-60, 60), st.integers(-60, 60)),
+    st.tuples(st.integers(-300, 300), st.integers(-300, 300), st.just(0)),
+    st.tuples(st.integers(-300, 300), st.integers(-300, 300)).map(lambda rs: (-(rs[0] + rs[1]), rs[0] * rs[1], 0)),
+))
+def test_torsion_stops_at_the_full_reduction_bound(coeffs):
+    # the bound the search ends with, early or not, is the gcd over all six primes
+    E = _model(*coeffs)
+    assume(E is not None)
+    bounds = []
+    torsion_group = curve_module._torsion_group
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curve_module, "_torsion_group", lambda E, cands, bound: bounds.append(bound) or
+                   torsion_group(E, cands, bound))
+        torsion_subgroup(E)
+    assert bounds == [torsion_order_bound(E, 6)]
+
+
 @pytest.mark.parametrize("k", [16, 30])
 def test_torsion_of_primorial_dx_models_is_fast(k):
     # y^2 = x^3 + Dx, D = 2*3*...*p_k.  At k = 16 the reduction bound is 4

@@ -4,6 +4,7 @@ import itertools
 import math
 import time
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import twodescent.descent as descent_module
 from twodescent.arith import ONE, SquareClass, legendre, squarefree_part
-from twodescent.curve import Curve, INFINITY, Pt, add, discriminant, mul, on_curve, pt
+from twodescent.curve import Curve, INFINITY, Pt, add, discriminant, mul, on_curve, pt, torsion_subgroup
 from twodescent.descent import (
     BadSet,
     DescentError,
@@ -22,13 +23,13 @@ from twodescent.descent import (
     _ORDER,
     _PAIRS,
     _band_mask,
-    _canonical_generator,
-    _class_on,
     _classes,
     _coprime_bands,
     _first_square,
+    _generators,
     _local_table,
     _minus_one_real,
+    _on_curve_xyz,
     _orbit_masks,
     _period,
     _selmer,
@@ -49,7 +50,9 @@ import twodescent.localsolve as localsolve_module
 from twodescent.localsolve import QuarticForm, _qp_soluble, qp_soluble, r_soluble
 
 from .oracles import (
+    canonical_generator_oracle,
     certify_oracle,
+    class_on_oracle,
     hilbert_brute,
     o_on_curve,
     o_order,
@@ -133,10 +136,12 @@ def test_an_off_curve_image_is_a_typed_refusal(monkeypatch):
     with pytest.raises(DescentError, match="off the isogenous curve"):
         phi_map(pair, pt(-1, 2))
     E = Curve(0, -2, 0)  # rank 1, generator (-1, 1) lifted from a 2-covering
-    monkeypatch.setattr(descent_module, "on_curve", off_the_curve(E))
+    monkeypatch.setattr(descent_module, "on_curve", real)
+    real_xyz = _on_curve_xyz
+    monkeypatch.setattr(descent_module, "_on_curve_xyz", lambda C, P: real_xyz(C, P) and C != E)
     with pytest.raises(DescentError, match="did not descend"):
         descent_report(E, 10)
-    monkeypatch.setattr(descent_module, "on_curve", real)
+    monkeypatch.setattr(descent_module, "_on_curve_xyz", real_xyz)
     certify = descent_module._certify_direction
     monkeypatch.setattr(descent_module, "_certify_direction",
                         lambda *args: (lambda image, lifts: (image * 4, lifts))(*certify(*args)))
@@ -257,7 +262,106 @@ def test_canonical_generator_is_the_least_of_plus_minus_q_plus_torsion(a, b):
         assert G == least
         for T in rep.torsion.points:
             for Q in (add(E, G, T), add(E, Pt(G.x, -G.y), T)):
-                assert _canonical_generator(E, rep.torsion, Q) == G
+                assert _generators(a, rep.torsion, [_xyz(Q)]) == (G,)
+
+
+def _xyz(P: Pt) -> tuple[int, int, int]:
+    """(X, Y, Z), Z > 0, with x = X/Z^2 and y = Y/Z^3, of an affine point of an integral model."""
+    Z = math.isqrt(P.x.denominator)
+    assert Z * Z == P.x.denominator and P.y.denominator == Z**3
+    return P.x.numerator, P.y.numerator, Z
+
+
+def _xyz_point(P) -> Pt:
+    X, Y, Z = P
+    return Pt(Fraction(X, Z * Z), Fraction(Y, Z**3))
+
+
+# Kubert's curves (Tate normal form, test_curve.KUBERT; Z4 is b = t, c = 0)
+# at parameters t where descent_report at height 30 finds a point of
+# infinite order once the rational 2-torsion point of index i, by
+# ascending x, is moved to (0, 0)
+KUBERT_GENERATOR_MODELS = (("Z4", "-12", 0), ("Z4", "-11/5", 0), ("Z2xZ4", "-4", 0), ("Z2xZ4", "-4", 1),
+                           ("Z2xZ4", "-3/2", 2), ("Z8", "-3", 0), ("Z8", "-1/4", 0), ("Z2xZ8", "1/3", 2),
+                           ("Z2xZ8", "-5/16", 1))
+
+
+@lru_cache(maxsize=None)
+def _kubert_origin_model(structure: str, t: str, i: int) -> Curve:
+    from .test_curve import KUBERT, _tate_model
+
+    E = _tate_model(*((Fraction(t), 0) if structure == "Z4" else KUBERT[structure][0](Fraction(t))))
+    r = sorted(int(P.x) for P in torsion_subgroup(E).points[1:] if P.y == 0)[i]
+    return Curve(E.a2 + 3 * r, E.a4 + 2 * E.a2 * r + 3 * r * r, 0)
+
+
+@lru_cache(maxsize=None)
+def _torsion_and_generators(E: Curve):
+    rep = descent_report(E, 30)
+    return rep.torsion, rep.generators
+
+
+@pytest.mark.parametrize("model", KUBERT_GENERATOR_MODELS)
+def test_kubert_origin_models_keep_their_torsion_and_have_a_generator(model):
+    tors, gens = _torsion_and_generators(_kubert_origin_model(*model))
+    assert tors.structure == model[0] and gens
+
+
+GENERATOR_CURVES = st.one_of(
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
+        lambda ab: nonsingular(*ab)).map(lambda ab: Curve(*ab, 0)),
+    st.integers(-10**6, 10**6).filter(bool).map(lambda D: Curve(0, D, 0)),
+    st.sampled_from(TORSION_FOUR).map(lambda ab: Curve(*ab, 0)),
+    st.sampled_from(KUBERT_GENERATOR_MODELS).map(lambda m: _kubert_origin_model(*m)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(GENERATOR_CURVES, st.integers(1, 3), st.booleans(), st.integers(0, 15),
+       st.integers(-4, 4).filter(bool))
+def test_integer_generator_choice_matches_the_fraction_oracle(E, k, negate, t, lam):
+    # Q = +-kG + T, G a generator the report found and T torsion, given as
+    # (lam^2 X, lam^3 Y, lam Z): lam < 0 makes Z < 0, as a phi hit of d < 0 does
+    tors, gens = _torsion_and_generators(E)
+    assume(gens)
+    T = tors.points[t % tors.order]
+    Q = add(E, mul(E, -k if negate else k, gens[0]), T)
+    X, Y, Z = _xyz(Q)
+    coeffs = (E.a2, E.a4, 0)
+    want = canonical_generator_oracle(coeffs, [None] + [(P.x, P.y) for P in tors.points[1:]], (Q.x, Q.y))
+    assert _generators(E.a2, tors, [(lam * lam * X, lam**3 * Y, lam * Z)]) == (Pt(*want),)
+    # Q twice, scaled apart, is kept once, and the torsion points are dropped
+    torsion = [_xyz(P) for P in tors.points[1:]]
+    assert _generators(E.a2, tors, [(lam * lam * X, lam**3 * Y, lam * Z), *torsion, (X, Y, Z)]) == (Pt(*want),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-30, 30), st.integers(-30, 30), st.integers(-30, 30).filter(bool), st.integers(1, 4),
+       st.integers(-3, 3).filter(bool), st.integers(-2, 2), st.integers(-2, 2), st.integers(-10**4, 10**4),
+       st.integers(-10**4, 10**4), st.integers(-30, 30).filter(bool))
+def test_integer_on_curve_check_matches_on_curve(a, c, x0, k, lam, dx, dy, X, Y, Z):
+    # b plants the integral point (x0, c x0) on E; its multiple kP, scaled
+    # by lam, is on E, and moved by (dx, dy) mostly off it; (X, Y, Z) is drawn
+    b = c * c * x0 - x0 * x0 - a * x0
+    assume(nonsingular(a, b))
+    E = Curve(a, b, 0)
+    P = mul(E, k, pt(x0, c * x0))
+    if P != INFINITY:
+        X0, Y0, Z0 = _xyz(P)
+        assert _on_curve_xyz(E, (lam * lam * X0, lam**3 * Y0, lam * Z0))
+        moved = (lam * lam * X0 + dx, lam**3 * Y0 + dy, lam * Z0)
+        assert _on_curve_xyz(E, moved) == on_curve(E, _xyz_point(moved))
+    assert _on_curve_xyz(E, (X, Y, Z)) == on_curve(E, _xyz_point((X, Y, Z)))
+
+
+def test_a_hit_at_z_zero_is_a_typed_refusal(monkeypatch):
+    # a hit with m = 0 would give Z = 0, which is no affine point: the
+    # report refuses it with a DescentError, not a ZeroDivisionError
+    certify = descent_module._certify_direction
+    monkeypatch.setattr(descent_module, "_certify_direction",
+                        lambda *args: (certify(*args)[0], [(1, 0, 1, 1)]))
+    with pytest.raises(DescentError, match="did not descend"):
+        descent_report(Curve(0, -2, 0), 10)
 
 
 def selmer_per_class(E: Curve) -> tuple[int, ...]:
@@ -329,7 +433,7 @@ def _selmer_and_tests(E: Curve):
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(descent_module, "_qp_soluble", counting_qp)
-        sels = _selmer(E, bad_set(E))
+        sels = _selmer(E, bad_set(E))[:2]
     return tuple(tuple(int(d) for d in sel) for sel in sels), tests
 
 
@@ -362,7 +466,7 @@ def test_selmer_tests_each_local_class_once(E, monkeypatch):
     assert all(n <= 3 for v, n in tests.items() if v > 2)
     S = bad_set(E)
     monkeypatch.setattr(localsolve_module, "is_prime", lambda n: pytest.fail(f"{n} proved prime again"))
-    assert tuple(tuple(int(d) for d in sel) for sel in _selmer(E, S)) == sels
+    assert tuple(tuple(int(d) for d in sel) for sel in _selmer(E, S)[:2]) == sels
 
 
 PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
@@ -409,12 +513,27 @@ def test_both_selmer_sets_match_the_pivot_and_walk_oracles(E):
     # order included; the second is the first set of the call on E'
     Ep = isogenous_curve(E).Eprime
     S = bad_set(E)
-    sel, sel_hat = _selmer(E, S)
+    sel, sel_hat, *_ = _selmer(E, S)
     assert list(sel.items()) == list(selmer_pivot_oracle(E).items())
     assert list(sel_hat.items()) == list(selmer_pivot_oracle(Ep).items())
     assert tuple(map(int, sel)) == selmer_walk_oracle(E)[0]
     assert tuple(map(int, sel_hat)) == selmer_walk_oracle(Ep)[0]
     assert list(_selmer(Ep, S)[0].items()) == list(sel_hat.items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
+        lambda ab: nonsingular(*ab)).map(lambda ab: Curve(*ab, 0)),
+    st.integers(-10**6, 10**6).filter(bool).map(lambda D: Curve(0, D, 0)),
+    twisted_box_curves(),
+))
+def test_selmer_returns_the_seed_masks_of_b_prime_and_b(E):
+    # the report's seeds, the classes of b' and b, come from the same
+    # valuation pass as the Selmer sets
+    S = bad_set(E)
+    bp = isogenous_curve(E).b_prime
+    assert _selmer(E, S)[2:] == (class_on_oracle(bp, S.primes), class_on_oracle(E.a4, S.primes))
 
 
 @settings(max_examples=60, deadline=None)
@@ -428,7 +547,7 @@ def test_selmer_of_a_scaled_model_is_the_walk_on_that_model(a, b, u):
     assume(b != 0 and a * a != 4 * b)
     E = Curve(u * u * a, u**4 * b, 0)
     Ep = isogenous_curve(E).Eprime
-    sel, sel_hat = _selmer(E, bad_set(E))
+    sel, sel_hat, *_ = _selmer(E, bad_set(E))
     assert (tuple(map(int, sel)), tuple(map(int, sel_hat))) == (
         selmer_walk_oracle(E)[0], selmer_walk_oracle(Ep)[0])
 
@@ -916,8 +1035,8 @@ def test_span_matches_fixed_point_closure(reps):
     gens, S = (-1, 2, 3, 5, 7), BadSet((2, 3, 5, 7))
     rows = []  # _span takes independent rows
     for r in reps:
-        if _class_on(r, S) not in (m for _, _, m in _span(rows, gens)):
-            rows.append(_class_on(r, S))
+        if class_on_oracle(r, S.primes) not in (m for _, _, m in _span(rows, gens)):
+            rows.append(class_on_oracle(r, S.primes))
     out = _span(rows, gens)
     masks = [m for _, _, m in out]
     assert len(masks) == len(set(masks)) == 2 ** len(rows)
@@ -1022,7 +1141,8 @@ def test_closed_form_points_are_the_lifts_pushed_down_to_e(E, H):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(descent_module, "_certify_direction",
                    lambda *args: (lambda out: hits.append(out[1]) or out)(certify(*args)))
-        mp.setattr(descent_module, "on_curve", lambda C, P: checked.append((C, P)) or on_curve(C, P))
+        mp.setattr(descent_module, "_on_curve_xyz",
+                   lambda C, P: checked.append((C, _xyz_point(P))) or _on_curve_xyz(C, P))
         descent_report(E, H)
     pair = isogenous_curve(E)
     back = isogenous_curve(pair.Eprime)
@@ -1086,16 +1206,16 @@ def test_descent_report_builds_quartic_forms_only_in_hom_space(monkeypatch):
 
 
 def test_descent_report_checks_each_lifted_point_once_per_curve(monkeypatch):
-    # each hit becomes one point, built on E and checked there once: the
-    # report path builds no point of E' or E'', searches and lifts through
-    # neither search_point nor lift_point, and refactors no class
+    # each hit becomes one point, built on E in integers and checked there
+    # once: the report path checks no point with the Fraction on_curve,
+    # builds a Pt only for each generator it keeps, searches and lifts
+    # through neither search_point nor lift_point, and refactors no class
     import twodescent.curve as curve_module
 
     checks, built, hits = [], [], []
-    on_curve_, Pt_, certify = curve_module.on_curve, descent_module.Pt, descent_module._certify_direction
-    counting = lambda C, P: checks.append(C) or on_curve_(C, P)
-    monkeypatch.setattr(curve_module, "on_curve", counting)
-    monkeypatch.setattr(descent_module, "on_curve", counting)
+    Pt_, certify = descent_module.Pt, descent_module._certify_direction
+    monkeypatch.setattr(descent_module, "_on_curve_xyz",
+                        lambda C, P: checks.append((C, P)) or _on_curve_xyz(C, P))
     monkeypatch.setattr(descent_module, "Pt", lambda x, y: built.append(Pt_(x, y)) or built[-1])
     monkeypatch.setattr(descent_module, "_certify_direction",
                         lambda *args: (lambda out: hits.extend(out[1]) or out)(certify(*args)))
@@ -1105,17 +1225,19 @@ def test_descent_report_checks_each_lifted_point_once_per_curve(monkeypatch):
             raise AssertionError(f"{name} called on the report path")
         return refused
 
-    for name in ("squarefree_part", "search_point", "lift_point"):
-        monkeypatch.setattr(descent_module, name, refuse(name))
-    # cyclic torsion, so the torsion computation itself checks no point
+    for module, name in ((descent_module, "squarefree_part"), (descent_module, "search_point"),
+                         (descent_module, "lift_point"), (descent_module, "on_curve"),
+                         (curve_module, "on_curve")):
+        monkeypatch.setattr(module, name, refuse(name))
     for a, b in ((-6, 12), (-11, 2), (-11, -9)):
         checks.clear()
         built.clear()
         hits.clear()
         E = Curve(a, b, 0)
         rep = descent_report(E, 20)
-        assert rep.generators and hits and checks == [E] * len(hits)
-        assert all(on_curve_(E, P) for P in built)
+        assert rep.generators and hits and [C for C, _ in checks] == [E] * len(hits)
+        assert all(on_curve(E, _xyz_point(P)) for _, P in checks)
+        assert built == list(rep.generators)
 
 
 @settings(max_examples=200, deadline=None)
