@@ -27,12 +27,9 @@ from .curve import (
     discriminant,
     from_cubic_const,
     j_invariant,
-    mul,
     neg,
     on_curve,
     pt,
-    shift_x,
-    torsion_order_bound,
     torsion_subgroup,
 )
 from .localsolve import (
@@ -49,14 +46,9 @@ from .descent import (
     IsogenyPair,
     SelmerSet,
     bad_set,
-    delta_class,
     descent_report,
-    hom_space,
     isogenous_curve,
-    lift_point,
-    phi_map,
     qs2,
-    search_point,
     selmer,
 )
 from .families import (

@@ -71,7 +71,14 @@ def val(n: int, p: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin; refuses an n >= 3.317e24 passing every base."""
+    """Deterministic Miller-Rabin; refuses a non-integer n, and an n >= 3.317e24 passing every base."""
+    if not isinstance(n, int):
+        raise ArithError(f"need an integer, not {n!r}")
+    return _is_prime(n)
+
+
+def _is_prime(n: int) -> bool:
+    """is_prime for an int n."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -215,6 +222,8 @@ def factorize(n: int) -> Factorization:
     Raises UnfactoredCofactor rather than returning a wrong or partial
     answer when a cofactor resists the rho splitter.
     """
+    if not isinstance(n, int):
+        raise ArithError(f"need an integer, not {n!r}")
     if n == 0:
         raise ArithError("cannot factor zero")
     found: dict[int, int] = {}
@@ -238,7 +247,7 @@ def _settle(m: int, e: int, found: dict[int, int]) -> bool:
     a square or cube (factored through its root); False otherwise."""
     if m < _SETTLE_FROM:
         return m == 1
-    if m < _MR_VALID_BELOW and is_prime(m):
+    if m < _MR_VALID_BELOW and _is_prime(m):
         found[m] = found.get(m, 0) + e
         return True
     for k, r in ((2, math.isqrt(m)), (3, _cube_root_exact(m))):
@@ -280,7 +289,7 @@ def _factor_into(m: int, e: int, found: dict[int, int]) -> None:
     stack = [m]
     while stack:
         c = stack.pop()
-        if is_prime(c):
+        if _is_prime(c):
             found[c] = found.get(c, 0) + e
         else:
             g = _rho_split(c, budget)  # 1 < g < c

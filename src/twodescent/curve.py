@@ -27,13 +27,10 @@ __all__ = [
     "on_curve",
     "add",
     "neg",
-    "mul",
     "count_points_mod",
-    "torsion_order_bound",
     "TorsionGroup",
     "torsion_subgroup",
     "from_cubic_const",
-    "shift_x",
 ]
 
 # Orders of the rational torsion groups that can occur: cyclic of order
@@ -118,7 +115,10 @@ def neg(E: Curve, P: Pt) -> Pt:
     return Pt(P.x, -P.y)
 
 
-def _add_raw(E: Curve, P: Pt, Q: Pt) -> Pt:
+def add(E: Curve, P: Pt, Q: Pt) -> Pt:
+    """Chord-tangent sum with the point at infinity as identity."""
+    _require_on_curve(E, P)
+    _require_on_curve(E, Q)
     if P.is_infinity:
         return Q
     if Q.is_infinity:
@@ -133,28 +133,6 @@ def _add_raw(E: Curve, P: Pt, Q: Pt) -> Pt:
     x3 = lam * lam - E.a2 - P.x - Q.x
     y3 = lam * (P.x - x3) - P.y
     return Pt(x3, y3)
-
-
-def add(E: Curve, P: Pt, Q: Pt) -> Pt:
-    """Chord-tangent sum with the point at infinity as identity."""
-    _require_on_curve(E, P)
-    _require_on_curve(E, Q)
-    return _add_raw(E, P, Q)
-
-
-def mul(E: Curve, m: int, P: Pt) -> Pt:
-    """m-fold sum by double and add; negative m through negation."""
-    _require_on_curve(E, P)
-    if m < 0:
-        m, P = -m, Pt(P.x, -P.y) if not P.is_infinity else P
-    R = INFINITY
-    B = P
-    while m:
-        if m & 1:
-            R = _add_raw(E, R, B)
-        B = _add_raw(E, B, B)
-        m >>= 1
-    return R
 
 
 def count_points_mod(E: Curve, q: int) -> int:
@@ -197,17 +175,6 @@ def _good_odd_primes(E: Curve, k: int) -> list[int]:
     while len(out := [q for q in _odd_primes(limit) if disc % q]) < k:
         limit *= 4
     return out[:k]
-
-
-def torsion_order_bound(E: Curve, k: int) -> int:
-    """gcd of group orders mod the first k good odd primes.
-
-    Reduction mod a good odd prime is injective on torsion, so the
-    result is a multiple of the rational torsion order.
-    """
-    if k < 1:
-        raise CurveError("need k >= 1")
-    return math.gcd(*(_count_points(q, E.a2 % q, E.a4 % q, E.a6 % q) for q in _good_odd_primes(E, k)))
 
 
 def _pmul(f: list[int], g: list[int]) -> list[int]:
@@ -389,9 +356,3 @@ def from_cubic_const(c: int) -> Curve:
         raise CurveError("need c != 0")
     return Curve(-3 * c, 3 * c * c, 0)
 
-
-def shift_x(P: Pt, delta) -> Pt:
-    """Translate the x-coordinate: (x, y) -> (x + delta, y)."""
-    if P.is_infinity:
-        return P
-    return Pt(P.x + Fraction(delta), P.y)

@@ -31,36 +31,26 @@ from functools import lru_cache, reduce
 from math import gcd, isqrt, prod
 from operator import lt, ne, xor
 
-from .arith import ONE, Record, SquareClass, _euler, factorize, squarefree_part, val
-from .curve import INFINITY, Curve, Pt, TorsionGroup, on_curve, torsion_subgroup
+from .arith import ONE, Record, SquareClass, _euler, factorize, val
+from .curve import Curve, Pt, TorsionGroup, torsion_subgroup
 from .localsolve import QuarticForm, _qp_soluble
 
 __all__ = [
     "DescentError",
-    "TorsionImageError",
     "IsogenyPair",
     "BadSet",
     "SelmerSet",
     "DescentReport",
     "isogenous_curve",
-    "phi_map",
-    "delta_class",
     "bad_set",
     "qs2",
-    "hom_space",
     "selmer",
-    "search_point",
-    "lift_point",
     "descent_report",
 ]
 
 
 class DescentError(ValueError):
     pass
-
-
-class TorsionImageError(DescentError):
-    """Lift requested at z = 0 or infinity; those map to O or (0, 0)."""
 
 
 def _check_descent_model(E: Curve) -> tuple[int, int]:
@@ -88,32 +78,6 @@ class IsogenyPair(Record):
 def isogenous_curve(E: Curve) -> IsogenyPair:
     a, b = _check_descent_model(E)
     return IsogenyPair(E, Curve(-2 * a, a * a - 4 * b, 0))
-
-
-def phi_map(pair: IsogenyPair, P: Pt) -> Pt:
-    """(x, y) -> (y^2/x^2, y(b - x^2)/x^2); kernel {O, (0, 0)} to O."""
-    if not on_curve(pair.E, P):
-        raise DescentError("point is not on the source curve")
-    if P.is_infinity or (P.x == 0 and P.y == 0):
-        return INFINITY
-    x, y = P.x, P.y
-    img = Pt(y * y / (x * x), y * (pair.b - x * x) / (x * x))
-    if not on_curve(pair.Eprime, img):
-        raise DescentError("phi sent the point off the isogenous curve")
-    return img
-
-
-def delta_class(C: Curve, P: Pt) -> SquareClass:
-    """Connecting homomorphism to Q*/(Q*)^2 for a curve with a6 = 0."""
-    if C.a6 != 0:
-        raise DescentError("need a6 = 0")
-    if not on_curve(C, P):
-        raise DescentError("point is not on the curve")
-    if P.is_infinity:
-        return ONE
-    if P.x == 0:
-        return squarefree_part(C.a4)
-    return squarefree_part(P.x.numerator * P.x.denominator)
 
 
 class BadSet(Record):
@@ -178,17 +142,9 @@ class SelmerSet(Record):
         return iter(self.classes)
 
 
-def hom_space(E: Curve, d) -> QuarticForm:
-    """Cleared model Y^2 = d*b'*z^4 - 2*a*d^2*z^2 + d^3 of C_d, Y = d*w."""
-    a, b = _check_descent_model(E)
-    dd = int(d)
-    if dd == 0:
-        raise DescentError("d must be a nonzero class")
-    return _space(a, a * a - 4 * b, dd)
-
-
 def _space(a: int, bp: int, d: int) -> QuarticForm:
-    """hom_space for a checked model with b' = bp and an integer d != 0."""
+    """Cleared model Y^2 = d*b'*z^4 - 2*a*d^2*z^2 + d^3 of C_d, Y = d*w, for a
+    checked model with b' = bp and an integer d != 0."""
     return QuarticForm((d * bp, 0, -2 * a * d * d, 0, d**3))
 
 
@@ -440,44 +396,6 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
                     keep = _every(W, R * W - 1, (1 << h) - 1)
                     mask &= keep
     return hit
-
-
-def search_point(E: Curve, d, H: int):
-    """A rational point (z, w) of C_d with height(z) <= H, if one shows up.
-
-    Returns a pair of Fractions for the first affine point in the order
-    of _first_square, "infinity" when no affine point was found but the
-    two points at infinity are rational (d * b' a square), None on a
-    miss.
-    """
-    _check_height(H)
-    a, b = _check_descent_model(E)
-    dd = int(d)
-    c4, _, c2, _, c0 = hom_space(E, d).c
-    hit = _first_square(c4, c2, c0, H)
-    if hit is not None:
-        m, n, r = hit
-        return Fraction(m, n), Fraction(r, n * n * abs(dd))
-    lead = dd * (a * a - 4 * b)
-    if lead > 0 and isqrt(lead) ** 2 == lead:
-        return "infinity"
-    return None
-
-
-def lift_point(pair: IsogenyPair, d, zw) -> Pt:
-    """psi(z, w) = (d/z^2, -d*w/z^3), a point of E' with class d."""
-    if zw == "infinity":
-        raise TorsionImageError("torsion image")
-    z, w = Fraction(zw[0]), Fraction(zw[1])
-    if z == 0:
-        raise TorsionImageError("torsion image")
-    dd = int(d)
-    X = Fraction(dd) / (z * z)
-    Y = -Fraction(dd) * w / (z * z * z)
-    P = Pt(X, Y)
-    if not on_curve(pair.Eprime, P):
-        raise DescentError("(z, w) does not lie on C_d")
-    return P
 
 
 class DescentReport(Record):

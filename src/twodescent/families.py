@@ -601,6 +601,8 @@ def ep_table(
     mod8, one of 1, 3, 5, 7, keeps p = mod8 (mod 8); quartic_only keeps p
     with 2 a fourth power mod p (forces p = 1 mod 8).
     """
+    if not isinstance(p_max, int):
+        raise FamilyError(f"need an integer p_max, not {p_max!r}")
     if p_max > _EP_TABLE_BUDGET:
         raise FamilyError(f"p_max beyond the {_EP_TABLE_BUDGET} budget")
     _check_height(height)

@@ -7,8 +7,7 @@ lazily: qp_soluble_two_pass_oracle checks only how qp_soluble covers the
 projective line, over the package's own (separately checked) zp_soluble,
 selmer_walk_oracle and selmer_pivot_oracle check only how selmer
 combines the package's own (separately checked) local tests, and
-certify_oracle only how descent_report walks the Selmer classes over the
-package's own search_point and lift_point.
+unit_orbit_masks_oracle lays its orbits out with the package's _every.
 """
 
 from __future__ import annotations
@@ -98,6 +97,19 @@ def o_add(coeffs, P, Q):
     x3 = lam * lam - a2 - x1 - x2
     y3 = lam * (x1 - x3) - y1
     return (x3, y3)
+
+
+def psi_oracle(d: int, zw):
+    """psi(z, w) = (d/z^2, -d*w/z^3): a point (z, w) of C_d, z != 0, to E'."""
+    z, w = zw
+    return Fraction(d) / (z * z), -d * w / (z * z * z)
+
+
+def phi_hat_oracle(b: int, P):
+    """(x, y) -> (y^2/x^2, y(b - x^2)/x^2), x != 0: the 2-isogeny with kernel
+    {O, (0, 0)} of y^2 = x^3 + a*x^2 + b*x, phi on E and phi-hat on E'."""
+    x, y = P
+    return y * y / (x * x), y * (b - x * x) / (x * x)
 
 
 def o_mul(coeffs, m: int, P):
@@ -391,6 +403,12 @@ def zp_soluble_oracle(c: tuple[int, ...], p: int) -> bool:
     return False
 
 
+def space_oracle(a: int, b: int, d: int) -> tuple[int, ...]:
+    """Coefficients of C_d of y^2 = x^3 + a*x^2 + b*x cleared by Y = d*w:
+    Y^2 = d*b'*z^4 - 2*a*d^2*z^2 + d^3 with b' = a^2 - 4b."""
+    return d * (a * a - 4 * b), 0, -2 * a * d * d, 0, d**3
+
+
 def reversed_form(f):
     """t^4 * f(1/t) of a QuarticForm f: swaps z = 0 with the points at infinity."""
     return type(f)(f.c[::-1])
@@ -428,8 +446,8 @@ def selmer_walk_oracle(E):
     and unit mod 8 at 2; v_p parity and unit residue symbol at odd p), so
     only the first d to reach a local class is tested there.
     """
-    from twodescent.descent import bad_set, hom_space, qs2
-    from twodescent.localsolve import qp_soluble, r_soluble
+    from twodescent.descent import bad_set, qs2
+    from twodescent.localsolve import QuarticForm, qp_soluble, r_soluble
 
     def local_class(d: int, v: int):
         if v == 0:
@@ -445,7 +463,7 @@ def selmer_walk_oracle(E):
         for v in (0,) + S.primes:
             key = (v, local_class(d, v))
             if key not in verdicts:
-                f = hom_space(E, d)
+                f = QuarticForm(space_oracle(E.a2, E.a4, d))
                 verdicts[key] = bool(qp_soluble(f, v) if v else r_soluble(f))
                 tests[v] = tests.get(v, 0) + 1
             if not verdicts[key]:
@@ -469,8 +487,8 @@ def selmer_pivot_oracle(E):
     a basis of the soluble images make the next basis.
     """
     from twodescent.arith import SquareClass
-    from twodescent.descent import bad_set, hom_space
-    from twodescent.localsolve import qp_soluble, r_soluble
+    from twodescent.descent import bad_set
+    from twodescent.localsolve import QuarticForm, qp_soluble, r_soluble
 
     S = bad_set(E)
     gens = (-1,) + S.primes
@@ -532,7 +550,7 @@ def selmer_pivot_oracle(E):
         for x, d in sorted(((x, rep(u)) for x, u in pre.items()), key=lambda xd: abs(xd[1])):
             if x in good or x in bad:
                 continue
-            f = hom_space(E, d)
+            f = QuarticForm(space_oracle(E.a2, E.a4, d))
             if qp_soluble(f, v) if v else r_soluble(f):
                 w_basis.append(x)
                 good |= {x ^ k for k in good}
@@ -922,29 +940,29 @@ def span_oracle(reps) -> set[int]:
     return out
 
 
-def certify_oracle(source, lift_pair, sel, seed: int, H: int):
-    """The certified image of one descent direction, walked on classes as
-    signed squarefree integers: (span, lifted points).
+def certify_oracle(a: int, b: int, sel, seed: int, H: int):
+    """The certified image of one descent direction, from y^2 = x^3 + a*x^2
+    + b*x, walked on classes as signed squarefree integers: (span, lifts),
+    a lift (d, psi(z, w)) per point (z, w) found.
 
     sel lists the Selmer classes in the package's class order, seed is the
     class of the codomain's a4.  A class already in the span is skipped;
     each other one is searched to height H, and a hit closes the span over
     it by products.  A hit at infinity or at z = 0 certifies the class
-    without a lifted point.
+    without a lift.
     """
-    from twodescent.descent import lift_point, search_point
-
-    span, lifted = span_oracle({seed}), []
+    span, lifts = span_oracle({seed}), []
     for d in sel:
         if d in span:
             continue
-        found = search_point(source, d, H)
+        c4, _, c2, _, c0 = space_oracle(a, b, d)
+        found = search_point_oracle(c4, c2, c0, d, c4, H)
         if found is None:
             continue
         if found != "infinity" and found[0] != 0:
-            lifted.append(lift_point(lift_pair, d, found))
+            lifts.append((d, psi_oracle(d, found)))
         span = span_oracle(span | {d})
-    return span, lifted
+    return span, lifts
 
 
 def ep_certified_dim_oracle(p: int, H: int, space_point, deep_factor: int) -> int:

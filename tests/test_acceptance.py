@@ -25,13 +25,11 @@ from twodescent.curve import (
     discriminant,
     from_cubic_const,
     pt,
-    shift_x,
     torsion_subgroup,
 )
 from twodescent.descent import (
     bad_set,
     descent_report,
-    hom_space,
     isogenous_curve,
     qs2,
     selmer,
@@ -39,7 +37,7 @@ from twodescent.descent import (
 from twodescent.families import edconst_torsion, edx_torsion, ep_rank, ep_selmer, ep_table
 from twodescent.localsolve import QuarticForm, poly_disc, qp_soluble
 
-from .oracles import first_square_value, reversed_form, survivors, val_oracle
+from .oracles import first_square_value, reversed_form, space_oracle, survivors, val_oracle
 
 
 def classes(*reps):
@@ -102,7 +100,7 @@ def test_criterion_03_cube_constant_transcripts():
         assert rep.rank_lower == rank
         if c == 2:
             g = rep.generators[0]
-            image = shift_x(g, -2)
+            image = pt(g.x - 2, g.y)
             assert image in (pt(1, 3), pt(1, -3))
             assert image.y**2 == image.x**3 + 8
     assert time.monotonic() - t0 < 5.0
@@ -222,9 +220,9 @@ def test_criterion_08_local_solver_agrees_with_brute_oracle():
 
     E = Curve(6, 1, 0)
     Ep = isogenous_curve(E).Eprime
-    assert not qp_soluble(hom_space(E, -2), 2)
-    assert not qp_soluble(hom_space(Ep, 2), 2)
-    assert not qp_soluble(hom_space(Ep, -2), 2)
+    assert not qp_soluble(QuarticForm(space_oracle(E.a2, E.a4, -2)), 2)
+    assert not qp_soluble(QuarticForm(space_oracle(Ep.a2, Ep.a4, 2)), 2)
+    assert not qp_soluble(QuarticForm(space_oracle(Ep.a2, Ep.a4, -2)), 2)
     for p in sieve_primes(75):
         if p == 2:
             continue

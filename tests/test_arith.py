@@ -25,6 +25,9 @@ from twodescent.arith import (
     val,
 )
 
+from twodescent.curve import Curve, count_points_mod
+from twodescent.families import edx_torsion, ep_rank, ep_rank_sha_dim, ep_selmer, ep_table
+
 from .oracles import (
     divisors_oracle,
     factor_oracle,
@@ -56,6 +59,30 @@ def test_val_agrees_with_repeated_division(n, k, p):
 def test_val_of_zero_rejected():
     with pytest.raises(ArithError):
         val(0, 2)
+
+
+NON_INTEGER_CALLS = [
+    (is_prime, (7.0,)),
+    (factorize, (12.0,)),
+    (ep_rank_sha_dim, (13.0,)),
+    (edx_torsion, (4.0,)),
+    (count_points_mod, (Curve(0, 1, 0), 5.0)),
+    (ep_rank, (17.0,)),
+    (ep_selmer, (13.0,)),
+    (legendre, (3, 7.0)),
+    (two_squares, (13.0,)),
+    (quartic_residue_exp, (2, 17.0)),
+    (quartic_residue_gauss, (17.0,)),
+    (ep_table, (30.0,)),
+]
+
+
+@pytest.mark.parametrize("f, args", NON_INTEGER_CALLS, ids=[f.__name__ for f, _ in NON_INTEGER_CALLS])
+def test_a_non_integer_argument_is_a_typed_refusal(f, args):
+    # a float that equals an integer once gave a wrong factorization, a
+    # rank and a torsion group, or a bare TypeError
+    with pytest.raises(ValueError, match="need an integer"):
+        f(*args)
 
 
 def test_factorize_known_values():

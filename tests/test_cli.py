@@ -266,6 +266,23 @@ def test_verify_cremona_detects_wrong_torsion(tmp_path, capsys):
     assert "mismatch" in out
 
 
+@pytest.mark.parametrize("rank, rc, verdict", [
+    (0, 0, "line 1 (24a1): ok: torsion and generators verified; rank 0 within [0, 0]"),
+    (1, 3, "line 1 (24a1): mismatch: stated rank 1 outside [0, 0]"),
+])
+def test_verify_cremona_moves_a_two_torsion_point_to_the_origin(tmp_path, capsys, monkeypatch, rank, rc, verdict):
+    # 24a1 is y^2 = (x - 1)(x - 2)(x + 2): a6 != 0, so the least root -2 is
+    # moved to the origin, giving x(x - 3)(x - 4); its rank is 0 exactly
+    models = []
+    report = cli_module.descent_report
+    monkeypatch.setattr(cli_module, "descent_report", lambda E, H: models.append(E) or report(E, H))
+    f = tmp_path / "allgens.txt"
+    f.write_text(f"24 a 1 [0,-1,0,-4,4] {rank} [2,4]\n")
+    got, out, _ = run(capsys, "verify-cremona", str(f))
+    assert (got, out.splitlines()[0]) == (rc, verdict)
+    assert models == [Curve(-7, 12, 0)]
+
+
 def test_verify_cremona_refuses_a_height_below_one_before_reading(tmp_path, capsys):
     # an invalid argument (exit 2), not a mismatch on every line with
     # rational 2-torsion (exit 3); a missing file is not even opened

@@ -26,18 +26,16 @@ from twodescent.curve import (
     discriminant,
     from_cubic_const,
     j_invariant,
-    mul,
     neg,
     on_curve,
     pt,
-    shift_x,
-    torsion_order_bound,
     torsion_subgroup,
 )
 
 from .oracles import (
     count_points_brute,
     o_add,
+    o_mul,
     o_on_curve,
     torsion_candidates_oracle,
     torsion_invariants_brute,
@@ -154,14 +152,16 @@ def test_group_law_commutes_and_associates():
 
 
 def test_mul_agrees_with_repeated_addition():
-    E = Curve(0, 0, 1)
-    P = pt(2, 3)
-    acc = INFINITY
-    for m in range(1, 21):
-        acc = add(E, acc, P)
-        assert mul(E, m, P) == acc
-    assert mul(E, 0, P) == INFINITY
-    assert mul(E, -1, P) == neg(E, P)
+    # the integer multiples of the torsion search are the repeated sums of
+    # the group law, and none when the order is past the cap: (2, 3) has
+    # order 6 on y^2 = x^3 + 1
+    E, P = Curve(0, 0, 1), pt(2, 3)
+    sums = [P]
+    while sums[-1] != neg(E, P):
+        sums.append(add(E, sums[-1], P))
+    assert add(E, sums[-1], P) == INFINITY
+    assert _multiples(E, 2, 3, 12) == [(Q.x, Q.y) for Q in sums] and len(sums) == 5
+    assert _multiples(E, 2, 3, 5) is None
 
 
 def test_count_points_examples():
@@ -202,14 +202,28 @@ def test_count_points_matches_enumeration():
             assert count_points_mod(E, q) == count_points_brute((E.a2, E.a4, E.a6), q)
 
 
-def test_torsion_order_bound_examples():
-    assert torsion_order_bound(Curve(0, 17, 0), 3) % 2 == 0
-    assert torsion_order_bound(Curve(6, 1, 0), 4) % 4 == 0
-    # trivial torsion: the gcd over several primes must not be forced upward
-    assert torsion_order_bound(Curve(0, 0, 2), 6) in (1, 2, 3, 4, 6)
+def test_torsion_order_bound_examples(monkeypatch):
+    # the reduction bound torsion_subgroup ends with is a multiple of the
+    # torsion order; for trivial torsion the gcd over several primes must
+    # not be forced upward
+    bounds = []
+    torsion_group = curve_module._torsion_group
+    monkeypatch.setattr(curve_module, "_torsion_group",
+                        lambda E, cands, bound: bounds.append(bound) or torsion_group(E, cands, bound))
+    for coeffs in ((0, 17, 0), (6, 1, 0), (0, 0, 2)):
+        torsion_subgroup(Curve(*coeffs))
+    assert bounds[0] % 2 == 0 and bounds[1] % 4 == 0 and bounds[2] in (1, 2, 3, 4, 6)
 
 
 ODD_PRIMES_BELOW_200 = [q for q in range(3, 200, 2) if all(q % d for d in range(3, q, 2))]
+
+
+def brute_bound(E: Curve, k: int = 6) -> int:
+    """gcd of the brute point counts mod the first k odd primes below 200 of
+    good reduction: a multiple of the rational torsion order."""
+    good = [q for q in ODD_PRIMES_BELOW_200 if discriminant(E) % q][:k]
+    assert len(good) == k
+    return math.gcd(*(count_points_brute((E.a2, E.a4, E.a6), q) for q in good))
 
 
 @settings(max_examples=150, deadline=None)
@@ -217,22 +231,21 @@ ODD_PRIMES_BELOW_200 = [q for q in range(3, 200, 2) if all(q % d for d in range(
        st.integers(0, 25), st.integers(1, 8))
 def test_torsion_order_bound_is_the_gcd_of_brute_counts(a2, a4, a6, n, k):
     # the model scaled by t, the product of the first n odd primes, has
-    # every one of them bad, so the good primes can lie far out
+    # every one of them bad, so the good primes can lie far out; the
+    # torsion search's bound is the gcd of its counts at _good_odd_primes
     t = math.prod(ODD_PRIMES_BELOW_200[:n])
     try:
         E = Curve(a2 * t, a4 * t * t, a6 * t**3)
     except SingularModel:
         assume(False)
-    disc = discriminant(E)
-    good = [q for q in ODD_PRIMES_BELOW_200 if disc % q][:k]
-    assert len(good) == k
-    assert torsion_order_bound(E, k) == math.gcd(*(count_points_brute((E.a2, E.a4, E.a6), q) for q in good))
+    good = _good_odd_primes(E, k)
+    assert good == [q for q in ODD_PRIMES_BELOW_200 if discriminant(E) % q][:k]
+    assert math.gcd(*(_count_points(q, E.a2 % q, E.a4 % q, E.a6 % q) for q in good)) == brute_bound(E, k)
 
 
 def test_torsion_bound_is_multiple_of_torsion_order():
     for E in CURVE_SAMPLES:
-        bound = torsion_order_bound(E, 6)
-        assert bound % torsion_subgroup(E).order == 0
+        assert brute_bound(E) % torsion_subgroup(E).order == 0
 
 
 def test_torsion_subgroup_examples():
@@ -282,7 +295,7 @@ def _tate_model(b, c) -> Curve | None:
 
 
 def _oracle_torsion(E: Curve):
-    return _torsion_group(E, torsion_candidates_oracle((E.a2, E.a4, E.a6)), torsion_order_bound(E, 6))
+    return _torsion_group(E, torsion_candidates_oracle((E.a2, E.a4, E.a6)), brute_bound(E))
 
 
 @st.composite
@@ -355,14 +368,10 @@ def test_torsion_of_kubert_models(structure, t):
     assert T == _oracle_torsion(E)
 
 
-def _fraction_multiples(E: Curve, P: Pt, cap: int):
-    """P, 2P, ..., (o - 1)P by mul if P has order o <= cap, else None."""
-    ms = [mul(E, m, P) for m in range(1, cap + 1)]
-    return ms[:ms.index(INFINITY)] if INFINITY in ms else None
-
-
-def _pairs(points):
-    return None if points is None else [(P.x, P.y) for P in points]
+def _fraction_multiples(E: Curve, P, cap: int):
+    """P, 2P, ..., (o - 1)P of the pair P by o_mul if P has order o <= cap, else None."""
+    ms = [o_mul((E.a2, E.a4, E.a6), m, P) for m in range(1, cap + 1)]
+    return ms[:ms.index(None)] if None in ms else None
 
 
 @settings(max_examples=300, deadline=None)
@@ -372,7 +381,7 @@ def test_integer_multiples_match_the_fraction_group_law(a2, a4, x, y, cap):
     # a6 plants the integral point (x, y); y = 0 gives order 2
     E = _model(a2, a4, y * y - ((x + a2) * x + a4) * x)
     assume(E is not None)
-    assert _multiples(E, x, y, cap) == _pairs(_fraction_multiples(E, pt(x, y), cap))
+    assert _multiples(E, x, y, cap) == _fraction_multiples(E, (Fraction(x), Fraction(y)), cap)
 
 
 @pytest.mark.parametrize("structure", list(KUBERT))
@@ -380,7 +389,7 @@ def test_integer_multiples_of_torsion_points_match_the_fraction_group_law(struct
     # points of every order up to 12; the pairs equal to Fractions are integers
     E = _tate_model(*KUBERT[structure][0](Fraction(KUBERT[structure][1][0])))
     for P in torsion_subgroup(E).points[1:]:
-        want = _pairs(_fraction_multiples(E, P, 12))
+        want = _fraction_multiples(E, (P.x, P.y), 12)
         assert want is not None
         assert _multiples(E, int(P.x), int(P.y), 12) == want
 
@@ -402,7 +411,7 @@ def test_torsion_skips_f_m_without_points_of_order_m_over_l(monkeypatch, coeffs,
 
     monkeypatch.setattr(curve_module, "_division_polys", recording)
     E = Curve(*coeffs)
-    assert torsion_order_bound(E, 6) == 8
+    assert brute_bound(E) == 8
     assert torsion_subgroup(E).structure == structure
     assert requested == built
 
@@ -449,7 +458,7 @@ def test_torsion_stops_at_the_full_reduction_bound(coeffs):
         mp.setattr(curve_module, "_torsion_group", lambda E, cands, bound: bounds.append(bound) or
                    torsion_group(E, cands, bound))
         torsion_subgroup(E)
-    assert bounds == [torsion_order_bound(E, 6)]
+    assert bounds == [brute_bound(E)]
 
 
 @pytest.mark.parametrize("k", [16, 30])
@@ -495,12 +504,6 @@ def test_from_cubic_const_is_a_shift_of_the_cube_model():
         cube = Curve(0, 0, c**3)
         for x in range(-8, 9):
             assert E.rhs(Fraction(x)) == cube.rhs(Fraction(x - c))
-
-
-def test_shift_x():
-    assert shift_x(pt(3, 3), -2) == pt(1, 3)
-    assert shift_x(INFINITY, 5) == INFINITY
-    assert shift_x(pt(Fraction(1, 2), 1), Fraction(1, 2)) == pt(1, 1)
 
 
 def _roots_by_scan(c2, c1, c0):

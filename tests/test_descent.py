@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 import twodescent.descent as descent_module
 from twodescent.arith import ONE, SquareClass, legendre, squarefree_part
-from twodescent.curve import Curve, INFINITY, Pt, add, discriminant, mul, on_curve, pt, torsion_subgroup
+from twodescent.curve import Curve, Pt, add, discriminant, on_curve, pt, torsion_subgroup
 from twodescent.descent import (
     BadSet,
     DescentError,
     SelmerSet,
-    TorsionImageError,
     _BAND_BITS,
     _MODULI,
     _ORDER,
@@ -33,32 +32,35 @@ from twodescent.descent import (
     _orbit_masks,
     _period,
     _selmer,
+    _space,
     _span,
     bad_set,
-    delta_class,
     descent_report,
-    hom_space,
     isogenous_curve,
-    lift_point,
-    phi_map,
     qs2,
-    search_point,
     selmer,
 )
 
 import twodescent.localsolve as localsolve_module
 from twodescent.localsolve import QuarticForm, _qp_soluble, qp_soluble, r_soluble
 
+from . import oracles
 from .oracles import (
     canonical_generator_oracle,
     certify_oracle,
     class_on_oracle,
     hilbert_brute,
+    o_add,
+    o_mul,
+    o_neg,
     o_on_curve,
     o_order,
+    phi_hat_oracle,
+    psi_oracle,
     search_point_oracle,
     selmer_pivot_oracle,
     selmer_walk_oracle,
+    space_oracle,
     span_oracle,
     unit_orbit_masks_oracle,
 )
@@ -103,40 +105,22 @@ def test_descent_report_refuses_a_height_below_one_before_any_selmer_group(monke
 
 
 def test_second_iterate_is_quartic_twist_back():
-    # E'' = (4a, 16b) returns to E under (x, y) -> (x/4, y/8)
+    # E'' = (4a, 16b) returns to E under (x, y) -> (x/4, y/8), and phi-hat
+    # after phi is multiplication by 2
     pair = isogenous_curve(Curve(6, 1, 0))
     second = isogenous_curve(pair.Eprime)
     assert second.Eprime == Curve(24, 16, 0)
-    P = pt(-1, 2)
-    Q = phi_map(second, phi_map(pair, P))
-    back = pt(Q.x / 4, Q.y / 8)
-    assert on_curve(Curve(6, 1, 0), back)
-    assert back == mul(Curve(6, 1, 0), 2, P)
-
-
-def test_phi_map_examples():
-    pair = isogenous_curve(Curve(6, 1, 0))
-    assert phi_map(pair, pt(-1, 2)) == pt(4, 0)
-    assert phi_map(pair, pt(0, 0)) == INFINITY
-    assert phi_map(pair, INFINITY) == INFINITY
-    with pytest.raises(DescentError):
-        phi_map(pair, pt(1, 1))
+    P = (Fraction(-1), Fraction(2))
+    x, y = phi_hat_oracle(second.b, phi_hat_oracle(pair.b, P))
+    back = (x / 4, y / 8)
+    assert o_on_curve((6, 1, 0), back)
+    assert back == o_mul((6, 1, 0), 2, P)
 
 
 def test_an_off_curve_image_is_a_typed_refusal(monkeypatch):
-    # the checks on phi's image, on the lifts moved to E and on the rank
-    # interval raise DescentError, so they also hold under python -O
-    real = on_curve
-
-    def off_the_curve(C):
-        return lambda D, P: real(D, P) and (D != C or P.is_infinity)
-
-    pair = isogenous_curve(Curve(6, 1, 0))
-    monkeypatch.setattr(descent_module, "on_curve", off_the_curve(pair.Eprime))
-    with pytest.raises(DescentError, match="off the isogenous curve"):
-        phi_map(pair, pt(-1, 2))
+    # the checks on the lifts moved to E and on the rank interval raise
+    # DescentError, so they also hold under python -O
     E = Curve(0, -2, 0)  # rank 1, generator (-1, 1) lifted from a 2-covering
-    monkeypatch.setattr(descent_module, "on_curve", real)
     real_xyz = _on_curve_xyz
     monkeypatch.setattr(descent_module, "_on_curve_xyz", lambda C, P: real_xyz(C, P) and C != E)
     with pytest.raises(DescentError, match="did not descend"):
@@ -150,29 +134,22 @@ def test_an_off_curve_image_is_a_typed_refusal(monkeypatch):
 
 
 def test_phi_map_lands_on_the_isogenous_curve():
+    # the textbook phi sends points of E onto the model isogenous_curve gives
     pair = isogenous_curve(Curve(-6, 12, 0))
-    for P in (pt(3, 3), pt(3, -3), pt(4, 4), pt(4, -4)):
-        assert on_curve(pair.E, P)
-        assert on_curve(pair.Eprime, phi_map(pair, P))
+    Ep = pair.Eprime
+    for x, y in ((3, 3), (3, -3), (4, 4), (4, -4)):
+        P = (Fraction(x), Fraction(y))
+        assert o_on_curve((-6, 12, 0), P)
+        assert o_on_curve((Ep.a2, Ep.a4, 0), phi_hat_oracle(pair.b, P))
 
 
 def test_delta_class_examples():
-    assert delta_class(Curve(-12, 32, 0), pt(0, 0)) == squarefree_part(2)
-    assert delta_class(Curve(-12, 32, 0), INFINITY) == ONE
-    assert delta_class(Curve(6, 1, 0), pt(-1, 2)) == squarefree_part(-1)
-    with pytest.raises(DescentError):
-        delta_class(Curve(6, 1, 0), pt(2, 2))
-
-
-def test_delta_is_a_homomorphism_on_sample_points():
-    from twodescent.curve import add
-
-    E = Curve(-6, 12, 0)
-    P, Q = pt(3, 3), pt(4, 4)
-    assert add(E, P, Q) == pt(0, 0)
-    # delta(P + Q) = delta(P) * delta(Q), with (0, 0) mapping to cls(a4)
-    assert delta_class(E, pt(0, 0)) == delta_class(E, P) * delta_class(E, Q)
-    assert delta_class(E, pt(0, 0)) == squarefree_part(12)
+    # y^2 = x^3 + 6x^2 + x has torsion Z4 = <(-1, 2)>: delta(O) = 1 and
+    # delta((0, 0)) on E' = (-12, 32), the class 2 of its a4, make up the
+    # phi image, and the phi-hat image holds the class -1 of x(-1, 2)
+    rep = descent_report(Curve(6, 1, 0), 5)
+    assert set(rep.image_phi) == classes(1, 2)
+    assert set(rep.image_phi_hat) == classes(1, -1)
 
 
 def test_bad_set_contents():
@@ -192,17 +169,11 @@ def test_qs2_group():
 
 
 def test_hom_space_cleared_forms():
-    f = hom_space(Curve(6, 1, 0), 2)
-    assert f.c == (64, 0, -48, 0, 8)
+    # the engine's C_d is the textbook model, from b' = a^2 - 4b
+    assert _space(6, 32, 2).c == space_oracle(6, 1, 2) == (64, 0, -48, 0, 8)
     for p, d in ((17, -1), (17, 17), (5, 2)):
-        g = hom_space(Curve(0, p, 0), d)
-        assert g.c == (-4 * p * d, 0, 0, 0, d**3)
-    triv = hom_space(Curve(6, 1, 0), 1)
-    assert triv(0) == 1
-
-
-def test_hom_space_accepts_square_class_objects():
-    assert hom_space(Curve(6, 1, 0), squarefree_part(2)).c == (64, 0, -48, 0, 8)
+        assert _space(0, -4 * p, d).c == space_oracle(0, p, d) == (-4 * p * d, 0, 0, 0, d**3)
+    assert _space(6, 32, 1)(0) == 1
 
 
 def test_selmer_worked_example():
@@ -324,11 +295,12 @@ def test_integer_generator_choice_matches_the_fraction_oracle(E, k, negate, t, l
     # (lam^2 X, lam^3 Y, lam Z): lam < 0 makes Z < 0, as a phi hit of d < 0 does
     tors, gens = _torsion_and_generators(E)
     assume(gens)
-    T = tors.points[t % tors.order]
-    Q = add(E, mul(E, -k if negate else k, gens[0]), T)
-    X, Y, Z = _xyz(Q)
     coeffs = (E.a2, E.a4, 0)
-    want = canonical_generator_oracle(coeffs, [None] + [(P.x, P.y) for P in tors.points[1:]], (Q.x, Q.y))
+    pairs = [None] + [(P.x, P.y) for P in tors.points[1:]]
+    kG = o_mul(coeffs, k, (gens[0].x, gens[0].y))
+    Q = Pt(*o_add(coeffs, o_neg(kG) if negate else kG, pairs[t % tors.order]))
+    X, Y, Z = _xyz(Q)
+    want = canonical_generator_oracle(coeffs, pairs, (Q.x, Q.y))
     assert _generators(E.a2, tors, [(lam * lam * X, lam**3 * Y, lam * Z)]) == (Pt(*want),)
     # Q twice, scaled apart, is kept once, and the torsion points are dropped
     torsion = [_xyz(P) for P in tors.points[1:]]
@@ -345,9 +317,9 @@ def test_integer_on_curve_check_matches_on_curve(a, c, x0, k, lam, dx, dy, X, Y,
     b = c * c * x0 - x0 * x0 - a * x0
     assume(nonsingular(a, b))
     E = Curve(a, b, 0)
-    P = mul(E, k, pt(x0, c * x0))
-    if P != INFINITY:
-        X0, Y0, Z0 = _xyz(P)
+    P = o_mul((a, b, 0), k, (Fraction(x0), Fraction(c * x0)))
+    if P is not None:
+        X0, Y0, Z0 = _xyz(Pt(*P))
         assert _on_curve_xyz(E, (lam * lam * X0, lam**3 * Y0, lam * Z0))
         moved = (lam * lam * X0 + dx, lam**3 * Y0 + dy, lam * Z0)
         assert _on_curve_xyz(E, moved) == on_curve(E, _xyz_point(moved))
@@ -369,7 +341,7 @@ def selmer_per_class(E: Curve) -> tuple[int, ...]:
     S = bad_set(E)
     kept = []
     for d in qs2(S):
-        f = hom_space(E, d)
+        f = QuarticForm(space_oracle(E.a2, E.a4, int(d)))
         if r_soluble(f) and all(qp_soluble(f, p) for p in S.primes):
             kept.append(int(d))
     return tuple(kept)
@@ -416,7 +388,7 @@ def test_local_verdict_depends_only_on_the_local_class(a, b, data):
     else:
         u = data.draw(st.integers(-60, 60).filter(
             lambda k: k % p != 0 and legendre(k, p) == 1))
-    f, g = hom_space(E, d), hom_space(E, d * s * s * u)
+    f, g = (QuarticForm(space_oracle(a, b, e)) for e in (d, d * s * s * u))
     assert bool(qp_soluble(f, p)) == bool(qp_soluble(g, p))
     if u > 0:
         assert bool(r_soluble(f)) == bool(r_soluble(g))
@@ -615,15 +587,14 @@ def test_real_place_rule_matches_the_real_solver_on_the_box():
     for a in range(-30, 31):
         for b in range(-30, 31):
             if nonsingular(a, b):
-                E = Curve(a, b, 0)
-                assert _minus_one_real(a, b) == bool(r_soluble(hom_space(E, -1))), (a, b)
+                assert _minus_one_real(a, b) == bool(r_soluble(QuarticForm(space_oracle(a, b, -1)))), (a, b)
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(-10**12, 10**12), st.integers(-10**12, 10**12))
 def test_real_place_rule_matches_the_real_solver(a, b):
     assume(nonsingular(a, b))
-    assert _minus_one_real(a, b) == bool(r_soluble(hom_space(Curve(a, b, 0), -1)))
+    assert _minus_one_real(a, b) == bool(r_soluble(QuarticForm(space_oracle(a, b, -1))))
 
 
 def test_selmer_of_the_20_prime_primorial_dx_model_is_fast():
@@ -642,11 +613,22 @@ def test_dual_selmer_of_ep_is_minimal():
         assert set(sel) == classes(1, p)
 
 
+def engine_search(a: int, b: int, d: int, H: int):
+    """The engine's search of C_d of (a, b) to height H, as search_point_oracle
+    gives a hit: (z, w) with w >= 0, or None."""
+    hit = _first_square(*_space(a, a * a - 4 * b, d).c[::2], H)
+    return None if hit is None else (Fraction(hit[0], hit[1]), Fraction(hit[2], hit[1] ** 2 * abs(d)))
+
+
 def test_search_point_examples():
-    assert search_point(Curve(6, 1, 0), 2, 2) == (Fraction(1, 2), Fraction(0))
-    assert search_point(Curve(-12, 32, 0), -1, 2) == (Fraction(1, 2), Fraction(2))
-    assert search_point(Curve(0, 17, 0), -17, 2) == "infinity"
-    assert search_point(Curve(0, 17, 0), -2, 30) is None
+    assert engine_search(6, 1, 2, 2) == (Fraction(1, 2), Fraction(0))
+    assert engine_search(-12, 32, -1, 2) == (Fraction(1, 2), Fraction(2))
+    assert engine_search(0, 17, -2, 30) is None
+    # the seed class -17 of (0, 17) has its points at infinity only: the
+    # report certifies it without a search, which finds no affine point
+    c4, _, c2, _, c0 = space_oracle(0, 17, -17)
+    assert search_point_oracle(c4, c2, c0, -17, c4, 2) == "infinity"
+    assert engine_search(0, 17, -17, 2) is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -664,11 +646,8 @@ def test_search_point_matches_naive_scan(a, b, scale, k, s, sign, H):
     # factors into d; either sign of d and of b' gives c4 < 0 too
     a, b, d = a * scale, b * scale * scale, sign * k * s * s
     assume(b != 0 and a * a != 4 * b)
-    E = Curve(a, b, 0)
-    c4, _, c2, _, c0 = hom_space(E, d).c
-    assert search_point(E, d, H) == search_point_oracle(
-        c4, c2, c0, d, d * (a * a - 4 * b), H
-    )
+    c4, _, c2, _, c0 = space_oracle(a, b, d)
+    assert engine_search(a, b, d, H) == search_point_oracle(c4, c2, c0, d, 0, H)
 
 
 EDGES = (4, 5, 8, 9, 16, 17, 32, 33)
@@ -909,47 +888,35 @@ def test_lower_point_in_a_later_band_beats_an_earlier_hit(H, data, x, y, t):
 def test_search_point_matches_naive_scan_to_height_120(D, k, H):
     # the descent-dx shape y^2 = x^3 + Dx; d shares small primes with D,
     # as the Selmer classes of these curves do
-    E = Curve(0, D, 0)
     d = int(squarefree_part(k * math.gcd(D, 2 * 3 * 5 * 7 * 11 * 13 * 17)))
-    c4, _, c2, _, c0 = hom_space(E, d).c
-    assert search_point(E, d, H) == search_point_oracle(c4, c2, c0, d, -4 * D * d, H)
+    c4, _, c2, _, c0 = space_oracle(0, D, d)
+    assert engine_search(0, D, d, H) == search_point_oracle(c4, c2, c0, d, 0, H)
 
 
 def test_search_point_results_satisfy_the_space_equation():
     # d w^2 = d^2 - 2 a d z^2 + (a^2 - 4b) z^4
-    for E, d in ((Curve(6, 1, 0), 2), (Curve(-12, 32, 0), -1),
-                 (Curve(-6, 12, 0), 6), (Curve(12, -12, 0), 3)):
-        res = search_point(E, d, 8)
-        assert res is not None and res != "infinity"
+    for a, b, d in ((6, 1, 2), (-12, 32, -1), (-6, 12, 6), (12, -12, 3)):
+        res = engine_search(a, b, d, 8)
+        assert res is not None
         z, w = res
-        a, b = E.a2, E.a4
         assert d * w * w == d * d - 2 * a * d * z * z + (a * a - 4 * b) * z**4
 
 
-def test_lift_point_examples():
-    pair = isogenous_curve(Curve(6, 1, 0))
-    L = lift_point(pair, 2, (Fraction(1, 2), Fraction(0)))
-    assert L == pt(8, 0)
-    assert on_curve(pair.Eprime, L)
-    assert delta_class(pair.Eprime, L) == squarefree_part(2)
-
-
-def test_lift_point_dual_direction():
-    dual = isogenous_curve(Curve(-12, 32, 0))
-    L = lift_point(dual, -1, (Fraction(1, 2), Fraction(2)))
-    assert L == pt(-4, 16)
-    assert on_curve(Curve(24, 16, 0), L)
-    back = pt(L.x / 4, L.y / 8)
-    assert back == pt(-1, 2)
-    assert on_curve(Curve(6, 1, 0), back)
-
-
-def test_lift_point_torsion_inputs_are_rejected():
-    pair = isogenous_curve(Curve(6, 1, 0))
-    with pytest.raises(TorsionImageError):
-        lift_point(pair, 2, (Fraction(0), Fraction(1)))
-    with pytest.raises(TorsionImageError):
-        lift_point(pair, 32, "infinity")
+def test_lift_point_dual_direction(monkeypatch):
+    # the report finds (z, w) = (1/2, 2) on C_-1 of E' = (-12, 32) and
+    # lifts it by psi to (-4, 16) on E'' = (24, 16), which (x/4, y/8)
+    # takes to (-1, 2) on E = (6, 1), up to the sign of w
+    hits, checked = [], []
+    certify = descent_module._certify_direction
+    monkeypatch.setattr(descent_module, "_certify_direction",
+                        lambda *args: (lambda out: hits.append(out[1]) or out)(certify(*args)))
+    monkeypatch.setattr(descent_module, "_on_curve_xyz",
+                        lambda C, P: checked.append((C, _xyz_point(P))) or _on_curve_xyz(C, P))
+    descent_report(Curve(6, 1, 0), 5)
+    assert hits == [[], [(-1, 1, 2, 8)]]
+    assert psi_oracle(-1, (Fraction(1, 2), Fraction(2))) == (-4, 16)
+    assert o_on_curve((24, 16, 0), (Fraction(-4), Fraction(16)))
+    assert checked == [(Curve(6, 1, 0), pt(-1, -2))]
 
 
 def test_report_zero_rank_curve():
@@ -1019,11 +986,12 @@ def test_report_flags_odd_selmer_residual():
 
 
 def test_certified_classes_have_global_points():
+    # each certified class but the seed, whose points are at infinity, has
+    # an affine point on its space within the height
     rep = descent_report(Curve(0, -68, 0), 20)
-    E = Curve(0, -68, 0)
+    seed = squarefree_part(rep.pair.b_prime)
     for d in rep.image_phi:
-        res = search_point(E, int(d), 20)
-        assert res is not None
+        assert d == seed or engine_search(0, -68, int(d), 20) is not None
 
 
 SIGNED_SQUAREFREE = [s * r for r in (1, 2, 3, 5, 6, 7, 10, 15, 21, 30, 105, 210) for s in (1, -1)]
@@ -1063,23 +1031,19 @@ def test_certified_images_match_the_square_class_walk(E, H):
     # the mask walk against certify_oracle on integer classes: the same
     # spaces searched in the same order, the same images and generators
     searched = []
-    first_square = descent_module._first_square
+    first_square, naive_scan = descent_module._first_square, oracles.search_point_oracle
 
     def oracle_direction(a, bp, sel, seed, H):
-        # certify_oracle searches the model (a, b) with b' = bp through
-        # search_point and lifts through lift_point; a lift (X, Y) =
-        # psi(z, w) of class d gives back z = m/n by z^2 = d/X and
-        # r = n^2 * d*w = -Y * m^3/n
-        source = Curve(a, (a * a - bp) // 4, 0)
-        lift_pair = isogenous_curve(source)
-        span, lifted = certify_oracle(source, lift_pair, [int(d) for d in sel],
-                                      int(squarefree_part(bp)), H)
+        # certify_oracle searches the model (a, b) with b' = bp by the naive
+        # scan; a lift (X, Y) = psi(z, w) of class d gives back z = m/n by
+        # z^2 = d/X and r = n^2 * d*w = -Y * m^3/n
+        span, lifts = certify_oracle(a, (a * a - bp) // 4, [int(d) for d in sel],
+                                     int(squarefree_part(bp)), H)
         hits = []
-        for L in lifted:
-            d = int(delta_class(lift_pair.Eprime, L))
-            z2 = d / L.x
+        for d, (X, Y) in lifts:
+            z2 = d / X
             m, n = math.isqrt(z2.numerator), math.isqrt(z2.denominator)
-            r = -L.y * m**3 / n
+            r = -Y * m**3 / n
             assert r.denominator == 1
             hits.append((d, m, n, int(r)))
         return sorted(SquareClass(d) for d in span), hits
@@ -1091,6 +1055,8 @@ def test_certified_images_match_the_square_class_walk(E, H):
         engine_searched = searched[:]
         searched.clear()
         mp.setattr(descent_module, "_certify_direction", oracle_direction)
+        mp.setattr(oracles, "search_point_oracle",
+                   lambda c4, c2, c0, *rest: searched.append((c4, c2, c0, rest[-1])) or naive_scan(c4, c2, c0, *rest))
         want = descent_report(E, H)
     assert engine_searched == searched
     assert rep.image_phi == want.image_phi and rep.image_phi_hat == want.image_phi_hat
@@ -1133,9 +1099,9 @@ def test_certify_direction_never_searches_a_torsion_image_on_the_box(monkeypatch
 @example(Curve(0, -2, 0), 10).via("a phi-hat hit")
 def test_closed_form_points_are_the_lifts_pushed_down_to_e(E, H):
     # per hit (d, m, n, r) of either direction, the point of E that
-    # descent_report checks is psi(z, w) by lift_point at z = m/n,
-    # w = r/(d*n^2), then phi-hat by phi_map for a phi hit, then
-    # (x/4, y/8); and (z, +-w) is search_point's point of C_d
+    # descent_report checks is psi(z, w) at z = m/n, w = r/(d*n^2), then
+    # phi-hat for a phi hit, then (x/4, y/8); and (z, +-w) is the naive
+    # scan's point of C_d
     hits, checked = [], []
     certify = descent_module._certify_direction
     with pytest.MonkeyPatch.context() as mp:
@@ -1147,14 +1113,15 @@ def test_closed_form_points_are_the_lifts_pushed_down_to_e(E, H):
     pair = isogenous_curve(E)
     back = isogenous_curve(pair.Eprime)
     want = []
-    for source, lift_pair, direction in ((E, pair, hits[0]), (pair.Eprime, back, hits[1])):
+    for source, direction in ((E, hits[0]), (pair.Eprime, hits[1])):
         for d, m, n, r in direction:
             z, w = Fraction(m, n), Fraction(r, d * n * n)
-            assert search_point(source, d, H) == (z, abs(w))
-            P = lift_point(lift_pair, d, (z, w))
+            c4, _, c2, _, c0 = space_oracle(source.a2, source.a4, d)
+            assert search_point_oracle(c4, c2, c0, d, 0, H) == (z, abs(w))
+            x, y = psi_oracle(d, (z, w))
             if source == E:
-                P = phi_map(back, P)
-            want.append((E, Pt(P.x / 4, P.y / 8)))
+                x, y = phi_hat_oracle(back.b, (x, y))
+            want.append((E, Pt(x / 4, y / 8)))
     assert checked == want
 
 
@@ -1166,14 +1133,12 @@ def test_height_above_the_bound_is_refused_before_any_work(monkeypatch):
 
     for name in ("_selmer", "_coprime_bands", "_first_square", "torsion_subgroup", "bad_set"):
         monkeypatch.setattr(descent_module, name, no_work)
-    for call in (lambda H: descent_report(Curve(0, 17, 0), H),
-                 lambda H: search_point(Curve(0, 17, 0), 2, H)):
-        with pytest.raises(DescentError, match=r"need H <= 50000"):
-            call(50_001)
-        with pytest.raises(DescentError, match=r"need H >= 1"):
-            call(0)
-        with pytest.raises(DescentError, match=r"need an integer H, not 2\.5"):
-            call(2.5)
+    with pytest.raises(DescentError, match=r"need H <= 50000"):
+        descent_report(Curve(0, 17, 0), 50_001)
+    with pytest.raises(DescentError, match=r"need H >= 1"):
+        descent_report(Curve(0, 17, 0), 0)
+    with pytest.raises(DescentError, match=r"need an integer H, not 2\.5"):
+        descent_report(Curve(0, 17, 0), 2.5)
 
 
 def test_descent_report_factors_each_odd_part_of_b_and_b_prime_once(monkeypatch):
@@ -1191,8 +1156,8 @@ def test_descent_report_factors_each_odd_part_of_b_and_b_prime_once(monkeypatch)
 
 def test_descent_report_builds_quartic_forms_only_in_hom_space(monkeypatch):
     # the local solvers search coefficient tuples: no stripped or
-    # reversed copy of a form is built per call.  hom_space and the local
-    # tests of _selmer build every form through _space
+    # reversed copy of a form is built per call.  The local tests of
+    # _selmer and the point searches build every form through _space
     built, spaces = [], []
     post_init = QuarticForm.__post_init__
     monkeypatch.setattr(QuarticForm, "__post_init__", lambda f: built.append(f) or post_init(f))
@@ -1207,9 +1172,8 @@ def test_descent_report_builds_quartic_forms_only_in_hom_space(monkeypatch):
 
 def test_descent_report_checks_each_lifted_point_once_per_curve(monkeypatch):
     # each hit becomes one point, built on E in integers and checked there
-    # once: the report path checks no point with the Fraction on_curve,
-    # builds a Pt only for each generator it keeps, searches and lifts
-    # through neither search_point nor lift_point, and refactors no class
+    # once: the report path checks no point with the Fraction on_curve and
+    # builds a Pt only for each generator it keeps
     import twodescent.curve as curve_module
 
     checks, built, hits = [], [], []
@@ -1220,15 +1184,10 @@ def test_descent_report_checks_each_lifted_point_once_per_curve(monkeypatch):
     monkeypatch.setattr(descent_module, "_certify_direction",
                         lambda *args: (lambda out: hits.extend(out[1]) or out)(certify(*args)))
 
-    def refuse(name):
-        def refused(*args):
-            raise AssertionError(f"{name} called on the report path")
-        return refused
+    def refused(*args):
+        raise AssertionError("on_curve called on the report path")
 
-    for module, name in ((descent_module, "squarefree_part"), (descent_module, "search_point"),
-                         (descent_module, "lift_point"), (descent_module, "on_curve"),
-                         (curve_module, "on_curve")):
-        monkeypatch.setattr(module, name, refuse(name))
+    monkeypatch.setattr(curve_module, "on_curve", refused)
     for a, b in ((-6, 12), (-11, 2), (-11, -9)):
         checks.clear()
         built.clear()

@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 from twodescent import families
 from twodescent.arith import _cube_root_exact, factorize, quartic_residue_gauss, sieve_primes, squarefree_part
 from twodescent.curve import INFINITY, Curve, from_cubic_const, pt, torsion_subgroup
-from twodescent.descent import hom_space, search_point, selmer
+from twodescent.descent import _first_square, _space, selmer
+from twodescent.localsolve import QuarticForm
 from twodescent.families import (
     FamilyError,
     _DEEP_FACTOR,
@@ -37,6 +38,7 @@ from .oracles import (
     ep_space_point_oracle,
     ep_space_point_walk_oracle,
     quartic_set,
+    space_oracle,
 )
 
 
@@ -242,9 +244,8 @@ def test_no_rational_points_when_two_is_not_a_quartic_residue():
     # p = 1 mod 8 with the biquadratic test failing: the three nontrivial
     # coset spaces carry no rational points, so no height can certify them
     for p in (17, 41, 97, 137, 193):
-        E = Curve(0, p, 0)
         for d in (-1, 2, -2):
-            assert search_point(E, d, 30) is None
+            assert _first_square(*_space(0, -4 * p, d).c[::2], 30) is None
 
 
 def test_edx_torsion_table():
@@ -446,7 +447,7 @@ EP_SPACE_CLASSES = (-1, -2, 2)  # the searched space of each coset of {1, -p}
 def assert_on_space(p, d, point):
     """(d*w)^2 equals the cleared model of C_d at z."""
     z, w = point
-    assert (d * w) ** 2 == hom_space(Curve(0, p, 0), d)(z)
+    assert (d * w) ** 2 == QuarticForm(space_oracle(0, p, d))(z)
 
 
 def check_against_full_enumeration(p, d, H):
@@ -477,7 +478,7 @@ def test_ep_space_point_matches_full_enumeration_one_mod_eight():
 
 def on_space(p, d, z) -> bool:
     """Whether C_d of y^2 = x^3 + px has a rational point at z."""
-    value = hom_space(Curve(0, p, 0), d)(z)
+    value = QuarticForm(space_oracle(0, p, d))(z)
     return value >= 0 and all(isqrt(n) ** 2 == n for n in (value.numerator, value.denominator))
 
 
