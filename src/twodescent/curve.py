@@ -55,7 +55,7 @@ class Curve(Record):
 
     def __post_init__(self):
         for c in (self.a2, self.a4, self.a6):
-            if not isinstance(c, int):
+            if not isinstance(c, int) or isinstance(c, bool):
                 raise CurveError("coefficients must be integers")
         if discriminant(self) == 0:
             raise SingularModel(f"singular model ({self.a2}, {self.a4}, {self.a6})")

@@ -276,16 +276,16 @@ _SQUARES = {q: {i * i % q for i in range(q)} for q in _MODULI}
 _SCALE = {q: tuple(min((s * c % q, s) for s in _SQUARES[q] if gcd(s, q) == 1)[1] for c in range(q))
           for q in _MODULI}
 _BAND_BITS = 1 << 14  # a band holds as many rows of the height box as fit
-_MAX_HEIGHT = 50_000  # the coprimality bits of _coprime_bands take about H^2/4 bytes at peak
+_MAX_HEIGHT = 50_000  # a miss sieves all H^2 pairs: about 10 s at the bound on a 2-vCPU VM
 
 
 def _check_height(H: int) -> None:
-    if not isinstance(H, int):
+    if not isinstance(H, int) or isinstance(H, bool):
         raise DescentError(f"need an integer H, not {H!r}")
     if H < 1:
         raise DescentError("need H >= 1")
     if H > _MAX_HEIGHT:
-        raise DescentError(f"need H <= {_MAX_HEIGHT}: the point search sieves an H x H box of coprime pairs")
+        raise DescentError(f"need H <= {_MAX_HEIGHT}: the point search sieves an H x H box, in time that grows as H^2")
 
 
 def _every(q: int, H: int, x: int = 1) -> int:
@@ -297,33 +297,20 @@ def _every(q: int, H: int, x: int = 1) -> int:
     return x & ((1 << (H + 1)) - 1)
 
 
-@lru_cache(maxsize=4)
-def _coprime_bands(H: int, R: int) -> tuple[int, ...]:
-    """Per band of R rows from n0 = 1, 1 + R, ...: bit k*(H + 1) + m set when
-    gcd(m, n0 + k) = 1, m <= H and n0 + k <= H; rows sieved prime by prime."""
-    W, full = H + 1, (1 << (H + 1)) - 1
-    rows = [full] * (H + 1)
-    for p in range(2, H + 1):
-        if rows[p] == full:  # no smaller prime divides p
-            strike = full ^ _every(p, H)
-            for k in range(p, H + 1, p):
-                rows[k] &= strike
-    return tuple(sum(row << k * W for k, row in enumerate(rows[n0:n0 + R])) for n0 in range(1, H + 1, R))
-
-
 @lru_cache(maxsize=32)
 def _orbit_masks(q: int, W: int, R: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The pairs (k, m) mod q in orbits under (k, m) -> (u*k, v*m), u and v
-    units with u^2 = v^2 mod q, which multiply a*m^4 + b*m^2*k^2 + c*k^4 by
-    the unit square u^4.  Per orbit: m^4, m^2*k^2 and k^4 mod q at its
-    first pair, and the mask of bits k*W + m, k < q + R and m < W, with
-    (k, m) in the orbit mod q."""
+    """The pairs (k, m) mod q with gcd(k, m, q) = 1 in orbits under
+    (k, m) -> (u*k, v*m), u and v units with u^2 = v^2 mod q, which keep
+    gcd(k, m, q) and multiply a*m^4 + b*m^2*k^2 + c*k^4 by the unit square
+    u^4.  Per orbit: m^4, m^2*k^2 and k^4 mod q at its first pair, and the
+    mask of bits k*W + m, k < q + R and m < W, with (k, m) in the orbit
+    mod q."""
     units = [u for u in range(1, q) if gcd(u, q) == 1]
     ones = [w for w in units if w * w % q == 1]  # u^2 = v^2 exactly when v = u*w
     cols = [_every(q, W - 1, 1 << m) for m in range(q)]  # the m' < W with m' = m mod q
     seen, out = bytearray(q * q), []  # by the code k*q + m of a pair
     for k, m in itertools.product(range(q), repeat=2):
-        if not seen[k * q + m]:
+        if not seen[k * q + m] and gcd(k, m, q) == 1:
             block = 0
             for x in {u * k % q * q + u * w * m % q for u in units for w in ones}:
                 seen[x] = 1
@@ -356,15 +343,19 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
     tried.  The pairs with m in [0, H] are laid out row-major, bit
     (n - n0)*(H + 1) + m, in bands of as many rows n0, n0 + 1, ... as fit
     in _BAND_BITS (the whole box at H = 100, one row from H = 2^14).  A
-    band of coprime pairs is ANDed with one mask per modulus q, the pairs
-    where N(m, n) is a square mod q.  A mask repeats every q rows and
+    band is the AND of one mask per modulus q, the pairs where N(m, n) is
+    a square mod q and gcd(m, n, q) = 1.  A mask repeats every q rows and
     depends on the coefficients mod q only up to a unit square, so it is
     cached under (q, the coefficients scaled so the first nonzero one is
     least, H + 1, n0 mod q, rows per band).
     Survivors get the exact test low bit first, in the order (n, m).  A
     hit of height h is beaten only below h, so the masks then keep m < h
-    and the rows n < h: each later hit is lower, and the last is the
-    first in the search order.
+    and the rows n < h (rows past H, in the last band, end the scan as
+    well): each later hit is lower, and the last is the first in the
+    search order.  That hit is coprime with no coprimality test: a pair
+    (g*m, g*n), g > 1, has N = g^4 N(m, n), so (m, n) is a hit of lower
+    height, in an earlier row.  The moduli drop the pairs with a common
+    prime factor up to 29 only to spare their exact tests.
     """
     W = H + 1
     R = min(H, max(1, _BAND_BITS // W))
@@ -374,10 +365,10 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
         s = _SCALE[q][a or b or c]
         forms.append((q, s * a % q, s * b % q, s * c % q))
     hit, h, keep = None, H + 1, -1  # keep: the columns m < h of every row
-    for n0, band in zip(range(1, H + 1, R), _coprime_bands(H, R)):
+    for n0 in range(1, H + 1, R):
         if n0 >= h:
             break
-        mask = band & keep
+        mask = keep
         for q, a, b, c in forms:
             mask &= _band_mask(q, a, b, c, W, n0 % q, R)
         while mask:

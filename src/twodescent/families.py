@@ -462,7 +462,7 @@ _MAX_HEIGHT = _EP_TABLE_BUDGET // _DEEP_FACTOR  # rescans stay within the budget
 
 
 def _check_height(H: int) -> None:
-    if not isinstance(H, int) or not 1 <= H <= _MAX_HEIGHT:
+    if not isinstance(H, int) or isinstance(H, bool) or not 1 <= H <= _MAX_HEIGHT:
         raise FamilyError(f"need an integer 1 <= H <= {_MAX_HEIGHT}: ep_rank rescans to {_DEEP_FACTOR} * H")
 
 

@@ -583,7 +583,8 @@ def unit_orbit_masks_oracle(q: int, W: int, R: int):
     """descent._orbit_masks as first written: every unit pair (u, v) with
     u^2 = v^2 mod q from a scan of all q^2 pairs, and each orbit of
     (k, m) -> (u*k, v*m) as a set of (k, m) tuples, in the order of its
-    first pair.  Per orbit: m^4, m^2*k^2 and k^4 mod q at that pair, and
+    first pair, but only the orbits of the pairs with gcd(k, m, q) = 1,
+    as unit scaling keeps that gcd.  Per orbit: m^4, m^2*k^2 and k^4 mod q at that pair, and
     the mask of bits k*W + m, k < q + R and m < W, with (k, m) in the
     orbit mod q."""
     from twodescent.descent import _every
@@ -593,7 +594,7 @@ def unit_orbit_masks_oracle(q: int, W: int, R: int):
     seen: set[tuple[int, int]] = set()
     out = []
     for k, m in itertools.product(range(q), repeat=2):
-        if (k, m) not in seen:
+        if (k, m) not in seen and gcd(gcd(k, m), q) == 1:
             orbit = {(u * k % q, v * m % q) for u, v in units}
             seen |= orbit
             block = sum(cols[m1] << k1 * W for k1, m1 in orbit)

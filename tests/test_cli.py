@@ -297,7 +297,7 @@ def test_verify_cremona_refuses_a_height_below_one_before_reading(tmp_path, caps
 def test_a_height_above_the_point_search_bound_is_refused_before_any_work(tmp_path, capsys):
     # exit 2 naming the bound, at once: no report, and the file of
     # verify-cremona is not even opened
-    err_ = "error: need H <= 50000: the point search sieves an H x H box of coprime pairs\n"
+    err_ = "error: need H <= 50000: the point search sieves an H x H box, in time that grows as H^2\n"
     rc, out, err = run(capsys, "descent", "--a2", "0", "--a4", "17", "--height", "50001")
     assert (rc, out, err) == (2, "", err_)
     rc, out, err = run(capsys, "verify-cremona", str(tmp_path / "missing.txt"), "--height", "50001")

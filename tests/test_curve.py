@@ -89,6 +89,13 @@ def test_j_invariant_families():
     assert j_invariant(Curve(0, 1, 1)) == Fraction(6912, 31)
 
 
+@pytest.mark.parametrize("coeffs", [(True, 17, 0), (0, True, 0), (0, 17, False)])
+def test_bool_coefficients_are_refused(coeffs):
+    # a bool is an int to isinstance, but Curve(True, 17, 0) once echoed a2=True back
+    with pytest.raises(CurveError, match="coefficients must be integers"):
+        Curve(*coeffs)
+
+
 def test_j_invariant_needs_depressed_model():
     with pytest.raises(CurveError):
         j_invariant(Curve(6, 1, 0))

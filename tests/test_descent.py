@@ -23,7 +23,6 @@ from twodescent.descent import (
     _PAIRS,
     _band_mask,
     _classes,
-    _coprime_bands,
     _first_square,
     _generators,
     _local_table,
@@ -810,9 +809,10 @@ def test_orbit_masks_match_the_tuple_set_orbits(q, H):
 def test_period_masks_match_the_brute_definition():
     # bit k*W + m of _period is set iff N(m, k) = a m^4 + b m^2 k^2 + c k^4
     # is a square mod q: every modulus, every (a, b, c) mod q but zero, and
-    # the band shapes of five heights (H <= 28 gives rows narrower than q).
-    # N mod q depends on m^2 and k^2 mod q only, so the expected mask is a
-    # tiling of one q-bit row per k^2, made once per distinct set of rows
+    # the band shapes of five heights (H <= 28 gives rows narrower than q),
+    # and only where gcd(m, k, q) = 1.  N mod q depends on m^2 and k^2 mod q
+    # only, so the expected mask is a tiling of one q-bit row per k^2, made
+    # once per distinct set of rows, then cut to the pairs prime to q
     for q in _MODULI:
         squares = {i * i % q for i in range(q)}
         # the residue r, written chr(r), to "1" when r + j is a square mod q
@@ -820,6 +820,8 @@ def test_period_masks_match_the_brute_definition():
         sq_desc = [m * m % q for m in reversed(range(q))]
         ts = sorted(set(sq_desc))
         shapes = [(H + 1, band_rows(H)) for H in (1, 7, 20, 28, 100)]
+        prime_to_q = [sum(1 << k * W + m for k in range(q + R) for m in range(W) if math.gcd(k, m, q) == 1)
+                      for W, R in shapes]
         expected: dict[tuple[str, ...], list[int]] = {}
         for a, b in itertools.product(range(q), repeat=2):
             # per t = k^2, a m^4 + b m^2 t for m = q - 1 down to 0, as chr
@@ -828,19 +830,36 @@ def test_period_masks_match_the_brute_definition():
                 rows = tuple(part[t].translate(shift[c * t * t % q]) for t in ts)
                 if rows not in expected:
                     bits = {t: int(r, 2) for t, r in zip(ts, rows)}
-                    expected[rows] = [_tile(q, bits, W, R) for W, R in shapes]
+                    expected[rows] = [_tile(q, bits, W, R) & cut for (W, R), cut in zip(shapes, prime_to_q)]
                 for (W, R), want in zip(shapes, expected[rows]):
                     assert _period(q, a, b, c, W, R) == want, (q, a, b, c, W)
 
 
-def test_coprime_rows_hold_the_numerators_prime_to_each_denominator():
-    for H in [*range(1, 101), 200, 301]:
-        for R in {1, 1 + H % 7, band_rows(H)}:
-            bands = _coprime_bands(H, R)
-            assert len(bands) == -(-H // R)
-            for i, band in enumerate(bands):
-                assert band == sum(1 << k * (H + 1) + m for k in range(R) for m in range(H + 1)
-                                   if 1 + i * R + k <= H and math.gcd(m, 1 + i * R + k) == 1), (H, R, i)
+@st.composite
+def point_and_multiple(draw):
+    """H <= 300, a box of 1 to 6 bands, and a coprime (m, n) with g*(m, n),
+    g >= 2, in the box; g is often a prime above the sieve moduli, whose
+    multiples no mask strikes."""
+    g = draw(st.one_of(st.integers(2, 40), st.sampled_from((31, 37, 41, 43, 47, 53))))
+    H = draw(st.integers(g, 300))
+    n = draw(st.integers(1, H // g))
+    m = draw(st.integers(0, H // g))
+    assume(math.gcd(m, n) == 1)
+    return H, g, (m, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(point_and_multiple(), small, small, small)
+def test_first_square_returns_the_coprime_point_before_its_multiple(point, x, y, t):
+    # the search has no coprimality test: (g*m, g*n) is a hit with (m, n),
+    # which lies in an earlier row and is lower in height, so the hit
+    # returned is coprime and the naive scan, which skips non-coprime
+    # pairs, finds the same one
+    H, g, (m, n) = point
+    assert 1 <= -(-H // band_rows(H)) <= 6
+    hit = first_square_agrees(*planted_form((m, n), (g * m, g * n), x, y, t), H)
+    assert hit is not None and math.gcd(hit[0], hit[1]) == 1
+    assert (max(hit[0], hit[1]), hit[1], hit[0]) <= (max(m, n), n, m)
 
 
 @st.composite
@@ -1126,12 +1145,12 @@ def test_closed_form_points_are_the_lifts_pushed_down_to_e(E, H):
 
 
 def test_height_above_the_bound_is_refused_before_any_work(monkeypatch):
-    # the coprimality bitmap of the point search grows as H^2, so a height
-    # beyond the bound is refused before the Selmer groups or any search
+    # the point search's time grows as H^2, so a height beyond the bound
+    # is refused before the Selmer groups or any search
     def no_work(*args):
         raise AssertionError("work done before the height was checked")
 
-    for name in ("_selmer", "_coprime_bands", "_first_square", "torsion_subgroup", "bad_set"):
+    for name in ("_selmer", "_first_square", "torsion_subgroup", "bad_set"):
         monkeypatch.setattr(descent_module, name, no_work)
     with pytest.raises(DescentError, match=r"need H <= 50000"):
         descent_report(Curve(0, 17, 0), 50_001)
@@ -1139,6 +1158,14 @@ def test_height_above_the_bound_is_refused_before_any_work(monkeypatch):
         descent_report(Curve(0, 17, 0), 0)
     with pytest.raises(DescentError, match=r"need an integer H, not 2\.5"):
         descent_report(Curve(0, 17, 0), 2.5)
+
+
+@pytest.mark.parametrize("H", [True, False])
+def test_bool_heights_are_refused(H):
+    # a bool is an int to isinstance, but a report once echoed
+    # search_height=True back, and "search_height": true in its document
+    with pytest.raises(DescentError, match=f"need an integer H, not {H}"):
+        descent_report(Curve(0, 17, 0), H)
 
 
 def test_descent_report_factors_each_odd_part_of_b_and_b_prime_once(monkeypatch):

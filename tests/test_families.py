@@ -407,6 +407,15 @@ def test_non_integer_heights_are_refused(monkeypatch):
             call()
 
 
+@pytest.mark.parametrize("H", [True, False])
+def test_bool_heights_are_refused(monkeypatch, H):
+    # a bool is an int to isinstance, but ep_rank(17, True) once answered
+    monkeypatch.setattr(families, "sieve_primes", lambda n: pytest.fail("sieved before the check"))
+    for call in (lambda: ep_rank(17, H), lambda: ep_table(100, height=H)):
+        with pytest.raises(FamilyError, match="need an integer 1 <= H <= 1000"):
+            call()
+
+
 def test_import_and_a_search_free_rank_build_no_product_table():
     # the norm-form product tables, which hold their row codes, and the
     # orbit masks are built on the first search that needs them, not at
