@@ -55,8 +55,21 @@ _MR_PREFIX = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
 _MR_VALID_BELOW = 3317044064679887385961981  # psi_13, for the witnesses 2..41
 
 
+def _check_int(*ns) -> None:
+    """Refuse anything but an int: a float or a bool once answered as the int it equals."""
+    for n in ns:
+        if not isinstance(n, int) or isinstance(n, bool):
+            raise ArithError(f"need an integer, not {n!r}")
+
+
 def val(n: int, p: int) -> int:
     """Largest k with p**k dividing n.  n must be nonzero, p >= 2."""
+    _check_int(n, p)
+    return _val(n, p)
+
+
+def _val(n: int, p: int) -> int:
+    """val for ints n and p the caller has checked."""
     if n == 0:
         raise ArithError("valuation of zero is infinite")
     if p == 2:
@@ -72,8 +85,7 @@ def val(n: int, p: int) -> int:
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin; refuses a non-integer n, and an n >= 3.317e24 passing every base."""
-    if not isinstance(n, int):
-        raise ArithError(f"need an integer, not {n!r}")
+    _check_int(n)
     return _is_prime(n)
 
 
@@ -86,7 +98,7 @@ def _is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    s = val(n - 1, 2)
+    s = _val(n - 1, 2)
     d = (n - 1) >> s
     k = next((k for psi, k in _MR_PREFIX if n < psi), 13)
     for a in _SMALL_PRIMES[:k]:
@@ -106,6 +118,7 @@ def _is_prime(n: int) -> bool:
 
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, by sieve of Eratosthenes."""
+    _check_int(limit)
     return [i for i, f in enumerate(_sieve_flags(limit)) if f]
 
 
@@ -222,8 +235,7 @@ def factorize(n: int) -> Factorization:
     Raises UnfactoredCofactor rather than returning a wrong or partial
     answer when a cofactor resists the rho splitter.
     """
-    if not isinstance(n, int):
-        raise ArithError(f"need an integer, not {n!r}")
+    _check_int(n)
     if n == 0:
         raise ArithError("cannot factor zero")
     found: dict[int, int] = {}
@@ -384,7 +396,8 @@ def _sqrt_mod(a: int, p: int) -> int:
 
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p, by Euler's criterion."""
-    if p == 2 or not is_prime(p):
+    _check_int(a, p)
+    if p == 2 or not _is_prime(p):
         raise ArithError("legendre symbol needs an odd prime modulus")
     return _euler(a, p)
 
@@ -395,11 +408,12 @@ def is_padic_square(n: int, p: int) -> bool:
     Even valuation, and the unit part a residue: a quadratic residue mod
     p for odd p, congruent to 1 mod 8 for p = 2.
     """
+    _check_int(n, p)
     if n == 0:
         raise ArithError("zero has no square class")
-    if p != 2 and not is_prime(p):
+    if p != 2 and not _is_prime(p):
         raise ArithError("need a prime p")
-    k = val(n, p)
+    k = _val(n, p)
     if k % 2 == 1:
         return False
     u = n // p**k
@@ -413,7 +427,8 @@ def quartic_residue_exp(a: int, p: int) -> bool:
 
     Quadratic-residue precheck, then the exponent test a**((p-1)/4) = 1.
     """
-    if p % 4 != 1 or not is_prime(p):
+    _check_int(a, p)
+    if p % 4 != 1 or not _is_prime(p):
         raise ArithError("need a prime p = 1 (mod 4)")
     if a % p == 0:
         raise ArithError("a must be coprime to p")

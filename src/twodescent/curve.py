@@ -352,7 +352,7 @@ def from_cubic_const(c: int) -> Curve:
     y^2 = x^3 - 3c*x^2 + 3c^2*x, which has (0, 0) as a 2-torsion point.
     Points map back by (x, y) -> (x - c, y).
     """
-    if c == 0:
-        raise CurveError("need c != 0")
+    if not isinstance(c, int) or isinstance(c, bool) or c == 0:
+        raise CurveError(f"need a nonzero integer c, not {c!r}")
     return Curve(-3 * c, 3 * c * c, 0)
 

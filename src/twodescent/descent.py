@@ -31,7 +31,7 @@ from functools import lru_cache, reduce
 from math import gcd, isqrt, prod
 from operator import lt, ne, xor
 
-from .arith import ONE, Record, SquareClass, _euler, factorize, val
+from .arith import ONE, Record, SquareClass, _euler, _val, factorize
 from .curve import Curve, Pt, TorsionGroup, torsion_subgroup
 from .localsolve import QuarticForm, _qp_soluble
 
@@ -93,7 +93,7 @@ class BadSet(Record):
 def bad_set(E: Curve) -> BadSet:
     """2 and the primes of the odd parts of b and b', each factored once."""
     a, b = _check_descent_model(E)
-    odd_parts = {abs(n) >> val(n, 2) for n in (b, a * a - 4 * b)}
+    odd_parts = {abs(n) >> _val(n, 2) for n in (b, a * a - 4 * b)}
     return BadSet(tuple(sorted({2}.union(*(factorize(m).primes() for m in odd_parts)))))
 
 
@@ -249,9 +249,9 @@ def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareCla
     gens = (-1,) + S.primes
     t, seed, dual = 1, int(bp < 0), int(b < 0)
     for j, q in enumerate(S.primes, 1):
-        e = val(b, q)
-        t *= q ** (e // 4 if a == 0 else min(val(a, q) // 2, e // 4))
-        seed, dual = seed | (val(bp, q) & 1) << j, dual | (e & 1) << j
+        e = _val(b, q)
+        t *= q ** (e // 4 if a == 0 else min(_val(a, q) // 2, e // 4))
+        seed, dual = seed | (_val(bp, q) & 1) << j, dual | (e & 1) << j
     funcs: tuple[list[int], list[int]] = ([], [1]) if _minus_one_real(a, b) else ([1], [])
     a, bp = a // t**2, bp // t**4  # the reduced model of the local tests
     for i, v in enumerate(S.primes, 1):
@@ -319,19 +319,15 @@ def _orbit_masks(q: int, W: int, R: int) -> tuple[tuple[int, int, int, int], ...
     return tuple(out)
 
 
-@lru_cache(maxsize=256)
-def _period(q: int, a: int, b: int, c: int, W: int, R: int) -> int:
-    """Bit k*W + m set for k < q + R and m < W when a*m^4 + b*m^2*k^2 + c*k^4
-    is a square mod q: the union of the _orbit_masks whose first pair
-    passes.  Every band mask is a cut of it."""
-    squares = _SQUARES[q]
-    return sum(mask for x, y, z, mask in _orbit_masks(q, W, R) if (a * x + b * y + c * z) % q in squares)
-
-
 @lru_cache(maxsize=2048)
 def _band_mask(q: int, a: int, b: int, c: int, W: int, r: int, R: int) -> int:
-    """Rows r to r + R - 1 of _period: the mask of R rows from an n = r (mod q)."""
-    return _period(q, a, b, c, W, R) >> r * W & ((1 << R * W) - 1)
+    """Bit k*W + m, k < R and m < W, set when gcd(m, n, q) = 1 and
+    a*m^4 + b*m^2*n^2 + c*n^4 is a square mod q, n = r + k (mod q): the
+    mask of a band of R rows from an n = r (mod q), cut from the union of
+    the _orbit_masks whose first pair passes."""
+    squares = _SQUARES[q]
+    period = sum(mask for x, y, z, mask in _orbit_masks(q, W, R) if (a * x + b * y + c * z) % q in squares)
+    return period >> r * W & ((1 << R * W) - 1)
 
 
 def _first_square(c4: int, c2: int, c0: int, H: int):
@@ -345,9 +341,9 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
     in _BAND_BITS (the whole box at H = 100, one row from H = 2^14).  A
     band is the AND of one mask per modulus q, the pairs where N(m, n) is
     a square mod q and gcd(m, n, q) = 1.  A mask repeats every q rows and
-    depends on the coefficients mod q only up to a unit square, so it is
-    cached under (q, the coefficients scaled so the first nonzero one is
-    least, H + 1, n0 mod q, rows per band).
+    depends on the coefficients mod q only up to a unit square, so
+    _band_mask builds and caches it under (q, the coefficients scaled so the
+    first nonzero one is least, H + 1, n0 mod q, rows per band).
     Survivors get the exact test low bit first, in the order (n, m).  A
     hit of height h is beaten only below h, so the masks then keep m < h
     and the rows n < h (rows past H, in the last band, end the scan as

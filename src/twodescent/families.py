@@ -169,10 +169,12 @@ def _ep_dims(r: int):
 # every p, and a call turns the codes into pass or fail through a
 # 256-byte table cut from two periods of chi_l.  As -1 is a square mod
 # l, the sign that |x| drops does not matter; mod l = 3 (mod 4) it
-# would, and such l filter nothing.  One more byte, (X mod 16, Y mod 16),
-# gives the 2-adic test.  A bytes.translate per code and an AND of the
-# results as ints leave the surviving rows of each chunk of _CHUNK rows
-# in order; a chunk is coded when a filtered scan first reaches it.
+# would, and such l filter nothing.  Nothing is tested mod 16: ep_rank
+# scans only p with 2 a fourth power mod p, and for such p the rows,
+# products of fourth powers, leave every candidate a possible square mod
+# 16.  A bytes.translate per code and an AND of the results as ints leave
+# the surviving rows of each chunk of _CHUNK rows in order; a chunk is
+# coded when a filtered scan first reaches it.
 # Along a unit orbit x mod q has a period dividing 24 for each q of
 # _ORBIT_MODULI, so per-modulus masks indexed by (x0, 2 s0) mod q mark
 # the steps where x, or -x, can be a square, and only those steps get
@@ -319,24 +321,10 @@ def _pass_table(l: int, alpha: int, beta: int, scale: int) -> bytes:
     return (pos + neg + bytes((1, s != -1, s != 1))).ljust(256, b"\0")
 
 
-@cache
-def _two_adic(alpha: int, beta: int, scale: int) -> bytes:
-    """The codes (X mod 16) * 16 + Y mod 16 translated to 1 where the
-    candidate scale * |alpha X + beta Y| can be a square, known mod
-    16 * scale, else to 0; alpha and beta matter mod 16 only."""
-    m = 16 * scale
-    squares = {w * w % m for w in range(m)}
-    ok = [any(v * scale % m in squares for v in (z, -z % 16)) for z in range(16)]  # by z mod 16
-    return bytes(ok[(alpha * (i >> 4) + beta * i) & 15] for i in range(256))  # i = Y (mod 16)
-
-
 def _chunk_codes(xs, ys) -> list[bytes]:
-    """The row codes mod 16, then those of _CODE_PRIMES."""
-    out = [bytes([(x & 15) << 4 | y & 15 for x, y in zip(xs, ys)])]
-    for l in _CODE_PRIMES:
-        index = _residue_tables(l)[2]
-        out.append(bytes([index[x % l * l + y % l] for x, y in zip(xs, ys)]))
-    return out
+    """The row codes of each l of _CODE_PRIMES."""
+    return [bytes([index[x % l * l + y % l] for x, y in zip(xs, ys)])
+            for l in _CODE_PRIMES for index in [_residue_tables(l)[2]]]
 
 
 def _candidate(c: int, a: int, b: int):
@@ -354,8 +342,7 @@ def _survivors(table: _ProductTable, c: int, a: int, b: int):
         return
     a, b, scale = _candidate(c, a, b)
     alpha, beta = a, -c * b  # the candidate alpha X + beta Y = Y (alpha t + beta), t = X/Y
-    passes = [_two_adic(alpha & 15, beta & 15, scale)]
-    passes += [_pass_table(l, alpha, beta, scale) for l in _CODE_PRIMES]
+    passes = [_pass_table(l, alpha, beta, scale) for l in _CODE_PRIMES]
     for start in range(0, len(xs), _CHUNK):
         chunk = codes.get(start)
         if chunk is None:
@@ -561,7 +548,7 @@ def edx_rank_upper(D: int) -> int:
     """rank of y^2 = x^3 + Dx is at most 2*nu(2D) - 1, nu = #prime divisors."""
     if D == 0:
         raise FamilyError("D must be nonzero")
-    return 2 * len(factorize(2 * D).primes()) - 1
+    return 2 * len({2, *factorize(D).primes()}) - 1
 
 
 def edconst_torsion(D: int) -> TorsionGroup:
@@ -601,7 +588,7 @@ def ep_table(
     mod8, one of 1, 3, 5, 7, keeps p = mod8 (mod 8); quartic_only keeps p
     with 2 a fourth power mod p (forces p = 1 mod 8).
     """
-    if not isinstance(p_max, int):
+    if not isinstance(p_max, int) or isinstance(p_max, bool):
         raise FamilyError(f"need an integer p_max, not {p_max!r}")
     if p_max > _EP_TABLE_BUDGET:
         raise FamilyError(f"p_max beyond the {_EP_TABLE_BUDGET} budget")

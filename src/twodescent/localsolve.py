@@ -32,7 +32,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 
-from .arith import Record, is_prime, val
+from .arith import Record, _val, is_prime
 
 __all__ = [
     "LocalSolveError",
@@ -85,8 +85,8 @@ class QuarticForm(Record):
     c: tuple[int, int, int, int, int]
 
     def __post_init__(self):
-        if len(self.c) != 5:
-            raise LocalSolveError("need exactly five coefficients")
+        if len(self.c) != 5 or not all(isinstance(v, int) and not isinstance(v, bool) for v in self.c):
+            raise LocalSolveError(f"need five integer coefficients, not {self.c!r}")
         if all(v == 0 for v in self.c):
             raise LocalSolveError("the zero form has no model")
 
@@ -126,20 +126,20 @@ def _setup(f: QuarticForm, p: int) -> tuple[tuple[int, ...], bool, int]:
     every verdict), whether m is odd, and val(disc c, p)."""
     if f.degree < 2:
         raise LocalSolveError("need degree >= 2")
-    m = val(gcd(*f.c), p)
+    m = _val(gcd(*f.c), p)
     t = p ** (m - m % 2)
     c = tuple(v // t for v in f.c) if t > 1 else f.c
     disc = poly_disc(c)
     if disc == 0:
         raise LocalSolveError("zero discriminant")
-    return c, m % 2 == 1, val(disc, p)
+    return c, m % 2 == 1, _val(disc, p)
 
 
 def _zp_search(c: tuple[int, ...], content: bool, disc_val: int, p: int,
                start: tuple[int, int] | None = None) -> LocalVerdict:
     """The search of _setup's c over Z_p, or over the one class start = (r, k)."""
     lead = next(v for v in c if v != 0)
-    cap = max(1, val(lead, p) + disc_val)
+    cap = max(1, _val(lead, p) + disc_val)
 
     half = (p - 1) // 2
     if start is not None:
@@ -171,14 +171,14 @@ def _zp_search(c: tuple[int, ...], content: bool, disc_val: int, p: int,
         v = (((c4 * r + c3) * r + c2) * r + c1) * r + c0
         if v == 0:
             return LocalVerdict(True, Witness("exact-root", Fraction(r), f"f({r}) = 0"))
-        lam = val(v, p)
+        lam = _val(v, p)
         u = v // p**lam
         if lam % 2 == 0 and (u % 8 == 1 if p == 2 else pow(u, half, p) == 1):
             return LocalVerdict(
                 True, Witness("square-value", Fraction(r), f"f({r}) is a square in Q_{p}")
             )
         d = ((4 * c4 * r + 3 * c3) * r + 2 * c2) * r + c1
-        mu = val(d, p) if d else None
+        mu = _val(d, p) if d else None
         if mu is not None and k > mu:
             # f maps the class onto f(r) + p^(k + mu) Z_p.  A class at
             # k >= 2 comes from a split at k - 1 <= mu(parent), and
@@ -203,7 +203,7 @@ def _zp_search(c: tuple[int, ...], content: bool, disc_val: int, p: int,
 
 
 def _check_prime(p: int) -> None:
-    if not isinstance(p, int) or not is_prime(p):
+    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
         raise LocalSolveError(f"need a prime p, not {p!r}")
 
 

@@ -85,6 +85,29 @@ def test_a_non_integer_argument_is_a_typed_refusal(f, args):
         f(*args)
 
 
+# a float once gave a wrong valuation (val(2.5, 3) read 0), a wrong p-adic
+# verdict or a bare TypeError, and a bool answered as the int it equals
+UNTYPED_CALLS = {
+    "val-float": (val, (2.5, 3)),
+    "val-bool": (val, (True, 3)),
+    "legendre-float": (legendre, (2.5, 7)),
+    "legendre-bool": (legendre, (True, 7)),
+    "is_padic_square-float": (is_padic_square, (2.5, 7)),
+    "is_padic_square-float-p": (is_padic_square, (17, 2.0)),
+    "quartic_residue_exp-float": (quartic_residue_exp, (2.5, 17)),
+    "factorize-bool": (factorize, (True,)),
+    "squarefree_part-bool": (squarefree_part, (True,)),
+    "is_prime-bool": (is_prime, (True,)),
+    "sieve_primes-float": (sieve_primes, (2.5,)),
+}
+
+
+@pytest.mark.parametrize("f, args", UNTYPED_CALLS.values(), ids=UNTYPED_CALLS)
+def test_a_float_or_bool_argument_is_an_arith_refusal(f, args):
+    with pytest.raises(ArithError, match="need an integer"):
+        f(*args)
+
+
 def test_factorize_known_values():
     f = factorize(314432)
     assert f.sign == 1

@@ -502,6 +502,8 @@ def test_from_cubic_const_models():
     assert from_cubic_const(3) == Curve(-9, 27, 0)
     with pytest.raises(CurveError):
         from_cubic_const(0)
+    with pytest.raises(CurveError, match="need a nonzero integer c, not True"):
+        from_cubic_const(True)  # once Curve(-3, 3, 0)
 
 
 def test_from_cubic_const_is_a_shift_of_the_cube_model():

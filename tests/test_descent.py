@@ -29,7 +29,6 @@ from twodescent.descent import (
     _minus_one_real,
     _on_curve_xyz,
     _orbit_masks,
-    _period,
     _selmer,
     _space,
     _span,
@@ -807,32 +806,37 @@ def test_orbit_masks_match_the_tuple_set_orbits(q, H):
 
 
 def test_period_masks_match_the_brute_definition():
-    # bit k*W + m of _period is set iff N(m, k) = a m^4 + b m^2 k^2 + c k^4
-    # is a square mod q: every modulus, every (a, b, c) mod q but zero, and
-    # the band shapes of five heights (H <= 28 gives rows narrower than q),
-    # and only where gcd(m, k, q) = 1.  N mod q depends on m^2 and k^2 mod q
-    # only, so the expected mask is a tiling of one q-bit row per k^2, made
-    # once per distinct set of rows, then cut to the pairs prime to q
+    # bit k*W + m of _band_mask from row r, a cut of one period of q rows,
+    # is set iff N(m, n) = a m^4 + b m^2 n^2 + c n^4, n = r + k (mod q), is
+    # a square mod q: every modulus, every (a, b, c) mod q but zero, and the
+    # band shapes of six heights (H <= 28 gives rows narrower than q, H = 200
+    # two bands), each from the first row r = a + b + c mod q, so every
+    # r < q comes up, and only where gcd(m, n, q) = 1.  N mod q depends on
+    # m^2 and n^2 mod q only, so the expected period is a tiling of one
+    # q-bit row per n^2, made once per distinct set of rows, then cut to the
+    # pairs prime to q and to the band
     for q in _MODULI:
         squares = {i * i % q for i in range(q)}
         # the residue r, written chr(r), to "1" when r + j is a square mod q
         shift = [str.maketrans({chr(r): "01"[(r + j) % q in squares] for r in range(q)}) for j in range(q)]
         sq_desc = [m * m % q for m in reversed(range(q))]
         ts = sorted(set(sq_desc))
-        shapes = [(H + 1, band_rows(H)) for H in (1, 7, 20, 28, 100)]
+        shapes = [(H + 1, band_rows(H)) for H in (1, 7, 20, 28, 100, 200)]
         prime_to_q = [sum(1 << k * W + m for k in range(q + R) for m in range(W) if math.gcd(k, m, q) == 1)
                       for W, R in shapes]
         expected: dict[tuple[str, ...], list[int]] = {}
         for a, b in itertools.product(range(q), repeat=2):
-            # per t = k^2, a m^4 + b m^2 t for m = q - 1 down to 0, as chr
+            # per t = n^2, a m^4 + b m^2 t for m = q - 1 down to 0, as chr
             part = {t: "".join(chr((a * s * s + b * s * t) % q) for s in sq_desc) for t in ts}
             for c in range(0 if a or b else 1, q):
                 rows = tuple(part[t].translate(shift[c * t * t % q]) for t in ts)
                 if rows not in expected:
                     bits = {t: int(r, 2) for t, r in zip(ts, rows)}
                     expected[rows] = [_tile(q, bits, W, R) & cut for (W, R), cut in zip(shapes, prime_to_q)]
+                r = (a + b + c) % q
                 for (W, R), want in zip(shapes, expected[rows]):
-                    assert _period(q, a, b, c, W, R) == want, (q, a, b, c, W)
+                    got = _band_mask.__wrapped__(q, a, b, c, W, r, R)
+                    assert got == want >> r * W & ((1 << R * W) - 1), (q, a, b, c, W, r)
 
 
 @st.composite

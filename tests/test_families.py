@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twodescent import families
-from twodescent.arith import _cube_root_exact, factorize, quartic_residue_gauss, sieve_primes, squarefree_part
+from twodescent.arith import ArithError, _cube_root_exact, factorize, quartic_residue_gauss, sieve_primes, squarefree_part
 from twodescent.curve import INFINITY, Curve, from_cubic_const, pt, torsion_subgroup
 from twodescent.descent import _first_square, _space, selmer
 from twodescent.localsolve import QuarticForm
@@ -274,6 +274,18 @@ def test_edx_rank_upper_values():
         edx_rank_upper(0)
 
 
+@pytest.mark.parametrize("f", [edx_torsion, edconst_torsion, edx_rank_upper])
+def test_a_bool_d_is_refused_where_it_is_factored(f):
+    # each once answered as for D = 1: Z2, Z6 and rank at most 1
+    with pytest.raises(ArithError, match="need an integer, not True"):
+        f(True)
+
+
+def test_ep_table_refuses_a_bool_p_max():
+    with pytest.raises(FamilyError, match="need an integer p_max, not True"):
+        ep_table(True)  # once []
+
+
 def test_edconst_torsion_table():
     assert edconst_torsion(1).structure == "Z6"
     assert edconst_torsion(-432).structure == "Z3"
@@ -427,9 +439,8 @@ def test_import_and_a_search_free_rank_build_no_product_table():
         "import twodescent\n"
         "unused = ('concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect')\n"
         "assert not [m for m in unused if m in sys.modules], sys.modules.keys() & set(unused)\n"
-        "from twodescent.families import _orbit_masks, _product_table, _residue_tables, "
-        "_two_adic, ep_rank\n"
-        "caches = (_product_table, _residue_tables, _two_adic, _orbit_masks)\n"
+        "from twodescent.families import _orbit_masks, _product_table, _residue_tables, ep_rank\n"
+        "caches = (_product_table, _residue_tables, _orbit_masks)\n"
         "assert all(f.cache_info().currsize == 0 for f in caches)\n"
         "assert ep_rank(23).hi == 0 and ep_rank(17).hi == 0\n"
         "assert all(f.cache_info().currsize == 0 for f in caches)\n"

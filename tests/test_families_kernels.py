@@ -12,7 +12,7 @@ from bisect import bisect_right
 from itertools import islice
 from math import gcd, isqrt
 
-from twodescent.arith import sieve_primes
+from twodescent.arith import quartic_residue_exp, sieve_primes
 from twodescent.families import (
     _CHUNK,
     _CODE_PRIMES,
@@ -21,7 +21,6 @@ from twodescent.families import (
     _ROOTS,
     _SPLIT,
     _ProductTable,
-    _candidate,
     _chunk_codes,
     _fill_roots,
     _orbit_masks,
@@ -31,7 +30,6 @@ from twodescent.families import (
     _product_table,
     _split_smooth,
     _survivors,
-    _two_adic,
 )
 
 from .oracles import (
@@ -201,23 +199,25 @@ def test_split_smooth_walk_matches_the_sorted_one_shot_list(c, cap):
         for k, fac in split_smooth_oracle(cap, modulus, residues)[1:]]
 
 
-@pytest.mark.parametrize("c", [1, 2, -2])
-@pytest.mark.parametrize("form", [(2, 1), (1, 2), (1, 1)])
-def test_two_adic_table_matches_the_per_cell_oracle(c, form):
-    # for every pi_p = a + b sqrt(-c) mod 16, outside the cache: the one
-    # table of the candidate form is the oracle's table of the candidate
-    # component, y for c = 1 and x otherwise, for the searched space and
-    # for the other space of its coset, C_p with (1, 2) beside C_{-1} in
-    # Z[i] and (1, 1) for both elsewhere, and for no other form
-    coset_forms = {SCALES[c], (1, 2)} if c == 1 else {SCALES[c]}
-    component = 1 if c == 1 else 0
-    same = True
-    for a in range(16):
-        for b in range(16):
-            a2, b2, scale = _candidate(c, a, b)
-            table = _two_adic.__wrapped__(a2 & 15, -c * b2 & 15, scale)
-            same &= table == two_adic_oracle(a, b, c, *form)[component]
-    assert same == (form in coset_forms)
+@pytest.mark.parametrize("c", [1, 2])
+def test_no_row_fails_mod_16_for_a_prime_with_2_a_fourth_power(c):
+    # so the scans need no 2-adic filter: for every p < 10^5 with 2 a fourth
+    # power mod p, the only p that ep_rank scans, every row residue
+    # (X mod 16, Y mod 16) of the table can give a square candidate, while
+    # for every other p = 1 (mod 8) none can
+    num, den = SCALES[c]
+    component = 1 if c == 1 else 0  # y for c = 1, x otherwise
+    table = _product_table(10**5, c)
+    cells = {X % 16 * 16 + Y % 16 for X, Y in zip(table.xs, table.ys)}
+    assert len(cells) == (2 if c == 1 else 4)
+    residues = {True: set(), False: set()}  # pi_p mod 16, by whether 2 is a fourth power mod p
+    for p in sieve_primes(10**5):
+        if p % 8 == 1:
+            a, b = _prime_root(p, c)
+            residues[quartic_residue_exp(2, p)].add((a % 16, b % 16))
+    for quartic, pis in residues.items():
+        ok = [two_adic_oracle(a, b, c, num, den)[component][i] for a, b in pis for i in cells]
+        assert all(ok) if quartic else not any(ok), quartic
 
 
 @pytest.mark.parametrize("H", [1, 5, 2000, 20000])

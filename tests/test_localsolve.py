@@ -51,6 +51,14 @@ def test_quartic_form_validation():
     assert QuarticForm((3, 0, 0, 0, 1)).degree == 4
 
 
+@pytest.mark.parametrize("c", [(1, 0, 0, 0, 2.5), (-1, 0, 0, 0, 2.5), (1, 0, 0, 0, True), (Fraction(1), 0, 0, 0, 2)])
+def test_quartic_form_refuses_non_integer_coefficients(c):
+    # (1, 0, 0, 0, 2.5) once made qp_soluble raise a bare TypeError, and
+    # r_soluble answered on (-1, 0, 0, 0, 2.5)
+    with pytest.raises(LocalSolveError, match="need five integer coefficients"):
+        QuarticForm(c)
+
+
 def test_quartic_form_evaluation_and_reverse():
     f = QuarticForm((64, 0, -48, 0, 8))
     assert f(Fraction(1, 2)) == 0
