@@ -333,6 +333,8 @@ class SquareClass(Record, order=True):
     rep: int
 
     def __init__(self, rep: int):
+        if type(rep) is not int:
+            raise ArithError(f"need an integer rep, not {rep!r}")
         if rep == 0:
             raise ArithError("square class of zero is undefined")
         object.__setattr__(self, "rep", rep)

@@ -33,7 +33,7 @@ from operator import lt, ne, xor
 
 from .arith import ONE, Record, SquareClass, _euler, _val, factorize
 from .curve import Curve, Pt, TorsionGroup, torsion_subgroup
-from .localsolve import QuarticForm, _qp_soluble
+from .localsolve import _qp_soluble
 
 __all__ = [
     "DescentError",
@@ -142,10 +142,10 @@ class SelmerSet(Record):
         return iter(self.classes)
 
 
-def _space(a: int, bp: int, d: int) -> QuarticForm:
-    """Cleared model Y^2 = d*b'*z^4 - 2*a*d^2*z^2 + d^3 of C_d, Y = d*w, for a
-    checked model with b' = bp and an integer d != 0."""
-    return QuarticForm((d * bp, 0, -2 * a * d * d, 0, d**3))
+def _space(a: int, bp: int, d: int) -> tuple[int, int, int, int, int]:
+    """Coefficients of the cleared model Y^2 = d*b'*z^4 - 2*a*d^2*z^2 + d^3 of
+    C_d, Y = d*w, for a checked model with b' = bp and an integer d != 0."""
+    return d * bp, 0, -2 * a * d * d, 0, d**3
 
 
 def _minus_one_real(a: int, b: int) -> bool:
@@ -460,7 +460,7 @@ def _certify_direction(a: int, bp: int, sel: dict[SquareClass, int], seed: int, 
     span = {0, seed}
     hits = []
     for d, mask in sel.items():
-        if mask not in span and (hit := _first_square(*_space(a, bp, int(d)).c[::2], H)) is not None:
+        if mask not in span and (hit := _first_square(*_space(a, bp, int(d))[::2], H)) is not None:
             hits.append((int(d), *hit))
             span |= {mask ^ s for s in span}
     image = [d for d, mask in sel.items() if mask in span]

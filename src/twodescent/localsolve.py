@@ -22,6 +22,11 @@ reversed quartic t^4 * f(1/t), searched on t = 0 (mod p) alone since a
 unit t is 1/z for a unit z already searched; its t = 0 classes are the
 points at infinity.
 
+The search runs on bare coefficient tuples and returns None or the
+fields of its witness.  The descent calls it that way, unchecked;
+zp_soluble and qp_soluble check the form and the prime, and only they
+build a LocalVerdict and its Witness.
+
 Real solvability is decided in integers: a positive leading coefficient
 or odd degree, else a real root, read off the signs of the discriminant
 and two invariants of the classical real-root classification.
@@ -92,10 +97,7 @@ class QuarticForm(Record):
 
     @property
     def degree(self) -> int:
-        for i, v in enumerate(self.c):
-            if v != 0:
-                return 4 - i
-        raise LocalSolveError("zero form")
+        return 4 - next(i for i, v in enumerate(self.c) if v)
 
     def __call__(self, z):
         r = 0
@@ -121,26 +123,30 @@ class LocalVerdict(Record):
 _INSOLUBLE = LocalVerdict(False, None)
 
 
-def _setup(f: QuarticForm, p: int) -> tuple[tuple[int, ...], bool, int]:
-    """f.c less the square part of its content p^m (square scaling keeps
-    every verdict), whether m is odd, and val(disc c, p)."""
-    if f.degree < 2:
-        raise LocalSolveError("need degree >= 2")
-    m = _val(gcd(*f.c), p)
-    t = p ** (m - m % 2)
-    c = tuple(v // t for v in f.c) if t > 1 else f.c
-    disc = poly_disc(c)
-    if disc == 0:
-        raise LocalSolveError("zero discriminant")
-    return c, m % 2 == 1, _val(disc, p)
+def _setup(c: tuple[int, ...], p: int) -> tuple[tuple[int, ...], bool, int]:
+    """c less the square part of its content p^m (square scaling keeps
+    every verdict), whether m is odd, and val(disc c, p).  An even
+    quartic A z^4 + B z^2 + C has disc 16 A C (B^2 - 4AC)^2."""
+    m = _val(gcd(*c), p)
+    if m > 1:
+        t = p ** (m - m % 2)
+        c = tuple(v // t for v in c)
+    c4, c3, c2, c1, c0 = c
+    if c3 or c1 or not c4:
+        if disc := poly_disc(c):
+            return c, m % 2 == 1, _val(disc, p)
+    elif c0 and (e := c2 * c2 - 4 * c4 * c0):
+        return c, m % 2 == 1, 4 * (p == 2) + _val(c4, p) + _val(c0, p) + 2 * _val(e, p)
+    raise LocalSolveError("zero discriminant")
 
 
 def _zp_search(c: tuple[int, ...], content: bool, disc_val: int, p: int,
-               start: tuple[int, int] | None = None) -> LocalVerdict:
-    """The search of _setup's c over Z_p, or over the one class start = (r, k)."""
+               start: tuple[int, int] | None = None) -> tuple[str, int, int] | None:
+    """The search of _setup's c over Z_p, or over the one class start = (r, k):
+    None, or the witness found on r mod p^k as (kind, r, k), kind "exact-root",
+    "square-value" or, for a Hensel lift, "a root" or "a square value"."""
     lead = next(v for v in c if v != 0)
     cap = max(1, _val(lead, p) + disc_val)
-
     half = (p - 1) // 2
     if start is not None:
         stack = [start]
@@ -159,10 +165,7 @@ def _zp_search(c: tuple[int, ...], content: bool, disc_val: int, p: int,
             if acc == 0:
                 stack.append((r, 1))
             elif not content and pow(acc, half, p) == 1:
-                return LocalVerdict(
-                    True,
-                    Witness("square-value", Fraction(r), f"f({r}) is a square in Q_{p}"),
-                )
+                return "square-value", r, 1
         stack.reverse()
 
     c4, c3, c2, c1, c0 = c
@@ -170,13 +173,11 @@ def _zp_search(c: tuple[int, ...], content: bool, disc_val: int, p: int,
         r, k = stack.pop()
         v = (((c4 * r + c3) * r + c2) * r + c1) * r + c0
         if v == 0:
-            return LocalVerdict(True, Witness("exact-root", Fraction(r), f"f({r}) = 0"))
+            return "exact-root", r, k
         lam = _val(v, p)
         u = v // p**lam
         if lam % 2 == 0 and (u % 8 == 1 if p == 2 else pow(u, half, p) == 1):
-            return LocalVerdict(
-                True, Witness("square-value", Fraction(r), f"f({r}) is a square in Q_{p}")
-            )
+            return "square-value", r, k
         d = ((4 * c4 * r + 3 * c3) * r + 2 * c2) * r + c1
         mu = _val(d, p) if d else None
         if mu is not None and k > mu:
@@ -187,19 +188,38 @@ def _zp_search(c: tuple[int, ...], content: bool, disc_val: int, p: int,
             # lam = n - 2 = 2k - 3 is odd, never a square value.
             n = k + mu
             if lam >= n or (p == 2 and lam == n - 1):
-                what = "a root" if lam >= n else "a square value"
-                return LocalVerdict(
-                    True, Witness("hensel", None, f"f has {what} on {r} mod {p}^{k}")
-                )
+                return "a root" if lam >= n else "a square value", r, k
         elif lam >= 2 * k or (p == 2 and lam == 2 * k - 2 and u % 4 == 1):
             # f = f(r) mod p^(2k) on the class: undecided, split it
             if k > cap:
-                raise PrecisionExhausted(
-                    f"class {r} mod {p}^{k} splits beyond the resultant bound {cap}"
-                )
+                raise PrecisionExhausted(f"class {r} mod {p}^{k} splits beyond the resultant bound {cap}")
             step = p**k
             stack.extend((r + j * step, k + 1) for j in range(p - 1, -1, -1))
-    return _INSOLUBLE
+
+
+def _qp_soluble(c: tuple[int, ...], p: int) -> tuple[str, int, int, bool] | None:
+    """qp_soluble of c at a proved prime p, unchecked: None, or _zp_search's fields
+    and whether the reversed quartic gave them.  It searches t = 1/z in pZ_p with
+    c's setup: reversal keeps the content; val(disc c) is its own, or looser if c(0) = 0."""
+    c, content, disc_val = _setup(c, p)
+    if found := _zp_search(c, content, disc_val, p):
+        return (*found, False)
+    found = _zp_search(c[::-1], content, disc_val, p, (0, 1))
+    return found and (*found, True)
+
+
+def _verdict(found: tuple[str, int, int, bool] | None, p: int) -> LocalVerdict:
+    """The LocalVerdict of search fields; a reversed t = r is z = 1/r, infinity if r = 0."""
+    if found is None:
+        return _INSOLUBLE
+    kind, r, k, rev = found
+    pre = "reversed form: " if rev else ""
+    if kind not in ("exact-root", "square-value"):
+        return LocalVerdict(True, Witness("hensel", None, f"{pre}f has {kind} on {r} mod {p}^{k}"))
+    if rev and r == 0:
+        return LocalVerdict(True, Witness("infinity", None, f"leading coefficient is a square in Q_{p}"))
+    note = f"f({r}) = 0" if kind == "exact-root" else f"f({r}) is a square in Q_{p}"
+    return LocalVerdict(True, Witness(kind, Fraction(1, r) if rev else Fraction(r), pre + note))
 
 
 def _check_prime(p: int) -> None:
@@ -210,40 +230,18 @@ def _check_prime(p: int) -> None:
 def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
     """Whether y^2 = f(z) has z in Z_p, y in Q_p, for a prime p."""
     _check_prime(p)
-    return _zp_search(*_setup(f, p), p)
+    if f.degree < 2:
+        raise LocalSolveError("need degree >= 2")
+    found = _zp_search(*_setup(f.c, p), p)
+    return _verdict(found and (*found, False), p)
 
 
 def qp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
     """Whether the smooth projective model of y^2 = f(z) has a Q_p point, for a prime p."""
     _check_prime(p)
-    return _qp_soluble(f, p)
-
-
-def _qp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
-    """qp_soluble for a proved prime p: z in Z_p via f itself, t = 1/z in pZ_p
-    via the reversed quartic with f's setup: reversal keeps the content, and
-    val(disc f) is its own or, if f(0) = 0, a looser cap.  A reversed
-    witness at t = 0 is at infinity."""
     if f.degree != 4:
         raise LocalSolveError("need an honest quartic")
-    c, content, disc_val = _setup(f, p)
-    v = _zp_search(c, content, disc_val, p)
-    if v.soluble:
-        return v
-    w = _zp_search(c[::-1], content, disc_val, p, (0, 1))
-    if not w.soluble:
-        return _INSOLUBLE
-    wit = w.witness
-    if wit.z is None:
-        return LocalVerdict(True, Witness("hensel", None, "reversed form: " + wit.note))
-    if wit.z == 0:
-        return LocalVerdict(
-            True,
-            Witness("infinity", None, f"leading coefficient is a square in Q_{p}"),
-        )
-    return LocalVerdict(
-        True, Witness(wit.kind, 1 / wit.z, "reversed form: " + wit.note)
-    )
+    return _verdict(_qp_soluble(f.c, p), p)
 
 
 # ---------------------------------------------------------------------------

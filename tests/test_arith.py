@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import time
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -260,6 +261,14 @@ def test_square_class_constructors():
     # the normalizing constructor reduces; the raw one trusts its input
     assert squarefree_part(4) == ONE
     assert squarefree_part(-2) == SquareClass(-2)
+
+
+@pytest.mark.parametrize("rep", [2.5, 3.0, True, False, Fraction(3)])
+def test_square_class_refuses_a_rep_that_is_not_an_int(rep):
+    # SquareClass(2.5) once built, and SquareClass(True) * SquareClass(3)
+    # equalled SquareClass(3)
+    with pytest.raises(ArithError, match="need an integer rep"):
+        SquareClass(rep)
 
 
 def test_legendre_known_values():

@@ -245,7 +245,7 @@ def test_no_rational_points_when_two_is_not_a_quartic_residue():
     # coset spaces carry no rational points, so no height can certify them
     for p in (17, 41, 97, 137, 193):
         for d in (-1, 2, -2):
-            assert _first_square(*_space(0, -4 * p, d).c[::2], 30) is None
+            assert _first_square(*_space(0, -4 * p, d)[::2], 30) is None
 
 
 def test_edx_torsion_table():

@@ -205,6 +205,141 @@ def test_a_p_that_is_not_a_prime_int_is_refused(p):
             solve(f, p)
 
 
+# The verdicts of the public calls, with every witness kind and note:
+# exact roots, square values and Hensel lifts, found directly and on the
+# reversed form, points at infinity and insoluble forms, at p = 2 and odd
+# p, with content p^0, p^1 and p^3, on general quartics (the poly_disc
+# branch of the setup) and on the spaces C_d (the even closed form).
+PINNED_WITNESSES = [
+    ("qp", (-3, -3, -3, -3, 0), 3,
+     "LocalVerdict(soluble=True, witness=Witness(kind='exact-root', z=Fraction(0, 1), note='f(0) = 0'))"),
+    ("qp", (-375, -375, -375, -375, 0), 5,
+     "LocalVerdict(soluble=True, witness=Witness(kind='exact-root', z=Fraction(0, 1), note='f(0) = 0'))"),
+    ("qp", (-81, -54, 27, 81, -27), 3,
+     "LocalVerdict(soluble=True, witness=Witness(kind='exact-root', z=Fraction(1, 3), note='reversed form: f(3) = 0'))"),
+    ("qp", (-8, -4, -4, 0, 2), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='exact-root', z=Fraction(1, 2), note='reversed form: f(2) = 0'))"),
+    ("qp", (-8, 0, 6, 0, -1), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='exact-root', z=Fraction(1, 2), note='reversed form: f(2) = 0'))"),
+    ("qp", (-3, -3, -3, 3, -3), 3,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='f has a root on 4 mod 3^2'))"),
+    ("qp", (-375, -375, -375, -125, -375), 5,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='f has a root on 9 mod 5^2'))"),
+    ("qp", (-81, -54, -81, -81, -81), 3,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='reversed form: f has a root on 3 mod 3^2'))"),
+    ("qp", (-3, -2, -3, -1, -1), 3,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='reversed form: f has a root on 0 mod 3^1'))"),
+    ("qp", (-32, -28, -28, -20, 3), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='reversed form: f has a root on 0 mod 2^3'))"),
+    ("qp", (-16, -12, -12, -8, 3), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='reversed form: f has a square value on 0 mod 2^3'))"),
+    ("qp", (-4, -6, -6, -4, -6), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='reversed form: f has a square value on 0 mod 2^2'))"),
+    ("qp", (-6, -6, -6, -4, -2), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='f has a root on 1 mod 2^2'))"),
+    ("qp", (-3, -3, -3, -3, -2), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='f has a root on 0 mod 2^1'))"),
+    ("qp", (-6, -6, -6, -6, -4), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='f has a square value on 0 mod 2^2'))"),
+    ("qp", (-3, -3, -3, -3, -3), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='f has a square value on 0 mod 2^1'))"),
+    ("qp", (625, -375, -375, -375, -250), 5,
+     "LocalVerdict(soluble=True, witness=Witness(kind='infinity', z=None, note='leading coefficient is a square in Q_5'))"),
+    ("qp", (-2, -3, -2, -3, -3), 3,
+     "LocalVerdict(soluble=True, witness=Witness(kind='infinity', z=None, note='leading coefficient is a square in Q_3'))"),
+    ("qp", (1, -2, -3, -2, -3), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='infinity', z=None, note='leading coefficient is a square in Q_2'))"),
+    ("qp", (64, 0, -48, 0, 8), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='infinity', z=None, note='leading coefficient is a square in Q_2'))"),
+    ("qp", (-375, -375, -375, -375, -375), 5,
+     "LocalVerdict(soluble=False, witness=None)"),
+    ("qp", (-3, -3, -3, -3, -3), 3,
+     "LocalVerdict(soluble=False, witness=None)"),
+    ("qp", (-3, -2, -3, -2, -3), 2,
+     "LocalVerdict(soluble=False, witness=None)"),
+    ("qp", (32, 0, 96, 0, 8), 2,
+     "LocalVerdict(soluble=False, witness=None)"),
+    ("qp", (-375, -375, -375, -375, 625), 5,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(0, 1), note='f(0) is a square in Q_5'))"),
+    ("qp", (-3, -3, -3, -3, -2), 3,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(0, 1), note='f(0) is a square in Q_3'))"),
+    ("qp", (-81, -54, -54, -27, -54), 3,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(1, 3), note='reversed form: f(3) is a square in Q_3'))"),
+    ("qp", (-3, -3, -3, -3, 1), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(0, 1), note='f(0) is a square in Q_2'))"),
+    ("qp", (-4, -4, -4, -4, -6), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(1, 2), note='reversed form: f(2) is a square in Q_2'))"),
+    ("qp", (-3, -2, -2, -2, -2), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(1, 2), note='reversed form: f(2) is a square in Q_2'))"),
+    ("qp", (68, 0, 0, 0, -1), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='infinity', z=None, note='leading coefficient is a square in Q_2'))"),
+    ("qp", (68, 0, 0, 0, -1), 17,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(0, 1), note='f(0) is a square in Q_17'))"),
+    ("qp", (-136, 0, 0, 0, 8), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='f has a root on 5 mod 2^4'))"),
+    ("qp", (-136, 0, 0, 0, 8), 17,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(0, 1), note='f(0) is a square in Q_17'))"),
+    ("qp", (1156, 0, 0, 0, -4913), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='infinity', z=None, note='leading coefficient is a square in Q_2'))"),
+    ("qp", (1156, 0, 0, 0, -4913), 17,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(1, 1), note='f(1) is a square in Q_17'))"),
+    ("qp", (-2312, 0, 0, 0, 39304), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='f has a square value on 5 mod 2^4'))"),
+    ("qp", (-2312, 0, 0, 0, 39304), 17,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(1, 1), note='f(1) is a square in Q_17'))"),
+    ("qp", (-8, 0, 0, 0, -1), 2,
+     "LocalVerdict(soluble=False, witness=None)"),
+    ("qp", (16, 0, 0, 0, 8), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='infinity', z=None, note='leading coefficient is a square in Q_2'))"),
+    ("qp", (-16, 0, 0, 0, -8), 2,
+     "LocalVerdict(soluble=False, witness=None)"),
+    ("qp", (64, 0, -48, 0, 8), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='infinity', z=None, note='leading coefficient is a square in Q_2'))"),
+    ("qp", (64, 0, -48, 0, 8), 3,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='f has a root on 1 mod 3^1'))"),
+    ("qp", (-64, 0, -48, 0, -8), 2,
+     "LocalVerdict(soluble=False, witness=None)"),
+    ("qp", (-64, 0, -48, 0, -8), 3,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(0, 1), note='f(0) is a square in Q_3'))"),
+    ("qp", (-114244, 0, 0, 0, 2197), 13,
+     "LocalVerdict(soluble=True, witness=Witness(kind='infinity', z=None, note='leading coefficient is a square in Q_13'))"),
+    ("qp", (114244, 0, 0, 0, -2197), 13,
+     "LocalVerdict(soluble=True, witness=Witness(kind='infinity', z=None, note='leading coefficient is a square in Q_13'))"),
+    ("zp", (-3, -3, -3, -3, 0), 3,
+     "LocalVerdict(soluble=True, witness=Witness(kind='exact-root', z=Fraction(0, 1), note='f(0) = 0'))"),
+    ("zp", (-6, -6, -6, -6, 0), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='exact-root', z=Fraction(0, 1), note='f(0) = 0'))"),
+    ("zp", (-3, -3, -3, 3, -3), 3,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='f has a root on 4 mod 3^2'))"),
+    ("zp", (-6, -6, -6, -4, -2), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='f has a root on 1 mod 2^2'))"),
+    ("zp", (-3, -3, -3, -3, -3), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='f has a square value on 0 mod 2^1'))"),
+    ("zp", (-375, -375, -375, -375, 625), 5,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(0, 1), note='f(0) is a square in Q_5'))"),
+    ("zp", (-3, -3, -3, -3, 1), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(0, 1), note='f(0) is a square in Q_2'))"),
+    ("zp", (-375, -375, -375, -375, -375), 5,
+     "LocalVerdict(soluble=False, witness=None)"),
+    ("zp", (-6, -6, -6, -6, -6), 2,
+     "LocalVerdict(soluble=False, witness=None)"),
+    ("zp", (0, 0, 1, 1, 3), 2,
+     "LocalVerdict(soluble=True, witness=Witness(kind='hensel', z=None, note='f has a square value on 0 mod 2^1'))"),
+    ("zp", (0, 0, 4, 4, 5), 2,
+     "LocalVerdict(soluble=False, witness=None)"),
+    ("zp", (0, 1, 0, 3, 3), 3,
+     "LocalVerdict(soluble=True, witness=Witness(kind='square-value', z=Fraction(1, 1), note='f(1) is a square in Q_3'))"),
+    ("zp", (0, 0, 5, 0, 15), 5,
+     "LocalVerdict(soluble=False, witness=None)"),
+]
+
+
+def test_public_witnesses_are_pinned():
+    solve = {"qp": qp_soluble, "zp": zp_soluble}
+    got = [(name, c, p, repr(solve[name](QuarticForm(c), p))) for name, c, p, _ in PINNED_WITNESSES]
+    assert got == PINNED_WITNESSES
+
+
 def test_qp_examples_at_two():
     assert not qp_soluble(QuarticForm((32, 0, 96, 0, 8)), 2)
     # z = 1/2 is a root, but the reversed form's value 16 at t = 0 is a
