@@ -190,12 +190,19 @@ def _plan(kind: int, b_pairs: int, basis: tuple, known: frozenset, bad: frozense
     """The local tests at a prime v = kind (mod 4), given a basis of the classes known
     soluble, their span known and the classes bad known not: (x, plan if C_x is
     soluble, plan if not) for the next x of _ORDER to test, or when none is left,
-    a basis of the z orthogonal to W_v and the bits each basis row pairs with to -1."""
+    (a basis of W_v,)."""
     for x in _ORDER[:8 if kind == 2 else 4]:
         if x not in known and x not in bad and not (x & b_pairs).bit_count() & 1:
             more = known | {x ^ k for k in known}
             return (x, _plan(kind, b_pairs, basis + (x,), more, frozenset(y ^ k for y in bad for k in more)),
                     _plan(kind, b_pairs, basis, known, bad | {x ^ k for k in known}))
+    return (basis,)
+
+
+@lru_cache(maxsize=None)
+def _image(kind: int, basis: tuple) -> tuple:
+    """For W_v with the given basis: a basis of the z orthogonal to W_v and the
+    bits each basis row pairs with to -1."""
     return tuple(_kernel(basis, 3 if kind == 2 else 2)), tuple(_PAIRS[kind][y] for y in basis)
 
 
@@ -236,14 +243,24 @@ def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareCla
     At a place v, the classes d whose C_d has a point over Q_v form W_v,
     and those of E' form the annihilator of W_v under the Hilbert symbol
     (Cassels, Lectures on Elliptic Curves, LMS Student Texts 24).  W_R
-    holds -1 by _minus_one_real.  At a prime, _plan picks the local tests:
-    0 and L_v(b') lie in W_v (C_1 has the point (0, 1), C_b' a rational
-    point at infinity), a class pairing to -1 with L_v(b), in the image of
-    E', does not, and each test settles a coset of the classes known
-    soluble.  Tests run on the reduced model (a/t^2, b/t^4), whose C_d is
-    E's under z -> t z (Silverman, AEC X.4).  Sel of E is the kernel of
-    u -> L_v(u) . z over the z orthogonal to W_v, and Sel of E' that of
-    u -> (L_v(u), y)_v over a basis of W_v, both XORs of unit columns."""
+    holds -1 by _minus_one_real.  W_v at a prime is that of the reduced
+    model (a/t^2, b/t^4), whose C_d is E's under z -> t z (Silverman, AEC
+    X.4).  At an odd v prime to a/t^2, |W_v| = 2 c_v(E')/c_v(E) (Schaefer,
+    J. Number Theory 56 (1996), Lemma 3.8; phi'(0) is a unit at v), with
+    no test: E is I_2n and E' I_n at n = v(b/t^4) > 0, the reverse at
+    n = v(b'/t^4) > 0, split iff a, resp. -2a, is a square mod v, and c(I_n)
+    is n split, else 2 or 1 as n is even or odd (Silverman, Advanced Topics
+    IV.9).  So dim W_v is 0 at v | b and 2 at v | b' when split or n is odd,
+    else 1, and then W_v is the unit classes: they are unramified at good v;
+    at v | b, a non-split v, a point of E' off the identity component has
+    x = a mod v, a non-residue; at v | b', the non-residue x with x - 2a a
+    nonzero square mod v lift to E'.  Elsewhere _plan picks the local
+    tests: 0 and L_v(b') lie in W_v (C_1 has the point (0, 1), C_b' a
+    rational point at infinity), a class pairing to -1 with L_v(b), in the
+    image of E', does not, and each test settles a coset of the classes
+    known soluble.  Sel of E is the kernel of u -> L_v(u) . z over the z
+    orthogonal to W_v, and Sel of E' that of u -> (L_v(u), y)_v over a
+    basis of W_v, both XORs of unit columns."""
     a, b = E.a2, E.a4
     bp = a * a - 4 * b
     gens = (-1,) + S.primes
@@ -253,17 +270,23 @@ def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareCla
         t *= q ** (e // 4 if a == 0 else min(_val(a, q) // 2, e // 4))
         seed, dual = seed | (_val(bp, q) & 1) << j, dual | (e & 1) << j
     funcs: tuple[list[int], list[int]] = ([], [1]) if _minus_one_real(a, b) else ([1], [])
-    a, bp = a // t**2, bp // t**4  # the reduced model of the local tests
+    a, b, bp = a // t**2, b // t**4, bp // t**4  # the reduced model of the local tests
     for i, v in enumerate(S.primes, 1):
-        cols, reps, kind = _local_table(gens, i), _classes(v), v % 4
-        s = b_image = 0  # L_v(b') and L_v(b)
-        for j, c in enumerate(cols):
-            s |= ((seed & c).bit_count() & 1) << j
-            b_image |= ((dual & c).bit_count() & 1) << j
-        plan = _plan(kind, _PAIRS[kind][b_image], (s,) if s else (), frozenset({0, s}), frozenset())
+        cols, kind = _local_table(gens, i), v % 4
+        if v > 2 and a % v:  # good or multiplicative reduction: W_v by rule
+            vb, vbp, dim = _val(b, v), _val(bp, v), 1  # v divides at most one of b and b'
+            if vb or vbp:
+                dim += (-1 if vb else 1) * ((vb | vbp) & 1 or _euler(-2 * a if vbp else a, v) > 0)
+            plan = (((), (2,), (1, 2))[dim],)  # {1}, the units, all of Q_v*/Q_v*^2
+        else:
+            s = b_image = 0  # L_v(b') and L_v(b)
+            for j, c in enumerate(cols):
+                s |= ((seed & c).bit_count() & 1) << j
+                b_image |= ((dual & c).bit_count() & 1) << j
+            plan = _plan(kind, _PAIRS[kind][b_image], (s,) if s else (), frozenset({0, s}), frozenset())
         while len(plan) == 3:
-            plan = plan[1] if _qp_soluble(_space(a, bp, reps[plan[0]]), v) else plan[2]
-        for f, zs in zip(funcs, plan):  # per z, the generators whose L_v is odd on z
+            plan = plan[1] if _qp_soluble(_space(a, bp, _classes(v)[plan[0]]), v) else plan[2]
+        for f, zs in zip(funcs, _image(kind, *plan)):  # per z, the generators whose L_v is odd on z
             f += [reduce(xor, [cols[j] for j in _BITS[z]]) for z in zs]
     sel, sel_hat = ({SquareClass(d): m for _, d, m in _span(_kernel(f, len(gens)), gens)} for f in funcs)
     return sel, sel_hat, seed, dual

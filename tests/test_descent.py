@@ -431,7 +431,8 @@ def test_local_verdict_depends_only_on_the_local_class(a, b, data):
 
 def _selmer_and_tests(E: Curve):
     """Both Selmer sets of one _selmer(E, S) call as ints, with its local
-    tests per prime; the real place is decided by rule, with no test."""
+    tests per prime; the real place and the odd primes prime to a/t^2 are
+    decided by rule, with no test."""
     tests: dict[int, int] = {}
 
     def counting_qp(c, p):
@@ -470,7 +471,7 @@ def test_selmer_tests_each_local_class_once(E, monkeypatch):
     assert all(n <= walk_tests[v] for v, n in tests.items())
     assert sum(tests.values()) < sum(walk_tests.values())
     assert 0 not in tests and tests.get(2, 0) <= 7
-    assert all(n <= 3 for v, n in tests.items() if v > 2)
+    assert all(n <= 3 and E.a2 % v == 0 for v, n in tests.items() if v > 2)
     S = bad_set(E)
     monkeypatch.setattr(localsolve_module, "is_prime", lambda n: pytest.fail(f"{n} proved prime again"))
     assert tuple(tuple(int(d) for d in sel) for sel in _selmer(E, S)[:2]) == sels
@@ -503,7 +504,7 @@ def test_selmer_matches_walk_oracle_with_no_more_tests(E):
     assert sels == walk_sels
     assert all(n <= walk_tests.get(v, 0) for v, n in tests.items())
     assert 0 not in tests and tests.get(2, 0) <= 7
-    assert all(n <= 3 for v, n in tests.items() if v > 2)
+    assert all(n <= 3 and E.a2 % v == 0 for v, n in tests.items() if v > 2)
 
 
 @settings(max_examples=60, deadline=None)
@@ -548,6 +549,8 @@ def test_selmer_returns_the_seed_masks_of_b_prime_and_b(E):
 @example(0, 2, 8)  # 2^12 * 2: the reduction takes out 2^12
 @example(3, -1, 6)  # u = 6 scales a and b at 2 and at 3
 @example(1, 16, 3)  # 2^4 | b but 2 does not divide a: 3 is all that comes out
+@example(1, -2, 3)  # 3 | b' = 9 * 3^4: the rule reads v(b'/t^4), not v(b')
+@example(1, 1, 11)  # 11 | t alone: good reduction at 11 in the reduced model
 def test_selmer_of_a_scaled_model_is_the_walk_on_that_model(a, b, u):
     # the local tests run on the model with u^2 and u^4 taken out again;
     # the walk tests the spaces of the scaled model (u^2 a, u^4 b) itself
@@ -557,6 +560,69 @@ def test_selmer_of_a_scaled_model_is_the_walk_on_that_model(a, b, u):
     sel, sel_hat, *_ = _selmer(E, bad_set(E))
     assert (tuple(map(int, sel)), tuple(map(int, sel_hat))) == (
         selmer_walk_oracle(E)[0], selmer_walk_oracle(Ep)[0])
+
+
+@st.composite
+def rule_places(draw):
+    """(v, a, b, u): an odd v, a reduced model (a, b) with a prime to v and
+    v(b) or v(b') planted from 0 to 8 (to 2 at 100003), split or not as a or
+    -2a is a square mod v, and a scale u in {1, v, v^2, 6}."""
+    v = draw(st.sampled_from((3, 5, 7, 11, 13, 100003)))
+    a = draw(st.integers(-40, 40).filter(lambda n: n % v))
+    n = draw(st.integers(0, 8 if v < 100 else 2))
+    if draw(st.booleans()):
+        b = v**n * draw(st.integers(-40, 40).filter(lambda w: w % v))
+    else:  # v^n w = a^2 (mod 4) at w = a^2 v^n (mod 4), as v^2 = 1 (mod 4)
+        w = 4 * draw(st.integers(-40, 40)) + a * a * v**n % 4
+        assume(w % v)
+        b = (a * a - v**n * w) // 4
+    assume(b != 0)
+    return v, a, b, draw(st.sampled_from((1, v, v * v, 6)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rule_places())
+@example((3, 1, -1, 3))  # good at 3 once t = 3 comes out, with v(b) = v(b') = 4
+@example((100003, 1, 100003, 1))  # split I_2 on E and I_1 on E': W_v = {1}
+def test_local_image_by_rule_is_the_soluble_classes(place):
+    # at an odd v prime to a/t^2, W_v as _selmer takes it from the rule,
+    # with no local test at v, against the classes the oracle finds soluble
+    v, a, b, u = place
+    E = Curve(u * u * a, u**4 * b, 0)
+    S = bad_set(E)
+    assume(v in S.primes)
+    used, image = [], descent_module._image
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(descent_module, "_image", lambda kind, basis: used.append(basis) or image(kind, basis))
+        tests = _selmer_and_tests(E)[1]
+    W = {0}
+    for y in used[S.primes.index(v)]:
+        W |= {y ^ w for w in W}
+    assert v not in tests
+    assert W == {x for x, d in enumerate(_classes(v))
+                 if qp_soluble_two_pass_oracle(QuarticForm(space_oracle(a, b, d)), v)}
+
+
+@pytest.mark.parametrize("b, sel, sel_hat, rank_upper", [
+    (1000003, [1, -3, 617, -1851, 2161, -6483, 1333337, -4000011], [1, 1000003], 2),
+    (100003, [1, -3, 133337, -400011], [1, 100003], 1),
+])
+def test_multiplicative_places_at_a_large_prime_cost_no_local_test(b, sel, sel_hat, rank_upper):
+    # b prime and b' = 1 - 4b: the rule settles b, where proving a class
+    # insoluble by search takes seconds
+    start = time.perf_counter()
+    report = descent_report(Curve(1, b, 0), 20)
+    assert time.perf_counter() - start < 0.1
+    assert [int(d) for d in report.selmer_phi] == sel
+    assert [int(d) for d in report.selmer_phi_hat] == sel_hat
+    assert (report.rank_lower, report.rank_upper) == (0, rank_upper)
+
+
+@pytest.mark.parametrize("E, v", [(Curve(-11, 2, 0), 113), (Curve(1, 1000003, 0), 1000003),
+                                  (Curve(1, 100003, 0), 100003), (Curve(9, 3**5, 0), 3)])
+def test_no_local_test_at_a_place_the_rule_decides(E, v):
+    # 113 | b' = 121 - 8; 3^4 comes out of (9, 3^5), leaving (1, 3)
+    assert v in bad_set(E).primes and v not in _selmer_and_tests(E)[1]
 
 
 def test_a_large_power_of_two_in_b_costs_what_its_reduction_costs():
