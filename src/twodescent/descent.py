@@ -27,9 +27,9 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import gcd, isqrt, prod
-from operator import lt, ne, xor
+from operator import lt, ne
 
 from .arith import ONE, Record, SquareClass, _euler, _val, factorize
 from .curve import Curve, Pt, TorsionGroup, torsion_subgroup
@@ -54,6 +54,8 @@ class DescentError(ValueError):
 
 
 def _check_descent_model(E: Curve) -> tuple[int, int]:
+    if not isinstance(E, Curve):
+        raise DescentError(f"need a Curve, not {E!r}")
     if E.a6 != 0:
         raise DescentError("need a6 = 0, with the 2-torsion point at (0, 0)")
     a, b = E.a2, E.a4
@@ -160,7 +162,6 @@ def _minus_one_real(a: int, b: int) -> bool:
 # _ORDER, least |_classes(v)[x]| first.
 _PAIRS = {2: (0, 4, 2, 6, 1, 5, 3, 7), 1: (0, 2, 1, 3), 3: (0, 3, 1, 2)}
 _ORDER = (0, 2, 1, 3, 4, 6, 5, 7)
-_BITS = tuple(tuple(j for j in range(3) if x >> j & 1) for x in range(8))  # the set bits of each x
 
 
 def _local_table(gens: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -183,27 +184,6 @@ def _classes(v: int) -> tuple[int, ...]:
     its bits: 2, -1, 5 at 2; v and the least non-residue n at odd v."""
     n = 5 if v == 2 else next(n for n in range(2, v) if _euler(n, v) < 0)
     return (1, 2, -1, -2, n, 2 * n, -n, -2 * n) if v == 2 else (1, v, n, v * n)
-
-
-@lru_cache(maxsize=None)
-def _plan(kind: int, b_pairs: int, basis: tuple, known: frozenset, bad: frozenset) -> tuple:
-    """The local tests at a prime v = kind (mod 4), given a basis of the classes known
-    soluble, their span known and the classes bad known not: (x, plan if C_x is
-    soluble, plan if not) for the next x of _ORDER to test, or when none is left,
-    (a basis of W_v,)."""
-    for x in _ORDER[:8 if kind == 2 else 4]:
-        if x not in known and x not in bad and not (x & b_pairs).bit_count() & 1:
-            more = known | {x ^ k for k in known}
-            return (x, _plan(kind, b_pairs, basis + (x,), more, frozenset(y ^ k for y in bad for k in more)),
-                    _plan(kind, b_pairs, basis, known, bad | {x ^ k for k in known}))
-    return (basis,)
-
-
-@lru_cache(maxsize=None)
-def _image(kind: int, basis: tuple) -> tuple:
-    """For W_v with the given basis: a basis of the z orthogonal to W_v and the
-    bits each basis row pairs with to -1."""
-    return tuple(_kernel(basis, 3 if kind == 2 else 2)), tuple(_PAIRS[kind][y] for y in basis)
 
 
 def _span(rows, gens: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -233,12 +213,12 @@ def selmer(E: Curve) -> SelmerSet:
 
     The classes soluble at v form a subgroup W_v, the image of the local
     connecting map, so Sel is the kernel of an F_2 map; see _selmer."""
-    return SelmerSet._of(_selmer(E, bad_set(E))[0])
+    return SelmerSet._of([SquareClass(d) for _, d, _ in _selmer(E, bad_set(E))[0]])
 
 
-def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareClass, int], int, int]:
-    """Sel of E and of E' as {class: generator mask}, each in class order, then
-    the masks of b' and b over (-1,) + S: bit 0 for the sign, bit j for odd v_pj.
+def _selmer(E: Curve, S: BadSet) -> tuple[list, list, int, int]:
+    """Sel of E and of E' as _span lists (|d|, d, mask), then the masks of b'
+    and b over (-1,) + S: bit 0 for the sign, bit j for odd v_pj.
 
     At a place v, the classes d whose C_d has a point over Q_v form W_v,
     and those of E' form the annihilator of W_v under the Hilbert symbol
@@ -254,13 +234,15 @@ def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareCla
     else 1, and then W_v is the unit classes: they are unramified at good v;
     at v | b, a non-split v, a point of E' off the identity component has
     x = a mod v, a non-residue; at v | b', the non-residue x with x - 2a a
-    nonzero square mod v lift to E'.  Elsewhere _plan picks the local
-    tests: 0 and L_v(b') lie in W_v (C_1 has the point (0, 1), C_b' a
-    rational point at infinity), a class pairing to -1 with L_v(b), in the
-    image of E', does not, and each test settles a coset of the classes
-    known soluble.  Sel of E is the kernel of u -> L_v(u) . z over the z
-    orthogonal to W_v, and Sel of E' that of u -> (L_v(u), y)_v over a
-    basis of W_v, both XORs of unit columns."""
+    nonzero square mod v lift to E'.  Elsewhere one pass over _ORDER tests
+    each class x not yet known in or out of W_v: 0 and L_v(b') lie in W_v
+    (C_1 has the point (0, 1), C_b' a rational point at infinity), a class
+    pairing to -1 with L_v(b), in the image of E', does not; a soluble x
+    joins the basis and both known sets grow by their sums with it, an
+    insoluble x puts its coset of the known soluble classes out.  Sel of E
+    is the kernel of u -> L_v(u) . z over the z orthogonal to W_v, and Sel
+    of E' that of u -> (L_v(u), y)_v over a basis of W_v, both read from a
+    table of XORs of the unit columns."""
     a, b = E.a2, E.a4
     bp = a * a - 4 * b
     gens = (-1,) + S.primes
@@ -272,23 +254,33 @@ def _selmer(E: Curve, S: BadSet) -> tuple[dict[SquareClass, int], dict[SquareCla
     funcs: tuple[list[int], list[int]] = ([], [1]) if _minus_one_real(a, b) else ([1], [])
     a, b, bp = a // t**2, b // t**4, bp // t**4  # the reduced model of the local tests
     for i, v in enumerate(S.primes, 1):
-        cols, kind = _local_table(gens, i), v % 4
+        cols, pairs = _local_table(gens, i), _PAIRS[v % 4]
         if v > 2 and a % v:  # good or multiplicative reduction: W_v by rule
             vb, vbp, dim = _val(b, v), _val(bp, v), 1  # v divides at most one of b and b'
             if vb or vbp:
                 dim += (-1 if vb else 1) * ((vb | vbp) & 1 or _euler(-2 * a if vbp else a, v) > 0)
-            plan = (((), (2,), (1, 2))[dim],)  # {1}, the units, all of Q_v*/Q_v*^2
+            basis = ((), (2,), (1, 2))[dim]  # {1}, the units, all of Q_v*/Q_v*^2
         else:
             s = b_image = 0  # L_v(b') and L_v(b)
             for j, c in enumerate(cols):
                 s |= ((seed & c).bit_count() & 1) << j
                 b_image |= ((dual & c).bit_count() & 1) << j
-            plan = _plan(kind, _PAIRS[kind][b_image], (s,) if s else (), frozenset({0, s}), frozenset())
-        while len(plan) == 3:
-            plan = plan[1] if _qp_soluble(_space(a, bp, _classes(v)[plan[0]]), v) else plan[2]
-        for f, zs in zip(funcs, _image(kind, *plan)):  # per z, the generators whose L_v is odd on z
-            f += [reduce(xor, [cols[j] for j in _BITS[z]]) for z in zs]
-    sel, sel_hat = ({SquareClass(d): m for _, d, m in _span(_kernel(f, len(gens)), gens)} for f in funcs)
+            basis, known, bad = [s] if s else [], {0, s}, set()
+            for x in _ORDER[:1 << len(cols)]:
+                if x in known or x in bad or (x & pairs[b_image]).bit_count() & 1:
+                    continue
+                if _qp_soluble(_space(a, bp, _classes(v)[x]), v):
+                    basis.append(x)
+                    known |= {x ^ k for k in known}
+                    bad = {y ^ k for y in bad for k in known}
+                else:
+                    bad |= {x ^ k for k in known}
+        odd = [0]  # per z, the generators whose L_v is odd on z
+        for c in cols:
+            odd += [o ^ c for o in odd]
+        funcs[0].extend([odd[z] for z in _kernel(basis, len(cols))])
+        funcs[1].extend([odd[pairs[y]] for y in basis])
+    sel, sel_hat = (_span(_kernel(f, len(gens)), gens) for f in funcs)
     return sel, sel_hat, seed, dual
 
 
@@ -471,9 +463,10 @@ def _generators(a: int, tors: TorsionGroup, points: list[tuple[int, int, int]]) 
     return tuple(Pt(Fraction(X, Z * Z), Fraction(Y, Z**3)) for X, Y, Z in kept)
 
 
-def _certify_direction(a: int, bp: int, sel: dict[SquareClass, int], seed: int, H: int):
-    """Search the spaces _space(a, bp, d) of one direction; returns (certified
-    classes, hits), each hit (d, m, n, r) the point z = m/n, Y = r/n^2 of C_d.
+def _certify_direction(a: int, bp: int, sel: list[tuple[int, int, int]], seed: int, H: int):
+    """Search the spaces _space(a, bp, d) of the classes of one direction's
+    Selmer list sel; returns (the positions in sel of the certified classes,
+    hits), each hit (d, m, n, r) the point z = m/n, Y = r/n^2 of C_d.
 
     The image of delta is a subgroup, so any class inside the span of
     already-certified masks needs no search of its own.  The span starts
@@ -482,11 +475,11 @@ def _certify_direction(a: int, bp: int, sel: dict[SquareClass, int], seed: int, 
     """
     span = {0, seed}
     hits = []
-    for d, mask in sel.items():
-        if mask not in span and (hit := _first_square(*_space(a, bp, int(d))[::2], H)) is not None:
-            hits.append((int(d), *hit))
+    for _, d, mask in sel:
+        if mask not in span and (hit := _first_square(*_space(a, bp, d)[::2], H)) is not None:
+            hits.append((d, *hit))
             span |= {mask ^ s for s in span}
-    image = [d for d, mask in sel.items() if mask in span]
+    image = [i for i, (_, _, mask) in enumerate(sel) if mask in span]
     if len(image) < len(span):
         raise DescentError("certified a class outside the Selmer set")
     return image, hits
@@ -515,7 +508,8 @@ def descent_report(E: Curve, H: int) -> DescentReport:
     if not all(P[2] and _on_curve_xyz(E, P) for P in points):
         raise DescentError("a lifted point did not descend onto the curve")
 
-    s, sp, g, gp = (len(c).bit_length() - 1 for c in (sel_phi, sel_hat, image_phi, image_hat))
+    phi, hat = ([SquareClass(d) for _, d, _ in sel] for sel in (sel_phi, sel_hat))
+    s, sp, g, gp = (len(c).bit_length() - 1 for c in (phi, hat, image_phi, image_hat))
     rank_upper = s + sp - 2
     rank_lower = max(0, g + gp - 2)
     # rank = dim_2 E/2E - dim_2 E[2](Q).  Splicing the two descent
@@ -535,10 +529,10 @@ def descent_report(E: Curve, H: int) -> DescentReport:
 
     return DescentReport(
         pair=pair,
-        selmer_phi=SelmerSet._of(sel_phi),
-        selmer_phi_hat=SelmerSet._of(sel_hat),
-        image_phi=SelmerSet._of(image_phi),
-        image_phi_hat=SelmerSet._of(image_hat),
+        selmer_phi=SelmerSet._of(phi),
+        selmer_phi_hat=SelmerSet._of(hat),
+        image_phi=SelmerSet._of([phi[i] for i in image_phi]),
+        image_phi_hat=SelmerSet._of([hat[i] for i in image_hat]),
         rank_lower=rank_lower,
         rank_upper=rank_upper,
         rank_exact=rank_exact,

@@ -593,8 +593,10 @@ def ep_table(
     if p_max > _EP_TABLE_BUDGET:
         raise FamilyError(f"p_max beyond the {_EP_TABLE_BUDGET} budget")
     _check_height(height)
-    if mod8 not in (None, 1, 3, 5, 7):
+    if not (mod8 is None or type(mod8) is int and mod8 in (1, 3, 5, 7)):
         raise FamilyError(f"mod8 must be 1, 3, 5 or 7, not {mod8!r}")
+    if type(quartic_only) is not bool:
+        raise FamilyError(f"quartic_only must be a bool, not {quartic_only!r}")
     ps = [p for p in sieve_primes(p_max) if p > 2]
     if mod8 is not None:
         ps = [p for p in ps if p % 8 == mod8]

@@ -222,14 +222,16 @@ def _verdict(found: tuple[str, int, int, bool] | None, p: int) -> LocalVerdict:
     return LocalVerdict(True, Witness(kind, Fraction(1, r) if rev else Fraction(r), pre + note))
 
 
-def _check_prime(p: int) -> None:
-    if not isinstance(p, int) or isinstance(p, bool) or not is_prime(p):
+def _check(f: QuarticForm, p: int | None = None) -> None:
+    if not isinstance(f, QuarticForm):
+        raise LocalSolveError(f"need a QuarticForm, not {f!r}")
+    if p is not None and (not isinstance(p, int) or isinstance(p, bool) or not is_prime(p)):
         raise LocalSolveError(f"need a prime p, not {p!r}")
 
 
 def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
     """Whether y^2 = f(z) has z in Z_p, y in Q_p, for a prime p."""
-    _check_prime(p)
+    _check(f, p)
     if f.degree < 2:
         raise LocalSolveError("need degree >= 2")
     found = _zp_search(*_setup(f.c, p), p)
@@ -238,7 +240,7 @@ def zp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
 
 def qp_soluble(f: QuarticForm, p: int) -> LocalVerdict:
     """Whether the smooth projective model of y^2 = f(z) has a Q_p point, for a prime p."""
-    _check_prime(p)
+    _check(f, p)
     if f.degree != 4:
         raise LocalSolveError("need an honest quartic")
     return _verdict(_qp_soluble(f.c, p), p)
@@ -260,6 +262,7 @@ def r_soluble(f: QuarticForm) -> LocalVerdict:
     D < 0, else none; disc = 0 a repeated root, real unless f is a times
     the square of a quadratic with complex roots (D = 0, P > 0, R = 0).
     """
+    _check(f)
     deg = f.degree
     if deg < 1:
         raise LocalSolveError("need degree >= 1")

@@ -91,6 +91,15 @@ def test_isogenous_curve_rejects_bad_models():
         Curve(3, 0, 0)
 
 
+@pytest.mark.parametrize("call", [
+    lambda E: descent_report(E, 20), selmer, bad_set, isogenous_curve,
+], ids=["descent_report", "selmer", "bad_set", "isogenous_curve"])
+def test_a_model_that_is_not_a_curve_is_refused(call):
+    # a coefficient tuple once raised AttributeError
+    with pytest.raises(DescentError, match=r"need a Curve, not \(0, 17, 0\)"):
+        call((0, 17, 0))
+
+
 @pytest.mark.parametrize("b", [1, 2, 17, -1])
 @pytest.mark.parametrize("H", [0, -1])
 def test_descent_report_refuses_a_height_below_one_before_any_selmer_group(monkeypatch, b, H):
@@ -442,7 +451,7 @@ def _selmer_and_tests(E: Curve):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(descent_module, "_qp_soluble", counting_qp)
         sels = _selmer(E, bad_set(E))[:2]
-    return tuple(tuple(int(d) for d in sel) for sel in sels), tests
+    return tuple(tuple(d for _, d, _ in sel) for sel in sels), tests
 
 
 def _both_walks(E: Curve):
@@ -474,7 +483,7 @@ def test_selmer_tests_each_local_class_once(E, monkeypatch):
     assert all(n <= 3 and E.a2 % v == 0 for v, n in tests.items() if v > 2)
     S = bad_set(E)
     monkeypatch.setattr(localsolve_module, "is_prime", lambda n: pytest.fail(f"{n} proved prime again"))
-    assert tuple(tuple(int(d) for d in sel) for sel in _selmer(E, S)[:2]) == sels
+    assert tuple(tuple(d for _, d, _ in sel) for sel in _selmer(E, S)[:2]) == sels
 
 
 PRIMES_BELOW_200 = [p for p in range(2, 200) if all(p % q for q in range(2, p))]
@@ -522,11 +531,12 @@ def test_both_selmer_sets_match_the_pivot_and_walk_oracles(E):
     Ep = isogenous_curve(E).Eprime
     S = bad_set(E)
     sel, sel_hat, *_ = _selmer(E, S)
-    assert list(sel.items()) == list(selmer_pivot_oracle(E).items())
-    assert list(sel_hat.items()) == list(selmer_pivot_oracle(Ep).items())
-    assert tuple(map(int, sel)) == selmer_walk_oracle(E)[0]
-    assert tuple(map(int, sel_hat)) == selmer_walk_oracle(Ep)[0]
-    assert list(_selmer(Ep, S)[0].items()) == list(sel_hat.items())
+    assert [(SquareClass(d), m) for _, d, m in sel] == list(selmer_pivot_oracle(E).items())
+    assert [(SquareClass(d), m) for _, d, m in sel_hat] == list(selmer_pivot_oracle(Ep).items())
+    assert all(n == abs(d) for n, d, _ in sel + sel_hat)
+    assert tuple(d for _, d, _ in sel) == selmer_walk_oracle(E)[0]
+    assert tuple(d for _, d, _ in sel_hat) == selmer_walk_oracle(Ep)[0]
+    assert _selmer(Ep, S)[0] == sel_hat
 
 
 @settings(max_examples=100, deadline=None)
@@ -558,8 +568,32 @@ def test_selmer_of_a_scaled_model_is_the_walk_on_that_model(a, b, u):
     E = Curve(u * u * a, u**4 * b, 0)
     Ep = isogenous_curve(E).Eprime
     sel, sel_hat, *_ = _selmer(E, bad_set(E))
-    assert (tuple(map(int, sel)), tuple(map(int, sel_hat))) == (
+    assert (tuple(d for _, d, _ in sel), tuple(d for _, d, _ in sel_hat)) == (
         selmer_walk_oracle(E)[0], selmer_walk_oracle(Ep)[0])
+
+
+def _local_images_and_tests(E: Curve):
+    """W_v per prime v of S as the set of local classes x that _selmer
+    takes, read off the basis it hands to _kernel at v, and per prime with
+    a local test the classes x tested there, in order.  _kernel gets one
+    basis per prime of S, in order, before the two calls that give the
+    Selmer groups, and each test runs on the space of _classes(v)[x]."""
+    used, ds, kernel, space = [], [], descent_module._kernel, descent_module._space
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(descent_module, "_kernel", lambda funcs, n: used.append(list(funcs)) or kernel(funcs, n))
+        m.setattr(descent_module, "_space", lambda a, bp, d: ds.append(d) or space(a, bp, d))
+        tests = _selmer_and_tests(E)[1]
+    S = bad_set(E)
+    assert len(used) == len(S.primes) + 2 and len(ds) == sum(tests.values())
+    W, tested = {}, {}
+    for v, basis in zip(S.primes, used):
+        W[v] = {0}
+        for y in basis:
+            W[v] |= {y ^ w for w in W[v]}
+        if v in tests:
+            tested[v] = [_classes(v).index(d) for d in ds[:tests[v]]]
+            del ds[:tests[v]]
+    return W, tested
 
 
 @st.composite
@@ -576,7 +610,7 @@ def rule_places(draw):
         w = 4 * draw(st.integers(-40, 40)) + a * a * v**n % 4
         assume(w % v)
         b = (a * a - v**n * w) // 4
-    assume(b != 0)
+    assume(b != 0 and a * a != 4 * b)  # w = 0 at n = 0 makes b' = 0
     return v, a, b, draw(st.sampled_from((1, v, v * v, 6)))
 
 
@@ -589,18 +623,59 @@ def test_local_image_by_rule_is_the_soluble_classes(place):
     # with no local test at v, against the classes the oracle finds soluble
     v, a, b, u = place
     E = Curve(u * u * a, u**4 * b, 0)
-    S = bad_set(E)
-    assume(v in S.primes)
-    used, image = [], descent_module._image
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(descent_module, "_image", lambda kind, basis: used.append(basis) or image(kind, basis))
-        tests = _selmer_and_tests(E)[1]
-    W = {0}
-    for y in used[S.primes.index(v)]:
-        W |= {y ^ w for w in W}
+    assume(v in bad_set(E).primes)
+    W, tests = _local_images_and_tests(E)
     assert v not in tests
-    assert W == {x for x, d in enumerate(_classes(v))
-                 if qp_soluble_two_pass_oracle(QuarticForm(space_oracle(a, b, d)), v)}
+    assert W[v] == {x for x, d in enumerate(_classes(v))
+                    if qp_soluble_two_pass_oracle(QuarticForm(space_oracle(a, b, d)), v)}
+
+
+def _reduced(a: int, b: int) -> tuple[int, int]:
+    """(a/t^2, b/t^4) for the largest t with t^2 | a and t^4 | b."""
+    t = 1
+    for q in bad_set(Curve(a, b, 0)).primes:  # each prime of t divides b
+        while a % (t * q) ** 2 == 0 and b % (t * q) ** 4 == 0:
+            t *= q
+    return a // t**2, b // t**4
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(-60, 60), st.integers(-60, 60)).filter(lambda ab: nonsingular(*ab)),
+       st.sampled_from((1, 2, 3, 5, 6)))
+@example((-25, 25), 1)  # three local tests at 5
+@example((-15, 36), 1)  # three at 3
+@example((0, 2), 2**4)  # 2^16 comes out of b at 2
+def test_local_image_by_tests_is_the_soluble_classes(ab, u):
+    # at 2 and at each odd v | a/t^2, W_v as _selmer's local tests build it,
+    # against the classes the oracle finds soluble on the reduced model
+    E = Curve(u * u * ab[0], u**4 * ab[1], 0)
+    a, b = _reduced(E.a2, E.a4)
+    W, tested = _local_images_and_tests(E)
+    places = [v for v in bad_set(E).primes if v == 2 or a % v == 0]
+    assert set(tested) <= set(places)
+    for v in places:
+        soluble = {x for x, d in enumerate(_classes(v))
+                   if qp_soluble_two_pass_oracle(QuarticForm(space_oracle(a, b, d)), v)}
+        assert W[v] == soluble, v
+        # in _ORDER, each test on a class that pairs to 1 with L_v(b) and
+        # that no verdict so far settles: not in the span K of L_v(b') and
+        # the soluble classes, nor in y + K for an insoluble y
+        xs = tested.get(v, [])
+        assert xs == sorted(xs, key=_ORDER.index)
+        known, out = {0, _local_coordinates(a * a - 4 * b, v)}, []
+        for x in xs:
+            assert not (x & _PAIRS[v % 4][_local_coordinates(b, v)]).bit_count() & 1, (v, x)
+            assert x not in known and all(x ^ y not in known for y in out), (v, x)
+            if x in soluble:
+                known |= {x ^ k for k in known}
+            else:
+                out.append(x)
+
+
+@pytest.mark.parametrize("E, v", [(Curve(-25, 25, 0), 5), (Curve(-15, 36, 0), 3)])
+def test_three_local_tests_at_an_odd_prime_of_a(E, v):
+    # the most an odd v | a/t^2 takes: each class but 1 tested once
+    assert _selmer_and_tests(E)[1][v] == 3
 
 
 @pytest.mark.parametrize("b, sel, sel_hat, rank_upper", [
@@ -1163,8 +1238,9 @@ def test_certified_images_match_the_square_class_walk(E, H):
         # certify_oracle searches the model (a, b) with b' = bp by the naive
         # scan; a lift (X, Y) = psi(z, w) of class d gives back z = m/n by
         # z^2 = d/X and r = n^2 * d*w = -Y * m^3/n
-        span, lifts = certify_oracle(a, (a * a - bp) // 4, [int(d) for d in sel],
+        span, lifts = certify_oracle(a, (a * a - bp) // 4, [d for _, d, _ in sel],
                                      int(squarefree_part(bp)), H)
+        assert span <= {d for _, d, _ in sel}
         hits = []
         for d, (X, Y) in lifts:
             z2 = d / X
@@ -1172,7 +1248,7 @@ def test_certified_images_match_the_square_class_walk(E, H):
             r = -Y * m**3 / n
             assert r.denominator == 1
             hits.append((d, m, n, int(r)))
-        return sorted(SquareClass(d) for d in span), hits
+        return [i for i, (_, d, _) in enumerate(sel) if d in span], hits
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(descent_module, "_first_square",

@@ -369,6 +369,20 @@ def test_ep_table_refuses_a_residue_mod_8_outside_1_3_5_7(mod8):
         ep_table(100, mod8=mod8)
 
 
+@pytest.mark.parametrize("mod8", [True, 1.0, "1"])
+def test_ep_table_refuses_a_residue_mod_8_that_is_not_an_int(mod8):
+    # mod8=True once kept the rows of p = 1 (mod 8)
+    with pytest.raises(FamilyError, match=f"mod8 must be 1, 3, 5 or 7, not {mod8!r}"):
+        ep_table(100, mod8=mod8)
+
+
+@pytest.mark.parametrize("quartic_only", ["no", 1, 0, None])
+def test_ep_table_refuses_a_quartic_only_that_is_not_a_bool(quartic_only):
+    # quartic_only="no" once filtered as True
+    with pytest.raises(FamilyError, match=f"quartic_only must be a bool, not {quartic_only!r}"):
+        ep_table(100, quartic_only=quartic_only)
+
+
 def test_ep_table_budget():
     with pytest.raises(FamilyError):
         ep_table(10**6 + 1)

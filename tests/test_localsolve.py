@@ -205,6 +205,15 @@ def test_a_p_that_is_not_a_prime_int_is_refused(p):
             solve(f, p)
 
 
+@pytest.mark.parametrize("solve", [
+    lambda f: zp_soluble(f, 3), lambda f: qp_soluble(f, 3), r_soluble, lambda f: qp_soluble(f, 4),
+], ids=["zp", "qp", "r", "qp-at-4"])
+def test_a_form_that_is_not_a_quartic_form_is_refused(solve):
+    # a bare coefficient tuple once raised AttributeError
+    with pytest.raises(LocalSolveError, match=r"need a QuarticForm, not \(1, 0, 0, 0, 3\)"):
+        solve((1, 0, 0, 0, 3))
+
+
 # The verdicts of the public calls, with every witness kind and note:
 # exact roots, square values and Hensel lifts, found directly and on the
 # reversed form, points at infinity and insoluble forms, at p = 2 and odd
