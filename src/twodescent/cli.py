@@ -71,12 +71,7 @@ def _enc_int(n: int):
 
 
 def _enc_point(P: Pt):
-    return [
-        _enc_int(P.x.numerator),
-        _enc_int(P.x.denominator),
-        _enc_int(P.y.numerator),
-        _enc_int(P.y.denominator),
-    ]
+    return [_enc_int(P.x.numerator), _enc_int(P.x.denominator), _enc_int(P.y.numerator), _enc_int(P.y.denominator)]
 
 
 def _enc_classes(sel) -> list:
@@ -97,10 +92,7 @@ def report_document(rep: DescentReport, timings_ms: dict | None = None) -> dict:
         "rank_lower": rep.rank_lower,
         "rank_upper": rep.rank_upper,
         "rank_exactness": "exact" if rep.rank_exact else "interval",
-        "sha_dims": {
-            "phi": rep.sha_phi_dim_upper,
-            "phi_hat": rep.sha_phi_hat_dim_upper,
-        },
+        "sha_dims": {"phi": rep.sha_phi_dim_upper, "phi_hat": rep.sha_phi_hat_dim_upper},
         "torsion": _torsion_json(rep.torsion),
         "generators": [_enc_point(P) for P in rep.generators],
         "search_height": rep.search_height,
@@ -230,10 +222,7 @@ def _fmt_rank_result(r: RankResult) -> str:
 
 
 def _torsion_json(T) -> dict:
-    return {
-        "structure": T.structure,
-        "generators": [_enc_point(P) for P in T.generators],
-    }
+    return {"structure": T.structure, "generators": [_enc_point(P) for P in T.generators]}
 
 
 def _cross_check(args, agrees) -> int:
@@ -302,12 +291,8 @@ def cmd_family(args) -> int:
         return _cross_check(args, lambda: torsion_subgroup(Curve(0, D, 0)) == T)
     T = edconst_torsion(D)
     if args.json:
-        print(serialize_document({
-            "schema_version": SCHEMA_VERSION,
-            "family": "edconst",
-            "D": _enc_int(D),
-            "torsion": _torsion_json(T),
-        }))
+        print(serialize_document({"schema_version": SCHEMA_VERSION, "family": "edconst", "D": _enc_int(D),
+                                  "torsion": _torsion_json(T)}))
     else:
         print(f"family E_D : y^2 = x^3 + {D}")
         print(f"  torsion subgroup = {T.structure}")
@@ -343,13 +328,8 @@ def _parse_filter(text: str) -> dict:
 
 
 def _row_json(row) -> dict:
-    return {
-        "p": row.p,
-        "selmer_dim_phi": row.selmer_dim_phi,
-        "selmer_dim_phi_hat": row.selmer_dim_phi_hat,
-        "rank_plus_sha2_dim": row.rank_sha_dim,
-        "rank": _rank_result_json(row.rank),
-    }
+    return {"p": row.p, "selmer_dim_phi": row.selmer_dim_phi, "selmer_dim_phi_hat": row.selmer_dim_phi_hat,
+            "rank_plus_sha2_dim": row.rank_sha_dim, "rank": _rank_result_json(row.rank)}
 
 
 def cmd_table(args) -> int:
@@ -362,11 +342,7 @@ def cmd_table(args) -> int:
         )
     print(f"{len(rows)} rows")
     if args.out:
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "p_max": args.max,
-            "rows": [_row_json(r) for r in rows],
-        }
+        doc = {"schema_version": SCHEMA_VERSION, "p_max": args.max, "rows": [_row_json(r) for r in rows]}
         with open(args.out, "w") as fh:
             fh.write(serialize_document(doc) + "\n")
         print(f"wrote {args.out}")
@@ -408,18 +384,9 @@ def parse_cremona_line(line: str) -> CremonaLine:
         raise ValueError(f"singular model {list(ainv)}") from None
     tors = tuple(int(v) for v in m.group(6).split(",")) if m.group(6).strip() else ()
     rest = m.group(7)
-    gens = tuple(
-        (int(g[0]), int(g[1]), int(g[2])) for g in _GEN_RE.findall(rest)
-    )
-    return CremonaLine(
-        conductor=int(m.group(1)),
-        class_label=m.group(2),
-        number=int(m.group(3)),
-        ainv=ainv,
-        rank=int(m.group(5)),
-        torsion_invariants=tors,
-        generators=gens,
-    )
+    gens = tuple((int(g[0]), int(g[1]), int(g[2])) for g in _GEN_RE.findall(rest))
+    return CremonaLine(conductor=int(m.group(1)), class_label=m.group(2), number=int(m.group(3)), ainv=ainv,
+                       rank=int(m.group(5)), torsion_invariants=tors, generators=gens)
 
 
 def _projective_on_curve(E: Curve, triple) -> bool:

@@ -162,6 +162,9 @@ def _minus_one_real(a: int, b: int) -> bool:
 # _ORDER, least |_classes(v)[x]| first.
 _PAIRS = {2: (0, 4, 2, 6, 1, 5, 3, 7), 1: (0, 2, 1, 3), 3: (0, 3, 1, 2)}
 _ORDER = (0, 2, 1, 3, 4, 6, 5, 7)
+# At an odd place decided by rule, by dim W_v: a basis of W_v ({1}, the units or
+# all of Q_v*/Q_v*^2) and one of the z orthogonal to it, its _kernel over 2 bits.
+_RULE_PLACES = (((), (1, 2)), ((2,), (1,)), ((1, 2), ()))
 
 
 def _local_table(gens: tuple[int, ...], i: int) -> tuple[int, ...]:
@@ -259,7 +262,7 @@ def _selmer(E: Curve, S: BadSet) -> tuple[list, list, int, int]:
             vb, vbp, dim = _val(b, v), _val(bp, v), 1  # v divides at most one of b and b'
             if vb or vbp:
                 dim += (-1 if vb else 1) * ((vb | vbp) & 1 or _euler(-2 * a if vbp else a, v) > 0)
-            basis = ((), (2,), (1, 2))[dim]  # {1}, the units, all of Q_v*/Q_v*^2
+            basis, kernel = _RULE_PLACES[dim]
         else:
             s = b_image = 0  # L_v(b') and L_v(b)
             for j, c in enumerate(cols):
@@ -275,10 +278,11 @@ def _selmer(E: Curve, S: BadSet) -> tuple[list, list, int, int]:
                     bad = {y ^ k for y in bad for k in known}
                 else:
                     bad |= {x ^ k for k in known}
+            kernel = _kernel(basis, len(cols))
         odd = [0]  # per z, the generators whose L_v is odd on z
         for c in cols:
             odd += [o ^ c for o in odd]
-        funcs[0].extend([odd[z] for z in _kernel(basis, len(cols))])
+        funcs[0].extend([odd[z] for z in kernel])
         funcs[1].extend([odd[pairs[y]] for y in basis])
     sel, sel_hat = (_span(_kernel(f, len(gens)), gens) for f in funcs)
     return sel, sel_hat, seed, dual

@@ -15,12 +15,13 @@ the equivalence of the two is part of the test suite and of
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 from heapq import heappop, heappush
-from itertools import accumulate
+from itertools import accumulate, groupby
 from math import gcd, isqrt
+from operator import itemgetter
 
 from .arith import (
     Record,
@@ -152,10 +153,14 @@ def _ep_dims(r: int):
 # pi_p times a row of the product table for (H, c), shared by every p.
 # Its rows run over the split-smooth k <= H in increasing order, the k off
 # a heap, and it is built whole on the first scan that asks for it: the
-# sweep's scans read their tables to the end.  In Z[i] each row is a
-# product of fourth powers of u + v i, u odd, v even, so X is odd, 8 | Y,
-# and with pi_p = a + b i, a odd, b even, 2 (a X - b Y) = 2 (mod 4) is no
-# square: C_{-1} hits only on twice y, the x of -i pi_p times the row.
+# sweep's scans read their tables to the end.  Row m-1-t of the m rows of
+# a k > 1 is the conjugate (X, -Y) of row t, by induction on the rows of
+# k / q^e times pi-bar_q^(4e) and pi_q^(4e): the table stores the first
+# half of each k, which a scan reads forward, then mirrored backward.  In
+# Z[i] each row is a product of fourth powers of u + v i, u odd, v even,
+# so X is odd, 8 | Y, and with pi_p = a + b i, a odd, b even,
+# 2 (a X - b Y) = 2 (mod 4) is no square: C_{-1} hits only on twice y,
+# the x of -i pi_p times the row.
 # The elements pi_q come from one pass over each norm form as far as the
 # sieve reaches; an isolated prime beyond it still takes Cornacchia's descent.
 # ep_rank takes H <= 1000, so the rescan cap is 10^6, |X|, |Y| <= k^2 <=
@@ -165,16 +170,19 @@ def _ep_dims(r: int):
 # the components of pi_p (X + Y sqrt(-c)), pi_p = a + b sqrt(-c), are
 # Y (a t - c b) and Y (b t + a), so modulo a prime l = 1 (mod 4) a
 # candidate's character is chi_l(Y) times a shifted chi_l(t).  One byte
-# per row and l, (t, chi_l(Y)) or chi_l(X) when l | Y, codes this for
-# every p, and a call turns the codes into pass or fail through a
+# per stored row and l, (t, chi_l(Y)) or chi_l(X) when l | Y, codes this
+# for every p, and a call turns the codes into pass or fail through a
 # 256-byte table cut from two periods of chi_l.  As -1 is a square mod
-# l, the sign that |x| drops does not matter; mod l = 3 (mod 4) it
-# would, and such l filter nothing.  Nothing is tested mod 16: ep_rank
-# scans only p with 2 a fourth power mod p, and for such p the rows,
-# products of fourth powers, leave every candidate a possible square mod
-# 16.  A bytes.translate per code and an AND of the results as ints leave
-# the surviving rows of each chunk of _CHUNK rows in order; a chunk is
-# coded when a filtered scan first reaches it.
+# l, the sign that |x| drops does not matter, and a mirror's t is
+# negated with chi_l(Y) kept: the table of the negated shift reads its
+# verdict off its stored row's code, into bit 1 beside the row's bit 0.
+# Mod l = 3 (mod 4) signs would matter, and such l filter nothing.
+# Nothing is tested mod 16: ep_rank scans only p with 2 a fourth power
+# mod p, and for such p the rows, products of fourth powers, leave every
+# candidate a possible square mod 16.  A bytes.translate per code and an
+# AND of the results as ints leave the surviving rows of a chunk of
+# _CHUNK stored rows, run on to the end of a k, and sorting restores the
+# scan order; a chunk is coded when a filtered scan first reaches it.
 # Along a unit orbit x mod q has a period dividing 24 for each q of
 # _ORBIT_MODULI, so per-modulus masks indexed by (x0, 2 s0) mod q mark
 # the steps where x, or -x, can be a square, and only those steps get
@@ -250,16 +258,17 @@ def _split_smooth(cap: int, c: int):
 
 
 class _ProductTable:
-    """Columns ks, xs, ys of each product of pi-bar_q^(4e) or pi_q^(4e) over
-    q^e || k, for the split-smooth k <= H in increasing order.  The last
-    prime varies fastest, its conjugate power first: the rows of k extend
-    those of k / q^e.  codes holds the residue codes of each chunk by its
-    first row, filled as filtered scans reach it."""
+    """Columns ks, xs, ys of the first half of each k's products of
+    pi-bar_q^(4e) or pi_q^(4e) over q^e || k, for the split-smooth k <= H in
+    increasing order.  The last prime varies fastest, its conjugate power
+    first: the stored rows of k extend those of k / q^e.  codes holds the
+    residue codes of each chunk by its first row, filled as filtered scans
+    reach it."""
 
     def __init__(self, H: int, c: int):
         ks, xs, ys = self.ks, self.xs, self.ys = array("q", [1]), array("q", [1]), array("q", [0])
         self.codes: dict[int, list[bytes]] = {}
-        rows, powers = {1: (0, 1)}, {1: (1, 0)}  # the rows of k by k, pi_q^(4e) by q^e
+        rows, powers = {1: (0, 1)}, {1: (1, 0)}  # the stored rows of k by k, pi_q^(4e) by q^e
         roots = zip(*_fill_roots(H, c)[1:])  # (u, v) by increasing q: each q first comes as k = q
         for k, q, r in _split_smooth(H, c):
             qe, start = k // r, len(ks)
@@ -270,21 +279,34 @@ class _ProductTable:
                     powers[q] = _pair_mul(z, z, c)
                 uv = powers[qe] = _pair_mul(powers[qe // q], powers[q], c)
             u, v = uv
-            lo, hi = rows[r]
-            for X, Y in zip(xs[lo:hi], ys[lo:hi]):
-                xs.append(X * u + c * v * Y)  # times pi-bar_q^(4e) = u - v sqrt(-c)
-                ys.append(Y * u - X * v)
-                xs.append(X * u - c * v * Y)  # times pi_q^(4e)
-                ys.append(Y * u + X * v)
+            if r == 1:  # pi-bar_q^(4e) alone: pi_q^(4e) is its mirror
+                xs.append(u)
+                ys.append(-v)
+            else:
+                lo, hi = rows[r]
+                for X, Y in zip(xs[lo:hi], ys[lo:hi]):
+                    xs.append(X * u + c * v * Y)  # times pi-bar_q^(4e) = u - v sqrt(-c)
+                    ys.append(Y * u - X * v)
+                    xs.append(X * u - c * v * Y)  # times pi_q^(4e)
+                    ys.append(Y * u + X * v)
             ks.extend((k,) * (len(xs) - start))
             rows[k] = start, len(ks)
+
+    @cached_property
+    def rows(self) -> list[tuple[int, int, int]]:
+        """Every (k, X, Y) in scan order: per k the stored rows, then their mirrors backward."""
+        out = []
+        for k, block in groupby(zip(self.ks, self.xs, self.ys), itemgetter(0)):
+            block = list(block)
+            out += block + [(k, X, -Y) for k, X, Y in reversed(block) if k > 1]
+        return out
 
 
 _product_table = lru_cache(maxsize=8)(_ProductTable)
 
 
-_FILTER_ROWS = 100  # smaller tables are walked row by row, which is cheaper
-_CHUNK = 1024  # rows coded at a time, as a scan reaches them
+_FILTER_ROWS = 50  # tables of fewer stored rows are walked whole, which is cheaper
+_CHUNK = 256  # stored rows coded at a time, as a scan reaches them, to the end of a k
 _CODE_PRIMES = (5, 13, 17, 29, 37, 41)  # l = 1 (mod 4)
 
 
@@ -333,27 +355,37 @@ def _candidate(c: int, a: int, b: int):
 
 
 def _survivors(table: _ProductTable, c: int, a: int, b: int):
-    """Indices, in order, of the rows of table whose candidate square
-    passes the residue filters for pi_p = (a, b): every row of a table
-    under _FILTER_ROWS rows, and of the real form, c = -2."""
-    xs, ys, codes = table.xs, table.ys, table.codes
+    """The rows (k, X, Y) of table, stored and mirrored, in scan order, whose
+    candidate square passes the residue filters for pi_p = (a, b): every row
+    of a table under _FILTER_ROWS stored rows, and of the real form, c = -2."""
+    ks, xs, ys, codes = table.ks, table.xs, table.ys, table.codes
     if c == -2 or len(xs) < _FILTER_ROWS:
-        yield from range(len(xs))
+        yield from table.rows
         return
     a, b, scale = _candidate(c, a, b)
     alpha, beta = a, -c * b  # the candidate alpha X + beta Y = Y (alpha t + beta), t = X/Y
-    passes = [_pass_table(l, alpha, beta, scale) for l in _CODE_PRIMES]
-    for start in range(0, len(xs), _CHUNK):
+    # per l, code to 1 where a stored row passes, plus 2 where its mirror, alpha X - beta Y, does
+    passes = [(int.from_bytes(_pass_table(l, alpha, beta, scale), "little")
+               | int.from_bytes(_pass_table(l, alpha, -beta, scale), "little") << 1).to_bytes(256, "little")
+              for l in _CODE_PRIMES]
+    start = 0
+    while start < len(xs):
         chunk = codes.get(start)
-        if chunk is None:
-            chunk = codes[start] = _chunk_codes(xs[start:start + _CHUNK], ys[start:start + _CHUNK])
-        bits = -1
+        if chunk is None:  # to the end of the k of row start + _CHUNK - 1
+            end = bisect_right(ks, ks[min(start + _CHUNK, len(ks)) - 1], start)
+            chunk = codes[start] = _chunk_codes(xs[start:end], ys[start:end])
+        bits = -1 if start else -3  # k = 1 is its own mirror
         for row, passing in zip(chunk, passes):
             bits &= int.from_bytes(row.translate(passing), "little")
-        while bits:  # byte i of a chunk is row start + i
+        hits = []  # bit 8i of a chunk is row start + i, bit 8i + 1 its mirror
+        while bits:
             low = bits & -bits
             bits ^= low
-            yield start + (low.bit_length() >> 3)
+            i, side = divmod(low.bit_length() - 1, 8)
+            hits.append((ks[start + i], side, -i if side else i))
+        for k, side, i in sorted(hits):  # per k, the stored rows and then their mirrors backward
+            yield (k, xs[start - i], -ys[start - i]) if side else (k, xs[start + i], ys[start + i])
+        start += len(chunk[0])
 
 
 # (3 + 2 sqrt 2)^j for j <= 64
@@ -367,14 +399,13 @@ def _orbit_masks(q: int):
     steps j where x of (x0 + s0 sqrt 2)(3 + 2 sqrt 2)^j is a square mod q,
     and where -x is."""
     squares = {w * w % q for w in range(q)}
-    marks = [bytes(48 + (s * x % q in squares) for x in range(256)) for s in (1, -1)]
-    units = [(ux % q, us % q) for ux, us in reversed(_UNITS[:24])]  # step 23 first
-    out = []
-    for x0 in range(q):
-        for s in range(q):
-            steps = bytes((x0 * ux + s * us) % q for ux, us in units)
-            out.append(tuple(int(steps.translate(m), 2) for m in marks))
-    return out
+    pos, neg = (bytes(48 + (s * x % q in squares) for x in range(256)) for s in (1, -1))
+    units = _UNITS[23::-1]  # step 23 first
+    # per x0 and per s, the 24 terms x0 ux and s us mod q as the bytes of an int: the
+    # bytes of a sum, each below 2q, are the steps' x up to the reduction in the marks
+    terms = [[int.from_bytes(bytes(w * u[i] % q for u in units), "big") for w in range(q)] for i in (0, 1)]
+    return [(int(steps.translate(pos), 2), int(steps.translate(neg), 2))
+            for a in terms[0] for b in terms[1] for steps in [(a + b).to_bytes(24, "big")]]
 
 
 def _orbit_square_x(z0, m):
@@ -427,10 +458,7 @@ def _ep_space_point(p: int, d: int, H: int):
     if pi is None:
         return None
     a, b, scale = _candidate(c, *pi)
-    table = _product_table(H, c)
-    ks, xs, ys = table.ks, table.xs, table.ys
-    for j in _survivors(table, c, *pi):
-        k, X, Y = ks[j], xs[j], ys[j]
+    for k, X, Y in _survivors(_product_table(H, c), c, *pi):
         x, y = a * X - c * b * Y, a * Y + b * X  # pi_p (X + Y sqrt(-c)), turned by a unit
         if c == -2:
             hit = _orbit_square_x((x, y), k)

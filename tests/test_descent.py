@@ -21,10 +21,12 @@ from twodescent.descent import (
     _MODULI,
     _ORDER,
     _PAIRS,
+    _RULE_PLACES,
     _band_mask,
     _classes,
     _first_square,
     _generators,
+    _kernel,
     _local_table,
     _minus_one_real,
     _on_curve_xyz,
@@ -574,13 +576,22 @@ def test_selmer_of_a_scaled_model_is_the_walk_on_that_model(a, b, u):
 
 def _local_images_and_tests(E: Curve):
     """W_v per prime v of S as the set of local classes x that _selmer
-    takes, read off the basis it hands to _kernel at v, and per prime with
-    a local test the classes x tested there, in order.  _kernel gets one
-    basis per prime of S, in order, before the two calls that give the
-    Selmer groups, and each test runs on the space of _classes(v)[x]."""
+    takes, read off the basis it hands to _kernel at v, or reads from
+    _RULE_PLACES at a place the rule decides, and per prime with a local
+    test the classes x tested there, in order.  Each prime of S, in order,
+    gives one basis before the two _kernel calls that give the Selmer
+    groups, and each test runs on the space of _classes(v)[x]."""
     used, ds, kernel, space = [], [], descent_module._kernel, descent_module._space
+
+    class Rule(tuple):
+        def __getitem__(self, dim):
+            basis, orthogonal = super().__getitem__(dim)
+            used.append(list(basis))
+            return basis, orthogonal
+
     with pytest.MonkeyPatch.context() as m:
         m.setattr(descent_module, "_kernel", lambda funcs, n: used.append(list(funcs)) or kernel(funcs, n))
+        m.setattr(descent_module, "_RULE_PLACES", Rule(descent_module._RULE_PLACES))
         m.setattr(descent_module, "_space", lambda a, bp, d: ds.append(d) or space(a, bp, d))
         tests = _selmer_and_tests(E)[1]
     S = bad_set(E)
@@ -670,6 +681,14 @@ def test_local_image_by_tests_is_the_soluble_classes(ab, u):
                 known |= {x ^ k for k in known}
             else:
                 out.append(x)
+
+
+def test_rule_places_carry_the_kernel_of_their_basis():
+    # a place the rule decides reads the z orthogonal to W_v off
+    # _RULE_PLACES instead of calling _kernel: it must be _kernel's basis
+    assert [len(basis) for basis, _ in _RULE_PLACES] == [0, 1, 2]
+    for basis, orthogonal in _RULE_PLACES:
+        assert list(orthogonal) == _kernel(basis, 2), basis
 
 
 @pytest.mark.parametrize("E, v", [(Curve(-25, 25, 0), 5), (Curve(-15, 36, 0), 3)])

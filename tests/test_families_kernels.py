@@ -26,8 +26,10 @@ from twodescent.families import (
     _orbit_masks,
     _orbit_square_x,
     _pair_mul,
+    _pass_table,
     _prime_root,
     _product_table,
+    _residue_tables,
     _split_smooth,
     _survivors,
 )
@@ -43,6 +45,40 @@ from .oracles import (
 )
 
 components = st.integers(-10**6, 10**6)
+
+
+def _blocks(ks):
+    """(k, lo, hi) per run of equal k in the column ks."""
+    starts = [i for i in range(len(ks)) if i == 0 or ks[i] != ks[i - 1]] + [len(ks)]
+    return [(ks[lo], lo, hi) for lo, hi in zip(starts, starts[1:])]
+
+
+def mirror_expanded(table) -> list[list[int]]:
+    """Columns k, X, Y of a half table with each k > 1 followed by the
+    conjugates (X, -Y) of its stored rows, backward: the rows a scan walks."""
+    out = [[], [], []]
+    for k, lo, hi in _blocks(table.ks):
+        block = list(zip(table.xs[lo:hi], table.ys[lo:hi]))
+        if k > 1:
+            block += [(X, -Y) for X, Y in reversed(block)]
+        for col, values in zip(out, ([k] * len(block), *zip(*block))):
+            col += values
+    return out
+
+
+def oracle_half(want) -> list[list[int]]:
+    """Columns k, X, Y of the first half of each k's rows of an oracle table,
+    after checking that the second half mirrors it: row m-1-t is the
+    conjugate of row t of the m rows of k, and k = 1 has its one row."""
+    ks, xs, ys = want
+    out = [[], [], []]
+    for k, lo, hi in _blocks(ks):
+        m = hi - lo
+        assert k == 1 and m == 1 or m % 2 == 0, k
+        assert all((xs[lo + t], -ys[lo + t]) == (xs[hi - 1 - t], ys[hi - 1 - t]) for t in range(m // 2)), k
+        for col, full in zip(out, want):
+            col += full[lo:lo + (m + 1) // 2]
+    return out
 
 
 @settings(max_examples=400, deadline=None)
@@ -79,8 +115,9 @@ def test_split_smooth_numbers_and_their_products_match_the_uncached_products(c):
     assert list(_split_smooth(2000, c)) == [
         (k, fac[-1][0], k // fac[-1][0] ** fac[-1][1]) for k, fac in smooth[1:]]
     table = _product_table(2000, c)
-    ks, xs, ys = table.ks, table.xs, table.ys
-    assert list(ks) == [k for k, fac in smooth for _ in range(2 ** len(fac))]
+    assert list(table.ks) == [k for k, fac in smooth for _ in range(max(1, 2 ** len(fac) // 2))]
+    ks, xs, ys = mirror_expanded(table)
+    assert ks == [k for k, fac in smooth for _ in range(2 ** len(fac))]
     rows = {}
     for k, X, Y in zip(ks, xs, ys):
         rows.setdefault(k, []).append((X, Y))
@@ -163,20 +200,23 @@ SCALES = {1: (2, 1), 2: (1, 1), -2: (1, 1)}
 @example(29, 1, 2000)  # 29 = 5^2 + 2^2: l = 5 divides a
 @example(41, 2, 2000)  # l = 41 divides the norm of every candidate
 def test_residue_filters_keep_every_row_the_exact_test_accepts(p, c, H):
-    # every row of the plain walk whose candidate square passes the exact
-    # test, or is a square mod every filter modulus, survives; in a table
-    # of _FILTER_ROWS rows or more every survivor is a square mod each l of
-    # _CODE_PRIMES, and a smaller table passes every row
+    # every row of the plain walk, the table expanded by its mirror, whose
+    # candidate square passes the exact test, or is a square mod every
+    # filter modulus, survives; in a table of _FILTER_ROWS stored rows or
+    # more every survivor is a square mod each l of _CODE_PRIMES, and a
+    # smaller table passes every row
     num, den = SCALES[c]
     pi = _prime_root(p, c)
     assume(pi is not None)
     a, b = pi
     table = _product_table(H, c)
     filtered = len(table.ks) >= _FILTER_ROWS
-    survivors = list(_survivors(table, c, a, b))
-    ks, xs, ys = table.ks, table.xs, table.ys
-    assert survivors == (sorted(set(survivors)) if filtered else list(range(len(ks))))
-    for j, (k, X, Y) in enumerate(zip(ks, xs, ys)):
+    rows = list(zip(*mirror_expanded(table)))
+    position = {row: j for j, row in enumerate(rows)}
+    assert len(position) == len(rows)
+    survivors = [position[row] for row in _survivors(table, c, a, b)]
+    assert survivors == (sorted(set(survivors)) if filtered else list(range(len(rows))))
+    for j, (k, X, Y) in enumerate(rows):
         x, y = a * X - c * b * Y, a * Y + b * X
         if c == 1 and x & 1:
             x = y
@@ -203,12 +243,12 @@ def test_split_smooth_walk_matches_the_sorted_one_shot_list(c, cap):
 def test_no_row_fails_mod_16_for_a_prime_with_2_a_fourth_power(c):
     # so the scans need no 2-adic filter: for every p < 10^5 with 2 a fourth
     # power mod p, the only p that ep_rank scans, every row residue
-    # (X mod 16, Y mod 16) of the table can give a square candidate, while
-    # for every other p = 1 (mod 8) none can
+    # (X mod 16, Y mod 16) of the table, expanded by its mirror, can give a
+    # square candidate, while for every other p = 1 (mod 8) none can
     num, den = SCALES[c]
     component = 1 if c == 1 else 0  # y for c = 1, x otherwise
-    table = _product_table(10**5, c)
-    cells = {X % 16 * 16 + Y % 16 for X, Y in zip(table.xs, table.ys)}
+    _, xs, ys = mirror_expanded(_product_table(10**5, c))
+    cells = {X % 16 * 16 + Y % 16 for X, Y in zip(xs, ys)}
     assert len(cells) == (2 if c == 1 else 4)
     residues = {True: set(), False: set()}  # pi_p mod 16, by whether 2 is a fourth power mod p
     for p in sieve_primes(10**5):
@@ -223,9 +263,10 @@ def test_no_row_fails_mod_16_for_a_prime_with_2_a_fourth_power(c):
 @pytest.mark.parametrize("H", [1, 5, 2000, 20000])
 def test_gaussian_rows_have_x_odd_and_y_divisible_by_8(H):
     # so x = a X - b Y is odd for pi_p = a + b i, a odd and b even, and only
-    # twice y can be a square: the one candidate of every C_{-1} scan
-    table = _product_table(H, 1)
-    assert all(X & 1 and Y % 8 == 0 for X, Y in zip(table.xs, table.ys))
+    # twice y can be a square: the one candidate of every C_{-1} scan; the
+    # mirror, (X, -Y), keeps both
+    _, xs, ys = mirror_expanded(_product_table(H, 1))
+    assert all(X & 1 and Y % 8 == 0 for X, Y in zip(xs, ys))
     assert all(a & 1 and b % 2 == 0 for q in PRIMES_2E5 if q % 4 == 1 for a, b in [_prime_root(q, 1)])
 
 
@@ -244,22 +285,92 @@ SCAN_PRIMES = {c: [p for p in sieve_primes(3000) if _prime_root(p, c)] for c in 
 @example(-2, 20000, [0])
 def test_tables_grown_by_scans_that_stop_early_are_the_one_shot_tables(c, H, scans):
     # each scan reads survivors of a filtered scan (for some p) and stops;
-    # each chunk a scan has reached holds the codes of the one-shot rows,
-    # and the table is the one-shot table
+    # the chunks scans have reached are the first ones, each running from
+    # its start to the end of the k of its _CHUNK-th row or to the table's
+    # end, and each holds the codes of the one-shot table's stored half;
+    # the table is that half, and expanded by its mirror the one-shot table
     _product_table.cache_clear()
     want = product_table_oracle(H, c)
+    ks, xs, ys = half = oracle_half(want)
     table = _product_table(H, c)
     for survivors in scans:
         if c != -2:
             a, b = _prime_root(SCAN_PRIMES[c][survivors % len(SCAN_PRIMES[c])], c)
             list(islice(_survivors(table, c, a, b), survivors))
-        for start, codes in table.codes.items():
-            assert codes == _chunk_codes(want[1][start:start + _CHUNK], want[2][start:start + _CHUNK])
-    assert [list(col) for col in (table.ks, table.xs, table.ys)] == list(want)
+        ends = {0}
+        for start, codes in sorted(table.codes.items()):
+            end, last = start + len(codes[0]), min(start + _CHUNK, len(ks)) - 1
+            assert start in ends and start <= last < end <= len(ks)
+            assert ks[end - 1] == ks[last] and (end == len(ks) or ks[end] != ks[last])
+            assert codes == _chunk_codes(xs[start:end], ys[start:end])
+            ends.add(end)
+    assert [list(col) for col in (table.ks, table.xs, table.ys)] == half
+    assert mirror_expanded(table) == [list(col) for col in want]
 
 
 @pytest.mark.parametrize("c", [1, 2, -2])
 def test_a_complete_table_keeps_only_its_columns(c):
     table = _ProductTable(2000, c)
     assert vars(table).keys() == {"ks", "xs", "ys", "codes"}
-    assert [list(col) for col in (table.ks, table.xs, table.ys)] == list(product_table_oracle(2000, c))
+    want = product_table_oracle(2000, c)
+    assert [list(col) for col in (table.ks, table.xs, table.ys)] == oracle_half(want)
+    assert mirror_expanded(table) == [list(col) for col in want]
+
+
+@pytest.mark.parametrize("c, rows", [(1, 3187), (2, 4500)])
+def test_the_sweeps_deep_tables_store_half_their_rows(c, rows):
+    # 6373 and 8999 rows: k = 1 and half of each other k
+    assert len(_product_table(20000, c).xs) == rows
+
+
+@pytest.mark.parametrize("l", _CODE_PRIMES)
+def test_mirrored_rows_pass_by_the_table_of_the_negated_shift(l):
+    # the mirror (X, -Y) of a row has the candidate alpha X - beta Y: on
+    # every residue pair, the pass table of (alpha, -beta) read at the code
+    # of (X, Y) is that of (alpha, beta) read at the code of (X, -Y)
+    index = _residue_tables(l)[2]
+    conjugate = bytes(index[X * l + -Y % l] for X in range(l) for Y in range(l))
+    for alpha in range(l):
+        for beta in range(l):
+            for scale in (1, 2):
+                got = index.translate(_pass_table(l, alpha, -beta, scale))
+                assert got == conjugate.translate(_pass_table(l, alpha, beta, scale)), (alpha, beta, scale)
+
+
+# caps whose half tables end at 255, 256, 257, 1023, 1024 or 1025 stored
+# rows, about the chunk edges, with those counts; c = -2 is walked whole
+EDGE_ROWS = {(1, 1597): 255, (1, 1601): 256, (1, 1609): 257, (1, 6409): 1024, (1, 6421): 1025,
+             (2, 1129): 255, (2, 1137): 257, (2, 4521): 1023, (2, 4523): 1024,
+             (-2, 2009): 255, (-2, 2017): 256, (-2, 8089): 1023, (-2, 8111): 1024}
+ODD_PRIMES_2E4 = sieve_primes(20000)[1:]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(ODD_PRIMES_2E4),
+       st.sampled_from(sorted(EDGE_ROWS)) | st.tuples(st.sampled_from([1, 2, -2]), st.integers(1, 3000)))
+@example(17, (1, 6409))
+@example(41, (1, 6421))
+@example(1049, (2, 4521))  # survivors on both sides of a k split by a chunk cut at 256 rows
+@example(89, (2, 4523))
+@example(113, (2, 1137))
+@example(7, (-2, 8111))
+def test_scans_walk_the_oracle_rows_that_pass_the_residue_test_in_order(p, key):
+    # a scan yields (k, X, Y) of the one-shot table in its order: every row
+    # of the real form and of a table under _FILTER_ROWS stored rows, else
+    # the rows whose candidate square is a square mod each l of _CODE_PRIMES
+    c, cap = key
+    pi = _prime_root(p, c)
+    assume(pi is not None)
+    a, b = pi
+    table = _product_table(cap, c)
+    assert len(table.xs) == EDGE_ROWS.get(key, len(table.xs))
+    rows = list(zip(*product_table_oracle(cap, c)))
+    if c != -2 and len(table.xs) >= _FILTER_ROWS:
+        num, den = SCALES[c]
+
+        def passes(X, Y):
+            x = a * Y + b * X if c == 1 else a * X - c * b * Y  # y for C_{-1}, else x
+            return all(_is_square_mod(abs(x) * num // den, l) for l in _CODE_PRIMES)
+
+        rows = [(k, X, Y) for k, X, Y in rows if passes(X, Y)]
+    assert list(_survivors(table, c, a, b)) == rows
