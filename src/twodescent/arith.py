@@ -140,8 +140,9 @@ class Record:
     gets __init__ (which ends by calling self.__post_init__() if the class
     has one), __eq__ and __hash__ on the tuple of fields within one class,
     and, with order=True, the four comparisons of those tuples.  They are
-    compiled once per class, so a call costs what the dataclass one did;
-    a method the class defines itself is kept.  Fields cannot be assigned.
+    compiled once per class, and __init__ writes the fields straight into
+    the instance __dict__; a method the class defines itself is kept.
+    Fields cannot be assigned.
     """
 
     _fields: tuple[str, ...] = ()
@@ -150,15 +151,15 @@ class Record:
         names = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         args = ", ".join(f"{n}=_d.{n}" if n in cls.__dict__ else n for n in names)
         mine, theirs = (f"({''.join(f'{a}.{n}, ' for n in names)})" for a in ("self", "other"))
-        src = [f"def __init__(self, {args}):",
-               *(f" _set(self, {n!r}, {n})" for n in names),
+        src = [f"def __init__(self, {args}):", " _f = self.__dict__",
+               *(f" _f[{n!r}] = {n}" for n in names),
                " self.__post_init__()" if hasattr(cls, "__post_init__") else "",
                f"def __hash__(self): return hash({mine})"]
         ops = [("eq", "==")] + ([("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">=")] if order else [])
         for op, sym in ops:
             src += [f"def __{op}__(self, other):",
                     f" return {mine} {sym} {theirs} if other.__class__ is self.__class__ else NotImplemented"]
-        ns = {"_d": cls, "_set": object.__setattr__}
+        ns = {"_d": cls}
         exec("\n".join(src), ns)
         for name in ("__init__", "__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
             if name in ns and name not in cls.__dict__:

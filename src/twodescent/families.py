@@ -18,10 +18,9 @@ from array import array
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
-from heapq import heappop, heappush
-from itertools import accumulate, groupby
+from itertools import accumulate, chain, groupby, repeat
 from math import gcd, isqrt
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .arith import (
     Record,
@@ -38,18 +37,8 @@ from .arith import (
 from .curve import INFINITY, TorsionGroup, _character, pt
 from .descent import SelmerSet, _every
 
-__all__ = [
-    "FamilyError",
-    "RankResult",
-    "EpRow",
-    "ep_selmer",
-    "ep_rank_sha_dim",
-    "ep_rank",
-    "edx_torsion",
-    "edx_rank_upper",
-    "edconst_torsion",
-    "ep_table",
-]
+__all__ = ["FamilyError", "RankResult", "EpRow", "ep_selmer", "ep_rank_sha_dim", "ep_rank", "edx_torsion",
+           "edx_rank_upper", "edconst_torsion", "ep_table"]
 
 _EP_TABLE_BUDGET = 10**6
 
@@ -151,16 +140,17 @@ def _ep_dims(r: int):
 # |components|, and where p divides k, pi_p * pi-bar_p^(4e) is not
 # primitive.  So a norm p k^4 has at most 2^omega(k) candidates, each
 # pi_p times a row of the product table for (H, c), shared by every p.
-# Its rows run over the split-smooth k <= H in increasing order, the k off
-# a heap, and it is built whole on the first scan that asks for it: the
-# sweep's scans read their tables to the end.  Row m-1-t of the m rows of
-# a k > 1 is the conjugate (X, -Y) of row t, by induction on the rows of
-# k / q^e times pi-bar_q^(4e) and pi_q^(4e): the table stores the first
-# half of each k, which a scan reads forward, then mirrored backward.  In
-# Z[i] each row is a product of fourth powers of u + v i, u odd, v even,
-# so X is odd, 8 | Y, and with pi_p = a + b i, a odd, b even,
-# 2 (a X - b Y) = 2 (mod 4) is no square: C_{-1} hits only on twice y,
-# the x of -i pi_p times the row.
+# Its rows run over the split-smooth k <= H in increasing order.  The
+# sweep's scans read their tables to the end, so a table is built whole on
+# the first scan that asks for it, prime by prime: each split q takes every
+# m <= H / q^e of smaller primes to k = m q^e, and one sort of the blocks
+# orders the k.  Row m-1-t of the m rows of a k > 1 is the conjugate (X, -Y)
+# of row t, by induction on the rows of k / q^e times pi-bar_q^(4e) and
+# pi_q^(4e): the table stores the first half of each k, which a scan reads
+# forward, then mirrored backward.  In Z[i] each row is a product of fourth
+# powers of u + v i, u odd, v even, so X is odd, 8 | Y, and with
+# pi_p = a + b i, a odd, b even, 2 (a X - b Y) = 2 (mod 4) is no square:
+# C_{-1} hits only on twice y, the x of -i pi_p times the row.
 # The elements pi_q come from one pass over each norm form as far as the
 # sieve reaches; an isolated prime beyond it still takes Cornacchia's descent.
 # ep_rank takes H <= 1000, so the rescan cap is 10^6, |X|, |Y| <= k^2 <=
@@ -185,8 +175,8 @@ def _ep_dims(r: int):
 # scan order; a chunk is coded when a filtered scan first reaches it.
 # Along a unit orbit x mod q has a period dividing 24 for each q of
 # _ORBIT_MODULI, so per-modulus masks indexed by (x0, 2 s0) mod q mark
-# the steps where x, or -x, can be a square, and only those steps get
-# their exact element.
+# the steps where x, or -x, can be a square, packed in one int, and only
+# those steps get their exact element.
 
 
 def _pair_mul(x, y, c):
@@ -241,22 +231,6 @@ def _prime_root(q: int, c: int):
     return 2 * v - u, v - u
 
 
-def _split_smooth(cap: int, c: int):
-    """Odd k in (1, cap] whose primes all split in Z[sqrt(-c)], in
-    increasing order, as (k, q, r): q the largest prime of k, r the part of
-    k prime to q.  Popping k = m q off a heap pushes k q and m q', q' the
-    next prime, from the root table of c filled to cap."""
-    primes, heap = _fill_roots(cap, c)[0], [(1, -1, 1, 1)]  # (k, index of q, m, r)
-    while heap:
-        k, j, m, r = heappop(heap)
-        if j >= 0:
-            yield k, primes[j], r
-            if k * primes[j] <= cap:
-                heappush(heap, (k * primes[j], j, k, r))
-        if j + 1 < len(primes) and m * primes[j + 1] <= cap:
-            heappush(heap, (m * primes[j + 1], j + 1, m, m))
-
-
 class _ProductTable:
     """Columns ks, xs, ys of the first half of each k's products of
     pi-bar_q^(4e) or pi_q^(4e) over q^e || k, for the split-smooth k <= H in
@@ -266,31 +240,46 @@ class _ProductTable:
     reach it."""
 
     def __init__(self, H: int, c: int):
-        ks, xs, ys = self.ks, self.xs, self.ys = array("q", [1]), array("q", [1]), array("q", [0])
+        qs, us, vs = _fill_roots(H, c)
+        n = bisect_right(qs, H)
+        tail = bisect_right(qs, H // qs[0], 0, n) if n else 0  # past it, no m > 1 takes q
+        xs, ys = array("q", [1]), array("q", [0])  # the stored rows, block by block as made
+        ks, firsts = array("q", [1]), array("q", [0])  # per block: its k, its first row
+        grow = [(1, 0, 1)]  # (k, first row, end) of the k that a larger prime may still extend, by k
+        for q, u, v in zip(qs[:tail], us, vs):  # q increasing: m q^e for each m of primes < q
+            del grow[bisect_right(grow, H // q, key=itemgetter(0)):]
+            u, v = (u * u - c * v * v) ** 2 - 4 * c * (u * v) ** 2, 4 * u * v * (u * u - c * v * v)  # pi_q^4
+            qe, u4, v4, new = q, u, v, []
+            while qe <= H:
+                for m, lo, hi in grow:
+                    k = m * qe
+                    if k > H:
+                        break
+                    ks.append(k)
+                    firsts.append(len(xs))
+                    if m == 1:  # pi-bar_q^(4e) alone: pi_q^(4e) is its mirror
+                        xs.append(u4)
+                        ys.append(-v4)
+                    else:
+                        for X, Y in zip(xs[lo:hi], ys[lo:hi]):
+                            xs.extend((X * u4 + c * v4 * Y, X * u4 - c * v4 * Y))  # times pi-bar_q^(4e), pi_q^(4e)
+                            ys.extend((Y * u4 - X * v4, Y * u4 + X * v4))
+                    if k * q <= H:
+                        new.append((k, firsts[-1], len(xs)))
+                qe, u4, v4 = qe * q, u4 * u - c * v4 * v, u4 * v + v4 * u  # pi_q^(4e + 4)
+            grow = sorted(grow + new) if new else grow
+        ks.extend(qs[tail:n])  # k = q alone, its one stored row pi-bar_q^4
+        firsts.extend(range(len(xs), len(xs) + n - tail))
+        xs.extend((u * u - c * v * v) ** 2 - 4 * c * (u * v) ** 2 for u, v in zip(us[tail:n], vs[tail:n]))
+        ys.extend(-4 * u * v * (u * u - c * v * v) for u, v in zip(us[tail:n], vs[tail:n]))
+        ends = firsts[1:] + array("q", [len(xs)])
+        sizes, order = array("q", map(sub, ends, firsts)), sorted(range(len(ks)), key=ks.__getitem__)  # blocks by k
+        rows = array("q", chain.from_iterable(map(range, map(firsts.__getitem__, order),
+                                                  map(ends.__getitem__, order))))
+        self.ks = array("q", chain.from_iterable(map(repeat, map(ks.__getitem__, order),
+                                                     map(sizes.__getitem__, order))))
+        self.xs, self.ys = array("q", map(xs.__getitem__, rows)), array("q", map(ys.__getitem__, rows))
         self.codes: dict[int, list[bytes]] = {}
-        rows, powers = {1: (0, 1)}, {1: (1, 0)}  # the stored rows of k by k, pi_q^(4e) by q^e
-        roots = zip(*_fill_roots(H, c)[1:])  # (u, v) by increasing q: each q first comes as k = q
-        for k, q, r in _split_smooth(H, c):
-            qe, start = k // r, len(ks)
-            uv = powers.get(qe)
-            if uv is None:  # pi_q^(4e) = pi_q^(4e - 4) pi_q^4, pi_q^4 by two squarings
-                if q not in powers:
-                    z = _pair_mul(*[next(roots)] * 2, c)
-                    powers[q] = _pair_mul(z, z, c)
-                uv = powers[qe] = _pair_mul(powers[qe // q], powers[q], c)
-            u, v = uv
-            if r == 1:  # pi-bar_q^(4e) alone: pi_q^(4e) is its mirror
-                xs.append(u)
-                ys.append(-v)
-            else:
-                lo, hi = rows[r]
-                for X, Y in zip(xs[lo:hi], ys[lo:hi]):
-                    xs.append(X * u + c * v * Y)  # times pi-bar_q^(4e) = u - v sqrt(-c)
-                    ys.append(Y * u - X * v)
-                    xs.append(X * u - c * v * Y)  # times pi_q^(4e)
-                    ys.append(Y * u + X * v)
-            ks.extend((k,) * (len(xs) - start))
-            rows[k] = start, len(ks)
 
     @cached_property
     def rows(self) -> list[tuple[int, int, int]]:
@@ -343,6 +332,23 @@ def _pass_table(l: int, alpha: int, beta: int, scale: int) -> bytes:
     return (pos + neg + bytes((1, s != -1, s != 1))).ljust(256, b"\0")
 
 
+_PASSES: dict[tuple[int, int, int], bytes] = {}  # by (l, s, h), see _passes
+
+
+def _passes(l: int, alpha: int, beta: int, scale: int) -> bytes:
+    """Row codes of l translated to bit 0 by _pass_table(l, alpha, beta, scale)
+    and to bit 1 by _pass_table(l, alpha, -beta, scale), a row and its mirror,
+    by what both depend on: s = chi_l(alpha * scale) and h = beta / alpha mod l,
+    or s = 0 and h = chi_l(beta * scale) when l | alpha."""
+    chi = _residue_tables(l)[0]
+    s = chi[alpha * scale % l]
+    key = l, s, beta * pow(alpha, -1, l) % l if s else chi[beta * scale % l]
+    if key not in _PASSES:
+        _PASSES[key] = (int.from_bytes(_pass_table(l, alpha, beta, scale), "little")
+                        | int.from_bytes(_pass_table(l, alpha, -beta, scale), "little") << 1).to_bytes(256, "little")
+    return _PASSES[key]
+
+
 def _chunk_codes(xs, ys) -> list[bytes]:
     """The row codes of each l of _CODE_PRIMES."""
     return [bytes([index[x % l * l + y % l] for x, y in zip(xs, ys)])
@@ -356,18 +362,19 @@ def _candidate(c: int, a: int, b: int):
 
 def _survivors(table: _ProductTable, c: int, a: int, b: int):
     """The rows (k, X, Y) of table, stored and mirrored, in scan order, whose
-    candidate square passes the residue filters for pi_p = (a, b): every row
-    of a table under _FILTER_ROWS stored rows, and of the real form, c = -2."""
-    ks, xs, ys, codes = table.ks, table.xs, table.ys, table.codes
-    if c == -2 or len(xs) < _FILTER_ROWS:
-        yield from table.rows
-        return
+    candidate square passes the residue filters for pi_p = (a, b): every row,
+    table.rows itself, of a table under _FILTER_ROWS stored rows and of the
+    real form, c = -2."""
+    return table.rows if c == -2 or len(table.xs) < _FILTER_ROWS else _filtered(table, c, a, b)
+
+
+def _filtered(table: _ProductTable, c: int, a: int, b: int):
+    """_survivors of a filtered scan."""
     a, b, scale = _candidate(c, a, b)
-    alpha, beta = a, -c * b  # the candidate alpha X + beta Y = Y (alpha t + beta), t = X/Y
-    # per l, code to 1 where a stored row passes, plus 2 where its mirror, alpha X - beta Y, does
-    passes = [(int.from_bytes(_pass_table(l, alpha, beta, scale), "little")
-               | int.from_bytes(_pass_table(l, alpha, -beta, scale), "little") << 1).to_bytes(256, "little")
-              for l in _CODE_PRIMES]
+    # per l, code to 1 where a stored row passes, plus 2 where its mirror, alpha X - beta Y, does,
+    # for the candidate alpha X + beta Y = Y (alpha t + beta), t = X/Y
+    passes = [_passes(l, a, -c * b, scale) for l in _CODE_PRIMES]
+    ks, xs, ys, codes = table.ks, table.xs, table.ys, table.codes
     start = 0
     while start < len(xs):
         chunk = codes.get(start)
@@ -408,19 +415,23 @@ def _orbit_masks(q: int):
             for a in terms[0] for b in terms[1] for steps in [(a + b).to_bytes(24, "big")]]
 
 
+@cache
+def _packed_orbit_masks():
+    """(q, masks) per q of _ORBIT_MODULI: the pairs of _orbit_masks(q) as sq | neg << 24."""
+    return [(q, [sq | neg << 24 for sq, neg in _orbit_masks(q)]) for q in _ORBIT_MODULI]
+
+
 def _orbit_square_x(z0, m):
     """Scan the unit orbit of z0 in Z[sqrt(2)] for |x| a square prime to m.
 
     Step j < 64 of the first walk is z0 (3 + 2 sqrt 2)^j, of the second
     z0 (3 - 2 sqrt 2)^(j+1); the first hit wins.
     """
-    x0, s = z0[0], 2 * z0[1]
-    square = negated = -1
-    for q in _ORBIT_MODULI:
-        sq, neg = _orbit_masks(q)[x0 % q * q + s % q]
-        square &= sq
-        negated &= neg
-    fwd = square | negated  # bit j: step j (mod 24) can hold x or -x square
+    x0, s0 = z0
+    bits, s = -1, 2 * s0
+    for q, masks in _packed_orbit_masks():
+        bits &= masks[x0 % q * q + s % q]
+    fwd = (bits | bits >> 24) & 0xFFFFFF  # bit j: step j (mod 24) can hold x or -x square
     if not fwd:  # no step can hold a square: most walks end here
         return None
     back = int(f"{fwd:024b}"[::-1], 2)  # bit j: step -(j+1) = 23 - j
@@ -431,7 +442,8 @@ def _orbit_square_x(z0, m):
             j = (bits & -bits).bit_length() - 1
             bits &= bits - 1
             ux, us = _UNITS[j + second]
-            x, s = _pair_mul(z0, (ux, -us if second else us), -2)
+            us = -us if second else us
+            x, s = x0 * ux + 2 * s0 * us, x0 * us + s0 * ux  # z0 (ux + us sqrt 2)
             n = isqrt(abs(x))
             if s and n * n == abs(x) and gcd(m, n) == 1:
                 return n, abs(s)
@@ -513,10 +525,7 @@ def _ep_rank(p: int, H: int) -> RankResult:
     if r in (3, 5, 13, 15):
         return _RANK_1
     if not _two_is_quartic(p):
-        return RankResult(
-            "exact", 0, 0,
-            f"2 is not a quartic residue mod {p}; the full Selmer residual is Sha",
-        )
+        return RankResult("exact", 0, 0, f"2 is not a quartic residue mod {p}; the full Selmer residual is Sha")
     # 2 is a quartic residue: rank is 0 or 2.  Certify 2 by searching
     # one space from each coset of the seed subgroup {1, -p}; any two
     # distinct cosets generate a span of dimension 3.  The dual side is
@@ -539,11 +548,8 @@ def _ep_rank(p: int, H: int) -> RankResult:
     if g + 1 - 2 == 2:
         return RankResult("exact", 2, 2, f"two independent points of height <= {H}")
     if g >= 2:
-        return RankResult(
-            "interval", 0, 2,
-            f"one space certified up to {H}; the matching second certificate "
-            "was not found",
-        )
+        return RankResult("interval", 0, 2,
+                          f"one space certified up to {H}; the matching second certificate was not found")
     return RankResult("interval", 0, 2, f"conjecturally 0; no points up to {H}")
 
 
@@ -604,13 +610,7 @@ class EpRow(Record):
     rank: RankResult
 
 
-def ep_table(
-    p_max: int,
-    *,
-    mod8: int | None = None,
-    quartic_only: bool = False,
-    height: int = 20,
-) -> list[EpRow]:
+def ep_table(p_max: int, *, mod8: int | None = None, quartic_only: bool = False, height: int = 20) -> list[EpRow]:
     """One row per odd prime p <= p_max, sorted by p, with optional residue filters.
 
     mod8, one of 1, 3, 5, 7, keeps p = mod8 (mod 8); quartic_only keeps p
@@ -630,11 +630,8 @@ def ep_table(
         ps = [p for p in ps if p % 8 == mod8]
     if quartic_only:
         ps = [p for p in ps if p % 8 == 1 and _two_is_quartic(p)]
+    top = max((p for p in ps if p % 8 == 1), default=0)
     for c in _SPLIT:  # the prime elements of every p that may search, from the sieve
-        _fill_roots(max((p for p in ps if p % 8 == 1), default=0), c)
+        _fill_roots(top, c)
     # the sieve proved each p and the height is checked above
-    return [
-        EpRow(p, s, s_hat, s + s_hat - 2, _ep_rank(p, height))
-        for p in ps
-        for s, s_hat in [_ep_dims(p % 16)]
-    ]
+    return [EpRow(p, s, s_hat, s + s_hat - 2, _ep_rank(p, height)) for p in ps for s, s_hat in [_ep_dims(p % 16)]]

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from array import array
 from bisect import bisect_right
-from itertools import islice
+from itertools import groupby, islice
 from math import gcd, isqrt
 
 from twodescent.arith import quartic_residue_exp, sieve_primes
@@ -18,6 +18,7 @@ from twodescent.families import (
     _CODE_PRIMES,
     _FILTER_ROWS,
     _ORBIT_MODULI,
+    _PASSES,
     _ROOTS,
     _SPLIT,
     _ProductTable,
@@ -25,12 +26,13 @@ from twodescent.families import (
     _fill_roots,
     _orbit_masks,
     _orbit_square_x,
+    _packed_orbit_masks,
     _pair_mul,
     _pass_table,
+    _passes,
     _prime_root,
     _product_table,
     _residue_tables,
-    _split_smooth,
     _survivors,
 )
 
@@ -111,10 +113,9 @@ def test_split_smooth_numbers_and_their_products_match_the_uncached_products(c):
         if all(q % modulus in residues for q, _ in fac):
             want.append((k, fac))
     assert smooth == want
-    # the heap walk: each k > 1 with its largest prime q and the part prime to q
-    assert list(_split_smooth(2000, c)) == [
-        (k, fac[-1][0], k // fac[-1][0] ** fac[-1][1]) for k, fac in smooth[1:]]
+    # the table's distinct k, in order: each split-smooth k once, 1 first
     table = _product_table(2000, c)
+    assert [k for k, _ in groupby(table.ks)] == [k for k, fac in smooth]
     assert list(table.ks) == [k for k, fac in smooth for _ in range(max(1, 2 ** len(fac) // 2))]
     ks, xs, ys = mirror_expanded(table)
     assert ks == [k for k, fac in smooth for _ in range(2 ** len(fac))]
@@ -233,10 +234,11 @@ def test_residue_filters_keep_every_row_the_exact_test_accepts(p, c, H):
 @pytest.mark.parametrize("c", [1, 2, -2])
 @pytest.mark.parametrize("cap", [1, 4, 5, 1023, 1024, 1025, 3000, 20000, 10**5])
 def test_split_smooth_walk_matches_the_sorted_one_shot_list(c, cap):
+    # the k of the table, built prime by prime and laid out by k, are the
+    # split-smooth k <= cap in increasing order, each once
     modulus, residues = _SPLIT[c]
-    assert list(_split_smooth(cap, c)) == [
-        (k, fac[-1][0], k // fac[-1][0] ** fac[-1][1])
-        for k, fac in split_smooth_oracle(cap, modulus, residues)[1:]]
+    assert [k for k, _ in groupby(_product_table(cap, c).ks)] == [
+        k for k, fac in split_smooth_oracle(cap, modulus, residues)]
 
 
 @pytest.mark.parametrize("c", [1, 2])
@@ -273,6 +275,13 @@ def test_gaussian_rows_have_x_odd_and_y_divisible_by_8(H):
 @pytest.mark.parametrize("q", _ORBIT_MODULI)
 def test_orbit_masks_match_the_per_step_oracle(q):
     assert _orbit_masks.__wrapped__(q) == orbit_masks_oracle(q)
+
+
+def test_packed_orbit_masks_are_the_pairs_of_each_modulus():
+    packed = _packed_orbit_masks.__wrapped__()
+    assert [q for q, _ in packed] == list(_ORBIT_MODULI)
+    for q, masks in packed:
+        assert [(m & 0xFFFFFF, m >> 24) for m in masks] == _orbit_masks(q), q
 
 
 SCAN_PRIMES = {c: [p for p in sieve_primes(3000) if _prime_root(p, c)] for c in (1, 2)}
@@ -335,6 +344,19 @@ def test_mirrored_rows_pass_by_the_table_of_the_negated_shift(l):
             for scale in (1, 2):
                 got = index.translate(_pass_table(l, alpha, -beta, scale))
                 assert got == conjugate.translate(_pass_table(l, alpha, beta, scale)), (alpha, beta, scale)
+
+
+@pytest.mark.parametrize("l", _CODE_PRIMES)
+def test_cached_pass_tables_are_the_or_of_a_row_and_its_mirror(l):
+    # one cached table per key: 2l shifts and signs where l does not divide
+    # alpha, and 3 characters of beta * scale where it does
+    for alpha in range(l):
+        for beta in range(l):
+            for scale in (1, 2):
+                want = bytes(x | y << 1 for x, y in zip(_pass_table(l, alpha, beta, scale),
+                                                        _pass_table(l, alpha, -beta, scale)))
+                assert _passes(l, alpha, beta, scale) == want, (alpha, beta, scale)
+    assert sum(key[0] == l for key in _PASSES) <= 2 * l + 3
 
 
 # caps whose half tables end at 255, 256, 257, 1023, 1024 or 1025 stored
