@@ -165,6 +165,14 @@ class Record:
             if name in ns and name not in cls.__dict__:
                 setattr(cls, name, ns[name])
 
+    @classmethod
+    def _of(cls, *values):
+        """An instance of fields the engine built right, unchecked; set one by one, they build no __dict__."""
+        out = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(out, name, value)
+        return out
+
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
 

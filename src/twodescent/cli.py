@@ -428,12 +428,8 @@ def _verify_line(cl: CremonaLine, height: int):
 
 def cmd_verify_cremona(args) -> int:
     _check_height(args.height)
-    try:
-        with open(args.file) as fh:
-            lines = fh.read().splitlines()
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    with open(args.file) as fh:
+        lines = fh.read().splitlines()
     counts = {"ok": 0, "mismatch": 0, "skipped": 0, "parse_error": 0}
     total = 0
     for i, line in enumerate(lines, start=1):
@@ -523,7 +519,7 @@ def main(argv=None) -> int:
         # later writes, the interpreter's last flush among them, go nowhere
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except ValueError as e:
+    except (ValueError, OSError) as e:  # an unusable file is invalid input too
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:

@@ -140,10 +140,12 @@ def count_points_mod(E: Curve, q: int) -> int:
 
     q + 1 + sum over x of the quadratic character of x^3+a2*x^2+a4*x+a6.
     """
-    if q > 10**6:
-        raise CurveError("need q <= 10^6: count_points_mod sums over all of F_q")
+    if not isinstance(E, Curve):
+        raise CurveError(f"need a Curve, not {E!r}")
     if q == 2 or not is_prime(q):
         raise CurveError("need an odd prime")
+    if q > 10**6:
+        raise CurveError("need q <= 10^6: count_points_mod sums over all of F_q")
     if discriminant(E) % q == 0:
         raise CurveError(f"bad reduction at {q}")
     return _count_points(q, E.a2 % q, E.a4 % q, E.a6 % q)
@@ -290,6 +292,8 @@ def torsion_subgroup(E: Curve) -> TorsionGroup:
     m has integral x, a root of f_m, and m <= 12 divides the reduction bound,
     the gcd of the counts mod six good primes.  Each partial gcd is a multiple
     of |E(Q)_tors|, itself one of |E[2](Q)|, so one equal to |E[2](Q)| is final."""
+    if not isinstance(E, Curve):
+        raise CurveError(f"need a Curve, not {E!r}")
     a2, a4, a6 = E.a2, E.a4, E.a6
     # E[2](Q) - O if a6 = 0: x(x^2 + a2 x + a4) is 0 at 0, and at (-a2 +- s)/2 if a2^2 - 4 a4 = s^2
     s = math.isqrt(max(disc := a2 * a2 - 4 * a4, 0))

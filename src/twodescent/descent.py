@@ -10,10 +10,10 @@ and d lies in the phi-Selmer set exactly when C_d has points over R and
 over Q_p for every p in the bad set S = {2} u {p | b} u {p | b'}.  The
 classes soluble at a place v form the local image W_v, and those of E'
 form its annihilator under the Hilbert symbol, so local tests on E alone
-give both Selmer groups, each the kernel of one F_2 map on Q(S, 2).  A
-rational point of C_d lifts to E'(Q) by psi(z, w) = (d/z^2, -d*w/z^3)
-and certifies d as a genuine image class.  The same search on E' (whose
-own isogenous curve is E back again, up to scaling by
+give both Selmer groups, the preimages of both images under one F_2 map
+on Q(S, 2).  A rational point of C_d lifts to E'(Q) by psi(z, w) =
+(d/z^2, -d*w/z^3) and certifies d as a genuine image class.  The same
+search on E' (whose own isogenous curve is E back again, up to scaling by
 (x, y) -> (x/4, y/8)) bounds the rank from both sides:
 
     rank_upper = s + s' - 2,   rank_lower = max(0, g + g' - 2),
@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import lt, ne
 
-from .arith import ONE, Record, SquareClass, _euler, _val, factorize
+from .arith import ONE, Record, SquareClass, _euler, _is_prime, _val, factorize
 from .curve import Curve, Pt, TorsionGroup, torsion_subgroup
 from .localsolve import _qp_soluble
 
@@ -86,17 +86,20 @@ class BadSet(Record):
     primes: tuple[int, ...]
 
     def __post_init__(self):
-        if 2 not in self.primes:
+        ps = self.primes
+        if type(ps) is not tuple or not all(type(p) is int and _is_prime(p) for p in ps):
+            raise DescentError(f"need a tuple of prime ints, not {ps!r}")
+        if 2 not in ps:
             raise DescentError("the bad set always contains 2")
-        if tuple(sorted(set(self.primes))) != self.primes:
+        if tuple(sorted(set(ps))) != ps:
             raise DescentError("primes must be sorted and distinct")
 
 
 def bad_set(E: Curve) -> BadSet:
-    """2 and the primes of the odd parts of b and b', each factored once."""
+    """2 and the primes of the odd parts of b and b', each factored once and proved prime."""
     a, b = _check_descent_model(E)
     odd_parts = {abs(n) >> _val(n, 2) for n in (b, a * a - 4 * b)}
-    return BadSet(tuple(sorted({2}.union(*(factorize(m).primes() for m in odd_parts)))))
+    return BadSet._of(tuple(sorted({2}.union(*(factorize(m).primes() for m in odd_parts)))))
 
 
 def qs2(S: BadSet) -> tuple[SquareClass, ...]:
@@ -107,13 +110,6 @@ def qs2(S: BadSet) -> tuple[SquareClass, ...]:
 
 class SelmerSet(Record):
     classes: tuple[SquareClass, ...]
-
-    @classmethod
-    def _of(cls, classes) -> SelmerSet:
-        """The set of a subgroup the engine built, in class order: not checked again."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "classes", tuple(classes))
-        return out
 
     def __post_init__(self):
         cs = set(self.classes)
@@ -157,28 +153,12 @@ def _minus_one_real(a: int, b: int) -> bool:
     return a * a - 4 * b < 0 or a < 0 < b
 
 
-# At a prime v, keyed by v % 4: per local class x (bits as in _local_table) the
+# At a prime v, keyed by v % 4: per local class x (bits as in _classes) the
 # bits x pairs with to -1 under the Hilbert symbol.  Local tests visit the x in
-# _ORDER, least |_classes(v)[x]| first.
+# _ORDER, least |_classes(v)[x]| first.  _ODD[f] has bit y set when y & f is odd.
 _PAIRS = {2: (0, 4, 2, 6, 1, 5, 3, 7), 1: (0, 2, 1, 3), 3: (0, 3, 1, 2)}
 _ORDER = (0, 2, 1, 3, 4, 6, 5, 7)
-# At an odd place decided by rule, by dim W_v: a basis of W_v ({1}, the units or
-# all of Q_v*/Q_v*^2) and one of the z orthogonal to it, its _kernel over 2 bits.
-_RULE_PLACES = (((), (1, 2)), ((2,), (1,)), ((1, 2), ()))
-
-
-def _local_table(gens: tuple[int, ...], i: int) -> tuple[int, ...]:
-    """Per coordinate bit of Q_v*/Q_v*^2 at v = gens[i], gens = (-1,) + S
-    (v_2 parity, (u-1)/2, (u^2-1)/8 of the unit u at 2; v_p parity, the
-    Euler bit at odd p), the mask of the generators whose class has it."""
-    v = gens[i]
-    if v == 2:
-        return 2, sum(1 << j for j, g in enumerate(gens) if g % 4 == 3), \
-            sum(1 << j for j, g in enumerate(gens) if g % 8 in (3, 5))
-    h, u = v >> 1, 0
-    for j, g in enumerate(gens):
-        u |= (pow(g, h, v) == v - 1) << j
-    return 1 << i, u
+_ODD = tuple(sum(((y & f).bit_count() & 1) << y for y in range(8)) for f in range(8))
 
 
 @lru_cache(maxsize=4096)
@@ -199,24 +179,30 @@ def _span(rows, gens: tuple[int, ...]) -> list[tuple[int, int, int]]:
     return sorted(out)
 
 
-def _kernel(funcs, n: int) -> list[int]:
-    """A basis of the masks u of n bits with (u & f).bit_count() even for
-    every f in funcs: per f, the first basis row odd on f is added to the
-    other odd rows and dropped."""
-    basis = [1 << j for j in range(n)]
-    for f in funcs:
-        odd = [u for u in basis if (u & f).bit_count() & 1]
-        if odd:
-            basis = [u ^ odd[0] if u in odd else u for u in basis if u != odd[0]]
-    return basis
+def _preimage(rows: list[int], image: list[int]) -> list[int]:
+    """A basis of the masks u with the XOR of the rows j in u inside the span of
+    image: one elimination over image, then the rows, row j tagged at bit
+    width + j; each row that clears below width leaves its tag, a mask u."""
+    width = max(rows + image, default=0).bit_length()
+    low, pivots, out = (1 << width) - 1, [0] * (width + 1), []  # pivots by top bit
+    for r in image + [r | 1 << width + j for j, r in enumerate(rows)]:
+        while top := (r & low).bit_length():
+            if not pivots[top]:
+                pivots[top] = r
+                break
+            r ^= pivots[top]
+        else:
+            if r:
+                out.append(r >> width)
+    return out
 
 
 def selmer(E: Curve) -> SelmerSet:
     """Classes whose space C_d has points over R and every Q_p, p in S.
 
     The classes soluble at v form a subgroup W_v, the image of the local
-    connecting map, so Sel is the kernel of an F_2 map; see _selmer."""
-    return SelmerSet._of([SquareClass(d) for _, d, _ in _selmer(E, bad_set(E))[0]])
+    connecting map, so Sel is the preimage of their sum under an F_2 map; see _selmer."""
+    return SelmerSet._of(tuple(SquareClass(d) for _, d, _ in _selmer(E, bad_set(E))[0]))
 
 
 def _selmer(E: Curve, S: BadSet) -> tuple[list, list, int, int]:
@@ -242,10 +228,11 @@ def _selmer(E: Curve, S: BadSet) -> tuple[list, list, int, int]:
     (C_1 has the point (0, 1), C_b' a rational point at infinity), a class
     pairing to -1 with L_v(b), in the image of E', does not; a soluble x
     joins the basis and both known sets grow by their sums with it, an
-    insoluble x puts its coset of the known soluble classes out.  Sel of E
-    is the kernel of u -> L_v(u) . z over the z orthogonal to W_v, and Sel
-    of E' that of u -> (L_v(u), y)_v over a basis of W_v, both read from a
-    table of XORs of the unit columns."""
+    insoluble x puts its coset of the known soluble classes out.  Each
+    generator's row holds its sign bit, then its class at 2 (3 bits) and at
+    each odd v (2 bits), so the row XOR of u holds each L_v(u).  Sel of E is
+    the _preimage of the W_v, and Sel of E' that of the W'_v, the y that
+    pair to 1 with every basis class of W_v, read off the constant _ODD."""
     a, b = E.a2, E.a4
     bp = a * a - 4 * b
     gens = (-1,) + S.primes
@@ -254,22 +241,27 @@ def _selmer(E: Curve, S: BadSet) -> tuple[list, list, int, int]:
         e = _val(b, q)
         t *= q ** (e // 4 if a == 0 else min(_val(a, q) // 2, e // 4))
         seed, dual = seed | (_val(bp, q) & 1) << j, dual | (e & 1) << j
-    funcs: tuple[list[int], list[int]] = ([], [1]) if _minus_one_real(a, b) else ([1], [])
+    rows, off = [int(g < 0) for g in gens], 1
+    images = ([1], []) if _minus_one_real(a, b) else ([], [1])  # W_R and W'_R
     a, b, bp = a // t**2, b // t**4, bp // t**4  # the reduced model of the local tests
-    for i, v in enumerate(S.primes, 1):
-        cols, pairs = _local_table(gens, i), _PAIRS[v % 4]
+    for v in S.primes:
+        if v == 2:
+            xs = [(g == 2) | (g % 4 == 3) << 1 | (g % 8 in (3, 5)) << 2 for g in gens]
+        else:
+            xs = [(g == v) | (pow(g, v >> 1, v) == v - 1) << 1 for g in gens]
+        rows, pairs = [r | x << off for r, x in zip(rows, xs)], _PAIRS[v % 4]
         if v > 2 and a % v:  # good or multiplicative reduction: W_v by rule
             vb, vbp, dim = _val(b, v), _val(bp, v), 1  # v divides at most one of b and b'
             if vb or vbp:
                 dim += (-1 if vb else 1) * ((vb | vbp) & 1 or _euler(-2 * a if vbp else a, v) > 0)
-            basis, kernel = _RULE_PLACES[dim]
+            basis = ((), (2,), (1, 2))[dim]
         else:
             s = b_image = 0  # L_v(b') and L_v(b)
-            for j, c in enumerate(cols):
-                s |= ((seed & c).bit_count() & 1) << j
-                b_image |= ((dual & c).bit_count() & 1) << j
+            for j, x in enumerate(xs):
+                s ^= x * (seed >> j & 1)
+                b_image ^= x * (dual >> j & 1)
             basis, known, bad = [s] if s else [], {0, s}, set()
-            for x in _ORDER[:1 << len(cols)]:
+            for x in _ORDER[:len(pairs)]:
                 if x in known or x in bad or (x & pairs[b_image]).bit_count() & 1:
                     continue
                 if _qp_soluble(_space(a, bp, _classes(v)[x]), v):
@@ -278,13 +270,13 @@ def _selmer(E: Curve, S: BadSet) -> tuple[list, list, int, int]:
                     bad = {y ^ k for y in bad for k in known}
                 else:
                     bad |= {x ^ k for k in known}
-            kernel = _kernel(basis, len(cols))
-        odd = [0]  # per z, the generators whose L_v is odd on z
-        for c in cols:
-            odd += [o ^ c for o in odd]
-        funcs[0].extend([odd[z] for z in kernel])
-        funcs[1].extend([odd[pairs[y]] for y in basis])
-    sel, sel_hat = (_span(_kernel(f, len(gens)), gens) for f in funcs)
+        odd = 0  # the y pairing to -1 with some class of W_v
+        for x in basis:
+            odd |= _ODD[pairs[x]]
+        images[0].extend([x << off for x in basis])
+        images[1].extend([y << off for y in range(1, len(pairs)) if not odd >> y & 1])
+        off += 3 if v == 2 else 2
+    sel, sel_hat = (_span(_preimage(rows, image), gens) for image in images)
     return sel, sel_hat, seed, dual
 
 
@@ -512,7 +504,7 @@ def descent_report(E: Curve, H: int) -> DescentReport:
     if not all(P[2] and _on_curve_xyz(E, P) for P in points):
         raise DescentError("a lifted point did not descend onto the curve")
 
-    phi, hat = ([SquareClass(d) for _, d, _ in sel] for sel in (sel_phi, sel_hat))
+    phi, hat = (tuple(SquareClass(d) for _, d, _ in sel) for sel in (sel_phi, sel_hat))
     s, sp, g, gp = (len(c).bit_length() - 1 for c in (phi, hat, image_phi, image_hat))
     rank_upper = s + sp - 2
     rank_lower = max(0, g + gp - 2)
@@ -535,8 +527,8 @@ def descent_report(E: Curve, H: int) -> DescentReport:
         pair=pair,
         selmer_phi=SelmerSet._of(phi),
         selmer_phi_hat=SelmerSet._of(hat),
-        image_phi=SelmerSet._of([phi[i] for i in image_phi]),
-        image_phi_hat=SelmerSet._of([hat[i] for i in image_hat]),
+        image_phi=SelmerSet._of(tuple(phi[i] for i in image_phi)),
+        image_phi_hat=SelmerSet._of(tuple(hat[i] for i in image_hat)),
         rank_lower=rank_lower,
         rank_upper=rank_upper,
         rank_exact=rank_exact,

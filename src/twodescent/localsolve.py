@@ -90,8 +90,8 @@ class QuarticForm(Record):
     c: tuple[int, int, int, int, int]
 
     def __post_init__(self):
-        if len(self.c) != 5 or not all(isinstance(v, int) and not isinstance(v, bool) for v in self.c):
-            raise LocalSolveError(f"need five integer coefficients, not {self.c!r}")
+        if type(self.c) is not tuple or len(self.c) != 5 or not all(type(v) is int for v in self.c):
+            raise LocalSolveError(f"need five integer coefficients in a tuple, not {self.c!r}")
         if all(v == 0 for v in self.c):
             raise LocalSolveError("the zero form has no model")
 

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import twodescent.curve as curve_module
+from twodescent.arith import ArithError
 from twodescent.curve import (
     CurveError,
     Curve,
@@ -182,6 +183,21 @@ def test_count_points_rejects_bad_reduction():
         count_points_mod(Curve(0, 17, 0), 17)
     with pytest.raises(CurveError):
         count_points_mod(Curve(6, 1, 0), 2)
+
+
+@pytest.mark.parametrize("call", [torsion_subgroup, lambda E: count_points_mod(E, 5)],
+                         ids=["torsion_subgroup", "count_points_mod"])
+def test_a_model_that_is_not_a_curve_is_refused(call):
+    # a coefficient tuple once raised AttributeError
+    with pytest.raises(CurveError, match=r"need a Curve, not \(0, 1, 0\)"):
+        call((0, 1, 0))
+
+
+@pytest.mark.parametrize("q", ["5", None])
+def test_count_points_refuses_a_q_that_is_not_an_int(q):
+    # comparing q with the bound first once raised a bare TypeError
+    with pytest.raises(ArithError, match="need an integer"):
+        count_points_mod(Curve(0, 1, 0), q)
 
 
 def test_count_points_refuses_a_prime_beyond_its_bound(monkeypatch):

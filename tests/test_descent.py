@@ -21,16 +21,14 @@ from twodescent.descent import (
     _MODULI,
     _ORDER,
     _PAIRS,
-    _RULE_PLACES,
     _band_mask,
     _classes,
     _first_square,
     _generators,
-    _kernel,
-    _local_table,
     _minus_one_real,
     _on_curve_xyz,
     _orbit_masks,
+    _preimage,
     _selmer,
     _space,
     _span,
@@ -574,37 +572,41 @@ def test_selmer_of_a_scaled_model_is_the_walk_on_that_model(a, b, u):
         selmer_walk_oracle(E)[0], selmer_walk_oracle(Ep)[0])
 
 
+def _places(S: BadSet) -> list[tuple[int, int, int]]:
+    """(v, offset, bits) of each prime v of S in _selmer's rows and image
+    rows: bit 0 is the sign, then 3 bits at 2 and 2 at each odd v."""
+    out, off = [], 1
+    for v in S.primes:
+        out.append((v, off, 3 if v == 2 else 2))
+        off += out[-1][2]
+    return out
+
+
 def _local_images_and_tests(E: Curve):
-    """W_v per prime v of S as the set of local classes x that _selmer
-    takes, read off the basis it hands to _kernel at v, or reads from
-    _RULE_PLACES at a place the rule decides, and per prime with a local
-    test the classes x tested there, in order.  Each prime of S, in order,
-    gives one basis before the two _kernel calls that give the Selmer
-    groups, and each test runs on the space of _classes(v)[x]."""
-    used, ds, kernel, space = [], [], descent_module._kernel, descent_module._space
-
-    class Rule(tuple):
-        def __getitem__(self, dim):
-            basis, orthogonal = super().__getitem__(dim)
-            used.append(list(basis))
-            return basis, orthogonal
-
+    """W_v and W'_v per place v of S and R (as 0) as sets of local classes
+    x, read off the image arguments of _selmer's two _preimage calls, of E
+    and then of E', and per prime with a local test the classes x tested
+    there, in order.  Each image row is one class at one place, and each
+    test runs on the space of _classes(v)[x]."""
+    images, ds, preimage, space = [], [], descent_module._preimage, descent_module._space
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(descent_module, "_kernel", lambda funcs, n: used.append(list(funcs)) or kernel(funcs, n))
-        m.setattr(descent_module, "_RULE_PLACES", Rule(descent_module._RULE_PLACES))
+        m.setattr(descent_module, "_preimage", lambda rows, image: images.append(image) or preimage(rows, image))
         m.setattr(descent_module, "_space", lambda a, bp, d: ds.append(d) or space(a, bp, d))
         tests = _selmer_and_tests(E)[1]
-    S = bad_set(E)
-    assert len(used) == len(S.primes) + 2 and len(ds) == sum(tests.values())
-    W, tested = {}, {}
-    for v, basis in zip(S.primes, used):
-        W[v] = {0}
-        for y in basis:
-            W[v] |= {y ^ w for w in W[v]}
-        if v in tests:
-            tested[v] = [_classes(v).index(d) for d in ds[:tests[v]]]
-            del ds[:tests[v]]
-    return W, tested
+    assert len(images) == 2 and len(ds) == sum(tests.values())
+    W, W_hat, tested = {}, {}, {}
+    for spans, image in zip((W, W_hat), images):
+        placed = 0
+        for v, off, bits in [(0, 0, 1)] + _places(bad_set(E)):
+            spans[v] = {0}
+            for x in [r >> off for r in image if r and r == (r >> off & (1 << bits) - 1) << off]:
+                spans[v] |= {x ^ w for w in spans[v]}
+                placed += 1
+        assert placed == len(image)
+    for v in tests:
+        tested[v] = [_classes(v).index(d) for d in ds[:tests[v]]]
+        del ds[:tests[v]]
+    return W, W_hat, tested
 
 
 @st.composite
@@ -635,7 +637,7 @@ def test_local_image_by_rule_is_the_soluble_classes(place):
     v, a, b, u = place
     E = Curve(u * u * a, u**4 * b, 0)
     assume(v in bad_set(E).primes)
-    W, tests = _local_images_and_tests(E)
+    W, _, tests = _local_images_and_tests(E)
     assert v not in tests
     assert W[v] == {x for x, d in enumerate(_classes(v))
                     if qp_soluble_two_pass_oracle(QuarticForm(space_oracle(a, b, d)), v)}
@@ -661,7 +663,7 @@ def test_local_image_by_tests_is_the_soluble_classes(ab, u):
     # against the classes the oracle finds soluble on the reduced model
     E = Curve(u * u * ab[0], u**4 * ab[1], 0)
     a, b = _reduced(E.a2, E.a4)
-    W, tested = _local_images_and_tests(E)
+    W, _, tested = _local_images_and_tests(E)
     places = [v for v in bad_set(E).primes if v == 2 or a % v == 0]
     assert set(tested) <= set(places)
     for v in places:
@@ -683,12 +685,31 @@ def test_local_image_by_tests_is_the_soluble_classes(ab, u):
                 out.append(x)
 
 
-def test_rule_places_carry_the_kernel_of_their_basis():
-    # a place the rule decides reads the z orthogonal to W_v off
-    # _RULE_PLACES instead of calling _kernel: it must be _kernel's basis
-    assert [len(basis) for basis, _ in _RULE_PLACES] == [0, 1, 2]
-    for basis, orthogonal in _RULE_PLACES:
-        assert list(orthogonal) == _kernel(basis, 2), basis
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(
+    rule_places(),
+    st.tuples(st.just(0), st.integers(-60, 60), st.integers(-60, 60), st.sampled_from((1, 2, 3, 5, 6))).filter(
+        lambda place: nonsingular(*place[1:3])),
+))
+@example((100003, 1, 100003, 1))  # the rule's W_v = {1} at 100003, so W'_v is everything
+@example((0, -25, 25, 1))  # three local tests at 5
+def test_local_image_of_the_isogenous_curve_is_its_soluble_classes(place):
+    # W'_v, the annihilator _selmer hands to its second _preimage, at R and
+    # at the primes of S, by rule or by tests, against the classes whose
+    # space on E' of the reduced model the oracle finds soluble.  Proving
+    # a class insoluble costs the oracle time in step with p, so beside a
+    # planted v only the primes below 5000 are checked: all of S on the
+    # |a|, |b| <= 60 grid (v = 0)
+    v, a, b, u = place
+    E = Curve(u * u * a, u**4 * b, 0)
+    assume(v == 0 or v in bad_set(E).primes)
+    a, b = _reduced(E.a2, E.a4)
+    W_hat = _local_images_and_tests(E)[1]
+    assert W_hat.pop(0) == ({0, 1} if r_soluble(QuarticForm(space_oracle(-2 * a, a * a - 4 * b, -1))) else {0})
+    assert set(W_hat) == set(bad_set(E).primes)
+    for p in (q for q in W_hat if q == v or q < 5000):
+        assert W_hat[p] == {x for x, d in enumerate(_classes(p)) if qp_soluble_two_pass_oracle(
+            QuarticForm(space_oracle(-2 * a, a * a - 4 * b, d)), p)}, p
 
 
 @pytest.mark.parametrize("E, v", [(Curve(-25, 25, 0), 5), (Curve(-15, 36, 0), 3)])
@@ -730,7 +751,7 @@ def test_a_large_power_of_two_in_b_costs_what_its_reduction_costs():
 
 
 def _local_coordinates(n: int, v: int) -> int:
-    """The coordinate bits of n in Q_v*/Q_v*^2, as _local_table orders them."""
+    """The coordinate bits of n in Q_v*/Q_v*^2, as _classes orders them."""
     if v == 0:
         return int(n < 0)
     e = 0
@@ -742,23 +763,30 @@ def _local_coordinates(n: int, v: int) -> int:
 
 
 def test_local_tables_match_the_hilbert_symbol():
-    # columns, class integers, pairing bits and test order at 2 and odd p
-    # of both residues mod 4; mod v^2 is out of reach at 1000003, where the
-    # textbook formula (-1)^(e f (p-1)/2) (u/p)^f (w/p)^e stands in for
-    # the brute search, which checks it at the small primes
-    S = BadSet((2, 3, 5, 7, 11, 13, 1000003))
-    gens = (-1,) + S.primes
-    for i, v in enumerate(S.primes, 1):
-        units, reps = _local_table(gens, i), _classes(v)
+    # the class of each generator at each place in _selmer's rows, class
+    # integers, pairing bits and test order at 2 and odd p of both residues
+    # mod 4; mod v^2 is out of reach at 1000003, where the textbook formula
+    # (-1)^(e f (p-1)/2) (u/p)^f (w/p)^e stands in for the brute search,
+    # which checks it at the small primes
+    E = Curve(0, 3 * 5 * 7 * 11 * 13 * 1000003, 0)
+    S = bad_set(E)
+    assert S.primes == (2, 3, 5, 7, 11, 13, 1000003)
+    gens, calls = (-1,) + S.primes, []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(descent_module, "_qp_soluble", lambda c, p: None)  # the rows do not depend on verdicts
+        m.setattr(descent_module, "_preimage", lambda rows, image: calls.append(rows) or [])
+        _selmer(E, S)
+    rows = calls[0]
+    assert [r & 1 for r in rows] == [_local_coordinates(g, 0) for g in gens]
+    assert max(rows).bit_length() <= sum(bits for *_, bits in _places(S)) + 1
+    for v, off, bits in _places(S):
+        reps = _classes(v)
         pairs, order = _PAIRS[v % 4], _ORDER[:len(reps)]
-        bits = len(units)
-        cols = [_xor(units[c] for c in range(bits) if x >> c & 1) for x in range(len(reps))]
-        for j, g in enumerate(gens):
-            assert _local_coordinates(g, v) == sum((cols[1 << c] >> j & 1) << c for c in range(bits))
+        assert len(pairs) == len(reps) == 1 << bits
+        assert [r >> off & (1 << bits) - 1 for r in rows] == [_local_coordinates(g, v) for g in gens]
         assert [_local_coordinates(r, v) for r in reps] == list(range(len(reps)))
         assert list(order) == sorted(range(len(reps)), key=lambda x: abs(reps[x]))
         for x, rx in enumerate(reps):
-            assert cols[x] == _xor(cols[1 << c] for c in range(bits) if x >> c & 1)
             for y, ry in enumerate(reps):
                 minus = bool((x & pairs[y]).bit_count() & 1)
                 if v != 1000003:
@@ -775,6 +803,23 @@ def _xor(rows) -> int:
     for r in rows:
         out ^= r
     return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10).flatmap(lambda w: st.tuples(
+    st.lists(st.integers(0, (1 << w) - 1), max_size=8), st.lists(st.integers(0, (1 << w) - 1), max_size=10))))
+def test_preimage_is_a_basis_of_the_masks_whose_rows_land_in_the_image(case):
+    # by brute force over every mask u of the rows: u is in the span of
+    # _preimage's masks exactly when the XOR of its rows is in span(image)
+    rows, image = case
+    target = {0}
+    for r in image:
+        target |= {r ^ t for t in target}
+    out, span = _preimage(rows, image), {0}
+    for u in out:
+        span |= {u ^ w for w in span}
+    assert len(span) == 2 ** len(out)  # the masks are independent
+    assert span == {u for u in range(1 << len(rows)) if _xor(r for j, r in enumerate(rows) if u >> j & 1) in target}
 
 
 def test_real_place_rule_matches_the_real_solver_on_the_box():

@@ -59,6 +59,14 @@ def test_quartic_form_refuses_non_integer_coefficients(c):
         QuarticForm(c)
 
 
+@pytest.mark.parametrize("c", [None, 5, [1, 0, 0, 0, 1]])
+def test_quartic_form_refuses_coefficients_that_are_not_a_tuple(c):
+    # None and 5 once raised a bare TypeError, and a list made a form
+    # that could not be hashed
+    with pytest.raises(LocalSolveError, match=r"need five integer coefficients in a tuple, not "):
+        QuarticForm(c)
+
+
 def test_quartic_form_evaluation_and_reverse():
     f = QuarticForm((64, 0, -48, 0, 8))
     assert f(Fraction(1, 2)) == 0

@@ -105,6 +105,14 @@ def test_post_init_validates_every_construction():
         SelmerSet((SquareClass(2),))
 
 
+@pytest.mark.parametrize("primes", [2, [2, 3], (2, 9), (2, 1), (True, 2), (2, 3.0)])
+def test_bad_set_refuses_entries_that_are_not_prime_ints(primes):
+    # (2, 9) once gave qs2 the classes +-9 and +-18, and (True, 2) each
+    # of +-1 and +-2 twice; 2 and (2, 3.0) raised a bare TypeError there
+    with pytest.raises(DescentError, match="need a tuple of prime ints"):
+        BadSet(primes)
+
+
 def test_square_classes_order_by_magnitude_then_sign():
     reps = [2, -1, 6, 1, -2, -6]
     assert [int(d) for d in sorted(map(SquareClass, reps))] == [-1, 1, -2, 2, -6, 6]
