@@ -18,6 +18,7 @@ because descent correctness depends on complete factorizations.
 from __future__ import annotations
 
 import math
+from functools import total_ordering
 
 __all__ = [
     "ArithError",
@@ -47,12 +48,9 @@ class UnfactoredCofactor(ArithError):
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-# Miller-Rabin with the first k primes as witnesses is exact below psi_k, the
-# least strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017).
-_MR_PREFIX = ((2047, 1), (1373653, 2), (25326001, 3), (3215031751, 4),
-              (2152302898747, 5), (3474749660383, 6), (341550071728321, 7),
-              (3825123056546413051, 9), (318665857834031151167461, 12))
-_MR_VALID_BELOW = 3317044064679887385961981  # psi_13, for the witnesses 2..41
+# Miller-Rabin with the witnesses 2..41 is exact below psi_13, the least strong
+# pseudoprime to all of them (Sorenson and Webster, Math. Comp. 2017).
+_MR_VALID_BELOW = 3317044064679887385961981
 
 
 def _check_int(*ns) -> None:
@@ -100,8 +98,7 @@ def _is_prime(n: int) -> bool:
             return False
     s = _val(n - 1, 2)
     d = (n - 1) >> s
-    k = next((k for psi, k in _MR_PREFIX if n < psi), 13)
-    for a in _SMALL_PRIMES[:k]:
+    for a in _SMALL_PRIMES[:13]:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -138,31 +135,27 @@ class Record:
 
     A subclass declares annotated fields, trailing ones with defaults, and
     gets __init__ (which ends by calling self.__post_init__() if the class
-    has one), __eq__ and __hash__ on the tuple of fields within one class,
-    and, with order=True, the four comparisons of those tuples.  They are
-    compiled once per class, and __init__ writes the fields straight into
-    the instance __dict__; a method the class defines itself is kept.
-    Fields cannot be assigned.
+    has one), and __eq__ and __hash__ on the tuple of fields within one
+    class.  They are compiled once per class, and __init__ sets each field
+    with object.__setattr__, as _of does; a method the class defines itself
+    is kept.  Fields cannot be assigned.
     """
 
     _fields: tuple[str, ...] = ()
 
-    def __init_subclass__(cls, order: bool = False):
+    def __init_subclass__(cls):
         names = cls._fields = tuple(cls.__dict__.get("__annotations__", ()))
         args = ", ".join(f"{n}=_d.{n}" if n in cls.__dict__ else n for n in names)
         mine, theirs = (f"({''.join(f'{a}.{n}, ' for n in names)})" for a in ("self", "other"))
-        src = [f"def __init__(self, {args}):", " _f = self.__dict__",
-               *(f" _f[{n!r}] = {n}" for n in names),
-               " self.__post_init__()" if hasattr(cls, "__post_init__") else "",
-               f"def __hash__(self): return hash({mine})"]
-        ops = [("eq", "==")] + ([("lt", "<"), ("le", "<="), ("gt", ">"), ("ge", ">=")] if order else [])
-        for op, sym in ops:
-            src += [f"def __{op}__(self, other):",
-                    f" return {mine} {sym} {theirs} if other.__class__ is self.__class__ else NotImplemented"]
-        ns = {"_d": cls}
+        src = [f"def __init__(self, {args}):", *(f" _set(self, {n!r}, {n})" for n in names),
+               " self.__post_init__()" if hasattr(cls, "__post_init__") else " pass",
+               f"def __hash__(self): return hash({mine})",
+               "def __eq__(self, other):",
+               f" return {mine} == {theirs} if other.__class__ is self.__class__ else NotImplemented"]
+        ns = {"_d": cls, "_set": object.__setattr__}
         exec("\n".join(src), ns)
-        for name in ("__init__", "__hash__", "__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
-            if name in ns and name not in cls.__dict__:
+        for name in ("__init__", "__hash__", "__eq__"):
+            if name not in cls.__dict__:
                 setattr(cls, name, ns[name])
 
     @classmethod
@@ -331,14 +324,14 @@ def _cube_root_exact(n: int):
     return c if n >= 0 else -c
 
 
-class SquareClass(Record, order=True):
+@total_ordering
+class SquareClass(Record):
     """An element of Q*/(Q*)^2 as a signed squarefree integer.
 
     Ordering sorts by absolute value, negatives before positives within
     the same magnitude, so {-1, 1, -2, 2} prints in that order.
     """
 
-    sort_index: tuple[int, int]
     rep: int
 
     def __init__(self, rep: int):
@@ -347,9 +340,15 @@ class SquareClass(Record, order=True):
         if rep == 0:
             raise ArithError("square class of zero is undefined")
         object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "sort_index", (abs(rep), rep))
+
+    def __lt__(self, other: "SquareClass") -> bool:
+        if other.__class__ is not SquareClass:
+            return NotImplemented
+        return (abs(self.rep), self.rep) < (abs(other.rep), other.rep)
 
     def __mul__(self, other: "SquareClass") -> "SquareClass":
+        if other.__class__ is not SquareClass:
+            return NotImplemented
         # reps are squarefree, so shared primes appear squared in the product
         g = math.gcd(self.rep, other.rep)
         return SquareClass(self.rep * other.rep // (g * g))

@@ -20,6 +20,7 @@ import os
 import re
 import sys
 import time
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .arith import Record, _cube_root_exact, factorize
@@ -334,18 +335,18 @@ def _row_json(row) -> dict:
 
 def cmd_table(args) -> int:
     filters = _parse_filter(args.filter)
-    rows = ep_table(args.max, height=args.height, **filters)
-    for row in rows:
-        print(
-            f"p={row.p}  selmer_dims=({row.selmer_dim_phi},{row.selmer_dim_phi_hat})"
-            f"  rank+sha2={row.rank_sha_dim}  {_fmt_rank_result(row.rank)}"
-        )
-    print(f"{len(rows)} rows")
-    if args.out:
-        doc = {"schema_version": SCHEMA_VERSION, "p_max": args.max, "rows": [_row_json(r) for r in rows]}
-        with open(args.out, "w") as fh:
+    with open(args.out, "w") if args.out else nullcontext() as fh:  # an unusable path is refused before the sweep
+        rows = ep_table(args.max, height=args.height, **filters)
+        for row in rows:
+            print(
+                f"p={row.p}  selmer_dims=({row.selmer_dim_phi},{row.selmer_dim_phi_hat})"
+                f"  rank+sha2={row.rank_sha_dim}  {_fmt_rank_result(row.rank)}"
+            )
+        print(f"{len(rows)} rows")
+        if fh:
+            doc = {"schema_version": SCHEMA_VERSION, "p_max": args.max, "rows": [_row_json(r) for r in rows]}
             fh.write(serialize_document(doc) + "\n")
-        print(f"wrote {args.out}")
+            print(f"wrote {args.out}")
     return 0
 
 

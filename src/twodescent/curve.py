@@ -98,9 +98,9 @@ def j_invariant(E: Curve) -> Fraction:
 
 
 def on_curve(E: Curve, P: Pt) -> bool:
-    if P.is_infinity:
-        return True
-    return P.y * P.y == E.rhs(P.x)
+    if not (isinstance(E, Curve) and isinstance(P, Pt)):
+        raise CurveError(f"need a Curve and a Pt, not {E!r} and {P!r}")
+    return P.is_infinity or P.y * P.y == E.rhs(P.x)
 
 
 def _require_on_curve(E: Curve, P: Pt) -> None:

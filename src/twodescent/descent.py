@@ -104,6 +104,8 @@ def bad_set(E: Curve) -> BadSet:
 
 def qs2(S: BadSet) -> tuple[SquareClass, ...]:
     """Classes unramified outside S: products of -1 and the primes of S."""
+    if not isinstance(S, BadSet):
+        raise DescentError(f"need a BadSet, not {S!r}")
     gens = (-1,) + S.primes
     return tuple(SquareClass(d) for _, d, _ in _span([1 << j for j in range(len(gens))], gens))
 
@@ -356,9 +358,9 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
     _band_mask builds and caches it under (q, the coefficients scaled so the
     first nonzero one is least, H + 1, n0 mod q, rows per band).
     Survivors get the exact test low bit first, in the order (n, m).  A
-    hit of height h is beaten only below h, so the masks then keep m < h
-    and the rows n < h (rows past H, in the last band, end the scan as
-    well): each later hit is lower, and the last is the first in the
+    hit of height h is beaten only below h, so a later survivor with
+    m >= h is passed over and one with n >= h ends the scan (h starts at
+    H + 1): each later hit is lower, and the last is the first in the
     search order.  That hit is coprime with no coprimality test: a pair
     (g*m, g*n), g > 1, has N = g^4 N(m, n), so (m, n) is a hit of lower
     height, in an earlier row.  The moduli drop the pairs with a common
@@ -371,11 +373,11 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
         a, b, c = c4 % q, c2 % q, c0 % q
         s = _SCALE[q][a or b or c]
         forms.append((q, s * a % q, s * b % q, s * c % q))
-    hit, h, keep = None, H + 1, -1  # keep: the columns m < h of every row
+    hit, h = None, H + 1
     for n0 in range(1, H + 1, R):
         if n0 >= h:
             break
-        mask = keep
+        mask = -1
         for q, a, b, c in forms:
             mask &= _band_mask(q, a, b, c, W, n0 % q, R)
         while mask:
@@ -385,14 +387,14 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
             n = n0 + k
             if n >= h:  # so are the rest
                 break
+            if m >= h:
+                continue
             m2, n2 = m * m, n * n
             N = c4 * m2 * m2 + c2 * m2 * n2 + c0 * n2 * n2
             if N >= 0:
                 r = isqrt(N)
                 if r * r == N:
                     hit, h = (m, n, r), max(m, n)
-                    keep = _every(W, R * W - 1, (1 << h) - 1)
-                    mask &= keep
     return hit
 
 

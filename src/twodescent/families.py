@@ -179,11 +179,6 @@ def _ep_dims(r: int):
 # those steps get their exact element.
 
 
-def _pair_mul(x, y, c):
-    """(x0 + x1 t)(y0 + y1 t) with t^2 = -c."""
-    return (x[0] * y[0] - c * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
 # primes q that split in Z[sqrt(-c)]: q mod modulus in residues
 _SPLIT = {1: (4, (1,)), 2: (8, (1, 3)), -2: (8, (1, 7))}
 _ROOTS = {c: (0, array("q"), array("q"), array("q")) for c in _SPLIT}  # per c: bound, columns q, u, v
@@ -395,30 +390,26 @@ def _filtered(table: _ProductTable, c: int, a: int, b: int):
         start += len(chunk[0])
 
 
-# (3 + 2 sqrt 2)^j for j <= 64
-_UNITS = list(accumulate(range(64), lambda z, _: _pair_mul(z, (3, 2), -2), initial=(1, 0)))
+# (3 + 2 sqrt 2)^j for j <= 64: (x + s sqrt 2)(3 + 2 sqrt 2) = (3x + 4s) + (2x + 3s) sqrt 2
+_UNITS = list(accumulate(range(64), lambda z, _: (3 * z[0] + 4 * z[1], 2 * z[0] + 3 * z[1]), initial=(1, 0)))
 _ORBIT_MODULI = (16, 9, 5, 7, 11, 17)  # 3 + 2 sqrt 2 has order dividing 24 mod each
 
 
 @cache
-def _orbit_masks(q: int):
-    """Per x0 * q + s (x0 mod q, s = 2 s0 mod q), the 24-bit masks of the
-    steps j where x of (x0 + s0 sqrt 2)(3 + 2 sqrt 2)^j is a square mod q,
-    and where -x is."""
-    squares = {w * w % q for w in range(q)}
-    pos, neg = (bytes(48 + (s * x % q in squares) for x in range(256)) for s in (1, -1))
-    units = _UNITS[23::-1]  # step 23 first
-    # per x0 and per s, the 24 terms x0 ux and s us mod q as the bytes of an int: the
-    # bytes of a sum, each below 2q, are the steps' x up to the reduction in the marks
-    terms = [[int.from_bytes(bytes(w * u[i] % q for u in units), "big") for w in range(q)] for i in (0, 1)]
-    return [(int(steps.translate(pos), 2), int(steps.translate(neg), 2))
-            for a in terms[0] for b in terms[1] for steps in [(a + b).to_bytes(24, "big")]]
-
-
-@cache
 def _packed_orbit_masks():
-    """(q, masks) per q of _ORBIT_MODULI: the pairs of _orbit_masks(q) as sq | neg << 24."""
-    return [(q, [sq | neg << 24 for sq, neg in _orbit_masks(q)]) for q in _ORBIT_MODULI]
+    """(q, masks) per q of _ORBIT_MODULI, at x0 * q + s (x0 mod q, s = 2 s0 mod q): bit j
+    set where x of (x0 + s0 sqrt 2)(3 + 2 sqrt 2)^j is a square mod q, bit 24 + j where -x is."""
+    out = []
+    for q in _ORBIT_MODULI:
+        squares = {w * w % q for w in range(q)}
+        pos, neg = (bytes(48 + (s * x % q in squares) for x in range(256)) for s in (1, -1))
+        # per x0 and per s, the 24 terms x0 ux and s us mod q, step 23 first, as the bytes of an
+        # int: the bytes of a sum, each below 2q, are the steps' x up to the reduction in the marks
+        terms = [[int.from_bytes(bytes(w * u[i] % q for u in _UNITS[23::-1]), "big") for w in range(q)]
+                 for i in (0, 1)]
+        out.append((q, [int(steps.translate(pos), 2) | int(steps.translate(neg), 2) << 24
+                        for a in terms[0] for b in terms[1] for steps in [(a + b).to_bytes(24, "big")]]))
+    return out
 
 
 def _orbit_square_x(z0, m):

@@ -271,6 +271,15 @@ def test_square_class_refuses_a_rep_that_is_not_an_int(rep):
         SquareClass(rep)
 
 
+@pytest.mark.parametrize("other", [3, 3.0, Fraction(3), None])
+def test_square_class_times_a_non_square_class_is_a_type_error(other):
+    # SquareClass(5) * 3 once raised AttributeError on 3's missing rep
+    with pytest.raises(TypeError):
+        SquareClass(5) * other
+    with pytest.raises(TypeError):
+        other * SquareClass(5)
+
+
 def test_legendre_known_values():
     assert legendre(2, 7) == 1
     assert legendre(-1, 5) == 1

@@ -214,10 +214,12 @@ def test_table_json_file(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [("table", "ep", "--max", "50", "--out", "{dir}/no-such-dir/rows.json"),
                                   ("verify-cremona", "{dir}/missing.txt")], ids=["table-out", "verify-cremona"])
 def test_an_unusable_file_is_invalid_input(tmp_path, capsys, argv):
-    # a file that cannot be written or read exits 2 naming the OS error;
-    # the table once exited 1 as an internal FileNotFoundError
-    rc, _, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
+    # a file that cannot be written or read exits 2 naming the OS error,
+    # before any output; the table once exited 1 as an internal
+    # FileNotFoundError, and later printed every row before it was refused
+    rc, out, err = run(capsys, *(a.format(dir=tmp_path) for a in argv))
     assert rc == 2 and err.startswith("error: [Errno 2] No such file or directory: ")
+    assert out == ""
 
 
 @pytest.mark.parametrize("value", ["9", "-7", "x", ""])

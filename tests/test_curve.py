@@ -131,6 +131,17 @@ def test_negation_and_inverse():
     assert neg(E, INFINITY) == INFINITY
 
 
+@pytest.mark.parametrize("call", [on_curve, neg, lambda E, P: add(E, P, P), lambda E, P: add(E, INFINITY, P)],
+                         ids=["on_curve", "neg", "add", "add-second"])
+@pytest.mark.parametrize("E, P", [((0, 17, 0), INFINITY), (Curve(0, 17, 0), (0, 0)), (Curve(0, 17, 0), None)],
+                         ids=["tuple-model", "tuple-point", "no-point"])
+def test_a_model_or_point_of_the_wrong_type_is_refused(call, E, P):
+    # neg((0, 17, 0), INFINITY) once returned INFINITY, and a tuple point
+    # raised AttributeError
+    with pytest.raises(CurveError, match="need a Curve and a Pt"):
+        call(E, P)
+
+
 CURVE_SAMPLES = [Curve(6, 1, 0), Curve(0, 17, 0), Curve(0, 0, 1),
                  Curve(-6, 12, 0), Curve(0, -1, 0), Curve(1, -2, 0)]
 

@@ -177,6 +177,13 @@ def test_qs2_group():
     assert list(big) == sorted(big)
 
 
+@pytest.mark.parametrize("S", [(2, 3), [2, 3], None, Curve(0, 17, 0)])
+def test_qs2_refuses_what_is_not_a_bad_set(S):
+    # qs2((2, 3)) once raised AttributeError on the missing primes
+    with pytest.raises(DescentError, match="need a BadSet"):
+        qs2(S)
+
+
 def test_hom_space_cleared_forms():
     # the engine's C_d is the textbook model, from b' = a^2 - 4b
     assert _space(6, 32, 2) == space_oracle(6, 1, 2) == (64, 0, -48, 0, 8)
@@ -988,6 +995,18 @@ def test_lower_height_beats_an_earlier_n_equal_one_hit(p0, up, x, y, t, extra):
     m1 = h0 + up
     hit = first_square_agrees(*planted_form(p0, (m1, 1), x, y, t), min(120, m1 + extra))
     assert hit is not None and max(hit[0], hit[1]) <= h0
+
+
+@pytest.mark.parametrize("x, y, t", [(1, 1, 1), (2, -1, 1), (1, 2, -1), (3, 1, 2)])
+def test_a_lower_hit_in_a_later_band_beats_a_first_hit_with_m_above_n(x, y, t):
+    # at H = 200 a band holds 81 rows: the scan meets (150, 7) first, in the
+    # first band, then passes over the survivors with m >= 150 until the
+    # lower hit (101, 90) in the second band
+    c4, c2, c0 = planted_form((150, 7), (101, 90), x, y, t)
+    squares = [(m, n) for n in range(1, 8) for m in range(201) if math.gcd(m, n) == 1
+               and (N := c4 * m**4 + c2 * m * m * n * n + c0 * n**4) >= 0 and math.isqrt(N) ** 2 == N]
+    assert squares[0] == (150, 7)
+    assert first_square_agrees(c4, c2, c0, 200)[:2] == (101, 90)
 
 
 # forms congruent mod the product of the sieve moduli share every band mask

@@ -453,9 +453,8 @@ def test_import_and_a_search_free_rank_build_no_product_table():
         "import twodescent\n"
         "unused = ('concurrent.futures', 'multiprocessing', 'dataclasses', 'inspect')\n"
         "assert not [m for m in unused if m in sys.modules], sys.modules.keys() & set(unused)\n"
-        "from twodescent.families import _PASSES, _orbit_masks, _packed_orbit_masks, _product_table,"
-        " _residue_tables, ep_rank\n"
-        "caches = (_product_table, _residue_tables, _orbit_masks, _packed_orbit_masks)\n"
+        "from twodescent.families import _PASSES, _packed_orbit_masks, _product_table, _residue_tables, ep_rank\n"
+        "caches = (_product_table, _residue_tables, _packed_orbit_masks)\n"
         "assert all(f.cache_info().currsize == 0 for f in caches) and not _PASSES\n"
         "assert ep_rank(23).hi == 0 and ep_rank(17).hi == 0\n"
         "assert all(f.cache_info().currsize == 0 for f in caches) and not _PASSES\n"

@@ -24,10 +24,8 @@ from twodescent.families import (
     _ProductTable,
     _chunk_codes,
     _fill_roots,
-    _orbit_masks,
     _orbit_square_x,
     _packed_orbit_masks,
-    _pair_mul,
     _pass_table,
     _passes,
     _prime_root,
@@ -37,6 +35,7 @@ from twodescent.families import (
 )
 
 from .oracles import (
+    _ep_mul,
     orbit_masks_oracle,
     orbit_square_x_oracle,
     prime_root_scan_oracle,
@@ -99,7 +98,7 @@ def test_orbit_walk_matches_the_per_step_isqrt_walk_on_planted_squares(
     # that step, another one or none is the first hit
     z0 = (-n * n if negative else n * n, s)
     for _ in range(j + second):
-        z0 = _pair_mul(z0, (3, 2) if second else (3, -2), -2)
+        z0 = _ep_mul(z0, (3, 2) if second else (3, -2), -2)
     assert _orbit_square_x(z0, m) == orbit_square_x_oracle(z0, m)
 
 
@@ -126,7 +125,7 @@ def test_split_smooth_numbers_and_their_products_match_the_uncached_products(c):
     for p in (3, 5, 7, 11, 17, 23, 41, 73, 257, 1009, 7681):
         pi = _prime_root(p, c)
         for k, fac in smooth:
-            got = [_pair_mul(pi, z, c) for z in rows[k]] if pi else []
+            got = [_ep_mul(pi, z, c) for z in rows[k]] if pi else []
             assert got == primitive_products_oracle(p, fac, c), (p, k)
 
 
@@ -274,14 +273,11 @@ def test_gaussian_rows_have_x_odd_and_y_divisible_by_8(H):
 
 @pytest.mark.parametrize("q", _ORBIT_MODULI)
 def test_orbit_masks_match_the_per_step_oracle(q):
-    assert _orbit_masks.__wrapped__(q) == orbit_masks_oracle(q)
-
-
-def test_packed_orbit_masks_are_the_pairs_of_each_modulus():
-    packed = _packed_orbit_masks.__wrapped__()
-    assert [q for q, _ in packed] == list(_ORBIT_MODULI)
-    for q, masks in packed:
-        assert [(m & 0xFFFFFF, m >> 24) for m in masks] == _orbit_masks(q), q
+    # the packed mask of each (x0, s) holds the steps where x is a square
+    # mod q in its low 24 bits and those where -x is in the next 24
+    packed = dict(_packed_orbit_masks.__wrapped__())
+    assert list(packed) == list(_ORBIT_MODULI)
+    assert [(m & 0xFFFFFF, m >> 24) for m in packed[q]] == orbit_masks_oracle(q)
 
 
 SCAN_PRIMES = {c: [p for p in sieve_primes(3000) if _prime_root(p, c)] for c in (1, 2)}

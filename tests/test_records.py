@@ -67,6 +67,15 @@ def test_pickle_and_deepcopy_round_trip(record):
         assert repr(twin) == repr(record)
 
 
+def test_init_and_of_build_equal_records_with_equal_vars(record):
+    # both set each field with object.__setattr__, in the object's own values
+    cls = type(record)
+    values = [getattr(record, n) for n in cls._fields]
+    made, unchecked = cls(*values), cls._of(*values)
+    assert made == unchecked == record and hash(made) == hash(unchecked)
+    assert vars(made) == vars(unchecked) == dict(zip(cls._fields, values))
+
+
 def test_fields_cannot_be_assigned_or_deleted(record):
     name = type(record)._fields[0]
     with pytest.raises(AttributeError):
@@ -121,6 +130,15 @@ def test_square_classes_order_by_magnitude_then_sign():
     with pytest.raises(TypeError):
         SquareClass(1) < 2
     assert SquareClass(5) != 5 and {SquareClass(5): 1}[SquareClass(5)] == 1
+
+
+def test_a_square_class_stores_its_rep_alone():
+    # its order key (|rep|, rep) is computed by __lt__, not stored; the
+    # comparisons, hash and pickling are checked with the other records above
+    assert SquareClass._fields == ("rep",)
+    assert vars(SquareClass(-6)) == vars(pickle.loads(pickle.dumps(SquareClass(-6)))) == {"rep": -6}
+    reps = [6, -5, 1, -1, 3, -6, 2, -3, 5, -2, 7, -7]
+    assert sorted(map(SquareClass, reps)) == [SquareClass(r) for r in sorted(reps, key=lambda r: (abs(r), r))]
 
 
 def test_repr_is_the_field_by_field_form():
