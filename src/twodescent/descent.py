@@ -114,17 +114,18 @@ class SelmerSet(Record):
     classes: tuple[SquareClass, ...]
 
     def __post_init__(self):
-        cs = set(self.classes)
-        if tuple(sorted(cs)) != self.classes:
+        if type(cs := self.classes) is not tuple or not all(type(c) is SquareClass for c in cs):
+            raise DescentError(f"need a tuple of SquareClass, not {cs!r}")
+        if tuple(sorted(set(cs))) != cs:
             raise DescentError("classes must be sorted and distinct")
         if ONE not in cs:
             raise DescentError("a Selmer set contains the trivial class")
         # basis insertion, stopping as soon as the span leaves the set
         span = {ONE}
-        for c in self.classes:
+        for c in cs:
             if c not in span:
                 span |= {c * s for s in span}
-                if not span <= cs:
+                if not span.issubset(cs):
                     raise DescentError("Selmer set is not closed under multiplication")
 
     @property
@@ -161,6 +162,8 @@ def _minus_one_real(a: int, b: int) -> bool:
 _PAIRS = {2: (0, 4, 2, 6, 1, 5, 3, 7), 1: (0, 2, 1, 3), 3: (0, 3, 1, 2)}
 _ORDER = (0, 2, 1, 3, 4, 6, 5, 7)
 _ODD = tuple(sum(((y & f).bit_count() & 1) << y for y in range(8)) for f in range(8))
+_RULE = ((), (2,), (1, 2))  # by dimension, the basis of W_v and of W'_v at a rule place
+_BASIS = tuple(ys[:2] + ys[3:4] for ys in (tuple(y for y in range(8) if m >> y & 1) for m in range(256)))
 
 
 @lru_cache(maxsize=4096)
@@ -207,14 +210,15 @@ def selmer(E: Curve) -> SelmerSet:
     return SelmerSet._of(tuple(SquareClass(d) for _, d, _ in _selmer(E, bad_set(E))[0]))
 
 
-def _selmer(E: Curve, S: BadSet) -> tuple[list, list, int, int]:
-    """Sel of E and of E' as _span lists (|d|, d, mask), then the masks of b'
-    and b over (-1,) + S: bit 0 for the sign, bit j for odd v_pj.
+def _local_images(a: int, b: int, S: BadSet) -> tuple[int, int, list[tuple]]:
+    """The masks of b' and b over (-1,) + S (bit 0 the sign, bit j odd v_pj), and per
+    place v, R then S, a record (v, xs, W, W', tested): the generators' classes at v,
+    bases of W_v and W'_v, the classes tested in order, None at R and rule places.
 
     At a place v, the classes d whose C_d has a point over Q_v form W_v,
-    and those of E' form the annihilator of W_v under the Hilbert symbol
-    (Cassels, Lectures on Elliptic Curves, LMS Student Texts 24).  W_R
-    holds -1 by _minus_one_real.  W_v at a prime is that of the reduced
+    and those of E' form the annihilator W'_v of W_v under the Hilbert
+    symbol (Cassels, Lectures on Elliptic Curves, LMS Student Texts 24).
+    W_R holds -1 by _minus_one_real.  W_v at a prime is that of the reduced
     model (a/t^2, b/t^4), whose C_d is E's under z -> t z (Silverman, AEC
     X.4).  At an odd v prime to a/t^2, |W_v| = 2 c_v(E')/c_v(E) (Schaefer,
     J. Number Theory 56 (1996), Lemma 3.8; phi'(0) is a unit at v), with
@@ -225,17 +229,14 @@ def _selmer(E: Curve, S: BadSet) -> tuple[list, list, int, int]:
     else 1, and then W_v is the unit classes: they are unramified at good v;
     at v | b, a non-split v, a point of E' off the identity component has
     x = a mod v, a non-residue; at v | b', the non-residue x with x - 2a a
-    nonzero square mod v lift to E'.  Elsewhere one pass over _ORDER tests
-    each class x not yet known in or out of W_v: 0 and L_v(b') lie in W_v
-    (C_1 has the point (0, 1), C_b' a rational point at infinity), a class
-    pairing to -1 with L_v(b), in the image of E', does not; a soluble x
-    joins the basis and both known sets grow by their sums with it, an
-    insoluble x puts its coset of the known soluble classes out.  Each
-    generator's row holds its sign bit, then its class at 2 (3 bits) and at
-    each odd v (2 bits), so the row XOR of u holds each L_v(u).  Sel of E is
-    the _preimage of the W_v, and Sel of E' that of the W'_v, the y that
-    pair to 1 with every basis class of W_v, read off the constant _ODD."""
-    a, b = E.a2, E.a4
+    nonzero square mod v lift to E'; the bases are _RULE[dim] and _RULE[2 - dim].
+    Elsewhere one pass over _ORDER tests each class x not yet known in or out of
+    W_v: 0 and L_v(b') lie in W_v (C_1 has the point (0, 1), C_b' a rational point
+    at infinity), a class pairing to -1 with L_v(b), in the image of E', does not;
+    a soluble x joins the basis and both known sets grow by their sums with it, an
+    insoluble x puts its coset of the known soluble classes out.  W'_v is the y != 0
+    pairing to 1 with every basis class, odd in no _ODD[pairs[x]]; _BASIS keeps the
+    1st, 2nd and 4th, a basis: two distinct y are independent, and seven are 1 to 7."""
     bp = a * a - 4 * b
     gens = (-1,) + S.primes
     t, seed, dual = 1, int(bp < 0), int(b < 0)
@@ -243,42 +244,51 @@ def _selmer(E: Curve, S: BadSet) -> tuple[list, list, int, int]:
         e = _val(b, q)
         t *= q ** (e // 4 if a == 0 else min(_val(a, q) // 2, e // 4))
         seed, dual = seed | (_val(bp, q) & 1) << j, dual | (e & 1) << j
-    rows, off = [int(g < 0) for g in gens], 1
-    images = ([1], []) if _minus_one_real(a, b) else ([], [1])  # W_R and W'_R
+    places = [(0, [int(g < 0) for g in gens], *(((1,), ()) if _minus_one_real(a, b) else ((), (1,))), None)]
     a, b, bp = a // t**2, b // t**4, bp // t**4  # the reduced model of the local tests
     for v in S.primes:
         if v == 2:
             xs = [(g == 2) | (g % 4 == 3) << 1 | (g % 8 in (3, 5)) << 2 for g in gens]
         else:
             xs = [(g == v) | (pow(g, v >> 1, v) == v - 1) << 1 for g in gens]
-        rows, pairs = [r | x << off for r, x in zip(rows, xs)], _PAIRS[v % 4]
         if v > 2 and a % v:  # good or multiplicative reduction: W_v by rule
             vb, vbp, dim = _val(b, v), _val(bp, v), 1  # v divides at most one of b and b'
             if vb or vbp:
                 dim += (-1 if vb else 1) * ((vb | vbp) & 1 or _euler(-2 * a if vbp else a, v) > 0)
-            basis = ((), (2,), (1, 2))[dim]
-        else:
-            s = b_image = 0  # L_v(b') and L_v(b)
-            for j, x in enumerate(xs):
-                s ^= x * (seed >> j & 1)
-                b_image ^= x * (dual >> j & 1)
-            basis, known, bad = [s] if s else [], {0, s}, set()
-            for x in _ORDER[:len(pairs)]:
-                if x in known or x in bad or (x & pairs[b_image]).bit_count() & 1:
-                    continue
-                if _qp_soluble(_space(a, bp, _classes(v)[x]), v):
-                    basis.append(x)
-                    known |= {x ^ k for k in known}
-                    bad = {y ^ k for y in bad for k in known}
-                else:
-                    bad |= {x ^ k for k in known}
-        odd = 0  # the y pairing to -1 with some class of W_v
-        for x in basis:
-            odd |= _ODD[pairs[x]]
-        images[0].extend([x << off for x in basis])
-        images[1].extend([y << off for y in range(1, len(pairs)) if not odd >> y & 1])
-        off += 3 if v == 2 else 2
-    sel, sel_hat = (_span(_preimage(rows, image), gens) for image in images)
+            places.append((v, xs, _RULE[dim], _RULE[2 - dim], None))
+            continue
+        pairs, s, b_image = _PAIRS[v % 4], 0, 0  # s = L_v(b'), b_image = L_v(b)
+        for j, x in enumerate(xs):
+            s ^= x * (seed >> j & 1)
+            b_image ^= x * (dual >> j & 1)
+        basis, known, bad, tested, odd = [s] if s else [], {0, s}, set(), [], _ODD[pairs[s]]
+        for x in _ORDER[:len(pairs)]:
+            if x in known or x in bad or (x & pairs[b_image]).bit_count() & 1:
+                continue
+            tested.append(x)
+            if _qp_soluble(_space(a, bp, _classes(v)[x]), v):
+                basis.append(x)
+                odd |= _ODD[pairs[x]]
+                known |= {x ^ k for k in known}
+                bad = {y ^ k for y in bad for k in known}
+            else:
+                bad |= {x ^ k for k in known}
+        places.append((v, xs, tuple(basis), _BASIS[(1 << len(pairs)) - 2 & ~odd], tuple(tested)))
+    return seed, dual, places
+
+
+def _selmer(E: Curve, S: BadSet) -> tuple[list, list, int, int]:
+    """Sel of E and of E' as _span lists (|d|, d, mask), then the masks of b' and b:
+    the _preimage of the W_v and of the W'_v of _local_images, and each generator's
+    row its classes there in turn, 1 bit at R, 3 at 2 and 2 at odd v."""
+    seed, dual, places = _local_images(E.a2, E.a4, S)
+    rows, images, off = [0] * (len(S.primes) + 1), ([], []), 0
+    for v, xs, W, W_hat, _ in places:
+        rows = [r | x << off for r, x in zip(rows, xs)]
+        images[0].extend([x << off for x in W])
+        images[1].extend([y << off for y in W_hat])
+        off += 1 if v == 0 else 3 if v == 2 else 2
+    sel, sel_hat = (_span(_preimage(rows, image), (-1,) + S.primes) for image in images)
     return sel, sel_hat, seed, dual
 
 

@@ -4,7 +4,8 @@ import itertools
 import math
 import time
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
+from operator import xor
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -25,6 +26,7 @@ from twodescent.descent import (
     _classes,
     _first_square,
     _generators,
+    _local_images,
     _minus_one_real,
     _on_curve_xyz,
     _orbit_masks,
@@ -254,6 +256,10 @@ def test_selmer_set_validates_its_invariants():
     ok = SelmerSet(tuple(sorted(classes(1, 2))))
     assert ok.size == 2 and ok.dim2 == 1
     assert squarefree_part(2) in ok and squarefree_part(3) not in ok
+    for value in (None, (1,), [ONE], (ONE, True), "1", (ONE, 2)):  # a typed refusal that names the value
+        with pytest.raises(DescentError, match="need a tuple of SquareClass, not") as refusal:
+            SelmerSet(value)
+        assert str(refusal.value).endswith(repr(value))
 
 
 def test_engine_builds_its_selmer_sets_without_the_validator(monkeypatch):
@@ -446,19 +452,12 @@ def test_local_verdict_depends_only_on_the_local_class(a, b, data):
 
 
 def _selmer_and_tests(E: Curve):
-    """Both Selmer sets of one _selmer(E, S) call as ints, with its local
-    tests per prime; the real place and the odd primes prime to a/t^2 are
-    decided by rule, with no test."""
-    tests: dict[int, int] = {}
-
-    def counting_qp(c, p):
-        tests[p] = tests.get(p, 0) + 1
-        return _qp_soluble(c, p)
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(descent_module, "_qp_soluble", counting_qp)
-        sels = _selmer(E, bad_set(E))[:2]
-    return tuple(tuple(d for _, d, _ in sel) for sel in sels), tests
+    """Both Selmer sets of _selmer(E, S) as ints, with the local tests per
+    prime that _local_images' records list; the real place and the odd
+    primes prime to a/t^2 are decided by rule, with no test."""
+    S = bad_set(E)
+    tests = {v: len(tested) for v, *_, tested in _local_images(E.a2, E.a4, S)[2] if tested}
+    return tuple(tuple(d for _, d, _ in sel) for sel in _selmer(E, S)[:2]), tests
 
 
 def _both_walks(E: Curve):
@@ -507,13 +506,16 @@ def twisted_box_curves(draw):
     return Curve(t * a, t * t * b, 0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.one_of(
+SELMER_CURVES = st.one_of(
     st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
         lambda ab: nonsingular(*ab)).map(lambda ab: Curve(*ab, 0)),
     st.integers(-10**6, 10**6).filter(bool).map(lambda D: Curve(0, D, 0)),
     twisted_box_curves(),
-))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(SELMER_CURVES)
 def test_selmer_matches_walk_oracle_with_no_more_tests(E):
     sels, tests = _selmer_and_tests(E)
     walk_sels, walk_tests = _both_walks(E)
@@ -524,14 +526,8 @@ def test_selmer_matches_walk_oracle_with_no_more_tests(E):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(
-    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
-        lambda ab: nonsingular(*ab)).map(lambda ab: Curve(*ab, 0)),
-    st.integers(-10**6, 10**6).filter(bool).map(lambda D: Curve(0, D, 0)),
-    twisted_box_curves(),
-    st.tuples(st.integers(1, 10), st.sampled_from((1, -1))).map(
-        lambda ks: Curve(0, ks[1] * math.prod(PRIMES_BELOW_200[:ks[0]]), 0)),
-))
+@given(st.one_of(SELMER_CURVES, st.tuples(st.integers(1, 10), st.sampled_from((1, -1))).map(
+    lambda ks: Curve(0, ks[1] * math.prod(PRIMES_BELOW_200[:ks[0]]), 0))))
 def test_both_selmer_sets_match_the_pivot_and_walk_oracles(E):
     # the kernels read off E's local images give both sets, masks and
     # order included; the second is the first set of the call on E'
@@ -547,12 +543,7 @@ def test_both_selmer_sets_match_the_pivot_and_walk_oracles(E):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.one_of(
-    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
-        lambda ab: nonsingular(*ab)).map(lambda ab: Curve(*ab, 0)),
-    st.integers(-10**6, 10**6).filter(bool).map(lambda D: Curve(0, D, 0)),
-    twisted_box_curves(),
-))
+@given(SELMER_CURVES)
 def test_selmer_returns_the_seed_masks_of_b_prime_and_b(E):
     # the report's seeds, the classes of b' and b, come from the same
     # valuation pass as the Selmer sets
@@ -579,41 +570,62 @@ def test_selmer_of_a_scaled_model_is_the_walk_on_that_model(a, b, u):
         selmer_walk_oracle(E)[0], selmer_walk_oracle(Ep)[0])
 
 
-def _places(S: BadSet) -> list[tuple[int, int, int]]:
-    """(v, offset, bits) of each prime v of S in _selmer's rows and image
-    rows: bit 0 is the sign, then 3 bits at 2 and 2 at each odd v."""
-    out, off = [], 1
-    for v in S.primes:
-        out.append((v, off, 3 if v == 2 else 2))
-        off += out[-1][2]
+def _spanned(basis) -> set[int]:
+    """The XORs of the subsets of basis."""
+    out = {0}
+    for x in basis:
+        out |= {x ^ y for y in out}
     return out
 
 
-def _local_images_and_tests(E: Curve):
-    """W_v and W'_v per place v of S and R (as 0) as sets of local classes
-    x, read off the image arguments of _selmer's two _preimage calls, of E
-    and then of E', and per prime with a local test the classes x tested
-    there, in order.  Each image row is one class at one place, and each
-    test runs on the space of _classes(v)[x]."""
-    images, ds, preimage, space = [], [], descent_module._preimage, descent_module._space
+def _local_spans(E: Curve):
+    """W_v and W'_v per place v (0 for R) as sets of local classes, spanned from
+    _local_images' records, and the classes tested where no rule settles W_v."""
+    places = _local_images(E.a2, E.a4, bad_set(E))[2]
+    W = {v: _spanned(basis) for v, _, basis, _, _ in places}
+    W_hat = {v: _spanned(dual) for v, _, _, dual, _ in places}
+    return W, W_hat, {v: list(xs) for v, *_, xs in places if xs is not None}
+
+
+@settings(max_examples=60, deadline=None)
+@given(SELMER_CURVES)
+def test_local_tests_are_the_classes_the_records_list(E):
+    # the one test that watches the local step from outside: each call of
+    # _qp_soluble is on the reduced model's space of _classes(v)[x] for the
+    # next class x a record lists, and R and the rule places get no call
+    calls = []
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(descent_module, "_preimage", lambda rows, image: images.append(image) or preimage(rows, image))
-        m.setattr(descent_module, "_space", lambda a, bp, d: ds.append(d) or space(a, bp, d))
-        tests = _selmer_and_tests(E)[1]
-    assert len(images) == 2 and len(ds) == sum(tests.values())
-    W, W_hat, tested = {}, {}, {}
-    for spans, image in zip((W, W_hat), images):
-        placed = 0
-        for v, off, bits in [(0, 0, 1)] + _places(bad_set(E)):
-            spans[v] = {0}
-            for x in [r >> off for r in image if r and r == (r >> off & (1 << bits) - 1) << off]:
-                spans[v] |= {x ^ w for w in spans[v]}
-                placed += 1
-        assert placed == len(image)
-    for v in tests:
-        tested[v] = [_classes(v).index(d) for d in ds[:tests[v]]]
-        del ds[:tests[v]]
-    return W, W_hat, tested
+        m.setattr(descent_module, "_qp_soluble", lambda c, p: calls.append((c, p)) or _qp_soluble(c, p))
+        places = _local_images(E.a2, E.a4, bad_set(E))[2]
+    a, b = _reduced(E.a2, E.a4)
+    assert calls == [(_space(a, a * a - 4 * b, _classes(v)[x]), v) for v, *_, xs in places if xs for x in xs]
+    assert [v for v, *_, xs in places if xs is None] == [v for v, *_ in places if v == 0 or v > 2 and a % v]
+
+
+@settings(max_examples=100, deadline=None)
+@given(SELMER_CURVES)
+def test_local_dimensions_add_up_per_place_and_to_the_selmer_difference(E):
+    # W'_v is the annihilator of W_v under a nondegenerate pairing on 2, 8
+    # or 4 classes, so the two bases hold 1, 3 or 2; and s - s' is the sum
+    # of dim W_v - 1 over S and R (Cassels, Lectures on Elliptic Curves)
+    S = bad_set(E)
+    places = _local_images(E.a2, E.a4, S)[2]
+    for v, _, W, W_hat, _ in places:
+        assert len(W) + len(W_hat) == (1 if v == 0 else 3 if v == 2 else 2), v
+        assert len(_spanned(W)) == 2 ** len(W) and len(_spanned(W_hat)) == 2 ** len(W_hat), v
+    s, s_hat = (len(sel).bit_length() - 1 for sel in _selmer(E, S)[:2])
+    assert s - s_hat == sum(len(W) - 1 for _, _, W, _, _ in places)
+
+
+@pytest.mark.parametrize("a, b, W2, W2_hat, sels", [
+    (-11, -40, (), (1, 2, 4), ([1, 281], [-1, 1, -2, 2, -5, 5, -10, 10])),  # W'_2 holds all 8 classes
+    (-12, -39, (6, 2, 1), (), ([1, 3, 10, 30], [1, -39])),  # and here W_2 does
+])
+def test_local_images_at_two_of_dimension_zero_and_three(a, b, W2, W2_hat, sels):
+    E = Curve(a, b, 0)
+    v, _, W, W_hat, _ = _local_images(a, b, bad_set(E))[2][1]
+    assert (v, W, W_hat) == (2, W2, W2_hat)
+    assert tuple([int(d) for d in selmer(C)] for C in (E, isogenous_curve(E).Eprime)) == sels
 
 
 @st.composite
@@ -644,8 +656,8 @@ def test_local_image_by_rule_is_the_soluble_classes(place):
     v, a, b, u = place
     E = Curve(u * u * a, u**4 * b, 0)
     assume(v in bad_set(E).primes)
-    W, _, tests = _local_images_and_tests(E)
-    assert v not in tests
+    W, _, tested = _local_spans(E)
+    assert v not in tested
     assert W[v] == {x for x, d in enumerate(_classes(v))
                     if qp_soluble_two_pass_oracle(QuarticForm(space_oracle(a, b, d)), v)}
 
@@ -670,9 +682,9 @@ def test_local_image_by_tests_is_the_soluble_classes(ab, u):
     # against the classes the oracle finds soluble on the reduced model
     E = Curve(u * u * ab[0], u**4 * ab[1], 0)
     a, b = _reduced(E.a2, E.a4)
-    W, _, tested = _local_images_and_tests(E)
+    W, _, tested = _local_spans(E)
     places = [v for v in bad_set(E).primes if v == 2 or a % v == 0]
-    assert set(tested) <= set(places)
+    assert set(tested) == set(places)
     for v in places:
         soluble = {x for x, d in enumerate(_classes(v))
                    if qp_soluble_two_pass_oracle(QuarticForm(space_oracle(a, b, d)), v)}
@@ -680,7 +692,7 @@ def test_local_image_by_tests_is_the_soluble_classes(ab, u):
         # in _ORDER, each test on a class that pairs to 1 with L_v(b) and
         # that no verdict so far settles: not in the span K of L_v(b') and
         # the soluble classes, nor in y + K for an insoluble y
-        xs = tested.get(v, [])
+        xs = tested[v]
         assert xs == sorted(xs, key=_ORDER.index)
         known, out = {0, _local_coordinates(a * a - 4 * b, v)}, []
         for x in xs:
@@ -701,7 +713,7 @@ def test_local_image_by_tests_is_the_soluble_classes(ab, u):
 @example((100003, 1, 100003, 1))  # the rule's W_v = {1} at 100003, so W'_v is everything
 @example((0, -25, 25, 1))  # three local tests at 5
 def test_local_image_of_the_isogenous_curve_is_its_soluble_classes(place):
-    # W'_v, the annihilator _selmer hands to its second _preimage, at R and
+    # W'_v, the annihilator whose basis _local_images records, at R and
     # at the primes of S, by rule or by tests, against the classes whose
     # space on E' of the reduced model the oracle finds soluble.  Proving
     # a class insoluble costs the oracle time in step with p, so beside a
@@ -711,7 +723,7 @@ def test_local_image_of_the_isogenous_curve_is_its_soluble_classes(place):
     E = Curve(u * u * a, u**4 * b, 0)
     assume(v == 0 or v in bad_set(E).primes)
     a, b = _reduced(E.a2, E.a4)
-    W_hat = _local_images_and_tests(E)[1]
+    W_hat = _local_spans(E)[1]
     assert W_hat.pop(0) == ({0, 1} if r_soluble(QuarticForm(space_oracle(-2 * a, a * a - 4 * b, -1))) else {0})
     assert set(W_hat) == set(bad_set(E).primes)
     for p in (q for q in W_hat if q == v or q < 5000):
@@ -770,27 +782,22 @@ def _local_coordinates(n: int, v: int) -> int:
 
 
 def test_local_tables_match_the_hilbert_symbol():
-    # the class of each generator at each place in _selmer's rows, class
-    # integers, pairing bits and test order at 2 and odd p of both residues
-    # mod 4; mod v^2 is out of reach at 1000003, where the textbook formula
-    # (-1)^(e f (p-1)/2) (u/p)^f (w/p)^e stands in for the brute search,
-    # which checks it at the small primes
+    # the class of each generator at each place in _local_images' records,
+    # class integers, pairing bits and test order at 2 and odd p of both
+    # residues mod 4; mod v^2 is out of reach at 1000003, where the textbook
+    # formula (-1)^(e f (p-1)/2) (u/p)^f (w/p)^e stands in for the brute
+    # search, which checks it at the small primes
     E = Curve(0, 3 * 5 * 7 * 11 * 13 * 1000003, 0)
     S = bad_set(E)
     assert S.primes == (2, 3, 5, 7, 11, 13, 1000003)
-    gens, calls = (-1,) + S.primes, []
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(descent_module, "_qp_soluble", lambda c, p: None)  # the rows do not depend on verdicts
-        m.setattr(descent_module, "_preimage", lambda rows, image: calls.append(rows) or [])
-        _selmer(E, S)
-    rows = calls[0]
-    assert [r & 1 for r in rows] == [_local_coordinates(g, 0) for g in gens]
-    assert max(rows).bit_length() <= sum(bits for *_, bits in _places(S)) + 1
-    for v, off, bits in _places(S):
+    gens, places = (-1,) + S.primes, _local_images(E.a2, E.a4, S)[2]
+    assert [v for v, *_ in places] == [0, *S.primes]
+    assert places[0][1] == [_local_coordinates(g, 0) for g in gens]
+    for v, xs, *_ in places[1:]:
         reps = _classes(v)
         pairs, order = _PAIRS[v % 4], _ORDER[:len(reps)]
-        assert len(pairs) == len(reps) == 1 << bits
-        assert [r >> off & (1 << bits) - 1 for r in rows] == [_local_coordinates(g, v) for g in gens]
+        assert len(pairs) == len(reps) == 1 << (3 if v == 2 else 2)
+        assert xs == [_local_coordinates(g, v) for g in gens]
         assert [_local_coordinates(r, v) for r in reps] == list(range(len(reps)))
         assert list(order) == sorted(range(len(reps)), key=lambda x: abs(reps[x]))
         for x, rx in enumerate(reps):
@@ -805,13 +812,6 @@ def test_local_tables_match_the_hilbert_symbol():
                     assert minus == (textbook < 0), (v, rx, ry)
 
 
-def _xor(rows) -> int:
-    out = 0
-    for r in rows:
-        out ^= r
-    return out
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 10).flatmap(lambda w: st.tuples(
     st.lists(st.integers(0, (1 << w) - 1), max_size=8), st.lists(st.integers(0, (1 << w) - 1), max_size=10))))
@@ -819,14 +819,11 @@ def test_preimage_is_a_basis_of_the_masks_whose_rows_land_in_the_image(case):
     # by brute force over every mask u of the rows: u is in the span of
     # _preimage's masks exactly when the XOR of its rows is in span(image)
     rows, image = case
-    target = {0}
-    for r in image:
-        target |= {r ^ t for t in target}
-    out, span = _preimage(rows, image), {0}
-    for u in out:
-        span |= {u ^ w for w in span}
+    target, out = _spanned(image), _preimage(rows, image)
+    span = _spanned(out)
     assert len(span) == 2 ** len(out)  # the masks are independent
-    assert span == {u for u in range(1 << len(rows)) if _xor(r for j, r in enumerate(rows) if u >> j & 1) in target}
+    assert span == {u for u in range(1 << len(rows))
+                    if reduce(xor, (r for j, r in enumerate(rows) if u >> j & 1), 0) in target}
 
 
 def test_real_place_rule_matches_the_real_solver_on_the_box():
@@ -1305,12 +1302,7 @@ def test_span_matches_fixed_point_closure(reps):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.one_of(
-    st.tuples(st.integers(-12, 12), st.integers(-12, 12)).filter(
-        lambda ab: nonsingular(*ab)).map(lambda ab: Curve(*ab, 0)),
-    st.integers(-10**6, 10**6).filter(bool).map(lambda D: Curve(0, D, 0)),
-    twisted_box_curves(),
-), st.sampled_from((1, 5, 20)))
+@given(SELMER_CURVES, st.sampled_from((1, 5, 20)))
 def test_certified_images_match_the_square_class_walk(E, H):
     # the mask walk against certify_oracle on integer classes: the same
     # spaces searched in the same order, the same images and generators
@@ -1448,19 +1440,15 @@ def test_descent_report_factors_each_odd_part_of_b_and_b_prime_once(monkeypatch)
 
 
 def test_descent_report_builds_quartic_forms_only_in_hom_space(monkeypatch):
-    # the local tests of _selmer and the point searches take every space
-    # from _space as a bare coefficient tuple: the report builds no
-    # QuarticForm at all, so no form is validated, stripped or reversed
-    built, spaces = [], []
+    # the local tests of _selmer (the records show some run) and the point
+    # searches take every space from _space as a bare coefficient tuple: the
+    # report builds no QuarticForm, so no form is validated, stripped or reversed
+    built = []
     post_init = QuarticForm.__post_init__
     monkeypatch.setattr(QuarticForm, "__post_init__", lambda f: built.append(f) or post_init(f))
-    space = descent_module._space
-    monkeypatch.setattr(descent_module, "_space", lambda *args: spaces.append(args) or space(*args))
     for a, b in ((0, 3111), (0, -2 * 3 * 5 * 7 * 11), (6, 1), (-11, 2), (12, 32)):
-        built.clear()
-        spaces.clear()
         descent_report(Curve(a, b, 0), 20)
-        assert spaces and not built
+        assert not built and _selmer_and_tests(Curve(a, b, 0))[1]
 
 
 def test_descent_report_checks_each_lifted_point_once_per_curve(monkeypatch):
