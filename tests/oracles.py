@@ -2,12 +2,11 @@
 
 Everything here is deliberately naive: exhaustive enumeration, textbook
 formulas, or sympy.  Nothing imports from twodescent, so a bug in the
-package cannot hide in its own oracle.  Four exceptions import it
+package cannot hide in its own oracle.  Three exceptions import it
 lazily: qp_soluble_two_pass_oracle checks only how qp_soluble covers the
 projective line, over the package's own (separately checked) zp_soluble,
-selmer_walk_oracle and selmer_pivot_oracle check only how selmer
-combines the package's own (separately checked) local tests, and
-unit_orbit_masks_oracle lays its orbits out with the package's _every.
+and selmer_walk_oracle and selmer_pivot_oracle check only how selmer
+combines the package's own (separately checked) local tests.
 """
 
 from __future__ import annotations
@@ -579,26 +578,23 @@ def hilbert_brute(a: int, b: int, v: int) -> bool:
 # Point search on C_d: y^2 = c4*m^4 + c2*m^2*n^2 + c0*n^4, the naive scan.
 
 
-def unit_orbit_masks_oracle(q: int, W: int, R: int):
+def unit_orbit_masks_oracle(q: int, W: int):
     """descent._orbit_masks as first written: every unit pair (u, v) with
     u^2 = v^2 mod q from a scan of all q^2 pairs, and each orbit of
     (k, m) -> (u*k, v*m) as a set of (k, m) tuples, in the order of its
     first pair, but only the orbits of the pairs with gcd(k, m, q) = 1,
-    as unit scaling keeps that gcd.  Per orbit: m^4, m^2*k^2 and k^4 mod q at that pair, and
-    the mask of bits k*W + m, k < q + R and m < W, with (k, m) in the
-    orbit mod q."""
-    from twodescent.descent import _every
-
+    as unit scaling keeps that gcd.  Per orbit: m^4, m^2*k^2 and k^4 mod q
+    at that pair, and the mask of bits k*W + m', k < q and m' < W, with
+    (k, m' mod q) in the orbit, set one bit at a time."""
     units = [(u, v) for u in range(1, q) if gcd(u, q) == 1 for v in range(1, q) if (u * u - v * v) % q == 0]
-    cols = [_every(q, W - 1, 1 << m) for m in range(q)]
     seen: set[tuple[int, int]] = set()
     out = []
     for k, m in itertools.product(range(q), repeat=2):
         if (k, m) not in seen and gcd(gcd(k, m), q) == 1:
             orbit = {(u * k % q, v * m % q) for u, v in units}
             seen |= orbit
-            block = sum(cols[m1] << k1 * W for k1, m1 in orbit)
-            out.append((m**4 % q, m * m * k * k % q, k**4 % q, _every(q * W, (q + R) * W - 1, block)))
+            block = sum(1 << k1 * W + m2 for k1, m1 in orbit for m2 in range(m1, W, q))
+            out.append((m**4 % q, m * m * k * k % q, k**4 % q, block))
     return tuple(out)
 
 

@@ -392,6 +392,53 @@ def test_json_big_integers_become_decimal_strings():
     assert parsed["generators"][0][0] == 2**60 + 1
 
 
+def _good_document() -> dict:
+    return json.loads(serialize_document(report_document(descent_report(Curve(0, 17, 0), 10))))
+
+
+@pytest.mark.parametrize("text", ["[1]", "null", "17", '"curve"'])
+def test_parse_document_refuses_a_document_that_is_not_an_object(text):
+    with pytest.raises(ValueError, match="^the document: not a JSON object"):
+        parse_document(text)
+
+
+@pytest.mark.parametrize("key", ["curve", "selmer_phi_hat", "discriminant", "torsion", "generators"])
+def test_parse_document_names_a_missing_key(key):
+    doc = _good_document()
+    del doc[key]
+    with pytest.raises(ValueError, match=f"^the document: no key '{key}'"):
+        parse_document(json.dumps(doc))
+    del doc["torsion" if key != "torsion" else "curve"]
+    with pytest.raises(ValueError, match="^the document: no key"):
+        parse_document(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key, value, refusal", [
+    ("discriminant", 1.5, "discriminant: not an integer"),
+    ("discriminant", True, "discriminant: not an integer"),
+    ("discriminant", "12a", "discriminant: not an integer"),
+    ("discriminant", "--12", "discriminant: not an integer"),
+    ("discriminant", None, "discriminant: not an integer"),
+    ("discriminant", [1], "discriminant: not an integer"),
+    ("curve", "017", "curve: not a list"),
+    ("curve", [0, 17.0, 0], "curve: not an integer"),
+    ("image_phi", {"1": 1}, "image_phi: not a list"),
+    ("generators", [[1, 2, "x", 1]], "generators: not an integer"),
+    ("generators", ["1234"], "generators: not a list"),
+    ("torsion", [2], "torsion: not a JSON object"),
+    ("torsion", {"structure": "Z/2"}, "torsion: no key 'generators'"),
+    ("torsion", {"generators": []}, "torsion: no key 'structure'"),
+    ("torsion", {"structure": "Z/2", "generators": [[0.5]]}, "generators: not an integer"),
+])
+def test_parse_document_refuses_a_value_that_is_not_an_integer_and_names_its_key(key, value, refusal):
+    # int(1.5) would read the discriminant back as 1, and a string of
+    # digits where a list belongs would read back as its digits
+    doc = _good_document()
+    doc[key] = value
+    with pytest.raises(ValueError, match=f"^{refusal}"):
+        parse_document(json.dumps(doc))
+
+
 def _integers(node):
     if isinstance(node, dict):
         node = list(node.values())

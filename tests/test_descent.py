@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import random
 import time
 from fractions import Fraction
 from functools import lru_cache, reduce
@@ -1043,6 +1044,12 @@ def band_rows(H: int) -> int:
     return min(H, max(1, _BAND_BITS // (H + 1)))
 
 
+def moduli_applied(H: int) -> int:
+    """How many of _MODULI _first_square applies at height H: about four
+    expected survivors per band, and never fewer than one modulus."""
+    return max(1, (band_rows(H) * (H + 1)).bit_length() - 2)
+
+
 def _tile(q: int, rows: dict[int, int], W: int, R: int) -> int:
     """Bit k*W + m, k < q + R and m < W, set when bit m mod q of
     rows[k^2 mod q] is: a product with copies of 1 spaced q apart tiles a
@@ -1058,21 +1065,36 @@ def _tile(q: int, rows: dict[int, int], W: int, R: int) -> int:
 @pytest.mark.parametrize("q", _MODULI)
 def test_orbit_masks_match_the_tuple_set_orbits(q, H):
     # pairs coded as k*q + m, v = u*w with w^2 = 1: the same orbits, in the
-    # same order, as the scan of all unit pairs into sets of tuples
-    W, R = H + 1, band_rows(H)
-    assert _orbit_masks.__wrapped__(q, W, R) == unit_orbit_masks_oracle(q, W, R)
+    # same order and over the same q rows, as the scan of all unit pairs
+    # into sets of tuples, laid out bit by bit
+    assert _orbit_masks.__wrapped__(q, H + 1) == unit_orbit_masks_oracle(q, H + 1)
+
+
+# the forms (a, b, c) mod q of test_period_masks_match_the_brute_definition:
+# all of them for q <= 29, a fixed sample of 60 for the larger moduli
+EXHAUSTIVE_MODULUS = 29
+
+
+def period_forms(q: int) -> list[tuple[int, int, int]]:
+    cube = itertools.product(range(q), repeat=3)
+    if q <= EXHAUSTIVE_MODULUS:
+        return [f for f in cube if any(f)]
+    rng = random.Random(q)
+    return sorted({tuple(rng.randrange(q) for _ in range(3)) for _ in range(60)} - {(0, 0, 0)})
 
 
 def test_period_masks_match_the_brute_definition():
     # bit k*W + m of _band_mask from row r, a cut of one period of q rows,
     # is set iff N(m, n) = a m^4 + b m^2 n^2 + c n^4, n = r + k (mod q), is
-    # a square mod q: every modulus, every (a, b, c) mod q but zero, and the
-    # band shapes of six heights (H <= 28 gives rows narrower than q, H = 200
-    # two bands), each from the first row r = a + b + c mod q, so every
-    # r < q comes up, and only where gcd(m, n, q) = 1.  N mod q depends on
-    # m^2 and n^2 mod q only, so the expected period is a tiling of one
-    # q-bit row per n^2, made once per distinct set of rows, then cut to the
-    # pairs prime to q and to the band
+    # a square mod q: every modulus, every (a, b, c) mod q but zero (a
+    # sample above EXHAUSTIVE_MODULUS), and the band shapes of six heights
+    # (H <= 28 gives rows narrower than q, H = 200 two bands), and only
+    # where gcd(m, n, q) = 1.  The exhaustive forms start at the row
+    # r = a + b + c mod q, so every r < q comes up; each sampled form
+    # starts at every r.  N mod q depends on m^2 and n^2 mod q only, so
+    # the expected period is a tiling of one q-bit row per n^2, made once
+    # per distinct set of rows, then cut to the pairs prime to q and to
+    # the band
     for q in _MODULI:
         squares = {i * i % q for i in range(q)}
         # the residue r, written chr(r), to "1" when r + j is a square mod q
@@ -1083,26 +1105,58 @@ def test_period_masks_match_the_brute_definition():
         prime_to_q = [sum(1 << k * W + m for k in range(q + R) for m in range(W) if math.gcd(k, m, q) == 1)
                       for W, R in shapes]
         expected: dict[tuple[str, ...], list[int]] = {}
-        for a, b in itertools.product(range(q), repeat=2):
+        for a, b, c in period_forms(q):
             # per t = n^2, a m^4 + b m^2 t for m = q - 1 down to 0, as chr
             part = {t: "".join(chr((a * s * s + b * s * t) % q) for s in sq_desc) for t in ts}
-            for c in range(0 if a or b else 1, q):
-                rows = tuple(part[t].translate(shift[c * t * t % q]) for t in ts)
-                if rows not in expected:
-                    bits = {t: int(r, 2) for t, r in zip(ts, rows)}
-                    expected[rows] = [_tile(q, bits, W, R) & cut for (W, R), cut in zip(shapes, prime_to_q)]
-                r = (a + b + c) % q
+            rows = tuple(part[t].translate(shift[c * t * t % q]) for t in ts)
+            if rows not in expected:
+                bits = {t: int(r, 2) for t, r in zip(ts, rows)}
+                expected[rows] = [_tile(q, bits, W, R) & cut for (W, R), cut in zip(shapes, prime_to_q)]
+            starts = [(a + b + c) % q] if q <= EXHAUSTIVE_MODULUS else range(q)
+            for r in starts:
                 for (W, R), want in zip(shapes, expected[rows]):
                     got = _band_mask.__wrapped__(q, a, b, c, W, r, R)
                     assert got == want >> r * W & ((1 << R * W) - 1), (q, a, b, c, W, r)
 
 
+# Both sides of every height where moduli_applied steps, to height 300
+MODULI_STEPS = sorted({1, 2}.union(*({H - 1, H} for H in range(2, 301)
+                                     if moduli_applied(H) != moduli_applied(H - 1))))
+
+
+def test_each_band_applies_the_moduli_its_size_needs(monkeypatch):
+    # N = m^4 passes every mask, so each band looks up moduli_applied(H)
+    # of them (the search hits (0, 1) in its first band); 3 m^4 + 3 n^4 is
+    # 3 or 6 mod 16 at every pair not both even, so its AND reaches 0 at
+    # the first modulus and ends the lookups of its band
+    seen = []
+    band_mask = descent_module._band_mask
+    monkeypatch.setattr(descent_module, "_band_mask", lambda q, *rest: seen.append(q) or band_mask(q, *rest))
+    for H, applied in ((1, 1), (2, 1), (20, 7), (100, 12), (300, 12)):
+        seen.clear()
+        assert _first_square(1, 0, 0, H) == (0, 1, 0)
+        assert moduli_applied(H) == applied and seen == list(_MODULI[:applied])
+    assert [moduli_applied(H) for H in (2**14, 50_000)] == [13, 14]
+    seen.clear()
+    assert _first_square(3, 0, 3, 100) is None and seen == [16]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(MODULI_STEPS), st.data(), small, small, small)
+def test_first_square_matches_naive_scan_on_both_sides_of_each_moduli_step(H, data, x, y, t):
+    # the same hit, or the same miss, whether a height applies one modulus
+    # more or one fewer; a planted point may lie above H, so misses come up
+    p1 = data.draw(coprime_point(st.integers(1, H + 2), H + 2))
+    p2 = data.draw(coprime_point(st.integers(1, H), H))
+    first_square_agrees(*planted_form(p1, p2, x, y, t), H)
+
+
 @st.composite
 def point_and_multiple(draw):
     """H <= 300, a box of 1 to 6 bands, and a coprime (m, n) with g*(m, n),
-    g >= 2, in the box; g is often a prime above the sieve moduli, whose
-    multiples no mask strikes."""
-    g = draw(st.one_of(st.integers(2, 40), st.sampled_from((31, 37, 41, 43, 47, 53))))
+    g >= 2, in the box; g is often one of the largest sieve moduli or a
+    prime above them (47, 53, 59), whose multiples no mask strikes."""
+    g = draw(st.one_of(st.integers(2, 40), st.sampled_from((31, 37, 41, 43, 47, 53, 59))))
     H = draw(st.integers(g, 300))
     n = draw(st.integers(1, H // g))
     m = draw(st.integers(0, H // g))
