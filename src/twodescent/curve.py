@@ -1,9 +1,9 @@
 """Integral Weierstrass models y^2 = x^3 + a2*x^2 + a4*x + a6.
 
 Exact rational group law, point counting over small prime fields, and
-torsion computation: a torsion point of such a model is integral, and
-its x is an integer root of the division polynomial of its order, which
-divides the good-reduction bound; order checks confirm each point.
+torsion computation: a torsion point of such a model is integral; halving
+gives the points of 2-power order, the integer roots of the division
+polynomials f_3, f_5, f_7, f_9 the odd ones, and sums all the others.
 """
 
 from __future__ import annotations
@@ -248,6 +248,23 @@ def _integer_roots(f: list[int], q: int) -> list[int]:
     return sorted(roots)
 
 
+def _points_at(E: Curve, xs) -> list[tuple[int, int]]:
+    """The integral points (x, +-y) over the integers xs."""
+    out = []
+    for x in xs:
+        y = math.isqrt(max(v := E.rhs(x), 0))
+        if y * y == v:
+            out += [(x, y), (x, -y)] if y else [(x, 0)]
+    return out
+
+
+def _sum(E: Curve, P: tuple[int, int], Q: tuple[int, int]) -> tuple[int, int]:
+    """P + Q for torsion points of coprime orders: integral (Nagell-Lutz), so the slope is an integer."""
+    (x1, y1), (x2, y2) = P, Q
+    lam = (y2 - y1) // (x2 - x1)
+    return (x3 := lam * lam - E.a2 - x1 - x2), lam * (x1 - x3) - y1
+
+
 def _multiples(E: Curve, x1: int, y1: int, cap: int) -> list[tuple[int, int]] | None:
     """P, 2P, ..., (o - 1)P if the integral point P = (x1, y1) has order o <= cap, else None.
 
@@ -288,38 +305,36 @@ class TorsionGroup(Record):
 
 
 def torsion_subgroup(E: Curve) -> TorsionGroup:
-    """Exact rational torsion with verified generators.  A point of order
-    m has integral x, a root of f_m, and m <= 12 divides the reduction bound,
-    the gcd of the counts mod six good primes.  Each partial gcd is a multiple
-    of |E(Q)_tors|, itself one of |E[2](Q)|, so one equal to |E[2](Q)| is final."""
+    """Exact rational torsion with verified generators.  Its order divides the gcd of the
+    counts mod six good primes; each partial gcd is a multiple of |E(Q)_tors|, itself one of
+    |E[2](Q)|, so one equal to |E[2](Q)| is final.  Else halving gives the 2-power points,
+    integer roots of f_3, f_5, f_7 and f_9 the odd ones, and their sums all the others."""
     if not isinstance(E, Curve):
         raise CurveError(f"need a Curve, not {E!r}")
     a2, a4, a6 = E.a2, E.a4, E.a6
     # E[2](Q) - O if a6 = 0: x(x^2 + a2 x + a4) is 0 at 0, and at (-a2 +- s)/2 if a2^2 - 4 a4 = s^2
     s = math.isqrt(max(disc := a2 * a2 - 4 * a4, 0))
     two = [] if a6 else [(x, 0) for x in sorted((0, (s - a2) // 2, (-s - a2) // 2))] if s * s == disc else [(0, 0)]
-    primes, bound, f = _good_odd_primes(E, 6), 0, None  # f: the division polynomials, built for an m > 2
+    primes, bound, f = _good_odd_primes(E, 6), 0, None  # f: the division polynomials, built for an odd m
     for q in primes:
         bound = math.gcd(bound, _count_points(q, a2 % q, a4 % q, a6 % q))
         if bound == len(two) + 1:
             return _torsion_group(E, two, bound)
-    cands: list[tuple[int, int]] = []
-    found = {1}  # the m, ascending, whose f_m gave a rational point
-    for m in sorted(_ALLOWED_CYCLIC - {1}):
-        # a point of order m has a multiple of order m/l for each prime l | m
-        if bound % m or any(m % l == 0 and m // l not in found for l in (2, 3, 5, 7)):
-            continue
-        if m == 2:
-            roots = [x for x, _ in two] if a6 == 0 else _integer_roots([a6, a4, a2, 1], primes[0])
-        else:  # q is good and prime to m (no two odd primes divide m <= 12): f_m is squarefree mod q
+    two = _points_at(E, _integer_roots([a6, a4, a2, 1], primes[0])) if a6 and bound % 2 == 0 else two
+    part2, odd = list(two), []  # the 2-part: T = (e, 0) halves to x = e +- r, r^2 = f'(e)
+    for e, _ in two if bound % 4 == 0 else ():
+        r = math.isqrt(max(d := (3 * e + 2 * a2) * e + a4, 0))
+        part2 += _points_at(E, (e - r, e + r)) if r * r == d else []
+    # Q = (x0, y0) of order 4 halves to x(2P) = x0 (AEC III.2.3(d)): 4 roots, distinct mod q
+    for x0 in sorted({x for x, y in part2 if y}) if bound % 8 == 0 else ():  # no order 16
+        g = [a4 * a4 - 4 * a6 * (a2 + x0), -4 * (2 * a6 + a4 * x0), -2 * (a4 + 2 * a2 * x0), -4 * x0, 1]
+        part2 += _points_at(E, _integer_roots(g, primes[0]))
+    for m in (3, 9, 5, 7):  # the odd part; f_9 once f_3 gave a point, whose x f_9 shares
+        if bound % m == 0 and (m != 9 or odd):  # q is good and prime to m: f_m is squarefree mod q
             f = f or _division_polys(E)
-            roots = _integer_roots(f(m), next(q for q in primes if m % q))
-        for x in roots:
-            v = E.rhs(x)
-            y = math.isqrt(max(v, 0))
-            if y * y == v:
-                cands += [(x, y), (x, -y)] if y else [(x, 0)]
-                found.add(m)
+            pts = _points_at(E, _integer_roots(f(m), next(q for q in primes if m % q)))
+            odd = pts if m == 9 else odd + pts
+    cands = part2 + odd + [_sum(E, P, Q) for P in part2 for Q in odd]
     return _torsion_group(E, cands, bound)
 
 

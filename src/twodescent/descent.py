@@ -320,7 +320,7 @@ def _every(q: int, H: int, x: int = 1) -> int:
     return x & ((1 << (H + 1)) - 1)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=len(_MODULI))
 def _orbit_masks(q: int, W: int) -> tuple[tuple[int, int, int, int], ...]:
     """The pairs (k, m) mod q with gcd(k, m, q) = 1 in orbits under
     (k, m) -> (u*k, v*m), u and v units with u^2 = v^2 mod q, which keep

@@ -21,6 +21,7 @@ from twodescent.curve import (
     _good_odd_primes,
     _integer_roots,
     _multiples,
+    _sum,
     _torsion_group,
     add,
     count_points_mod,
@@ -38,6 +39,7 @@ from .oracles import (
     o_add,
     o_mul,
     o_on_curve,
+    o_order,
     torsion_candidates_oracle,
     torsion_invariants_brute,
 )
@@ -429,13 +431,18 @@ def test_integer_multiples_of_torsion_points_match_the_fraction_group_law(struct
 
 
 @pytest.mark.parametrize("coeffs,structure,built", [
-    ((-7, 1, 0), "Z2", [4]),           # no point of order 4, so no f_8
-    ((-10, 9, 0), "Z2xZ2", [4]),
-    ((-1, 1, 0), "Z4", [4, 8]),        # a point of order 4: f_8 is searched
+    ((-7, 1, 0), "Z2", []),              # bound 8: T halves to no rational point
+    ((-10, 9, 0), "Z2xZ2", []),          # bound 8: no T halves
+    ((-1, 1, 0), "Z4", []),              # bound 8: the points of order 4 halve to none
+    ((1, -128, 0), "Z6", [3]),           # the points of order 6 are sums, with no f_6
+    ((25, -512, 0), "Z10", [5]),
+    ((1177, 50176, 0), "Z12", [3]),      # sums of points of orders 3 and 4, with no f_4, f_6 or f_12
+    ((94, -14175, 0), "Z2xZ8", []),      # bound 16: the points of order 8 come from the halving quartic
+    ((-39, 288, 2304), "Z9", [3, 9]),    # f_9 once f_3 gave a point
 ])
 def test_torsion_skips_f_m_without_points_of_order_m_over_l(monkeypatch, coeffs, structure, built):
-    # each of these curves has reduction bound 8; with a6 = 0 the 2-torsion
-    # comes from the roots of x(x^2 + a2 x + a4), with no f_2
+    # the search asks for f_l at the odd primes l and f_9 only: the 2-power
+    # points come by halving and every other point as a sum
     requested: list[int] = []
     division_polys = curve_module._division_polys
 
@@ -445,20 +452,21 @@ def test_torsion_skips_f_m_without_points_of_order_m_over_l(monkeypatch, coeffs,
 
     monkeypatch.setattr(curve_module, "_division_polys", recording)
     E = Curve(*coeffs)
-    assert brute_bound(E) == 8
-    assert torsion_subgroup(E).structure == structure
+    T = torsion_subgroup(E)
+    assert T.structure == structure
+    assert brute_bound(E) != 1 + sum(P.y == 0 for P in T.points[1:])  # past the early return
     assert requested == built
 
 
 @pytest.mark.parametrize("coeffs,two,counts,builds", [
     ((0, 17, 0), 2, 2, 0),    # Z2: the counts mod 3 and 5, 4 and 2, have gcd 2 = |E[2](Q)|
-    ((-10, 9, 0), 4, 6, 1),   # Z2xZ2 with bound 8: all six counts, and f_4 is searched
-    ((-1, 1, 0), 2, 6, 1),    # Z4 with bound 8: f_4 and f_8 are searched, from one build
+    ((-10, 9, 0), 4, 6, 0),   # Z2xZ2 with bound 8: all six counts, and no T halves
+    ((-1, 1, 0), 2, 6, 0),    # Z4 with bound 8: the order-4 points come by halving, with no f_4
 ])
 def test_torsion_counts_points_until_the_gcd_is_the_two_torsion(monkeypatch, coeffs, two, counts, builds):
     # each partial gcd of the counts is a multiple of |E(Q)_tors|, which
     # |E[2](Q)| divides: the counting stops at a gcd of |E[2](Q)|, and the
-    # division polynomials are built only when some m > 2 is searched
+    # division polynomials are built only when an odd prime divides the bound
     E = Curve(*coeffs)
     good, g, stop = _good_odd_primes(E, 6), 0, 6
     for i, q in enumerate(good, 1):
@@ -474,6 +482,73 @@ def test_torsion_counts_points_until_the_gcd_is_the_two_torsion(monkeypatch, coe
     T = torsion_subgroup(E)
     assert T.invariants() == torsion_invariants_brute(coeffs) and 1 + sum(P.y == 0 for P in T.points[1:]) == two
     assert [args[0] for args in counted] == good[:counts] and len(built) == builds
+
+
+# the Kubert families with points of 2-power order and odd order, or of order 8
+COMPOSITE_FAMILIES = ["Z6", "Z8", "Z10", "Z12", "Z2xZ4", "Z2xZ6", "Z2xZ8"]
+# discriminants up to this many bits keep the divisor oracle under a second
+ORACLE_DISC_BITS = 80
+
+
+def _kubert_model(structure: str, t: Fraction) -> Curve | None:
+    try:
+        return _tate_model(*KUBERT[structure][0](t))
+    except ZeroDivisionError:
+        return None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(COMPOSITE_FAMILIES), st.integers(-9, 9), st.integers(1, 6))
+def test_torsion_of_kubert_families_equals_divisor_enumeration(structure, p, q):
+    # halving, the odd part and the sums against the y^2 | disc candidates;
+    # a special t may force more torsion than the family's
+    E = _kubert_model(structure, Fraction(p, q))
+    assume(E is not None and abs(discriminant(E)).bit_length() <= ORACLE_DISC_BITS)
+    T = torsion_subgroup(E)
+    assert T == _oracle_torsion(E)
+    assert T.order % math.prod(int(n) for n in structure[1:].split("xZ")) == 0
+
+
+def _kubert_models(structures):
+    return [pytest.param(s, _kubert_model(s, Fraction(t)), id=f"{s}-t={t.replace('/', ':')}")
+            for s in structures for t in KUBERT[s][1]]
+
+
+@pytest.mark.parametrize("structure,E", _kubert_models(COMPOSITE_FAMILIES))
+def test_sum_of_torsion_points_of_coprime_orders_matches_the_fraction_group_law(structure, E):
+    coeffs = (E.a2, E.a4, E.a6)
+    points = [(P.x, P.y) for P in _oracle_torsion(E).points[1:]]
+    pairs = [(P, Q) for P in points for Q in points if math.gcd(o_order(coeffs, P), o_order(coeffs, Q)) == 1]
+    assert pairs or structure in ("Z8", "Z2xZ4", "Z2xZ8")
+    for P, Q in pairs:
+        assert _sum(E, (int(P[0]), int(P[1])), (int(Q[0]), int(Q[1]))) == o_add(coeffs, P, Q)
+
+
+@pytest.mark.parametrize("structure,E", _kubert_models(["Z8", "Z2xZ4", "Z2xZ8", "Z12"]))
+def test_halving_quartic_roots_are_the_x_of_the_halves(monkeypatch, structure, E):
+    # every monic quartic the search solves is x(2P) = x0 for a point Q of
+    # order 4: each integer root r is the x of a P with 2P = +-Q over
+    # Q(sqrt(f(r))), checked on the twist by d = f(r) at (d r, d^2), and
+    # every rational P with 2P = +-Q has its x among the roots
+    coeffs = (E.a2, E.a4, E.a6)
+    integer_roots, solved = curve_module._integer_roots, []
+    monkeypatch.setattr(curve_module, "_integer_roots",
+                        lambda f, q: solved.append((f, roots := integer_roots(f, q))) or roots)
+    oracle = _oracle_torsion(E)
+    assert torsion_subgroup(E) == oracle
+    points = [(P.x, P.y) for P in oracle.points[1:]]
+    quartics = [(f, roots) for f, roots in solved if len(f) == 5 and f[4] == 1]
+    assert quartics or structure == "Z12" and brute_bound(E) % 8
+    for f, roots in quartics:
+        x0 = Fraction(-f[3], 4)
+        Q = next(P for P in points if P[0] == x0)
+        assert o_order(coeffs, Q) == 4
+        halves = {P[0] for P in points if o_mul(coeffs, 2, P) in (Q, (Q[0], -Q[1]))}
+        assert halves <= set(roots) and len(roots) <= 4
+        for r in roots:
+            d = E.rhs(Fraction(r))
+            twist = (E.a2 * d, E.a4 * d * d, E.a6 * d**3)
+            assert o_mul(twist, 2, (d * r, d * d))[0] == d * x0
 
 
 @settings(max_examples=300, deadline=None)

@@ -1070,6 +1070,18 @@ def test_orbit_masks_match_the_tuple_set_orbits(q, H):
     assert _orbit_masks.__wrapped__(q, H + 1) == unit_orbit_masks_oracle(q, H + 1)
 
 
+def test_orbit_masks_keep_one_height_of_blocks():
+    # the searches of y^2 = x^3 - 576620x look up 7 moduli at H = 20 and 12
+    # at H = 100, 19 (q, W) blocks in all: the cache keeps one height's
+    # moduli, as _period does, not the blocks of heights no longer searched
+    for cached in (_orbit_masks, descent_module._period, _band_mask):
+        cached.cache_clear()
+    for H in (20, 100):
+        descent_report(Curve(0, -576620, 0), H)
+    assert _orbit_masks.cache_info().misses == 7 + 12
+    assert _orbit_masks.cache_info().currsize <= len(_MODULI)
+
+
 # the forms (a, b, c) mod q of test_period_masks_match_the_brute_definition:
 # all of them for q <= 29, a fixed sample of 60 for the larger moduli
 EXHAUSTIVE_MODULUS = 29
