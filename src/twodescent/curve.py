@@ -2,13 +2,12 @@
 
 Exact rational group law, point counting over small prime fields, and
 torsion computation: a torsion point of such a model is integral; halving
-gives the points of 2-power order, the integer roots of the division
-polynomials f_3, f_5, f_7, f_9 the odd ones, and sums all the others.
+gives the points of 2-power order, the integer roots of f_3, f_5, f_7 and
+thirds of a point of order 3 the odd ones, and sums all the others.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
 import math
@@ -91,10 +90,8 @@ def discriminant(E: Curve) -> int:
 
 
 def j_invariant(E: Curve) -> Fraction:
-    """j-invariant for the shape y^2 = x^3 + A*x + B (a2 must be zero)."""
-    if E.a2 != 0:
-        raise CurveError("j_invariant supports a2 = 0 models only")
-    return Fraction(-1728 * (4 * E.a4) ** 3, discriminant(E))
+    """j = c4^3 / disc, with c4 = b2^2 - 24 b4 = 16 (a2^2 - 3 a4)."""
+    return Fraction((16 * (E.a2 * E.a2 - 3 * E.a4)) ** 3, discriminant(E))
 
 
 def on_curve(E: Curve, P: Pt) -> bool:
@@ -188,32 +185,25 @@ def _pmul(f: list[int], g: list[int]) -> list[int]:
     return out
 
 
-def _division_polys(E: Curve) -> Callable[[int], list[int]]:
-    """f(m) for m > 2, built on demand and kept: the polynomial whose roots are
-    the x of the points of order dividing m but not 2, f_m = psi_m for odd m
-    and psi_m / psi_2 for even m, built from f_3, f_4 and the recurrences in
-    F = psi_2^2 of Silverman, AEC, Ex. 3.7."""
+def _psub(f: list[int], g: list[int]) -> list[int]:
+    """f - g for polynomials of the same formal degree."""
+    return [a - b for a, b in zip(f, g, strict=True)]
+
+
+def _odd_poly(E: Curve, m: int, x0: int | None = None) -> list[int]:
+    """The x of the points P with mP = O != P are the roots of f_m = psi_m, m = 3, 5, 7; given
+    the x0 of a point Q of order m = 3, the x of the P with 3P = +-Q are those of the monic nonic
+    (x - x0) f_3^2 - F f_4, the numerator of x(3P) - x0 = x - psi_2 psi_4 / psi_3^2 - x0.  From
+    F = psi_2^2, f_3 and f_4 = psi_4 / psi_2 (AEC, Ex. 3.7): f_5 = F^2 f_4 - f_3^3 and
+    f_7 = f_5 f_3^3 - F^2 f_4^3."""
     b2, b4, b6, b8 = 4 * E.a2, 2 * E.a4, 4 * E.a6, 4 * E.a2 * E.a6 - E.a4 * E.a4
-    f = {1: [1], 2: [1], 3: [b8, 3 * b6, 3 * b4, b2, 3],
-         4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]}
-
-    def get(n: int) -> list[int]:
-        if n not in f:
-            m = n // 2
-            if n % 2:
-                F2 = _pmul([b6, 2 * b4, b2, 4], [b6, 2 * b4, b2, 4])
-                u = _pmul(get(m + 2), _pmul(get(m), _pmul(get(m), get(m))))
-                v = _pmul(get(m - 1), _pmul(get(m + 1), _pmul(get(m + 1), get(m + 1))))
-                u, v = (_pmul(F2, u), v) if m % 2 == 0 else (u, _pmul(F2, v))
-            else:
-                u = _pmul(get(m + 2), _pmul(get(m - 1), get(m - 1)))
-                v = _pmul(get(m - 2), _pmul(get(m + 1), get(m + 1)))
-            # u and v have the same length, the formal degree of the difference
-            diff = [a - b for a, b in zip(u, v, strict=True)]
-            f[n] = diff if n % 2 else _pmul(get(m), diff)
-        return f[n]
-
-    return get
+    F, f3 = [b6, 2 * b4, b2, 4], [b8, 3 * b6, 3 * b4, b2, 3]
+    f4 = [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]
+    if m == 3:
+        return f3 if x0 is None else _psub(_pmul([-x0, 1], _pmul(f3, f3)), _pmul(F, f4))
+    F2, f3_3 = _pmul(F, F), _pmul(f3, _pmul(f3, f3))
+    f5 = _psub(_pmul(F2, f4), f3_3)
+    return f5 if m == 5 else _psub(_pmul(f5, f3_3), _pmul(F2, _pmul(f4, _pmul(f4, f4))))
 
 
 def _horner(f: list[int], x: int, n: int) -> tuple[int, int]:
@@ -308,14 +298,14 @@ def torsion_subgroup(E: Curve) -> TorsionGroup:
     """Exact rational torsion with verified generators.  Its order divides the gcd of the
     counts mod six good primes; each partial gcd is a multiple of |E(Q)_tors|, itself one of
     |E[2](Q)|, so one equal to |E[2](Q)| is final.  Else halving gives the 2-power points,
-    integer roots of f_3, f_5, f_7 and f_9 the odd ones, and their sums all the others."""
+    roots of f_3, f_5, f_7 and thirds of a point of order 3 the odd ones, and sums all the others."""
     if not isinstance(E, Curve):
         raise CurveError(f"need a Curve, not {E!r}")
     a2, a4, a6 = E.a2, E.a4, E.a6
     # E[2](Q) - O if a6 = 0: x(x^2 + a2 x + a4) is 0 at 0, and at (-a2 +- s)/2 if a2^2 - 4 a4 = s^2
     s = math.isqrt(max(disc := a2 * a2 - 4 * a4, 0))
     two = [] if a6 else [(x, 0) for x in sorted((0, (s - a2) // 2, (-s - a2) // 2))] if s * s == disc else [(0, 0)]
-    primes, bound, f = _good_odd_primes(E, 6), 0, None  # f: the division polynomials, built for an odd m
+    primes, bound = _good_odd_primes(E, 6), 0
     for q in primes:
         bound = math.gcd(bound, _count_points(q, a2 % q, a4 % q, a6 % q))
         if bound == len(two) + 1:
@@ -329,11 +319,13 @@ def torsion_subgroup(E: Curve) -> TorsionGroup:
     for x0 in sorted({x for x, y in part2 if y}) if bound % 8 == 0 else ():  # no order 16
         g = [a4 * a4 - 4 * a6 * (a2 + x0), -4 * (2 * a6 + a4 * x0), -2 * (a4 + 2 * a2 * x0), -4 * x0, 1]
         part2 += _points_at(E, _integer_roots(g, primes[0]))
-    for m in (3, 9, 5, 7):  # the odd part; f_9 once f_3 gave a point, whose x f_9 shares
-        if bound % m == 0 and (m != 9 or odd):  # q is good and prime to m: f_m is squarefree mod q
-            f = f or _division_polys(E)
-            pts = _points_at(E, _integer_roots(f(m), next(q for q in primes if m % q)))
-            odd = pts if m == 9 else odd + pts
+    for m in (3, 5, 7):  # the odd part: q is good and prime to m, so f_m is squarefree mod q
+        if bound % m == 0:
+            q = next(q for q in primes if m % q)
+            odd += (pts := _points_at(E, _integer_roots(_odd_poly(E, m), q)))
+            # a point of order 9 is a third of one of order 3, by a monic nonic squarefree mod q != 3
+            for x0 in sorted({x for x, _ in pts}) if m == 3 and bound % 9 == 0 else ():
+                odd += _points_at(E, _integer_roots(_odd_poly(E, 3, x0), q))
     cands = part2 + odd + [_sum(E, P, Q) for P in part2 for Q in odd]
     return _torsion_group(E, cands, bound)
 

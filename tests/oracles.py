@@ -203,6 +203,42 @@ def torsion_candidates_oracle(coeffs: tuple[int, int, int]) -> list[tuple[int, i
     return out
 
 
+def _poly_mul(f: list[int], g: list[int]) -> list[int]:
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] += a * b
+    return out
+
+
+def division_poly_oracle(coeffs: tuple[int, int, int], m: int) -> list[int]:
+    """f_m for m > 2, coefficients from the constant up: psi_m for odd m and
+    psi_m / psi_2 for even m, by the psi recurrences in F = psi_2^2 from f_3
+    and f_4 (Silverman, AEC, Ex. 3.7), through both parity branches."""
+    a2, a4, a6 = coeffs
+    b2, b4, b6, b8 = 4 * a2, 2 * a4, 4 * a6, 4 * a2 * a6 - a4 * a4
+    F2 = _poly_mul([b6, 2 * b4, b2, 4], [b6, 2 * b4, b2, 4])
+    f = {1: [1], 2: [1], 3: [b8, 3 * b6, 3 * b4, b2, 3],
+         4: [b4 * b8 - b6 * b6, b2 * b8 - b4 * b6, 10 * b8, 10 * b6, 5 * b4, b2, 2]}
+
+    def get(n: int) -> list[int]:
+        if n not in f:
+            k = n // 2
+            if n % 2:
+                u = _poly_mul(get(k + 2), _poly_mul(get(k), _poly_mul(get(k), get(k))))
+                v = _poly_mul(get(k - 1), _poly_mul(get(k + 1), _poly_mul(get(k + 1), get(k + 1))))
+                u, v = (_poly_mul(F2, u), v) if k % 2 == 0 else (u, _poly_mul(F2, v))
+            else:
+                u = _poly_mul(get(k + 2), _poly_mul(get(k - 1), get(k - 1)))
+                v = _poly_mul(get(k - 2), _poly_mul(get(k + 1), get(k + 1)))
+            # u and v have the same length, the formal degree of the difference
+            diff = [a - b for a, b in zip(u, v, strict=True)]
+            f[n] = diff if n % 2 else _poly_mul(get(k), diff)
+        return f[n]
+
+    return get(m)
+
+
 def quartic_disc_oracle(c: tuple[int, int, int, int, int]) -> int:
     z = sympy.Symbol("z")
     return int(sympy.Poly(list(c), z).discriminant())

@@ -21,6 +21,7 @@ from twodescent.curve import (
     _good_odd_primes,
     _integer_roots,
     _multiples,
+    _odd_poly,
     _sum,
     _torsion_group,
     add,
@@ -36,6 +37,7 @@ from twodescent.curve import (
 
 from .oracles import (
     count_points_brute,
+    division_poly_oracle,
     o_add,
     o_mul,
     o_on_curve,
@@ -99,9 +101,19 @@ def test_bool_coefficients_are_refused(coeffs):
         Curve(*coeffs)
 
 
-def test_j_invariant_needs_depressed_model():
-    with pytest.raises(CurveError):
-        j_invariant(Curve(6, 1, 0))
+def test_j_invariant_of_a_model_with_a2():
+    # x -> x - 2 takes y^2 = x^3 + 6x^2 + x to y^2 = x^3 - 11x + 14
+    assert j_invariant(Curve(6, 1, 0)) == j_invariant(Curve(0, -11, 14)) == 287496
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-50, 50), st.integers(-50, 50), st.integers(-50, 50), st.integers(-20, 20))
+def test_j_invariant_is_unchanged_by_a_shift_of_x(a2, a4, a6, r):
+    E = _model(a2, a4, a6)
+    assume(E is not None)
+    # x -> x + r: a2 + 3r, a4 + 2 a2 r + 3r^2, and the cubic's value at r
+    shifted = Curve(a2 + 3 * r, a4 + 2 * a2 * r + 3 * r * r, int(E.rhs(r)))
+    assert j_invariant(shifted) == j_invariant(E)
 
 
 def test_on_curve_examples():
@@ -434,23 +446,22 @@ def test_integer_multiples_of_torsion_points_match_the_fraction_group_law(struct
     ((-7, 1, 0), "Z2", []),              # bound 8: T halves to no rational point
     ((-10, 9, 0), "Z2xZ2", []),          # bound 8: no T halves
     ((-1, 1, 0), "Z4", []),              # bound 8: the points of order 4 halve to none
-    ((1, -128, 0), "Z6", [3]),           # the points of order 6 are sums, with no f_6
-    ((25, -512, 0), "Z10", [5]),
-    ((1177, 50176, 0), "Z12", [3]),      # sums of points of orders 3 and 4, with no f_4, f_6 or f_12
+    ((1, -128, 0), "Z6", [(3, None)]),   # the points of order 6 are sums, with no f_6
+    ((25, -512, 0), "Z10", [(5, None)]),
+    ((1177, 50176, 0), "Z12", [(3, None)]),  # sums of points of orders 3 and 4, with no f_4, f_6 or f_12
     ((94, -14175, 0), "Z2xZ8", []),      # bound 16: the points of order 8 come from the halving quartic
-    ((-39, 288, 2304), "Z9", [3, 9]),    # f_9 once f_3 gave a point
+    ((-39, 288, 2304), "Z9", [(3, None), (3, 16)]),  # the thirds of the points (16, +-y0) of order 3
+    ((-15, 32, 256), "Z7", [(7, None)]),
+    ((-7, 16, 64), "Z5", [(5, None)]),
 ])
 def test_torsion_skips_f_m_without_points_of_order_m_over_l(monkeypatch, coeffs, structure, built):
-    # the search asks for f_l at the odd primes l and f_9 only: the 2-power
-    # points come by halving and every other point as a sum
-    requested: list[int] = []
-    division_polys = curve_module._division_polys
-
-    def recording(E):
-        f = division_polys(E)
-        return lambda m: requested.append(m) or f(m)
-
-    monkeypatch.setattr(curve_module, "_division_polys", recording)
+    # the search asks for f_l at the odd primes l, and for the thirds of a
+    # point of order 3 only: the 2-power points come by halving and every
+    # other point as a sum
+    requested: list[tuple[int, int | None]] = []
+    odd_poly = curve_module._odd_poly
+    monkeypatch.setattr(curve_module, "_odd_poly",
+                        lambda E, m, x0=None: requested.append((m, x0)) or odd_poly(E, m, x0))
     E = Curve(*coeffs)
     T = torsion_subgroup(E)
     assert T.structure == structure
@@ -466,7 +477,7 @@ def test_torsion_skips_f_m_without_points_of_order_m_over_l(monkeypatch, coeffs,
 def test_torsion_counts_points_until_the_gcd_is_the_two_torsion(monkeypatch, coeffs, two, counts, builds):
     # each partial gcd of the counts is a multiple of |E(Q)_tors|, which
     # |E[2](Q)| divides: the counting stops at a gcd of |E[2](Q)|, and the
-    # division polynomials are built only when an odd prime divides the bound
+    # odd polynomials are built only when an odd prime divides the bound
     E = Curve(*coeffs)
     good, g, stop = _good_odd_primes(E, 6), 0, 6
     for i, q in enumerate(good, 1):
@@ -476,16 +487,26 @@ def test_torsion_counts_points_until_the_gcd_is_the_two_torsion(monkeypatch, coe
             break
     assert stop == counts
     counted, built = [], []
-    count_points, division_polys = curve_module._count_points, curve_module._division_polys
+    count_points, odd_poly = curve_module._count_points, curve_module._odd_poly
     monkeypatch.setattr(curve_module, "_count_points", lambda *args: counted.append(args) or count_points(*args))
-    monkeypatch.setattr(curve_module, "_division_polys", lambda E: built.append(E) or division_polys(E))
+    monkeypatch.setattr(curve_module, "_odd_poly", lambda *args: built.append(args) or odd_poly(*args))
     T = torsion_subgroup(E)
     assert T.invariants() == torsion_invariants_brute(coeffs) and 1 + sum(P.y == 0 for P in T.points[1:]) == two
     assert [args[0] for args in counted] == good[:counts] and len(built) == builds
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.integers(-10**6, 10**6), st.sampled_from([3, 5, 7]))
+def test_closed_form_f_m_equals_the_division_polynomial_recursion(a2, a4, a6, m):
+    E = _model(a2, a4, a6)
+    assume(E is not None)
+    assert _odd_poly(E, m) == division_poly_oracle((a2, a4, a6), m)
+
+
 # the Kubert families with points of 2-power order and odd order, or of order 8
 COMPOSITE_FAMILIES = ["Z6", "Z8", "Z10", "Z12", "Z2xZ4", "Z2xZ6", "Z2xZ8"]
+# the Kubert families of odd order: f_5, f_7, and the thirds of a point of order 3
+ODD_FAMILIES = ["Z5", "Z7", "Z9"]
 # discriminants up to this many bits keep the divisor oracle under a second
 ORACLE_DISC_BITS = 80
 
@@ -497,8 +518,8 @@ def _kubert_model(structure: str, t: Fraction) -> Curve | None:
         return None
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from(COMPOSITE_FAMILIES), st.integers(-9, 9), st.integers(1, 6))
+@settings(max_examples=90, deadline=None)
+@given(st.sampled_from(COMPOSITE_FAMILIES + ODD_FAMILIES), st.integers(-9, 9), st.integers(1, 6))
 def test_torsion_of_kubert_families_equals_divisor_enumeration(structure, p, q):
     # halving, the odd part and the sums against the y^2 | disc candidates;
     # a special t may force more torsion than the family's
@@ -522,6 +543,22 @@ def test_sum_of_torsion_points_of_coprime_orders_matches_the_fraction_group_law(
     assert pairs or structure in ("Z8", "Z2xZ4", "Z2xZ8")
     for P, Q in pairs:
         assert _sum(E, (int(P[0]), int(P[1])), (int(Q[0]), int(Q[1]))) == o_add(coeffs, P, Q)
+
+
+@pytest.mark.parametrize("structure,E", _kubert_models(["Z9"]))
+def test_thirds_nonic_roots_are_the_x_of_the_points_of_order_9(structure, E):
+    # for each point Q of order 3 the nonic is monic of degree 9, and its
+    # integer roots are the x of the rational P with 3P = +-Q
+    coeffs = (E.a2, E.a4, E.a6)
+    points = [(P.x, P.y) for P in _oracle_torsion(E).points[1:]]
+    order3 = [Q for Q in points if o_order(coeffs, Q) == 3]
+    assert order3
+    for Q in order3:
+        f = _odd_poly(E, 3, int(Q[0]))
+        assert len(f) == 10 and f[-1] == 1
+        thirds = {P[0] for P in points if o_mul(coeffs, 3, P) in (Q, (Q[0], -Q[1]))}
+        assert len(thirds) == 3
+        assert set(_integer_roots(f, next(q for q in _good_odd_primes(E, 6) if q != 3))) == thirds
 
 
 @pytest.mark.parametrize("structure,E", _kubert_models(["Z8", "Z2xZ4", "Z2xZ8", "Z12"]))
