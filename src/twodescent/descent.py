@@ -31,7 +31,7 @@ from functools import lru_cache
 from math import gcd, isqrt, prod
 from operator import lt, ne
 
-from .arith import ONE, Record, SquareClass, _euler, _is_prime, _val, factorize
+from .arith import ONE, Record, SquareClass, _euler, _is_prime, _sqrt_mod, _val, factorize
 from .curve import Curve, Pt, TorsionGroup, torsion_subgroup
 from .localsolve import _qp_soluble
 
@@ -164,6 +164,10 @@ _ORDER = (0, 2, 1, 3, 4, 6, 5, 7)
 _ODD = tuple(sum(((y & f).bit_count() & 1) << y for y in range(8)) for f in range(8))
 _RULE = ((), (2,), (1, 2))  # by dimension, the basis of W_v and of W'_v at a rule place
 _BASIS = tuple(ys[:2] + ys[3:4] for ys in (tuple(y for y in range(8) if m >> y & 1) for m in range(256)))
+# W_2 of y^2 = x^3 + bx keyed by e = v_2(b) < 4 and u = b/2^e, at 8e + (u % 16) // 2:
+# bit x set for each class x != 0 of W_2, so that _BASIS reads a basis
+_DX2 = (254, 152, 84, 16, 254, 16, 84, 50, 8, 32, 128, 2, 8, 32, 128, 2,
+        4, 16, 84, 0, 84, 16, 64, 0, 14, 104, 164, 194, 14, 104, 164, 194)
 
 
 @lru_cache(maxsize=4096)
@@ -213,7 +217,7 @@ def selmer(E: Curve) -> SelmerSet:
 def _local_images(a: int, b: int, S: BadSet) -> tuple[int, int, list[tuple]]:
     """The masks of b' and b over (-1,) + S (bit 0 the sign, bit j odd v_pj), and per
     place v, R then S, a record (v, xs, W, W', tested): the generators' classes at v,
-    bases of W_v and W'_v, the classes tested in order, None at R and rule places.
+    bases of W_v and W'_v, the classes tested in order, None where no class is tested.
 
     At a place v, the classes d whose C_d has a point over Q_v form W_v,
     and those of E' form the annihilator W'_v of W_v under the Hilbert
@@ -230,6 +234,16 @@ def _local_images(a: int, b: int, S: BadSet) -> tuple[int, int, list[tuple]]:
     at v | b, a non-split v, a point of E' off the identity component has
     x = a mod v, a non-residue; at v | b', the non-residue x with x - 2a a
     nonzero square mod v lift to E'; the bases are _RULE[dim] and _RULE[2 - dim].
+    At a/t^2 = 0 no place is tested either: over Q_v, y^2 = x^3 + bx depends only
+    on the class of b in Q_v*/Q_v*^4, as (x, y) -> (u^2 x, u^3 y) takes b to u^4 b
+    and keeps the class of x.  With e = v(b) < 4 and u = b/v^e, W_2 is the entry
+    of _DX2 at (e, u mod 16).  At odd v, by the same Lemma 3.8: at e = 0, v is
+    good (v^4 | b put it in S) and W_v is the unit classes; at odd e, E and E'
+    are III or III*, c = 2, and W_v = <L_v(b')>; at e = 2 both are I0*, with
+    c = 3 + (-u/v) on E and 3 + (u/v) on E', so W_v is 0 or all four classes as
+    u is a non-residue or a residue at v = 3 (mod 4), and at v = 1 (mod 4) the
+    unit classes, or for a residue u the class of 2v*sqrt(u), the x of the
+    2-torsion point (2v*sqrt(u), 0) of E': y^2 = x^3 - 4v^2 u x.
     Elsewhere one pass over _ORDER tests each class x not yet known in or out of
     W_v: 0 and L_v(b') lie in W_v (C_1 has the point (0, 1), C_b' a rational point
     at infinity), a class pairing to -1 with L_v(b), in the image of E', does not;
@@ -261,19 +275,32 @@ def _local_images(a: int, b: int, S: BadSet) -> tuple[int, int, list[tuple]]:
         for j, x in enumerate(xs):
             s ^= x * (seed >> j & 1)
             b_image ^= x * (dual >> j & 1)
-        basis, known, bad, tested, odd = [s] if s else [], {0, s}, set(), [], _ODD[pairs[s]]
-        for x in _ORDER[:len(pairs)]:
-            if x in known or x in bad or (x & pairs[b_image]).bit_count() & 1:
-                continue
-            tested.append(x)
-            if _qp_soluble(_space(a, bp, _classes(v)[x]), v):
-                basis.append(x)
-                odd |= _ODD[pairs[x]]
-                known |= {x ^ k for k in known}
-                bad = {y ^ k for y in bad for k in known}
-            else:
-                bad |= {x ^ k for k in known}
-        places.append((v, xs, tuple(basis), _BASIS[(1 << len(pairs)) - 2 & ~odd], tuple(tested)))
+        basis, tested = [s] if s else [], None
+        if a == 0:  # y^2 = x^3 + bx: W_v by the class of b in Q_v*/Q_v*^4
+            e = _val(b, v)
+            u = b // v**e
+            if v == 2:
+                basis = _BASIS[_DX2[e << 3 | u % 16 >> 1]]
+            elif e == 0 or e == 2 and _euler(u, v) < 0:
+                basis = _RULE[e == 0 or v % 4 == 1]
+            elif e == 2:
+                basis = _RULE[2] if v % 4 == 3 else (1 | (_euler(2 * _sqrt_mod(u, v), v) < 0) << 1,)
+        else:
+            known, bad, tested = {0, s}, set(), ()
+            for x in _ORDER[:len(pairs)]:
+                if x in known or x in bad or (x & pairs[b_image]).bit_count() & 1:
+                    continue
+                tested += (x,)
+                if _qp_soluble(_space(a, bp, _classes(v)[x]), v):
+                    basis.append(x)
+                    known |= {x ^ k for k in known}
+                    bad = {y ^ k for y in bad for k in known}
+                else:
+                    bad |= {x ^ k for k in known}
+        odd = 0
+        for x in basis:
+            odd |= _ODD[pairs[x]]
+        places.append((v, xs, tuple(basis), _BASIS[(1 << len(pairs)) - 2 & ~odd], tested))
     return seed, dual, places
 
 

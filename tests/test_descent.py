@@ -20,6 +20,7 @@ from twodescent.descent import (
     DescentError,
     SelmerSet,
     _BAND_BITS,
+    _DX2,
     _MODULI,
     _ORDER,
     _PAIRS,
@@ -454,8 +455,8 @@ def test_local_verdict_depends_only_on_the_local_class(a, b, data):
 
 def _selmer_and_tests(E: Curve):
     """Both Selmer sets of _selmer(E, S) as ints, with the local tests per
-    prime that _local_images' records list; the real place and the odd
-    primes prime to a/t^2 are decided by rule, with no test."""
+    prime that _local_images' records list; the real place, the odd primes
+    prime to a/t^2 and every place of a/t^2 = 0 are decided by rule, with no test."""
     S = bad_set(E)
     tests = {v: len(tested) for v, *_, tested in _local_images(E.a2, E.a4, S)[2] if tested}
     return tuple(tuple(d for _, d, _ in sel) for sel in _selmer(E, S)[:2]), tests
@@ -588,19 +589,26 @@ def _local_spans(E: Curve):
     return W, W_hat, {v: list(xs) for v, *_, xs in places if xs is not None}
 
 
+def _soluble_at(a: int, b: int, v: int) -> set[int]:
+    """The local classes x at v whose space on (a, b) the oracle finds soluble."""
+    return {x for x, d in enumerate(_classes(v))
+            if qp_soluble_two_pass_oracle(QuarticForm(space_oracle(a, b, d)), v)}
+
+
 @settings(max_examples=60, deadline=None)
 @given(SELMER_CURVES)
 def test_local_tests_are_the_classes_the_records_list(E):
     # the one test that watches the local step from outside: each call of
     # _qp_soluble is on the reduced model's space of _classes(v)[x] for the
-    # next class x a record lists, and R and the rule places get no call
+    # next class x a record lists, and R, the rule places and every place
+    # of a reduced model with a = 0 get no call
     calls = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(descent_module, "_qp_soluble", lambda c, p: calls.append((c, p)) or _qp_soluble(c, p))
         places = _local_images(E.a2, E.a4, bad_set(E))[2]
     a, b = _reduced(E.a2, E.a4)
     assert calls == [(_space(a, a * a - 4 * b, _classes(v)[x]), v) for v, *_, xs in places if xs for x in xs]
-    assert [v for v, *_, xs in places if xs is None] == [v for v, *_ in places if v == 0 or v > 2 and a % v]
+    assert [v for v, *_, xs in places if xs is None] == [v for v, *_ in places if v == 0 or a == 0 or v > 2 and a % v]
 
 
 @settings(max_examples=100, deadline=None)
@@ -659,8 +667,7 @@ def test_local_image_by_rule_is_the_soluble_classes(place):
     assume(v in bad_set(E).primes)
     W, _, tested = _local_spans(E)
     assert v not in tested
-    assert W[v] == {x for x, d in enumerate(_classes(v))
-                    if qp_soluble_two_pass_oracle(QuarticForm(space_oracle(a, b, d)), v)}
+    assert W[v] == _soluble_at(a, b, v)
 
 
 def _reduced(a: int, b: int) -> tuple[int, int]:
@@ -673,22 +680,22 @@ def _reduced(a: int, b: int) -> tuple[int, int]:
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.tuples(st.integers(-60, 60), st.integers(-60, 60)).filter(lambda ab: nonsingular(*ab)),
+@given(st.tuples(st.integers(-60, 60).filter(bool), st.integers(-60, 60)).filter(lambda ab: nonsingular(*ab)),
        st.sampled_from((1, 2, 3, 5, 6)))
 @example((-25, 25), 1)  # three local tests at 5
 @example((-15, 36), 1)  # three at 3
-@example((0, 2), 2**4)  # 2^16 comes out of b at 2
+@example((4, 2), 2)  # 2^4 comes out of b at 2 and 2^2 out of a
 def test_local_image_by_tests_is_the_soluble_classes(ab, u):
-    # at 2 and at each odd v | a/t^2, W_v as _selmer's local tests build it,
-    # against the classes the oracle finds soluble on the reduced model
+    # at 2 and at each odd v | a/t^2, a/t^2 != 0, W_v as _selmer's local tests
+    # build it, against the classes the oracle finds soluble on the reduced
+    # model; y^2 = x^3 + bx is tested by the two tests below
     E = Curve(u * u * ab[0], u**4 * ab[1], 0)
     a, b = _reduced(E.a2, E.a4)
     W, _, tested = _local_spans(E)
     places = [v for v in bad_set(E).primes if v == 2 or a % v == 0]
     assert set(tested) == set(places)
     for v in places:
-        soluble = {x for x, d in enumerate(_classes(v))
-                   if qp_soluble_two_pass_oracle(QuarticForm(space_oracle(a, b, d)), v)}
+        soluble = _soluble_at(a, b, v)
         assert W[v] == soluble, v
         # in _ORDER, each test on a class that pairs to 1 with L_v(b) and
         # that no verdict so far settles: not in the span K of L_v(b') and
@@ -703,6 +710,49 @@ def test_local_image_by_tests_is_the_soluble_classes(ab, u):
                 known |= {x ^ k for k in known}
             else:
                 out.append(x)
+
+
+@pytest.mark.parametrize("key", range(32))
+def test_two_adic_table_of_dx_is_the_soluble_classes(key):
+    # each entry of _DX2, rebuilt from the oracle on a representative
+    # D = 2^e u, u = 2r + 1 (mod 16), and W_2 and W'_2 of _local_images for
+    # D and for 2^16 D, whose reduced model is D's, against the oracle on E
+    # and E' of that model
+    e, r = divmod(key, 8)
+    D = 2**e * (2 * r + 1 - 16 * (r > 3))
+    W, W_hat = _soluble_at(0, D, 2), _soluble_at(0, -4 * D, 2)
+    assert _DX2[key] == sum(1 << x for x in W if x)
+    for scale in (1, 2**16):
+        W_E, W_hat_E, tested = _local_spans(Curve(0, scale * D, 0))
+        assert 2 not in tested and (W_E[2], W_hat_E[2]) == (W, W_hat)
+
+
+@st.composite
+def dx_odd_places(draw):
+    """(v, D): an odd v and D = v^e m s^4 with e in {1, 2, 3, 4}, m prime to v,
+    |m| <= 200, a residue or not as drawn, and s in {1, v}, so that the
+    reduced model has v(b) = e < 4, or v(b) = 0 with v in S."""
+    v = draw(st.sampled_from((3, 5, 7, 13, 17, 100003)))
+    residue = draw(st.booleans())
+    m = draw(st.integers(-200, 200).filter(lambda m: m % v and (legendre(m, v) > 0) == residue))
+    return v, v ** draw(st.integers(1, 4)) * m * draw(st.sampled_from((1, v)))**4
+
+
+@settings(max_examples=40, deadline=None)
+@given(dx_odd_places())
+@example((3, -84969))  # -3^4 * 1049: good at 3 once 3^4 comes out, W_3 the unit classes
+@example((13, 507))  # 13^2 * 3, 3 = 4^2 (mod 13): W_13 = <2 * 13 * 4>, 8 a non-residue
+@example((100003, 3 * 100003**2))  # W = 0: one local test used to prove class 2 insoluble
+def test_odd_rule_of_dx_is_the_soluble_classes(place):
+    # W_v and W'_v at an odd v of y^2 = x^3 + Dx from the rule on e = v(b)
+    # and b/v^e of the reduced model, with no local test, against the oracle
+    v, D = place
+    E = Curve(0, D, 0)
+    b = _reduced(0, D)[1]
+    assert v in bad_set(E).primes
+    W, W_hat, tested = _local_spans(E)
+    assert not tested
+    assert (W[v], W_hat[v]) == (_soluble_at(0, b, v), _soluble_at(0, -4 * b, v))
 
 
 @settings(max_examples=100, deadline=None)
@@ -728,8 +778,7 @@ def test_local_image_of_the_isogenous_curve_is_its_soluble_classes(place):
     assert W_hat.pop(0) == ({0, 1} if r_soluble(QuarticForm(space_oracle(-2 * a, a * a - 4 * b, -1))) else {0})
     assert set(W_hat) == set(bad_set(E).primes)
     for p in (q for q in W_hat if q == v or q < 5000):
-        assert W_hat[p] == {x for x, d in enumerate(_classes(p)) if qp_soluble_two_pass_oracle(
-            QuarticForm(space_oracle(-2 * a, a * a - 4 * b, d)), p)}, p
+        assert W_hat[p] == _soluble_at(-2 * a, a * a - 4 * b, p), p
 
 
 @pytest.mark.parametrize("E, v", [(Curve(-25, 25, 0), 5), (Curve(-15, 36, 0), 3)])
@@ -751,6 +800,23 @@ def test_multiplicative_places_at_a_large_prime_cost_no_local_test(b, sel, sel_h
     assert [int(d) for d in report.selmer_phi] == sel
     assert [int(d) for d in report.selmer_phi_hat] == sel_hat
     assert (report.rank_lower, report.rank_upper) == (0, rank_upper)
+
+
+@pytest.mark.parametrize("b, sel, sel_hat", [
+    (3 * 1000003**2, [1, -3], [1, 3, 1000003, 3000009]),
+    (-3 * 1000003**2, [1, 3, 1000003, 3000009], [1, -3]),
+    (2 * 100003**2, [1, -2], [1, 2, 100003, 200006]),
+])
+def test_additive_places_of_dx_at_a_large_prime_cost_no_local_test(b, sel, sel_hat):
+    # e = 2 at p = 1000003 or 100003, both 3 (mod 4): W_p is 0 or all four
+    # classes by rule, where one local test took 0.3 to 4 seconds to prove
+    # a class insoluble
+    start = time.perf_counter()
+    report = descent_report(Curve(0, b, 0), 20)
+    assert time.perf_counter() - start < 0.1
+    assert [int(d) for d in report.selmer_phi] == sel
+    assert [int(d) for d in report.selmer_phi_hat] == sel_hat
+    assert (report.rank_lower, report.rank_upper) == (0, 1)
 
 
 @pytest.mark.parametrize("E, v", [(Curve(-11, 2, 0), 113), (Curve(1, 1000003, 0), 1000003),
@@ -1506,15 +1572,16 @@ def test_descent_report_factors_each_odd_part_of_b_and_b_prime_once(monkeypatch)
 
 
 def test_descent_report_builds_quartic_forms_only_in_hom_space(monkeypatch):
-    # the local tests of _selmer (the records show some run) and the point
-    # searches take every space from _space as a bare coefficient tuple: the
-    # report builds no QuarticForm, so no form is validated, stripped or reversed
+    # the local tests of _selmer (the records show some run where a != 0) and
+    # the point searches take every space from _space as a bare coefficient
+    # tuple: the report builds no QuarticForm, so no form is validated,
+    # stripped or reversed
     built = []
     post_init = QuarticForm.__post_init__
     monkeypatch.setattr(QuarticForm, "__post_init__", lambda f: built.append(f) or post_init(f))
     for a, b in ((0, 3111), (0, -2 * 3 * 5 * 7 * 11), (6, 1), (-11, 2), (12, 32)):
         descent_report(Curve(a, b, 0), 20)
-        assert not built and _selmer_and_tests(Curve(a, b, 0))[1]
+        assert not built and (a == 0 or _selmer_and_tests(Curve(a, b, 0))[1])
 
 
 def test_descent_report_checks_each_lifted_point_once_per_curve(monkeypatch):
