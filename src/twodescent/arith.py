@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from functools import total_ordering
+from itertools import compress
 
 __all__ = [
     "ArithError",
@@ -116,7 +117,8 @@ def _is_prime(n: int) -> bool:
 def sieve_primes(limit: int) -> list[int]:
     """All primes <= limit, by sieve of Eratosthenes."""
     _check_int(limit)
-    return [i for i, f in enumerate(_sieve_flags(limit)) if f]
+    flags = _sieve_flags(limit)
+    return [2, *compress(range(3, len(flags), 2), flags[3::2])] if limit >= 2 else []
 
 
 def _sieve_flags(limit: int) -> bytearray:

@@ -19,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 from itertools import accumulate, chain, groupby, repeat
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from operator import itemgetter, sub
 
 from .arith import (
@@ -140,11 +140,16 @@ def _ep_dims(r: int):
 # |components|, and where p divides k, pi_p * pi-bar_p^(4e) is not
 # primitive.  So a norm p k^4 has at most 2^omega(k) candidates, each
 # pi_p times a row of the product table for (H, c), shared by every p.
-# Its rows run over the split-smooth k <= H in increasing order.  The
-# sweep's scans read their tables to the end, so a table is built whole on
-# the first scan that asks for it, prime by prime: each split q takes every
-# m <= H / q^e of smaller primes to k = m q^e, and one sort of the blocks
-# orders the k.  Row m-1-t of the m rows of a k > 1 is the conjugate (X, -Y)
+# Its rows run over the split-smooth k <= H in increasing order.  Most of
+# the sweep's deep rescans hit (70 of its 90 at height 20: C_{-1} 49 of 63,
+# C_{-2} 21 of 27), but the other 20 read their tables to the end, so a
+# table is built whole on the first scan that asks for it, prime by prime:
+# each split q takes every m <= H / q^e of smaller primes to k = m q^e, one
+# block of rows per k, and the blocks, sorted by k, are joined as slices.
+# A k's block depends on k alone, so the table for H / 32 is the prefix of
+# the table for H up to k = H / 32: above the sweep's cap a rescan reads
+# that prefix first and builds the table for H only if it finds no hit.
+# Row m-1-t of the m rows of a k > 1 is the conjugate (X, -Y)
 # of row t, by induction on the rows of k / q^e times pi-bar_q^(4e) and
 # pi_q^(4e): the table stores the first half of each k, which a scan reads
 # forward, then mirrored backward.  In Z[i] each row is a product of fourth
@@ -192,10 +197,11 @@ def _fill_roots(bound: int, c: int):
         # q = x^2 + c y^2, x odd and y > 0: y even for c = 1 (as two_squares has it),
         # x > 2y for c = -2 (x = 2v - u, y = v - u, as _prime_root turns Cornacchia's)
         prime, r, step = _sieve_flags(bound), isqrt(bound), 2 if c == 1 else 1
-        found = sorted((q, x, y) for y in range(step, r + 1, step)
-                       for x in range(2 * y + 1 if c < 0 else 1, isqrt(max(bound - c * y * y, 0)) + 1, 2)
-                       if prime[q := x * x + c * y * y])
-        _ROOTS[c] = bound, *(array("q", (row[i] for row in found)) for i in range(3))
+        found = [(q, x, y) for y in range(step, r + 1, step) for cyy in [c * y * y]
+                 for x in range(2 * y + 1 if c < 0 else 1, isqrt(max(bound - cyy, 0)) + 1, 2)
+                 if prime[q := x * x + cyy]]
+        found.sort(key=itemgetter(0))
+        _ROOTS[c] = bound, *(array("q", map(itemgetter(i), found)) for i in range(3))
     return _ROOTS[c][1:]
 
 
@@ -246,6 +252,7 @@ class _ProductTable:
             u, v = (u * u - c * v * v) ** 2 - 4 * c * (u * v) ** 2, 4 * u * v * (u * u - c * v * v)  # pi_q^4
             qe, u4, v4, new = q, u, v, []
             while qe <= H:
+                cv4 = c * v4
                 for m, lo, hi in grow:
                     k = m * qe
                     if k > H:
@@ -256,9 +263,10 @@ class _ProductTable:
                         xs.append(u4)
                         ys.append(-v4)
                     else:
-                        for X, Y in zip(xs[lo:hi], ys[lo:hi]):
-                            xs.extend((X * u4 + c * v4 * Y, X * u4 - c * v4 * Y))  # times pi-bar_q^(4e), pi_q^(4e)
-                            ys.extend((Y * u4 - X * v4, Y * u4 + X * v4))
+                        for X, Y in zip(xs[lo:hi], ys[lo:hi]):  # times pi-bar_q^(4e), pi_q^(4e)
+                            Xu, cvY, Yu, Xv = X * u4, cv4 * Y, Y * u4, X * v4
+                            xs.extend((Xu + cvY, Xu - cvY))
+                            ys.extend((Yu - Xv, Yu + Xv))
                     if k * q <= H:
                         new.append((k, firsts[-1], len(xs)))
                 qe, u4, v4 = qe * q, u4 * u - c * v4 * v, u4 * v + v4 * u  # pi_q^(4e + 4)
@@ -268,12 +276,15 @@ class _ProductTable:
         xs.extend((u * u - c * v * v) ** 2 - 4 * c * (u * v) ** 2 for u, v in zip(us[tail:n], vs[tail:n]))
         ys.extend(-4 * u * v * (u * u - c * v * v) for u, v in zip(us[tail:n], vs[tail:n]))
         ends = firsts[1:] + array("q", [len(xs)])
-        sizes, order = array("q", map(sub, ends, firsts)), sorted(range(len(ks)), key=ks.__getitem__)  # blocks by k
-        rows = array("q", chain.from_iterable(map(range, map(firsts.__getitem__, order),
-                                                  map(ends.__getitem__, order))))
+        order = sorted(range(len(ks)), key=ks.__getitem__)  # the blocks by k
+        self.xs, self.ys = array("q"), array("q")
+        for i in order:
+            lo, hi = firsts[i], ends[i]
+            self.xs += xs[lo:hi]
+            self.ys += ys[lo:hi]
+        sizes = array("q", map(sub, ends, firsts))
         self.ks = array("q", chain.from_iterable(map(repeat, map(ks.__getitem__, order),
                                                      map(sizes.__getitem__, order))))
-        self.xs, self.ys = array("q", map(xs.__getitem__, rows)), array("q", map(ys.__getitem__, rows))
         self.codes: dict[int, list[bytes]] = {}
 
     @cached_property
@@ -292,6 +303,7 @@ _product_table = lru_cache(maxsize=8)(_ProductTable)
 _FILTER_ROWS = 50  # tables of fewer stored rows are walked whole, which is cheaper
 _CHUNK = 256  # stored rows coded at a time, as a scan reaches them, to the end of a k
 _CODE_PRIMES = (5, 13, 17, 29, 37, 41)  # l = 1 (mod 4)
+_CODE_MODULUS = prod(_CODE_PRIMES)  # under 2^26: rows reduced by it once are small ints for each l
 
 
 @cache
@@ -305,9 +317,10 @@ def _residue_tables(l: int):
     runs = {s: bytes(s * x != -1 for x in chi) * 2 for s in (1, -1)}
     index = bytearray(l * l)
     index[::l] = bytes(2 * l + (0, 1, 2)[x] for x in chi)
-    for y in range(1, l):
-        w, base = pow(y, -1, l), l * (chi[y] == -1)
-        index[y::l] = bytes(x * w % l + base for x in range(l))
+    ts = {1: bytes(range(l)), -1: bytes(range(l, 2 * l))}  # t + l*[chi_l(Y) = -1] for t = 0, ..., l - 1
+    for y in range(1, l):  # x / y = x w for x = 0, 1, ...: every w-th entry of w periods of t
+        w = pow(y, -1, l)
+        index[y::l] = (ts[chi[y]] * w)[::w]
     return chi, runs, bytes(index)
 
 
@@ -346,6 +359,7 @@ def _passes(l: int, alpha: int, beta: int, scale: int) -> bytes:
 
 def _chunk_codes(xs, ys) -> list[bytes]:
     """The row codes of each l of _CODE_PRIMES."""
+    xs, ys = [x % _CODE_MODULUS for x in xs], [y % _CODE_MODULUS for y in ys]
     return [bytes([index[x % l * l + y % l] for x, y in zip(xs, ys)])
             for l in _CODE_PRIMES for index in [_residue_tables(l)[2]]]
 
@@ -363,14 +377,13 @@ def _survivors(table: _ProductTable, c: int, a: int, b: int):
     return table.rows if c == -2 or len(table.xs) < _FILTER_ROWS else _filtered(table, c, a, b)
 
 
-def _filtered(table: _ProductTable, c: int, a: int, b: int):
-    """_survivors of a filtered scan."""
+def _filtered(table: _ProductTable, c: int, a: int, b: int, start: int = 0):
+    """_survivors of a filtered scan, from the stored row start on, the first of its k."""
     a, b, scale = _candidate(c, a, b)
     # per l, code to 1 where a stored row passes, plus 2 where its mirror, alpha X - beta Y, does,
     # for the candidate alpha X + beta Y = Y (alpha t + beta), t = X/Y
     passes = [_passes(l, a, -c * b, scale) for l in _CODE_PRIMES]
     ks, xs, ys, codes = table.ks, table.xs, table.ys, table.codes
-    start = 0
     while start < len(xs):
         chunk = codes.get(start)
         if chunk is None:  # to the end of the k of row start + _CHUNK - 1
@@ -410,6 +423,16 @@ def _packed_orbit_masks():
         out.append((q, [int(steps.translate(pos), 2) | int(steps.translate(neg), 2) << 24
                         for a in terms[0] for b in terms[1] for steps in [(a + b).to_bytes(24, "big")]]))
     return out
+
+
+def _deep_scan(H: int, c: int, a: int, b: int):
+    """_survivors of the table for (H, c), c = 1, 2, read first from the table
+    for H // 32, which holds the same rows in the same order: the table for H
+    is built only if the scan goes past them, and goes on from its first row
+    of a k > H // 32."""
+    head = _product_table(H // 32, c)
+    yield from _survivors(head, c, a, b)
+    yield from _filtered(_product_table(H, c), c, a, b, len(head.xs))
 
 
 def _orbit_square_x(z0, m):
@@ -452,7 +475,8 @@ def _ep_space_point(p: int, d: int, H: int):
     candidate is pi_p times a row of the table for (H, c) that _survivors
     passes.  Since the free side comes out at any size, a large H
     reaches certificates far beyond a height search: ep_rank rescans
-    C_{-1} and C_{-2} this way with H up to 10^6.
+    C_{-1} and C_{-2} this way with H up to 10^6, and above the sweep's cap
+    reads a prefix of the table first (_deep_scan).
     """
     c = {-1: 1, -2: 2, 2: -2}.get(d)
     if c is None:
@@ -461,7 +485,8 @@ def _ep_space_point(p: int, d: int, H: int):
     if pi is None:
         return None
     a, b, scale = _candidate(c, *pi)
-    for k, X, Y in _survivors(_product_table(H, c), c, *pi):
+    rows = _survivors(_product_table(H, c), c, *pi) if H <= _SWEEP_CAP or c == -2 else _deep_scan(H, c, *pi)
+    for k, X, Y in rows:
         x, y = a * X - c * b * Y, a * Y + b * X  # pi_p (X + Y sqrt(-c)), turned by a unit
         if c == -2:
             hit = _orbit_square_x((x, y), k)
@@ -477,6 +502,7 @@ def _ep_space_point(p: int, d: int, H: int):
 
 _DEEP_FACTOR = 1000
 _MAX_HEIGHT = _EP_TABLE_BUDGET // _DEEP_FACTOR  # rescans stay within the budget
+_SWEEP_CAP = _DEEP_FACTOR * 20  # the deep rescan cap of ep_table's default height
 
 
 def _check_height(H: int) -> None:
@@ -506,15 +532,15 @@ def ep_rank(p: int, H: int = 20) -> RankResult:
 _RANK_0 = RankResult("exact", 0, 0, "both Selmer sets are the minimal subgroup")
 _RANK_1 = RankResult("exact_conditional_on_finite_sha", 1, 1,
                      "Selmer residual of dimension 1 falls on the rank side when Sha is finite")
+# by p mod 16, for p != 1 (mod 8)
+_RANK_BY_RESIDUE = {7: _RANK_0, 11: _RANK_0, 3: _RANK_1, 5: _RANK_1, 13: _RANK_1, 15: _RANK_1}
 
 
 def _ep_rank(p: int, H: int) -> RankResult:
     """ep_rank for an odd prime p and a height H that the caller has checked."""
-    r = p % 16
-    if r in (7, 11):
-        return _RANK_0
-    if r in (3, 5, 13, 15):
-        return _RANK_1
+    rank = _RANK_BY_RESIDUE.get(p % 16)
+    if rank is not None:
+        return rank
     if not _two_is_quartic(p):
         return RankResult("exact", 0, 0, f"2 is not a quartic residue mod {p}; the full Selmer residual is Sha")
     # 2 is a quartic residue: rank is 0 or 2.  Certify 2 by searching
@@ -616,7 +642,7 @@ def ep_table(p_max: int, *, mod8: int | None = None, quartic_only: bool = False,
         raise FamilyError(f"mod8 must be 1, 3, 5 or 7, not {mod8!r}")
     if type(quartic_only) is not bool:
         raise FamilyError(f"quartic_only must be a bool, not {quartic_only!r}")
-    ps = [p for p in sieve_primes(p_max) if p > 2]
+    ps = sieve_primes(p_max)[1:]  # past 2
     if mod8 is not None:
         ps = [p for p in ps if p % 8 == mod8]
     if quartic_only:
@@ -624,5 +650,8 @@ def ep_table(p_max: int, *, mod8: int | None = None, quartic_only: bool = False,
     top = max((p for p in ps if p % 8 == 1), default=0)
     for c in _SPLIT:  # the prime elements of every p that may search, from the sieve
         _fill_roots(top, c)
-    # the sieve proved each p and the height is checked above
-    return [EpRow(p, s, s_hat, s + s_hat - 2, _ep_rank(p, height)) for p in ps for s, s_hat in [_ep_dims(p % 16)]]
+    # the sieve proved each p and the height is checked above; past p, a row of p != 1 (mod 8)
+    # is fixed by p mod 16
+    dims = {r: (s, s_hat, s + s_hat - 2) for r in range(1, 16, 2) for s, s_hat in [_ep_dims(r)]}
+    tails = {r: (*dims[r], rank) for r, rank in _RANK_BY_RESIDUE.items()}
+    return [EpRow(p, *tails[p % 16]) if p % 8 != 1 else EpRow(p, *dims[p % 16], _ep_rank(p, height)) for p in ps]

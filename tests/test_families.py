@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 from array import array
+from bisect import bisect_left
 from math import isqrt
 
 import pytest
@@ -20,6 +21,7 @@ from twodescent.families import (
     FamilyError,
     _DEEP_FACTOR,
     _FILTER_ROWS,
+    _SWEEP_CAP,
     _ep_space_point,
     _product_table,
     RankResult,
@@ -582,3 +584,84 @@ def test_deep_space_point_finds_large_certificates():
                 if got[0].numerator > 20:
                     deep.add(p)
     assert deep == {617, 1777, 1801, 2969}
+
+
+QUARTIC_PRIMES = [p for p in sieve_primes(10**4) if p % 8 == 1 and pow(2, (p - 1) // 4, p) == 1]
+
+
+def tables_asked(monkeypatch) -> list:
+    """The (H, c) of each product table asked for from here on."""
+    asked, table = [], families._product_table
+    monkeypatch.setattr(families, "_product_table", lambda H, c: asked.append((H, c)) or table(H, c))
+    return asked
+
+
+def one_table_point(monkeypatch, p, d, cap):
+    """_ep_space_point(p, d, cap) scanning the table for cap from row 0, with no prefix."""
+    with monkeypatch.context() as m:
+        m.setattr(families, "_SWEEP_CAP", cap)
+        return _ep_space_point(p, d, cap)
+
+
+def test_deep_rescans_read_a_prefix_first_and_find_the_one_table_witness(monkeypatch):
+    # above the sweep's cap a rescan reads the table for cap // 32 first
+    # and asks for the table for cap only when that prefix has no hit; it
+    # returns what a scan of the table for cap from row 0 returns, at 10^5
+    # and where the prefix ends one k before the first hit's k or exactly
+    # at it (first hits at 625 < k <= 31250 only, so that 20000 < cap <= 10^6)
+    asked = tables_asked(monkeypatch)
+    edges = set()
+    for p in QUARTIC_PRIMES:
+        for d in (-1, -2):
+            c = -d
+            hit = one_table_point(monkeypatch, p, d, 10**5)
+            caps = [10**5]
+            if hit is not None:
+                k = hit[0].numerator
+                ks = _product_table(10**5, c).ks
+                caps += [cap for K in (ks[bisect_left(ks, k) - 1], k) for cap in [32 * K] if _SWEEP_CAP < cap <= 10**6]
+                if len(caps) == 3:
+                    edges.add((p, d))
+            for cap in caps:
+                asked.clear()
+                got = _ep_space_point(p, d, cap)
+                in_prefix = hit is not None and hit[0].numerator <= cap // 32
+                assert asked == [(cap // 32, c)] + ([] if in_prefix else [(cap, c)]), (p, d, cap)
+                assert got == one_table_point(monkeypatch, p, d, cap) == hit, (p, d, cap)
+    assert edges == {(3217, -1), (5881, -1), (8273, -1), (9601, -1)}
+
+
+def test_a_rescan_that_hits_in_the_prefix_builds_no_cap_table(monkeypatch):
+    # ep_rank(3217, 1000) rescans C_{-1} at 10^6 and hits at k = 26725,
+    # within the prefix of k <= 31250: the tables for 10^6 are never built
+    asked = tables_asked(monkeypatch)
+    assert ep_rank(3217, 1000).hi == 2
+    assert (31250, 1) in asked and not [key for key in asked if key[0] == 10**6]
+
+
+def test_a_sweep_builds_and_codes_each_deep_table_once():
+    # in a fresh process, ep_table(30000) builds each of its two cap-20000
+    # tables once and codes each stored row once, in chunks that tile the
+    # table, since 20 of its 90 rescans read them to the end; a second
+    # sweep builds and codes nothing
+    src = os.path.dirname(os.path.dirname(families.__file__))
+    code = (
+        "import twodescent.families as F\n"
+        "built, coded = [], []\n"
+        "init, chunk_codes = F._ProductTable.__init__, F._chunk_codes\n"
+        "F._ProductTable.__init__ = lambda self, H, c: built.append((H, c)) or init(self, H, c)\n"
+        "F._chunk_codes = lambda xs, ys: coded.append(len(xs)) or chunk_codes(xs, ys)\n"
+        "rows = F.ep_table(30000, height=20)\n"
+        "assert sorted(key for key in built if key[0] == 20000) == [(20000, 1), (20000, 2)], built\n"
+        "assert len(built) == len(set(built))\n"
+        "tables = [F._product_table(20000, c) for c in (1, 2)]\n"
+        "for t in tables:\n"
+        "    starts = sorted(t.codes)\n"
+        "    assert starts[0] == 0 and all(s + len(t.codes[s][0]) == e for s, e in zip(starts, starts[1:]))\n"
+        "    assert starts[-1] + len(t.codes[starts[-1]][0]) == len(t.xs)\n"
+        "assert sum(coded) == sum(len(t.xs) for t in tables), (coded, [len(t.xs) for t in tables])\n"
+        "built.clear(), coded.clear()\n"
+        "assert F.ep_table(30000, height=20) == rows and not built and not coded\n"
+    )
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": src})
