@@ -4,15 +4,15 @@ Valuations, deterministic factorization, square classes, residue symbols
 and the two-squares decomposition of primes p = 1 (mod 4).  Everything
 here is exact integer arithmetic; nothing rounds and nothing overflows.
 
-Factoring policy: trial division, stopping early when the cofactor is a
-prime, square or cube; a cofactor of at least 10**6 leaves it for
-Pollard rho once the trial divisor passes 2**10, a smaller one is
-finished by trial division.  Primality is a deterministic Miller-Rabin
-test on the prime bases 2..41, proven exact below 3.317 * 10**24; above
-it a witness still proves compositeness and a number passing every base
-is refused (so a larger cofactor is trial divided through 10**6 first).
-When the rho budget runs out the code raises instead of guessing,
-because descent correctness depends on complete factorizations.
+Factoring policy: trial division by divisors up to 2**10; what is left
+past them is settled as a prime, or as a square or cube factored through
+its root, or else split by Pollard rho, and every piece rho splits off
+is settled or split the same way.  Primality is a deterministic
+Miller-Rabin test on the prime bases 2..41, proven exact below
+3.317 * 10**24; above it a witness still proves compositeness and a
+number passing every base is refused.  When the rho budget runs out the
+code raises instead of guessing, because descent correctness depends on
+complete factorizations.
 """
 
 from __future__ import annotations
@@ -247,23 +247,18 @@ def factorize(n: int) -> Factorization:
     return Factorization(1 if n > 0 else -1, tuple(sorted(found.items())))
 
 
-# Below this, finishing by trial division is cheaper than a primality test.
-_SETTLE_FROM = 10**6
-# Too large for is_prime, m is trial divided up to here before rho.
-_TRIAL_BOUND = 10**6
-# Past this trial divisor an unsettled cofactor m >= _SETTLE_FROM goes to
-# rho (on products of three primes above 5000, 2**10 beat 2**12 by a fifth).
+# Trial division stops past this divisor, and rho splits what is left
+# (on products of three primes above 5000, 2**10 beat 2**12 by a fifth).
 _RHO_FROM = 2**10
 # 2, 3, 5, 7, then the steps between candidates coprime to 30 (from index 3)
 _STEPS = (1, 2, 2, 4, 2, 4, 2, 4, 6, 2, 6)
 
 
 def _settle(m: int, e: int, found: dict[int, int]) -> bool:
-    """True for m = 1, or m >= _SETTLE_FROM that is prime (recorded) or
-    a square or cube (factored through its root); False otherwise."""
-    if m < _SETTLE_FROM:
-        return m == 1
-    if m < _MR_VALID_BELOW and _is_prime(m):
+    """True when m is prime (recorded) or a square or cube (factored
+    through its root); False otherwise.  A prime too large for is_prime
+    is refused there."""
+    if _is_prime(m):
         found[m] = found.get(m, 0) + e
         return True
     for k, r in ((2, math.isqrt(m)), (3, _cube_root_exact(m))):
@@ -276,38 +271,29 @@ def _settle(m: int, e: int, found: dict[int, int]) -> bool:
 def _factor_into(m: int, e: int, found: dict[int, int]) -> None:
     """Add the primes of m >= 1 to found, each exponent times e.
 
-    The cofactor is settled at the start and after each prime removed,
-    so a large prime, square or cube cofactor ends trial division early.
-    An unsettled m >= _SETTLE_FROM goes to Pollard rho once d passes
-    _RHO_FROM, or sooner once d^3 > m (then m is a product of two
-    distinct primes >= d); m too large for is_prime goes on to
-    _TRIAL_BOUND first, and a smaller m is trial divided to its end.
+    Trial division while d^2 <= m and d <= _RHO_FROM.  A cofactor below
+    d^2 is 1 or prime; any other goes on a stack where each entry is
+    settled as a prime, square or cube, or else split by Pollard rho.
     """
-    if _settle(m, e, found):
-        return
     d, w = 2, 0
-    while d * d <= m and (m < _SETTLE_FROM or d <= _RHO_FROM and d * d * d <= m
-                          or m >= _MR_VALID_BELOW and d <= _TRIAL_BOUND):
+    while d * d <= m and d <= _RHO_FROM:
         if m % d == 0:
             k = 0
             while m % d == 0:
                 m //= d
                 k += 1
             found[d] = found.get(d, 0) + k * e
-            if _settle(m, e, found):
-                return
         d += _STEPS[w]
         w = w + 1 if w < 10 else 3
     if d * d > m:
-        found[m] = found.get(m, 0) + e
+        if m > 1:
+            found[m] = found.get(m, 0) + e
         return
     budget = [2 * 10**6]
     stack = [m]
     while stack:
         c = stack.pop()
-        if _is_prime(c):
-            found[c] = found.get(c, 0) + e
-        else:
+        if not _settle(c, e, found):
             g = _rho_split(c, budget)  # 1 < g < c
             stack += [g, c // g]
 

@@ -175,9 +175,8 @@ def test_factorize_semiprime_cofactors_agree_with_reference(x, y, small, sign):
 
 
 def test_factorize_semiprime_cofactor_skips_the_trial_walk():
-    # p*q with both primes near 10**6: once d^3 > p*q the cofactor can
-    # only be a product of two primes, and rho splits it at once; the
-    # walk to the trial bound took about 80 ms for each of these
+    # p*q with both primes near 10**6: past 2**10 rho splits the cofactor
+    # at once; the walk to the trial bound took about 80 ms for each of these
     t0 = time.perf_counter()
     for p, q in ((1000003, 1000033), (999983, 1000003), (1000037, 1000039),
                  (999979, 1999993)):
@@ -198,20 +197,45 @@ def test_factorize_cofactors_of_three_or_more_primes_agree_with_reference(xs, sm
 
 
 def test_factorize_three_prime_cofactors_leave_the_trial_walk_early():
-    # three primes near 10**6: d^3 > m never holds below 10**6, so the
-    # walk to the trial bound took about 140 ms for each; rho takes over
-    # past 2**10
+    # three primes near 10**6: the walk to the trial bound took about
+    # 140 ms for each; rho takes over past 2**10
     for n in (1000003**2 * 1000033, 1000003 * 1000033 * 1000037):
         t0 = time.perf_counter()
         assert factorize(n).value() == n
         assert time.perf_counter() - t0 < 0.01
 
 
-def test_factorize_beyond_the_primality_test_walks_the_trial_bound():
-    # above 3.3 * 10**24 is_prime refuses, so trial division goes past
-    # 2**10 and strips 10007 before rho gets the cofactor
+def test_factorize_rho_splits_10007_from_a_cofactor_above_the_witness_bound():
+    # the cofactor 10007 * (2**31 - 1) * (10**12 + 39), about 2.1 * 10**25, is
+    # above psi_13, where is_prime only proves compositeness, and its least
+    # prime 10007 is past 2**10: rho splits it off
     n = 3**40 * 10007 * (2**31 - 1) * (10**12 + 39)
     assert factorize(n).factors == ((3, 40), (10007, 1), (2**31 - 1, 1), (10**12 + 39, 1))
+
+
+@pytest.mark.parametrize("n", [1000003 * (2**61 - 1) ** 3, 1009 * 1000003 * (2**61 - 1) ** 2],
+                         ids=["r*P^3", "r*s*P^2"])
+def test_factorize_settles_a_square_or_cube_that_rho_splits_off(n):
+    # rho splits off 1000003, then P^3 or P^2 (P = 2**61 - 1) is settled
+    # through its root: rho itself cannot split P^k within its budget
+    t0 = time.perf_counter()
+    assert {p: k for p, k in factorize(n).factors} == factor_oracle(n)
+    assert time.perf_counter() - t0 < 0.1
+
+
+# the first prime after 10**26, far above psi_13
+PAST_PSI13 = 100000000000000000000000067
+
+
+@pytest.mark.parametrize("n", [PAST_PSI13, 2 * PAST_PSI13, 15 * PAST_PSI13, PAST_PSI13**2],
+                         ids=["P", "2P", "15P", "P^2"])
+def test_factorize_refuses_a_prime_past_the_witness_bound_at_once(n):
+    # trial division stops at 2**10, and the first primality test on
+    # what is left refuses P
+    t0 = time.perf_counter()
+    with pytest.raises(ArithError, match=f"^{PAST_PSI13} passes every witness"):
+        factorize(n)
+    assert time.perf_counter() - t0 < 0.01
 
 
 def test_divisors_small():

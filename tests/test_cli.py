@@ -110,6 +110,14 @@ def test_descent_rejects_nonzero_a6(capsys):
     assert "from_cubic_const" in err or "cube" in err
 
 
+def test_descent_refuses_a_prime_past_the_witness_bound(capsys):
+    # b = 100000000000000000000000067, the first prime after 10**26, is above psi_13
+    rc, out, err = run(capsys, "descent", "--a2", "0", "--a4", "100000000000000000000000067")
+    assert (rc, out) == (2, "")
+    assert err == ("error: 100000000000000000000000067 passes every witness"
+                   " but is too large for the deterministic witness set\n")
+
+
 def test_family_ep(capsys):
     rc, out, _ = run(capsys, "family", "ep", "17")
     assert rc == 0
