@@ -5,14 +5,14 @@ and the two-squares decomposition of primes p = 1 (mod 4).  Everything
 here is exact integer arithmetic; nothing rounds and nothing overflows.
 
 Factoring policy: trial division by divisors up to 2**10; what is left
-past them is settled as a prime, or as a square or cube factored through
-its root, or else split by Pollard rho, and every piece rho splits off
-is settled or split the same way.  Primality is a deterministic
-Miller-Rabin test on the prime bases 2..41, proven exact below
-3.317 * 10**24; above it a witness still proves compositeness and a
-number passing every base is refused.  When the rho budget runs out the
-code raises instead of guessing, because descent correctness depends on
-complete factorizations.
+past them is settled as a prime, or as a perfect k-th power (k a prime
+up to 47) factored through its exact root, or else split by Pollard
+rho, and every piece rho splits off is settled or split the same way.
+Primality is a deterministic Miller-Rabin test on the prime bases
+2..41, proven exact below 3.317 * 10**24; above it a witness still
+proves compositeness and a number passing every base is refused.  When
+the rho budget runs out the code raises instead of guessing, because
+descent correctness depends on complete factorizations.
 """
 
 from __future__ import annotations
@@ -255,14 +255,15 @@ _STEPS = (1, 2, 2, 4, 2, 4, 2, 4, 6, 2, 6)
 
 
 def _settle(m: int, e: int, found: dict[int, int]) -> bool:
-    """True when m is prime (recorded) or a square or cube (factored
-    through its root); False otherwise.  A prime too large for is_prime
-    is refused there."""
+    """True when m is prime (recorded) or a perfect k-th power for a prime
+    k <= 47 (factored through its root); False otherwise.  Every prime of m
+    exceeds 2**10, so only k with 10k < m.bit_length() can give a root.  A
+    prime too large for is_prime is refused there."""
     if _is_prime(m):
         found[m] = found.get(m, 0) + e
         return True
-    for k, r in ((2, math.isqrt(m)), (3, _cube_root_exact(m))):
-        if r is not None and r**k == m:
+    for k in _SMALL_PRIMES:
+        if 10 * k < m.bit_length() and (r := _root_exact(m, k)) is not None:
             _factor_into(r, k * e, found)
             return True
     return False
@@ -273,7 +274,7 @@ def _factor_into(m: int, e: int, found: dict[int, int]) -> None:
 
     Trial division while d^2 <= m and d <= _RHO_FROM.  A cofactor below
     d^2 is 1 or prime; any other goes on a stack where each entry is
-    settled as a prime, square or cube, or else split by Pollard rho.
+    settled as a prime or prime power, or else split by Pollard rho.
     """
     d, w = 2, 0
     while d * d <= m and d <= _RHO_FROM:
@@ -298,18 +299,17 @@ def _factor_into(m: int, e: int, found: dict[int, int]) -> None:
             stack += [g, c // g]
 
 
-def _cube_root_exact(n: int):
-    """The integer c with c^3 = n, or None; Newton's method from above."""
+def _root_exact(n: int, k: int):
+    """The integer r with r^k = n, or None; Newton's method from above."""
     m = abs(n)
-    c = 1 << -(-m.bit_length() // 3)
-    while c > 0:
-        d = (2 * c + m // (c * c)) // 3
-        if d >= c:
+    r = 1 << -(-m.bit_length() // k)
+    while r > 0:
+        d = ((k - 1) * r + m // r ** (k - 1)) // k
+        if d >= r:
             break
-        c = d
-    if c**3 != m:
-        return None
-    return c if n >= 0 else -c
+        r = d
+    r = r if n >= 0 else -r
+    return r if r**k == n else None
 
 
 @total_ordering

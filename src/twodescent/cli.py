@@ -23,7 +23,7 @@ import time
 from contextlib import nullcontext
 from fractions import Fraction
 
-from .arith import Record, _cube_root_exact, factorize
+from .arith import Record, _root_exact, factorize
 from .curve import (
     Curve,
     CurveError,
@@ -108,7 +108,7 @@ def serialize_document(doc: dict) -> str:
 
 
 def _write(v, nl: str) -> str:
-    """v on a line broken by nl: ints and strs at once, filled containers by recursion."""
+    """v on a line broken by nl: ints, strs and empty lists and dicts at once, filled containers by recursion."""
     if type(v) is int:
         return str(v)
     if type(v) is str:
@@ -118,7 +118,7 @@ def _write(v, nl: str) -> str:
         return "{" + inner + ("," + inner).join([f"{_quote(k)}: {_write(v[k], inner)}" for k in sorted(v)]) + nl + "}"
     if isinstance(v, (list, tuple)) and v:
         return "[" + inner + ("," + inner).join([_write(x, inner) for x in v]) + nl + "]"
-    return json.dumps(v)
+    return "{}" if type(v) is dict else "[]" if type(v) in (list, tuple) else json.dumps(v)
 
 
 # Where a descent document holds integers, ints or decimal strings past 2^53:
@@ -308,7 +308,7 @@ def cmd_family(args) -> int:
         print(f"family E_D : y^2 = x^3 + {D}")
         print(f"  torsion subgroup = {T.structure}")
     # a cube D also has the shifted model, with 2-torsion at the origin
-    c = _cube_root_exact(D)
+    c = _root_exact(D, 3)
     return _cross_check(args, lambda: torsion_subgroup(Curve(0, 0, D)) == T and (
         c is None or torsion_subgroup(from_cubic_const(c)).structure == T.structure))
 

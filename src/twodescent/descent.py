@@ -253,20 +253,21 @@ def _local_images(a: int, b: int, S: BadSet) -> tuple[int, int, list[tuple]]:
     1st, 2nd and 4th, a basis: two distinct y are independent, and seven are 1 to 7."""
     bp = a * a - 4 * b
     gens = (-1,) + S.primes
-    t, seed, dual = 1, int(bp < 0), int(b < 0)
+    t, seed, dual, vals = 1, int(bp < 0), int(b < 0), []
     for j, q in enumerate(S.primes, 1):
-        e = _val(b, q)
-        t *= q ** (e // 4 if a == 0 else min(_val(a, q) // 2, e // 4))
-        seed, dual = seed | (_val(bp, q) & 1) << j, dual | (e & 1) << j
+        e, f = _val(b, q), _val(bp, q)
+        k = e // 4 if a == 0 else min(_val(a, q) // 2, e // 4)
+        t, seed, dual = t * q**k, seed | (f & 1) << j, dual | (e & 1) << j
+        vals.append((e - 4 * k, f - 4 * k))  # v(b), v(b') of the reduced model
     places = [(0, [int(g < 0) for g in gens], *(((1,), ()) if _minus_one_real(a, b) else ((), (1,))), None)]
     a, b, bp = a // t**2, b // t**4, bp // t**4  # the reduced model of the local tests
-    for v in S.primes:
+    for v, (vb, vbp) in zip(S.primes, vals):
         if v == 2:
             xs = [(g == 2) | (g % 4 == 3) << 1 | (g % 8 in (3, 5)) << 2 for g in gens]
         else:
             xs = [(g == v) | (pow(g, v >> 1, v) == v - 1) << 1 for g in gens]
         if v > 2 and a % v:  # good or multiplicative reduction: W_v by rule
-            vb, vbp, dim = _val(b, v), _val(bp, v), 1  # v divides at most one of b and b'
+            dim = 1  # v divides at most one of b and b'
             if vb or vbp:
                 dim += (-1 if vb else 1) * ((vb | vbp) & 1 or _euler(-2 * a if vbp else a, v) > 0)
             places.append((v, xs, _RULE[dim], _RULE[2 - dim], None))
@@ -277,13 +278,12 @@ def _local_images(a: int, b: int, S: BadSet) -> tuple[int, int, list[tuple]]:
             b_image ^= x * (dual >> j & 1)
         basis, tested = [s] if s else [], None
         if a == 0:  # y^2 = x^3 + bx: W_v by the class of b in Q_v*/Q_v*^4
-            e = _val(b, v)
-            u = b // v**e
+            u = b // v**vb
             if v == 2:
-                basis = _BASIS[_DX2[e << 3 | u % 16 >> 1]]
-            elif e == 0 or e == 2 and _euler(u, v) < 0:
-                basis = _RULE[e == 0 or v % 4 == 1]
-            elif e == 2:
+                basis = _BASIS[_DX2[vb << 3 | u % 16 >> 1]]
+            elif vb == 0 or vb == 2 and _euler(u, v) < 0:
+                basis = _RULE[vb == 0 or v % 4 == 1]
+            elif vb == 2:
                 basis = _RULE[2] if v % 4 == 3 else (1 | (_euler(2 * _sqrt_mod(u, v), v) < 0) << 1,)
         else:
             known, bad, tested = {0, s}, set(), ()

@@ -26,7 +26,7 @@ from .arith import (
     Record,
     SquareClass,
     _cornacchia,
-    _cube_root_exact,
+    _root_exact,
     _sieve_flags,
     _sqrt_mod,
     _two_squares,
@@ -406,6 +406,7 @@ def _filtered(table: _ProductTable, c: int, a: int, b: int, start: int = 0):
 # (3 + 2 sqrt 2)^j for j <= 64: (x + s sqrt 2)(3 + 2 sqrt 2) = (3x + 4s) + (2x + 3s) sqrt 2
 _UNITS = list(accumulate(range(64), lambda z, _: (3 * z[0] + 4 * z[1], 2 * z[0] + 3 * z[1]), initial=(1, 0)))
 _ORBIT_MODULI = (16, 9, 5, 7, 11, 17)  # 3 + 2 sqrt 2 has order dividing 24 mod each
+_ORBIT_SPREAD, _ORBIT_STEPS = _every(24, 64), (1 << 64) - 1  # spread a 24-bit step mask to steps 0..63
 
 
 @cache
@@ -449,9 +450,8 @@ def _orbit_square_x(z0, m):
     if not fwd:  # no step can hold a square: most walks end here
         return None
     back = int(f"{fwd:024b}"[::-1], 2)  # bit j: step -(j+1) = 23 - j
-    spread, steps = _every(24, 64), (1 << 64) - 1
     for bits, second in ((fwd, 0), (back, 1)):
-        bits = bits * spread & steps
+        bits = bits * _ORBIT_SPREAD & _ORBIT_STEPS
         while bits:
             j = (bits & -bits).bit_length() - 1
             bits &= bits - 1
@@ -607,10 +607,10 @@ def edconst_torsion(D: int) -> TorsionGroup:
     D = t^2 and <(12, 36)> at D = -432, Z2 = <(-c, 0)> for D = c^3, trivial
     otherwise."""
     _check_power_free(D, 6)
-    c, t = _cube_root_exact(D), isqrt(max(D, 0))
+    c, t = _root_exact(D, 3), _root_exact(D, 2)
     if D == 1:
         return _group("Z6", [(2, 3)], (0, 1), (0, -1), (-1, 0), (2, 3), (2, -3))
-    if t * t == D:
+    if t is not None:
         return _group("Z3", [(0, t)], (0, t), (0, -t))
     if D == -432:
         return _group("Z3", [(12, 36)], (12, 36), (12, -36))

@@ -223,6 +223,35 @@ def test_factorize_settles_a_square_or_cube_that_rho_splits_off(n):
     assert time.perf_counter() - t0 < 0.1
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2**10, 10**18 - 12), st.sampled_from((2, 3, 5, 7, 11, 13)),
+       st.one_of(st.lists(st.sampled_from((2, 3, 5, 7, 997)), max_size=4).map(math.prod),
+                 st.integers(2, 10**6 - 18).map(sympy.nextprime)))
+@example(x=10**18 - 12, k=13, c=999983)  # the largest p, k and prime c
+def test_factorize_settles_a_prime_power_through_its_root(x, k, c):
+    # c * p^k, p a prime past the trial bound: p^k is a k-th power, left
+    # after trial division or split off by rho, and factored through its root
+    p = sympy.nextprime(x)
+    n = c * p**k
+    expected = factor_oracle(c)
+    expected[p] = expected.get(p, 0) + k
+    assert {q: e for q, e in factorize(n).factors} == expected == factor_oracle(n)
+
+
+@pytest.mark.parametrize("n, factors", [
+    ((10**12 + 39) ** 5, ((10**12 + 39, 5),)),
+    ((10**15 + 37) ** 5, ((10**15 + 37, 5),)),
+    ((2**61 - 1) ** 5, ((2**61 - 1, 5),)),
+    ((10**15 + 37) ** 7 * 1000003, ((1000003, 1), (10**15 + 37, 7))),
+], ids=["(10^12+39)^5", "(10^15+37)^5", "(2^61-1)^5", "(10^15+37)^7*1000003"])
+def test_factorize_settles_fifth_and_seventh_powers_at_once(n, factors):
+    # rho needs about sqrt(p) steps to find p: it took 1.8 s on the first and
+    # ran out of budget on the next two
+    t0 = time.perf_counter()
+    assert factorize(n).factors == factors
+    assert time.perf_counter() - t0 < 0.1
+
+
 # the first prime after 10**26, far above psi_13
 PAST_PSI13 = 100000000000000000000000067
 

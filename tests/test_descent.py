@@ -1621,3 +1621,13 @@ def test_bad_set_is_two_and_the_primes_of_b_and_b_prime(a, b):
     assume(b != 0 and a * a - 4 * b != 0)
     primes = {2} | set(factor_oracle(b)) | set(factor_oracle(a * a - 4 * b))
     assert bad_set(Curve(a, b, 0)).primes == tuple(sorted(primes))
+
+
+def test_descent_report_of_a_fifth_power_model_matches_its_reduced_model():
+    # y^2 = x^3 + p^5 x and y^2 = x^3 + px, p = 10^15 + 37, are isomorphic
+    # (the engine reduces b by t^4, t = p); factoring p^5 once ran rho out of budget
+    big, small = (descent_report(Curve(0, a4, 0), 20) for a4 in ((10**15 + 37) ** 5, 10**15 + 37))
+    for field in ("selmer_phi", "selmer_phi_hat", "image_phi", "image_phi_hat", "torsion", "rank_lower",
+                  "rank_upper", "rank_exact", "sha_phi_dim_upper", "sha_phi_hat_dim_upper"):
+        assert getattr(big, field) == getattr(small, field), field
+    assert [int(c) for c in big.selmer_phi.classes] == [-1, 1, -(10**15 + 37), 10**15 + 37]

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twodescent import families
-from twodescent.arith import ArithError, _cube_root_exact, factorize, quartic_residue_gauss, sieve_primes, squarefree_part
+from twodescent.arith import ArithError, _root_exact, factorize, quartic_residue_gauss, sieve_primes, squarefree_part
 from twodescent.curve import INFINITY, Curve, from_cubic_const, pt, torsion_subgroup
 from twodescent.descent import _first_square, _space, selmer
 from twodescent.localsolve import QuarticForm
@@ -299,20 +299,23 @@ def test_edconst_torsion_table():
     assert edconst_torsion(-2).structure == "trivial"
 
 
-def test_cube_root_exact_is_exact_for_large_integers():
+@pytest.mark.parametrize("k", [2, 3, 5, 7])
+def test_root_exact_is_exact_for_large_integers(k):
     cs = [1, 2, 3, 10**5 + 3, 10**15, 10**15 + 7, 2 * 10**15 - 1, 10**40 - 1, 10**40]
     cs += [10**15 + 5 * 10**12 * i + 7 for i in range(200)]
     for c in cs:
-        assert _cube_root_exact(c**3) == c
-        assert _cube_root_exact(-(c**3)) == -c
-        assert _cube_root_exact(c**3 + 1) is None
+        assert _root_exact(c**k, k) == c
+        # a negative n has a k-th root only at odd k
+        assert _root_exact(-(c**k), k) == (-c if k % 2 else None)
+        assert _root_exact(c**k + 1, k) is None
         if c > 1:
-            assert _cube_root_exact(c**3 - 1) is None
-    assert _cube_root_exact(0) == 0
+            assert _root_exact(c**k - 1, k) is None
+            assert _root_exact(c**k * 2, k) is None
+    assert _root_exact(0, k) == 0
     big = 10**103 + 1
-    assert big**3 > 10**308
-    assert _cube_root_exact(big**3) == big
-    assert _cube_root_exact(big**3 + 2) is None
+    assert big**k > 10**200
+    assert _root_exact(big**k, k) == big
+    assert _root_exact(big**k + 2, k) is None
 
 
 def test_edconst_torsion_rejects_unreduced_d():
