@@ -321,10 +321,14 @@ def _parse_filter(text: str) -> dict:
     out = {}
     if not text:
         return out
+    seen = set()
     for part in text.split(","):
         key, _, value = part.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in seen:
+            raise FamilyError(f"filter key {key!r} given twice")
+        seen.add(key)
         if key == "mod8":
             if value not in ("1", "3", "5", "7"):
                 raise FamilyError("mod8 takes 1, 3, 5 or 7")

@@ -156,26 +156,20 @@ def _minus_one_real(a: int, b: int) -> bool:
     return a * a - 4 * b < 0 or a < 0 < b
 
 
-# At a prime v, keyed by v % 4: per local class x (bits as in _classes) the
-# bits x pairs with to -1 under the Hilbert symbol.  Local tests visit the x in
-# _ORDER, least |_classes(v)[x]| first.  _ODD[f] has bit y set when y & f is odd.
+# At a prime v, keyed by v % 4: per local class x (bits 2, -1, 5 at 2, v and a
+# non-residue at odd v) the bits x pairs with to -1 under the Hilbert symbol.
+# Local tests at 2 visit the x in _ORDER, least |_CLASSES2[x]| first, on the
+# integer _CLASSES2[x] of x.  _ODD[f] has bit y set when y & f is odd.
 _PAIRS = {2: (0, 4, 2, 6, 1, 5, 3, 7), 1: (0, 2, 1, 3), 3: (0, 3, 1, 2)}
 _ORDER = (0, 2, 1, 3, 4, 6, 5, 7)
+_CLASSES2 = (1, 2, -1, -2, 5, 10, -5, -10)
 _ODD = tuple(sum(((y & f).bit_count() & 1) << y for y in range(8)) for f in range(8))
-_RULE = ((), (2,), (1, 2))  # by dimension, the basis of W_v and of W'_v at a rule place
+_RULE = ((), (2,), (1, 2))  # by dimension, the basis of W_v at a good or multiplicative odd v
 _BASIS = tuple(ys[:2] + ys[3:4] for ys in (tuple(y for y in range(8) if m >> y & 1) for m in range(256)))
 # W_2 of y^2 = x^3 + bx keyed by e = v_2(b) < 4 and u = b/2^e, at 8e + (u % 16) // 2:
 # bit x set for each class x != 0 of W_2, so that _BASIS reads a basis
 _DX2 = (254, 152, 84, 16, 254, 16, 84, 50, 8, 32, 128, 2, 8, 32, 128, 2,
         4, 16, 84, 0, 84, 16, 64, 0, 14, 104, 164, 194, 14, 104, 164, 194)
-
-
-@lru_cache(maxsize=4096)
-def _classes(v: int) -> tuple[int, ...]:
-    """An integer of each local class x at the prime v, the product of those of
-    its bits: 2, -1, 5 at 2; v and the least non-residue n at odd v."""
-    n = 5 if v == 2 else next(n for n in range(2, v) if _euler(n, v) < 0)
-    return (1, 2, -1, -2, n, 2 * n, -n, -2 * n) if v == 2 else (1, v, n, v * n)
 
 
 def _span(rows, gens: tuple[int, ...]) -> list[tuple[int, int, int]]:
@@ -224,29 +218,31 @@ def _local_images(a: int, b: int, S: BadSet) -> tuple[int, int, list[tuple]]:
     symbol (Cassels, Lectures on Elliptic Curves, LMS Student Texts 24).
     W_R holds -1 by _minus_one_real.  W_v at a prime is that of the reduced
     model (a/t^2, b/t^4), whose C_d is E's under z -> t z (Silverman, AEC
-    X.4).  At an odd v prime to a/t^2, |W_v| = 2 c_v(E')/c_v(E) (Schaefer,
-    J. Number Theory 56 (1996), Lemma 3.8; phi'(0) is a unit at v), with
-    no test: E is I_2n and E' I_n at n = v(b/t^4) > 0, the reverse at
+    X.4), and which is minimal at odd v, as is its E'.  Only 2 is tested.
+    At an odd v prime to a/t^2 or to b b', |W_v| = 2 c_v(E')/c_v(E) (Schaefer,
+    J. Number Theory 56 (1996), Lemma 3.8; phi'(0) is a unit at v): v is
+    good, or E is I_2n and E' I_n at n = v(b/t^4) > 0, the reverse at
     n = v(b'/t^4) > 0, split iff a, resp. -2a, is a square mod v, and c(I_n)
     is n split, else 2 or 1 as n is even or odd (Silverman, Advanced Topics
     IV.9).  So dim W_v is 0 at v | b and 2 at v | b' when split or n is odd,
     else 1, and then W_v is the unit classes: they are unramified at good v;
     at v | b, a non-split v, a point of E' off the identity component has
     x = a mod v, a non-residue; at v | b', the non-residue x with x - 2a a
-    nonzero square mod v lift to E'; the bases are _RULE[dim] and _RULE[2 - dim].
-    At a/t^2 = 0 no place is tested either: over Q_v, y^2 = x^3 + bx depends only
-    on the class of b in Q_v*/Q_v*^4, as (x, y) -> (u^2 x, u^3 y) takes b to u^4 b
-    and keeps the class of x.  With e = v(b) < 4 and u = b/v^e, W_2 is the entry
-    of _DX2 at (e, u mod 16).  At odd v, by the same Lemma 3.8: at e = 0, v is
-    good (v^4 | b put it in S) and W_v is the unit classes; at odd e, E and E'
-    are III or III*, c = 2, and W_v = <L_v(b')>; at e = 2 both are I0*, with
-    c = 3 + (-u/v) on E and 3 + (u/v) on E', so W_v is 0 or all four classes as
-    u is a non-residue or a residue at v = 3 (mod 4), and at v = 1 (mod 4) the
-    unit classes, or for a residue u the class of 2v*sqrt(u), the x of the
-    2-torsion point (2v*sqrt(u), 0) of E': y^2 = x^3 - 4v^2 u x.
-    Elsewhere one pass over _ORDER tests each class x not yet known in or out of
-    W_v: 0 and L_v(b') lie in W_v (C_1 has the point (0, 1), C_b' a rational point
-    at infinity), a class pairing to -1 with L_v(b), in the image of E', does not;
+    nonzero square mod v lift to E'; the basis is _RULE[dim].
+    At an odd v dividing a/t^2 and b, E' is additive, so E'_0(Q_v) is pro-v and
+    W_v, the classes of x on E'(Q_v), is those on E'(Q_v)[2^oo], which injects
+    into at most 4 components.  With e = v(b), f = v(b'), w = b/v^e, u = a/v, that
+    is (0, 0), of class b', with (a + 2 sqrt(b), 0) when e is even and (w/v) = 1,
+    of class v(u + 2r) for r = sqrt(w) mod v signed so that v does not divide
+    u + 2r at e = 2, and r = 0 at e >= 4, where v(a) = 1; or with a half P of
+    (0, 0), x(P)^2 = b', which valuations allow only at f = 2 < e, e odd, where
+    x(P) = a sqrt(1 - 4b/a^2), of class a, and y^2 = 2b'(x - a) is a square iff
+    (-uw/v) = 1.  At 2, y^2 = x^3 + bx depends only on the class of b in
+    Q_2*/Q_2*^4, as (x, y) -> (u^2 x, u^3 y) takes b to u^4 b and keeps the class
+    of x, and W_2 is the entry of _DX2 at (e, w mod 16).
+    At 2 otherwise one pass over _ORDER tests each class x not yet known in or out of
+    W_2: 0 and L_2(b') lie in W_2 (C_1 has the point (0, 1), C_b' a rational point
+    at infinity), a class pairing to -1 with L_2(b), in the image of E', does not;
     a soluble x joins the basis and both known sets grow by their sums with it, an
     insoluble x puts its coset of the known soluble classes out.  W'_v is the y != 0
     pairing to 1 with every basis class, odd in no _ODD[pairs[x]]; _BASIS keeps the
@@ -266,37 +262,37 @@ def _local_images(a: int, b: int, S: BadSet) -> tuple[int, int, list[tuple]]:
             xs = [(g == 2) | (g % 4 == 3) << 1 | (g % 8 in (3, 5)) << 2 for g in gens]
         else:
             xs = [(g == v) | (pow(g, v >> 1, v) == v - 1) << 1 for g in gens]
-        if v > 2 and a % v:  # good or multiplicative reduction: W_v by rule
-            dim = 1  # v divides at most one of b and b'
-            if vb or vbp:
-                dim += (-1 if vb else 1) * ((vb | vbp) & 1 or _euler(-2 * a if vbp else a, v) > 0)
-            places.append((v, xs, _RULE[dim], _RULE[2 - dim], None))
-            continue
         pairs, s, b_image = _PAIRS[v % 4], 0, 0  # s = L_v(b'), b_image = L_v(b)
         for j, x in enumerate(xs):
             s ^= x * (seed >> j & 1)
             b_image ^= x * (dual >> j & 1)
-        basis, tested = [s] if s else [], None
-        if a == 0:  # y^2 = x^3 + bx: W_v by the class of b in Q_v*/Q_v*^4
-            u = b // v**vb
-            if v == 2:
-                basis = _BASIS[_DX2[vb << 3 | u % 16 >> 1]]
-            elif vb == 0 or vb == 2 and _euler(u, v) < 0:
-                basis = _RULE[vb == 0 or v % 4 == 1]
-            elif vb == 2:
-                basis = _RULE[2] if v % 4 == 3 else (1 | (_euler(2 * _sqrt_mod(u, v), v) < 0) << 1,)
-        else:
+        basis, tested, w = [s] if s else [], None, b // v**vb
+        if v == 2 and a == 0:
+            basis = _BASIS[_DX2[vb << 3 | w % 16 >> 1]]
+        elif v == 2:
             known, bad, tested = {0, s}, set(), ()
-            for x in _ORDER[:len(pairs)]:
+            for x in _ORDER:
                 if x in known or x in bad or (x & pairs[b_image]).bit_count() & 1:
                     continue
                 tested += (x,)
-                if _qp_soluble(_space(a, bp, _classes(v)[x]), v):
+                if _qp_soluble(_space(a, bp, _CLASSES2[x]), v):
                     basis.append(x)
                     known |= {x ^ k for k in known}
                     bad = {y ^ k for y in bad for k in known}
                 else:
                     bad |= {x ^ k for k in known}
+        elif a % v or not vb:  # good or multiplicative reduction
+            dim = 1  # v divides at most one of b and b'
+            if vb or vbp:
+                dim += (-1 if vb else 1) * ((vb | vbp) & 1 or _euler(-2 * a if vbp else a, v) > 0)
+            basis = _RULE[dim]
+        else:  # additive reduction: (0, 0), with (a + 2 sqrt(b), 0) or a half of (0, 0)
+            u = a // v
+            if vb % 2 == 0 and _euler(w, v) > 0 or vb & 1 and vbp == 2 and _euler(-u * w, v) > 0:
+                r = _sqrt_mod(w, v) if vb == 2 else 0
+                x = 1 | (_euler(u + 2 * r if (u + 2 * r) % v else u - 2 * r, v) < 0) << 1
+                if x != s:  # at e = 2, a - 2 sqrt(b) may be a square
+                    basis.append(x)
         odd = 0
         for x in basis:
             odd |= _ODD[pairs[x]]

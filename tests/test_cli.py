@@ -238,6 +238,16 @@ def test_table_refuses_a_mod8_filter_outside_1_3_5_7(capsys, value):
     assert "rows" not in out
 
 
+@pytest.mark.parametrize("spec, key", [("mod8=1,mod8=3", "mod8"), ("quartic2=true,mod8=1,quartic2=false", "quartic2")])
+def test_table_refuses_a_repeated_filter_key(capsys, spec, key):
+    # a later value once silently overrode the earlier one: mod8=1,mod8=3
+    # printed the p = 3 (mod 8) rows
+    rc, out, err = run(capsys, "table", "ep", "--max", "20", "--filter", spec)
+    assert rc == 2
+    assert f"filter key {key!r} given twice" in err
+    assert out == ""
+
+
 def test_table_budget(capsys):
     rc, _, err = run(capsys, "table", "ep", "--max", str(10**6 + 1))
     assert rc == 2

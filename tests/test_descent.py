@@ -20,12 +20,12 @@ from twodescent.descent import (
     DescentError,
     SelmerSet,
     _BAND_BITS,
+    _CLASSES2,
     _DX2,
     _MODULI,
     _ORDER,
     _PAIRS,
     _band_mask,
-    _classes,
     _first_square,
     _generators,
     _local_images,
@@ -72,6 +72,16 @@ from .oracles import (
 
 def classes(*reps: int) -> set[SquareClass]:
     return {squarefree_part(r) for r in reps}
+
+
+@lru_cache(maxsize=None)
+def _classes(v: int) -> tuple[int, ...]:
+    """An integer of each local class x at the prime v, the product of those of
+    its bits: _CLASSES2 at 2; v and the least non-residue n at odd v."""
+    if v == 2:
+        return _CLASSES2
+    n = next(n for n in range(2, v) if legendre(n, v) < 0)
+    return (1, v, n, v * n)
 
 
 def test_isogenous_curve_examples():
@@ -455,8 +465,8 @@ def test_local_verdict_depends_only_on_the_local_class(a, b, data):
 
 def _selmer_and_tests(E: Curve):
     """Both Selmer sets of _selmer(E, S) as ints, with the local tests per
-    prime that _local_images' records list; the real place, the odd primes
-    prime to a/t^2 and every place of a/t^2 = 0 are decided by rule, with no test."""
+    prime that _local_images' records list; the real place, every odd prime
+    and 2 when a/t^2 = 0 are decided by rule, with no test."""
     S = bad_set(E)
     tests = {v: len(tested) for v, *_, tested in _local_images(E.a2, E.a4, S)[2] if tested}
     return tuple(tuple(d for _, d, _ in sel) for sel in _selmer(E, S)[:2]), tests
@@ -488,7 +498,7 @@ def test_selmer_tests_each_local_class_once(E, monkeypatch):
     assert all(n <= walk_tests[v] for v, n in tests.items())
     assert sum(tests.values()) < sum(walk_tests.values())
     assert 0 not in tests and tests.get(2, 0) <= 7
-    assert all(n <= 3 and E.a2 % v == 0 for v, n in tests.items() if v > 2)
+    assert set(tests) <= {2}  # every odd prime by rule
     S = bad_set(E)
     monkeypatch.setattr(localsolve_module, "is_prime", lambda n: pytest.fail(f"{n} proved prime again"))
     assert tuple(tuple(d for _, d, _ in sel) for sel in _selmer(E, S)[:2]) == sels
@@ -524,7 +534,7 @@ def test_selmer_matches_walk_oracle_with_no_more_tests(E):
     assert sels == walk_sels
     assert all(n <= walk_tests.get(v, 0) for v, n in tests.items())
     assert 0 not in tests and tests.get(2, 0) <= 7
-    assert all(n <= 3 and E.a2 % v == 0 for v, n in tests.items() if v > 2)
+    assert set(tests) <= {2}  # every odd prime by rule
 
 
 @settings(max_examples=60, deadline=None)
@@ -599,16 +609,16 @@ def _soluble_at(a: int, b: int, v: int) -> set[int]:
 @given(SELMER_CURVES)
 def test_local_tests_are_the_classes_the_records_list(E):
     # the one test that watches the local step from outside: each call of
-    # _qp_soluble is on the reduced model's space of _classes(v)[x] for the
-    # next class x a record lists, and R, the rule places and every place
-    # of a reduced model with a = 0 get no call
+    # _qp_soluble is on the reduced model's space of _CLASSES2[x] at 2 for
+    # the next class x a record lists, and R, every odd prime and 2 of a
+    # reduced model with a = 0 get no call
     calls = []
     with pytest.MonkeyPatch.context() as m:
         m.setattr(descent_module, "_qp_soluble", lambda c, p: calls.append((c, p)) or _qp_soluble(c, p))
         places = _local_images(E.a2, E.a4, bad_set(E))[2]
     a, b = _reduced(E.a2, E.a4)
-    assert calls == [(_space(a, a * a - 4 * b, _classes(v)[x]), v) for v, *_, xs in places if xs for x in xs]
-    assert [v for v, *_, xs in places if xs is None] == [v for v, *_ in places if v == 0 or a == 0 or v > 2 and a % v]
+    assert calls == [(_space(a, a * a - 4 * b, _CLASSES2[x]), 2) for v, *_, xs in places if xs for x in xs]
+    assert [v for v, *_, xs in places if xs is None] == [v for v, *_ in places if v != 2 or a == 0]
 
 
 @settings(max_examples=100, deadline=None)
@@ -682,17 +692,17 @@ def _reduced(a: int, b: int) -> tuple[int, int]:
 @settings(max_examples=100, deadline=None)
 @given(st.tuples(st.integers(-60, 60).filter(bool), st.integers(-60, 60)).filter(lambda ab: nonsingular(*ab)),
        st.sampled_from((1, 2, 3, 5, 6)))
-@example((-25, 25), 1)  # three local tests at 5
-@example((-15, 36), 1)  # three at 3
+@example((-25, 25), 1)
+@example((-15, 36), 1)
 @example((4, 2), 2)  # 2^4 comes out of b at 2 and 2^2 out of a
 def test_local_image_by_tests_is_the_soluble_classes(ab, u):
-    # at 2 and at each odd v | a/t^2, a/t^2 != 0, W_v as _selmer's local tests
-    # build it, against the classes the oracle finds soluble on the reduced
-    # model; y^2 = x^3 + bx is tested by the two tests below
+    # at 2, a/t^2 != 0, W_2 as _selmer's local tests build it, against the
+    # classes the oracle finds soluble on the reduced model; y^2 = x^3 + bx
+    # is tested by the two tests below, and no odd prime is tested
     E = Curve(u * u * ab[0], u**4 * ab[1], 0)
     a, b = _reduced(E.a2, E.a4)
     W, _, tested = _local_spans(E)
-    places = [v for v in bad_set(E).primes if v == 2 or a % v == 0]
+    places = [2] if a else []
     assert set(tested) == set(places)
     for v in places:
         soluble = _soluble_at(a, b, v)
@@ -755,6 +765,81 @@ def test_odd_rule_of_dx_is_the_soluble_classes(place):
     assert (W[v], W_hat[v]) == (_soluble_at(0, b, v), _soluble_at(0, -4 * b, v))
 
 
+@st.composite
+def odd_places(draw):
+    """(v, a, b, s): an odd v, a model (a, b) with v-adic valuations planted in a
+    and in b or b', minimal at v, and a scale s, so that E = (s^2 a, s^4 b) has
+    (a, b) as its reduced model at v and v in S.  By Kodaira type at v: III at
+    v(b) = 1, III* at v(b) = 3 < 2 v(a), I0* at v(b) = v(b') = 2, I_n* at
+    v(b) = 2 < v(b') and at v(b') = 2 < v(b), and good with v | a, for s = v."""
+    v = draw(st.sampled_from((3, 5, 7, 13, 113)))
+    unit = st.integers(-60, 60).filter(lambda n: n % v)
+    kind = draw(st.sampled_from(("III", "III*", "I0*", "In*, v(b') > 2", "In*, v(b) > 2", "good")))
+    a, w = v ** draw(st.integers(1, 3)) * draw(unit), draw(unit)
+    if kind in ("III", "III*", "I0*", "good"):
+        e = {"III": 1, "III*": 3, "I0*": 2, "good": 0}[kind]
+        a *= v if kind == "III*" else 1
+        b = v**e * w
+        assume(kind != "I0*" or (a * a - 4 * b) % v**3)
+    elif kind == "In*, v(b') > 2":  # at v(a) = 1, so v(b) = 2
+        a = v * draw(unit)
+        f = draw(st.integers(3, 7))
+        bp = v**f * (4 * draw(st.integers(-40, 40)) + a * a * v**f % 4)  # b' = a^2 (mod 4)
+        assume(bp % v ** (f + 1))
+        b = (a * a - bp) // 4
+    else:  # In*, v(b) > 2 at v(a) = 1, so v(b') = 2; v(b) odd or even
+        a, b = v * draw(unit), v ** draw(st.integers(3, 8)) * w
+    assume(nonsingular(a, b))
+    return v, a, b, draw(st.sampled_from((v, 6 * v) if kind == "good" else (1, v, 6)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(odd_places())
+@example((3, 3, 3, 1))  # III
+@example((5, 25, 125 * 2, 1))  # III*
+@example((13, 13, 169 * 3, 6))  # I0*, w = 3 a residue at 13
+@example((3, 15, 9, 1))  # I_1*: a + 2 sqrt(b) = 21 and b' = 189 have one class, as 9 is a square
+@example((3, 3, -27, 1))  # I_n* at v(b') = 2 < v(b) = 3: a half of (0, 0), of class 3
+@example((5, 5, 625 * 2, 1))  # I_n* at v(b') = 2 < v(b) = 4
+@example((3, 3, 2, 3))  # y^2 = x^3 + 27x^2 + 162x, good at 3 | a/t^2 = 3
+def test_local_images_at_an_odd_prime_are_the_soluble_classes_with_no_test(place):
+    # at every odd v, W_v and W'_v by rule on the reduced model, against the
+    # classes the oracle finds soluble on E and E' of that model, and no
+    # local test sees an odd prime
+    v, a, b, s = place
+    seen = set()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(descent_module, "_qp_soluble", lambda c, p: seen.add(p) or _qp_soluble(c, p))
+        W, W_hat, tested = _local_spans(Curve(s * s * a, s**4 * b, 0))
+    assert seen <= {2} and set(tested) <= {2}
+    assert (W[v], W_hat[v]) == (_soluble_at(a, b, v), _soluble_at(-2 * a, a * a - 4 * b, v))
+
+
+def test_no_local_test_at_an_odd_prime_on_the_box(monkeypatch):
+    # over the |a|, |b| <= 12 box only 2 is tested, and every odd prime's
+    # record has no tested classes
+    seen = set()
+    monkeypatch.setattr(descent_module, "_qp_soluble", lambda c, p: seen.add(p) or _qp_soluble(c, p))
+    for a, b in itertools.product(range(-12, 13), repeat=2):
+        if nonsingular(a, b):
+            places = _local_images(a, b, bad_set(Curve(a, b, 0)))[2]
+            assert all(tested is None for v, *_, tested in places if v != 2), (a, b)
+    assert seen == {2}
+
+
+def test_local_images_at_every_additive_odd_place_of_a_box_are_the_soluble_classes():
+    # all 4970 odd v dividing both a and b over |a| <= 30, |b| <= 200
+    count = 0
+    for a, b in itertools.product(range(-30, 31), range(-200, 201)):
+        if not nonsingular(a, b):
+            continue
+        W, W_hat, _ = _local_spans(Curve(a, b, 0))
+        for v in (v for v in bad_set(Curve(a, b, 0)).primes if v > 2 and a % v == b % v == 0):
+            count += 1
+            assert (W[v], W_hat[v]) == (_soluble_at(a, b, v), _soluble_at(-2 * a, a * a - 4 * b, v)), (a, b, v)
+    assert count == 4970
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.one_of(
     rule_places(),
@@ -762,7 +847,7 @@ def test_odd_rule_of_dx_is_the_soluble_classes(place):
         lambda place: nonsingular(*place[1:3])),
 ))
 @example((100003, 1, 100003, 1))  # the rule's W_v = {1} at 100003, so W'_v is everything
-@example((0, -25, 25, 1))  # three local tests at 5
+@example((0, -25, 25, 1))  # additive at 5 | a
 def test_local_image_of_the_isogenous_curve_is_its_soluble_classes(place):
     # W'_v, the annihilator whose basis _local_images records, at R and
     # at the primes of S, by rule or by tests, against the classes whose
@@ -782,9 +867,13 @@ def test_local_image_of_the_isogenous_curve_is_its_soluble_classes(place):
 
 
 @pytest.mark.parametrize("E, v", [(Curve(-25, 25, 0), 5), (Curve(-15, 36, 0), 3)])
-def test_three_local_tests_at_an_odd_prime_of_a(E, v):
-    # the most an odd v | a/t^2 takes: each class but 1 tested once
-    assert _selmer_and_tests(E)[1][v] == 3
+def test_no_local_test_at_an_odd_prime_of_a(E, v):
+    # additive at v | a/t^2, where three local tests once ran, one a class;
+    # W_v and W'_v now come by rule
+    assert v not in _selmer_and_tests(E)[1]
+    W, W_hat, _ = _local_spans(E)
+    a, b = E.a2, E.a4
+    assert (W[v], W_hat[v]) == (_soluble_at(a, b, v), _soluble_at(-2 * a, a * a - 4 * b, v))
 
 
 @pytest.mark.parametrize("b, sel, sel_hat, rank_upper", [
@@ -813,6 +902,22 @@ def test_additive_places_of_dx_at_a_large_prime_cost_no_local_test(b, sel, sel_h
     # a class insoluble
     start = time.perf_counter()
     report = descent_report(Curve(0, b, 0), 20)
+    assert time.perf_counter() - start < 0.1
+    assert [int(d) for d in report.selmer_phi] == sel
+    assert [int(d) for d in report.selmer_phi_hat] == sel_hat
+    assert (report.rank_lower, report.rank_upper) == (0, 1)
+
+
+@pytest.mark.parametrize("k, sel, sel_hat", [
+    (2, [1, -7], [1, 2, 1000003, 2000006]),
+    (3, [1, -11], [1, 3, 1000003, 3000009]),
+])
+def test_additive_places_at_a_large_prime_of_a_cost_no_local_test(k, sel, sel_hat):
+    # y^2 = x^3 + p x^2 + k p^2 x at p = 1000003 is additive at p | a, where
+    # the local tests once took about 4 s and W_p now comes by rule
+    p = 1000003
+    start = time.perf_counter()
+    report = descent_report(Curve(p, k * p * p, 0), 20)
     assert time.perf_counter() - start < 0.1
     assert [int(d) for d in report.selmer_phi] == sel
     assert [int(d) for d in report.selmer_phi_hat] == sel_hat
