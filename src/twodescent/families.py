@@ -98,7 +98,6 @@ def ep_rank_sha_dim(p: int) -> int:
     return sum(_ep_dims(p % 16)) - 2
 
 
-@cache
 def _ep_dims(r: int):
     """The two Selmer dimensions of E_p for p = r (mod 16)."""
     return tuple(len(reps).bit_length() - 1 for reps in _ep_selmer(r))
@@ -186,6 +185,7 @@ def _ep_dims(r: int):
 
 # primes q that split in Z[sqrt(-c)]: q mod modulus in residues
 _SPLIT = {1: (4, (1,)), 2: (8, (1, 3)), -2: (8, (1, 7))}
+_RING = {-1: 1, -2: 2, 2: -2}  # per searched space C_d: the c of its ring Z[sqrt(-c)]
 _ROOTS = {c: (0, array("q"), array("q"), array("q")) for c in _SPLIT}  # per c: bound, columns q, u, v
 
 
@@ -478,7 +478,7 @@ def _ep_space_point(p: int, d: int, H: int):
     C_{-1} and C_{-2} this way with H up to 10^6, and above the sweep's cap
     reads a prefix of the table first (_deep_scan).
     """
-    c = {-1: 1, -2: 2, 2: -2}.get(d)
+    c = _RING.get(d)
     if c is None:
         raise FamilyError(f"no structured search for class {d}")
     pi = _prime_root(p, c)
@@ -650,8 +650,7 @@ def ep_table(p_max: int, *, mod8: int | None = None, quartic_only: bool = False,
     top = max((p for p in ps if p % 8 == 1), default=0)
     for c in _SPLIT:  # the prime elements of every p that may search, from the sieve
         _fill_roots(top, c)
-    # the sieve proved each p and the height is checked above; past p, a row of p != 1 (mod 8)
-    # is fixed by p mod 16
+    # the sieve proved each p and the height is checked above, so each row takes
+    # ep_rank's rank without its checks
     dims = {r: (s, s_hat, s + s_hat - 2) for r in range(1, 16, 2) for s, s_hat in [_ep_dims(r)]}
-    tails = {r: (*dims[r], rank) for r, rank in _RANK_BY_RESIDUE.items()}
-    return [EpRow(p, *tails[p % 16]) if p % 8 != 1 else EpRow(p, *dims[p % 16], _ep_rank(p, height)) for p in ps]
+    return [EpRow(p, *dims[p % 16], _ep_rank(p, height)) for p in ps]

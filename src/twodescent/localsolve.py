@@ -125,18 +125,13 @@ _INSOLUBLE = LocalVerdict(False, None)
 
 def _setup(c: tuple[int, ...], p: int) -> tuple[tuple[int, ...], bool, int]:
     """c less the square part of its content p^m (square scaling keeps
-    every verdict), whether m is odd, and val(disc c, p).  An even
-    quartic A z^4 + B z^2 + C has disc 16 A C (B^2 - 4AC)^2."""
+    every verdict), whether m is odd, and val(disc c, p)."""
     m = _val(gcd(*c), p)
     if m > 1:
         t = p ** (m - m % 2)
         c = tuple(v // t for v in c)
-    c4, c3, c2, c1, c0 = c
-    if c3 or c1 or not c4:
-        if disc := poly_disc(c):
-            return c, m % 2 == 1, _val(disc, p)
-    elif c0 and (e := c2 * c2 - 4 * c4 * c0):
-        return c, m % 2 == 1, 4 * (p == 2) + _val(c4, p) + _val(c0, p) + 2 * _val(e, p)
+    if disc := poly_disc(c):
+        return c, m % 2 == 1, _val(disc, p)
     raise LocalSolveError("zero discriminant")
 
 

@@ -187,6 +187,10 @@ def test_ep_table_proves_each_prime_once(monkeypatch):
     rows = ep_table(2000)
     assert [r.p for r in rows] == ODD_PRIMES[:len(rows)] and rows[-1].p == 1999
     assert proved == []
+    # every row, of each residue mod 16, takes its rank by the one path ep_rank takes
+    assert {r.p % 16 for r in rows} == set(range(1, 16, 2))
+    for r in rows:
+        assert r.rank == ep_rank(r.p, 20) and r.rank_sha_dim == ep_rank_sha_dim(r.p)
 
 
 def test_quartic_filter_proves_each_row_prime_once(monkeypatch):

@@ -200,8 +200,15 @@ def test_zp_odd_valuation_everywhere():
 def test_zp_rejects_degenerate_input():
     with pytest.raises(LocalSolveError):
         zp_soluble(QuarticForm((0, 0, 0, 1, 2)), 3)
-    with pytest.raises(LocalSolveError):
+    with pytest.raises(LocalSolveError, match="zero discriminant"):
         zp_soluble(QuarticForm((1, 0, -2, 0, 1)), 5)  # (z^2-1)^2 has disc 0
+
+
+@pytest.mark.parametrize("c", [(1, 0, 1, 0, 0), (1, 0, 2, 0, 1), (1, 0, -2, 0, 1)])
+def test_qp_refuses_even_quartic_of_zero_discriminant_at_2(c):
+    # z^4 + z^2 (C = 0), (z^2 + 1)^2 and (z^2 - 1)^2 (B^2 = 4AC)
+    with pytest.raises(LocalSolveError, match="zero discriminant"):
+        qp_soluble(QuarticForm(c), 2)
 
 
 @pytest.mark.parametrize("p", [4, 6, 9, 15, 1, 0, -3, 3.0, True])
