@@ -21,7 +21,6 @@ import re
 import sys
 import time
 from contextlib import nullcontext
-from fractions import Fraction
 
 from .arith import Record, _root_exact, factorize
 from .curve import (
@@ -31,7 +30,6 @@ from .curve import (
     SingularModel,
     discriminant,
     from_cubic_const,
-    on_curve,
     torsion_subgroup,
 )
 from .descent import DescentReport, _check_height, descent_report, selmer
@@ -248,69 +246,53 @@ def _cross_check(args, agrees) -> int:
 
 
 def cmd_family(args) -> int:
+    D = args.value
+    if args.kind != "ep":
+        reduce_exp = 4 if args.kind == "edx" else 6
+        reduced = _reduce_power_free(D, reduce_exp) if D else D  # 0 is the family's to refuse
+        if reduced != D:
+            if not args.reduce:
+                print(
+                    f"error: D = {D} is not {reduce_exp}th-power-free; "
+                    f"pass --reduce to work with D = {reduced}",
+                    file=sys.stderr,
+                )
+                return 2
+            print(f"note: reduced D = {D} to {reduced}")
+            D = reduced
     if args.kind == "ep":
         p = args.value
         phi, phi_hat = ep_selmer(p)
-        rank = ep_rank(p, args.height)
-        if args.json:
-            print(serialize_document({
-                "schema_version": SCHEMA_VERSION,
-                "family": "ep",
-                "p": _enc_int(p),
-                "selmer_dims": [phi.dim2, phi_hat.dim2],
-                "selmer_phi": _enc_classes(phi),
-                "selmer_phi_hat": _enc_classes(phi_hat),
-                "rank_plus_sha2_dim": ep_rank_sha_dim(p),
-                "rank": _rank_result_json(rank),
-            }))
-        else:
-            print(f"family E_p : y^2 = x^3 + {p}x")
-            print(f"  Sel^phi   = {_fmt_classes(phi)}   (dim {phi.dim2})")
-            print(f"  Sel^phi'  = {_fmt_classes(phi_hat)}   (dim {phi_hat.dim2})")
-            print(f"  rank + dim_2 Sha[2] = {ep_rank_sha_dim(p)}")
-            print(f"  {_fmt_rank_result(rank)}")
-        return _cross_check(args, lambda: (selmer(Curve(0, p, 0)), selmer(Curve(0, -4 * p, 0)))
-                            == (phi, phi_hat))
-    D = args.value
-    reduce_exp = 4 if args.kind == "edx" else 6
-    reduced = _reduce_power_free(D, reduce_exp) if D else D  # 0 is the family's to refuse
-    if reduced != D:
-        if not args.reduce:
-            print(
-                f"error: D = {D} is not {reduce_exp}th-power-free; "
-                f"pass --reduce to work with D = {reduced}",
-                file=sys.stderr,
-            )
-            return 2
-        print(f"note: reduced D = {D} to {reduced}")
-        D = reduced
-    if args.kind == "edx":
-        T = edx_torsion(D)
-        bound = edx_rank_upper(D)
-        if args.json:
-            print(serialize_document({
-                "schema_version": SCHEMA_VERSION,
-                "family": "edx",
-                "D": _enc_int(D),
-                "torsion": _torsion_json(T),
-                "rank_upper": bound,
-            }))
-        else:
-            print(f"family E_D : y^2 = x^3 + {D}x")
-            print(f"  torsion subgroup = {T.structure}")
-            print(f"  rank <= {bound}")
-        return _cross_check(args, lambda: torsion_subgroup(Curve(0, D, 0)) == T)
-    T = edconst_torsion(D)
-    if args.json:
-        print(serialize_document({"schema_version": SCHEMA_VERSION, "family": "edconst", "D": _enc_int(D),
-                                  "torsion": _torsion_json(T)}))
+        rank, dim = ep_rank(p, args.height), ep_rank_sha_dim(p)
+        doc = {"p": _enc_int(p), "selmer_dims": [phi.dim2, phi_hat.dim2], "selmer_phi": _enc_classes(phi),
+               "selmer_phi_hat": _enc_classes(phi_hat), "rank_plus_sha2_dim": dim, "rank": _rank_result_json(rank)}
+        lines = [f"family E_p : y^2 = x^3 + {p}x", f"  Sel^phi   = {_fmt_classes(phi)}   (dim {phi.dim2})",
+                 f"  Sel^phi'  = {_fmt_classes(phi_hat)}   (dim {phi_hat.dim2})",
+                 f"  rank + dim_2 Sha[2] = {dim}", f"  {_fmt_rank_result(rank)}"]
+
+        def agrees():
+            return (selmer(Curve(0, p, 0)), selmer(Curve(0, -4 * p, 0))) == (phi, phi_hat)
+    elif args.kind == "edx":
+        T, bound = edx_torsion(D), edx_rank_upper(D)
+        doc = {"D": _enc_int(D), "torsion": _torsion_json(T), "rank_upper": bound}
+        lines = [f"family E_D : y^2 = x^3 + {D}x", f"  torsion subgroup = {T.structure}", f"  rank <= {bound}"]
+
+        def agrees():
+            return torsion_subgroup(Curve(0, D, 0)) == T
     else:
-        print(f"family E_D : y^2 = x^3 + {D}")
-        print(f"  torsion subgroup = {T.structure}")
-    # a cube D also has the shifted model, with 2-torsion at the origin
-    c = _root_exact(D, 3)
-    return _cross_check(args, lambda: torsion_subgroup(Curve(0, 0, D)) == T and (
-        c is None or torsion_subgroup(from_cubic_const(c)).structure == T.structure))
+        T = edconst_torsion(D)
+        doc = {"D": _enc_int(D), "torsion": _torsion_json(T)}
+        lines = [f"family E_D : y^2 = x^3 + {D}", f"  torsion subgroup = {T.structure}"]
+        c = _root_exact(D, 3)  # a cube D also has the shifted model, with 2-torsion at the origin
+
+        def agrees():
+            return torsion_subgroup(Curve(0, 0, D)) == T and (
+                c is None or torsion_subgroup(from_cubic_const(c)).structure == T.structure)
+    if args.json:
+        print(serialize_document({"schema_version": SCHEMA_VERSION, "family": args.kind, **doc}))
+    else:
+        print("\n".join(lines))
+    return _cross_check(args, agrees)
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +380,19 @@ def parse_cremona_line(line: str) -> CremonaLine:
     except SingularModel:
         raise ValueError(f"singular model {list(ainv)}") from None
     tors = tuple(int(v) for v in m.group(6).split(",")) if m.group(6).strip() else ()
-    rest = m.group(7)
-    gens = tuple((int(g[0]), int(g[1]), int(g[2])) for g in _GEN_RE.findall(rest))
+    gens = []
+    for token in m.group(7).split():
+        if not (g := _GEN_RE.fullmatch(token)):
+            raise ValueError(f"generator {token!r} is not [x:y:z] of three integers")
+        gens.append(tuple(map(int, g.groups())))
     return CremonaLine(conductor=int(m.group(1)), class_label=m.group(2), number=int(m.group(3)), ainv=ainv,
-                       rank=int(m.group(5)), torsion_invariants=tors, generators=gens)
+                       rank=int(m.group(5)), torsion_invariants=tors, generators=tuple(gens))
 
 
 def _projective_on_curve(E: Curve, triple) -> bool:
+    """Whether [x:y:z] != [0:0:0] solves y^2 z = x^3 + a2 x^2 z + a4 x z^2 + a6 z^3."""
     x, y, z = triple
-    if z == 0:
-        return x == 0 and y != 0  # only [0:1:0] lies on a Weierstrass curve
-    return on_curve(E, Pt(Fraction(x, z), Fraction(y, z)))
+    return any(triple) and y * y * z == ((x + E.a2 * z) * x + E.a4 * z * z) * x + E.a6 * z**3
 
 
 def _verify_line(cl: CremonaLine, height: int):

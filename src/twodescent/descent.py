@@ -58,10 +58,7 @@ def _check_descent_model(E: Curve) -> tuple[int, int]:
         raise DescentError(f"need a Curve, not {E!r}")
     if E.a6 != 0:
         raise DescentError("need a6 = 0, with the 2-torsion point at (0, 0)")
-    a, b = E.a2, E.a4
-    if b == 0 or a * a - 4 * b == 0:
-        raise DescentError("singular curve in the isogeny pair")
-    return a, b
+    return E.a2, E.a4
 
 
 class IsogenyPair(Record):
@@ -158,10 +155,9 @@ def _minus_one_real(a: int, b: int) -> bool:
 
 # At a prime v, keyed by v % 4: per local class x (bits 2, -1, 5 at 2, v and a
 # non-residue at odd v) the bits x pairs with to -1 under the Hilbert symbol.
-# Local tests at 2 visit the x in _ORDER, least |_CLASSES2[x]| first, on the
-# integer _CLASSES2[x] of x.  _ODD[f] has bit y set when y & f is odd.
+# Local tests at 2 visit x = 1, ..., 7 in turn, on the integer _CLASSES2[x]
+# of x.  _ODD[f] has bit y set when y & f is odd.
 _PAIRS = {2: (0, 4, 2, 6, 1, 5, 3, 7), 1: (0, 2, 1, 3), 3: (0, 3, 1, 2)}
-_ORDER = (0, 2, 1, 3, 4, 6, 5, 7)
 _CLASSES2 = (1, 2, -1, -2, 5, 10, -5, -10)
 _ODD = tuple(sum(((y & f).bit_count() & 1) << y for y in range(8)) for f in range(8))
 _RULE = ((), (2,), (1, 2))  # by dimension, the basis of W_v at a good or multiplicative odd v
@@ -240,7 +236,7 @@ def _local_images(a: int, b: int, S: BadSet) -> tuple[int, int, list[tuple]]:
     (-uw/v) = 1.  At 2, y^2 = x^3 + bx depends only on the class of b in
     Q_2*/Q_2*^4, as (x, y) -> (u^2 x, u^3 y) takes b to u^4 b and keeps the class
     of x, and W_2 is the entry of _DX2 at (e, w mod 16).
-    At 2 otherwise one pass over _ORDER tests each class x not yet known in or out of
+    At 2 otherwise one pass over x = 1, ..., 7 tests each class x not yet known in or out of
     W_2: 0 and L_2(b') lie in W_2 (C_1 has the point (0, 1), C_b' a rational point
     at infinity), a class pairing to -1 with L_2(b), in the image of E', does not;
     a soluble x joins the basis and both known sets grow by their sums with it, an
@@ -271,7 +267,7 @@ def _local_images(a: int, b: int, S: BadSet) -> tuple[int, int, list[tuple]]:
             basis = _BASIS[_DX2[vb << 3 | w % 16 >> 1]]
         elif v == 2:
             known, bad, tested = {0, s}, set(), ()
-            for x in _ORDER:
+            for x in range(1, 8):
                 if x in known or x in bad or (x & pairs[b_image]).bit_count() & 1:
                     continue
                 tested += (x,)

@@ -35,7 +35,7 @@ from .arith import (
     sieve_primes,
 )
 from .curve import INFINITY, TorsionGroup, _character, pt
-from .descent import SelmerSet, _every
+from .descent import SelmerSet, _SQUARES, _every
 
 __all__ = ["FamilyError", "RankResult", "EpRow", "ep_selmer", "ep_rank_sha_dim", "ep_rank", "edx_torsion",
            "edx_rank_upper", "edconst_torsion", "ep_table"]
@@ -415,8 +415,7 @@ def _packed_orbit_masks():
     set where x of (x0 + s0 sqrt 2)(3 + 2 sqrt 2)^j is a square mod q, bit 24 + j where -x is."""
     out = []
     for q in _ORBIT_MODULI:
-        squares = {w * w % q for w in range(q)}
-        pos, neg = (bytes(48 + (s * x % q in squares) for x in range(256)) for s in (1, -1))
+        pos, neg = (bytes(48 + (s * x % q in _SQUARES[q]) for x in range(256)) for s in (1, -1))
         # per x0 and per s, the 24 terms x0 ux and s us mod q, step 23 first, as the bytes of an
         # int: the bytes of a sum, each below 2q, are the steps' x up to the reduction in the marks
         terms = [[int.from_bytes(bytes(w * u[i] % q for u in _UNITS[23::-1]), "big") for w in range(q)]
@@ -478,9 +477,7 @@ def _ep_space_point(p: int, d: int, H: int):
     C_{-1} and C_{-2} this way with H up to 10^6, and above the sweep's cap
     reads a prefix of the table first (_deep_scan).
     """
-    c = _RING.get(d)
-    if c is None:
-        raise FamilyError(f"no structured search for class {d}")
+    c = _RING[d]
     pi = _prime_root(p, c)
     if pi is None:
         return None

@@ -14,6 +14,8 @@ from twodescent.arith import (
     Factorization,
     SquareClass,
     ONE,
+    UnfactoredCofactor,
+    _rho_split,
     factorize,
     is_padic_square,
     is_prime,
@@ -60,6 +62,11 @@ def test_val_agrees_with_repeated_division(n, k, p):
 def test_val_of_zero_rejected():
     with pytest.raises(ArithError):
         val(0, 2)
+
+
+def test_val_refuses_a_base_below_two():
+    with pytest.raises(ArithError, match="valuation base must be at least 2"):
+        val(5, 1)
 
 
 NON_INTEGER_CALLS = [
@@ -182,6 +189,12 @@ def test_factorize_semiprime_cofactor_skips_the_trial_walk():
                  (999979, 1999993)):
         assert factorize(4 * p * q).factors == ((2, 2), (p, 1), (q, 1))
     assert time.perf_counter() - t0 < 0.1
+
+
+def test_rho_refuses_a_cofactor_once_its_budget_runs_out():
+    n = 1000003 * 1000033
+    with pytest.raises(UnfactoredCofactor, match=f"unfactored cofactor {n}"):
+        _rho_split(n, [50])
 
 
 @settings(max_examples=80, deadline=None)
@@ -384,6 +397,11 @@ def test_is_padic_square_odd_primes():
     assert not is_padic_square(3, 7)
     assert is_padic_square(9 * 49, 3)
     assert not is_padic_square(3, 3)
+
+
+def test_is_padic_square_refuses_zero():
+    with pytest.raises(ArithError, match="zero has no square class"):
+        is_padic_square(0, 3)
 
 
 def test_is_padic_square_rejects_composite_modulus():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -76,6 +77,22 @@ def test_descent_text_report(capsys):
     assert "Z4" in out
 
 
+def test_descent_text_report_lists_a_generator(capsys):
+    rc, out, _ = run(capsys, "descent", "--a2", "0", "--a4", "5", "--height", "1")
+    assert rc == 0
+    assert "  independent points of infinite order: (1/4, 9/8)\n" in out
+
+
+def test_descent_text_report_notes_an_odd_residual(capsys):
+    # y^2 = x^3 - 2x at height 1: Sel(E') has a class no point certifies
+    rc, out, _ = run(capsys, "descent", "--a2", "0", "--a4", "-2", "--height", "1")
+    assert rc == 0
+    assert out.splitlines()[-2:] == [
+        "  no points of infinite order found up to height 1",
+        "  note: odd Selmer-minus-image residual: point search height too small or nontrivial Sha",
+    ]
+
+
 @pytest.mark.parametrize("a4", ["2", "17"])
 def test_descent_refuses_a_height_below_one(capsys, a4):
     # y^2 = x^3 + 2x makes no point search, y^2 = x^3 + 17x does
@@ -123,6 +140,13 @@ def test_family_ep(capsys):
     assert rc == 0
     assert "dim 3" in out
     assert "rank = 0" in out
+
+
+def test_family_ep_prints_an_interval_rank(capsys):
+    # 257 = 1 (mod 16) with 2 a quartic residue: no point up to height 20
+    rc, out, _ = run(capsys, "family", "ep", "257")
+    assert rc == 0
+    assert out.splitlines()[-1].startswith("  rank in [0, 2]  (")
 
 
 def test_family_ep_rejects_composite(capsys):
@@ -199,6 +223,19 @@ def test_table_small(capsys):
     for p in (3, 5, 7, 11, 13, 17, 19):
         assert f"p={p} " in out
     assert "7 rows" in out
+
+
+def test_table_with_both_filters(capsys):
+    rc, out, _ = run(capsys, "table", "ep", "--max", "600", "--filter", "mod8=1,quartic2=true")
+    assert rc == 0
+    assert out.splitlines()[-1] == "10 rows"
+
+
+@pytest.mark.parametrize("spec, message", [("quartic2=maybe", "quartic2 takes true or false"),
+                                           ("colour=red", "unknown filter key 'colour'")])
+def test_table_refuses_an_unknown_filter(capsys, spec, message):
+    rc, out, err = run(capsys, "table", "ep", "--max", "100", "--filter", spec)
+    assert (rc, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_table_has_no_jobs_option(capsys):
@@ -279,6 +316,20 @@ def test_parse_cremona_line_rejects_garbage():
         parse_cremona_line("not a line")
 
 
+def test_parse_cremona_line_refuses_four_a_invariants():
+    with pytest.raises(ValueError, match="need five a-invariants"):
+        parse_cremona_line("11 a 1 [0,-1,1,-10] 0 [5]")
+
+
+@pytest.mark.parametrize("tail, token", [("[0:0]", "[0:0]"), ("[1:2:3:4]", "[1:2:3:4]"),
+                                         ("garbage [0:0:1]", "garbage")], ids=["two", "four", "word"])
+def test_parse_cremona_line_refuses_a_malformed_generator(tail, token):
+    # each token after the torsion field must be a generator [x:y:z]: one
+    # passed over would let the line verify with that generator unchecked
+    with pytest.raises(ValueError, match=re.escape(f"generator {token!r} is not [x:y:z] of three integers")):
+        parse_cremona_line(f"18496 k 1 [0,0,0,17,0] 0 [2] {tail}")
+
+
 def test_verify_cremona_good_line(tmp_path, capsys):
     f = tmp_path / "allgens.txt"
     f.write_text(GOOD_LINE + "\n")
@@ -357,6 +408,35 @@ def test_verify_cremona_reports_parse_errors_with_line_numbers(tmp_path, capsys)
     assert rc == 0
     assert "line 2: parse error" in out
     assert "1 parse errors" in out
+
+
+def test_verify_cremona_checks_each_generator_and_counts_no_blank_line(tmp_path, capsys):
+    # [0:1:0] is the point at infinity, on every curve; [1:1:1] is not on
+    # y^2 = x^3 + 17x; y^2 = x^3 + 2 has no rational 2-torsion to descend
+    # from; and a malformed generator is a parse error
+    f = tmp_path / "allgens.txt"
+    f.write_text("18496 k 1 [0,0,0,17,0] 0 [2] [0:1:0]\n\n18496 k 1 [0,0,0,17,0] 0 [2] [1:1:1]\n   \n"
+                 "1 a 1 [0,0,0,0,2] 1 []\n18496 k 1 [0,0,0,17,0] 0 [2] [0:0]\n")
+    rc, out, _ = run(capsys, "verify-cremona", str(f))
+    assert rc == 3
+    assert out.splitlines() == [
+        "line 1 (18496k1): ok: torsion and generators verified; rank 0 within [0, 2]",
+        "line 3 (18496k1): mismatch: generator [1:1:1] is not on the curve",
+        "line 5 (1a1): ok: torsion and generators verified; rank unchecked (no rational 2-torsion)",
+        "line 6: parse error: generator '[0:0]' is not [x:y:z] of three integers",
+        "4 lines: 2 verified, 0 skipped, 1 mismatches, 1 parse errors",
+    ]
+
+
+def test_verify_cremona_counts_a_line_the_engine_refuses_as_a_mismatch(tmp_path, capsys):
+    # the first prime after 10^26 lies above the witness bound: descent
+    # refuses it, and verify-cremona counts that refusal as a mismatch
+    f = tmp_path / "allgens.txt"
+    f.write_text("1 a 1 [0,0,0,100000000000000000000000067,0] 0 [2]\n")
+    rc, out, _ = run(capsys, "verify-cremona", str(f))
+    assert rc == 3
+    assert out.splitlines()[0].startswith("line 1: verification error: 100000000000000000000000067 passes")
+    assert out.splitlines()[1] == "1 lines: 0 verified, 0 skipped, 1 mismatches, 0 parse errors"
 
 
 def test_verify_cremona_counts_a_singular_model_as_a_parse_error(tmp_path, capsys):

@@ -306,6 +306,11 @@ def test_torsion_subgroup_examples():
     assert t4.generators[0] in (pt(-1, 2), pt(-1, -2))
 
 
+def test_trivial_torsion_has_no_invariants():
+    # y^2 = x^3 + 2: no point of finite order but the point at infinity
+    assert torsion_subgroup(Curve(0, 0, 2)).invariants() == []
+
+
 def test_torsion_subgroup_full_two_torsion():
     t = torsion_subgroup(Curve(0, -1, 0))
     assert t.structure == "Z2xZ2"

@@ -81,6 +81,12 @@ def test_poly_disc_matches_reference(f):
     assert poly_disc(f.c) == quartic_disc_oracle(f.c)
 
 
+def test_poly_disc_of_a_constant_and_of_a_linear_polynomial():
+    with pytest.raises(LocalSolveError, match="discriminant needs degree >= 1"):
+        poly_disc((0, 0, 0, 0, 5))
+    assert poly_disc((0, 0, 0, 2, 3)) == 1
+
+
 def test_brute_oracle_congruence_obstruction_mod_eight():
     # w^2 = -16z^4 + 12z^2 - 2 reads 4z^2 + 6 mod 8: never a square mod 8
     f = QuarticForm((-16, 0, 12, 0, -2))

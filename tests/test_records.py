@@ -114,6 +114,12 @@ def test_post_init_validates_every_construction():
         SelmerSet((SquareClass(2),))
 
 
+@pytest.mark.parametrize("primes", [(3, 2), (2, 3, 3)])
+def test_bad_set_refuses_primes_out_of_order_or_repeated(primes):
+    with pytest.raises(DescentError, match="primes must be sorted and distinct"):
+        BadSet(primes)
+
+
 @pytest.mark.parametrize("primes", [2, [2, 3], (2, 9), (2, 1), (True, 2), (2, 3.0)])
 def test_bad_set_refuses_entries_that_are_not_prime_ints(primes):
     # (2, 9) once gave qs2 the classes +-9 and +-18, and (True, 2) each
